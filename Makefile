@@ -38,4 +38,4 @@ bench-smoke:
 # the canonical topologies, written to BENCH_wallclock.json.
 bench-wallclock:
 	$(GO) run ./cmd/mcn-serve -wallbench -out BENCH_wallclock.json
-	$(GO) run ./cmd/mcn-serve -wallcheck BENCH_wallclock.json
+	$(GO) run ./cmd/mcn-serve -check BENCH_wallclock.json

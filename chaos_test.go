@@ -185,7 +185,7 @@ func TestChaos(t *testing.T) {
 	// armed: a DIMM flap mid-window must trip exactly one shard's breaker,
 	// and the whole run — including the breaker open/half-open/closed event
 	// ordering in the rendered timeline — must replay byte-identically.
-	sa := mcn.ServeFaultsAdmitted(42)
+	sa := mcn.ServeFaults(42, mcn.Topo{Fabric: "mcn5", Batch: true, Admit: true})
 	if !sa.Admitted || !sa.Result.AdmitOn {
 		t.Fatal("admitted chaos serve run reports the admission plane off")
 	}
@@ -198,7 +198,7 @@ func TestChaos(t *testing.T) {
 				e.Shard, sa.Result.PerShard[e.Shard].Name, e)
 		}
 	}
-	sb := mcn.ServeFaultsAdmitted(42)
+	sb := mcn.ServeFaults(42, mcn.Topo{Fabric: "mcn5", Batch: true, Admit: true})
 	if sa.String() != sb.String() {
 		t.Fatalf("admitted serve chaos replay diverged:\n--- run A ---\n%s--- run B ---\n%s", sa, sb)
 	}
@@ -214,7 +214,7 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batched fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsBatched(77)
+	a := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true})
 	if !a.Batched {
 		t.Fatal("run does not report batching enabled")
 	}
@@ -224,11 +224,11 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if len(a.Degraded) == 0 {
 		t.Fatal("DIMM flap degraded no shard; fault injection looks inert")
 	}
-	b := mcn.ServeFaultsBatched(77)
+	b := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true})
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different batched fault replay:\n--- run A ---\n%s\n--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsBatched(78)
+	c := mcn.ServeFaults(78, mcn.Topo{Fabric: "mcn5", Batch: true})
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical result; injection looks seed-independent")
 	}
@@ -237,7 +237,7 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	// open at least once, every transition lands in the rendered timeline,
 	// and the replay — jittered backoff windows included — stays
 	// byte-identical per seed and distinct across seeds.
-	aa := mcn.ServeFaultsAdmitted(77)
+	aa := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Admit: true})
 	if !aa.Admitted {
 		t.Fatal("run does not report admission enabled")
 	}
@@ -247,11 +247,11 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if len(aa.Result.AdmitEvents) == 0 {
 		t.Fatal("breaker opened but the health timeline is empty")
 	}
-	ab := mcn.ServeFaultsAdmitted(77)
+	ab := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Admit: true})
 	if aa.String() != ab.String() {
 		t.Fatalf("same seed, different admitted fault replay:\n--- run A ---\n%s--- run B ---\n%s", aa, ab)
 	}
-	ac := mcn.ServeFaultsAdmitted(78)
+	ac := mcn.ServeFaults(78, mcn.Topo{Fabric: "mcn5", Batch: true, Admit: true})
 	if ac.String() == aa.String() {
 		t.Fatal("different seed replayed the identical admitted result")
 	}
@@ -269,7 +269,7 @@ func TestMcntFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mcnt fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsMcnt(77)
+	a := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Mcnt: true})
 	if !a.Mcnt {
 		t.Fatal("run does not report the mcnt transport")
 	}
@@ -282,11 +282,11 @@ func TestMcntFaultReplayDeterminism(t *testing.T) {
 	if !strings.Contains(a.McntFabric, "resent=") || strings.Contains(a.McntFabric, "resent=0 ") {
 		t.Fatalf("flap recovered without a single mcnt resend — go-back-N never engaged: %s", a.McntFabric)
 	}
-	b := mcn.ServeFaultsMcnt(77)
+	b := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Mcnt: true})
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different mcnt fault replay:\n--- run A ---\n%s\n--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsMcnt(78)
+	c := mcn.ServeFaults(78, mcn.Topo{Fabric: "mcn5", Batch: true, Mcnt: true})
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical mcnt result; injection looks seed-independent")
 	}
@@ -304,7 +304,7 @@ func TestReplicatedFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsRepl(77)
+	a := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Repl: true})
 	if !a.Repl || !a.Result.ReplOn {
 		t.Fatal("replicated chaos serve run reports the replication plane off")
 	}
@@ -336,11 +336,11 @@ func TestReplicatedFaultReplayDeterminism(t *testing.T) {
 	if a.Diverged != 0 {
 		t.Fatalf("%d keys diverged between primaries and backups after the final sweep", a.Diverged)
 	}
-	b := mcn.ServeFaultsRepl(77)
+	b := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Repl: true})
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different replicated fault replay:\n--- run A ---\n%s--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsRepl(78)
+	c := mcn.ServeFaults(78, mcn.Topo{Fabric: "mcn5", Batch: true, Repl: true})
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical replicated result")
 	}
@@ -357,7 +357,7 @@ func TestOpsFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ops fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsOps(77)
+	a := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Ops: true})
 	if !a.Ops || !a.Result.OpsOn {
 		t.Fatal("ops chaos serve run reports the operator mix off")
 	}
@@ -374,11 +374,11 @@ func TestOpsFaultReplayDeterminism(t *testing.T) {
 	if res.Ops.Filter.Offloaded == 0 {
 		t.Fatalf("no operator ran on-DIMM through the flap: %s", res.Ops.String())
 	}
-	b := mcn.ServeFaultsOps(77)
+	b := mcn.ServeFaults(77, mcn.Topo{Fabric: "mcn5", Batch: true, Ops: true})
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different ops fault replay:\n--- run A ---\n%s--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsOps(78)
+	c := mcn.ServeFaults(78, mcn.Topo{Fabric: "mcn5", Batch: true, Ops: true})
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical ops result; injection looks seed-independent")
 	}

@@ -5,6 +5,7 @@
 //	mcn-experiments -fig all            # everything (slow)
 //	mcn-experiments -fig 8a             # one figure
 //	mcn-experiments -fig 9 -scale 0.1 -workloads mg,grep
+//	mcn-experiments -fig serve-faults:mcn5+batch+mcnt   # DIMM flap on any topology
 //	mcn-experiments -headline
 package main
 
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "which figure/table to regenerate: 8a, 8b, 8c, t3, 9, 10, 11, faults, serve, serve-batch, serve-faults, serve-admit, serve-repl, serve-attrib, serve-mcnt, serve-ops, serve-ops-faults, serve-timeline, all")
+	fig := flag.String("fig", "", "which figure/table to regenerate: 8a, 8b, 8c, t3, 9, 10, 11, faults, serve, serve-batch, serve-faults[:TOPO], serve-admit, serve-repl, serve-attrib, serve-mcnt, serve-ops, serve-ops-faults, serve-timeline, all")
 	headline := flag.Bool("headline", false, "compute the abstract's headline numbers")
 	discussion := flag.Bool("discussion", false, "run the Sec. VII TCP-overhead / fast-transport comparison")
 	scale := flag.Float64("scale", float64(mcn.QuickScale), "working-set multiplier for figs 9-11")
@@ -37,6 +38,14 @@ func main() {
 	s := mcn.Scale(*scale)
 
 	run := func(f string) {
+		// serve-faults takes an optional ":TOPO" (default mcn5);
+		// serve-ops-faults is its mcn5+batch+ops spelling.
+		topoText := "mcn5"
+		if rest, ok := strings.CutPrefix(f, "serve-faults:"); ok {
+			f, topoText = "serve-faults", rest
+		} else if f == "serve-ops-faults" {
+			f, topoText = "serve-faults", "mcn5+batch+ops"
+		}
 		switch f {
 		case "8a":
 			fmt.Print(mcn.Fig8a())
@@ -59,7 +68,12 @@ func main() {
 		case "serve-batch":
 			fmt.Print(mcn.ServeBatch(*seed, nil))
 		case "serve-faults":
-			fmt.Print(mcn.ServeFaults(*seed))
+			topo, err := mcn.ParseTopo(topoText)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "-fig serve-faults: %v; want %s\n", err, mcn.TopoGrammar())
+				os.Exit(2)
+			}
+			fmt.Print(mcn.ServeFaults(*seed, topo))
 		case "serve-admit":
 			fmt.Print(mcn.ServeAdmit(*seed))
 		case "serve-repl":
@@ -70,8 +84,6 @@ func main() {
 			fmt.Print(mcn.ServeMcnt(*seed, nil))
 		case "serve-ops":
 			fmt.Print(mcn.ServeOps(*seed))
-		case "serve-ops-faults":
-			fmt.Print(mcn.ServeFaultsOps(*seed))
 		case "serve-timeline":
 			fmt.Print(mcn.ServeTimeline(*seed))
 		default:

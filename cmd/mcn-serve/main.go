@@ -9,8 +9,14 @@
 //	mcn-serve -trace trace.json -metrics m.json  # one traced run + artifacts
 //	mcn-serve -timeline tl.json                  # windowed timeline + incidents
 //	mcn-serve -curve                             # full latency-vs-load sweep
-//	mcn-serve -curve -check BENCH_serve.json     # sweep + regression check
 //	mcn-serve -bench -out BENCH_serve.json       # qps-at-SLO per topology
+//	mcn-serve -wallbench -out BENCH_wallclock.json  # simulator events/sec
+//	mcn-serve -check BENCH_serve.json            # regenerate + drift gate
+//	mcn-serve -check BENCH_wallclock.json        # same gate, other artifact
+//
+// -check regenerates every section the named artifact records and names
+// each JSON path that drifted; -rates trims the serving sweep to a
+// partial ladder for a quick gate.
 //
 // -trace writes a Perfetto/Chrome trace-event JSON (load it at
 // ui.perfetto.dev) of the sampled request spans plus metrics/timeline
@@ -28,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -38,59 +43,27 @@ import (
 
 // runJSON is the single-run JSON shape.
 type runJSON struct {
-	Seed       uint64         `json:"seed"`
-	Topo       string         `json:"topo"`
-	OfferedQPS float64        `json:"offered_qps,omitempty"`
-	Workers    int            `json:"closed_workers,omitempty"`
-	QPS        float64        `json:"qps"`
-	N          int64          `json:"n"`
-	Errors     int64          `json:"errors"`
-	Unfinished int64          `json:"unfinished"`
-	P50Ns      float64        `json:"p50_ns"`
-	P95Ns      float64        `json:"p95_ns"`
-	P99Ns      float64        `json:"p99_ns"`
-	P999Ns     float64        `json:"p999_ns"`
-	MaxNs      float64        `json:"max_ns"`
-	Shed       int64          `json:"shed,omitempty"`
-	Rerouted   int64          `json:"rerouted,omitempty"`
-	Misses     int64          `json:"misses,omitempty"`
-	FailedOver int64          `json:"failed_over,omitempty"`
-	StaleReads int64          `json:"stale_reads,omitempty"`
-	Degraded   []int          `json:"degraded,omitempty"`
-	Ops        *runOpsJSON    `json:"ops,omitempty"`
-	Shards     []runShardJSON `json:"shards"`
-}
-
-// runOpsJSON is the near-memory operator section of a single run (only
-// present when the workload mixed operator traffic in).
-type runOpsJSON struct {
-	MultiGet opTallyJSON `json:"multiget"`
-	Scan     opTallyJSON `json:"scan"`
-	Filter   opTallyJSON `json:"filter"`
-	RMW      opTallyJSON `json:"rmw"`
-}
-
-type opTallyJSON struct {
-	Issued    int64 `json:"issued"`
-	Offloaded int64 `json:"offloaded"`
-	Host      int64 `json:"host"`
-	Errors    int64 `json:"errors,omitempty"`
-	WireReqs  int64 `json:"wire_reqs"`
-	ReqBytes  int64 `json:"req_bytes"`
-	RespBytes int64 `json:"resp_bytes"`
-}
-
-func opTally(t mcn.OpsCounters) runOpsJSON {
-	mk := func(issued, offloaded, host, errs, wire, reqB, respB int64) opTallyJSON {
-		return opTallyJSON{Issued: issued, Offloaded: offloaded, Host: host,
-			Errors: errs, WireReqs: wire, ReqBytes: reqB, RespBytes: respB}
-	}
-	return runOpsJSON{
-		MultiGet: mk(t.MultiGet.Issued, t.MultiGet.Offloaded, t.MultiGet.Host, t.MultiGet.Errors, t.MultiGet.WireReqs, t.MultiGet.ReqBytes, t.MultiGet.RespBytes),
-		Scan:     mk(t.Scan.Issued, t.Scan.Offloaded, t.Scan.Host, t.Scan.Errors, t.Scan.WireReqs, t.Scan.ReqBytes, t.Scan.RespBytes),
-		Filter:   mk(t.Filter.Issued, t.Filter.Offloaded, t.Filter.Host, t.Filter.Errors, t.Filter.WireReqs, t.Filter.ReqBytes, t.Filter.RespBytes),
-		RMW:      mk(t.RMW.Issued, t.RMW.Offloaded, t.RMW.Host, t.RMW.Errors, t.RMW.WireReqs, t.RMW.ReqBytes, t.RMW.RespBytes),
-	}
+	Seed       uint64           `json:"seed"`
+	Topo       string           `json:"topo"`
+	OfferedQPS float64          `json:"offered_qps,omitempty"`
+	Workers    int              `json:"closed_workers,omitempty"`
+	QPS        float64          `json:"qps"`
+	N          int64            `json:"n"`
+	Errors     int64            `json:"errors"`
+	Unfinished int64            `json:"unfinished"`
+	P50Ns      float64          `json:"p50_ns"`
+	P95Ns      float64          `json:"p95_ns"`
+	P99Ns      float64          `json:"p99_ns"`
+	P999Ns     float64          `json:"p999_ns"`
+	MaxNs      float64          `json:"max_ns"`
+	Shed       int64            `json:"shed,omitempty"`
+	Rerouted   int64            `json:"rerouted,omitempty"`
+	Misses     int64            `json:"misses,omitempty"`
+	FailedOver int64            `json:"failed_over,omitempty"`
+	StaleReads int64            `json:"stale_reads,omitempty"`
+	Degraded   []int            `json:"degraded,omitempty"`
+	Ops        *mcn.OpsCounters `json:"ops,omitempty"`
+	Shards     []runShardJSON   `json:"shards"`
 }
 
 type runShardJSON struct {
@@ -107,119 +80,14 @@ type runShardJSON struct {
 	MaxNs      int64   `json:"max_ns"`
 }
 
-// benchJSON is the BENCH_serve.json shape: the qps-at-SLO headline per
-// topology, the full curves behind it, and the DIMM-flap fault run with
-// admission control off vs on.
-type benchJSON struct {
-	Seed     uint64             `json:"seed"`
-	SLONs    float64            `json:"slo_p99_ns"`
-	QpsAtSLO map[string]float64 `json:"qps_at_slo"`
-	Curves   []benchCurveJSON   `json:"curves"`
-	Faults   benchFaultsJSON    `json:"faults"`
-	// Ops is the near-memory operator headline (the two-end selectivity
-	// sweep): omitted by artifacts recorded before the subsystem existed,
-	// so old files keep parsing.
-	Ops *benchOpsJSON `json:"ops,omitempty"`
-}
-
-// benchOpsJSON records the serve-ops smoke sweep: per selectivity, the
-// filter-family channel bytes of the forced host and on-DIMM paths, the
-// savings ratio, and what the calibrated auto mode picked.
-type benchOpsJSON struct {
-	Topo             string            `json:"topo"`
-	Rate             float64           `json:"rate"`
-	ChannelNsPerByte float64           `json:"channel_ns_per_byte"`
-	Rows             []benchOpsRowJSON `json:"rows"`
-}
-
-type benchOpsRowJSON struct {
-	Selectivity     float64 `json:"selectivity"`
-	FilterIssued    int64   `json:"filter_issued"`
-	HostFilterBytes int64   `json:"host_filter_bytes"`
-	DimmFilterBytes int64   `json:"dimm_filter_bytes"`
-	HostOverDimm    float64 `json:"host_over_dimm"`
-	AutoOffloaded   int64   `json:"auto_offloaded"`
-	AutoHost        int64   `json:"auto_host"`
-	HostFilterP99Ns float64 `json:"host_filter_p99_ns"`
-	DimmFilterP99Ns float64 `json:"dimm_filter_p99_ns"`
-}
-
-func opsBenchJSON(r *mcn.ServeOpsResult) *benchOpsJSON {
-	out := &benchOpsJSON{Topo: r.Topo, Rate: r.Rate, ChannelNsPerByte: r.ChannelNsPerByte}
-	for _, row := range r.Rows {
-		out.Rows = append(out.Rows, benchOpsRowJSON{
-			Selectivity:     row.Selectivity,
-			FilterIssued:    row.Host.FilterIssued,
-			HostFilterBytes: row.Host.FilterBytes,
-			DimmFilterBytes: row.Dimm.FilterBytes,
-			HostOverDimm:    row.HostOverDimmBytes(),
-			AutoOffloaded:   row.Auto.FilterOffloaded,
-			AutoHost:        row.Auto.FilterHost,
-			HostFilterP99Ns: row.Host.FilterP99,
-			DimmFilterP99Ns: row.Dimm.FilterP99,
-		})
-	}
-	return out
-}
-
-// benchFaultsJSON is the fault-window headline: p99 (ns) over a measured
-// window containing a 2ms DIMM flap, with admission off, re-routing, and
-// shedding, plus the replication off/on A/B on the same flap (misses,
-// failover reads, sync-write outcomes, post-run replica convergence).
-type benchFaultsJSON struct {
-	P99OffNs      float64 `json:"p99_off_ns"`
-	P99RerouteNs  float64 `json:"p99_reroute_ns"`
-	P99ShedNs     float64 `json:"p99_shed_ns"`
-	Rerouted      int64   `json:"rerouted"`
-	Shed          int64   `json:"shed"`
-	P99ReplOffNs  float64 `json:"p99_repl_off_ns"`
-	P99ReplOnNs   float64 `json:"p99_repl_on_ns"`
-	MissesReplOff int64   `json:"misses_repl_off"`
-	MissesReplOn  int64   `json:"misses_repl_on"`
-	ErrorsReplOn  int64   `json:"errors_repl_on"`
-	FailoverReads int64   `json:"failover_reads"`
-	StaleReads    int64   `json:"stale_reads"`
-	SyncAcks      int64   `json:"sync_acks"`
-	SyncDegraded  int64   `json:"sync_degraded"`
-	Diverged      int     `json:"diverged"`
-}
-
-// replFaultsJSON builds the replication half of the faults section.
-func replFaultsJSON(fr *mcn.ServeReplResult) benchFaultsJSON {
-	rc := fr.On.Result.ReplCounters
-	return benchFaultsJSON{
-		P99ReplOffNs: fr.Off.Result.Summary().P99, P99ReplOnNs: fr.On.Result.Summary().P99,
-		MissesReplOff: fr.Off.Result.Misses, MissesReplOn: fr.On.Result.Misses,
-		ErrorsReplOn:  fr.On.Result.Errors,
-		FailoverReads: rc.FailoverReads, StaleReads: rc.StaleReads,
-		SyncAcks: rc.SyncAcks, SyncDegraded: rc.SyncDegraded,
-		Diverged: fr.On.Diverged,
-	}
-}
-
-type benchCurveJSON struct {
-	Topo   string           `json:"topo"`
-	Points []benchPointJSON `json:"points"`
-}
-
-type benchPointJSON struct {
-	OfferedQPS float64 `json:"offered_qps"`
-	QPS        float64 `json:"qps"`
-	P50Ns      float64 `json:"p50_ns"`
-	P99Ns      float64 `json:"p99_ns"`
-	P999Ns     float64 `json:"p999_ns"`
-	Errors     int64   `json:"errors"`
-	Unfinished int64   `json:"unfinished"`
-}
-
 func main() {
 	seed := flag.Uint64("seed", 42, "random seed; the same seed replays bit-identically")
-	topo := flag.String("topo", "mcn5", "serving topology: mcn0, mcn5, 10gbe, scaleup, or any with +batch (request batching), +admit (admission control), +repl (primary/backup replication, implies +admit) and/or +mcnt (MCN-native transport on memory-channel hops) suffixes")
+	topoFlag := flag.String("topo", "mcn5", "serving topology, "+mcn.TopoGrammar())
 	rate := flag.Float64("rate", 400e3, "open-loop offered load, requests/sec")
 	workers := flag.Int("closed", 0, "closed-loop worker count (overrides -rate)")
 	curve := flag.Bool("curve", false, "sweep the full latency-vs-load curve over every topology")
 	bench := flag.Bool("bench", false, "run the sweep and write the qps-at-SLO benchmark JSON")
-	rates := flag.String("rates", "", "comma-separated offered-load ladder for -curve/-bench (default: built-in)")
+	rates := flag.String("rates", "", "comma-separated offered-load ladder for -curve/-bench/-check (default: built-in)")
 	slo := flag.Float64("slo", mcn.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	out := flag.String("out", "", "write output to this file instead of stdout")
@@ -227,26 +95,14 @@ func main() {
 	sample := flag.Int("sample", 1, "1-in-N span sampling rate for -trace/-metrics (1 traces every request)")
 	metricsOut := flag.String("metrics", "", "single run: write the metrics-registry snapshot JSON to this file")
 	timelineOut := flag.String("timeline", "", "single run: write the windowed timeline JSON (per-1ms qps/tails/queue/subsystem series, burn-rate alerts, attributed incidents) to this file")
-	check := flag.String("check", "", "with -curve: compare the swept points against this BENCH_serve.json and exit non-zero on drift")
-	replCheck := flag.String("replcheck", "", "re-run the replicated DIMM-flap A/B and compare against this BENCH_serve.json's faults section, exiting non-zero on drift")
-	opsCheck := flag.String("opscheck", "", "re-run the near-memory operator smoke sweep and compare against this BENCH_serve.json's ops section, exiting non-zero on drift or a failed savings/decision claim")
+	check := flag.String("check", "", "regenerate every section of this BENCH_serve.json or BENCH_wallclock.json at -seed and exit non-zero naming each JSON path that drifted (-rates trims the serving sweep to a partial ladder)")
 	wallBench := flag.Bool("wallbench", false, "measure raw simulator throughput (events/sec) over the canonical topologies and write the BENCH_wallclock.json artifact")
-	wallReps := flag.Int("wallreps", 3, "with -wallbench: best-of-N wall-clock repetitions per point")
-	wallCheck := flag.String("wallcheck", "", "re-run the cheapest wall-bench point per topology and compare against this BENCH_wallclock.json, exiting non-zero on drift")
-	wallTol := flag.Float64("walltol", 0.15, "with -wallcheck: fractional events/sec tolerance (deterministic event counters always compare exactly)")
 	flag.Parse()
 
-	if *replCheck != "" {
-		checkReplFaults(*replCheck, *seed)
-		return
-	}
-	if *opsCheck != "" {
-		checkOps(*opsCheck, *seed)
-		return
-	}
-	if *wallCheck != "" {
-		checkWallBench(*wallCheck, *wallTol)
-		return
+	topo, err := mcn.ParseTopo(*topoFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-topo: %v; want %s\n", err, mcn.TopoGrammar())
+		os.Exit(2)
 	}
 
 	var ladder []float64
@@ -261,59 +117,56 @@ func main() {
 		}
 	}
 
+	if *check != "" {
+		raw, err := os.ReadFile(*check)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-check: %v\n", err)
+			os.Exit(1)
+		}
+		notes, drift := mcn.CheckArtifact(raw, *seed, ladder)
+		for _, n := range notes {
+			fmt.Fprintf(os.Stderr, "-check: %s\n", n)
+		}
+		for _, d := range drift {
+			fmt.Fprintf(os.Stderr, "-check: DRIFT %s\n", d)
+		}
+		if len(drift) > 0 {
+			fmt.Fprintf(os.Stderr, "-check: %d values drifted from %s\n", len(drift), *check)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "-check: %s matches\n", *check)
+		return
+	}
+
 	var text string
 	var value any
 	switch {
 	case *wallBench:
-		r := mcn.WallBench(*seed, *wallReps)
+		r := mcn.WallBench(*seed)
 		value, text = r, r.String()
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *bench:
-		r := mcn.ServeCurve(*seed, ladder)
-		r.SLONs = *slo
-		b := benchJSON{Seed: r.Seed, SLONs: r.SLONs, QpsAtSLO: map[string]float64{}}
-		for _, c := range r.Curves {
-			b.QpsAtSLO[c.Topo] = c.QpsAtSLO(r.SLONs)
-			bc := benchCurveJSON{Topo: c.Topo}
-			for _, p := range c.Points {
-				bc.Points = append(bc.Points, benchPointJSON{
-					OfferedQPS: p.OfferedQPS, QPS: p.Summary.QPS,
-					P50Ns: p.Summary.P50, P99Ns: p.Summary.P99, P999Ns: p.Summary.P999,
-					Errors: p.Errors, Unfinished: p.Unfinished,
-				})
-			}
-			b.Curves = append(b.Curves, bc)
-		}
-		fr := mcn.ServeAdmit(*seed)
-		rr := mcn.ServeRepl(*seed)
-		b.Faults = replFaultsJSON(rr)
-		b.Faults.P99OffNs, b.Faults.P99RerouteNs, b.Faults.P99ShedNs = fr.P99Off(), fr.P99Reroute(), fr.P99Shed()
-		b.Faults.Rerouted, b.Faults.Shed = fr.Reroute.Rerouted, fr.Shed.Shed
-		or := mcn.ServeOpsSmoke(*seed)
-		b.Ops = opsBenchJSON(or)
-		value, text = b, r.String()+"\n"+fr.String()+"\n"+rr.String()+"\n"+or.String()
+		b := mcn.RunServeBench(*seed, *slo, ladder)
+		value, text = b, b.String()
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *curve:
 		r := mcn.ServeCurve(*seed, ladder)
 		r.SLONs = *slo
-		if *check != "" {
-			checkCurve(*check, r)
-		}
 		value, text = r, r.String()
 	default:
 		var res *mcn.ServeResult
 		if *traceOut != "" || *metricsOut != "" || *timelineOut != "" {
-			tr := mcn.ServeTraced(*seed, *topo, *rate, *workers, *sample)
+			tr := mcn.ServeTraced(*seed, topo, *rate, *workers, *sample)
 			res = tr.Result
 			ct := mcn.CombinedTrace{Tracer: tr.Tracer, Snapshot: tr.Snapshot, Timeline: tr.Timeline}
 			writeArtifact(*traceOut, ct.Write)
 			writeArtifact(*metricsOut, tr.Snapshot.WriteJSON)
 			writeArtifact(*timelineOut, tr.Timeline.WriteJSON)
 		} else {
-			res = mcn.ServeOnce(*seed, *topo, *rate, *workers)
+			res = mcn.ServeOnce(*seed, topo, *rate, *workers)
 		}
 		j := runJSON{
-			Seed: res.Seed, Topo: *topo, OfferedQPS: res.OfferedQPS, Workers: res.ClosedWorkers,
+			Seed: res.Seed, Topo: *topoFlag, OfferedQPS: res.OfferedQPS, Workers: res.ClosedWorkers,
 			QPS: res.QPS, N: res.N, Errors: res.Errors, Unfinished: res.Unfinished,
 			P50Ns: res.Total.Quantile(0.50), P95Ns: res.Total.Quantile(0.95),
 			P99Ns: res.Total.Quantile(0.99), P999Ns: res.Total.Quantile(0.999),
@@ -323,8 +176,7 @@ func main() {
 			Degraded:   res.Degraded(),
 		}
 		if res.OpsOn {
-			ops := opTally(res.Ops)
-			j.Ops = &ops
+			j.Ops = &res.Ops
 		}
 		for _, ss := range res.PerShard {
 			j.Shards = append(j.Shards, runShardJSON{
@@ -381,251 +233,4 @@ func writeArtifact(path string, write func(io.Writer) error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// checkCurve compares the freshly swept curve against a committed
-// BENCH_serve.json: every (topology, offered-rate) point present in both
-// must agree. The simulator is deterministic, so the tolerance is a pure
-// float-formatting allowance; any real drift (for example, tracing code
-// perturbing the event stream) fails the check.
-func checkCurve(path string, r *mcn.ServeCurveResult) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-check: %v\n", err)
-		os.Exit(1)
-	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "-check: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if want.Seed != r.Seed {
-		fmt.Fprintf(os.Stderr, "-check: artifact seed %d, run seed %d — not comparable\n", want.Seed, r.Seed)
-		os.Exit(1)
-	}
-	ref := map[string]map[float64]benchPointJSON{}
-	for _, c := range want.Curves {
-		m := map[float64]benchPointJSON{}
-		for _, p := range c.Points {
-			m[p.OfferedQPS] = p
-		}
-		ref[c.Topo] = m
-	}
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	checked, bad := 0, 0
-	for _, c := range r.Curves {
-		for _, p := range c.Points {
-			w, ok := ref[c.Topo][p.OfferedQPS]
-			if !ok {
-				continue
-			}
-			checked++
-			if !near(p.Summary.QPS, w.QPS) || !near(p.Summary.P50, w.P50Ns) ||
-				!near(p.Summary.P99, w.P99Ns) || !near(p.Summary.P999, w.P999Ns) ||
-				p.Errors != w.Errors || p.Unfinished != w.Unfinished {
-				bad++
-				fmt.Fprintf(os.Stderr, "-check: %s @ %.0f req/s drifted:\n  got  qps=%.2f p50=%.1f p99=%.1f p999=%.1f err=%d unf=%d\n  want qps=%.2f p50=%.1f p99=%.1f p999=%.1f err=%d unf=%d\n",
-					c.Topo, p.OfferedQPS,
-					p.Summary.QPS, p.Summary.P50, p.Summary.P99, p.Summary.P999, p.Errors, p.Unfinished,
-					w.QPS, w.P50Ns, w.P99Ns, w.P999Ns, w.Errors, w.Unfinished)
-			}
-		}
-	}
-	if checked == 0 {
-		fmt.Fprintf(os.Stderr, "-check: no overlapping (topo, rate) points between the sweep and %s\n", path)
-		os.Exit(1)
-	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "-check: %d/%d points drifted from %s\n", bad, checked, path)
-		os.Exit(1)
-	}
-	// Replication overhead guard: the replicated topology's healthy knee
-	// must sit within 5% of the batched one's — the async forward path may
-	// not tax the primary's serving capacity. The knee is the p99-vs-SLO
-	// crossing interpolated between ladder points, not the quantized
-	// QpsAtSLO step: on a sparse rate ladder a curve whose p99 grazes the
-	// SLO at the top rate would otherwise "lose" a whole ladder step.
-	if br, bb := r.Curve("mcn5+batch+repl"), r.Curve("mcn5+batch"); br != nil && bb != nil {
-		kr, kb := kneeQps(br, r.SLONs), kneeQps(bb, r.SLONs)
-		if kb > 0 && math.Abs(kr-kb) > 0.05*kb {
-			fmt.Fprintf(os.Stderr, "-check: replicated knee %.0f strays >5%% from batched knee %.0f\n", kr, kb)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "-check: replicated knee %.0f within 5%% of batched knee %.0f\n", kr, kb)
-	}
-	// mcnt transport guard: swapping the memory-channel hops from TCP to
-	// the credit-based transport must move the batched knee decisively —
-	// at least 15% past the TCP curve's interpolated knee (~2.39M on the
-	// recorded ladder). A smaller gap means the per-segment stack cost
-	// crept back into the mcnt path. The guard only fires when the TCP
-	// curve actually reaches its knee within the swept ladder — on a
-	// truncated smoke ladder both curves top out at the same rung and the
-	// comparison is meaningless.
-	if bm, bb := r.Curve("mcn5+batch+mcnt"), r.Curve("mcn5+batch"); bm != nil && bb != nil {
-		crossed := false
-		for _, p := range bb.Points {
-			if !p.Healthy() || p.Summary.P99 > r.SLONs {
-				crossed = true
-			}
-		}
-		km, kb := kneeQps(bm, r.SLONs), kneeQps(bb, r.SLONs)
-		switch {
-		case !crossed:
-			fmt.Fprintf(os.Stderr, "-check: ladder too short to reach the batched TCP knee; mcnt knee guard skipped\n")
-		case kb > 0 && km < 1.15*kb:
-			fmt.Fprintf(os.Stderr, "-check: mcnt knee %.0f not >15%% past batched TCP knee %.0f\n", km, kb)
-			os.Exit(1)
-		default:
-			fmt.Fprintf(os.Stderr, "-check: mcnt knee %.0f clears batched TCP knee %.0f by %.0f%%\n", km, kb, 100*(km-kb)/kb)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "-check: %d points match %s\n", checked, path)
-}
-
-// kneeQps locates where a curve's p99 crosses the SLO, linearly
-// interpolated in achieved qps between the bracketing ladder points. A
-// curve that never crosses is credited its highest achieved throughput.
-func kneeQps(c *mcn.ServeTopoCurve, sloNs float64) float64 {
-	knee := 0.0
-	for i, p := range c.Points {
-		if !p.Healthy() {
-			break
-		}
-		if p.Summary.P99 <= sloNs {
-			knee = p.Summary.QPS
-			continue
-		}
-		if i > 0 {
-			prev := c.Points[i-1].Summary
-			if p.Summary.P99 > prev.P99 {
-				frac := (sloNs - prev.P99) / (p.Summary.P99 - prev.P99)
-				knee = prev.QPS + frac*(p.Summary.QPS-prev.QPS)
-			}
-		}
-		break
-	}
-	return knee
-}
-
-// checkReplFaults re-runs the replicated DIMM-flap A/B at the artifact's
-// conditions and compares the replication half of the faults section:
-// counts exactly (the simulator is deterministic), quantiles to the same
-// float-formatting allowance as checkCurve.
-// checkWallBench re-runs the cheapest wall-bench point per topology from
-// the committed BENCH_wallclock.json and exits non-zero on drift: the
-// deterministic kernel counters must match exactly, the wall-clock event
-// rate within tol.
-func checkWallBench(path string, tol float64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-wallcheck: %v\n", err)
-		os.Exit(1)
-	}
-	var stored mcn.WallBenchResult
-	if err := json.Unmarshal(raw, &stored); err != nil {
-		fmt.Fprintf(os.Stderr, "-wallcheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if drift := mcn.WallBenchCheck(&stored, tol); len(drift) > 0 {
-		for _, d := range drift {
-			fmt.Fprintln(os.Stderr, "wallcheck: "+d)
-		}
-		os.Exit(1)
-	}
-	topos := map[string]bool{}
-	for _, p := range stored.Points {
-		topos[p.Topo] = true
-	}
-	fmt.Printf("wallcheck: OK (%d topologies, events/sec tolerance %.0f%%)\n", len(topos), tol*100)
-}
-
-// checkOps re-runs the near-memory operator smoke sweep at the
-// artifact's seed, audits the savings/decision claims (ServeOpsResult
-// .Check), and compares against the artifact's ops section: byte counts
-// and decision tallies exactly (the simulator is deterministic),
-// quantiles and the calibrated cost to the float-formatting allowance.
-func checkOps(path string, seed uint64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: %v\n", err)
-		os.Exit(1)
-	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if want.Ops == nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: %s has no ops section (recorded before the operator subsystem)\n", path)
-		os.Exit(1)
-	}
-	if want.Seed != seed {
-		fmt.Fprintf(os.Stderr, "-opscheck: artifact seed %d, run seed %d — not comparable\n", want.Seed, seed)
-		os.Exit(1)
-	}
-	r := mcn.ServeOpsSmoke(seed)
-	if bad := r.Check(); len(bad) > 0 {
-		for _, d := range bad {
-			fmt.Fprintln(os.Stderr, "opscheck: claim failed: "+d)
-		}
-		os.Exit(1)
-	}
-	got := opsBenchJSON(r)
-	w := want.Ops
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	if got.Topo != w.Topo || !near(got.Rate, w.Rate) || !near(got.ChannelNsPerByte, w.ChannelNsPerByte) || len(got.Rows) != len(w.Rows) {
-		fmt.Fprintf(os.Stderr, "-opscheck: sweep shape drifted from %s:\n  got  %+v\n  want %+v\n", path, got, w)
-		os.Exit(1)
-	}
-	for i, g := range got.Rows {
-		x := w.Rows[i]
-		if !near(g.Selectivity, x.Selectivity) || g.FilterIssued != x.FilterIssued ||
-			g.HostFilterBytes != x.HostFilterBytes || g.DimmFilterBytes != x.DimmFilterBytes ||
-			g.AutoOffloaded != x.AutoOffloaded || g.AutoHost != x.AutoHost ||
-			!near(g.HostFilterP99Ns, x.HostFilterP99Ns) || !near(g.DimmFilterP99Ns, x.DimmFilterP99Ns) {
-			fmt.Fprintf(os.Stderr, "-opscheck: sel=%.2f drifted from %s:\n  got  %+v\n  want %+v\n",
-				g.Selectivity, path, g, x)
-			os.Exit(1)
-		}
-	}
-	lo := got.Rows[0]
-	fmt.Fprintf(os.Stderr, "-opscheck: ops sweep matches %s (sel=%.0f%% host/dimm bytes %.1fx, auto offloaded %d/%d)\n",
-		path, lo.Selectivity*100, lo.HostOverDimm, lo.AutoOffloaded, lo.FilterIssued)
-}
-
-func checkReplFaults(path string, seed uint64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-replcheck: %v\n", err)
-		os.Exit(1)
-	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "-replcheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if want.Seed != seed {
-		fmt.Fprintf(os.Stderr, "-replcheck: artifact seed %d, run seed %d — not comparable\n", want.Seed, seed)
-		os.Exit(1)
-	}
-	got := replFaultsJSON(mcn.ServeRepl(seed))
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	w := want.Faults
-	if !near(got.P99ReplOffNs, w.P99ReplOffNs) || !near(got.P99ReplOnNs, w.P99ReplOnNs) ||
-		got.MissesReplOff != w.MissesReplOff || got.MissesReplOn != w.MissesReplOn ||
-		got.ErrorsReplOn != w.ErrorsReplOn ||
-		got.FailoverReads != w.FailoverReads || got.StaleReads != w.StaleReads ||
-		got.SyncAcks != w.SyncAcks || got.SyncDegraded != w.SyncDegraded ||
-		got.Diverged != w.Diverged {
-		fmt.Fprintf(os.Stderr, "-replcheck: replicated flap drifted from %s:\n  got  %+v\n  want %+v\n", path, got, w)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "-replcheck: replicated flap matches %s (misses off=%d on=%d, failover=%d, diverged=%d)\n",
-		path, got.MissesReplOff, got.MissesReplOn, got.FailoverReads, got.Diverged)
 }

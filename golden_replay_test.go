@@ -42,9 +42,13 @@ func goldenReplayDigest(t *testing.T, name string) string {
 	t.Helper()
 	var run *mcn.ServeTraceResult
 	if name == "mcn5+batch+faults" {
-		run = mcn.ServeTracedFaults(goldenReplaySeed, "mcn5+batch", goldenReplayRate, 1)
+		run = mcn.ServeTracedFaults(goldenReplaySeed, mcn.Topo{Fabric: "mcn5", Batch: true}, goldenReplayRate, 1)
 	} else {
-		run = mcn.ServeTraced(goldenReplaySeed, name, goldenReplayRate, 0, 1)
+		topo, err := mcn.ParseTopo(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run = mcn.ServeTraced(goldenReplaySeed, topo, goldenReplayRate, 0, 1)
 	}
 	h := sha256.New()
 	section := func(tag string, write func(io.Writer) error) {

@@ -129,15 +129,27 @@ func TestKVAndFastPathOnPublicAPI(t *testing.T) {
 	k := mcn.NewKernel()
 	s := mcn.NewMcnServer(k, 1, mcn.MCN1.Options())
 	srv := mcn.NewKVServer(k, s.McnEndpoints()[0], 11211)
-	he, me := mcn.OpenFastChannel(k, s.Host, s.Mcns[0])
+	// The fast path: the same host/DIMM pair on the mcnt transport.
+	fab := mcn.AttachMcnt(k, s.Host, mcn.DefaultMcntParams())
+	host, dimm := s.Endpoints()[0], s.McnEndpoints()[0]
+	host.Transport, dimm.Transport = fab.TransportFor(host.Node), fab.TransportFor(dimm.Node)
 
 	k.Go("fast-echo", func(p *mcn.Proc) {
+		l, err := dimm.ListenConn(7000)
+		if err != nil {
+			panic(err)
+		}
+		c, err := l.AcceptConn(p)
+		if err != nil {
+			panic(err)
+		}
+		buf := make([]byte, 64)
 		for {
-			m := me.Recv(p)
-			if m == nil {
+			n, ok := c.Recv(p, buf)
+			if !ok {
 				return
 			}
-			me.Send(p, m)
+			c.Send(p, buf[:n])
 		}
 	})
 	var kvOK, fastOK bool
@@ -150,8 +162,20 @@ func TestKVAndFastPathOnPublicAPI(t *testing.T) {
 		got, ok, _ := c.Get(p, "k")
 		kvOK = ok && bytes.Equal(got, []byte("v"))
 
-		he.Send(p, []byte("zoom"))
-		fastOK = string(he.Recv(p)) == "zoom"
+		fc, err := host.DialConn(p, dimm.IP, 7000)
+		if err != nil {
+			panic(err)
+		}
+		fc.Send(p, []byte("zoom"))
+		echo := make([]byte, 4)
+		for n := 0; n < len(echo); {
+			m, ok := fc.Recv(p, echo[n:])
+			if !ok {
+				break
+			}
+			n += m
+		}
+		fastOK = string(echo) == "zoom"
 	})
 	k.RunFor(5 * mcn.Second)
 	if !kvOK || !fastOK {
@@ -275,7 +299,7 @@ func TestObservabilityOnPublicAPI(t *testing.T) {
 	// The facade exposes the observability plane: a traced serving run
 	// produces spans whose phases telescope to end-to-end latency, a
 	// metrics snapshot, and the Perfetto artifact.
-	r := mcn.ServeTraced(1, "mcn5", 100e3, 0, 4)
+	r := mcn.ServeTraced(1, mcn.Topo{Fabric: "mcn5"}, 100e3, 0, 4)
 	if r.Result.N == 0 || r.Tracer.Finished == 0 {
 		t.Fatalf("traced run: n=%d finished=%d", r.Result.N, r.Tracer.Finished)
 	}
@@ -309,7 +333,7 @@ func TestObservabilityOnPublicAPI(t *testing.T) {
 	}
 
 	// The faulted variant stays deterministic through the facade too.
-	f := mcn.ServeTracedFaults(3, "mcn5+batch", 100e3, 8)
+	f := mcn.ServeTracedFaults(3, mcn.Topo{Fabric: "mcn5", Batch: true}, 100e3, 8)
 	if f.Result.N == 0 {
 		t.Fatal("faulted traced run completed nothing")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/faults"
 	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -34,74 +33,44 @@ type ServeTraceResult struct {
 // the SRAM channel drivers, so spans carry the full phase breakdown.
 // Tracing draws only from seeded streams and charges no simulated time,
 // so the run's event stream is identical to ServeOnce's.
-func ServeTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
-	return serveTraced(seed, topo, rate, closedWorkers, sampleN, nil)
+func ServeTraced(seed uint64, topo Topo, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
+	return serveTraced(seed, topo, rate, closedWorkers, sampleN, false)
 }
 
 // ServeTracedFaults is ServeTraced under the standard DIMM-flap plan
-// (host/mcn3 offline for 2ms starting 1ms into the measured window) —
-// the traced counterpart of ServeFaults, used to prove the trace
-// artifacts themselves replay byte-identically under fault injection.
-func ServeTracedFaults(seed uint64, topo string, rate float64, sampleN int) *ServeTraceResult {
-	return serveTraced(seed, topo, rate, 0, sampleN, func(k *sim.Kernel, cfg *serve.Config) *faults.Plan {
-		cfg.Drain = 20 * sim.Millisecond
-		flapStart := k.Now().Add(cfg.Warmup).Add(sim.Millisecond)
-		return &faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: "host/mcn3", Start: flapStart, End: flapStart.Add(2 * sim.Millisecond)}},
-		}
-	})
+// (rig.flap) — the traced counterpart of ServeFaults, used to prove the
+// trace artifacts themselves replay byte-identically under fault
+// injection.
+func ServeTracedFaults(seed uint64, topo Topo, rate float64, sampleN int) *ServeTraceResult {
+	return serveTraced(seed, topo, rate, 0, sampleN, true)
 }
 
-func serveTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int,
-	plan func(*sim.Kernel, *serve.Config) *faults.Plan) *ServeTraceResult {
-	fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
+func serveTraced(seed uint64, topo Topo, rate float64, closedWorkers, sampleN int, flapped bool) *ServeTraceResult {
 	k := sim.NewKernel()
-	shards, clients, inject, observe, fab := buildServeTopo(k, fabric, mcntOn)
-	cfg := serveConfig(seed, rate)
-	cfg.Shards, cfg.Clients = shards, clients
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	if admitted {
-		cfg.Admit = DefaultServeAdmit
-	}
-	if replicated {
-		cfg.Repl = DefaultServeRepl
-		if !cfg.Admit.Enabled() {
-			cfg.Admit = DefaultServeAdmit
-		}
-	}
-	if opsOn {
-		cfg.Ops = DefaultServeOps
-	}
+	cfg, rig := topo.build(k, seed, rate)
 	if closedWorkers > 0 {
 		cfg.ClosedWorkers = closedWorkers
 		cfg.RatePerSec = 0
 	}
 	tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
-	if plan != nil {
-		if p := plan(k, &cfg); p != nil {
-			inject(faults.New(k, *p))
-			for _, fl := range p.DimmFlaps {
-				tl.AddFault(fl.Name, fl.Start, fl.End)
-			}
-		}
+	if flapped {
+		fl := rig.flap(k, &cfg)
+		tl.AddFault(fl.Name, fl.Start, fl.End)
 	}
 	tr := obs.NewTracer(seed, sampleN, 0)
 	reg := obs.NewRegistry()
-	observe(tr)
+	rig.observe(tr)
 	cfg.Tracer, cfg.Metrics, cfg.Timeline = tr, reg, tl
-	if fab != nil {
-		fab.OnResend = tl.McntResent
-		fab.OnCreditStall = tl.McntCreditStall
+	if rig.fab != nil {
+		rig.fab.OnResend = tl.McntResent
+		rig.fab.OnCreditStall = tl.McntCreditStall
 	}
 	res := serve.Run(k, cfg)
 	snap := reg.Snapshot(k.Now())
 	tl.Finalize()
-	out := &ServeTraceResult{Topo: topo, Result: res, Tracer: tr, Snapshot: snap, Timeline: tl}
-	if fab != nil {
-		out.McntFabric = fab.String()
+	out := &ServeTraceResult{Topo: topo.String(), Result: res, Tracer: tr, Snapshot: snap, Timeline: tl}
+	if rig.fab != nil {
+		out.McntFabric = rig.fab.String()
 	}
 	k.Shutdown()
 	return out
@@ -113,7 +82,10 @@ func serveTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN 
 // fabric with the mcnt transport replacing TCP on the memory-channel
 // hops — the software-stack walk the serving PRs took, now explained
 // phase by phase.
-var ServeAttribTopos = []string{"mcn0", "mcn5", "mcn5+batch", "mcn5+batch+admit", "mcn5+batch+mcnt"}
+var ServeAttribTopos = []Topo{
+	{Fabric: "mcn0"}, {Fabric: "mcn5"}, {Fabric: "mcn5", Batch: true},
+	{Fabric: "mcn5", Batch: true, Admit: true}, {Fabric: "mcn5", Batch: true, Mcnt: true},
+}
 
 // ServeAttribRate is the offered load of the attribution runs: 200k req/s
 // sits well under every configuration's knee, so the table attributes the
@@ -125,7 +97,7 @@ const ServeAttribRate = 200e3
 type ServeAttribResult struct {
 	Seed  uint64
 	Rate  float64
-	Topos []string
+	Topos []Topo
 	// Rows[i] is topo i's per-phase attribution (obs.NumPhases rows plus
 	// the Total row, in phase order).
 	Rows [][]obs.Attrib

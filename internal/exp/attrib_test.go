@@ -13,7 +13,7 @@ import (
 // boundaries telescope, so the tolerance is zero), and the MCN-specific
 // boundaries (channel push/pop, server mark) must actually be stamped.
 func TestServeTracedPhaseSum(t *testing.T) {
-	r := ServeTraced(42, "mcn5+batch+admit", 200e3, 0, 1)
+	r := ServeTraced(42, mustTopo("mcn5+batch+admit"), 200e3, 0, 1)
 	tr := r.Tracer
 	if tr.Finished == 0 {
 		t.Fatal("no spans finished")
@@ -64,8 +64,8 @@ func TestServeTracedPhaseSum(t *testing.T) {
 // not move a single simulated event — the traced run's telemetry is
 // identical to the untraced run's.
 func TestServeTracedZeroPerturbation(t *testing.T) {
-	traced := ServeTraced(42, "mcn5+batch", 200e3, 0, 8)
-	plain := ServeOnce(42, "mcn5+batch", 200e3, 0)
+	traced := ServeTraced(42, mustTopo("mcn5+batch"), 200e3, 0, 8)
+	plain := ServeOnce(42, mustTopo("mcn5+batch"), 200e3, 0)
 	if traced.Result.Summary() != plain.Summary() {
 		t.Fatalf("traced run diverged:\n traced %v\n plain  %v", traced.Result.Summary(), plain.Summary())
 	}
@@ -74,8 +74,8 @@ func TestServeTracedZeroPerturbation(t *testing.T) {
 // TestServeTracedSampling: 1-in-N sampling traces roughly 1/N of the
 // requests, from seeded streams.
 func TestServeTracedSampling(t *testing.T) {
-	full := ServeTraced(42, "mcn5+batch", 200e3, 0, 1)
-	sampled := ServeTraced(42, "mcn5+batch", 200e3, 0, 8)
+	full := ServeTraced(42, mustTopo("mcn5+batch"), 200e3, 0, 1)
+	sampled := ServeTraced(42, mustTopo("mcn5+batch"), 200e3, 0, 8)
 	if sampled.Result.Summary() != full.Result.Summary() {
 		t.Fatalf("sampling rate changed the simulation: %v vs %v",
 			sampled.Result.Summary(), full.Result.Summary())
@@ -93,7 +93,7 @@ func TestServeTracedSampling(t *testing.T) {
 // the observability plane.
 func TestServeTracedFaultReplayDeterminism(t *testing.T) {
 	run := func() ([]byte, []byte) {
-		r := ServeTracedFaults(7, "mcn5+batch+admit", 200e3, 4)
+		r := ServeTracedFaults(7, mustTopo("mcn5+batch+admit"), 200e3, 4)
 		var trace, metrics bytes.Buffer
 		if err := r.Tracer.WritePerfetto(&trace); err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestServeTracedFaultReplayDeterminism(t *testing.T) {
 // DIMM delivery, server mark) is stamped from mcnt frames rather than
 // TCP segments.
 func TestServeTracedMcntPhaseSum(t *testing.T) {
-	r := ServeTraced(42, "mcn5+batch+mcnt", 200e3, 0, 1)
+	r := ServeTraced(42, mustTopo("mcn5+batch+mcnt"), 200e3, 0, 1)
 	tr := r.Tracer
 	if tr.Finished == 0 {
 		t.Fatal("no spans finished")
@@ -160,8 +160,8 @@ func TestServeTracedMcntPhaseSum(t *testing.T) {
 // extends to the mcnt transport — the frame tap observes, never charges
 // time, so the traced run's telemetry is identical to the untraced one.
 func TestServeTracedMcntZeroPerturbation(t *testing.T) {
-	traced := ServeTraced(42, "mcn5+batch+mcnt", 200e3, 0, 8)
-	plain := ServeOnce(42, "mcn5+batch+mcnt", 200e3, 0)
+	traced := ServeTraced(42, mustTopo("mcn5+batch+mcnt"), 200e3, 0, 8)
+	plain := ServeOnce(42, mustTopo("mcn5+batch+mcnt"), 200e3, 0)
 	if traced.Result.Summary() != plain.Summary() {
 		t.Fatalf("traced mcnt run diverged:\n traced %v\n plain  %v", traced.Result.Summary(), plain.Summary())
 	}

@@ -187,7 +187,7 @@ func TestHeadline(t *testing.T) {
 func TestDiscussionShape(t *testing.T) {
 	d := Discussion()
 	if d.FastSpeedup <= 1 {
-		t.Errorf("mcnfast (%.2f Gbps) should beat TCP (%.2f Gbps) on the memory channel",
+		t.Errorf("mcnt (%.2f Gbps) should beat TCP (%.2f Gbps) on the memory channel",
 			d.FastGoodputBps*8/1e9, d.TCPGoodputBps*8/1e9)
 	}
 	// The paper attributes up to ~25% overhead to the ACK machinery; our
@@ -196,7 +196,7 @@ func TestDiscussionShape(t *testing.T) {
 		t.Errorf("ACK share %.1f%% outside the plausible band", d.AckShare*100)
 	}
 	if d.LatencyCut <= 0 {
-		t.Errorf("mcnfast RTT %v should beat TCP RTT %v", d.FastSmallRTT, d.TCPSmallRTT)
+		t.Errorf("mcnt RTT %v should beat TCP RTT %v", d.FastSmallRTT, d.TCPSmallRTT)
 	}
 	t.Log("\n" + d.String())
 }

@@ -9,12 +9,10 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/faults"
 	"github.com/mcn-arch/mcn/internal/kvstore"
 	"github.com/mcn-arch/mcn/internal/nmop"
 	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/serve"
-	"github.com/mcn-arch/mcn/internal/sim"
 )
 
 // DefaultServeOps is the operator mix a "+ops" topology suffix enables:
@@ -32,10 +30,9 @@ var DefaultServeOpsSelectivities = []float64{0.01, 0.10, 0.50, 0.90}
 // ServeOpsTopo/ServeOpsRate: the operator sweep runs on the batched
 // mcn5 fabric at the attribution load — well under the knee, so byte
 // volumes and tails reflect the path costs, not queueing collapse.
-const (
-	ServeOpsTopo = "mcn5+batch"
-	ServeOpsRate = 200e3
-)
+var ServeOpsTopo = Topo{Fabric: "mcn5", Batch: true}
+
+const ServeOpsRate = 200e3
 
 // ServeOpsModeRow is one (selectivity, mode) cell of the sweep.
 type ServeOpsModeRow struct {
@@ -100,7 +97,7 @@ func CalibrateServeOps(seed uint64) (model nmop.CostModel, rawNsPerByte float64)
 	// Round-trip wire bytes of one plain request. GETs and SETs move the
 	// same total (the value crosses once, in one direction or the other),
 	// so the mix doesn't matter.
-	w := serveConfig(seed, ServeAttribRate).Workload
+	w := serveWorkload
 	rtBytes := float64(kvstore.ReqHeaderBytes + kvstore.RespHeaderBytes + len(w.Key(0)) + w.ValueBytes)
 	rawNsPerByte = transportNs / rtBytes
 	model = nmop.DefaultCostModel()
@@ -121,7 +118,7 @@ func ServeOps(seed uint64) *ServeOpsResult {
 func ServeOpsAt(seed uint64, selectivities []float64) *ServeOpsResult {
 	model, raw := CalibrateServeOps(seed)
 	res := &ServeOpsResult{
-		Seed: seed, Topo: ServeOpsTopo, Rate: ServeOpsRate,
+		Seed: seed, Topo: ServeOpsTopo.String(), Rate: ServeOpsRate,
 		RawNsPerByte: raw, ChannelNsPerByte: model.ChannelNsPerByte,
 	}
 	for _, sel := range selectivities {
@@ -134,7 +131,7 @@ func ServeOpsAt(seed uint64, selectivities []float64) *ServeOpsResult {
 			{nmop.ModeDimm, &row.Dimm},
 			{nmop.ModeAuto, &row.Auto},
 		} {
-			r := runServe(seed, ServeOpsTopo, ServeOpsRate, nil, func(c *serve.Config) {
+			r := runServe(seed, ServeOpsTopo, ServeOpsRate, func(c *serve.Config) {
 				c.Ops = DefaultServeOps
 				c.Ops.Selectivity = sel
 				c.Ops.Mode = v.mode
@@ -241,41 +238,4 @@ func (r *ServeOpsResult) Check() []string {
 // audit the byte-savings and decision claims cheaply.
 func ServeOpsSmoke(seed uint64) *ServeOpsResult {
 	return ServeOpsAt(seed, []float64{0.10, 0.90})
-}
-
-// ServeFaultsOps runs the operator workload under the standard DIMM flap
-// (host/mcn3 offline for 2ms starting 1ms into the measured window) on
-// the sweep fabric: scans and filters in flight on the flapped shard
-// fail or strand, the other shards keep serving, and — the point the
-// chaos suite pins — the whole run, operator decisions included, replays
-// byte-identically from the seed.
-func ServeFaultsOps(seed uint64) *ServeFaultsResult {
-	const flapDimm = "host/mcn3"
-	cfg := serveConfig(seed, ServeOpsRate)
-	cfg.Drain = 20 * sim.Millisecond
-	cfg.Batch = DefaultServeBatch
-	cfg.Ops = DefaultServeOps
-
-	k := sim.NewKernel()
-	shards, clients, inject, _, _ := buildServeTopo(k, "mcn5", false)
-	cfg.Shards, cfg.Clients = shards, clients
-	measStart := k.Now().Add(cfg.Warmup)
-	flapStart := measStart.Add(sim.Millisecond)
-	flapEnd := flapStart.Add(2 * sim.Millisecond)
-	inject(faults.New(k, faults.Plan{
-		Seed:      seed,
-		DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: flapStart, End: flapEnd}},
-	}))
-	r := serve.Run(k, cfg)
-	k.Shutdown()
-
-	out := &ServeFaultsResult{
-		Seed: seed, Batched: true, Ops: true,
-		FlapDimm: flapDimm, FlapStart: flapStart, FlapEnd: flapEnd,
-		Result: r, Degraded: r.Degraded(),
-	}
-	for _, s := range out.Degraded {
-		out.FlapShards = append(out.FlapShards, r.PerShard[s].Name)
-	}
-	return out
 }

@@ -53,24 +53,24 @@ func TestCalibrateServeOps(t *testing.T) {
 // composably and the curve point it produces actually carries operator
 // traffic, while the suffix-free point stays ops-free.
 func TestServeOpsTopoSuffix(t *testing.T) {
-	fabric, batched, _, _, _, opsOn := parseServeTopo("mcn5+batch+ops")
-	if fabric != "mcn5" || !batched || !opsOn {
-		t.Fatalf("parse wrong: fabric=%q batched=%v opsOn=%v", fabric, batched, opsOn)
+	ops, err := ParseTopo("mcn5+batch+ops")
+	if err != nil || ops != (Topo{Fabric: "mcn5", Batch: true, Ops: true}) {
+		t.Fatalf("parse wrong: %+v, %v", ops, err)
 	}
 	found := false
 	for _, topo := range ServeTopos {
-		if topo == "mcn5+batch+ops" {
+		if topo == ops {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("mcn5+batch+ops missing from ServeTopos")
 	}
-	r := runServe(7, "mcn5+batch+ops", 100e3, nil, nil)
+	r := runServe(7, ops, 100e3, nil)
 	if !r.OpsOn || r.Ops.Total() == 0 {
 		t.Fatalf("+ops point carried no operator traffic: on=%v total=%d", r.OpsOn, r.Ops.Total())
 	}
-	plain := runServe(7, "mcn5+batch", 100e3, nil, nil)
+	plain := runServe(7, mustTopo("mcn5+batch"), 100e3, nil)
 	if plain.OpsOn || plain.Ops.Total() != 0 {
 		t.Fatal("suffix-free point carried operator traffic")
 	}
@@ -80,7 +80,7 @@ func TestServeOpsTopoSuffix(t *testing.T) {
 // flap: the run terminates, the flap visibly engages (degraded shard or
 // operator errors), and the healthy shards keep completing operators.
 func TestServeFaultsOpsDegrades(t *testing.T) {
-	r := ServeFaultsOps(7)
+	r := ServeFaults(7, mustTopo("mcn5+batch+ops"))
 	res := r.Result
 	if !res.OpsOn || res.Ops.Total() == 0 {
 		t.Fatalf("faulted run carried no operator traffic: %s", res.Ops.String())

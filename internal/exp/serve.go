@@ -5,12 +5,6 @@ import (
 	"strings"
 
 	"github.com/mcn-arch/mcn/internal/admit"
-	"github.com/mcn-arch/mcn/internal/cluster"
-	"github.com/mcn-arch/mcn/internal/core"
-	"github.com/mcn-arch/mcn/internal/faults"
-	"github.com/mcn-arch/mcn/internal/kvstore"
-	"github.com/mcn-arch/mcn/internal/mcnt"
-	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/replica"
 	"github.com/mcn-arch/mcn/internal/serve"
@@ -42,17 +36,20 @@ var McntServeRates = append(append([]float64(nil), DefaultServeRates...), 2.8e6,
 // each fabric's latency knee is.
 const DefaultServeSLONs = 40e3 // 40us
 
-// ServeTopos lists the serving topologies in presentation order. A
-// "+batch" suffix runs the same fabric with request batching on the
-// shard connections (DefaultServeBatch); a "+admit" suffix adds the
-// admission-control plane (DefaultServeAdmit); a "+repl" suffix adds
-// primary/backup replication across the DIMM shards (DefaultServeRepl,
-// which implies admission control — the breaker is the failover signal).
-// Suffixes compose in any order. A "+mcnt" suffix swaps the
-// memory-channel hops from TCP to the MCN-native mcnt transport
-// (internal/mcnt) — only meaningful on MCN fabrics. A "+ops" suffix mixes
-// near-memory operator traffic (DefaultServeOps) into the workload.
-var ServeTopos = []string{"mcn0", "mcn5", "mcn0+batch", "mcn5+batch", "mcn5+batch+admit", "mcn5+batch+repl", "mcn5+batch+mcnt", "mcn5+batch+ops", "10gbe", "scaleup"}
+// ServeTopos lists the serving topologies in presentation order: both
+// MCN optimization extremes bare and batched, then the batched mcn5
+// fabric with each further plane on in turn (admission, replication, the
+// mcnt transport, operator traffic), then the 10GbE rack and the scale-up
+// box.
+var ServeTopos = []Topo{
+	{Fabric: "mcn0"}, {Fabric: "mcn5"},
+	{Fabric: "mcn0", Batch: true}, {Fabric: "mcn5", Batch: true},
+	{Fabric: "mcn5", Batch: true, Admit: true},
+	{Fabric: "mcn5", Batch: true, Repl: true},
+	{Fabric: "mcn5", Batch: true, Mcnt: true},
+	{Fabric: "mcn5", Batch: true, Ops: true},
+	{Fabric: "10gbe"}, {Fabric: "scaleup"},
+}
 
 // DefaultServeBatch is the coalescing bound the "+batch" topologies use:
 // flush at 16 requests, 8KB, or 2us after the first dequeue — whichever
@@ -85,6 +82,9 @@ type ServePoint struct {
 	Errors     int64
 	Unfinished int64
 	Degraded   []int
+	// batchMean/batchMax are the point's requests-per-flush figures (zero
+	// when nothing was coalesced), kept for ServeBatch's at-the-knee line.
+	batchMean, batchMax float64
 }
 
 // Healthy reports whether the point completed every measured request.
@@ -126,152 +126,11 @@ func (r *ServeCurveResult) Curve(topo string) *ServeTopoCurve {
 	return nil
 }
 
-// serveConfig is the shared workload/run shape of every sweep point.
-func serveConfig(seed uint64, rate float64) serve.Config {
-	return serve.Config{
-		Seed:       seed,
-		Workload:   serve.Workload{Keys: 4000, ValueBytes: 128},
-		RatePerSec: rate,
-		Warmup:     sim.Millisecond,
-		Measure:    5 * sim.Millisecond,
-		Drain:      2 * sim.Millisecond,
-	}
-}
-
-// buildServeTopo constructs the named topology on k and returns the shard
-// and client sides. Every topology exposes ServeShards kvstore shards.
-// observe wires the fabric's driver-level observation points (the MCN
-// SRAM channel taps, and the mcnt frame tap when the transport is on)
-// into a tracer; it is a no-op on fabrics without an MCN channel
-// (serve.Run wires the stack and kvstore taps itself). useMcnt attaches
-// the mcnt fabric and installs it as every endpoint's transport, so the
-// shard connections ride the credit-based protocol instead of TCP; fab
-// is then the attached fabric (nil otherwise).
-func buildServeTopo(k *sim.Kernel, topo string, useMcnt bool) (shards []serve.Shard, clients []cluster.Endpoint, inject func(*faults.Injector), observe func(*obs.Tracer), fab *mcnt.Fabric) {
-	observe = func(*obs.Tracer) {}
-	switch topo {
-	case "mcn0", "mcn5":
-		opts := core.MCN0.Options()
-		if topo == "mcn5" {
-			opts = core.MCN5.Options()
-		}
-		s := cluster.NewMcnServer(k, ServeShards, opts)
-		if useMcnt {
-			fab = mcnt.Attach(k, s.Host, mcnt.DefaultParams())
-		}
-		for _, m := range s.Mcns {
-			ep := cluster.Endpoint{Node: m.Node, IP: m.IP}
-			if fab != nil {
-				ep.Transport = fab.TransportFor(m.Node)
-			}
-			srv := kvstore.NewServer(k, ep, 11211)
-			shards = append(shards, serve.Shard{Name: m.Node.Name, Addr: m.IP, Port: 11211, Server: srv})
-		}
-		cl := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-		if fab != nil {
-			cl.Transport = fab.TransportFor(s.Host.Node)
-		}
-		clients = []cluster.Endpoint{cl}
-		inject = s.InjectFaults
-		observe = func(t *obs.Tracer) {
-			s.Host.Driver.ChanTap = t
-			for _, m := range s.Mcns {
-				m.Drv.ChanTap = t
-			}
-			if fab != nil {
-				fab.SetTap(t)
-			}
-		}
-	case "10gbe":
-		c := newEthCluster(k, ServeShards+1)
-		eps := c.Endpoints()
-		for _, ep := range eps[1:] {
-			srv := kvstore.NewServer(k, ep, 11211)
-			shards = append(shards, serve.Shard{Name: ep.Node.Name, Addr: ep.IP, Port: 11211, Server: srv})
-		}
-		clients = eps[:1]
-		inject = c.InjectFaults
-	case "scaleup":
-		h := cluster.NewScaleUp(k, 16)
-		ep := cluster.Endpoint{Node: h.Node, IP: netstack.Loopback}
-		for i := 0; i < ServeShards; i++ {
-			port := uint16(11211 + i)
-			srv := kvstore.NewServer(k, ep, port)
-			shards = append(shards, serve.Shard{
-				Name: fmt.Sprintf("lo:%d", port), Addr: netstack.Loopback, Port: port, Server: srv,
-			})
-		}
-		clients = []cluster.Endpoint{ep}
-		inject = func(*faults.Injector) {}
-	default:
-		panic(fmt.Sprintf("exp: unknown serve topology %q", topo))
-	}
-	if useMcnt && fab == nil {
-		panic(fmt.Sprintf("exp: topology %q has no MCN fabric for +mcnt", topo))
-	}
-	return shards, clients, inject, observe, fab
-}
-
-// parseServeTopo strips the composable "+batch"/"+admit"/"+repl"/"+mcnt"/
-// "+ops" suffixes off a topology name, in any order, returning the bare
-// fabric and the flags.
-func parseServeTopo(topo string) (fabric string, batched, admitted, replicated, mcntOn, opsOn bool) {
-	fabric = topo
-	for {
-		if f, ok := strings.CutSuffix(fabric, "+batch"); ok {
-			fabric, batched = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+admit"); ok {
-			fabric, admitted = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+repl"); ok {
-			fabric, replicated = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+mcnt"); ok {
-			fabric, mcntOn = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+ops"); ok {
-			fabric, opsOn = f, true
-			continue
-		}
-		return fabric, batched, admitted, replicated, mcntOn, opsOn
-	}
-}
-
-// runServe executes one point: fresh kernel, topology, measured run. A
-// "+batch" suffix on topo enables DefaultServeBatch, a "+admit" suffix
-// DefaultServeAdmit, and a "+repl" suffix DefaultServeRepl (which implies
-// "+admit") on the fabric the remainder names; suffixes compose in any
-// order ("mcn5+batch+admit" == "mcn5+admit+batch").
-func runServe(seed uint64, topo string, rate float64, plan *faults.Plan, mutate func(*serve.Config)) *serve.Result {
-	fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
+// runServe executes one point: fresh kernel, topology, measured run.
+// mutate, when set, edits the built config before the run.
+func runServe(seed uint64, topo Topo, rate float64, mutate func(*serve.Config)) *serve.Result {
 	k := sim.NewKernel()
-	shards, clients, inject, observe, _ := buildServeTopo(k, fabric, mcntOn)
-	_ = observe
-	if plan != nil {
-		inject(faults.New(k, *plan))
-	}
-	cfg := serveConfig(seed, rate)
-	cfg.Shards, cfg.Clients = shards, clients
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	if admitted {
-		cfg.Admit = DefaultServeAdmit
-	}
-	if replicated {
-		cfg.Repl = DefaultServeRepl
-		if !cfg.Admit.Enabled() {
-			cfg.Admit = DefaultServeAdmit
-		}
-	}
-	if opsOn {
-		cfg.Ops = DefaultServeOps
-	}
+	cfg, _ := topo.build(k, seed, rate)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -280,18 +139,59 @@ func runServe(seed uint64, topo string, rate float64, plan *faults.Plan, mutate 
 	return res
 }
 
-// ServeOnce runs one point of the serving benchmark on the named topology
-// ("mcn0", "mcn5", "10gbe", "scaleup", or any of these with a "+batch"
-// suffix for request batching and/or a "+admit" suffix for admission
-// control). closedWorkers > 0 switches to the closed-loop driver and
-// ignores rate.
-func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *serve.Result {
-	return runServe(seed, topo, rate, nil, func(c *serve.Config) {
+// ServeOnce runs one point of the serving benchmark on topo.
+// closedWorkers > 0 switches to the closed-loop driver and ignores rate.
+func ServeOnce(seed uint64, topo Topo, rate float64, closedWorkers int) *serve.Result {
+	return runServe(seed, topo, rate, func(c *serve.Config) {
 		if closedWorkers > 0 {
 			c.ClosedWorkers = closedWorkers
 			c.RatePerSec = 0
 		}
 	})
+}
+
+// sweep runs topo over an offered-load ladder. nil rates picks the
+// topology's default ladder: "+mcnt" sweeps the extended one (its knee
+// sits past the TCP rungs) while everything else keeps the recorded
+// baseline ladder point-for-point.
+func sweep(seed uint64, topo Topo, rates []float64) ServeTopoCurve {
+	if rates == nil {
+		rates = DefaultServeRates
+		if topo.Mcnt {
+			rates = McntServeRates
+		}
+	}
+	curve := ServeTopoCurve{Topo: topo.String()}
+	for _, rate := range rates {
+		r := runServe(seed, topo, rate, nil)
+		pt := ServePoint{
+			OfferedQPS: rate,
+			Summary:    r.Summary(),
+			Errors:     r.Errors,
+			Unfinished: r.Unfinished,
+			Degraded:   r.Degraded(),
+		}
+		if r.BatchSize.N() > 0 {
+			pt.batchMean, pt.batchMax = r.BatchSize.Mean(), float64(r.BatchSize.Max())
+		}
+		curve.Points = append(curve.Points, pt)
+	}
+	return curve
+}
+
+// render writes the curve the way the paper presents latency curves: p50,
+// p99 and p999 against offered load.
+func (c ServeTopoCurve) render(b *strings.Builder) {
+	fmt.Fprintf(b, "%s\n", c.Topo)
+	fmt.Fprintf(b, "%12s %10s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "p999us", "ok")
+	for _, p := range c.Points {
+		ok := "yes"
+		if !p.Healthy() {
+			ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
+		}
+		fmt.Fprintf(b, "%12.0f %10.0f %10.1f %10.1f %10.1f %7s\n",
+			p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, p.Summary.P999/1e3, ok)
+	}
 }
 
 // ServeCurve sweeps offered load over every serving topology: the
@@ -301,50 +201,19 @@ func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *serve
 func ServeCurve(seed uint64, rates []float64) *ServeCurveResult {
 	res := &ServeCurveResult{Seed: seed, SLONs: DefaultServeSLONs}
 	for _, topo := range ServeTopos {
-		topoRates := rates
-		if topoRates == nil {
-			// Default ladder per topology: "+mcnt" sweeps the extended
-			// ladder (its knee sits past the TCP rungs) while everything
-			// else keeps the recorded baseline ladder point-for-point.
-			topoRates = DefaultServeRates
-			if _, _, _, _, mcntOn, _ := parseServeTopo(topo); mcntOn {
-				topoRates = McntServeRates
-			}
-		}
-		curve := ServeTopoCurve{Topo: topo}
-		for _, rate := range topoRates {
-			r := runServe(seed, topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-		}
-		res.Curves = append(res.Curves, curve)
+		res.Curves = append(res.Curves, sweep(seed, topo, rates))
 	}
 	return res
 }
 
-// String renders the sweep the way the paper presents latency curves:
-// p99 (and p50) against offered load, one block per topology, plus the
-// qps-at-SLO headline.
+// String renders the sweep: one block per topology, plus the qps-at-SLO
+// headline.
 func (r *ServeCurveResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kvstore serving: latency vs offered load (seed %d, %d shards, p99 SLO %.0fus)\n",
 		r.Seed, ServeShards, r.SLONs/1e3)
 	for _, c := range r.Curves {
-		fmt.Fprintf(&b, "%s\n", c.Topo)
-		fmt.Fprintf(&b, "%12s %10s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "p999us", "ok")
-		for _, p := range c.Points {
-			ok := "yes"
-			if !p.Healthy() {
-				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
-			}
-			fmt.Fprintf(&b, "%12.0f %10.0f %10.1f %10.1f %10.1f %7s\n",
-				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, p.Summary.P999/1e3, ok)
-		}
+		c.render(&b)
 	}
 	fmt.Fprintf(&b, "qps at p99<=%.0fus:", r.SLONs/1e3)
 	for _, c := range r.Curves {
@@ -357,7 +226,9 @@ func (r *ServeCurveResult) String() string {
 // ServeFaultsResult is the DIMM-flap serving run: one shard's DIMM goes
 // offline mid-measurement and the summary attributes the damage.
 type ServeFaultsResult struct {
-	Seed       uint64
+	Seed uint64
+	// Batched..Ops report the planes the run had on (Admitted is also
+	// true when replication implied it).
 	Batched    bool
 	Admitted   bool
 	Repl       bool
@@ -381,88 +252,46 @@ type ServeFaultsResult struct {
 	McntFabric string
 }
 
-// ServeFaults runs the mcn5 serving topology with one DIMM flapping
-// offline during the measured window. The run always terminates (the
-// kernel is driven to a fixed deadline); the flapped shard shows up as
-// degraded — errors, unfinished requests, or a collapsed tail — while the
-// other shards keep serving.
-func ServeFaults(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, false, admit.Config{}, replica.Config{}, false)
-}
-
-// ServeFaultsBatched is ServeFaults with request batching on the shard
-// connections — the determinism and degradation story must hold with the
-// coalescing window in the path.
-func ServeFaultsBatched(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, admit.Config{}, replica.Config{}, false)
-}
-
-// ServeFaultsAdmitted is ServeFaultsBatched with the admission-control
-// plane between the drivers and the router: the flapped shard's breaker
-// opens, traffic re-routes to the next vnode owners, and the breaker
-// event trace replays byte-identically from the seed.
-func ServeFaultsAdmitted(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, DefaultServeAdmit, replica.Config{}, false)
-}
-
-// ServeFaultsRepl is ServeFaultsAdmitted with the replication plane on:
-// the flapped shard's keys keep serving from the backup replica, every
-// 8th SET is synchronous, and after the run the primaries and backups are
-// driven to convergence and diffed (Diverged must be 0).
-func ServeFaultsRepl(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, DefaultServeAdmit, DefaultServeRepl, false)
-}
-
-// ServeFaultsMcnt is ServeFaultsBatched with the shard connections on
-// the mcnt transport: the flap eats mcnt frames instead of TCP
-// segments, recovery rides the go-back-N resend window instead of the
-// RTO, and after the run quiesces the fabric's credit accounting must
-// show zero drift (McntDrift empty).
-func ServeFaultsMcnt(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, admit.Config{}, replica.Config{}, true)
-}
-
-func serveFaults(seed uint64, batched bool, admitCfg admit.Config, replCfg replica.Config, useMcnt bool) *ServeFaultsResult {
-	const flapDimm = "host/mcn3"
-	cfg := serveConfig(seed, 200e3)
-	// Give the drain room for the RTO-driven recovery after the flap.
-	cfg.Drain = 20 * sim.Millisecond
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	cfg.Admit = admitCfg
-	cfg.Repl = replCfg
-	if replCfg.Enabled() {
-		cfg.Workload.SyncEvery = 8
-	}
-
+// ServeFaults runs topo (an MCN fabric: the flap names a DIMM) at 200k
+// req/s with one DIMM flapping offline during the measured window. The
+// run always terminates (the kernel is driven to a fixed deadline); the
+// flapped shard shows up as degraded — errors, unfinished requests, or a
+// collapsed tail — while the other shards keep serving. What each plane
+// adds under the flap:
+//   - Batch: the determinism and degradation story must hold with the
+//     coalescing window in the path.
+//   - Admit: the flapped shard's breaker opens, traffic re-routes to the
+//     next vnode owners, and the breaker event trace replays
+//     byte-identically from the seed.
+//   - Repl: the flapped shard's keys keep serving from the backup replica,
+//     every 8th SET is synchronous, and after the run the primaries and
+//     backups are driven to convergence and diffed (Diverged must be 0).
+//   - Mcnt: the flap eats mcnt frames instead of TCP segments, recovery
+//     rides the go-back-N resend window instead of the RTO, and after the
+//     run quiesces the fabric's credit accounting must show zero drift
+//     (McntDrift empty).
+//   - Ops: scans and filters in flight on the flapped shard fail or
+//     strand, and the operator decisions replay with everything else.
+func ServeFaults(seed uint64, topo Topo) *ServeFaultsResult {
 	k := sim.NewKernel()
-	shards, clients, inject, _, fab := buildServeTopo(k, "mcn5", useMcnt)
-	cfg.Shards, cfg.Clients = shards, clients
-	// The measured window starts after Warmup; flap 1ms into it for 2ms.
-	measStart := k.Now().Add(cfg.Warmup)
-	flapStart := measStart.Add(sim.Millisecond)
-	flapEnd := flapStart.Add(2 * sim.Millisecond)
-	inject(faults.New(k, faults.Plan{
-		Seed:      seed,
-		DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: flapStart, End: flapEnd}},
-	}))
+	cfg, rig := topo.build(k, seed, 200e3)
+	fl := rig.flap(k, &cfg)
 	r := serve.Run(k, cfg)
 
 	out := &ServeFaultsResult{
-		Seed: seed, Batched: batched, Admitted: admitCfg.Enabled(), Repl: replCfg.Enabled(),
-		Mcnt:     useMcnt,
-		FlapDimm: flapDimm, FlapStart: flapStart, FlapEnd: flapEnd,
+		Seed: seed, Batched: cfg.Batch.Enabled(), Admitted: cfg.Admit.Enabled(), Repl: cfg.Repl.Enabled(),
+		Mcnt: rig.fab != nil, Ops: cfg.Ops.On,
+		FlapDimm: fl.Name, FlapStart: fl.Start, FlapEnd: fl.End,
 		Result: r, Degraded: r.Degraded(),
 	}
-	if fab != nil {
+	if rig.fab != nil {
 		// Let in-flight frames and the resend window settle (several
 		// ResendTimeout rounds past the drain), then audit: every byte
 		// the flap ate must have been recovered and every credit grant
 		// reconverged — zero accounting drift.
 		k.RunUntil(k.Now().Add(5 * sim.Millisecond))
-		out.McntDrift = fab.CheckAccounting()
-		out.McntFabric = fab.String()
+		out.McntDrift = rig.fab.CheckAccounting()
+		out.McntFabric = rig.fab.String()
 	}
 	if r.Repl != nil {
 		// Convergence check: let the async forward windows drain, then run
@@ -472,8 +301,8 @@ func serveFaults(seed uint64, batched bool, admitCfg admit.Config, replCfg repli
 		k.RunUntil(k.Now().Add(2 * sim.Millisecond))
 		k.Go("exp/final-sweep", func(p *sim.Proc) { r.Repl.FinalSweep(p) })
 		k.RunUntil(k.Now().Add(5 * sim.Millisecond))
-		for i := range shards {
-			out.Diverged += replica.Diverged(shards[i].Server, shards[i].Backup)
+		for _, sh := range cfg.Shards {
+			out.Diverged += replica.Diverged(sh.Server, sh.Backup)
 		}
 	}
 	k.Shutdown()
@@ -537,8 +366,8 @@ type ServeReplResult struct {
 func ServeRepl(seed uint64) *ServeReplResult {
 	return &ServeReplResult{
 		Seed: seed,
-		Off:  serveFaults(seed, true, DefaultServeAdmit, replica.Config{}, false),
-		On:   serveFaults(seed, true, DefaultServeAdmit, DefaultServeRepl, false),
+		Off:  ServeFaults(seed, Topo{Fabric: "mcn5", Batch: true, Admit: true}),
+		On:   ServeFaults(seed, Topo{Fabric: "mcn5", Batch: true, Repl: true}),
 	}
 }
 
@@ -578,24 +407,18 @@ type ServeAdmitResult struct {
 	Shed      *serve.Result
 }
 
-// serveAdmitConfig is the flap run the A/B sweeps share: the measured
-// window is long relative to the 2ms flap so the p99 verdict reflects
-// what admission can control (traffic after the first timeout edge)
-// rather than the handful of requests unavoidably trapped before it.
-func serveAdmitConfig(seed uint64) serve.Config {
-	cfg := serveConfig(seed, 200e3)
-	cfg.Measure = 15 * sim.Millisecond
-	cfg.Drain = 20 * sim.Millisecond
-	cfg.Batch = DefaultServeBatch
-	return cfg
-}
+// serveAdmitMeasure is the measured window of the flap A/B sweeps
+// (ServeAdmit, ServeTimeline): long relative to the 2ms flap, so the p99
+// verdict reflects what admission can control (traffic after the first
+// timeout edge) rather than the handful of requests unavoidably trapped
+// before it.
+const serveAdmitMeasure = 15 * sim.Millisecond
 
 // ServeAdmit runs the DIMM-flap serving experiment three ways — admission
 // off, re-route, shed — on the mcn5+batch fabric. Every stream derives
 // from the seed, so each variant replays bit-identically.
 func ServeAdmit(seed uint64) *ServeAdmitResult {
-	const flapDimm = "host/mcn3"
-	out := &ServeAdmitResult{Seed: seed, FlapDimm: flapDimm}
+	out := &ServeAdmitResult{Seed: seed}
 	variants := []struct {
 		res   **serve.Result
 		admit admit.Config
@@ -606,17 +429,11 @@ func ServeAdmit(seed uint64) *ServeAdmitResult {
 	}
 	for _, v := range variants {
 		k := sim.NewKernel()
-		shards, clients, inject, _, _ := buildServeTopo(k, "mcn5", false)
-		cfg := serveAdmitConfig(seed)
-		cfg.Shards, cfg.Clients = shards, clients
+		cfg, rig := Topo{Fabric: "mcn5", Batch: true}.build(k, seed, 200e3)
+		cfg.Measure = serveAdmitMeasure
 		cfg.Admit = v.admit
-		measStart := k.Now().Add(cfg.Warmup)
-		out.FlapStart = measStart.Add(sim.Millisecond)
-		out.FlapEnd = out.FlapStart.Add(2 * sim.Millisecond)
-		inject(faults.New(k, faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: out.FlapStart, End: out.FlapEnd}},
-		}))
+		fl := rig.flap(k, &cfg)
+		out.FlapDimm, out.FlapStart, out.FlapEnd = fl.Name, fl.Start, fl.End
 		*v.res = serve.Run(k, cfg)
 		k.Shutdown()
 	}
@@ -672,38 +489,16 @@ type ServeMcntResult struct {
 // knee is on the chart). Every stream derives from the seed, so both
 // variants replay bit-identically.
 func ServeMcnt(seed uint64, rates []float64) *ServeMcntResult {
-	res := &ServeMcntResult{Seed: seed, SLONs: DefaultServeSLONs, AttribRate: ServeAttribRate}
-	tcpRates, mcntRates := rates, rates
-	if rates == nil {
-		tcpRates, mcntRates = DefaultServeRates, McntServeRates
+	tcp := Topo{Fabric: "mcn5", Batch: true}
+	mcnt := Topo{Fabric: "mcn5", Batch: true, Mcnt: true}
+	tTCP := ServeTraced(seed, tcp, ServeAttribRate, 0, 1)
+	tMcnt := ServeTraced(seed, mcnt, ServeAttribRate, 0, 1)
+	return &ServeMcntResult{
+		Seed: seed, SLONs: DefaultServeSLONs, AttribRate: ServeAttribRate,
+		TCP: sweep(seed, tcp, rates), Mcnt: sweep(seed, mcnt, rates),
+		AttribTCP: tTCP.Tracer.Attribution(), AttribMcnt: tMcnt.Tracer.Attribution(),
+		Fabric: tMcnt.McntFabric,
 	}
-	for _, v := range []struct {
-		topo  string
-		rates []float64
-		curve *ServeTopoCurve
-	}{
-		{"mcn5+batch", tcpRates, &res.TCP},
-		{"mcn5+batch+mcnt", mcntRates, &res.Mcnt},
-	} {
-		curve := ServeTopoCurve{Topo: v.topo}
-		for _, rate := range v.rates {
-			r := runServe(seed, v.topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-		}
-		*v.curve = curve
-	}
-	tTCP := ServeTraced(seed, "mcn5+batch", ServeAttribRate, 0, 1)
-	tMcnt := ServeTraced(seed, "mcn5+batch+mcnt", ServeAttribRate, 0, 1)
-	res.AttribTCP = tTCP.Tracer.Attribution()
-	res.AttribMcnt = tMcnt.Tracer.Attribution()
-	res.Fabric = tMcnt.McntFabric
-	return res
 }
 
 // String renders the A/B: both curves, the qps-at-SLO headline, and the
@@ -712,18 +507,8 @@ func (r *ServeMcntResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mcnt transport on memory-channel hops: mcn5+batch, TCP vs mcnt (seed %d, p99 SLO %.0fus)\n",
 		r.Seed, r.SLONs/1e3)
-	for _, c := range []ServeTopoCurve{r.TCP, r.Mcnt} {
-		fmt.Fprintf(&b, "%s\n", c.Topo)
-		fmt.Fprintf(&b, "%12s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "ok")
-		for _, p := range c.Points {
-			ok := "yes"
-			if !p.Healthy() {
-				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
-			}
-			fmt.Fprintf(&b, "%12.0f %10.0f %10.1f %10.1f %7s\n",
-				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, ok)
-		}
-	}
+	r.TCP.render(&b)
+	r.Mcnt.render(&b)
 	off, on := r.TCP.QpsAtSLO(r.SLONs), r.Mcnt.QpsAtSLO(r.SLONs)
 	fmt.Fprintf(&b, "qps at p99<=%.0fus: tcp=%.0f mcnt=%.0f (%+.0f%%)\n",
 		r.SLONs/1e3, off, on, 100*(on-off)/off)
@@ -761,33 +546,17 @@ type ServeBatchResult struct {
 // the batching knee-mover figure. Same seed, same arrival streams — the
 // only difference between the two curves is the coalescing window.
 func ServeBatch(seed uint64, rates []float64) *ServeBatchResult {
-	if rates == nil {
-		rates = DefaultServeRates
+	res := &ServeBatchResult{
+		Seed: seed, SLONs: DefaultServeSLONs,
+		Unbatched: sweep(seed, Topo{Fabric: "mcn5"}, rates),
+		Batched:   sweep(seed, Topo{Fabric: "mcn5", Batch: true}, rates),
 	}
-	res := &ServeBatchResult{Seed: seed, SLONs: DefaultServeSLONs, LowLoadRate: rates[0]}
-	for _, topo := range []string{"mcn5", "mcn5+batch"} {
-		curve := ServeTopoCurve{Topo: topo}
-		var kneeMean, kneeMax float64
-		for _, rate := range rates {
-			r := runServe(seed, topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-			if r.BatchSize.N() > 0 && r.Summary().P99 <= DefaultServeSLONs && r.Errors == 0 && r.Unfinished == 0 {
-				kneeMean, kneeMax = r.BatchSize.Mean(), float64(r.BatchSize.Max())
-			}
-		}
-		if topo == "mcn5" {
-			res.Unbatched = curve
-			res.LowLoadP99Off = curve.Points[0].Summary.P99
-		} else {
-			res.Batched = curve
-			res.LowLoadP99On = curve.Points[0].Summary.P99
-			res.BatchMeanAtKnee, res.BatchMaxAtKnee = kneeMean, kneeMax
+	res.LowLoadRate = res.Batched.Points[0].OfferedQPS
+	res.LowLoadP99Off = res.Unbatched.Points[0].Summary.P99
+	res.LowLoadP99On = res.Batched.Points[0].Summary.P99
+	for _, p := range res.Batched.Points {
+		if p.batchMean > 0 && p.Healthy() && p.Summary.P99 <= DefaultServeSLONs {
+			res.BatchMeanAtKnee, res.BatchMaxAtKnee = p.batchMean, p.batchMax
 		}
 	}
 	return res
@@ -798,18 +567,8 @@ func (r *ServeBatchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "request batching on shard connections: mcn5, batching off vs on (seed %d, p99 SLO %.0fus)\n",
 		r.Seed, r.SLONs/1e3)
-	for _, c := range []ServeTopoCurve{r.Unbatched, r.Batched} {
-		fmt.Fprintf(&b, "%s\n", c.Topo)
-		fmt.Fprintf(&b, "%12s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "ok")
-		for _, p := range c.Points {
-			ok := "yes"
-			if !p.Healthy() {
-				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
-			}
-			fmt.Fprintf(&b, "%12.0f %10.0f %10.1f %10.1f %7s\n",
-				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, ok)
-		}
-	}
+	r.Unbatched.render(&b)
+	r.Batched.render(&b)
 	off, on := r.Unbatched.QpsAtSLO(r.SLONs), r.Batched.QpsAtSLO(r.SLONs)
 	fmt.Fprintf(&b, "qps at p99<=%.0fus: off=%.0f on=%.0f (%+.0f%%)\n",
 		r.SLONs/1e3, off, on, 100*(on-off)/off)

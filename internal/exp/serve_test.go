@@ -143,7 +143,7 @@ func TestServeFaultsMcntZeroDrift(t *testing.T) {
 	// after the post-run quiesce the fabric's credit accounting shows
 	// zero drift, and the resend counter proves the flap actually cost
 	// frames (the recovery was exercised, not vacuous).
-	r := ServeFaultsMcnt(42)
+	r := ServeFaults(42, mustTopo("mcn5+batch+mcnt"))
 	if !r.Mcnt {
 		t.Fatal("run does not report the mcnt transport")
 	}
@@ -165,7 +165,7 @@ func TestServeFaultsReportsDegradedShard(t *testing.T) {
 	// Integration: a DIMM flap mid-measurement must neither hang the run
 	// nor corrupt the other shards, and the flapped shard must be called
 	// out as degraded.
-	r := ServeFaults(42)
+	r := ServeFaults(42, mustTopo("mcn5"))
 	if r.Result.N == 0 {
 		t.Fatalf("faulted run completed nothing:\n%s", r)
 	}

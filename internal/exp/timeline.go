@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/admit"
-	"github.com/mcn-arch/mcn/internal/faults"
 	"github.com/mcn-arch/mcn/internal/obs"
-	"github.com/mcn-arch/mcn/internal/replica"
 	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
@@ -45,36 +42,23 @@ type ServeTimelineResult struct {
 // stream is exactly its untimed twin's; everything here replays
 // byte-identically from the seed.
 func ServeTimeline(seed uint64) *ServeTimelineResult {
-	const flapDimm = "host/mcn3"
-	out := &ServeTimelineResult{Seed: seed, FlapDimm: flapDimm}
+	out := &ServeTimelineResult{Seed: seed}
 	variants := []struct {
-		name  string
-		admit admit.Config
-		repl  replica.Config
+		name string
+		topo Topo
 	}{
-		{"off", admit.Config{}, replica.Config{}},
-		{"admit", DefaultServeAdmit, replica.Config{}},
-		{"repl", DefaultServeAdmit, DefaultServeRepl},
+		{"off", Topo{Fabric: "mcn5", Batch: true}},
+		{"admit", Topo{Fabric: "mcn5", Batch: true, Admit: true}},
+		{"repl", Topo{Fabric: "mcn5", Batch: true, Repl: true}},
 	}
 	for _, v := range variants {
 		k := sim.NewKernel()
-		shards, clients, inject, _, _ := buildServeTopo(k, "mcn5", false)
-		cfg := serveAdmitConfig(seed)
-		cfg.Shards, cfg.Clients = shards, clients
-		cfg.Admit = v.admit
-		cfg.Repl = v.repl
-		if v.repl.Enabled() {
-			cfg.Workload.SyncEvery = 8
-		}
-		measStart := k.Now().Add(cfg.Warmup)
-		out.FlapStart = measStart.Add(sim.Millisecond)
-		out.FlapEnd = out.FlapStart.Add(2 * sim.Millisecond)
-		inject(faults.New(k, faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: out.FlapStart, End: out.FlapEnd}},
-		}))
+		cfg, rig := v.topo.build(k, seed, 200e3)
+		cfg.Measure = serveAdmitMeasure
+		fl := rig.flap(k, &cfg)
+		out.FlapDimm, out.FlapStart, out.FlapEnd = fl.Name, fl.Start, fl.End
 		tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
-		tl.AddFault(flapDimm, out.FlapStart, out.FlapEnd)
+		tl.AddFault(fl.Name, fl.Start, fl.End)
 		cfg.Timeline = tl
 		res := serve.Run(k, cfg)
 		k.Shutdown()

@@ -11,7 +11,7 @@ import (
 // is live, and the tracer fed per-window phase means into the windows
 // where spans finished.
 func TestServeTracedTimelineConsistency(t *testing.T) {
-	r := ServeTraced(42, "mcn5+batch", 200e3, 0, 8)
+	r := ServeTraced(42, mustTopo("mcn5+batch"), 200e3, 0, 8)
 	tl := r.Timeline
 	var issued, completed, shed, queueMax, phased int64
 	for _, w := range tl.Windows() {

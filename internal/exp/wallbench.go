@@ -79,15 +79,25 @@ func wallCalibrate() float64 {
 // WallBenchRates returns the canonical ladder for one topology: the TCP
 // topologies stop at their knee, the mcnt transport sweeps to the rate
 // the ISSUE's 2x target is measured at.
-func WallBenchRates(topo string) []float64 {
-	if _, _, _, _, mcntOn, _ := parseServeTopo(topo); mcntOn {
+func WallBenchRates(topo Topo) []float64 {
+	if topo.Mcnt {
 		return []float64{200e3, 800e3, 2.4e6}
 	}
 	return []float64{200e3, 800e3, 1.4e6}
 }
 
 // WallBenchTopos are the canonical topologies the wall-clock gate tracks.
-var WallBenchTopos = []string{"mcn5", "mcn5+batch", "mcn5+batch+mcnt"}
+var WallBenchTopos = []Topo{
+	{Fabric: "mcn5"}, {Fabric: "mcn5", Batch: true}, {Fabric: "mcn5", Batch: true, Mcnt: true},
+}
+
+// wallReps is the wall-clock repetitions per measured point, and wallTol
+// the fractional events/sec shortfall the drift gate tolerates (the
+// deterministic counters always compare exactly).
+const (
+	wallReps = 3
+	wallTol  = 0.15
+)
 
 // WallBenchOnce runs one serving point and reports simulator throughput.
 // Each measurement re-runs the point reps times (after one warm-up run)
@@ -97,31 +107,10 @@ var WallBenchTopos = []string{"mcn5", "mcn5+batch", "mcn5+batch+mcnt"}
 // because the drift gate compares measurements taken minutes or machines
 // apart. The kernel stats come from the measured run and are identical
 // across repetitions by construction.
-func WallBenchOnce(seed uint64, topo string, rate float64, reps int) WallBenchPoint {
-	if reps < 1 {
-		reps = 1
-	}
+func WallBenchOnce(seed uint64, topo Topo, rate float64, reps int) WallBenchPoint {
 	run := func() (WallBenchPoint, time.Duration) {
-		fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
 		k := sim.NewKernel()
-		shards, clients, _, _, _ := buildServeTopo(k, fabric, mcntOn)
-		cfg := serveConfig(seed, rate)
-		cfg.Shards, cfg.Clients = shards, clients
-		if batched {
-			cfg.Batch = DefaultServeBatch
-		}
-		if admitted {
-			cfg.Admit = DefaultServeAdmit
-		}
-		if replicated {
-			cfg.Repl = DefaultServeRepl
-			if !cfg.Admit.Enabled() {
-				cfg.Admit = DefaultServeAdmit
-			}
-		}
-		if opsOn {
-			cfg.Ops = DefaultServeOps
-		}
+		cfg, _ := topo.build(k, seed, rate)
 		t0 := time.Now()
 		res := serve.Run(k, cfg)
 		wall := time.Since(t0)
@@ -129,7 +118,7 @@ func WallBenchOnce(seed uint64, topo string, rate float64, reps int) WallBenchPo
 		simSec := sim.Duration(k.Now()).Seconds()
 		k.Shutdown()
 		return WallBenchPoint{
-			Topo:        topo,
+			Topo:        topo.String(),
 			RateRps:     rate,
 			SimSeconds:  simSec,
 			Events:      st.Pops,
@@ -163,11 +152,11 @@ func WallBenchOnce(seed uint64, topo string, rate float64, reps int) WallBenchPo
 
 // WallBench sweeps the canonical topologies over their rate ladders,
 // producing the BENCH_wallclock.json artifact body.
-func WallBench(seed uint64, reps int) *WallBenchResult {
+func WallBench(seed uint64) *WallBenchResult {
 	res := &WallBenchResult{Seed: seed, CalibSpinsPerSec: wallCalibrate()}
 	for _, topo := range WallBenchTopos {
 		for _, rate := range WallBenchRates(topo) {
-			res.Points = append(res.Points, WallBenchOnce(seed, topo, rate, reps))
+			res.Points = append(res.Points, WallBenchOnce(seed, topo, rate, wallReps))
 		}
 	}
 	return res
@@ -185,16 +174,16 @@ func (r *WallBenchResult) String() string {
 	return b.String()
 }
 
-// WallBenchCheck is the drift gate: it re-runs one mid-ladder rate of
-// each topology in the stored artifact and compares against the stored
-// point. The kernel counters are deterministic for a fixed seed — any
-// mismatch there means the event stream itself changed and is reported
-// exactly. The wall-clock event rate is hardware-dependent, so it only
-// has to land within tol (fractional, e.g. 0.15) of the artifact; the
-// mid point is used because the lowest rung finishes in tens of
-// milliseconds, short enough for frequency ramp and GC phase to swamp
-// the rate. The returned slice is empty when nothing drifted.
-func WallBenchCheck(stored *WallBenchResult, tol float64) []string {
+// recheckWallBench is the wall-clock half of the drift gate: it re-runs
+// one mid-ladder rate of each topology in the stored artifact and returns
+// the fresh points for diffJSON — the kernel counters are deterministic
+// for a fixed seed, so any mismatch there means the event stream itself
+// changed — plus the verdict of the one rule diffJSON cannot apply. The
+// wall-clock event rate is hardware-dependent, so it only has to land
+// within tol (fractional) of the artifact; the mid point is used because
+// the lowest rung finishes in tens of milliseconds, short enough for
+// frequency ramp and GC phase to swamp the rate.
+func recheckWallBench(stored *WallBenchResult, tol float64) (got *WallBenchResult, drift []string) {
 	byTopo := map[string][]WallBenchPoint{}
 	var order []string
 	for _, p := range stored.Points {
@@ -203,62 +192,46 @@ func WallBenchCheck(stored *WallBenchResult, tol float64) []string {
 		}
 		byTopo[p.Topo] = append(byTopo[p.Topo], p)
 	}
-	calib := wallCalibrate()
-	var drift []string
-	for _, topo := range order {
-		pts := byTopo[topo]
+	got = &WallBenchResult{Seed: stored.Seed, CalibSpinsPerSec: wallCalibrate()}
+	for _, name := range order {
+		topo, err := ParseTopo(name)
+		if err != nil {
+			drift = append(drift, fmt.Sprintf("points[%s]: %v", name, err))
+			continue
+		}
+		pts := byTopo[name]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].RateRps < pts[j].RateRps })
 		p := pts[len(pts)/2]
-		got := WallBenchOnce(stored.Seed, p.Topo, p.RateRps, 3)
-		exact := []struct {
-			name      string
-			got, want uint64
-		}{
-			{"events", got.Events, p.Events},
-			{"requests", uint64(got.Requests), uint64(p.Requests)},
-			{"pushes", got.Pushes, p.Pushes},
-			{"wheel_pushes", got.WheelPushes, p.WheelPushes},
-			{"proc_wakes", got.ProcWakes, p.ProcWakes},
-			{"self_wakes", got.SelfWakes, p.SelfWakes},
-			{"switches", got.Switches, p.Switches},
-			{"stale_wakes", got.StaleWakes, p.StaleWakes},
-			{"spawns", got.Spawns, p.Spawns},
-			{"shells", got.Shells, p.Shells},
+		pt := WallBenchOnce(stored.Seed, topo, p.RateRps, wallReps)
+		got.Points = append(got.Points, pt)
+		if p.EventsPerSec <= 0 {
+			continue
 		}
-		for _, c := range exact {
-			if c.got != c.want {
-				drift = append(drift, fmt.Sprintf(
-					"%s@%.0f: %s = %d, artifact has %d (deterministic counter; the event stream changed)",
-					p.Topo, p.RateRps, c.name, c.got, c.want))
+		// Wall rates are the one nondeterministic column: a busy
+		// scheduling window can depress a single measurement well past
+		// any honest tolerance, so a miss earns up to two fresh
+		// re-measurements before it counts as drift. A real regression
+		// (the thing this gate exists for) fails every attempt.
+		normalize := func(ev float64, spins float64) (float64, string) {
+			if stored.CalibSpinsPerSec > 0 && spins > 0 {
+				// Normalized by the spin yardstick, so a slower (or
+				// merely throttled) host does not read as a simulator
+				// regression.
+				return ev / spins, "events/spin"
 			}
+			return ev, "events/sec"
 		}
-		if p.EventsPerSec > 0 {
-			// Wall rates are the one nondeterministic column: a busy
-			// scheduling window can depress a single measurement well past
-			// any honest tolerance, so a miss earns up to two fresh
-			// re-measurements before it counts as drift. A real regression
-			// (the thing this gate exists for) fails every attempt.
-			normalize := func(ev float64, spins float64) (float64, string) {
-				if stored.CalibSpinsPerSec > 0 && spins > 0 {
-					// Normalized by the spin yardstick, so a slower (or
-					// merely throttled) host does not read as a simulator
-					// regression.
-					return ev / spins, "events/spin"
-				}
-				return ev, "events/sec"
-			}
-			want, unit := normalize(p.EventsPerSec, stored.CalibSpinsPerSec)
-			have, _ := normalize(got.EventsPerSec, calib)
-			for attempt := 0; have/want < 1-tol && attempt < 2; attempt++ {
-				retry := WallBenchOnce(stored.Seed, p.Topo, p.RateRps, 3)
-				have, _ = normalize(retry.EventsPerSec, wallCalibrate())
-			}
-			if ratio := have / want; ratio < 1-tol {
-				drift = append(drift, fmt.Sprintf(
-					"%s@%.0f: %s %.3g is %.0f%% below the artifact's %.3g (tolerance %.0f%%)",
-					p.Topo, p.RateRps, unit, have, (1-ratio)*100, want, tol*100))
-			}
+		want, unit := normalize(p.EventsPerSec, stored.CalibSpinsPerSec)
+		have, _ := normalize(pt.EventsPerSec, got.CalibSpinsPerSec)
+		for attempt := 0; have/want < 1-tol && attempt < 2; attempt++ {
+			retry := WallBenchOnce(stored.Seed, topo, p.RateRps, wallReps)
+			have, _ = normalize(retry.EventsPerSec, wallCalibrate())
+		}
+		if ratio := have / want; ratio < 1-tol {
+			drift = append(drift, fmt.Sprintf(
+				"points[%s@%.0f]: %s %.3g is %.0f%% below the artifact's %.3g (tolerance %.0f%%)",
+				p.Topo, p.RateRps, unit, have, (1-ratio)*100, want, tol*100))
 		}
 	}
-	return drift
+	return got, drift
 }

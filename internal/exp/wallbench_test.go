@@ -1,16 +1,17 @@
 package exp
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
 func TestWallBenchRates(t *testing.T) {
-	tcp := WallBenchRates("mcn5+batch")
+	tcp := WallBenchRates(mustTopo("mcn5+batch"))
 	if top := tcp[len(tcp)-1]; top != 1.4e6 {
 		t.Fatalf("TCP ladder tops at %.0f, want 1.4M", top)
 	}
-	mcnt := WallBenchRates("mcn5+batch+mcnt")
+	mcnt := WallBenchRates(mustTopo("mcn5+batch+mcnt"))
 	if top := mcnt[len(mcnt)-1]; top != 2.4e6 {
 		t.Fatalf("mcnt ladder tops at %.0f, want 2.4M", top)
 	}
@@ -22,7 +23,7 @@ func TestWallBenchRates(t *testing.T) {
 // rate must exhaust its re-measurements and report the ratio.
 func TestWallBenchCheck(t *testing.T) {
 	const seed = 42
-	pt := WallBenchOnce(seed, "mcn5", 200e3, 1)
+	pt := WallBenchOnce(seed, mustTopo("mcn5"), 200e3, 1)
 	if pt.Events == 0 || pt.Requests == 0 || pt.WallSeconds <= 0 {
 		t.Fatalf("degenerate point: %+v", pt)
 	}
@@ -39,11 +40,20 @@ func TestWallBenchCheck(t *testing.T) {
 	if !strings.Contains(s, "mcn5") || !strings.Contains(s, "ev/s") {
 		t.Fatalf("String missing topo or rate column:\n%s", s)
 	}
+	check := func(art *WallBenchResult, tol float64) []string {
+		raw, err := json.Marshal(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, drift := recheckWallBench(art, tol)
+		_, d := diffJSON(got, raw)
+		return append(drift, d...)
+	}
 
 	// Same binary, same seed: every deterministic counter matches. The
 	// near-total tolerance keeps the hardware-dependent rate column from
 	// flaking the assertion on a loaded machine.
-	if drift := WallBenchCheck(stored, 0.99); len(drift) != 0 {
+	if drift := check(stored, 0.99); len(drift) != 0 {
 		t.Fatalf("clean artifact reported drift: %v", drift)
 	}
 
@@ -54,10 +64,10 @@ func TestWallBenchCheck(t *testing.T) {
 	bad.Points = append([]WallBenchPoint(nil), stored.Points...)
 	bad.Points[0].Switches++
 	bad.Points[0].EventsPerSec *= 1e6
-	drift := WallBenchCheck(bad, 0.15)
+	drift := check(bad, wallTol)
 	var sawCounter, sawRate bool
 	for _, d := range drift {
-		if strings.Contains(d, "switches") {
+		if strings.Contains(d, "points[mcn5@200000].switches") {
 			sawCounter = true
 		}
 		if strings.Contains(d, "below the artifact") {

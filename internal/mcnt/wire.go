@@ -34,9 +34,8 @@ package mcnt
 
 import "encoding/binary"
 
-// EtherType is the experimental EtherType carrying mcnt frames. It is
-// distinct from mcnfast's 0x88B5 so the two transports can coexist in
-// one binary.
+// EtherType is the EtherType carrying mcnt frames: the second of the two
+// values IEEE 802 reserves for local experimental use.
 const EtherType = 0x88B6
 
 // Frame kinds. Data, syn and fin are sequenced (they occupy a slot in

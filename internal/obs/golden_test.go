@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden trace files")
 // simulation regenerates it with `go test ./internal/obs -run Golden
 // -update`.
 func TestPerfettoGolden(t *testing.T) {
-	r := exp.ServeTraced(1, "mcn5", 100e3, 0, 50)
+	r := exp.ServeTraced(1, exp.Topo{Fabric: "mcn5"}, 100e3, 0, 50)
 	var buf bytes.Buffer
 	if err := r.Tracer.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // the `mcn-serve -metrics` artifact of the small traced run is
 // byte-identical across runs and builds.
 func TestMetricsGolden(t *testing.T) {
-	r := exp.ServeTraced(1, "mcn5", 100e3, 0, 50)
+	r := exp.ServeTraced(1, exp.Topo{Fabric: "mcn5"}, 100e3, 0, 50)
 	var buf bytes.Buffer
 	if err := r.Snapshot.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestMetricsGolden(t *testing.T) {
 // TestPerfettoGolden (which renders the same run spans-only) this also
 // proves attaching the extra sources never perturbs the span bytes.
 func TestCombinedTraceGolden(t *testing.T) {
-	r := exp.ServeTraced(1, "mcn5", 100e3, 0, 50)
+	r := exp.ServeTraced(1, exp.Topo{Fabric: "mcn5"}, 100e3, 0, 50)
 	var buf bytes.Buffer
 	ct := obs.PerfettoTrace{Tracer: r.Tracer, Snapshot: r.Snapshot, Timeline: r.Timeline}
 	if err := ct.Write(&buf); err != nil {

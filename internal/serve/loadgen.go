@@ -48,10 +48,8 @@ type Config struct {
 	// keeps one pipelined connection per shard.
 	Shards  []Shard
 	Clients []cluster.Endpoint
-	// Generators is the number of open-loop arrival processes per client
-	// endpoint (default 1); the aggregate RatePerSec is split evenly.
-	Generators int
-	// RatePerSec is the aggregate open-loop offered load. Ignored when
+	// RatePerSec is the aggregate open-loop offered load, split evenly
+	// over one arrival process per client endpoint. Ignored when
 	// ClosedWorkers is set.
 	RatePerSec float64
 	// ClosedWorkers switches to the closed-loop driver: this many workers
@@ -60,8 +58,6 @@ type Config struct {
 	ClosedWorkers int
 	// Inflight caps pipelined requests per shard connection (default 16).
 	Inflight int
-	// VNodes is the router's virtual-node count per shard (default 64).
-	VNodes int
 	// Batch bounds the per-connection coalescing window; the zero value
 	// disables batching (one request per Send).
 	Batch BatchConfig
@@ -141,9 +137,6 @@ func (bc BatchConfig) withDefaults() BatchConfig {
 
 func (c Config) withDefaults() Config {
 	c.Workload = c.Workload.withDefaults()
-	if c.Generators == 0 {
-		c.Generators = 1
-	}
 	if c.Inflight == 0 {
 		c.Inflight = 16
 	}
@@ -486,7 +479,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 		panic("serve: config needs at least one shard and one client")
 	}
 	w := cfg.Workload
-	router := NewRouter(len(cfg.Shards), cfg.VNodes)
+	router := NewRouter(len(cfg.Shards), 0)
 	base := k.Now()
 
 	b := &bench{
@@ -661,17 +654,18 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 		if cfg.RatePerSec <= 0 {
 			panic("serve: open-loop run needs RatePerSec > 0")
 		}
-		share := cfg.RatePerSec / float64(len(cfg.Clients)*cfg.Generators)
+		// One generator per client; the "/0" keeps the stream and process
+		// names of the per-client generator index this once carried, so
+		// every seeded run stays bit-identical.
+		share := cfg.RatePerSec / float64(len(cfg.Clients))
 		for ci := range cfg.Clients {
-			for gi := 0; gi < cfg.Generators; gi++ {
-				gen := w.newGenerator(zf, cfg.Seed, fmt.Sprintf("gen/%d/%d", ci, gi))
-				arr := rng{state: streamSeed(cfg.Seed, fmt.Sprintf("arrivals/%d/%d", ci, gi))}
-				smp := cfg.Tracer.Sampler(fmt.Sprintf("gen/%d/%d", ci, gi))
-				ci := ci
-				k.Go(fmt.Sprintf("serve/gen%d.%d", ci, gi), func(p *sim.Proc) {
-					b.openLoop(p, ci, gen, arr, share, smp)
-				})
-			}
+			gen := w.newGenerator(zf, cfg.Seed, fmt.Sprintf("gen/%d/0", ci))
+			arr := rng{state: streamSeed(cfg.Seed, fmt.Sprintf("arrivals/%d/0", ci))}
+			smp := cfg.Tracer.Sampler(fmt.Sprintf("gen/%d/0", ci))
+			ci := ci
+			k.Go(fmt.Sprintf("serve/gen%d.0", ci), func(p *sim.Proc) {
+				b.openLoop(p, ci, gen, arr, share, smp)
+			})
 		}
 	}
 

@@ -494,13 +494,13 @@ func (b *BusyMeter) Energy(span sim.Duration, units int, activeW, idleW float64)
 // compare operator activity in one shape, the way ReplCounters does for
 // replication.
 type OpTally struct {
-	Issued    int64 // logical operators issued
-	Offloaded int64 // executed on-DIMM
-	Host      int64 // executed through the host-side fallback
-	Errors    int64 // operators that failed (bad request, transport)
-	WireReqs  int64 // wire requests the operators expanded into
-	ReqBytes  int64 // request payload bytes over the channel
-	RespBytes int64 // response payload bytes over the channel
+	Issued    int64 `json:"issued"`           // logical operators issued
+	Offloaded int64 `json:"offloaded"`        // executed on-DIMM
+	Host      int64 `json:"host"`             // executed through the host-side fallback
+	Errors    int64 `json:"errors,omitempty"` // operators that failed (bad request, transport)
+	WireReqs  int64 `json:"wire_reqs"`        // wire requests the operators expanded into
+	ReqBytes  int64 `json:"req_bytes"`        // request payload bytes over the channel
+	RespBytes int64 `json:"resp_bytes"`       // response payload bytes over the channel
 }
 
 // Add folds another tally into this one.
@@ -526,12 +526,13 @@ func (o *OpTally) String() string {
 // OpsCounters tallies one serving run's near-memory operator traffic by
 // family: multi-GET, range scan, filter+aggregate, and read-modify-write
 // (CAS + fetch-and-add folded together — one offload decision covers
-// both).
+// both). The json tags are the "ops" section of mcn-serve's single-run
+// -json output.
 type OpsCounters struct {
-	MultiGet OpTally
-	Scan     OpTally
-	Filter   OpTally
-	RMW      OpTally
+	MultiGet OpTally `json:"multiget"`
+	Scan     OpTally `json:"scan"`
+	Filter   OpTally `json:"filter"`
+	RMW      OpTally `json:"rmw"`
 }
 
 // Add folds another counter block into this one.

@@ -34,7 +34,6 @@ import (
 	"github.com/mcn-arch/mcn/internal/faults"
 	"github.com/mcn-arch/mcn/internal/kvstore"
 	"github.com/mcn-arch/mcn/internal/mapreduce"
-	"github.com/mcn-arch/mcn/internal/mcnfast"
 	"github.com/mcn-arch/mcn/internal/mcnt"
 	"github.com/mcn-arch/mcn/internal/mpi"
 	"github.com/mcn-arch/mcn/internal/netstack"
@@ -197,17 +196,6 @@ func RunMapReduce(r *Rank, job MapReduceJob) map[string]string {
 	return mapreduce.Run(r, job)
 }
 
-// FastEndpoint is one side of the Sec. VII specialized transport: a
-// credit-flow-controlled message channel over the SRAM rings that bypasses
-// TCP/IP entirely.
-type FastEndpoint = mcnfast.Endpoint
-
-// OpenFastChannel connects the host and one MCN node with the specialized
-// transport, returning (host endpoint, MCN endpoint).
-func OpenFastChannel(k *Kernel, h *Host, m *McnNode) (*FastEndpoint, *FastEndpoint) {
-	return mcnfast.Pair(k, h, m)
-}
-
 // Key/value store: a memcached-class service for near-memory caching.
 type (
 	// KVServer is a key/value store bound to one node.
@@ -309,7 +297,7 @@ func Fig11(kernels []string, scale Scale) *Fig11Result { return exp.Fig11(kernel
 func Headline(names []string, scale Scale) *HeadlineResult { return exp.Headline(names, scale) }
 
 // Discussion quantifies Sec. VII: TCP's ACK overhead on MCN and the gains
-// of the specialized (TCP-bypassing) transport.
+// of the channel-native mcnt transport over it.
 func Discussion() *DiscussionResult { return exp.Discussion() }
 
 // FaultSweep measures iperf goodput vs injected loss rate (10GbE vs mcn0
@@ -422,17 +410,31 @@ func NewShardRouter(nShards, vnodes int) *ShardRouter { return serve.NewRouter(n
 // telemetry. Same seed, same topology: bit-identical results.
 func ServeRun(k *Kernel, cfg ServeConfig) *ServeResult { return serve.Run(k, cfg) }
 
+// Topo is one serving topology as a typed value: a fabric ("mcn0",
+// "mcn5", "10gbe", "scaleup") plus the planes switched on over it — Batch
+// (request batching), Admit (admission control), Repl (primary/backup
+// replication, implies Admit), Mcnt (the MCN-native transport on
+// memory-channel hops) and Ops (near-memory operator traffic). Every
+// serving experiment takes one.
+type Topo = exp.Topo
+
+// ParseTopo reads a topology's text form, FABRIC[+SUFFIX...] with the
+// suffixes in any order ("mcn5+batch+repl"); TopoGrammar states what it
+// accepts in one line, for usage and error messages.
+func ParseTopo(s string) (Topo, error) { return exp.ParseTopo(s) }
+
+// TopoGrammar is the one-line statement of what ParseTopo accepts.
+func TopoGrammar() string { return exp.TopoGrammar() }
+
 // ServeTopos lists the serving topologies in presentation order.
 var ServeTopos = exp.ServeTopos
 
 // DefaultServeSLONs is the default p99 objective (ns) for qps-at-SLO.
 const DefaultServeSLONs = exp.DefaultServeSLONs
 
-// ServeOnce runs one point of the serving benchmark on the named topology
-// ("mcn0", "mcn5", "10gbe", "scaleup", or any of these with a "+batch"
-// suffix for request batching); closedWorkers > 0 switches to the
-// closed-loop driver and ignores rate.
-func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *ServeResult {
+// ServeOnce runs one point of the serving benchmark on topo;
+// closedWorkers > 0 switches to the closed-loop driver and ignores rate.
+func ServeOnce(seed uint64, topo Topo, rate float64, closedWorkers int) *ServeResult {
 	return exp.ServeOnce(seed, topo, rate, closedWorkers)
 }
 
@@ -445,30 +447,18 @@ func ServeCurve(seed uint64, rates []float64) *ServeCurveResult { return exp.Ser
 // over the same rate ladder (nil = default): the knee-mover A/B.
 func ServeBatch(seed uint64, rates []float64) *ServeBatchResult { return exp.ServeBatch(seed, rates) }
 
-// ServeFaults runs the mcn5 serving topology with one DIMM flapping
-// offline during the measured window and reports the degraded shard.
-func ServeFaults(seed uint64) *ServeFaultsResult { return exp.ServeFaults(seed) }
-
-// ServeFaultsBatched is ServeFaults with request batching enabled on the
-// shard connections.
-func ServeFaultsBatched(seed uint64) *ServeFaultsResult { return exp.ServeFaultsBatched(seed) }
-
-// ServeFaultsAdmitted is ServeFaultsBatched with the admission-control
-// plane enabled: the flapped shard's breaker opens, traffic re-routes to
-// the next vnode owners, and the breaker event trace replays
-// byte-identically from the seed.
-func ServeFaultsAdmitted(seed uint64) *ServeFaultsResult { return exp.ServeFaultsAdmitted(seed) }
+// ServeFaults runs topo (an MCN fabric) with one DIMM flapping offline
+// during the measured window and reports the degraded shard. The planes
+// topo switches on decide what the flap exercises: breaker-driven
+// re-routing (Admit), backup failover and post-run replica convergence
+// (Repl), go-back-N recovery audited to zero credit drift (Mcnt),
+// operator traffic (Ops). The run replays byte-identically from the seed.
+func ServeFaults(seed uint64, topo Topo) *ServeFaultsResult { return exp.ServeFaults(seed, topo) }
 
 // ServeAdmit runs the DIMM-flap serving experiment with admission off,
 // the re-route policy, and the shed policy on the mcn5+batch fabric; the
 // headline compares the fault-window p99s.
 func ServeAdmit(seed uint64) *ServeAdmitResult { return exp.ServeAdmit(seed) }
-
-// ServeFaultsRepl is ServeFaultsAdmitted with the replication plane on:
-// the flapped shard's keys keep serving from the backup replica, sync
-// writes stay durable, and the recovered primary catches up via the
-// versioned delta stream before its breaker readmits it.
-func ServeFaultsRepl(seed uint64) *ServeFaultsResult { return exp.ServeFaultsRepl(seed) }
 
 // ServeRepl runs the DIMM-flap serving experiment with replication off
 // and on; the headline compares flap-window misses, failover reads and
@@ -530,11 +520,6 @@ func ServeOps(seed uint64) *ServeOpsResult { return exp.ServeOps(seed) }
 // bench-smoke gate audits with ServeOpsResult.Check.
 func ServeOpsSmoke(seed uint64) *ServeOpsResult { return exp.ServeOpsSmoke(seed) }
 
-// ServeFaultsOps runs the operator workload under the standard DIMM flap;
-// the run, operator decisions included, replays byte-identically from
-// the seed.
-func ServeFaultsOps(seed uint64) *ServeFaultsResult { return exp.ServeFaultsOps(seed) }
-
 // WallBenchPoint is one wall-clock measurement of the simulator itself;
 // WallBenchResult is the BENCH_wallclock.json artifact shape.
 type (
@@ -545,14 +530,27 @@ type (
 // WallBench measures raw simulator throughput (events/sec, requests/sec)
 // over the canonical serving topologies and rate ladders. The per-point
 // kernel counters are deterministic for the seed; only wall seconds and
-// the derived rates vary with hardware. reps is best-of-N per point.
-func WallBench(seed uint64, reps int) *WallBenchResult { return exp.WallBench(seed, reps) }
+// the derived rates vary with hardware.
+func WallBench(seed uint64) *WallBenchResult { return exp.WallBench(seed) }
 
-// WallBenchCheck re-runs the cheapest point per topology from a stored
-// BENCH_wallclock.json and reports drift: deterministic kernel counters
-// must match exactly, events/sec must be within tol of the artifact.
-func WallBenchCheck(stored *WallBenchResult, tol float64) []string {
-	return exp.WallBenchCheck(stored, tol)
+// ServeBench is the BENCH_serve.json artifact shape.
+type ServeBench = exp.ServeBench
+
+// RunServeBench runs the whole serving benchmark at seed (curve sweep,
+// admission and replication flap A/Bs, operator smoke sweep) and reduces
+// it to the artifact; nil rates uses the default ladders.
+func RunServeBench(seed uint64, sloNs float64, rates []float64) *ServeBench {
+	return exp.RunServeBench(seed, sloNs, rates)
+}
+
+// CheckArtifact is the one drift gate: raw is a committed
+// BENCH_serve.json or BENCH_wallclock.json; every section it records is
+// regenerated at seed and compared leaf by leaf (integers exactly, floats
+// to a formatting allowance, events/sec by the calibrated 15% rule), and
+// each drifted JSON path is named. rates optionally trims the serving
+// curve sweep to a partial ladder. Any drift line is a failure.
+func CheckArtifact(raw []byte, seed uint64, rates []float64) (notes, drift []string) {
+	return exp.CheckArtifact(raw, seed, rates)
 }
 
 // mcnt: the MCN-native reliable transport — credit-based sliding-window
@@ -583,11 +581,6 @@ func AttachMcnt(k *Kernel, h *Host, pr McntParams) *McntFabric { return mcnt.Att
 // default ladders), the qps-at-SLO headline, and the per-phase
 // attribution showing where the TCP stack time went.
 func ServeMcnt(seed uint64, rates []float64) *ServeMcntResult { return exp.ServeMcnt(seed, rates) }
-
-// ServeFaultsMcnt is ServeFaultsBatched on the mcnt transport: the flap
-// eats mcnt frames, go-back-N recovers them, and the fabric's credit
-// accounting must audit to zero drift after the run.
-func ServeFaultsMcnt(seed uint64) *ServeFaultsResult { return exp.ServeFaultsMcnt(seed) }
 
 // Observability: end-to-end request spans, the unified metrics registry
 // and the Perfetto/Chrome trace export (internal/obs).
@@ -661,13 +654,13 @@ func NewMetricsRegistry() *Registry { return obs.NewRegistry() }
 // ServeTraced runs one serving point with the observability plane on:
 // spans cover every phase from client enqueue to response, and the
 // simulated event stream is identical to the untraced ServeOnce run.
-func ServeTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
+func ServeTraced(seed uint64, topo Topo, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
 	return exp.ServeTraced(seed, topo, rate, closedWorkers, sampleN)
 }
 
 // ServeTracedFaults is ServeTraced under the standard DIMM-flap plan;
 // its trace artifacts replay byte-identically from the seed.
-func ServeTracedFaults(seed uint64, topo string, rate float64, sampleN int) *ServeTraceResult {
+func ServeTracedFaults(seed uint64, topo Topo, rate float64, sampleN int) *ServeTraceResult {
 	return exp.ServeTracedFaults(seed, topo, rate, sampleN)
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Bench smoke: a tiny deterministic slice of the serving benchmark, fast
-# enough for the local gate. It sweeps one low and one mid rate across
-# every topology (including the admitted one) and runs one admitted
-# single point, so a regression in the bench pipeline — topology
-# construction, suffix parsing, admission plane, JSON rendering — fails
+# enough for the local gate. It re-runs one low and one mid rate across
+# every topology, the flap A/Bs and the operator smoke sweep against the
+# committed artifacts, and runs a few single points with the
+# observability plane on, so a regression in the bench pipeline —
+# topology construction, suffix parsing, any plane, JSON rendering — fails
 # here instead of in the full scripts/bench.sh artifact run.
 #
 # Usage: scripts/bench-smoke.sh [seed]   (default 42)
@@ -13,17 +14,25 @@ cd "$(dirname "$0")/.."
 
 SEED="${1:-42}"
 
-echo ">> mcn-serve -curve -rates 200000,800000 -seed $SEED -check BENCH_serve.json"
-go run ./cmd/mcn-serve -curve -rates 200000,800000 -seed "$SEED" -check BENCH_serve.json
+# One build for the dozen invocations below; everything the script writes
+# lives in the same directory and goes with it.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+go build -o "$TMP/mcn-serve" ./cmd/mcn-serve
+SERVE="$TMP/mcn-serve"
+
+# The serving drift gate: regenerate every section BENCH_serve.json
+# records — the curves (on a two-rung ladder here), the qps-at-SLO
+# headline, the admission and replication flap A/Bs, the operator sweep
+# with its >=5x byte-savings and auto-decision claims — and fail naming
+# each JSON path that drifted. The curve check runs with ops off, so the
+# committed curves staying point-for-point is also the byte-identity gate
+# for a config that never heard of the operator subsystem.
+echo ">> mcn-serve -check BENCH_serve.json -rates 200000,800000 -seed $SEED"
+"$SERVE" -check BENCH_serve.json -rates 200000,800000 -seed "$SEED"
 
 echo ">> mcn-serve -topo mcn5+batch+admit -rate 200000 -seed $SEED -json"
-go run ./cmd/mcn-serve -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json -out /tmp/mcn-smoke-plain.json
-
-# Replicated-flap drift guard: re-run the replication A/B at the artifact
-# seed and fail if the availability or convergence numbers drift from the
-# committed BENCH_serve.json.
-echo ">> mcn-serve -replcheck BENCH_serve.json -seed $SEED"
-go run ./cmd/mcn-serve -replcheck BENCH_serve.json -seed "$SEED"
+"$SERVE" -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json -out "$TMP/plain.json"
 
 # mcnt transport guard: one low-rate point on the mcnt topology with the
 # observability plane on must report telemetry byte-identical to the
@@ -31,72 +40,48 @@ go run ./cmd/mcn-serve -replcheck BENCH_serve.json -seed "$SEED"
 # the transport swap end to end — dial/accept over the fabric, framing,
 # credit returns — at smoke cost.
 echo ">> mcn-serve -topo mcn5+batch+mcnt -rate 200000 -seed $SEED (transport + zero-perturbation guard)"
-go run ./cmd/mcn-serve -topo mcn5+batch+mcnt -rate 200000 -seed "$SEED" -json -out /tmp/mcn-smoke-mcnt-plain.json
-go run ./cmd/mcn-serve -topo mcn5+batch+mcnt -rate 200000 -seed "$SEED" -json \
-	-trace /tmp/mcn-smoke-mcnt-trace.json -out /tmp/mcn-smoke-mcnt-traced.json
-cmp /tmp/mcn-smoke-mcnt-plain.json /tmp/mcn-smoke-mcnt-traced.json
-test -s /tmp/mcn-smoke-mcnt-trace.json
-rm -f /tmp/mcn-smoke-mcnt-plain.json /tmp/mcn-smoke-mcnt-traced.json /tmp/mcn-smoke-mcnt-trace.json
+"$SERVE" -topo mcn5+batch+mcnt -rate 200000 -seed "$SEED" -json -out "$TMP/mcnt-plain.json"
+"$SERVE" -topo mcn5+batch+mcnt -rate 200000 -seed "$SEED" -json \
+	-trace "$TMP/mcnt-trace.json" -out "$TMP/mcnt-traced.json"
+cmp "$TMP/mcnt-plain.json" "$TMP/mcnt-traced.json"
+test -s "$TMP/mcnt-trace.json"
 
 # Trace-overhead guard: the same point with the observability plane on
 # must report byte-identical telemetry (tracing charges no simulated
 # time), and the Perfetto/metrics artifacts must be written and non-empty.
 echo ">> mcn-serve -topo mcn5+batch+admit ... -trace/-metrics (zero-perturbation guard)"
-go run ./cmd/mcn-serve -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json \
-	-trace /tmp/mcn-smoke-trace.json -metrics /tmp/mcn-smoke-metrics.json \
-	-out /tmp/mcn-smoke-traced.json
-cmp /tmp/mcn-smoke-plain.json /tmp/mcn-smoke-traced.json
-test -s /tmp/mcn-smoke-trace.json
-test -s /tmp/mcn-smoke-metrics.json
+"$SERVE" -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json \
+	-trace "$TMP/trace.json" -metrics "$TMP/metrics.json" -out "$TMP/traced.json"
+cmp "$TMP/plain.json" "$TMP/traced.json"
+test -s "$TMP/trace.json"
+test -s "$TMP/metrics.json"
 
 # Timeline zero-perturbation guard: attaching the windowed timeline must
 # not move a single simulated event either — the timeline-on run's
 # telemetry is byte-identical to the plain run — and the timeline
 # artifact must be written, non-empty, and carry its windows array.
 echo ">> mcn-serve -topo mcn5+batch+admit ... -timeline (timeline zero-perturbation guard)"
-go run ./cmd/mcn-serve -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json \
-	-timeline /tmp/mcn-smoke-timeline.json -out /tmp/mcn-smoke-timelined.json
-cmp /tmp/mcn-smoke-plain.json /tmp/mcn-smoke-timelined.json
-test -s /tmp/mcn-smoke-timeline.json
-grep -q '"windows"' /tmp/mcn-smoke-timeline.json
+"$SERVE" -topo mcn5+batch+admit -rate 200000 -seed "$SEED" -json \
+	-timeline "$TMP/timeline.json" -out "$TMP/timelined.json"
+cmp "$TMP/plain.json" "$TMP/timelined.json"
+test -s "$TMP/timeline.json"
+grep -q '"windows"' "$TMP/timeline.json"
 
-cat /tmp/mcn-smoke-plain.json
-rm -f /tmp/mcn-smoke-plain.json /tmp/mcn-smoke-traced.json /tmp/mcn-smoke-trace.json /tmp/mcn-smoke-metrics.json \
-	/tmp/mcn-smoke-timelined.json /tmp/mcn-smoke-timeline.json
+cat "$TMP/plain.json"
 
-# Near-memory operator guards. First the byte-identity gate: a run whose
-# config mentions the ops knobs but leaves them off must produce exactly
-# the telemetry of a run that never heard of the subsystem (covered by
-# the committed curves above staying point-for-point — the curve check
-# runs with ops off). Here, one "+ops" point proves the suffix plumbing
-# carries operator traffic end to end, and -opscheck re-runs the
-# host-vs-dimm selectivity smoke sweep against the committed artifact:
-# the >=5x byte savings at 10% selectivity, the auto mode picking the
-# cheap path at both ends, and every byte/decision tally drift-free.
-# Skipped when the artifact predates the ops section.
+# One "+ops" point proves the suffix plumbing carries operator traffic
+# end to end.
 echo ">> mcn-serve -topo mcn5+batch+ops -rate 200000 -seed $SEED -json (operator traffic smoke)"
-go run ./cmd/mcn-serve -topo mcn5+batch+ops -rate 200000 -seed "$SEED" -json -out /tmp/mcn-smoke-ops.json
-grep -q '"ops"' /tmp/mcn-smoke-ops.json
-rm -f /tmp/mcn-smoke-ops.json
-if grep -q '"ops"' BENCH_serve.json; then
-	echo ">> mcn-serve -opscheck BENCH_serve.json -seed $SEED"
-	go run ./cmd/mcn-serve -opscheck BENCH_serve.json -seed "$SEED"
-else
-	echo ">> BENCH_serve.json has no ops section; skipping -opscheck (make bench to regenerate)"
-fi
+"$SERVE" -topo mcn5+batch+ops -rate 200000 -seed "$SEED" -json -out "$TMP/ops.json"
+grep -q '"ops"' "$TMP/ops.json"
 
-# Simulator wall-clock drift gate: re-run the cheapest wall-bench point
-# per topology and compare against the committed BENCH_wallclock.json.
-# The deterministic kernel counters (events, pushes, switches, ...) must
+# Simulator wall-clock drift gate: re-run one mid-ladder wall-bench point
+# per topology against the committed BENCH_wallclock.json. The
+# deterministic kernel counters (events, pushes, switches, ...) must
 # match exactly — a mismatch means the event stream itself changed and
 # the artifact needs regenerating (scripts/bench.sh). The events/sec rate
-# only has to stay within 15%, since it depends on the machine. Skipped
-# when the artifact has not been generated yet.
-if [ -f BENCH_wallclock.json ]; then
-	echo ">> mcn-serve -wallcheck BENCH_wallclock.json"
-	go run ./cmd/mcn-serve -wallcheck BENCH_wallclock.json
-else
-	echo ">> BENCH_wallclock.json missing; skipping the wall-clock drift gate (make bench-wallclock to create it)"
-fi
+# only has to stay within 15%, since it depends on the machine.
+echo ">> mcn-serve -check BENCH_wallclock.json -seed $SEED"
+"$SERVE" -check BENCH_wallclock.json -seed "$SEED"
 
 echo "bench-smoke: OK"

@@ -26,4 +26,4 @@ echo ">> mcn-serve -wallbench -seed $SEED -out $WALLOUT"
 go run ./cmd/mcn-serve -wallbench -seed "$SEED" -out "$WALLOUT"
 
 echo ">> $WALLOUT"
-go run ./cmd/mcn-serve -wallcheck "$WALLOUT"
+go run ./cmd/mcn-serve -check "$WALLOUT" -seed "$SEED"

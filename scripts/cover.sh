@@ -36,7 +36,6 @@ BEGIN {
     f[pre "/internal/faults"] = 76
     f[pre "/internal/kvstore"] = 83
     f[pre "/internal/mapreduce"] = 89
-    f[pre "/internal/mcnfast"] = 89
     f[pre "/internal/mcnt"] = 85
     f[pre "/internal/memmap"] = 88
     f[pre "/internal/mpi"] = 84
