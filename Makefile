@@ -34,8 +34,9 @@ bench:
 bench-smoke:
 	./scripts/bench-smoke.sh
 
-# Simulator wall-clock benchmark alone: events/sec and requests/sec over
-# the canonical topologies, written to BENCH_wallclock.json.
+# Simulator event budget alone: the kernel's deterministic counters over
+# the canonical topologies, written to BENCH_wallclock.json. Host speed is
+# measured by `bash benchmark/run.sh`.
 bench-wallclock:
 	$(GO) run ./cmd/mcn-serve -wallbench -out BENCH_wallclock.json
 	$(GO) run ./cmd/mcn-serve -check BENCH_wallclock.json

@@ -1,11 +1,13 @@
 // Benchmarks: one per table/figure of the paper (regenerating the result
-// each iteration), plus microbenchmarks of the substrate layers. Run with:
+// each iteration). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The figure benches report the headline metric of their figure via
-// b.ReportMetric in addition to wall time, so a bench run doubles as a
-// summary of the reproduction.
+// Each bench reports the headline simulated metric of its figure via
+// b.ReportMetric, so a bench run doubles as a summary of the
+// reproduction. How fast the simulator itself runs on the host is
+// measured in one place, `bash benchmark/run.sh` (run_wall_s,
+// sim.events_per_wall_s and the per-layer probes).
 package mcn_test
 
 import (
@@ -90,83 +92,5 @@ func BenchmarkHeadline(b *testing.B) {
 		h := mcn.Headline([]string{"mg"}, mcn.QuickScale)
 		b.ReportMetric(h.Throughput, "throughput-x")
 		b.ReportMetric(h.EnergyCut*100, "energy-saving-%")
-	}
-}
-
-// ---- Substrate microbenchmarks (simulator performance itself) ----
-
-// BenchmarkSimEvents measures raw event throughput of the DES kernel.
-func BenchmarkSimEvents(b *testing.B) {
-	k := mcn.NewKernel()
-	k.Go("ticker", func(p *mcn.Proc) {
-		for {
-			p.Sleep(mcn.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	k.RunFor(mcn.Duration(b.N) * mcn.Nanosecond)
-}
-
-// BenchmarkMcnTCPStream measures simulator wall cost per simulated MB
-// streamed host->MCN at mcn3.
-func BenchmarkMcnTCPStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := mcn.NewKernel()
-		s := mcn.NewMcnServer(k, 1, mcn.MCN3.Options())
-		host, dimm := s.Endpoints()[0], s.McnEndpoints()[0]
-		k.Go("server", func(p *mcn.Proc) {
-			l, _ := dimm.Node.Stack.Listen(5001)
-			c, _ := l.Accept(p)
-			c.RecvN(p, 1<<20)
-		})
-		k.Go("client", func(p *mcn.Proc) {
-			c, err := host.Node.Stack.Connect(p, dimm.IP, 5001)
-			if err != nil {
-				panic(err)
-			}
-			c.SendN(p, 1<<20)
-		})
-		k.RunFor(mcn.Second)
-	}
-	b.SetBytes(1 << 20)
-}
-
-// BenchmarkEthTCPStream is the 10GbE counterpart of BenchmarkMcnTCPStream.
-func BenchmarkEthTCPStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := mcn.NewKernel()
-		c := mcn.NewEthCluster(k, 2)
-		eps := c.Endpoints()
-		k.Go("server", func(p *mcn.Proc) {
-			l, _ := eps[1].Node.Stack.Listen(5001)
-			conn, _ := l.Accept(p)
-			conn.RecvN(p, 1<<20)
-		})
-		k.Go("client", func(p *mcn.Proc) {
-			conn, err := eps[0].Node.Stack.Connect(p, eps[1].IP, 5001)
-			if err != nil {
-				panic(err)
-			}
-			conn.SendN(p, 1<<20)
-		})
-		k.RunFor(mcn.Second)
-	}
-	b.SetBytes(1 << 20)
-}
-
-// BenchmarkMPIAllreduce measures an 8-rank allreduce on an MCN server.
-func BenchmarkMPIAllreduce(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := mcn.NewKernel()
-		s := mcn.NewMcnServer(k, 7, mcn.MCN3.Options())
-		w := mcn.LaunchMPI(k, s.Endpoints(), 7000, func(r *mcn.Rank) {
-			for j := 0; j < 10; j++ {
-				r.Allreduce(1024)
-			}
-		})
-		k.RunFor(10 * mcn.Second)
-		if !w.Done() {
-			b.Fatal("allreduce job did not finish")
-		}
 	}
 }

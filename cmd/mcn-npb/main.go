@@ -59,7 +59,11 @@ func main() {
 	}
 
 	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
-	k.RunFor(600 * mcn.Second)
+	// Step until the job ends: at mcn0 the HR-timer polling never idles,
+	// so one long RunFor would simulate the whole cap.
+	for end := k.Now().Add(600 * mcn.Second); !w.Done() && k.Now() < end; {
+		k.RunFor(mcn.Millisecond)
+	}
 	if !w.Done() {
 		fmt.Fprintln(os.Stderr, "job did not finish within 600 simulated seconds")
 		os.Exit(1)

@@ -10,7 +10,7 @@
 //	mcn-serve -timeline tl.json                  # windowed timeline + incidents
 //	mcn-serve -curve                             # full latency-vs-load sweep
 //	mcn-serve -bench -out BENCH_serve.json       # qps-at-SLO per topology
-//	mcn-serve -wallbench -out BENCH_wallclock.json  # simulator events/sec
+//	mcn-serve -wallbench -out BENCH_wallclock.json  # simulator event budget
 //	mcn-serve -check BENCH_serve.json            # regenerate + drift gate
 //	mcn-serve -check BENCH_wallclock.json        # same gate, other artifact
 //
@@ -96,7 +96,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "single run: write the metrics-registry snapshot JSON to this file")
 	timelineOut := flag.String("timeline", "", "single run: write the windowed timeline JSON (per-1ms qps/tails/queue/subsystem series, burn-rate alerts, attributed incidents) to this file")
 	check := flag.String("check", "", "regenerate every section of this BENCH_serve.json or BENCH_wallclock.json at -seed and exit non-zero naming each JSON path that drifted (-rates trims the serving sweep to a partial ladder)")
-	wallBench := flag.Bool("wallbench", false, "measure raw simulator throughput (events/sec) over the canonical topologies and write the BENCH_wallclock.json artifact")
+	wallBench := flag.Bool("wallbench", false, "count the simulator's kernel work (events, switches, spawns, ...) over the canonical topologies and write the BENCH_wallclock.json artifact")
 	flag.Parse()
 
 	topo, err := mcn.ParseTopo(*topoFlag)

@@ -58,16 +58,21 @@ func main() {
 	s := mcn.NewMcnServer(k, *dimms, mcn.OptLevel(*level).Options())
 	eps := s.Endpoints()
 	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
-	k.RunFor(600 * mcn.Second)
+	// Step until the job ends: at mcn0 the HR-timer polling never idles,
+	// so one long RunFor would simulate the whole cap.
+	for end := k.Now().Add(600 * mcn.Second); !w.Done() && k.Now() < end; {
+		k.RunFor(mcn.Millisecond)
+	}
 	if !w.Done() {
 		fmt.Fprintln(os.Stderr, "workload did not finish in 600 simulated seconds")
 		os.Exit(1)
 	}
 	el := w.Elapsed()
+	cpu := s.Host.CPU
 	fmt.Printf("workload=%s dimms=%d level=mcn%d ranks=%d\n", *workload, *dimms, *level, len(eps))
 	fmt.Printf("execution time:       %v\n", el)
 	fmt.Printf("aggregate DRAM:       %.2f GB/s (%.1f MB moved)\n",
 		float64(s.TotalDRAMBytes())/el.Seconds()/1e9, float64(s.TotalDRAMBytes())/1e6)
-	fmt.Printf("host CPU utilization: %.1f%%\n", s.Host.CPU.Utilization()*100)
+	fmt.Printf("host CPU utilization: %.1f%%\n", cpu.Busy.Busy.Seconds()/(el.Seconds()*float64(cpu.NumCores()))*100)
 	fmt.Printf("energy:               %.2f J\n", mcn.DefaultPower().McnServerEnergy(s, el))
 }

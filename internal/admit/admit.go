@@ -168,8 +168,8 @@ type tracker struct {
 	edges       int // consecutive timeout/error edges while closed
 	cycles      int // consecutive opens (drives the backoff doubling)
 	reopenAt    sim.Time
-	probes      int // half-open probes in flight
-	probeOKs    int // consecutive successful probes this half-open window
+	probes      int  // half-open probes in flight
+	probeOKs    int  // consecutive successful probes this half-open window
 	gated       bool // probes passed but the readmission gate said not yet
 	everOpened  bool
 	ewmaNs      float64 // service-latency EWMA (ns), 0 until first sample

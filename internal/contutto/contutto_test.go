@@ -8,6 +8,14 @@ import (
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
+// runUntil steps k in 1ms slices until done or the limit: the prototype
+// polls at mcn0, so its event queue never drains on its own.
+func runUntil(k *sim.Kernel, done func() bool, limit sim.Duration) {
+	for end := k.Now().Add(limit); !done() && k.Now() < end; {
+		k.RunFor(sim.Millisecond)
+	}
+}
+
 func TestMPIHelloWorldOnPrototype(t *testing.T) {
 	// The Fig. 12 demonstration: an unmodified MPI program runs across
 	// the POWER8 host and the NIOS II MCN node.
@@ -27,7 +35,7 @@ func TestMPIHelloWorldOnPrototype(t *testing.T) {
 			r.SendData(0, []byte("Hello world from processor nios2, rank 1"))
 		}
 	})
-	k.RunUntil(sim.Time(30 * sim.Second))
+	runUntil(k, w.Done, 30*sim.Second)
 	if !w.Done() {
 		t.Fatal("MPI hello world did not complete on the prototype")
 	}
@@ -58,7 +66,7 @@ func TestPrototypeIsSlow(t *testing.T) {
 		}
 		c.SendN(p, total)
 	})
-	k.RunUntil(sim.Time(60 * sim.Second))
+	runUntil(k, func() bool { return end != 0 }, 60*sim.Second)
 	if end == 0 {
 		t.Fatal("prototype transfer did not finish")
 	}

@@ -1,6 +1,6 @@
 // The committed benchmark artifacts and their one drift gate: the
 // BENCH_serve.json shape and how it is produced, and CheckArtifact, which
-// regenerates whatever a stored artifact (serving or wall-clock) records
+// regenerates whatever a stored artifact (serving or event budget) records
 // and walks the two JSON trees leaf by leaf.
 package exp
 
@@ -155,11 +155,10 @@ func (b *ServeBench) String() string {
 // BENCH_serve.json or a BENCH_wallclock.json (told apart by shape); the
 // gate regenerates every section the artifact records at the artifact's
 // own conditions and compares leaf by leaf (diffJSON), then applies the
-// claims that are not leaf equalities: the serving artifact's knee guards
-// and operator claims, the wall-clock artifact's events/sec rule. rates,
-// when non-nil, trims the serving curve sweep to a partial ladder; at
-// least one swept rung must be in the artifact. notes are progress lines;
-// any drift line is a failure.
+// serving artifact's claims that are not leaf equalities: its knee guards
+// and operator claims. rates, when non-nil, trims the serving curve sweep
+// to a partial ladder; at least one swept rung must be in the artifact.
+// notes are progress lines; any drift line is a failure.
 func CheckArtifact(raw []byte, seed uint64, rates []float64) (notes, drift []string) {
 	got, notes, drift := regenArtifact(raw, seed, rates)
 	if got == nil {
@@ -207,12 +206,7 @@ func regenArtifact(raw []byte, seed uint64, rates []float64) (got any, notes, dr
 		n, d := kneeGuards(b.curve)
 		return b, n, append(drift, d...)
 	case shape.Points != nil:
-		var stored WallBenchResult
-		if err := json.Unmarshal(raw, &stored); err != nil {
-			return nil, nil, []string{fmt.Sprintf("bad wall-clock artifact: %v", err)}
-		}
-		r, d := recheckWallBench(&stored, wallTol)
-		return r, nil, d
+		return WallBench(seed), nil, nil
 	}
 	return nil, nil, []string{"artifact has neither curves nor points: not a BENCH_serve.json or BENCH_wallclock.json"}
 }
@@ -299,22 +293,15 @@ func kneeQps(c *ServeTopoCurve, sloNs float64) float64 {
 	return knee
 }
 
-// hostSpeedKeys are the artifact leaves that measure the machine, not the
-// simulator; diffJSON skips them (the wall-clock gate judges events/sec
-// by its own calibrated rule).
-var hostSpeedKeys = map[string]bool{
-	"wall_seconds": true, "events_per_sec": true, "req_per_sec": true, "calib_spins_per_sec": true,
-}
-
 // diffJSON compares a regenerated artifact against the stored file's
 // bytes as JSON trees, so every field the writer emits is covered without
 // a hand-kept field list. Integers must match exactly (the simulator is
 // deterministic); other numbers to a 1e-9 relative float-formatting
 // allowance. Array elements are paired by identity (elemID), not index:
-// the gate regenerates a subset of what an artifact records — a partial
-// rate ladder, one wall-clock rung per topology — so elements on only one
-// side are skipped, but an array with no pair at all is drift. It returns
-// the number of leaves compared and one line per drifted JSON path.
+// the gate may regenerate a subset of what an artifact records — a
+// partial rate ladder — so elements on only one side are skipped, but an
+// array with no pair at all is drift. It returns the number of leaves
+// compared and one line per drifted JSON path.
 func diffJSON(got any, want []byte) (leaves int, drift []string) {
 	tree := func(raw []byte) (v any) {
 		dec := json.NewDecoder(bytes.NewReader(raw))
@@ -346,7 +333,7 @@ func diffJSON(got any, want []byte) (leaves int, drift []string) {
 				sub := strings.TrimPrefix(path+"."+k, ".")
 				if wv, ok := w[k]; !ok {
 					drift = append(drift, fmt.Sprintf("%s: regenerated, missing from the artifact", sub))
-				} else if !hostSpeedKeys[k] {
+				} else {
 					walk(sub, g[k], wv)
 				}
 			}

@@ -174,9 +174,6 @@ func TestCheckNamesPerturbedLeaf(t *testing.T) {
 			{"points[mcn5+batch@800000].switches", []string{"points", "mcn5+batch@800000", "switches"}},
 		}},
 	} {
-		if testing.Short() && a.rates == nil {
-			continue // the wall-clock gate re-measures every point several times
-		}
 		raw, err := os.ReadFile(a.file)
 		if err != nil {
 			t.Fatal(err)

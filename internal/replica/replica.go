@@ -145,7 +145,7 @@ type pairState struct {
 	// primary has pulled from the backup store's journal and vice versa.
 	// They persist across flaps so repeated catch-ups stream only deltas.
 	primSyncedTo, backupSyncedTo uint64
-	catchups int // spawned catch-up processes (names the next one)
+	catchups                     int // spawned catch-up processes (names the next one)
 }
 
 // Manager owns the replication plane of one run: the per-pair
@@ -332,7 +332,7 @@ func (f *pairFwd) Forward(p *sim.Proc, rec kvstore.ReplRecord, sync bool) bool {
 	return false
 }
 
-func (ps *pairState) pend(key string)   { ps.pending[key]++ }
+func (ps *pairState) pend(key string) { ps.pending[key]++ }
 func (ps *pairState) unpend(key string) {
 	if ps.pending[key]--; ps.pending[key] <= 0 {
 		delete(ps.pending, key)

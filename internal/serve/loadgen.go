@@ -265,8 +265,8 @@ type Result struct {
 	// and wire traffic (requests and bytes over the channel — the figure
 	// the offload exists to bend), and the OpsLat histograms record
 	// logical-op latency, arrival to last wire part, in-window only.
-	OpsOn bool
-	Ops   stats.OpsCounters
+	OpsOn                                               bool
+	Ops                                                 stats.OpsCounters
 	OpsMultiGetLat, OpsScanLat, OpsFilterLat, OpsRMWLat stats.HDR
 }
 

@@ -425,14 +425,14 @@ type ReplCounters struct {
 	DownSkip int64 // forwards skipped because the backup host was not admitted
 	// MaxPending is the high-water mark of any pair's forward queue —
 	// the measured bound on async staleness (in records).
-	MaxPending int64
-	SyncAcks     int64 // sync writes acknowledged by the backup before the deadline
-	SyncDegraded int64 // sync writes locally acked because the backup was not admitted
-	SyncFailed   int64 // sync writes that timed out with the backup admitted
-	Reconnects   int64 // forward-connection redials
-	CatchupPulls int64 // anti-entropy delta requests issued
-	CatchupRecs  int64 // delta records applied during catch-up
-	StaleReads   int64 // failover reads of keys with a forward still pending
+	MaxPending    int64
+	SyncAcks      int64 // sync writes acknowledged by the backup before the deadline
+	SyncDegraded  int64 // sync writes locally acked because the backup was not admitted
+	SyncFailed    int64 // sync writes that timed out with the backup admitted
+	Reconnects    int64 // forward-connection redials
+	CatchupPulls  int64 // anti-entropy delta requests issued
+	CatchupRecs   int64 // delta records applied during catch-up
+	StaleReads    int64 // failover reads of keys with a forward still pending
 	FailoverReads int64 // reads served by a backup store
 }
 

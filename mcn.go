@@ -158,9 +158,6 @@ func LaunchMPI(k *Kernel, eps []Endpoint, basePort uint16, prog Program) *World 
 	return mpi.Launch(k, eps, basePort, prog)
 }
 
-// NPBKernels maps NPB kernel names (cg, ep, ft, is, lu, mg) to bodies.
-func NPBKernels() map[string]KernelFunc { return npb.Kernels }
-
 // WorkloadSuite returns the full Fig. 9/10 workload suite (NPB + amg,
 // lulesh, sort, wordcount, grep).
 func WorkloadSuite() map[string]KernelFunc { return workloads.Suite }
@@ -310,8 +307,6 @@ func FaultSweep(seed uint64, rates []float64) *FaultSweepResult {
 // Serving benchmark: load generation, shard routing and tail-latency
 // telemetry for running MCN as a key/value cache tier.
 type (
-	// ServeConfig describes one load-generation run.
-	ServeConfig = serve.Config
 	// ServeWorkload is the keyspace, popularity and op-mix shape.
 	ServeWorkload = serve.Workload
 	// ServeShard is one kvstore target of the shard router.
@@ -323,8 +318,6 @@ type (
 	ServeSummary = serve.Summary
 	// ServeBatchConfig bounds request coalescing on shard connections.
 	ServeBatchConfig = serve.BatchConfig
-	// ShardRouter is the client-side consistent-hash key router.
-	ShardRouter = serve.Router
 	// HDR is a log-bucketed latency histogram (record/merge/quantile).
 	HDR = stats.HDR
 	// ServeCurveResult is the latency-vs-throughput sweep across
@@ -359,10 +352,6 @@ type (
 	ReplEvent = stats.ReplEvent
 )
 
-// ReplDiverged counts keys whose primary and backup replicas disagree
-// (missing or version-mismatched); 0 means the pair is converged.
-func ReplDiverged(primary, backup *KVServer) int { return replica.Diverged(primary, backup) }
-
 // DefaultServeRepl is the replication configuration the "+repl" serving
 // topologies use (internal/replica defaults; implies admission control).
 var DefaultServeRepl = exp.DefaultServeRepl
@@ -370,14 +359,9 @@ var DefaultServeRepl = exp.DefaultServeRepl
 // Admission control: per-shard health tracking and circuit breakers
 // between the serving tier's load drivers and its shard router.
 type (
-	// AdmitConfig tunes the per-shard breakers; the zero value disables
-	// the admission plane.
-	AdmitConfig = admit.Config
 	// AdmitPolicy selects what happens to a request whose shard is open:
 	// re-route to the next vnode owner or shed (fast-fail).
 	AdmitPolicy = admit.Policy
-	// AdmitController owns one breaker per shard.
-	AdmitController = admit.Controller
 	// AdmitState is one breaker's state (closed, open, half-open).
 	AdmitState = admit.State
 	// AdmitCounters is the whole-run admission tally.
@@ -391,24 +375,6 @@ const (
 	AdmitReroute = admit.Reroute
 	AdmitShed    = admit.Shed
 )
-
-// NewAdmitController builds an admission controller over the named shards
-// with the defaulted config; every probe-jitter stream derives from seed.
-func NewAdmitController(k *Kernel, cfg AdmitConfig, seed uint64, shards []string) *AdmitController {
-	return admit.NewWithConfig(k, cfg, seed, shards)
-}
-
-// DefaultServeAdmit is the admission configuration the "+admit" serving
-// topologies use (re-route policy, internal/admit defaults).
-var DefaultServeAdmit = exp.DefaultServeAdmit
-
-// NewShardRouter builds a consistent-hash ring over nShards shards with
-// vnodes virtual nodes each (0 picks the default).
-func NewShardRouter(nShards, vnodes int) *ShardRouter { return serve.NewRouter(nShards, vnodes) }
-
-// ServeRun executes one load-generation run on k and returns its
-// telemetry. Same seed, same topology: bit-identical results.
-func ServeRun(k *Kernel, cfg ServeConfig) *ServeResult { return serve.Run(k, cfg) }
 
 // Topo is one serving topology as a typed value: a fabric ("mcn0",
 // "mcn5", "10gbe", "scaleup") plus the planes switched on over it — Batch
@@ -425,9 +391,6 @@ func ParseTopo(s string) (Topo, error) { return exp.ParseTopo(s) }
 
 // TopoGrammar is the one-line statement of what ParseTopo accepts.
 func TopoGrammar() string { return exp.TopoGrammar() }
-
-// ServeTopos lists the serving topologies in presentation order.
-var ServeTopos = exp.ServeTopos
 
 // DefaultServeSLONs is the default p99 objective (ns) for qps-at-SLO.
 const DefaultServeSLONs = exp.DefaultServeSLONs
@@ -469,7 +432,7 @@ func ServeRepl(seed uint64) *ServeReplResult { return exp.ServeRepl(seed) }
 // and read-modify-write over the kvstore shards, with an NMPO-style cost
 // model deciding per operator whether to offload or take the host-side
 // fallback (internal/nmop, serve.OpsConfig). A "+ops" suffix on a
-// serving topology mixes DefaultServeOps into the workload.
+// serving topology mixes the default operator traffic into the workload.
 type (
 	// ServeOpsConfig mixes near-memory operator traffic into a serving
 	// run's workload.
@@ -477,8 +440,6 @@ type (
 	// OpsMode forces an operator's execution path or lets the cost model
 	// decide (OpsModeAuto/OpsModeHost/OpsModeDimm).
 	OpsMode = nmop.Mode
-	// OpsCostModel prices the host and on-DIMM execution paths.
-	OpsCostModel = nmop.CostModel
 	// OpsCounters tallies a run's operator traffic by family.
 	OpsCounters = stats.OpsCounters
 	// ServeOpsResult is the selectivity sweep of host vs on-DIMM vs auto
@@ -495,42 +456,22 @@ const (
 	OpsModeDimm = nmop.ModeDimm
 )
 
-// DefaultServeOps is the operator mix the "+ops" serving topologies use.
-var DefaultServeOps = exp.DefaultServeOps
-
-// DefaultOpsCostModel returns the static offload-cost prior (channel
-// ns/byte, per-row compute on each side, per-wire-request overhead).
-func DefaultOpsCostModel() OpsCostModel { return nmop.DefaultCostModel() }
-
-// CalibrateServeOps derives the offload cost model from live phase
-// attribution: one fully-traced serving run prices what moving a payload
-// byte host-side costs on this build's stack, clamped to the model's
-// trusted band.
-func CalibrateServeOps(seed uint64) (model OpsCostModel, rawNsPerByte float64) {
-	return exp.CalibrateServeOps(seed)
-}
-
 // ServeOps runs the near-memory operator experiment: calibrate, then
 // sweep filter selectivity with execution forced host-side, forced
 // on-DIMM, and decided by the calibrated model — the bytes-over-channel
 // figure of the offload argument.
 func ServeOps(seed uint64) *ServeOpsResult { return exp.ServeOps(seed) }
 
-// ServeOpsSmoke is the two-end sweep (10% and 90% selectivity) the
-// bench-smoke gate audits with ServeOpsResult.Check.
-func ServeOpsSmoke(seed uint64) *ServeOpsResult { return exp.ServeOpsSmoke(seed) }
-
-// WallBenchPoint is one wall-clock measurement of the simulator itself;
+// WallBenchPoint is the simulator's event budget for one serving point;
 // WallBenchResult is the BENCH_wallclock.json artifact shape.
 type (
 	WallBenchPoint  = exp.WallBenchPoint
 	WallBenchResult = exp.WallBenchResult
 )
 
-// WallBench measures raw simulator throughput (events/sec, requests/sec)
-// over the canonical serving topologies and rate ladders. The per-point
-// kernel counters are deterministic for the seed; only wall seconds and
-// the derived rates vary with hardware.
+// WallBench counts the simulator's kernel work (events, requests,
+// pushes, switches, spawns, ...) over the canonical serving topologies and
+// rate ladders. Every counter is deterministic for the seed.
 func WallBench(seed uint64) *WallBenchResult { return exp.WallBench(seed) }
 
 // ServeBench is the BENCH_serve.json artifact shape.
@@ -546,8 +487,7 @@ func RunServeBench(seed uint64, sloNs float64, rates []float64) *ServeBench {
 // CheckArtifact is the one drift gate: raw is a committed
 // BENCH_serve.json or BENCH_wallclock.json; every section it records is
 // regenerated at seed and compared leaf by leaf (integers exactly, floats
-// to a formatting allowance, events/sec by the calibrated 15% rule), and
-// each drifted JSON path is named. rates optionally trims the serving
+// to a formatting allowance), and each drifted JSON path is named. rates optionally trims the serving
 // curve sweep to a partial ladder. Any drift line is a failure.
 func CheckArtifact(raw []byte, seed uint64, rates []float64) (notes, drift []string) {
 	return exp.CheckArtifact(raw, seed, rates)
@@ -611,13 +551,6 @@ type (
 // burn-rate monitor and the cross-subsystem incident attributor
 // (internal/obs Timeline).
 type (
-	// Timeline buckets request outcomes, queue depths and subsystem
-	// counters into fixed sim-time windows; Finalize derives burn-rate
-	// alerts and attributed incidents.
-	Timeline = obs.Timeline
-	// TimelineConfig tunes the window width, the SLO and the
-	// multi-window burn thresholds; zero fields take defaults.
-	TimelineConfig = obs.TimelineConfig
 	// TimelineWindow is one sampling interval's raw tallies.
 	TimelineWindow = obs.TimeWindow
 	// TimelineAlert is one burn-rate monitor transition.
@@ -631,9 +564,6 @@ type (
 	// duration and recovery time across protection layers.
 	ServeTimelineResult = exp.ServeTimelineResult
 )
-
-// NewTimeline builds a timeline whose window zero opens at start.
-func NewTimeline(start Time, cfg TimelineConfig) *Timeline { return obs.NewTimeline(start, cfg) }
 
 // ServeTimeline runs the DIMM-flap serving experiment with the timeline
 // attached under admission off, re-route, and replication, attributing

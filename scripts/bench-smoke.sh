@@ -75,12 +75,10 @@ echo ">> mcn-serve -topo mcn5+batch+ops -rate 200000 -seed $SEED -json (operator
 "$SERVE" -topo mcn5+batch+ops -rate 200000 -seed "$SEED" -json -out "$TMP/ops.json"
 grep -q '"ops"' "$TMP/ops.json"
 
-# Simulator wall-clock drift gate: re-run one mid-ladder wall-bench point
-# per topology against the committed BENCH_wallclock.json. The
-# deterministic kernel counters (events, pushes, switches, ...) must
-# match exactly — a mismatch means the event stream itself changed and
-# the artifact needs regenerating (scripts/bench.sh). The events/sec rate
-# only has to stay within 15%, since it depends on the machine.
+# Event-budget drift gate: regenerate all 9 points of the committed
+# BENCH_wallclock.json. Every kernel counter (events, pushes, switches,
+# ...) must match exactly — a mismatch means the event stream itself
+# changed and the artifact needs regenerating (scripts/bench.sh).
 echo ">> mcn-serve -check BENCH_wallclock.json -seed $SEED"
 "$SERVE" -check BENCH_wallclock.json -seed "$SEED"
 

@@ -18,9 +18,9 @@ go run ./cmd/mcn-serve -bench -seed "$SEED" -out "$OUT"
 echo ">> $OUT"
 cat "$OUT"
 
-# Simulator wall-clock benchmark: events/sec and requests/sec over the
-# canonical topologies. The kernel counters inside are deterministic for
-# the seed; only the wall rates depend on the machine.
+# Simulator event budget: the kernel's counters (events, pushes,
+# switches, spawns, ...) over the canonical topologies, all deterministic
+# for the seed. Host speed is benchmark/run.sh's job, not this file's.
 WALLOUT="BENCH_wallclock.json"
 echo ">> mcn-serve -wallbench -seed $SEED -out $WALLOUT"
 go run ./cmd/mcn-serve -wallbench -seed "$SEED" -out "$WALLOUT"
