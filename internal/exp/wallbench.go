@@ -9,8 +9,8 @@ import (
 )
 
 // WallBenchPoint is the simulator's event budget for one serving topology
-// and offered load: how much kernel work (events, pushes, wheel/self-wake
-// splits, process switches and spawns) the run costs. Every column is
+// and offered load: how much kernel work (events, pushes, wheel pushes,
+// process switches and spawns) the run costs. Every column is
 // deterministic for a fixed seed, so the drift gate compares them exactly
 // and any mismatch means the event stream itself changed. How fast the
 // host chews through that budget is benchmark/'s question, not this one.
@@ -25,7 +25,6 @@ type WallBenchPoint struct {
 	Pushes      uint64 `json:"pushes"`
 	WheelPushes uint64 `json:"wheel_pushes"`
 	ProcWakes   uint64 `json:"proc_wakes"`
-	SelfWakes   uint64 `json:"self_wakes"`
 	Switches    uint64 `json:"switches"`
 	StaleWakes  uint64 `json:"stale_wakes"`
 	Spawns      uint64 `json:"spawns"`
@@ -70,7 +69,6 @@ func WallBenchOnce(seed uint64, topo Topo, rate float64) WallBenchPoint {
 		Pushes:      st.Pushes,
 		WheelPushes: st.WheelPushes,
 		ProcWakes:   st.ProcWakes,
-		SelfWakes:   st.SelfWakes,
 		Switches:    st.Switches,
 		StaleWakes:  st.StaleWakes,
 		Spawns:      st.Spawns,

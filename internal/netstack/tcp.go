@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/stats"
@@ -870,15 +869,7 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 	c.rtActive = false
 }
 
-// DebugTCP, when set, prints receive-path decisions for connections whose
-// tuple contains the substring (temporary diagnostics).
-var DebugTCP string
-
 func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
-	if DebugTCP != "" && strings.Contains(c.tuple.String(), DebugTCP) {
-		fmt.Printf("DBG %v %s processData seq=%d len=%d rcvNxt=%d ooo=%d\n",
-			c.s.K.Now(), c.tuple, seq, len(payload), c.rcvNxt, len(c.ooo))
-	}
 	if SeqGT(seq, c.rcvNxt) {
 		// Out of order: hold and dup-ack.
 		if _, dup := c.ooo[seq]; !dup {

@@ -23,6 +23,25 @@ func TestAllocsEventPushPop(t *testing.T) {
 	}
 }
 
+func TestAllocsProcParkWake(t *testing.T) {
+	// One process parks and is resumed per cycle: the wake event, the
+	// coroutine switch out and the switch back in must all be free.
+	k := NewKernel()
+	defer k.Shutdown()
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(100)
+		}
+	})
+	cycle := func() { k.RunUntil(k.Now().Add(100)) }
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(512, cycle); avg != 0 {
+		t.Fatalf("process park/wake allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
 func TestAllocsTimerRearm(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()

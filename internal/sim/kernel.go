@@ -1,33 +1,23 @@
 package sim
 
-import (
-	"fmt"
-	"runtime/debug"
-)
+import "fmt"
 
 // Kernel is the discrete-event simulation engine. Create one with NewKernel,
 // start processes with Go, then call Run (or RunUntil / RunFor).
 //
-// The kernel and all processes cooperate through a strict handoff protocol:
-// at any instant exactly one goroutine is runnable, and that goroutine owns
-// both the simulation state and the event loop itself. When a process
-// parks, its goroutine keeps popping events in place; control moves to
-// another goroutine only when an event wakes a process hosted elsewhere
-// (one channel send per switch), and a process whose own wake comes up
-// next resumes with no channel traffic at all. All simulation state may
-// therefore be accessed without locks.
+// There is one event loop, and it runs on the Run caller. Every process
+// body runs in its own coroutine: a wake resumes that coroutine, and the
+// process hands control straight back to the loop when it parks. Exactly
+// one of them executes at any instant, so all simulation state may be
+// accessed without locks.
 type Kernel struct {
-	now     Time
-	q       eventQueue
-	seq     uint64
-	limit   Time          // horizon of the Run in progress
-	runDone chan struct{} // loop-termination token back to the Run caller
-	yield   chan struct{} // shutdown acknowledgement from dying processes
-	live    map[*Proc]struct{}
-	pool    []*shell
-	inRun   bool
-	failed  any // panic value propagated from a process
-	stats   KernelStats
+	now   Time
+	q     eventQueue
+	seq   uint64
+	live  map[*Proc]struct{}
+	pool  []*shell
+	inRun bool
+	stats KernelStats
 }
 
 // KernelStats counts scheduler work since the kernel was created. Every
@@ -40,10 +30,10 @@ type KernelStats struct {
 	Pops        uint64 // events popped and dispatched (incl. stale wakes)
 	StaleWakes  uint64 // wake events dropped by the generation check
 	ProcWakes   uint64 // wakes delivered to a process
-	SelfWakes   uint64 // wakes consumed by the running goroutine directly
-	Switches    uint64 // goroutine-to-goroutine control transfers
+	SelfWakes   uint64 // always 0; kept only because benchmark/ reads it
+	Switches    uint64 // coroutine resumes: one per delivered wake
 	Spawns      uint64 // processes created with Go
-	Shells      uint64 // goroutines actually created (pool misses)
+	Shells      uint64 // coroutines actually created (pool misses)
 }
 
 // WakeReason tells a parked process why it resumed.
@@ -60,11 +50,7 @@ const (
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
-		runDone: make(chan struct{}),
-		yield:   make(chan struct{}),
-		live:    make(map[*Proc]struct{}),
-	}
+	k := &Kernel{live: make(map[*Proc]struct{})}
 	k.q.init()
 	return k
 }
@@ -116,7 +102,7 @@ func (k *Kernel) insert(idx int32) {
 
 // Run executes events until none remain, then returns the final simulated
 // time. Processes still blocked at that point stay parked; call Shutdown to
-// release their goroutines.
+// release their coroutines.
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
 // RunFor runs the simulation for d more simulated time.
@@ -124,45 +110,21 @@ func (k *Kernel) RunFor(d Duration) Time { return k.RunUntil(k.now.Add(d)) }
 
 // RunUntil executes events with timestamps <= limit and returns the
 // simulated time at which it stopped (limit, or earlier if the event queue
-// drained).
+// drained). It is the one event loop: callbacks run on the caller, and a
+// wake resumes its process's coroutine until that process parks again.
 func (k *Kernel) RunUntil(limit Time) Time {
 	if k.inRun {
 		panic("sim: nested Run")
 	}
 	k.inRun = true
 	defer func() { k.inRun = false }()
-	k.limit = limit
-	k.loop(nil)
-	if k.failed != nil {
-		panic(k.failed)
-	}
-	if k.now < limit && limit != MaxTime {
-		k.now = limit
-	}
-	return k.now
-}
-
-// loop is the event loop, runnable from two contexts: the Run caller
-// (self == nil) and any process goroutine that currently owns the
-// execution token (self is its shell). It pops events until the run
-// terminates or a popped wake belongs to a process hosted on another
-// goroutine, in which case the token moves there with a single channel
-// send. For a process context the return value is the wake that resumes
-// self's occupant — delivered with no channel round-trip at all when the
-// occupant's own wake is the next event.
-func (k *Kernel) loop(self *shell) wake {
 	for {
 		idx := k.q.peek(k.now)
-		if idx == nilIdx {
+		if idx == nilIdx || k.q.arena[idx].at > limit {
 			break
 		}
 		e := &k.q.arena[idx]
-		if e.at > k.limit {
-			break
-		}
-		at := e.at
-		fn, p, tm := e.fn, e.proc, e.timer
-		gen, reason := e.gen, e.reason
+		at, fn, p, tm, gen, reason := e.at, e.fn, e.proc, e.timer, e.gen, e.reason
 		k.q.remove(idx)
 		k.q.release(idx)
 		k.now = at
@@ -174,55 +136,21 @@ func (k *Kernel) loop(self *shell) wake {
 				continue // stale wake (e.g. signal raced a timeout)
 			}
 			p.waiting = false
+			p.reason = reason
 			k.stats.ProcWakes++
-			w := wake{reason: reason}
-			if self != nil && p.shell == self {
-				// The next runnable process already lives on this
-				// goroutine: resume it in place.
-				k.stats.SelfWakes++
-				return w
-			}
 			k.stats.Switches++
-			p.shell.resume <- w
-			if self == nil {
-				<-k.runDone
-				return wake{}
-			}
-			return <-self.resume
+			p.shell.next()
 		case tm != nil:
 			tm.ev = nilIdx
-			k.protect(self, tm.fn)
+			tm.fn()
 		default:
-			k.protect(self, fn)
-		}
-		if k.failed != nil {
-			break
+			fn()
 		}
 	}
-	// The run is over (limit reached, queue drained, or a process
-	// failed). Hand the token back to the Run caller.
-	if self == nil {
-		return wake{}
+	if k.now < limit && limit != MaxTime {
+		k.now = limit
 	}
-	k.runDone <- struct{}{}
-	return <-self.resume
-}
-
-// protect runs an event callback. In the Run caller's context a panic
-// propagates as before; on a process goroutine it must not unwind the
-// host process's own stack, so it is captured into k.failed and
-// re-raised by RunUntil.
-func (k *Kernel) protect(self *shell, fn func()) {
-	if self == nil {
-		fn()
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			k.failed = fmt.Sprintf("event callback panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	fn()
+	return k.now
 }
 
 // Idle reports whether no events are pending.
@@ -232,22 +160,23 @@ func (k *Kernel) Idle() bool { return k.q.size == 0 }
 // yet finished.
 func (k *Kernel) LiveProcs() int { return len(k.live) }
 
-// Shutdown aborts every live process so its goroutine exits, releases the
-// pooled idle goroutines, and discards all pending events. The kernel must
-// not be running. It is safe to call Shutdown more than once; after
-// Shutdown the kernel must not be reused.
+// Shutdown stops every live process's coroutine so the body unwinds,
+// releases the pooled idle coroutines, and discards all pending events.
+// The kernel must not be running. It is safe to call Shutdown more than
+// once; after Shutdown the kernel must not be reused.
 func (k *Kernel) Shutdown() {
 	k.q.init()
 	for p := range k.live {
-		p.aborted = true
-		p.shell.resume <- wake{aborted: true}
-		<-k.yield
+		p.shell.stop()
+		// A process that never started has no body to unwind.
+		p.done = true
+		delete(k.live, p)
 	}
 	if len(k.live) != 0 {
 		panic(fmt.Sprintf("sim: %d processes survived shutdown", len(k.live)))
 	}
 	for _, sh := range k.pool {
-		sh.resume <- wake{aborted: true}
+		sh.stop()
 	}
 	k.pool = nil
 }

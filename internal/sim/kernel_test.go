@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -396,14 +397,59 @@ func TestTimerStopReset(t *testing.T) {
 }
 
 func TestShutdownReleasesParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
 	s := k.NewSignal()
 	for i := 0; i < 4; i++ {
 		k.Go("stuck", func(p *Proc) { s.Wait(p) })
 	}
+	// Two finished processes leave two shells in the pool.
+	for i := 0; i < 2; i++ {
+		k.Go("finished", func(p *Proc) {})
+	}
 	k.Run()
-	if k.LiveProcs() != 4 {
-		t.Fatalf("live=%d, want 4 parked", k.LiveProcs())
+	if k.LiveProcs() != 4 || len(k.pool) != 2 {
+		t.Fatalf("live=%d pooled=%d, want 4 parked and 2 pooled", k.LiveProcs(), len(k.pool))
+	}
+	// Created after the last Run, so it never starts: it takes one pooled
+	// shell and leaves the other idle in the pool.
+	k.Go("late", func(p *Proc) { t.Error("late process started") })
+	// On a kernel that never runs, the never-started process sits on a
+	// coroutine that has never been resumed.
+	k2 := NewKernel()
+	k2.Go("unstarted", func(p *Proc) { t.Error("unstarted process started") })
+
+	k.Shutdown()
+	k2.Shutdown()
+	if k.LiveProcs() != 0 || k2.LiveProcs() != 0 {
+		t.Fatalf("live=%d,%d after shutdown", k.LiveProcs(), k2.LiveProcs())
+	}
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after shutdown, want %d", n, before)
+	}
+}
+
+// TestCallbackPanicPropagates checks that a callback panicking between two
+// wakes of a parked process reaches the Run caller unchanged, and that the
+// kernel still shuts down cleanly afterwards.
+func TestCallbackPanicPropagates(t *testing.T) {
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(10 * Nanosecond)
+		}
+	})
+	k.At(Time(15*Nanosecond), func() { panic("callback boom") })
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		k.Run()
+		return nil
+	}()
+	if r != "callback boom" {
+		t.Fatalf("recovered %#v, want the callback's own value", r)
 	}
 	k.Shutdown()
 	if k.LiveProcs() != 0 {

@@ -2,10 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// A Proc is a simulated sequential process: a goroutine whose execution is
+// A Proc is a simulated sequential process: a coroutine whose execution is
 // interleaved deterministically with all other processes by the kernel. A
 // process runs until it blocks (Sleep, Signal.Wait, Resource.Acquire, ...)
 // and is resumed when the corresponding event fires.
@@ -15,28 +16,25 @@ type Proc struct {
 	shell   *shell
 	waiting bool
 	waitGen uint64
-	aborted bool
+	reason  WakeReason // why the last wake resumed the process
 	done    bool
 }
 
-type wake struct {
-	reason  WakeReason
-	aborted bool
-}
-
-// procAbort is panicked inside an aborted process to unwind it; the wrapper
-// installed by the shell recovers it.
+// procAbort is panicked inside an aborted process to unwind it; the shell
+// recovers it.
 type procAbort struct{}
 
-// A shell is a reusable goroutine that hosts one process body at a time.
+// A shell is a reusable coroutine that hosts one process body at a time.
 // Short-lived processes (per-packet drains, IRQ handlers) are the common
 // case in this simulator, so finished shells park in the kernel's pool
-// and the next Go reuses them instead of spawning a goroutine.
+// and the next Go reuses them instead of creating a coroutine.
 type shell struct {
-	k      *Kernel
-	resume chan wake
-	p      *Proc
-	body   func(*Proc)
+	k     *Kernel
+	p     *Proc
+	body  func(*Proc)
+	next  func() (struct{}, bool) // resume the coroutine from the event loop
+	stop  func()                  // make the pending yield return false
+	yield func(struct{}) bool     // suspend back to the event loop
 }
 
 // Go creates a process named name running fn and schedules it to start at
@@ -50,9 +48,9 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		k.pool[n-1] = nil
 		k.pool = k.pool[:n-1]
 	} else {
-		sh = &shell{k: k, resume: make(chan wake)}
+		sh = &shell{k: k}
+		sh.next, sh.stop = iter.Pull(sh.run)
 		k.stats.Shells++
-		go sh.run()
 	}
 	sh.p, sh.body = p, fn
 	p.shell = sh
@@ -64,53 +62,43 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// run is the shell goroutine: receive the execution token, run the
-// assigned body, then keep driving the event loop in place until the
-// token moves on; park in the pool awaiting the next body.
-func (sh *shell) run() {
-	w := <-sh.resume
+// run is the shell coroutine: run the assigned body, then wait in the
+// pool for the next one. It returns when Shutdown stops the coroutine.
+func (sh *shell) run(yield func(struct{}) bool) {
+	sh.yield = yield
 	for {
-		if w.aborted {
-			// Shutdown: either our occupant was aborted before its body
-			// ever started, or the shell was idle in the pool.
-			if p := sh.p; p != nil {
-				p.done = true
-				delete(sh.k.live, p)
-				sh.k.yield <- struct{}{}
-			}
-			return
-		}
 		p := sh.p
-		aborted := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isAbort := r.(procAbort); isAbort {
-						aborted = true
-					} else {
-						// Preserve the origin stack: the panic is
-						// re-raised from the kernel's Run loop, which
-						// would otherwise hide it.
-						sh.k.failed = fmt.Sprintf("process %q panicked: %v\n%s", p.name, r, debug.Stack())
-					}
-				}
-			}()
-			sh.body(p)
-		}()
-		sh.body = nil
-		sh.p = nil
+		r := sh.exec(p)
+		sh.p, sh.body = nil, nil
 		p.done = true
 		delete(sh.k.live, p)
-		if aborted {
-			sh.k.yield <- struct{}{}
+		switch r.(type) {
+		case nil:
+		case procAbort:
+			return
+		default:
+			panic(r) // next re-raises it from the event loop
+		}
+		sh.k.pool = append(sh.k.pool, sh)
+		if !yield(struct{}{}) {
 			return
 		}
-		// Normal completion mid-run: this goroutine still owns the
-		// execution token, so pool the shell and keep popping events.
-		// loop returns the start token for the shell's next occupant.
-		sh.k.pool = append(sh.k.pool, sh)
-		w = sh.k.loop(sh)
 	}
+}
+
+// exec runs one process body and returns what it panicked with, if
+// anything. A process panic is rewritten to carry the origin stack, which
+// the re-raise from the event loop would otherwise hide.
+func (sh *shell) exec(p *Proc) (r any) {
+	defer func() {
+		if r = recover(); r != nil {
+			if _, isAbort := r.(procAbort); !isAbort {
+				r = fmt.Sprintf("process %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+	}()
+	sh.body(p)
+	return nil
 }
 
 // Name returns the process name given to Go.
@@ -133,15 +121,14 @@ func (p *Proc) prepareWait() uint64 {
 	return p.waitGen
 }
 
-// park blocks until a wake for the current generation arrives, running
-// the kernel's event loop on this goroutine in the meantime. It returns
-// the reason supplied by the waker.
+// park suspends the process back to the event loop until a wake for the
+// current generation resumes it, and returns the reason supplied by the
+// waker.
 func (p *Proc) park() WakeReason {
-	w := p.k.loop(p.shell)
-	if w.aborted || p.aborted {
+	if !p.shell.yield(struct{}{}) {
 		panic(procAbort{})
 	}
-	return w.reason
+	return p.reason
 }
 
 // Sleep suspends the process for d simulated time.

@@ -15,8 +15,8 @@ go vet ./...
 # Targeted race gate on the sim kernel, the serving tier, its admission
 # plane, the replication plane, the observability plane (spans, registry
 # and the windowed timeline/burn monitor), the mcnt transport and the
-# near-memory operator layer first: the kernel's token-passing handoff
-# plus the concurrency-heavy breaker/loadgen/forwarder/tracer/retransmit
+# near-memory operator layer first: the kernel's coroutine switches
+# between the event loop and process bodies plus the concurrency-heavy breaker/loadgen/forwarder/tracer/retransmit
 # interplay mean a race in these packages fails fast before the full
 # suite spins up.
 echo ">> go test -race ./internal/sim ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
