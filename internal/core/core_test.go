@@ -328,32 +328,56 @@ func TestForwardingBroadcast(t *testing.T) {
 	fx.k.Shutdown()
 }
 
+// TestNetdevTxBusyBackpressure floods a DIMM's TX ring while the host
+// does not drain it, once through the qdisc (MCN0) and once through the
+// MCN-DMA engine (MCN5), then lets the host drain again.
 func TestNetdevTxBusyBackpressure(t *testing.T) {
-	fx := newFixture(MCN0.Options(), 1, 1)
-	fx.hd.Stop() // host never drains: the TX ring must fill
-	fx.k.Go("flood", func(p *sim.Proc) {
-		msg := make([]byte, 8192)
-		for i := 0; i < 10; i++ {
-			frame := make([]byte, len(msg))
-			copy(frame, msg)
-			// dev_queue_xmit never blocks the caller...
-			fx.mcns[0].drv.Transmit(p, netstack.Frame{Data: frame})
-		}
-	})
-	fx.k.RunUntil(sim.Time(100 * sim.Microsecond))
-	// ...but the qdisc service hits NETDEV_TX_BUSY on the full ring and
-	// keeps the overflow queued rather than dropped.
-	if fx.mcns[0].drv.TxBusy == 0 {
-		t.Fatal("driver never reported NETDEV_TX_BUSY")
+	cases := []struct {
+		level         OptLevel
+		pause, resume func(fx *fixture)
+	}{
+		{MCN0,
+			func(fx *fixture) { fx.hd.Stop() },
+			func(fx *fixture) { fx.hd.Start() }},
+		{MCN5,
+			func(fx *fixture) { fx.mcns[0].dimm.SetAlertN(nil) },
+			func(fx *fixture) {
+				port := fx.hd.ports[0]
+				fx.mcns[0].dimm.SetAlertN(func() { fx.hd.onAlert(port) })
+				fx.hd.kick(port)
+			}},
 	}
-	d := fx.mcns[0].dimm
-	if d.Buf.TX.Free() > 16384 {
-		t.Fatalf("TX ring should be nearly full, free=%d", d.Buf.TX.Free())
+	for _, c := range cases {
+		t.Run(c.level.String(), func(t *testing.T) {
+			fx := newFixture(c.level.Options(), 1, 1)
+			defer fx.k.Shutdown()
+			c.pause(fx) // host never drains: the TX ring must fill
+			fx.k.Go("flood", func(p *sim.Proc) {
+				for i := 0; i < 10; i++ {
+					// dev_queue_xmit never blocks the caller...
+					fx.mcns[0].drv.Transmit(p, netstack.Frame{Data: make([]byte, 8192)})
+				}
+			})
+			fx.k.RunUntil(sim.Time(100 * sim.Microsecond))
+			// ...but T1-T3 hits NETDEV_TX_BUSY on the full ring and keeps
+			// the overflow queued rather than dropped.
+			drv := fx.mcns[0].drv
+			if drv.TxBusy == 0 {
+				t.Fatal("driver never reported NETDEV_TX_BUSY")
+			}
+			if free := fx.mcns[0].dimm.Buf.TX.Free(); free > 16384 {
+				t.Fatalf("TX ring should be nearly full, free=%d", free)
+			}
+			if drv.TxMsgs >= 10 {
+				t.Fatalf("all %d messages fit a full ring?", drv.TxMsgs)
+			}
+			c.resume(fx)
+			fx.k.RunUntil(fx.k.Now().Add(sim.Millisecond))
+			if drv.TxMsgs != 10 {
+				t.Fatalf("TxMsgs=%d after the host resumed draining, want 10\n%s", drv.TxMsgs, fx.hd.DebugState())
+			}
+		})
 	}
-	if got := fx.mcns[0].drv.TxMsgs; got >= 10 {
-		t.Fatalf("all %d messages fit a full ring?", got)
-	}
-	fx.k.Shutdown()
 }
 
 func TestMcnStampsTable3Shape(t *testing.T) {

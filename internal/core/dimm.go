@@ -115,24 +115,33 @@ func (d *Dimm) AssertAlert() {
 }
 
 // HostAccess charges a host-side access to the SRAM window: bus bursts on
-// the DIMM's global channel plus the buffer-device latency. When
-// writeCombining is false the access degrades to 8-byte uncached
-// transactions, each of which still occupies a full burst slot on the DDR
-// bus (this is why the naive ioremap mapping is slow, Sec. III-B).
+// the DIMM's global channel plus the buffer-device latency.
 func (d *Dimm) HostAccess(p *sim.Proc, bytes int, write, writeCombining bool) {
 	if bytes <= 0 {
 		return
 	}
-	busBytes := bytes
-	if !writeCombining {
-		// Every double word becomes its own burst on the wire.
-		busBytes = (bytes + 7) / 8 * 64
+	d.Global.BusTransfer(p, hostBusBytes(bytes, writeCombining), d.HostLat, write)
+	d.hostAccessed(bytes, write)
+}
+
+// hostBusBytes returns the bus traffic of a host access of n bytes. When
+// writeCombining is false the access degrades to 8-byte uncached
+// transactions, each of which still occupies a full burst slot on the DDR
+// bus (this is why the naive ioremap mapping is slow, Sec. III-B).
+func hostBusBytes(n int, writeCombining bool) int {
+	if writeCombining {
+		return n
 	}
-	d.Global.BusTransfer(p, busBytes, d.HostLat, write)
+	// Every double word becomes its own burst on the wire.
+	return (n + 7) / 8 * 64
+}
+
+// hostAccessed accounts a completed host access of n bytes.
+func (d *Dimm) hostAccessed(n int, write bool) {
 	if write {
-		d.HostWrites.Add(p.Now(), int64(bytes))
+		d.HostWrites.Add(d.K.Now(), int64(n))
 	} else {
-		d.HostReads.Add(p.Now(), int64(bytes))
+		d.HostReads.Add(d.K.Now(), int64(n))
 	}
 }
 
@@ -142,6 +151,11 @@ func (d *Dimm) McnAccessCost(p *sim.Proc, bytes int) {
 	if bytes <= 0 {
 		return
 	}
-	p.Sleep(d.McnLat + sim.AtRate(int64(bytes), d.McnBW))
+	p.Sleep(d.mcnAccessTime(bytes))
 	d.McnAccess.Add(p.Now(), int64(bytes))
+}
+
+// mcnAccessTime is the on-chip interconnect time of an n-byte SRAM access.
+func (d *Dimm) mcnAccessTime(n int) sim.Duration {
+	return d.McnLat + sim.AtRate(int64(n), d.McnBW)
 }

@@ -27,13 +27,13 @@ type DimmDriver struct {
 	getBuf func(int) []byte // bound Stack.GetFrameBuf (avoids a closure per pop)
 	local  *dram.Channel    // the MCN node's private memory channel
 	port   *HostPort        // the host-side peer (for MAC identity)
-	dma    *DMAEngine
+	dma    *ringEngine      // MCN-DMA mode
 
 	// ChanTap, when set, observes every IRQ-drain pop from this node's
 	// SRAM RX ring.
 	ChanTap ChannelTap
-	// qdisc decouples Transmit from ring-full retries (see HostPort).
-	qdisc *sim.Queue[qdiscEntry]
+	// qdisc performs T1-T3 on a core of the node when MCN-DMA is off.
+	qdisc *ringEngine
 	// rxq implements receive packet steering: the IRQ drain only copies
 	// messages out of the SRAM; protocol processing is spread across
 	// per-flow queues serviced on different cores (Linux RPS), keeping
@@ -76,10 +76,9 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	}
 	drv.getBuf = s.GetFrameBuf
 	if opts.DMA {
-		drv.dma = NewDMAEngine(k, d.Name+"/mcn-dma")
+		drv.dma = newRingEngine(k, nil)
 	}
-	drv.qdisc = sim.NewQueue[qdiscEntry](k, 0)
-	k.Go(d.Name+"/mcn-qdisc", drv.qdiscService)
+	drv.qdisc = newRingEngine(k, c)
 	for i := 0; i < c.NumCores(); i++ {
 		q := sim.NewQueue[rxEntry](k, 0)
 		drv.rxq = append(drv.rxq, q)
@@ -183,16 +182,6 @@ func (drv *DimmDriver) flowQueue(msg []byte) *sim.Queue[rxEntry] {
 	return drv.rxq[int(h%uint32(len(drv.rxq)))]
 }
 
-func (drv *DimmDriver) qdiscService(p *sim.Proc) {
-	for {
-		e, ok := drv.qdisc.Get(p)
-		if !ok {
-			return
-		}
-		drv.pushTX(p, e.msg, e.st, true, e.pooled)
-	}
-}
-
 // ---- netstack.NetDev ----
 
 // Name returns the MCN-side interface name.
@@ -219,78 +208,21 @@ func (drv *DimmDriver) Features() netstack.Features {
 
 // Transmit performs T1-T3: check space, write the MCN message into the TX
 // ring, update tx-end and tx-poll (with fences), and — with the ALERT_N
-// optimization — assert the DIMM interrupt toward the host.
+// optimization — assert the DIMM interrupt toward the host. Like
+// dev_queue_xmit it only enqueues: the MCN-DMA engine or the qdisc does
+// the copy, so a receive context sending an ACK never blocks on the ring.
 func (drv *DimmDriver) Transmit(p *sim.Proc, f netstack.Frame) {
 	var st *McnStamps
 	if len(f.Data) >= drv.TraceMinBytes {
 		st = &McnStamps{DriverTxStart: p.Now()}
 	}
 	drv.CPU.Exec(p, drv.Costs.TxSetupCycles)
+	e := drv.qdisc
 	if drv.Opts.DMA {
 		drv.CPU.Exec(p, drv.Costs.DMASetupCycles)
-		drv.dma.Submit(func(dp *sim.Proc) {
-			drv.pushTX(dp, f.Data, st, false, f.Pooled)
-		})
-		return
+		e = drv.dma
 	}
-	// dev_queue_xmit: enqueue and return; the qdisc service performs
-	// T1-T3 so a receive context sending an ACK can never block on the
-	// ring.
-	drv.qdisc.TryPut(qdiscEntry{msg: f.Data, st: st, pooled: f.Pooled})
-}
-
-// pushTX writes one MCN message into the TX ring; the NETDEV_TX_BUSY
-// retry releases the core between attempts so the receive IRQ path cannot
-// be starved by transmitters spinning on a full ring.
-func (drv *DimmDriver) pushTX(p *sim.Proc, msg []byte, st *McnStamps, onCPU, pooled bool) {
-	if pooled {
-		// Every exit below has consumed (copied) or dropped msg.
-		defer drv.Stack.RecycleFrameBuf(msg)
-	}
-	d := drv.dimm
-	if d.InjectChan != nil && d.InjectChan.Message() {
-		return // ECC-detected channel corruption: message discarded
-	}
-	for {
-		pushed := false
-		attempt := func() {
-			if d.Buf.TX.Free() < sram.HeaderBytes+len(msg) {
-				return
-			}
-			// The copy reads the packet from the node's DRAM and writes
-			// it into the SRAM through the on-chip interconnect.
-			drv.local.Read(p, 0x1000_0000, len(msg))
-			d.McnAccessCost(p, sram.HeaderBytes+len(msg))
-			// The fence stalls the core that is already held by this
-			// copy; a nested Exec would try to take a second core.
-			p.Sleep(drv.CPU.CyclesDur(drv.Costs.FenceCycles))
-			pushed = d.Buf.TX.Push(msg)
-			if !pushed {
-				return
-			}
-			drv.port.txMeta = append(drv.port.txMeta, st)
-			if st != nil {
-				st.DriverTxEnd = p.Now()
-			}
-			drv.TxMsgs++
-			wasIdle := !d.Buf.TxPoll
-			d.Buf.TxPoll = true
-			if wasIdle && drv.Opts.DimmInterrupt {
-				d.AssertAlert()
-			}
-		}
-		if onCPU {
-			drv.CPU.ExecWhile(p, attempt)
-		} else {
-			attempt()
-		}
-		if pushed {
-			return
-		}
-		// T2 precondition failed: NETDEV_TX_BUSY, retry (core released).
-		drv.TxBusy++
-		p.Sleep(retryInterval)
-	}
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: f.Data, st: st, pooled: f.Pooled})
 }
 
 // drainRX empties the RX ring: for each MCN message, copy it from the SRAM

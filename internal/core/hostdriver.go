@@ -42,7 +42,7 @@ type HostDriver struct {
 	uplink   netstack.NetDev            // conventional NIC for F4
 	timer    *cpu.HRTimer
 	watchdog *cpu.HRTimer
-	dmas     map[int]*DMAEngine // per host channel index
+	dmas     map[int]*ringEngine // MCN-DMA engines, per host channel index
 
 	// MACBase offsets the interface MACs this driver assigns; hosts in a
 	// multi-server rack use distinct bases so MCN-side MACs stay unique
@@ -88,7 +88,7 @@ func NewHostDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, opts Options, c
 	hd := &HostDriver{
 		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
 		byMAC:         make(map[netstack.MAC]*HostPort),
-		dmas:          make(map[int]*DMAEngine),
+		dmas:          make(map[int]*ringEngine),
 		TraceMinBytes: 1 << 30,
 	}
 	hd.getBuf = s.GetFrameBuf
@@ -105,12 +105,9 @@ type HostPort struct {
 	hostMAC netstack.MAC // this interface's MAC (F1 match)
 	mcnMAC  netstack.MAC // the MCN-side interface's MAC (F3 match)
 	iface   *netstack.Iface
-	// qdisc decouples the stack (and the forwarding engine) from the
-	// ring-full retry loop: dev_queue_xmit enqueues and returns; the
-	// qdisc service process performs T1-T3. Without this, the receive
-	// path that must free the opposite ring can block on this one — a
-	// deadlock Linux's queueing discipline prevents by construction.
-	qdisc *sim.Queue[qdiscEntry]
+	// qdisc performs T1-T3 on a host core when the MCN-DMA engines are
+	// off (see ringEngine).
+	qdisc *ringEngine
 	// draining guards against concurrent drains of the same TX ring;
 	// alertPending latches an ALERT_N that arrived while a drain was
 	// active so its wakeup is never lost.
@@ -124,14 +121,6 @@ type HostPort struct {
 	// rx metadata queues parallel the SRAM rings for traced messages.
 	txMeta []*McnStamps
 	rxMeta []*McnStamps
-}
-
-type qdiscEntry struct {
-	msg []byte
-	st  *McnStamps
-	// pooled: msg came from the stack's frame pool and must be recycled
-	// once consumed (pushed into a ring) or dropped.
-	pooled bool
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -151,8 +140,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	ifc.HasPeer = true
 	ifc.Neighbors[mcnIP] = port.mcnMAC
 	port.iface = ifc
-	port.qdisc = sim.NewQueue[qdiscEntry](hd.K, 0)
-	hd.K.Go(port.name+"/qdisc", port.qdiscService)
+	port.qdisc = newRingEngine(hd.K, hd.CPU)
 	hd.ports = append(hd.ports, port)
 	hd.byMAC[port.hostMAC] = port
 	hd.byMAC[port.mcnMAC] = port
@@ -161,7 +149,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	}
 	if hd.Opts.DMA {
 		if _, ok := hd.dmas[d.ChannelIdx]; !ok {
-			hd.dmas[d.ChannelIdx] = NewDMAEngine(hd.K, fmt.Sprintf("host-dma-ch%d", d.ChannelIdx))
+			hd.dmas[d.ChannelIdx] = newRingEngine(hd.K, nil)
 		}
 	}
 	return port
@@ -283,9 +271,7 @@ func (hd *HostDriver) watchdogScan(p *sim.Proc) {
 // the configuration uses.
 func (hd *HostDriver) kick(port *HostPort) {
 	if hd.Opts.DMA {
-		hd.dmas[port.dimm.ChannelIdx].Submit(func(dp *sim.Proc) {
-			hd.drainDMA(dp, port)
-		})
+		hd.dmas[port.dimm.ChannelIdx].submit(ringJob{kind: hostDrain, port: port})
 		return
 	}
 	hd.K.Go(port.name+"/drain", func(dp *sim.Proc) {
@@ -326,7 +312,7 @@ func (p *HostPort) Features() netstack.Features {
 
 // Transmit sends one packet from the host toward the DIMM's RX ring. It
 // never blocks on ring space: the packet is queued (dev_queue_xmit) and
-// the qdisc service or the MCN-DMA engine performs T1-T3.
+// the qdisc or the MCN-DMA engine performs T1-T3.
 func (p *HostPort) Transmit(pr *sim.Proc, f netstack.Frame) {
 	hd := p.drv
 	if !p.carrier {
@@ -343,97 +329,7 @@ func (p *HostPort) Transmit(pr *sim.Proc, f netstack.Frame) {
 		st = &McnStamps{DriverTxStart: pr.Now()}
 	}
 	hd.CPU.Exec(pr, hd.Costs.TxSetupCycles)
-	if hd.Opts.DMA {
-		// Program a descriptor; the channel's DMA engine moves the data.
-		hd.CPU.Exec(pr, hd.Costs.DMASetupCycles)
-		hd.dmas[p.dimm.ChannelIdx].Submit(func(dp *sim.Proc) {
-			p.writeToDimm(dp, f.Data, st, false, f.Pooled)
-		})
-		return
-	}
-	// The CPU performs the copy itself (memcpy_to_mcn) from the qdisc
-	// service context.
-	p.qdisc.TryPut(qdiscEntry{msg: f.Data, st: st, pooled: f.Pooled})
-}
-
-func (p *HostPort) qdiscService(pr *sim.Proc) {
-	for {
-		e, ok := p.qdisc.Get(pr)
-		if !ok {
-			return
-		}
-		p.writeToDimm(pr, e.msg, e.st, true, e.pooled)
-	}
-}
-
-// writeToDimm performs T1-T3 into the DIMM's RX ring. onCPU selects
-// whether a host core is held for the duration of the copy. The
-// NETDEV_TX_BUSY retry releases the core between attempts: a transmitter
-// spinning on a full ring must not starve the drain path that would empty
-// it.
-func (p *HostPort) writeToDimm(pr *sim.Proc, msg []byte, st *McnStamps, onCPU, pooled bool) {
-	hd := p.drv
-	if pooled {
-		// Every exit below has consumed (copied) or dropped msg.
-		defer hd.Stack.RecycleFrameBuf(msg)
-	}
-	d := p.dimm
-	if d.InjectChan != nil && d.InjectChan.Message() {
-		return // ECC-detected channel corruption: message discarded
-	}
-	for {
-		if !d.Online() {
-			// The DIMM died under us (possibly after this message was
-			// queued): drop instead of retrying into a dead ring.
-			hd.Recov.CarrierDrops++
-			return
-		}
-		pushed := false
-		attempt := func() {
-			// T1: read rx-start / rx-end (one control line).
-			d.HostAccess(pr, 64, false, true)
-			if d.Buf.RX.Free() < sram.HeaderBytes+len(msg) {
-				return
-			}
-			// T2: write length + packet with write combining (or 8-byte
-			// uncached stores in the ablation).
-			d.HostAccess(pr, sram.HeaderBytes+len(msg), true, !hd.Opts.UncachedCopies)
-			// Fence: stall in place; onCPU bodies already hold a core,
-			// so a nested Exec would deadlock a single-core processor.
-			pr.Sleep(hd.CPU.CyclesDur(hd.Costs.FenceCycles))
-			// T3: update rx-end and set rx-poll.
-			d.HostAccess(pr, 64, true, true)
-			// Push re-validates space: a concurrent writer may have won
-			// the race while our T2 was on the bus.
-			pushed = d.Buf.RX.Push(msg)
-			if !pushed {
-				return
-			}
-			p.rxMeta = append(p.rxMeta, st)
-			if st != nil {
-				st.DriverTxEnd = pr.Now()
-			}
-			if hd.ChanTap != nil {
-				hd.ChanTap.ChanPush(pr.Now(), msg)
-			}
-			wasIdle := !d.Buf.RxPoll
-			d.Buf.RxPoll = true
-			if wasIdle {
-				d.RaiseRxIRQ()
-			}
-		}
-		if onCPU {
-			hd.CPU.ExecWhile(pr, attempt)
-		} else {
-			attempt()
-		}
-		if pushed {
-			return
-		}
-		// NETDEV_TX_BUSY: ring full, retry shortly (core released).
-		hd.TxBusy++
-		pr.Sleep(retryInterval)
-	}
+	hd.relay(pr, p, f.Data, st, f.Pooled)
 }
 
 // ---- Polling agent and receive path (R1-R5) ----
@@ -473,9 +369,7 @@ func (hd *HostDriver) onAlert(src *HostPort) {
 			src.alertPending = true
 			return
 		}
-		hd.dmas[src.dimm.ChannelIdx].Submit(func(dp *sim.Proc) {
-			hd.drainDMA(dp, src)
-		})
+		hd.dmas[src.dimm.ChannelIdx].submit(ringJob{kind: hostDrain, port: src})
 		return
 	}
 	hd.CPU.RaiseIRQ("alertn", func(p *sim.Proc) {
@@ -564,57 +458,6 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 	}
 }
 
-// drainDMA is the mcn5 receive path: the DMA engine copies the ring into
-// host memory, then interrupts the CPU to route the packets.
-func (hd *HostDriver) drainDMA(dp *sim.Proc, port *HostPort) {
-	if port.draining {
-		return
-	}
-	port.draining = true
-	d := port.dimm
-	d.HostAccess(dp, 64, false, true)
-	type pkt struct {
-		msg []byte
-		st  *McnStamps
-	}
-	var pkts []pkt
-	for {
-		if !d.Online() {
-			break // deliver what was copied; the watchdog resumes later
-		}
-		for !d.Buf.TX.Empty() {
-			msg := d.Buf.TX.PopWith(hd.getBuf)
-			var st *McnStamps
-			if len(port.txMeta) > 0 {
-				st = port.txMeta[0]
-				port.txMeta = port.txMeta[1:]
-			}
-			if st != nil {
-				st.DriverRxStart = dp.Now()
-			}
-			d.HostAccess(dp, sram.HeaderBytes+len(msg), false, true)
-			pkts = append(pkts, pkt{msg, st})
-		}
-		d.Buf.TxPoll = false
-		d.HostAccess(dp, 8, true, false)
-		// Catch a message (or a latched alert) that raced the flag clear.
-		if d.Buf.TX.Empty() && !port.alertPending {
-			break
-		}
-		port.alertPending = false
-	}
-	port.draining = false
-	if len(pkts) == 0 {
-		return
-	}
-	hd.CPU.RaiseIRQ("mcn-dma-rx", func(p *sim.Proc) {
-		for _, pk := range pkts {
-			hd.CPU.Exec(p, hd.Costs.RxPerMsgCycles)
-			hd.forward(p, port, pk.msg, pk.st, true)
-		}
-	})
-}
-
 // DebugState renders per-port driver state for diagnosing stalls.
 func (hd *HostDriver) DebugState() string {
 	var b strings.Builder
@@ -628,17 +471,17 @@ func (hd *HostDriver) DebugState() string {
 	return b.String()
 }
 
-// relay hands a frame to another DIMM's transmit machinery without ever
-// blocking the calling (receive) context.
+// relay hands a frame to tgt's T1-T3 machinery without ever blocking the
+// calling (transmit or receive) context. With MCN-DMA the CPU programs a
+// descriptor and the channel's engine moves the data; otherwise the CPU
+// performs the copy (memcpy_to_mcn) from the port's qdisc.
 func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, st *McnStamps, pooled bool) {
+	e := tgt.qdisc
 	if hd.Opts.DMA {
 		hd.CPU.Exec(p, hd.Costs.DMASetupCycles)
-		hd.dmas[tgt.dimm.ChannelIdx].Submit(func(dp *sim.Proc) {
-			tgt.writeToDimm(dp, frame, st, false, pooled)
-		})
-		return
+		e = hd.dmas[tgt.dimm.ChannelIdx]
 	}
-	tgt.qdisc.TryPut(qdiscEntry{msg: frame, st: st, pooled: pooled})
+	e.submit(ringJob{kind: hostTx, port: tgt, msg: frame, st: st, pooled: pooled})
 }
 
 // forward implements the packet forwarding engine rules F1-F4. pooled

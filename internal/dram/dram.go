@@ -132,13 +132,12 @@ func (c *Channel) Access(p *sim.Proc, addr uint64, write bool, bytes int) {
 	}
 	end := addr + uint64(bytes)
 	for addr < end {
-		rowEnd := (addr/uint64(c.cfg.RowBytes) + 1) * uint64(c.cfg.RowBytes)
-		chunkEnd := rowEnd
-		if chunkEnd > end {
-			chunkEnd = end
-		}
-		c.rowAccess(p, addr, int(chunkEnd-addr), write)
-		addr = chunkEnd
+		n := c.rowChunk(addr, end)
+		c.bus.Acquire(p)
+		busy, bursts := c.prepRow(addr, n)
+		p.Sleep(busy)
+		c.retire(busy, bursts, write)
+		addr += uint64(n)
 	}
 }
 
@@ -148,27 +147,35 @@ func (c *Channel) Read(p *sim.Proc, addr uint64, bytes int) { c.Access(p, addr, 
 // Write is Access with write=true.
 func (c *Channel) Write(p *sim.Proc, addr uint64, bytes int) { c.Access(p, addr, true, bytes) }
 
-// rowAccess serves a chunk that lies within a single DRAM row: one bank
-// preparation (row hit, primed hit, or miss) followed by back-to-back
-// bursts on the bus.
-func (c *Channel) rowAccess(p *sim.Proc, addr uint64, n int, write bool) {
+// rowChunk returns the length of the part of [addr, end) that lies in
+// addr's DRAM row.
+func (c *Channel) rowChunk(addr, end uint64) int {
+	rowEnd := (addr/uint64(c.cfg.RowBytes) + 1) * uint64(c.cfg.RowBytes)
+	if rowEnd > end {
+		rowEnd = end
+	}
+	return int(rowEnd - addr)
+}
+
+// prepRow classifies a chunk of n bytes within one DRAM row at the moment
+// the bus is granted — row hit, primed hit, or miss — and returns its bus
+// occupancy: the bank preparation followed by back-to-back bursts.
+func (c *Channel) prepRow(addr uint64, n int) (busy sim.Duration, bursts int) {
 	firstLine := addr / memmap.LineBytes
 	lastLine := (addr + uint64(n) - 1) / memmap.LineBytes
-	bursts := int(lastLine-firstLine) + 1
+	bursts = int(lastLine-firstLine) + 1
 
 	rowIdx := addr / uint64(c.cfg.RowBytes)
 	b := &c.banks[int(rowIdx)%len(c.banks)]
 	row := int64(rowIdx / uint64(len(c.banks)))
 
-	c.bus.Acquire(p)
-	now := p.Now()
 	var prep sim.Duration
 	switch {
 	case b.openRow != row:
 		prep = c.cfg.TRP + c.cfg.TRCD + c.cfg.TCL
 		c.RowMiss++
 		b.openRow = row
-	case now > c.lastBurstEnd.Add(c.cfg.TCL):
+	case c.k.Now() > c.lastBurstEnd.Add(c.cfg.TCL):
 		// The pipeline drained; the CAS latency is exposed again.
 		prep = c.cfg.TCL
 		c.RowHits++
@@ -177,14 +184,24 @@ func (c *Channel) rowAccess(p *sim.Proc, addr uint64, n int, write bool) {
 		// bus occupancy applies.
 		c.RowHits++
 	}
-	busy := prep + sim.Duration(bursts)*c.cfg.BurstTime()
-	p.Sleep(busy)
+	return prep + sim.Duration(bursts)*c.cfg.BurstTime(), bursts
+}
+
+// busBursts returns the bus occupancy of a bank-less transfer of n bytes.
+func (c *Channel) busBursts(bytes int) (busy sim.Duration, bursts int) {
+	bursts = (bytes + memmap.LineBytes - 1) / memmap.LineBytes
+	return sim.Duration(bursts) * c.cfg.BurstTime(), bursts
+}
+
+// retire ends a bus occupancy of busy that moved bursts: it releases the
+// bus and accounts the transfer.
+func (c *Channel) retire(busy sim.Duration, bursts int, write bool) {
 	c.bus.Release()
-	c.lastBurstEnd = p.Now()
+	c.lastBurstEnd = c.k.Now()
 	c.BusyTime.AddBusy(busy)
 	// Bandwidth is accounted as bus traffic (whole bursts, including the
 	// padding of partial lines).
-	c.Bytes.Add(p.Now(), int64(bursts)*memmap.LineBytes)
+	c.Bytes.Add(c.k.Now(), int64(bursts)*memmap.LineBytes)
 	if write {
 		c.Writes += int64(bursts)
 	} else {
@@ -201,23 +218,92 @@ func (c *Channel) BusTransfer(p *sim.Proc, bytes int, deviceLat sim.Duration, wr
 	if bytes <= 0 {
 		return
 	}
-	bursts := (bytes + memmap.LineBytes - 1) / memmap.LineBytes
-	busy := sim.Duration(bursts) * c.cfg.BurstTime()
+	busy, bursts := c.busBursts(bytes)
 	// The device latency does not occupy the data bus.
 	if deviceLat > 0 {
 		p.Sleep(deviceLat)
 	}
 	c.bus.Acquire(p)
 	p.Sleep(busy)
-	c.bus.Release()
-	c.lastBurstEnd = p.Now()
-	c.BusyTime.AddBusy(busy)
-	c.Bytes.Add(p.Now(), int64(bursts)*memmap.LineBytes)
-	if write {
-		c.Writes += int64(bursts)
-	} else {
-		c.Reads += int64(bursts)
+	c.retire(busy, bursts, write)
+}
+
+// A Transfer performs Access or BusTransfer for a kernel-callback state
+// machine instead of a process: every Sleep becomes a kernel callback at
+// the same instant and event sequence position, and every bus wait an
+// AcquireThen, so a transfer driven this way is indistinguishable from the
+// process version. A Transfer runs one operation at a time and allocates
+// nothing after NewTransfer; its owner keeps it for reuse.
+type Transfer struct {
+	c       *Channel
+	addr    uint64
+	end     uint64 // Access: end of the request; BusTransfer: == addr
+	n       int    // Access: bytes in the current row chunk
+	write   bool
+	row     bool // Access (bank timing) rather than BusTransfer
+	busy    sim.Duration
+	bursts  int
+	done    func()
+	acquire func() // bound once: t.acquireBus
+	granted func() // bound once: t.onGrant
+	retired func() // bound once: t.onRetire
+}
+
+// NewTransfer returns an idle transfer driver.
+func NewTransfer() *Transfer {
+	t := &Transfer{}
+	t.acquire, t.granted, t.retired = t.acquireBus, t.onGrant, t.onRetire
+	return t
+}
+
+// Access is Channel.Access on c; done runs when the last row chunk retires
+// (at once if bytes <= 0).
+func (t *Transfer) Access(c *Channel, addr uint64, write bool, bytes int, done func()) {
+	if bytes <= 0 {
+		done()
+		return
 	}
+	t.c, t.addr, t.end, t.write, t.row, t.done = c, addr, addr+uint64(bytes), write, true, done
+	t.nextRow()
+}
+
+// BusTransfer is Channel.BusTransfer on c; done runs when the bursts
+// retire (at once if bytes <= 0).
+func (t *Transfer) BusTransfer(c *Channel, bytes int, deviceLat sim.Duration, write bool, done func()) {
+	if bytes <= 0 {
+		done()
+		return
+	}
+	t.c, t.addr, t.end, t.n, t.write, t.row, t.done = c, 0, 0, 0, write, false, done
+	t.busy, t.bursts = c.busBursts(bytes)
+	if deviceLat > 0 {
+		c.k.After(deviceLat, t.acquire)
+		return
+	}
+	t.acquireBus()
+}
+
+func (t *Transfer) nextRow() {
+	t.n = t.c.rowChunk(t.addr, t.end)
+	t.acquireBus()
+}
+
+func (t *Transfer) acquireBus() { t.c.bus.AcquireThen(t.granted) }
+
+func (t *Transfer) onGrant() {
+	if t.row {
+		t.busy, t.bursts = t.c.prepRow(t.addr, t.n)
+	}
+	t.c.k.After(t.busy, t.retired)
+}
+
+func (t *Transfer) onRetire() {
+	t.c.retire(t.busy, t.bursts, t.write)
+	if t.addr += uint64(t.n); t.addr < t.end {
+		t.nextRow()
+		return
+	}
+	t.done()
 }
 
 // Utilization returns the fraction of elapsed time the data bus was busy.

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -100,5 +101,100 @@ func TestConfigsSane(t *testing.T) {
 		if cfg.BurstTime() > cfg.TRP+cfg.TRCD+cfg.TCL {
 			t.Fatalf("%s: burst slower than row cycle", cfg.Name)
 		}
+	}
+}
+
+// transferOps is a mixed access sequence: row hits and misses, a request
+// spanning a row boundary, SRAM-window bus transfers and empty requests.
+var transferOps = []struct {
+	bus   bool
+	addr  uint64
+	bytes int
+	write bool
+}{
+	{false, 0, 100, false},
+	{false, 8100, 300, true}, // crosses into the next row
+	{true, 0, 64, true},
+	{false, 8192 * 16, 64, false}, // same bank, other row: a miss
+	{true, 0, 0, false},
+	{false, 64, 0, true},
+	{false, 64, 4096, false},
+	{true, 0, 9000, false},
+}
+
+// TestTransferMatchesProcess runs transferOps through a process and through
+// a Transfer, each on its own channel next to an identical rival process:
+// every completion time, the final time and every counter must match.
+func TestTransferMatchesProcess(t *testing.T) {
+	run := func(callbacks bool) []any {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		ch := NewChannel(k, DDR4_3200())
+		// The rival flips bank 0 between two rows, so a row's hit or miss
+		// depends on when the bus is granted, not when it is requested.
+		k.Go("rival", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				ch.Access(p, uint64(i%2)*8192*16, i%2 == 0, 2048)
+			}
+		})
+		var ends []sim.Time
+		if callbacks {
+			x := NewTransfer()
+			i := 0
+			var next func()
+			next = func() {
+				if i > 0 {
+					ends = append(ends, k.Now())
+				}
+				if i == len(transferOps) {
+					return
+				}
+				o := transferOps[i]
+				i++
+				if o.bus {
+					x.BusTransfer(ch, o.bytes, 40*sim.Nanosecond, o.write, next)
+				} else {
+					x.Access(ch, o.addr, o.write, o.bytes, next)
+				}
+			}
+			k.At(k.Now(), next) // the slot the process's start takes
+		} else {
+			k.Go("ops", func(p *sim.Proc) {
+				for _, o := range transferOps {
+					if o.bus {
+						ch.BusTransfer(p, o.bytes, 40*sim.Nanosecond, o.write)
+					} else {
+						ch.Access(p, o.addr, o.write, o.bytes)
+					}
+					ends = append(ends, p.Now())
+				}
+			})
+		}
+		k.Run()
+		return []any{ends, k.Now(), ch.RowHits, ch.RowMiss, ch.Reads, ch.Writes, ch.Bytes.Total, ch.BusyTime.Busy}
+	}
+	want, got := run(false), run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Transfer diverges from the process version:\n got %v\nwant %v", got, want)
+	}
+}
+
+func TestTransferAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	ch := NewChannel(k, DDR4_3200())
+	x := NewTransfer()
+	done := func() {}
+	cycle := func() {
+		x.Access(ch, 8000, true, 1024, done)
+		k.Run()
+		x.BusTransfer(ch, 512, 40*sim.Nanosecond, false, done)
+		k.Run()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(256, cycle); avg != 0 {
+		t.Fatalf("Transfer allocates %.2f objects per access pair, want 0", avg)
 	}
 }

@@ -42,6 +42,65 @@ func TestAllocsProcParkWake(t *testing.T) {
 	}
 }
 
+func TestAllocsResourceContended(t *testing.T) {
+	// Two processes and a callback chain take turns on one unit, so every
+	// Release hands it to a queued waiter: the waiter FIFO must reuse its
+	// backing array.
+	k := NewKernel()
+	defer k.Shutdown()
+	r := k.NewResource(1)
+	for i := 0; i < 2; i++ {
+		k.Go("holder", func(p *Proc) {
+			for {
+				r.Acquire(p)
+				p.Sleep(100)
+				r.Release()
+			}
+		})
+	}
+	var granted, release func()
+	granted = func() { k.After(100, release) }
+	release = func() {
+		r.Release()
+		r.AcquireThen(granted)
+	}
+	r.AcquireThen(granted)
+	cycle := func() { k.RunUntil(k.Now().Add(300)) }
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(512, cycle); avg != 0 {
+		t.Fatalf("contended acquire/release allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
+func TestAllocsQueuePutGet(t *testing.T) {
+	// A producer puts two items per cycle and a consumer takes them: the
+	// item FIFO must reuse its backing array.
+	k := NewKernel()
+	defer k.Shutdown()
+	q := NewQueue[int](k, 0)
+	k.Go("producer", func(p *Proc) {
+		for i := 0; ; i++ {
+			q.Put(p, i)
+			q.Put(p, i)
+			p.Sleep(100)
+		}
+	})
+	k.Go("consumer", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	cycle := func() { k.RunUntil(k.Now().Add(100)) }
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(512, cycle); avg != 0 {
+		t.Fatalf("queue put/get allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
 func TestAllocsTimerRearm(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()

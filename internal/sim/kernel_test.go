@@ -266,6 +266,74 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// TestAcquireThenSharesFIFO queues two waiters, A then B, behind one
+// holder. Each waiter is either a process (Acquire) or a callback chain
+// (AcquireThen) with the same event structure; every mix must produce the
+// event log of the all-process run, so a callback waiter is granted in
+// arrival order, at the same instant, and in the same event slot a parked
+// process would have been woken in.
+func TestAcquireThenSharesFIFO(t *testing.T) {
+	run := func(callback map[string]bool) []string {
+		k := NewKernel()
+		defer k.Shutdown()
+		r := k.NewResource(1)
+		var log []string
+		note := func(s string) { log = append(log, s+"@"+k.Now().String()) }
+		k.Go("holder", func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(100)
+			r.Release()
+			note("holder released")
+		})
+		// Probes share the grant and release instants with the waiters.
+		for _, at := range []Time{100, 150} {
+			k.At(at, func() { note("probe") })
+		}
+		for i, name := range []string{"A", "B"} {
+			delay := Duration(10 * (i + 1))
+			if !callback[name] {
+				k.Go(name, func(p *Proc) {
+					p.Sleep(delay)
+					r.Acquire(p)
+					note(name + " granted")
+					p.Sleep(50)
+					r.Release()
+					note(name + " released")
+				})
+				continue
+			}
+			// The twin of the process body: the start slot, then one
+			// callback per wake.
+			k.At(k.Now(), func() {
+				k.After(delay, func() {
+					r.AcquireThen(func() {
+						note(name + " granted")
+						k.After(50, func() {
+							r.Release()
+							note(name + " released")
+						})
+					})
+				})
+			})
+		}
+		k.RunUntil(20)
+		if n := r.QueueLen(); n != 2 {
+			t.Fatalf("%v: QueueLen=%d behind the holder, want 2", callback, n)
+		}
+		k.Run()
+		return log
+	}
+	want := run(nil)
+	if s := strings.Join(want, ","); !strings.Contains(s, "holder released@100ps,A granted@100ps,probe@150ps,A released@150ps,B granted@150ps") {
+		t.Fatalf("all-process log %v: each release should hand the unit on in FIFO order", want)
+	}
+	for _, mix := range []map[string]bool{{"A": true}, {"B": true}, {"A": true, "B": true}} {
+		if got := run(mix); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("callback waiters %v:\n got %v\nwant %v", mix, got, want)
+		}
+	}
+}
+
 func TestResourceCapacity(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource(2)

@@ -66,14 +66,22 @@ type Resource struct {
 	k        *Kernel
 	capacity int
 	inUse    int
-	queue    []waiterRef
+	queue    fifo[resWaiter]
 
 	// accounting
-	busySince   Time
-	BusyTime    Duration // total time with at least one holder
-	GrantCount  int64
-	totalQueued Duration
+	busySince  Time
+	BusyTime   Duration // total time with at least one holder
+	GrantCount int64
 }
+
+// A resWaiter is one queued acquirer: a parked process (Acquire) or a
+// kernel callback (AcquireThen). Both kinds share one arrival order.
+type resWaiter struct {
+	waiterRef
+	fn func()
+}
+
+func (w resWaiter) valid() bool { return w.fn != nil || w.waiterRef.valid() }
 
 // NewResource returns a resource with the given capacity (>= 1).
 func (k *Kernel) NewResource(capacity int) *Resource {
@@ -89,10 +97,10 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of current holders.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of processes and callbacks waiting to acquire.
 func (r *Resource) QueueLen() int {
 	n := 0
-	for _, w := range r.queue {
+	for _, w := range r.queue.live() {
 		if w.valid() {
 			n++
 		}
@@ -102,16 +110,29 @@ func (r *Resource) QueueLen() int {
 
 // Acquire obtains one unit, blocking in FIFO order when none is free.
 func (r *Resource) Acquire(p *Proc) {
-	start := r.k.now
 	if r.inUse < r.capacity {
 		r.grant()
 		return
 	}
 	gen := p.prepareWait()
-	r.queue = append(r.queue, waiterRef{p, gen})
+	r.queue.push(resWaiter{waiterRef: waiterRef{p, gen}})
 	p.park()
 	// Release woke us and transferred its unit: it already called grant.
-	r.totalQueued += r.k.now.Sub(start)
+}
+
+// AcquireThen obtains one unit for a kernel callback: fn runs at once when
+// a unit is free, and otherwise queues behind the current waiters. Release
+// hands the unit over by scheduling fn at the instant, and the event
+// sequence position, at which it would have woken a parked process, so a
+// callback state machine and a process see the same grant order. fn owns
+// the unit and must Release it.
+func (r *Resource) AcquireThen(fn func()) {
+	if r.inUse < r.capacity {
+		r.grant()
+		fn()
+		return
+	}
+	r.queue.push(resWaiter{fn: fn})
 }
 
 // TryAcquire obtains a unit without blocking; it reports success.
@@ -136,16 +157,20 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource")
 	}
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
-		if w.valid() {
-			// Transfer the unit directly: inUse stays constant but a new
-			// grant is recorded for the waiter.
-			r.GrantCount++
-			r.k.scheduleWake(r.k.now, w.p, w.gen, WakeDone)
-			return
+	for r.queue.len() > 0 {
+		w := r.queue.pop()
+		if !w.valid() {
+			continue
 		}
+		// Transfer the unit directly: inUse stays constant but a new
+		// grant is recorded for the waiter.
+		r.GrantCount++
+		if w.fn != nil {
+			r.k.At(r.k.now, w.fn)
+		} else {
+			r.k.scheduleWake(r.k.now, w.p, w.gen, WakeDone)
+		}
+		return
 	}
 	r.inUse--
 	if r.inUse == 0 {
@@ -185,7 +210,7 @@ func (r *Resource) Utilization() float64 {
 // capacity (capacity 0 means unbounded; Put then never blocks).
 type Queue[T any] struct {
 	k        *Kernel
-	items    []T
+	items    fifo[T]
 	capacity int
 	notEmpty *Signal
 	notFull  *Signal
@@ -198,7 +223,7 @@ func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
@@ -206,22 +231,22 @@ func (q *Queue[T]) Closed() bool { return q.closed }
 // Put appends v, blocking while a bounded queue is full. Put on a closed
 // queue panics (it indicates a protocol bug in the simulation).
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+	for q.capacity > 0 && q.items.len() >= q.capacity && !q.closed {
 		q.notFull.Wait(p)
 	}
 	if q.closed {
 		panic("sim: Put on closed queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.notEmpty.Notify()
 }
 
 // TryPut appends v if the queue has room; it reports success.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || (q.capacity > 0 && len(q.items) >= q.capacity) {
+	if q.closed || (q.capacity > 0 && q.items.len() >= q.capacity) {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.notEmpty.Notify()
 	return true
 }
@@ -229,7 +254,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. The second result is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (T, bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.items.len() == 0 && !q.closed {
 		q.notEmpty.Wait(p)
 	}
 	return q.take()
@@ -239,7 +264,7 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 // wait expired.
 func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool, timedOut bool) {
 	deadline := q.k.now.Add(d)
-	for len(q.items) == 0 && !q.closed {
+	for q.items.len() == 0 && !q.closed {
 		remain := deadline.Sub(q.k.now)
 		if remain <= 0 || !q.notEmpty.WaitTimeout(p, remain) {
 			var zero T
@@ -251,23 +276,14 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool, timedOut bool)
 }
 
 // TryGet removes the oldest item without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.take()
-}
+func (q *Queue[T]) TryGet() (T, bool) { return q.take() }
 
 func (q *Queue[T]) take() (T, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.notFull.Notify()
 	return v, true
 }
@@ -281,4 +297,39 @@ func (q *Queue[T]) Close() {
 	q.closed = true
 	q.notEmpty.Notify()
 	q.notFull.Notify()
+}
+
+// fifo is a slice queue popped by a head index. The backing array is
+// reused: the head resets when the queue empties, and a push that finds
+// the array full slides the live items down before growing it, so a
+// steady push/pop stream allocates nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// live returns the queued items, oldest first.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest item; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
