@@ -30,8 +30,8 @@ type DimmDriver struct {
 	dma    *ringEngine      // MCN-DMA mode
 
 	// ChanTap, when set, observes every IRQ-drain pop from this node's
-	// SRAM RX ring.
-	ChanTap ChannelTap
+	// SRAM RX ring as netstack.TapDimmPop, named by DIMM.
+	ChanTap netstack.Tap
 	// qdisc performs T1-T3 on a core of the node when MCN-DMA is off.
 	qdisc *ringEngine
 	// rxq implements receive packet steering: the IRQ drain only copies
@@ -238,7 +238,7 @@ func (drv *DimmDriver) drainRX(p *sim.Proc) {
 		for !d.Buf.RX.Empty() {
 			msg := d.Buf.RX.PopWith(drv.getBuf)
 			if drv.ChanTap != nil {
-				drv.ChanTap.DimmPop(p.Now(), msg)
+				drv.ChanTap.Frame(p.Now(), netstack.TapDimmPop, d.Name, msg)
 			}
 			var st *McnStamps
 			if len(drv.port.rxMeta) > 0 {

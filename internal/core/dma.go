@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/dram"
+	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/sram"
 )
@@ -294,7 +295,7 @@ func (e *ringEngine) published(d *Dimm) {
 	hd := j.port.drv
 	j.port.rxMeta = append(j.port.rxMeta, j.st)
 	if hd.ChanTap != nil {
-		hd.ChanTap.ChanPush(now, j.msg)
+		hd.ChanTap.Frame(now, netstack.TapChanPush, d.Name, j.msg)
 	}
 	wasIdle := !d.Buf.RxPoll
 	d.Buf.RxPoll = true

@@ -55,8 +55,8 @@ type HostDriver struct {
 	LastTrace     *McnStamps
 
 	// ChanTap, when set, observes every successful SRAM RX-ring push
-	// (T3) on this host's channels.
-	ChanTap ChannelTap
+	// (T3) on this host's channels as netstack.TapChanPush, named by DIMM.
+	ChanTap netstack.Tap
 
 	// FastRx, when set, receives frames whose EtherType is not IPv4 and
 	// whose destination is a host-side interface MAC — the attachment

@@ -43,18 +43,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Tap observes mcnt data frames for the request tracer. Both hooks run
-// synchronously at the observation point and must not block or charge
-// time; a nil tap costs nothing.
-type Tap interface {
-	// McntHostTx fires when the host endpoint hands a data frame to a
-	// DIMM port (the moment TCP's host-TX stamp would fire).
-	McntHostTx(at sim.Time, frame []byte)
-	// McntDimmRx fires when a DIMM endpoint delivers an in-order data
-	// frame to its stream.
-	McntDimmRx(at sim.Time, frame []byte)
-}
-
 // Fabric is one host's mcnt domain: the host endpoint plus one
 // endpoint per MCN DIMM, full-mesh reachable (DIMM-to-DIMM frames ride
 // the forwarding engine's F3 relay). Streams are dialed by IP across
@@ -71,7 +59,7 @@ type Fabric struct {
 	nextStream uint32
 	pairs      map[uint32]*streamPair
 	streams    []uint32 // pair creation order (deterministic iteration)
-	tap        Tap
+	tap        netstack.Tap
 
 	// Counters (fabric-wide, for figures and tests).
 	DataFrames, CtlFrames, Resent, Nacks, Probes int64
@@ -185,8 +173,11 @@ func (ep *endpoint) addAdj(a *adjInfo) {
 	ep.adjByIP[a.peerIP] = a
 }
 
-// SetTap installs the tracer's frame tap (nil to disable).
-func (f *Fabric) SetTap(t Tap) { f.tap = t }
+// SetTap installs a frame tap (nil to disable). It sees only data frames:
+// the host endpoint's as netstack.TapTx when handed to a DIMM port (where
+// TCP's host-TX stamp fires), and each DIMM endpoint's as netstack.TapRx
+// when delivered in order to its stream. Both are named by link.
+func (f *Fabric) SetTap(t netstack.Tap) { f.tap = t }
 
 // link returns (lazily creating) the directed link toward the peer
 // with the given MAC.
@@ -355,7 +346,7 @@ func (l *linkEnd) onSequenced(p *sim.Proc, h Header, payload []byte, raw []byte)
 		c.rcvdB += uint64(len(payload))
 		c.rxSig.Notify()
 		if !ep.isHost && f.tap != nil {
-			f.tap.McntDimmRx(p.Now(), raw)
+			f.tap.Frame(p.Now(), netstack.TapRx, l.name, raw)
 		}
 	case KindFin:
 		c := ep.conns[h.Stream]
@@ -483,7 +474,7 @@ func (l *linkEnd) sendSequenced(p *sim.Proc, h Header, payload []byte) {
 	}
 	l.adj.transmit(p, fr)
 	if l.ep.isHost && f.tap != nil && h.Kind == KindData {
-		f.tap.McntHostTx(p.Now(), fr)
+		f.tap.Frame(p.Now(), netstack.TapTx, l.name, fr)
 	}
 	l.txLock.Release()
 	if wasEmpty {

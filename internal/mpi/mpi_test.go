@@ -119,7 +119,7 @@ func TestMPIOnMcnServer(t *testing.T) {
 			r.SendData(0, []byte{byte(r.ID * 10)})
 		}
 	})
-	k.RunUntil(sim.Time(10 * sim.Second))
+	runUntilDone(k, w, 10*sim.Second)
 	if !w.Done() {
 		t.Fatal("MPI on MCN server did not finish")
 	}
@@ -142,7 +142,7 @@ func TestMcnToMcnMPIMessage(t *testing.T) {
 			got = r.RecvData(0)
 		}
 	})
-	k.RunUntil(sim.Time(10 * sim.Second))
+	runUntilDone(k, w, 10*sim.Second)
 	if !w.Done() {
 		t.Fatal("job did not finish")
 	}
@@ -153,6 +153,15 @@ func TestMcnToMcnMPIMessage(t *testing.T) {
 		t.Fatal("no F3 relays recorded; traffic did not go through the host")
 	}
 	k.Shutdown()
+}
+
+// runUntilDone steps k in 1ms slices until w finishes or the limit: an
+// MCN server polls at mcn0, so its event queue never drains on its own and
+// one long RunUntil would simulate the whole cap.
+func runUntilDone(k *sim.Kernel, w *World, limit sim.Duration) {
+	for end := k.Now().Add(limit); !w.Done() && k.Now() < end; {
+		k.RunFor(sim.Millisecond)
+	}
 }
 
 // ethWorldCfg launches prog on an n-node 10GbE cluster and runs to

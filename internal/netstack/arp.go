@@ -143,7 +143,7 @@ func (s *Stack) sendARP(p *sim.Proc, ifc *Iface, op uint16, dstMAC MAC, targetIP
 	}
 	putARP(frame[EthHeaderBytes:], pkt)
 	if s.Tap != nil {
-		s.Tap.Packet(s.K.Now(), "tx", ifc.Dev.Name(), frame)
+		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
 	ifc.Dev.Transmit(p, Frame{Data: frame})
 }

@@ -40,11 +40,55 @@ type Frame struct {
 	Pooled bool
 }
 
-// PacketTap observes frames at the device boundary (tcpdump).
-type PacketTap interface {
-	// Packet is called with the direction ("tx" or "rx"), the device
-	// name, and the full Ethernet frame (or IP packet for loopback).
-	Packet(at sim.Time, dir, dev string, data []byte)
+// TapSite is the point on a frame's path where a Tap observed it.
+type TapSite uint8
+
+const (
+	// TapTx: a stack handed the frame to a device; on the mcnt fabric, the
+	// host endpoint handed a data frame to a DIMM port.
+	TapTx TapSite = iota
+	// TapRx: a device delivered the frame to a stack; on the mcnt fabric,
+	// a DIMM endpoint delivered an in-order data frame to its stream.
+	TapRx
+	// TapLoop: a locally addressed packet took the stack's loopback path.
+	TapLoop
+	// TapChanPush: the host driver's T3 landed the frame in a DIMM's SRAM
+	// RX ring.
+	TapChanPush
+	// TapDimmPop: the DIMM driver's IRQ drain popped it back out. The
+	// window between push and pop is the channel occupancy.
+	TapDimmPop
+)
+
+var tapSiteNames = [...]string{"tx", "rx", "lo", "push", "pop"}
+
+// String returns the site's short tcpdump-style name ("tx", "rx", "lo",
+// "push", "pop").
+func (s TapSite) String() string {
+	if int(s) < len(tapSiteNames) {
+		return tapSiteNames[s]
+	}
+	return "?"
+}
+
+// Tap observes raw Ethernet frames: at a stack's device boundary (Stack.Tap,
+// the tcpdump attachment point), on the MCN SRAM channel (the core drivers'
+// ChanTap) and on the mcnt fabric (Fabric.SetTap). Loopback packets carry
+// a synthesized Ethernet header so they render like any other frame. A tap
+// runs at the instant of the event, must charge no simulated time, and
+// must copy any bytes it keeps.
+type Tap interface {
+	Frame(at sim.Time, site TapSite, dev string, frame []byte)
+}
+
+// Taps fans each frame out to several taps, in order.
+type Taps []Tap
+
+// Frame implements Tap.
+func (ts Taps) Frame(at sim.Time, site TapSite, dev string, frame []byte) {
+	for _, t := range ts {
+		t.Frame(at, site, dev, frame)
+	}
 }
 
 // NetDev is a network device (a 10GbE NIC, an MCN virtual interface, or the
@@ -102,8 +146,8 @@ type Stack struct {
 	// CopyBytesPerCycle.
 	Copy func(p *sim.Proc, bytes int)
 	// Tap, when set, observes every frame entering or leaving the stack
-	// (a tcpdump attachment point; see internal/trace).
-	Tap PacketTap
+	// (a tcpdump attachment point; see obs.Recorder).
+	Tap Tap
 	// Bridge, when set, inspects frames arriving on a device before
 	// normal delivery; returning true consumes the frame. The MCN host
 	// driver uses it to bridge frames arriving on the conventional NIC
@@ -341,7 +385,7 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 			frame := make([]byte, EthHeaderBytes+len(pkt))
 			PutEth(frame, EthHeader{Type: EtherTypeIPv4})
 			copy(frame[EthHeaderBytes:], pkt)
-			s.Tap.Packet(s.K.Now(), "lo", "lo", frame)
+			s.Tap.Frame(s.K.Now(), TapLoop, "lo", frame)
 		}
 		s.K.Go(s.Host+"/lo-rx", func(rp *sim.Proc) {
 			s.deliverIP(rp, pkt)
@@ -395,7 +439,7 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 	copy(frame[EthHeaderBytes+IPv4HeaderBytes:], payload)
 	s.IPTx.Add(s.K.Now(), int64(len(frame)))
 	if s.Tap != nil {
-		s.Tap.Packet(s.K.Now(), "tx", ifc.Dev.Name(), frame)
+		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
 	ifc.Dev.Transmit(p, Frame{Data: frame, TSOSegSize: tsoSeg, Pooled: pooled})
 	return nil
@@ -404,7 +448,7 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 // RxFrame is called by a device's receive path with a full Ethernet frame.
 func (s *Stack) RxFrame(p *sim.Proc, dev NetDev, frame []byte) {
 	if s.Tap != nil {
-		s.Tap.Packet(s.K.Now(), "rx", dev.Name(), frame)
+		s.Tap.Frame(s.K.Now(), TapRx, dev.Name(), frame)
 	}
 	if s.Bridge != nil && s.Bridge(p, dev, frame) {
 		return

@@ -68,6 +68,33 @@ func ContuttoConfig(name string) Config {
 	}
 }
 
+// Prototype is the paper's proof-of-concept system (Sec. V-VI-C): an IBM
+// POWER8 S824L host with an experimental buffered DIMM attached through
+// the Differential Memory Interface — a Stratix V FPGA carrying a NIOS II
+// soft processor at 266MHz, BRAM for the MCN SRAM buffer, and two
+// DDR3-1066 DIMMs. Its purpose matches the paper's: showing that the MCN
+// drivers and an unmodified MPI run across a host and an extremely weak
+// MCN processor, not producing performance numbers.
+type Prototype struct {
+	K    *sim.Kernel
+	Host *Host
+	Nios *McnNode
+}
+
+// NewContutto builds the prototype: one host, one FPGA MCN DIMM running
+// the baseline (mcn0) driver stack.
+func NewContutto(k *sim.Kernel) *Prototype {
+	h := NewHost(k, HostConfig("power8"))
+	mcns := h.AttachMCN(1, core.MCN0.Options(), ContuttoConfig("nios2"))
+	d := mcns[0].Dimm
+	// FPGA-grade interface: the soft MCN interface and Avalon interconnect
+	// are an order of magnitude slower than the ASIC target.
+	d.HostLat = 150 * sim.Nanosecond
+	d.McnLat = 200 * sim.Nanosecond
+	d.McnBW = sim.GBps(0.8)
+	return &Prototype{K: k, Host: h, Nios: mcns[0]}
+}
+
 // Node is one simulated machine.
 type Node struct {
 	K        *sim.Kernel

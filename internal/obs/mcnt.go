@@ -26,13 +26,13 @@ func (t *Tracer) BindConn(conn netstack.Conn, f *Flow) {
 	t.mcntFlows[mc.McntStreamID()] = f
 }
 
-// mcntFrameEvent correlates one mcnt frame observed at a site back to
-// the sampled spans whose bytes it carries. Only data frames sent by the
+// mcntFrame correlates one mcnt frame observed at a site back to the
+// sampled spans whose bytes it carries. Only data frames sent by the
 // stream's dialer (the request direction) stamp; the header's Off field
 // is the payload's stream byte offset, so the match against each pending
 // span's last request byte is exact — no ISS learning, and resent frames
 // re-stamp idempotently (first observation wins).
-func (t *Tracer) mcntFrameEvent(site Site, at sim.Time, frame []byte) {
+func (t *Tracer) mcntFrame(site netstack.TapSite, at sim.Time, frame []byte) {
 	h, _, ok := mcnt.ParseFrame(frame[netstack.EthHeaderBytes:])
 	if !ok || h.Kind != mcnt.KindData || h.Flags&mcnt.FlagFromDialer == 0 {
 		return
@@ -49,24 +49,3 @@ func (t *Tracer) mcntFrameEvent(site Site, at sim.Time, frame []byte) {
 		}
 	}
 }
-
-// McntHostTx implements mcnt.Tap: the host endpoint handed a data frame
-// to a DIMM port — the boundary TCP's host-TX stamp marks.
-func (t *Tracer) McntHostTx(at sim.Time, frame []byte) {
-	if t == nil {
-		return
-	}
-	t.mcntFrameEvent(SiteHostTx, at, frame)
-}
-
-// McntDimmRx implements mcnt.Tap: a DIMM endpoint delivered an in-order
-// data frame to its stream — the boundary TCP's stack-delivery stamp
-// marks.
-func (t *Tracer) McntDimmRx(at sim.Time, frame []byte) {
-	if t == nil {
-		return
-	}
-	t.mcntFrameEvent(SiteDimmRx, at, frame)
-}
-
-var _ mcnt.Tap = (*Tracer)(nil)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestFrameCorrelation(t *testing.T) {
 	// SYN observed before the flow opens (the tap sees the handshake
 	// while Connect is still blocked) teaches the ISS via pendingISS.
 	iss := uint32(1)
-	tr.FrameEvent(SiteHostTx, sim.Time(100), tcpFrame(cip, sip, 4000, 11211, iss, netstack.TCPSyn, nil))
+	tr.Frame(sim.Time(100), netstack.TapTx, "", tcpFrame(cip, sip, 4000, 11211, iss, netstack.TCPSyn, nil))
 	f := tr.OpenFlow(cip, 4000, sip, 11211)
 	if !f.issKnown || f.iss != iss {
 		t.Fatalf("ISS not learned: %+v", f)
@@ -214,7 +215,7 @@ func TestFrameCorrelation(t *testing.T) {
 
 	// A segment carrying stream bytes [0,20) covers sp1's last byte only.
 	// First data byte of the stream is seq iss+1.
-	tr.FrameEvent(SiteHostTx, sim.Time(2000), tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 20)))
+	tr.Frame(sim.Time(2000), netstack.TapTx, "", tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 20)))
 	if sp1.HostTx != sim.Time(2000) {
 		t.Fatalf("sp1.HostTx = %v", sp1.HostTx)
 	}
@@ -222,8 +223,8 @@ func TestFrameCorrelation(t *testing.T) {
 		t.Fatalf("sp2 stamped early: %v", sp2.HostTx)
 	}
 	// The rest of the batch; a retransmit must not overwrite sp1.
-	tr.FrameEvent(SiteChanPush, sim.Time(2100), tcpFrame(cip, sip, 4000, 11211, iss+21, netstack.TCPAck, make([]byte, 5)))
-	tr.FrameEvent(SiteHostTx, sim.Time(2200), tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 25)))
+	tr.Frame(sim.Time(2100), netstack.TapChanPush, "", tcpFrame(cip, sip, 4000, 11211, iss+21, netstack.TCPAck, make([]byte, 5)))
+	tr.Frame(sim.Time(2200), netstack.TapTx, "", tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 25)))
 	if sp1.HostTx != sim.Time(2000) {
 		t.Fatal("retransmit overwrote first stamp")
 	}
@@ -231,12 +232,12 @@ func TestFrameCorrelation(t *testing.T) {
 		t.Fatalf("sp2 stamps: %v %v", sp2.HostTx, sp2.ChanPush)
 	}
 
-	// The driver-tap methods route to the right sites.
-	tr.DimmPop(sim.Time(2300), tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 25)))
+	// The channel sites stamp their own boundaries.
+	tr.Frame(sim.Time(2300), netstack.TapDimmPop, "", tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 25)))
 	if sp1.DimmPop != sim.Time(2300) || sp2.DimmPop != sim.Time(2300) {
 		t.Fatalf("DimmPop stamps: %v %v", sp1.DimmPop, sp2.DimmPop)
 	}
-	tr.ChanPush(sim.Time(2250), tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 10)))
+	tr.Frame(sim.Time(2250), netstack.TapChanPush, "", tcpFrame(cip, sip, 4000, 11211, iss+1, netstack.TCPAck, make([]byte, 10)))
 	if sp1.ChanPush != sim.Time(2250) {
 		t.Fatalf("sp1.ChanPush = %v", sp1.ChanPush)
 	}
@@ -261,11 +262,11 @@ func TestFrameCorrelation(t *testing.T) {
 
 	// Frames the tracer must ignore: non-IP, fragments, pure ACKs,
 	// unknown flows.
-	tr.FrameEvent(SiteHostTx, 1, []byte{1, 2, 3})
+	tr.Frame(1, netstack.TapTx, "", []byte{1, 2, 3})
 	arp := tcpFrame(cip, sip, 4000, 11211, 5, 0, nil)
 	netstack.PutEth(arp, netstack.EthHeader{Type: netstack.EtherTypeARP})
-	tr.FrameEvent(SiteHostTx, 1, arp)
-	tr.FrameEvent(SiteHostTx, 1, tcpFrame(sip, cip, 11211, 4000, 9, netstack.TCPAck, make([]byte, 4)))
+	tr.Frame(1, netstack.TapTx, "", arp)
+	tr.Frame(1, netstack.TapTx, "", tcpFrame(sip, cip, 11211, 4000, 9, netstack.TCPAck, make([]byte, 4)))
 	tr.ServerMark(cip, 4000, sip, 9999, 0, 1) // unknown flow
 }
 
@@ -300,7 +301,7 @@ func TestTracerLifecycleAndLimits(t *testing.T) {
 
 	// Nil-safety of every entry point tracing-off code hits.
 	var nilT *Tracer
-	nilT.FrameEvent(SiteHostTx, 0, nil)
+	nilT.Frame(0, netstack.TapTx, "", nil)
 	nilT.ServerMark(netstack.IP{}, 0, netstack.IP{}, 0, 0, 0)
 	nilT.Finish(nil, 0, true, true)
 	nilT.Abort(nil)
@@ -312,11 +313,11 @@ func TestTracerLifecycleAndLimits(t *testing.T) {
 	nilF.Advance(10)
 }
 
-func TestStackTapDirections(t *testing.T) {
+func TestTapSites(t *testing.T) {
 	cip, sip := netstack.IPv4(10, 0, 0, 1), netstack.IPv4(10, 0, 0, 2)
 	mk := func() (*Tracer, *Span) {
 		tr := NewTracer(1, 1, 0)
-		tr.FrameEvent(SiteHostTx, 1, tcpFrame(cip, sip, 5, 6, 1, netstack.TCPSyn, nil))
+		tr.Frame(1, netstack.TapTx, "", tcpFrame(cip, sip, 5, 6, 1, netstack.TCPSyn, nil))
 		f := tr.OpenFlow(cip, 5, sip, 6)
 		sp := tr.Start(10, 0, 0)
 		f.Queued(sp, 7, 11, 12)
@@ -324,37 +325,60 @@ func TestStackTapDirections(t *testing.T) {
 	}
 	data := tcpFrame(cip, sip, 5, 6, 2, netstack.TCPAck, make([]byte, 8))
 
-	var chained []string
+	// Each site stamps exactly its own boundary, in path order, and
+	// Taps fans every frame out to each tap in turn.
+	var seen []string
 	tr, sp := mk()
-	tap := &StackTap{T: tr, Chain: tapFunc(func(dir string) { chained = append(chained, dir) })}
-	tap.Packet(100, "tx", "eth0", data)
-	if sp.HostTx != 100 || sp.DimmRx != 0 {
-		t.Fatalf("tx: %v %v", sp.HostTx, sp.DimmRx)
+	tap := netstack.Taps{tr, tapFunc(func(site netstack.TapSite, dev string) {
+		seen = append(seen, site.String()+"@"+dev)
+	})}
+	stamps := func() []sim.Time {
+		return []sim.Time{sp.HostTx, sp.ChanPush, sp.DimmPop, sp.DimmRx}
 	}
-	tap.Packet(200, "rx", "eth0", data)
-	if sp.DimmRx != 200 {
-		t.Fatalf("rx: %v", sp.DimmRx)
+	steps := []struct {
+		site netstack.TapSite
+		want []sim.Time
+	}{
+		{netstack.TapTx, []sim.Time{100, 0, 0, 0}},
+		{netstack.TapChanPush, []sim.Time{100, 200, 0, 0}},
+		{netstack.TapDimmPop, []sim.Time{100, 200, 300, 0}},
+		{netstack.TapRx, []sim.Time{100, 200, 300, 400}},
 	}
-	if len(chained) != 2 {
-		t.Fatalf("chain not called: %v", chained)
+	for i, s := range steps {
+		now := sim.Time(100 * (i + 1))
+		tap.Frame(now, s.site, "eth0", data)
+		if got := stamps(); !reflect.DeepEqual(got, s.want) {
+			t.Fatalf("after %v: HostTx/ChanPush/DimmPop/DimmRx = %v, want %v", s.site, got, s.want)
+		}
+	}
+	// First observation wins at every site.
+	tap.Frame(900, netstack.TapTx, "eth0", data)
+	if sp.HostTx != 100 {
+		t.Fatalf("second tx overwrote HostTx: %v", sp.HostTx)
+	}
+	if want := []string{"tx@eth0", "push@eth0", "pop@eth0", "rx@eth0", "tx@eth0"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("fan-out saw %v, want %v", seen, want)
 	}
 
 	// Loopback stamps both ends at once (scale-up box: no fabric).
 	tr2, sp2 := mk()
-	(&StackTap{T: tr2}).Packet(300, "lo", "lo", data)
-	if sp2.HostTx != 300 || sp2.DimmRx != 300 {
-		t.Fatalf("lo: %v %v", sp2.HostTx, sp2.DimmRx)
+	tr2.Frame(300, netstack.TapLoop, "lo", data)
+	if sp2.HostTx != 300 || sp2.DimmRx != 300 || sp2.ChanPush != 0 || sp2.DimmPop != 0 {
+		t.Fatalf("lo: %v %v %v %v", sp2.HostTx, sp2.ChanPush, sp2.DimmPop, sp2.DimmRx)
+	}
+	if netstack.TapSite(99).String() != "?" {
+		t.Fatal("unknown site name")
 	}
 }
 
-type tapFunc func(dir string)
+type tapFunc func(site netstack.TapSite, dev string)
 
-func (f tapFunc) Packet(_ sim.Time, dir, _ string, _ []byte) { f(dir) }
+func (f tapFunc) Frame(_ sim.Time, site netstack.TapSite, dev string, _ []byte) { f(site, dev) }
 
 func TestWritePerfettoSchema(t *testing.T) {
 	cip, sip := netstack.IPv4(10, 0, 0, 1), netstack.IPv4(10, 0, 0, 2)
 	tr := NewTracer(1, 1, 0)
-	tr.FrameEvent(SiteHostTx, 1, tcpFrame(cip, sip, 5, 6, 1, netstack.TCPSyn, nil))
+	tr.Frame(1, netstack.TapTx, "", tcpFrame(cip, sip, 5, 6, 1, netstack.TCPSyn, nil))
 	f := tr.OpenFlow(cip, 5, sip, 6)
 	us := func(n int64) sim.Time { return sim.Time(n * int64(sim.Microsecond)) }
 	sp := tr.Start(us(1), 2, 0)

@@ -351,28 +351,34 @@ func TestMcntCorrelatorNackResend(t *testing.T) {
 	f.Queued(sp2, 24, sim.Time(1250), sim.Time(1300))
 
 	// First transmission: frame 1 carries bytes [0,10), frame 2 [10,25).
-	tr.McntHostTx(sim.Time(2000), mcntData(7, 1, 0, 10))
-	tr.McntHostTx(sim.Time(2300), mcntData(7, 2, 10, 15))
+	tr.Frame(sim.Time(2000), netstack.TapTx, "", mcntData(7, 1, 0, 10))
+	tr.Frame(sim.Time(2300), netstack.TapTx, "", mcntData(7, 2, 10, 15))
 	if sp1.HostTx != sim.Time(2000) || sp2.HostTx != sim.Time(2300) {
 		t.Fatalf("first stamps: %v %v", sp1.HostTx, sp2.HostTx)
 	}
 
 	// A NACK forces a go-back-N resend of both frames. The retransmitted
 	// DATA frames are byte-identical; the first stamp must win.
-	tr.McntHostTx(sim.Time(2600), mcntData(7, 1, 0, 10))
-	tr.McntHostTx(sim.Time(2650), mcntData(7, 2, 10, 15))
+	tr.Frame(sim.Time(2600), netstack.TapTx, "", mcntData(7, 1, 0, 10))
+	tr.Frame(sim.Time(2650), netstack.TapTx, "", mcntData(7, 2, 10, 15))
 	if sp1.HostTx != sim.Time(2000) || sp2.HostTx != sim.Time(2300) {
 		t.Fatalf("resend overwrote stamps: %v %v", sp1.HostTx, sp2.HostTx)
 	}
 
-	// Delivery side, dispatched through the generic FrameEvent on the
-	// mcnt EtherType: one frame covering both spans' bytes.
-	tr.FrameEvent(SiteDimmRx, sim.Time(2700), mcntData(7, 1, 0, 25))
+	// The channel taps see mcnt frames like any other ring message, and
+	// dispatch them on the EtherType the same way.
+	tr.Frame(sim.Time(2650), netstack.TapChanPush, "host0/mcn0", mcntData(7, 1, 0, 25))
+	if sp1.ChanPush != sim.Time(2650) || sp2.ChanPush != sim.Time(2650) {
+		t.Fatalf("ChanPush stamps: %v %v", sp1.ChanPush, sp2.ChanPush)
+	}
+
+	// Delivery side: one frame covering both spans' bytes.
+	tr.Frame(sim.Time(2700), netstack.TapRx, "", mcntData(7, 1, 0, 25))
 	if sp1.DimmRx != sim.Time(2700) || sp2.DimmRx != sim.Time(2700) {
 		t.Fatalf("DimmRx stamps: %v %v", sp1.DimmRx, sp2.DimmRx)
 	}
 	// The retransmit arrives late at the DIMM too; still first-wins.
-	tr.McntDimmRx(sim.Time(3000), mcntData(7, 1, 0, 25))
+	tr.Frame(sim.Time(3000), netstack.TapRx, "", mcntData(7, 1, 0, 25))
 	if sp1.DimmRx != sim.Time(2700) {
 		t.Fatal("resent delivery overwrote DimmRx")
 	}
@@ -383,18 +389,18 @@ func TestMcntCorrelatorNackResend(t *testing.T) {
 	// miss every pending span, and a frame too short to parse.
 	sp3 := tr.Start(sim.Time(3100), 0, 0)
 	f.Queued(sp3, 40, sim.Time(3200), sim.Time(3300))
-	tr.McntHostTx(sim.Time(3400), mcntFrame(mcnt.Header{Kind: mcnt.KindCredit, Stream: 7}, 0))
-	tr.McntHostTx(sim.Time(3400), mcntFrame(mcnt.Header{Kind: mcnt.KindData, Stream: 7, Seq: 3, Off: 25}, 16))
-	tr.McntHostTx(sim.Time(3400), mcntData(99, 1, 25, 16))
-	tr.McntHostTx(sim.Time(3400), mcntData(7, 3, 100, 16))
+	tr.Frame(sim.Time(3400), netstack.TapTx, "", mcntFrame(mcnt.Header{Kind: mcnt.KindCredit, Stream: 7}, 0))
+	tr.Frame(sim.Time(3400), netstack.TapTx, "", mcntFrame(mcnt.Header{Kind: mcnt.KindData, Stream: 7, Seq: 3, Off: 25}, 16))
+	tr.Frame(sim.Time(3400), netstack.TapTx, "", mcntData(99, 1, 25, 16))
+	tr.Frame(sim.Time(3400), netstack.TapTx, "", mcntData(7, 3, 100, 16))
 	short := make([]byte, netstack.EthHeaderBytes+4)
 	netstack.PutEth(short, netstack.EthHeader{Type: mcnt.EtherType})
-	tr.McntHostTx(sim.Time(3400), short)
+	tr.Frame(sim.Time(3400), netstack.TapTx, "", short)
 	if sp3.HostTx != 0 {
 		t.Fatalf("ignored frame stamped sp3 at %v", sp3.HostTx)
 	}
 	// The real frame still lands afterwards.
-	tr.McntHostTx(sim.Time(3500), mcntData(7, 3, 25, 16))
+	tr.Frame(sim.Time(3500), netstack.TapTx, "", mcntData(7, 3, 25, 16))
 	if sp3.HostTx != sim.Time(3500) {
 		t.Fatalf("sp3.HostTx = %v", sp3.HostTx)
 	}
@@ -406,7 +412,7 @@ func TestMcntCorrelatorNackResend(t *testing.T) {
 		TotalLen: uint16(len(frag) - netstack.EthHeaderBytes),
 		TTL:      64, Proto: netstack.ProtoTCP, Src: cip, Dst: sip, MF: true,
 	})
-	tr.FrameEvent(SiteChanPush, sim.Time(3600), frag)
+	tr.Frame(sim.Time(3600), netstack.TapChanPush, "", frag)
 	if sp3.ChanPush != 0 {
 		t.Fatalf("fragment stamped sp3 at %v", sp3.ChanPush)
 	}

@@ -9,8 +9,8 @@ import (
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/kvstore"
 	"github.com/mcn-arch/mcn/internal/netstack"
+	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/sim"
-	"github.com/mcn-arch/mcn/internal/trace"
 )
 
 // testBatch is the coalescing bound the batching tests run with.
@@ -107,7 +107,7 @@ func TestBatchWireConformance(t *testing.T) {
 	}
 	cfg.Clients = []cluster.Endpoint{{Node: s.Host.Node, IP: s.Host.HostMcnIP()}}
 
-	rec := trace.NewRecorder(1 << 17)
+	rec := obs.NewRecorder(1 << 17)
 	rec.CaptureBytes = true
 	s.Host.Stack.Tap = rec
 

@@ -83,8 +83,8 @@ type Config struct {
 	// Tracer, when set, samples per-request spans: Run wires it onto the
 	// client and shard-server network stacks (composing with any tap
 	// already attached) and into the kvstore servers, and the load
-	// drivers open/close the spans. The caller wires the MCN channel taps
-	// (core.ChannelTap) where the topology has them. Tracing charges no
+	// drivers open/close the spans. The caller wires the MCN channel and
+	// mcnt fabric taps where the topology has them. Tracing charges no
 	// simulated time and draws only from seeded streams, so a traced run
 	// is event-identical to an untraced one.
 	Tracer *obs.Tracer
@@ -571,9 +571,9 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 
 	// Observability: tap every distinct stack on the request path (client
 	// and shard sides — deduplicated, several endpoints can share one
-	// stack) and hand the tracer to the stores. Taps chain over anything
-	// already attached, and none of this runs when tracing is off, so an
-	// untraced run's event stream is exactly the seed's.
+	// stack) and hand the tracer to the stores. The tracer layers over any
+	// tap already attached, and none of this runs when tracing is off, so
+	// an untraced run's event stream is exactly the seed's.
 	if cfg.Tracer != nil {
 		tapped := make(map[*netstack.Stack]bool)
 		tap := func(st *netstack.Stack) {
@@ -581,7 +581,11 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 				return
 			}
 			tapped[st] = true
-			st.Tap = &obs.StackTap{T: cfg.Tracer, Chain: st.Tap}
+			if st.Tap == nil {
+				st.Tap = cfg.Tracer
+			} else {
+				st.Tap = netstack.Taps{cfg.Tracer, st.Tap}
+			}
 		}
 		for _, cl := range cfg.Clients {
 			tap(cl.Node.Stack)

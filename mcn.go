@@ -25,9 +25,7 @@
 package mcn
 
 import (
-	"github.com/mcn-arch/mcn/internal/admit"
 	"github.com/mcn-arch/mcn/internal/cluster"
-	"github.com/mcn-arch/mcn/internal/contutto"
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/energy"
 	"github.com/mcn-arch/mcn/internal/exp"
@@ -37,15 +35,12 @@ import (
 	"github.com/mcn-arch/mcn/internal/mcnt"
 	"github.com/mcn-arch/mcn/internal/mpi"
 	"github.com/mcn-arch/mcn/internal/netstack"
-	"github.com/mcn-arch/mcn/internal/nmop"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/npb"
 	"github.com/mcn-arch/mcn/internal/obs"
-	"github.com/mcn-arch/mcn/internal/replica"
 	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/stats"
-	"github.com/mcn-arch/mcn/internal/trace"
 	"github.com/mcn-arch/mcn/internal/workloads"
 )
 
@@ -63,8 +58,6 @@ type (
 
 // Duration units.
 const (
-	Picosecond  = sim.Picosecond
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
@@ -87,15 +80,13 @@ type (
 	Endpoint = cluster.Endpoint
 	// Host is a server node (with optional MCN driver and NIC).
 	Host = node.Host
-	// McnNode is the compute side of one MCN DIMM.
-	McnNode = node.McnNode
 	// NodeConfig describes one machine's resources (Table II defaults).
 	NodeConfig = node.Config
 	// McnRack is several MCN servers behind one top-of-rack switch; MCN
 	// nodes on different hosts communicate through the hosts' NICs.
 	McnRack = cluster.McnRack
 	// Prototype is the POWER8 + ConTutto proof-of-concept system.
-	Prototype = contutto.Prototype
+	Prototype = node.Prototype
 	// IP is an IPv4 address.
 	IP = netstack.IP
 )
@@ -133,7 +124,7 @@ func NewMcnRack(k *Kernel, nServers, dimmsPer int, opts Options) *McnRack {
 }
 
 // NewContutto builds the FPGA proof-of-concept prototype (Sec. V).
-func NewContutto(k *Kernel) *Prototype { return contutto.New(k) }
+func NewContutto(k *Kernel) *Prototype { return node.NewContutto(k) }
 
 // HostConfig returns the Table II host configuration.
 func HostConfig(name string) NodeConfig { return node.HostConfig(name) }
@@ -179,13 +170,9 @@ func PingSweep(k *Kernel, from Endpoint, to IP, sizes []int, perSize int) map[in
 	return workloads.PingSweep(k, from, to, sizes, perSize)
 }
 
-// MapReduce: a small Hadoop-style framework over the simulated network.
-type (
-	// MapReduceJob describes one MapReduce computation.
-	MapReduceJob = mapreduce.Job
-	// MapReduceKV is one emitted key/value pair.
-	MapReduceKV = mapreduce.KV
-)
+// MapReduceJob describes one MapReduce computation: a small Hadoop-style
+// framework over the simulated network.
+type MapReduceJob = mapreduce.Job
 
 // RunMapReduce executes a job on an MPI world (rank 0 drives, the rest
 // map and reduce); it returns the merged result on rank 0.
@@ -220,12 +207,6 @@ type (
 	FaultInjector = faults.Injector
 	// DimmFlap is a whole-DIMM offline window.
 	DimmFlap = faults.DimmFlap
-	// PortFlapWindow is a link carrier-flap window.
-	PortFlapWindow = faults.Window
-	// FaultCounters is one injection site's tally.
-	FaultCounters = stats.FaultCounters
-	// RecoveryCounters is one layer's detection/recovery tally.
-	RecoveryCounters = stats.RecoveryCounters
 )
 
 // NewFaultInjector creates an injector for the plan; attach it with the
@@ -239,10 +220,10 @@ func NewFaultInjector(k *Kernel, plan FaultPlan) *FaultInjector {
 // Tracer is a tcpdump-style packet capture; attach one to any node with
 // ep.Node.Stack.Tap = tracer, run the simulation, then print
 // tracer.Dump().
-type Tracer = trace.Recorder
+type Tracer = obs.Recorder
 
 // NewTracer returns a capture buffer holding up to max frames (0 = 4096).
-func NewTracer(max int) *Tracer { return trace.NewRecorder(max) }
+func NewTracer(max int) *Tracer { return obs.NewRecorder(max) }
 
 // Energy accounting.
 type PowerTable = energy.Power
@@ -307,24 +288,12 @@ func FaultSweep(seed uint64, rates []float64) *FaultSweepResult {
 // Serving benchmark: load generation, shard routing and tail-latency
 // telemetry for running MCN as a key/value cache tier.
 type (
-	// ServeWorkload is the keyspace, popularity and op-mix shape.
-	ServeWorkload = serve.Workload
-	// ServeShard is one kvstore target of the shard router.
-	ServeShard = serve.Shard
 	// ServeResult is one run's telemetry (HDR histograms, per-shard
 	// slices, warmup-trimmed summary).
 	ServeResult = serve.Result
-	// ServeSummary is the headline line of one run.
-	ServeSummary = serve.Summary
-	// ServeBatchConfig bounds request coalescing on shard connections.
-	ServeBatchConfig = serve.BatchConfig
-	// HDR is a log-bucketed latency histogram (record/merge/quantile).
-	HDR = stats.HDR
 	// ServeCurveResult is the latency-vs-throughput sweep across
 	// topologies.
 	ServeCurveResult = exp.ServeCurveResult
-	// ServeTopoCurve is one topology's slice of the sweep.
-	ServeTopoCurve = exp.ServeTopoCurve
 	// ServeFaultsResult is the serving run with a DIMM flap mid-window.
 	ServeFaultsResult = exp.ServeFaultsResult
 	// ServeBatchResult is the batching off/on A/B on the mcn5 fabric.
@@ -336,45 +305,11 @@ type (
 	ServeReplResult = exp.ServeReplResult
 )
 
-// Replication: R=2 primary/backup pairs across the DIMM shards with
-// breaker-driven failover and versioned anti-entropy catch-up
-// (internal/replica).
-type (
-	// ReplConfig tunes the replication plane; the zero value disables it.
-	ReplConfig = replica.Config
-	// ReplManager owns the forward queues and catch-up procs of every
-	// primary/backup pair.
-	ReplManager = replica.Manager
-	// ReplCounters is the whole-run replication tally.
-	ReplCounters = stats.ReplCounters
-	// ReplEvent is one failover/catch-up transition in the replication
-	// timeline.
-	ReplEvent = stats.ReplEvent
-)
-
 // DefaultServeRepl is the replication configuration the "+repl" serving
-// topologies use (internal/replica defaults; implies admission control).
+// topologies use: R=2 primary/backup pairs across the DIMM shards with
+// breaker-driven failover and versioned anti-entropy catch-up
+// (internal/replica defaults; implies admission control).
 var DefaultServeRepl = exp.DefaultServeRepl
-
-// Admission control: per-shard health tracking and circuit breakers
-// between the serving tier's load drivers and its shard router.
-type (
-	// AdmitPolicy selects what happens to a request whose shard is open:
-	// re-route to the next vnode owner or shed (fast-fail).
-	AdmitPolicy = admit.Policy
-	// AdmitState is one breaker's state (closed, open, half-open).
-	AdmitState = admit.State
-	// AdmitCounters is the whole-run admission tally.
-	AdmitCounters = stats.AdmitCounters
-	// HealthEvent is one breaker state transition in the health timeline.
-	HealthEvent = stats.HealthEvent
-)
-
-// Admission policies.
-const (
-	AdmitReroute = admit.Reroute
-	AdmitShed    = admit.Shed
-)
 
 // Topo is one serving topology as a typed value: a fabric ("mcn0",
 // "mcn5", "10gbe", "scaleup") plus the planes switched on over it — Batch
@@ -434,26 +369,11 @@ func ServeRepl(seed uint64) *ServeReplResult { return exp.ServeRepl(seed) }
 // fallback (internal/nmop, serve.OpsConfig). A "+ops" suffix on a
 // serving topology mixes the default operator traffic into the workload.
 type (
-	// ServeOpsConfig mixes near-memory operator traffic into a serving
-	// run's workload.
-	ServeOpsConfig = serve.OpsConfig
-	// OpsMode forces an operator's execution path or lets the cost model
-	// decide (OpsModeAuto/OpsModeHost/OpsModeDimm).
-	OpsMode = nmop.Mode
 	// OpsCounters tallies a run's operator traffic by family.
 	OpsCounters = stats.OpsCounters
 	// ServeOpsResult is the selectivity sweep of host vs on-DIMM vs auto
 	// execution with the calibration that preceded it.
 	ServeOpsResult = exp.ServeOpsResult
-	// ServeOpsRow is one selectivity's host/dimm/auto triple.
-	ServeOpsRow = exp.ServeOpsRow
-)
-
-// Operator execution modes.
-const (
-	OpsModeAuto = nmop.ModeAuto
-	OpsModeHost = nmop.ModeHost
-	OpsModeDimm = nmop.ModeDimm
 )
 
 // ServeOps runs the near-memory operator experiment: calibrate, then
@@ -462,12 +382,9 @@ const (
 // figure of the offload argument.
 func ServeOps(seed uint64) *ServeOpsResult { return exp.ServeOps(seed) }
 
-// WallBenchPoint is the simulator's event budget for one serving point;
-// WallBenchResult is the BENCH_wallclock.json artifact shape.
-type (
-	WallBenchPoint  = exp.WallBenchPoint
-	WallBenchResult = exp.WallBenchResult
-)
+// WallBenchResult is the BENCH_wallclock.json artifact shape: the
+// simulator's event budget for each serving point.
+type WallBenchResult = exp.WallBenchResult
 
 // WallBench counts the simulator's kernel work (events, requests,
 // pushes, switches, spawns, ...) over the canonical serving topologies and
@@ -526,19 +443,11 @@ func ServeMcnt(seed uint64, rates []float64) *ServeMcntResult { return exp.Serve
 // and the Perfetto/Chrome trace export (internal/obs).
 type (
 	// SpanTracer samples requests into spans whose phase breakdowns
-	// telescope exactly to end-to-end latency. (Tracer is the older
+	// telescope exactly to end-to-end latency. (Tracer is the
 	// packet-capture recorder.)
 	SpanTracer = obs.Tracer
-	// Span is one traced request: its boundary stamps and identity.
-	Span = obs.Span
-	// Phase indexes the eight request phases (ClientQueue..ReturnPath).
-	Phase = obs.Phase
 	// Registry is the unified metrics registry (counters, gauges, HDRs).
 	Registry = obs.Registry
-	// MetricsSnapshot is one deterministic sim-time-stamped snapshot.
-	MetricsSnapshot = obs.Snapshot
-	// PhaseAttrib is one row of the per-phase latency attribution.
-	PhaseAttrib = obs.Attrib
 	// ServeTraceResult is one traced serving run: telemetry + tracer +
 	// metrics snapshot.
 	ServeTraceResult = exp.ServeTraceResult
@@ -551,12 +460,6 @@ type (
 // burn-rate monitor and the cross-subsystem incident attributor
 // (internal/obs Timeline).
 type (
-	// TimelineWindow is one sampling interval's raw tallies.
-	TimelineWindow = obs.TimeWindow
-	// TimelineAlert is one burn-rate monitor transition.
-	TimelineAlert = obs.AlertEvent
-	// TimelineIncident is one attributed firing episode.
-	TimelineIncident = obs.Incident
 	// CombinedTrace renders spans, registry snapshot and timeline
 	// counter tracks into one Perfetto artifact.
 	CombinedTrace = obs.PerfettoTrace

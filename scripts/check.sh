@@ -31,10 +31,10 @@ go test -race ./internal/sim ./internal/core ./internal/dram ./internal/admit ./
 echo ">> go test -race -run 'Timeline|BurnMonitor' ./internal/exp ."
 go test -race -run 'Timeline|BurnMonitor' ./internal/exp .
 
-# The long simulation packages (contutto's NIOS-II bulk transfer, the MPI
-# suite) multiply by the race detector's overhead; on a loaded machine
-# they can brush go test's default 10-minute per-binary timeout, so the
-# full race pass gets an explicit generous one.
+# The long simulation packages (internal/exp's figure and serving sweeps,
+# the core driver suite) multiply by the race detector's overhead; on a
+# loaded machine they can brush go test's default 10-minute per-binary
+# timeout, so the full race pass gets an explicit generous one.
 echo ">> go test -race -timeout 30m $* ./..."
 go test -race -timeout 30m "$@" ./...
 

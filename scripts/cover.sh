@@ -26,7 +26,6 @@ BEGIN {
     f[pre] = 27
     f[pre "/internal/admit"] = 90
     f[pre "/internal/cluster"] = 72
-    f[pre "/internal/contutto"] = 97
     f[pre "/internal/core"] = 77
     f[pre "/internal/cpu"] = 85
     f[pre "/internal/dram"] = 89
@@ -49,7 +48,6 @@ BEGIN {
     f[pre "/internal/sim"] = 94
     f[pre "/internal/sram"] = 88
     f[pre "/internal/stats"] = 83
-    f[pre "/internal/trace"] = 79
     f[pre "/internal/workloads"] = 92
 }
 $1 == "ok" && /coverage:/ {
