@@ -28,7 +28,7 @@ type Conn struct {
 	sendSig *sim.Signal
 
 	// Receive direction (bytes the peer emits to us).
-	rxbuf     []byte
+	rxbuf     netstack.ByteRing
 	rcvdB     uint64 // cumulative payload bytes delivered in order
 	consumedB uint64 // cumulative bytes the application has consumed
 	lastGrant uint64 // last consumedB value announced to the peer
@@ -125,24 +125,21 @@ func (c *Conn) SendN(p *sim.Proc, n int) error {
 }
 
 // Buffered reports bytes received but not yet consumed.
-func (c *Conn) Buffered() int { return len(c.rxbuf) }
+func (c *Conn) Buffered() int { return c.rxbuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available.
 // It returns 0, false at end of stream.
 func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	st := c.ep.n.Stack
 	st.CPU.Exec(p, st.Costs.SocketCycles)
-	for len(c.rxbuf) == 0 {
+	for c.rxbuf.Len() == 0 {
 		if c.peerClosed || c.closed {
 			return 0, false
 		}
 		c.rxSig.Wait(p)
 	}
-	n := copy(buf, c.rxbuf)
-	c.rxbuf = c.rxbuf[n:]
-	if len(c.rxbuf) == 0 {
-		c.rxbuf = nil
-	}
+	n := c.rxbuf.CopyAt(buf, 0)
+	c.rxbuf.Discard(n)
 	c.chargeCopy(p, n)
 	c.consumedB += uint64(n)
 	// Return credit once half a window has accumulated unannounced;
@@ -156,7 +153,7 @@ func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 // RecvN consumes and discards up to n bytes, returning the count
 // actually received before close.
 func (c *Conn) RecvN(p *sim.Proc, n int) int {
-	buf := make([]byte, 64<<10)
+	buf := c.ep.n.Stack.DiscardBuf()
 	got := 0
 	for got < n {
 		want := n - got

@@ -342,7 +342,7 @@ func (l *linkEnd) onSequenced(p *sim.Proc, h Header, payload []byte, raw []byte)
 		if c == nil {
 			break
 		}
-		c.rxbuf = append(c.rxbuf, payload...)
+		c.rxbuf.Write(payload)
 		c.rcvdB += uint64(len(payload))
 		c.rxSig.Notify()
 		if !ep.isHost && f.tap != nil {

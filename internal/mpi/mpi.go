@@ -245,8 +245,6 @@ func (r *Rank) Sendrecv(dst, n, src int) int {
 	done := r.W.K.NewSignal()
 	finished := false
 	r.W.K.Go(fmt.Sprintf("mpi/rank%d/sr", r.ID), func(p *sim.Proc) {
-		saved := r.P
-		_ = saved
 		c := r.conns[dst]
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))

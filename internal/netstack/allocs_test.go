@@ -1,8 +1,10 @@
 package netstack
 
 import (
+	"runtime"
 	"testing"
 
+	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
@@ -85,4 +87,54 @@ func TestAllocsUDPLoopback(t *testing.T) {
 	if avg > ceiling {
 		t.Fatalf("UDP loopback roundtrip allocates %.1f objects, ceiling %d", avg, ceiling)
 	}
+}
+
+// TestAllocsTCPBulk bounds a warmed loopback connection's 64KB Send+Recv
+// round, in objects and in bytes. The socket buffers are byte rings that
+// reuse their space, so once warmed a round allocates only per-packet
+// bookkeeping (loopback delivery procs and their closures: 20 objects,
+// under 1KB), never a copy of the buffered bytes (sliding append
+// buffers cost about 130KB per round).
+func TestAllocsTCPBulk(t *testing.T) {
+	k := sim.NewKernel()
+	s := NewStack(k, cpu.New(k, "h", 2, sim.GHz(3), cpu.DefaultOSCosts()), "h", DefaultProtoCosts())
+	var cli, srv *TCPConn
+	k.Go("server", func(p *sim.Proc) {
+		l, _ := s.Listen(80)
+		srv, _ = l.Accept(p)
+	})
+	k.Go("client", func(p *sim.Proc) {
+		cli, _ = s.Connect(p, Loopback, 80)
+	})
+	k.RunUntil(k.Now().Add(sim.Millisecond))
+	payload := make([]byte, 64<<10)
+	buf := make([]byte, 64<<10)
+	round := func() {
+		k.Go("tx", func(p *sim.Proc) { cli.Send(p, payload) })
+		k.Go("rx", func(p *sim.Proc) {
+			for got := 0; got < len(payload); {
+				n, _ := srv.Recv(p, buf)
+				got += n
+			}
+		})
+		k.RunUntil(k.Now().Add(sim.Millisecond))
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	avg := testing.AllocsPerRun(128, round)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 128; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / 128
+	t.Logf("per 64KB TCP round: %.1f allocs, %d bytes", avg, perRound)
+	const ceiling, byteCeiling = 28, 8 << 10
+	if avg > ceiling || perRound > byteCeiling {
+		t.Fatalf("64KB TCP Send+Recv round allocates %.1f objects (ceiling %d), %d bytes (ceiling %d)",
+			avg, ceiling, perRound, byteCeiling)
+	}
+	k.Shutdown()
 }

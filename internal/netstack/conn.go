@@ -30,6 +30,63 @@ type Conn interface {
 	Tuple() (local IP, lport uint16, remote IP, rport uint16)
 }
 
+// ByteRing is the socket buffer of both transports: a circular byte FIFO
+// whose backing array starts at ringMinBytes on the first Write and
+// doubles when full. Consumed space is reused in place, so a streaming
+// connection stops allocating once its ring has grown to the peak
+// occupancy; callers enforce the buffer caps. The zero value is empty.
+type ByteRing struct {
+	buf     []byte
+	head, n int
+}
+
+const ringMinBytes = 4 << 10
+
+// Len reports the bytes held.
+func (r *ByteRing) Len() int { return r.n }
+
+// Write appends b.
+func (r *ByteRing) Write(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if need := r.n + len(b); need > len(r.buf) {
+		size := max(len(r.buf), ringMinBytes)
+		for size < need {
+			size *= 2
+		}
+		buf := make([]byte, size)
+		r.CopyAt(buf, 0)
+		r.buf, r.head = buf, 0
+	}
+	tail := (r.head + r.n) % len(r.buf)
+	m := copy(r.buf[tail:], b)
+	copy(r.buf, b[m:])
+	r.n += len(b)
+}
+
+// CopyAt copies the bytes from off past the head into dst without
+// consuming them and returns the count: min(len(dst), Len()-off).
+func (r *ByteRing) CopyAt(dst []byte, off int) int {
+	if off >= r.n {
+		return 0
+	}
+	dst = dst[:min(len(dst), r.n-off)]
+	m := copy(dst, r.buf[(r.head+off)%len(r.buf):])
+	copy(dst[m:], r.buf)
+	return len(dst)
+}
+
+// Discard consumes the first n bytes; n must not exceed Len.
+func (r *ByteRing) Discard(n int) {
+	r.n -= n
+	if r.n == 0 {
+		r.head = 0 // the next Write starts contiguous
+		return
+	}
+	r.head = (r.head + n) % len(r.buf)
+}
+
 // Acceptor accepts inbound connections on a listening port.
 type Acceptor interface {
 	AcceptConn(p *sim.Proc) (Conn, error)

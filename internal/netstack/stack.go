@@ -154,8 +154,9 @@ type Stack struct {
 	// toward its DIMMs (the cross-host scenario of Sec. III-B).
 	Bridge func(p *sim.Proc, dev NetDev, frame []byte) bool
 
-	ifaces []*Iface
-	pool   framePool
+	ifaces  []*Iface
+	pool    framePool
+	discard []byte // see DiscardBuf
 
 	// Transport state.
 	conns     map[fourTuple]*TCPConn
@@ -245,6 +246,16 @@ func (s *Stack) RecycleFrameBuf(b []byte) {
 	}
 	c := frameClass(cap(b))
 	s.pool.class[c] = append(s.pool.class[c], b)
+}
+
+// DiscardBuf returns the stack's 64KB sink for received bytes that are
+// thrown away (RecvN, RecvAll); nothing reads it back. It is per stack
+// so worlds simulated on parallel goroutines never share it.
+func (s *Stack) DiscardBuf() []byte {
+	if s.discard == nil {
+		s.discard = make([]byte, 64<<10)
+	}
+	return s.discard
 }
 
 // NewStack creates a stack on the given CPU.

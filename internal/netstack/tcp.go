@@ -62,7 +62,7 @@ type TCPConn struct {
 	mss   int
 
 	// Send state.
-	sndBuf    []byte // bytes from sndUna onward (unacked + unsent)
+	sndBuf    ByteRing // bytes from sndUna onward (unacked + unsent)
 	sndUna    uint32
 	sndNxt    uint32 // next sequence to (re)transmit
 	sndMax    uint32 // highest sequence ever transmitted
@@ -76,7 +76,7 @@ type TCPConn struct {
 	finAcked  bool
 
 	// Receive state.
-	rcvBuf  []byte
+	rcvBuf  ByteRing
 	rcvNxt  uint32
 	ooo     map[uint32][]byte // out-of-order segments by seq
 	gotFin  bool
@@ -205,7 +205,7 @@ func (s *Stack) Connect(p *sim.Proc, dst IP, port uint16) (*TCPConn, error) {
 	c := s.newConn(t, ifc)
 	c.state = tcpSynSent
 	c.sndUna, c.sndNxt = 1, 1
-	c.sendSegment(p, TCPSyn, 1, 0, nil)
+	c.sendSegment(p, TCPSyn, 1, 0)
 	c.sndNxt = 2
 	c.sndMax = 2
 	c.rto.Reset(c.currentRTO())
@@ -252,7 +252,7 @@ func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
 		if c.closed || c.finQueued {
 			return fmt.Errorf("netstack(%s): send on closed connection", c.s.Host)
 		}
-		space := tcpSndBufCap - len(c.sndBuf)
+		space := tcpSndBufCap - c.sndBuf.Len()
 		if space == 0 {
 			c.writable.Wait(p)
 			continue
@@ -263,22 +263,24 @@ func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
 		}
 		// Copy user data into the kernel send buffer.
 		c.s.chargeCopy(p, n)
-		c.sndBuf = append(c.sndBuf, data[:n]...)
+		c.sndBuf.Write(data[:n])
 		data = data[n:]
 		c.sendable.Notify()
 	}
 	return nil
 }
 
+// zeroChunk is SendN's synthetic payload; nothing writes to it.
+var zeroChunk = make([]byte, 64<<10)
+
 // SendN sends n synthetic bytes (a convenience for traffic generators).
 func (c *TCPConn) SendN(p *sim.Proc, n int) error {
-	chunk := make([]byte, 64<<10)
 	for n > 0 {
 		m := n
-		if m > len(chunk) {
-			m = len(chunk)
+		if m > len(zeroChunk) {
+			m = len(zeroChunk)
 		}
-		if err := c.Send(p, chunk[:m]); err != nil {
+		if err := c.Send(p, zeroChunk[:m]); err != nil {
 			return err
 		}
 		n -= m
@@ -290,25 +292,27 @@ func (c *TCPConn) SendN(p *sim.Proc, n int) error {
 // batched server uses it to decide whether another request is already on
 // hand (keep accumulating the response burst) or the next read would park
 // (flush first).
-func (c *TCPConn) Buffered() int { return len(c.rcvBuf) }
+func (c *TCPConn) Buffered() int { return c.rcvBuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available. It
 // returns 0, false at end of stream.
 func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	c.s.CPU.Exec(p, c.s.Costs.SocketCycles)
-	for len(c.rcvBuf) == 0 {
+	for c.rcvBuf.Len() == 0 {
 		if c.gotFin || c.closed {
 			return 0, false
 		}
 		c.readable.Wait(p)
 	}
-	n := copy(buf, c.rcvBuf)
+	n := c.rcvBuf.CopyAt(buf, 0)
 	c.s.chargeCopy(p, n)
-	c.rcvBuf = c.rcvBuf[n:]
+	// The bytes stay buffered through the copy charge: the window any
+	// segment advertises meanwhile still counts them.
+	c.rcvBuf.Discard(n)
 	// Window update: if the advertised window was (nearly) closed and
 	// draining reopened it, tell the peer or it will stall forever.
 	if !c.closed && c.state != tcpClosed {
-		newWnd := uint32(tcpRcvBufCap - len(c.rcvBuf))
+		newWnd := uint32(tcpRcvBufCap - c.rcvBuf.Len())
 		if c.lastAdvWnd < uint32(2*c.mss) && newWnd >= uint32(4*c.mss) {
 			c.sendAck(p)
 		}
@@ -319,7 +323,7 @@ func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 // RecvN discards exactly n bytes from the stream (traffic sink); it
 // reports how many bytes were actually read before EOF.
 func (c *TCPConn) RecvN(p *sim.Proc, n int) int {
-	buf := make([]byte, 64<<10)
+	buf := c.s.DiscardBuf()
 	got := 0
 	for got < n {
 		want := n - got
@@ -337,7 +341,7 @@ func (c *TCPConn) RecvN(p *sim.Proc, n int) int {
 
 // RecvAll drains the stream until EOF, returning the byte count.
 func (c *TCPConn) RecvAll(p *sim.Proc) int {
-	buf := make([]byte, 64<<10)
+	buf := c.s.DiscardBuf()
 	total := 0
 	for {
 		n, ok := c.Recv(p, buf)
@@ -416,7 +420,7 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 	sentAny := false
 	for {
 		inFlight := int(c.sndNxt - c.sndUna)
-		unsent := len(c.sndBuf) - inFlight
+		unsent := c.sndBuf.Len() - inFlight
 		window := c.cwnd
 		if int(c.rwnd) < window {
 			window = int(c.rwnd)
@@ -446,13 +450,13 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 			if tsoSeg != 0 && n <= c.mss {
 				tsoSeg = 0
 			}
-			data := c.sndBuf[inFlight : inFlight+n]
+			seg := c.stageData(inFlight, n)
 			seq := c.sndNxt
 			c.sndNxt += uint32(n)
 			if SeqGT(c.sndNxt, c.sndMax) {
 				c.sndMax = c.sndNxt
 			}
-			c.emitData(p, seq, data, tsoSeg)
+			c.emitData(p, seq, seg, tsoSeg)
 			sentAny = true
 			continue
 		}
@@ -466,7 +470,7 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 			case tcpCloseWait:
 				c.state = tcpLastAck
 			}
-			c.sendSegment(p, TCPFin|TCPAck, c.sndNxt, c.rcvNxt, nil)
+			c.sendSegment(p, TCPFin|TCPAck, c.sndNxt, c.rcvNxt)
 			c.sndNxt++
 			if SeqGT(c.sndNxt, c.sndMax) {
 				c.sndMax = c.sndNxt
@@ -480,23 +484,23 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 	}
 }
 
-// emitData sends one data segment (or TSO chunk) starting at seq.
-func (c *TCPConn) emitData(p *sim.Proc, seq uint32, data []byte, tsoSeg int) {
+// emitData sends one staged data segment (or TSO chunk) starting at seq.
+func (c *TCPConn) emitData(p *sim.Proc, seq uint32, seg []byte, tsoSeg int) {
+	n := len(seg) - TCPHeaderBytes
 	// Per-segment protocol cost: with TSO one cost covers the whole
 	// chunk; without it each MSS pays its own way.
 	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles)
-	c.s.chargeCopy(p, len(data))
-	c.s.chargeChecksumOn(p, len(data)+TCPHeaderBytes, c.ifc.Dev)
-	flags := uint8(TCPAck | TCPPsh)
-	c.sendPayload(p, flags, seq, c.rcvNxt, data, tsoSeg)
+	c.s.chargeCopy(p, n)
+	c.s.chargeChecksumOn(p, len(seg), c.ifc.Dev)
+	c.sendPayload(p, seg, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
 	c.SegsSent++
-	c.BytesSent.Add(p.Now(), int64(len(data)))
+	c.BytesSent.Add(p.Now(), int64(n))
 	if !c.rto.Pending() {
 		c.rto.Reset(c.currentRTO())
 	}
 	if !c.rtActive {
 		c.rtActive = true
-		c.rtSeq = seq + uint32(len(data))
+		c.rtSeq = seq + uint32(n)
 		c.rtStart = p.Now()
 	}
 	// Data segments carry the latest ack; delayed-ack state resets.
@@ -504,30 +508,40 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, data []byte, tsoSeg int) {
 }
 
 // sendSegment emits a control segment (SYN, FIN, pure ACK).
-func (c *TCPConn) sendSegment(p *sim.Proc, flags uint8, seq, ack uint32, payload []byte) {
+func (c *TCPConn) sendSegment(p *sim.Proc, flags uint8, seq, ack uint32) {
 	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles/2)
-	c.s.chargeChecksumOn(p, TCPHeaderBytes+len(payload), c.ifc.Dev)
-	c.sendPayload(p, flags, seq, ack, payload, 0)
+	c.s.chargeChecksumOn(p, TCPHeaderBytes, c.ifc.Dev)
+	c.sendPayload(p, c.s.GetFrameBuf(TCPHeaderBytes), flags, seq, ack, 0)
 }
 
-func (c *TCPConn) sendPayload(p *sim.Proc, flags uint8, seq, ack uint32, payload []byte, tsoSeg int) {
+// stageData copies n send-buffer bytes from off into the payload of a
+// fresh segment buffer. A data segment is staged before its first CPU
+// charge: the ring reuses the space ACKs free, so a view into sndBuf held
+// across a park could be overwritten by a Send that runs meanwhile.
+func (c *TCPConn) stageData(off, n int) []byte {
+	seg := c.s.GetFrameBuf(TCPHeaderBytes + n)
+	c.sndBuf.CopyAt(seg[TCPHeaderBytes:], off)
+	return seg
+}
+
+// sendPayload fills in the header of seg, whose payload is already in
+// place, and sends it. The segment buffer comes from the stack's frame
+// pool: sendIP copies it into the wire frame (or loopback packet) before
+// returning, so it goes straight back. A per-conn scratch would not do —
+// two procs of the same connection can both be parked between staging
+// and sendIP's copy (CPU charge, ARP resolution).
+func (c *TCPConn) sendPayload(p *sim.Proc, seg []byte, flags uint8, seq, ack uint32, tsoSeg int) {
+	payload := seg[TCPHeaderBytes:]
 	if len(payload) > 0 && SeqGT(seq+uint32(len(payload)), c.sndMax) {
 		panic(fmt.Sprintf("netstack(%s) %s: emitting seq %d..%d beyond sndMax %d",
 			c.s.Host, c.tuple, seq, seq+uint32(len(payload)), c.sndMax))
 	}
-	// The segment buffer comes from the stack's frame pool: sendIP copies
-	// it into the wire frame (or loopback packet) before returning, so it
-	// can go straight back. A per-conn scratch would not do — two procs
-	// of the same connection can both be parked inside sendIP (CPU charge,
-	// ARP resolution) before their copies happen.
-	seg := c.s.GetFrameBuf(TCPHeaderBytes + len(payload))
-	wnd := uint32(tcpRcvBufCap - len(c.rcvBuf))
+	wnd := uint32(tcpRcvBufCap - c.rcvBuf.Len())
 	c.lastAdvWnd = wnd
 	PutTCP(seg, TCPHeader{
 		SrcPort: c.tuple.lport, DstPort: c.tuple.rport,
 		Seq: seq, Ack: ack, Flags: flags, Window: wnd,
 	}, c.tuple.lip, c.tuple.rip, payload)
-	copy(seg[TCPHeaderBytes:], payload)
 	_ = c.s.sendIP(p, ProtoTCP, c.tuple.lip, c.tuple.rip, seg, tsoSeg)
 	c.s.RecycleFrameBuf(seg)
 }
@@ -586,9 +600,9 @@ func (c *TCPConn) onRTO() {
 		c.rtActive = false
 		switch c.state {
 		case tcpSynSent:
-			c.sendSegment(p, TCPSyn, c.sndUna, 0, nil)
+			c.sendSegment(p, TCPSyn, c.sndUna, 0)
 		case tcpSynRcvd:
-			c.sendSegment(p, TCPSyn|TCPAck, c.sndUna, c.rcvNxt, nil)
+			c.sendSegment(p, TCPSyn|TCPAck, c.sndUna, c.rcvNxt)
 		default:
 			c.sndNxt = c.sndUna
 			if c.finSent {
@@ -614,7 +628,7 @@ func (c *TCPConn) onDelAckTimer() {
 
 func (c *TCPConn) sendAck(p *sim.Proc) {
 	c.AcksSent++
-	c.sendSegment(p, TCPAck, c.sndNxt, c.rcvNxt, nil)
+	c.sendSegment(p, TCPAck, c.sndNxt, c.rcvNxt)
 	c.ackCarried()
 }
 
@@ -687,7 +701,7 @@ func (l *Listener) onSyn(p *sim.Proc, t fourTuple, th TCPHeader) {
 	c.irsInit(th)
 	c.sndUna, c.sndNxt, c.sndMax = 1, 2, 2
 	c.acceptor = l
-	c.sendSegment(p, TCPSyn|TCPAck, 1, c.rcvNxt, nil)
+	c.sendSegment(p, TCPSyn|TCPAck, 1, c.rcvNxt)
 	c.rto.Reset(c.currentRTO())
 }
 
@@ -804,10 +818,7 @@ func (c *TCPConn) processAck(p *sim.Proc, ack uint32) {
 		c.finAcked = true
 		c.finSent = true // a pre-rewind FIN transmission was acked
 	}
-	if dataAcked > len(c.sndBuf) {
-		dataAcked = len(c.sndBuf)
-	}
-	c.sndBuf = c.sndBuf[dataAcked:]
+	c.sndBuf.Discard(min(dataAcked, c.sndBuf.Len()))
 	c.writable.Notify()
 
 	// Congestion control with appropriate byte counting (RFC 3465): a
@@ -853,17 +864,10 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 	// flight: the send buffer also holds unsent data, and transmitting it
 	// here without advancing sndNxt/sndMax would let the peer acknowledge
 	// sequence numbers the sender believes it never sent.
-	n := c.mss
-	if sent := int(c.sndMax - c.sndUna); n > sent {
-		n = sent
-	}
-	if n > len(c.sndBuf) {
-		n = len(c.sndBuf)
-	}
-	if n > 0 {
-		data := c.sndBuf[:n]
-		c.s.chargeChecksum(p, n+TCPHeaderBytes)
-		c.sendPayload(p, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, data, 0)
+	if n := min(c.mss, int(c.sndMax-c.sndUna), c.sndBuf.Len()); n > 0 {
+		seg := c.stageData(0, n)
+		c.s.chargeChecksum(p, len(seg))
+		c.sendPayload(p, seg, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0)
 		c.SegsSent++
 	}
 	c.rtActive = false
@@ -890,7 +894,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 		payload = payload[skip:]
 		seq = c.rcvNxt
 	}
-	room := tcpRcvBufCap - len(c.rcvBuf)
+	room := tcpRcvBufCap - c.rcvBuf.Len()
 	if len(payload) > room {
 		payload = payload[:room] // receiver window enforcement
 		if len(payload) == 0 {
@@ -899,7 +903,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 		}
 	}
 	c.s.chargeCopy(p, len(payload))
-	c.rcvBuf = append(c.rcvBuf, payload...)
+	c.rcvBuf.Write(payload)
 	c.rcvNxt += uint32(len(payload))
 	c.BytesRcvd.Add(p.Now(), int64(len(payload)))
 	// Drain any now-contiguous out-of-order segments.
@@ -909,14 +913,14 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 			break
 		}
 		delete(c.ooo, c.rcvNxt)
-		room := tcpRcvBufCap - len(c.rcvBuf)
+		room := tcpRcvBufCap - c.rcvBuf.Len()
 		if len(next) > room {
 			next = next[:room]
 		}
 		if len(next) == 0 {
 			break
 		}
-		c.rcvBuf = append(c.rcvBuf, next...)
+		c.rcvBuf.Write(next)
 		c.rcvNxt += uint32(len(next))
 		c.BytesRcvd.Add(p.Now(), int64(len(next)))
 	}
@@ -941,13 +945,19 @@ func (c *TCPConn) processFin(p *sim.Proc, seq uint32, payloadLen int) {
 	}
 	c.rcvNxt++
 	c.gotFin = true
+	// Enter CLOSE_WAIT before the ACK parks: a reader this FIN wakes may
+	// close meanwhile, and must go to LAST_ACK, not to a FIN_WAIT_1 that
+	// the switch below would tear down with data still unacknowledged.
+	passive := c.state == tcpEstablished
+	if passive {
+		c.state = tcpCloseWait
+	}
 	c.readable.Notify()
 	c.sendAck(p)
-	switch c.state {
-	case tcpEstablished:
-		c.state = tcpCloseWait
+	switch {
+	case passive:
 		c.stateSig.Notify()
-	case tcpFinWait1, tcpFinWait2:
+	case c.state == tcpFinWait1 || c.state == tcpFinWait2:
 		// Simultaneous or normal close completion; skip TIME_WAIT.
 		c.teardown(nil)
 	}
@@ -962,7 +972,7 @@ func (s *Stack) DumpConns() string {
 	for t, c := range s.conns {
 		b = append(b, fmt.Sprintf(
 			"%s state=%d sndUna=%d sndNxt=%d sndMax=%d sndBuf=%d rcvBuf=%d rcvNxt=%d cwnd=%d rwnd=%d ooo=%d rto=%v finQ=%v finSent=%v\n",
-			t, c.state, c.sndUna, c.sndNxt, c.sndMax, len(c.sndBuf), len(c.rcvBuf),
+			t, c.state, c.sndUna, c.sndNxt, c.sndMax, c.sndBuf.Len(), c.rcvBuf.Len(),
 			c.rcvNxt, c.cwnd, c.rwnd, len(c.ooo), c.rto.Pending(), c.finQueued, c.finSent)...)
 	}
 	return string(b)

@@ -13,16 +13,18 @@ echo ">> go vet ./..."
 go vet ./...
 
 # Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
-# the serving tier, its admission plane, the replication plane, the
-# observability plane (spans, registry and the windowed timeline/burn
-# monitor), the mcnt transport and the near-memory operator layer first:
-# the kernel's coroutine switches between the event loop and process
-# bodies, the core/dram callback state machines that share Resources
-# with those processes, and the concurrency-heavy
+# the TCP/IP stack, the serving tier, its admission plane, the
+# replication plane, the observability plane (spans, registry and the
+# windowed timeline/burn monitor), the mcnt transport and the near-memory
+# operator layer first: the kernel's coroutine switches between the event
+# loop and process bodies, the core/dram callback state machines that
+# share Resources with those processes, the socket-buffer rings that TCP
+# and mcnt processes fill and drain around their CPU-charge parks (with
+# the stack's stream-integrity fuzz seeds), and the concurrency-heavy
 # breaker/loadgen/forwarder/tracer/retransmit interplay mean a race in
 # these packages fails fast before the full suite spins up.
-echo ">> go test -race ./internal/sim ./internal/core ./internal/dram ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
-go test -race ./internal/sim ./internal/core ./internal/dram ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
+echo ">> go test -race ./internal/sim ./internal/core ./internal/dram ./internal/netstack ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
+go test -race ./internal/sim ./internal/core ./internal/dram ./internal/netstack ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
 
 # The continuous-telemetry suite crosses package lines (serve hooks, exp
 # A/B, the root chaos replay gate), so race it explicitly as well: these
