@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	mcn "github.com/mcn-arch/mcn"
@@ -30,7 +31,13 @@ const (
 // scheduler's observable behaviour: any reordering of equal-time events, a
 // changed stale-wake decision, or a perturbed frame byte shifts a quantile
 // or a span stamp somewhere and flips the hash.
-var goldenReplayRuns = []string{"mcn5", "mcn5+batch", "mcn5+batch+mcnt", "mcn5+batch+faults"}
+// A "+faults" suffix runs the topology before it under the standard
+// DIMM-flap plan: admit reroutes around the flapped shard and repl fails
+// over to its backup, so those entries pin the serve tier's error paths.
+var goldenReplayRuns = []string{
+	"mcn5", "mcn5+batch", "mcn5+batch+mcnt", "mcn5+batch+faults",
+	"mcn5+batch+repl+ops", "mcn5+batch+admit+faults", "mcn5+batch+repl+ops+faults",
+}
 
 // goldenReplayDigest runs one canonical configuration and hashes every
 // deterministic artifact the run can emit: the rendered telemetry (every
@@ -40,14 +47,15 @@ var goldenReplayRuns = []string{"mcn5", "mcn5+batch", "mcn5+batch+mcnt", "mcn5+b
 // mcnt runs — the fabric's frame/credit accounting summary.
 func goldenReplayDigest(t *testing.T, name string) string {
 	t.Helper()
+	spec, faulted := strings.CutSuffix(name, "+faults")
+	topo, err := mcn.ParseTopo(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var run *mcn.ServeTraceResult
-	if name == "mcn5+batch+faults" {
-		run = mcn.ServeTracedFaults(goldenReplaySeed, mcn.Topo{Fabric: "mcn5", Batch: true}, goldenReplayRate, 1)
+	if faulted {
+		run = mcn.ServeTracedFaults(goldenReplaySeed, topo, goldenReplayRate, 1)
 	} else {
-		topo, err := mcn.ParseTopo(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		run = mcn.ServeTraced(goldenReplaySeed, topo, goldenReplayRate, 0, 1)
 	}
 	h := sha256.New()
@@ -74,7 +82,8 @@ func goldenReplayDigest(t *testing.T, name string) string {
 
 // TestGoldenReplayDigests is the byte-identical replay gate behind the
 // sim-kernel rewrite: for each canonical serving topology (mcn5,
-// mcn5+batch, mcn5+batch+mcnt) and the DIMM-flap faults run, the full
+// mcn5+batch, mcn5+batch+mcnt, mcn5+batch+repl+ops) and the DIMM-flap
+// faults runs (plain, admit reroute, repl failover), the full
 // telemetry/event stream must hash to the digest captured with the
 // pre-rewrite scheduler. It extends the TestFaultReplayDeterminism family
 // from "two runs agree with each other" to "every run agrees with the
