@@ -128,31 +128,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// rng is the same splitmix64 scheme internal/faults and internal/serve use
-// for their decision streams.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// streamSeed derives a per-shard seed from the run seed and the shard name
-// (FNV-1a folded through one splitmix step), mirroring faults.siteSeed.
-func streamSeed(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	r := rng{state: seed ^ h}
-	return r.next()
-}
-
 // tracker is one shard's health state.
 type tracker struct {
 	shard int
@@ -174,7 +149,7 @@ type tracker struct {
 	everOpened  bool
 	ewmaNs      float64 // service-latency EWMA (ns), 0 until first sample
 	ewmaSeen    bool
-	jit         rng
+	jit         sim.RNG
 }
 
 // Controller tracks every shard's health and answers admission queries.
@@ -231,7 +206,7 @@ func NewWithConfig(k *sim.Kernel, cfg Config, seed uint64, names []string) *Cont
 	for i, name := range names {
 		c.trackers = append(c.trackers, &tracker{
 			shard: i, name: name,
-			jit: rng{state: streamSeed(seed, "admit/"+name)},
+			jit: sim.NewRNG(seed, "admit/"+name),
 		})
 	}
 	return c
@@ -290,7 +265,7 @@ func (c *Controller) open(t *tracker, reason string) {
 	if window > c.cfg.OpenMax {
 		window = c.cfg.OpenMax
 	}
-	jitter := c.cfg.JitterFrac * (2*t.jit.float64() - 1)
+	jitter := c.cfg.JitterFrac * (2*t.jit.Float64() - 1)
 	window += sim.Duration(float64(window) * jitter)
 	t.cycles++
 	t.reopenAt = c.k.Now().Add(window)

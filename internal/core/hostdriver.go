@@ -274,6 +274,11 @@ func (hd *HostDriver) kick(port *HostPort) {
 		hd.dmas[port.dimm.ChannelIdx].submit(ringJob{kind: hostDrain, port: port})
 		return
 	}
+	hd.spawnDrain(port)
+}
+
+// spawnDrain starts a drain context on the port's TX ring.
+func (hd *HostDriver) spawnDrain(port *HostPort) {
 	hd.K.Go(port.name+"/drain", func(dp *sim.Proc) {
 		hd.drain(dp, port)
 	})
@@ -351,10 +356,7 @@ func (hd *HostDriver) pollAll(p *sim.Proc) {
 		port.dimm.HostAccess(p, 8, false, false)
 		if port.dimm.Buf.TxPoll && !port.draining {
 			hd.PollHits++
-			port := port
-			hd.K.Go(port.name+"/drain", func(dp *sim.Proc) {
-				hd.drain(dp, port)
-			})
+			hd.spawnDrain(port)
 		}
 	}
 }
@@ -387,10 +389,7 @@ func (hd *HostDriver) onAlert(src *HostPort) {
 				port.alertPending = true
 				continue
 			}
-			port := port
-			hd.K.Go(port.name+"/drain", func(dp *sim.Proc) {
-				hd.drain(dp, port)
-			})
+			hd.spawnDrain(port)
 		}
 	})
 }

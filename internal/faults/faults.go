@@ -5,7 +5,7 @@
 // streams to the layers that host the hook points (ethdev.Link, the
 // switch, the MCN drivers).
 //
-// Every decision is drawn from a splitmix64 PRNG keyed off the plan seed
+// Every decision is drawn from a sim.RNG stream keyed off the plan seed
 // and the site name, so a run replays exactly: the simulation kernel is
 // deterministic by construction, each site consumes its own stream, and no
 // wall-clock or global randomness is involved anywhere. Two runs with the
@@ -18,44 +18,7 @@ import (
 	"strings"
 
 	"github.com/mcn-arch/mcn/internal/sim"
-	"github.com/mcn-arch/mcn/internal/stats"
 )
-
-// rng is a splitmix64 generator: tiny, fast, and statistically solid for
-// fault schedules (Steele et al., "Fast Splittable Pseudorandom Number
-// Generators").
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform sample in [0, 1).
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a uniform sample in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
-// siteSeed derives a per-site seed from the plan seed and the site name
-// (FNV-1a folded through one splitmix step), so sites draw independent
-// streams regardless of how the simulation interleaves their decisions.
-func siteSeed(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	r := rng{state: seed ^ h}
-	return r.next()
-}
 
 // Window is a named carrier-flap interval: every frame crossing the named
 // link site inside [Start, End) is lost.
@@ -131,7 +94,7 @@ const (
 
 // Site is one named injection point with its own PRNG stream and counters.
 type Site struct {
-	r        rng
+	r        sim.RNG
 	drop     float64
 	corrupt  float64
 	suppress float64
@@ -140,14 +103,32 @@ type Site struct {
 	flaps    []Window
 
 	// C counts what this site has inflicted.
-	C stats.FaultCounters
+	C Counters
+}
+
+// Counters records the fault events one injection site has inflicted on
+// its layer, in one shape for every layer so determinism tests can
+// compare snapshots across runs.
+type Counters struct {
+	Site        string
+	Drops       int64 // frames/messages randomly lost
+	BurstDrops  int64 // additional losses inside a loss burst
+	FlapDrops   int64 // losses inside a carrier-flap window
+	Corruptions int64 // bit-flips injected (caught by FCS/CRC at RX)
+	Suppressed  int64 // interrupt/alert edges swallowed
+}
+
+// String renders the counters compactly.
+func (f *Counters) String() string {
+	return fmt.Sprintf("%s: drop=%d burst=%d flap=%d corrupt=%d suppressed=%d",
+		f.Site, f.Drops, f.BurstDrops, f.FlapDrops, f.Corruptions, f.Suppressed)
 }
 
 func (in *Injector) site(name string) *Site {
 	if s, ok := in.sites[name]; ok {
 		return s
 	}
-	s := &Site{r: rng{state: siteSeed(in.Plan.Seed, name)}}
+	s := &Site{r: sim.NewRNG(in.Plan.Seed, name)}
 	s.C.Site = name
 	in.sites[name] = s
 	in.names = append(in.names, name)
@@ -198,14 +179,14 @@ func (s *Site) Frame(now sim.Time) Verdict {
 		s.C.BurstDrops++
 		return Drop
 	}
-	if s.drop > 0 && s.r.float64() < s.drop {
+	if s.drop > 0 && s.r.Float64() < s.drop {
 		s.C.Drops++
 		if s.burst > 1 {
 			s.left = s.burst - 1
 		}
 		return Drop
 	}
-	if s.corrupt > 0 && s.r.float64() < s.corrupt {
+	if s.corrupt > 0 && s.r.Float64() < s.corrupt {
 		s.C.Corruptions++
 		return Corrupt
 	}
@@ -215,7 +196,7 @@ func (s *Site) Frame(now sim.Time) Verdict {
 // Message reports whether one MCN message is lost to channel corruption
 // (ECC-detected, so the driver discards it).
 func (s *Site) Message() bool {
-	if s.drop > 0 && s.r.float64() < s.drop {
+	if s.drop > 0 && s.r.Float64() < s.drop {
 		s.C.Drops++
 		return true
 	}
@@ -224,7 +205,7 @@ func (s *Site) Message() bool {
 
 // SuppressEdge reports whether one interrupt/alert edge is lost.
 func (s *Site) SuppressEdge() bool {
-	if s.suppress > 0 && s.r.float64() < s.suppress {
+	if s.suppress > 0 && s.r.Float64() < s.suppress {
 		s.C.Suppressed++
 		return true
 	}
@@ -240,16 +221,16 @@ func (s *Site) CorruptCopy(data []byte) []byte {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	bit := s.r.intn(len(buf) * 8)
+	bit := s.r.Intn(len(buf) * 8)
 	buf[bit/8] ^= 1 << (bit % 8)
 	return buf
 }
 
 // Counters returns every site's fault counters, sorted by site name.
-func (in *Injector) Counters() []*stats.FaultCounters {
+func (in *Injector) Counters() []*Counters {
 	names := append([]string(nil), in.names...)
 	sort.Strings(names)
-	out := make([]*stats.FaultCounters, 0, len(names))
+	out := make([]*Counters, 0, len(names))
 	for _, n := range names {
 		out = append(out, &in.sites[n].C)
 	}
@@ -257,8 +238,8 @@ func (in *Injector) Counters() []*stats.FaultCounters {
 }
 
 // Totals sums the fault counters across all sites.
-func (in *Injector) Totals() stats.FaultCounters {
-	t := stats.FaultCounters{Site: "total"}
+func (in *Injector) Totals() Counters {
+	t := Counters{Site: "total"}
 	for _, c := range in.Counters() {
 		t.Drops += c.Drops
 		t.BurstDrops += c.BurstDrops

@@ -811,14 +811,14 @@ func (c *Client) do(p *sim.Proc, op byte, key string, val []byte) ([]byte, byte,
 		return nil, 0, err
 	}
 	hdr := make([]byte, respHeaderBytes)
-	if !readFull(p, c.conn, hdr) {
+	if !netstack.ReadFull(p, c.conn, hdr) {
 		return nil, 0, fmt.Errorf("kvstore: connection closed mid-response")
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[1:5]))
 	var out []byte
 	if n > 0 {
 		out = make([]byte, n)
-		if !readFull(p, c.conn, out) {
+		if !netstack.ReadFull(p, c.conn, out) {
 			return nil, 0, fmt.Errorf("kvstore: truncated value")
 		}
 	}
@@ -834,16 +834,4 @@ func (c *Client) do(p *sim.Proc, op byte, key string, val []byte) ([]byte, byte,
 		return out, hdr[0], ErrBadRequest
 	}
 	return out, hdr[0], nil
-}
-
-func readFull(p *sim.Proc, c netstack.Conn, buf []byte) bool {
-	got := 0
-	for got < len(buf) {
-		n, ok := c.Recv(p, buf[got:])
-		got += n
-		if !ok && got < len(buf) {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
+	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
@@ -188,7 +189,7 @@ func TestMalformedRequests(t *testing.T) {
 		req := AppendRequest(nil, 0x7F, "key", []byte("val"))
 		check(raw.Send(p, req) == nil, "send bad-op request")
 		hdr := make([]byte, RespHeaderBytes)
-		check(readFull(p, raw, hdr), "read bad-op response")
+		check(netstack.ReadFull(p, raw, hdr), "read bad-op response")
 		st, n, hok := ParseRespHeader(hdr)
 		check(hok && st == StatusBadOp && n == 0, "bad opcode should return StatusBadOp")
 		check(c.Set(p, "alpha", []byte("beta")) == nil, "connection unusable after bad op")
@@ -216,7 +217,7 @@ func TestMalformedRequests(t *testing.T) {
 		binary.LittleEndian.PutUint32(evil[3:7], uint32(MaxValueBytes+1))
 		check(raw2.Send(p, evil[:]) == nil, "send oversized header")
 		hdr2 := make([]byte, RespHeaderBytes)
-		check(readFull(p, raw2, hdr2), "read too-large response")
+		check(netstack.ReadFull(p, raw2, hdr2), "read too-large response")
 		st2, _, _ := ParseRespHeader(hdr2)
 		check(st2 == StatusTooLarge, "oversized request should return StatusTooLarge")
 		_, open := raw2.Recv(p, make([]byte, 1))

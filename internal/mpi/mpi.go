@@ -128,7 +128,9 @@ func (r *Rank) bootstrap(p *sim.Proc) {
 					panic(err)
 				}
 				var hello [4]byte
-				readFull(ap, c, hello[:])
+				if !netstack.ReadFull(ap, c, hello[:]) {
+					panic("mpi: connection closed mid-message")
+				}
 				peer := int(binary.LittleEndian.Uint32(hello[:]))
 				r.conns[peer] = c
 				accepted++
@@ -152,17 +154,6 @@ func (r *Rank) bootstrap(p *sim.Proc) {
 		acceptDone.Wait(p)
 	}
 	l.Close()
-}
-
-func readFull(p *sim.Proc, c netstack.Conn, buf []byte) {
-	got := 0
-	for got < len(buf) {
-		n, ok := c.Recv(p, buf[got:])
-		if !ok {
-			panic("mpi: connection closed mid-message")
-		}
-		got += n
-	}
 }
 
 const (
@@ -224,12 +215,16 @@ func (r *Rank) recv(src int, want bool) (int, []byte) {
 	}
 	c := r.conns[src]
 	var hdr [8]byte
-	readFull(r.P, c, hdr[:])
+	if !netstack.ReadFull(r.P, c, hdr[:]) {
+		panic("mpi: connection closed mid-message")
+	}
 	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	kind := binary.LittleEndian.Uint32(hdr[4:8])
 	if kind == kindData || want {
 		buf := make([]byte, n)
-		readFull(r.P, c, buf)
+		if !netstack.ReadFull(r.P, c, buf) {
+			panic("mpi: connection closed mid-message")
+		}
 		return n, buf
 	}
 	got := c.RecvN(r.P, n)

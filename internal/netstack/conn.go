@@ -30,6 +30,19 @@ type Conn interface {
 	Tuple() (local IP, lport uint16, remote IP, rport uint16)
 }
 
+// ReadFull reads exactly len(buf) bytes from c; false means the stream
+// ended first.
+func ReadFull(p *sim.Proc, c Conn, buf []byte) bool {
+	for got := 0; got < len(buf); {
+		n, ok := c.Recv(p, buf[got:])
+		if !ok {
+			return false
+		}
+		got += n
+	}
+	return true
+}
+
 // ByteRing is the socket buffer of both transports: a circular byte FIFO
 // whose backing array starts at ringMinBytes on the first Write and
 // doubles when full. Consumed space is reused in place, so a streaming

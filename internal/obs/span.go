@@ -127,36 +127,12 @@ func (s *Span) Breakdown() [NumPhases]sim.Duration {
 	return out
 }
 
-// rng is a splitmix64 stream, the repo-wide scheme for seeded decision
-// streams (internal/faults, internal/serve, internal/admit).
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// streamSeed derives a per-stream seed from the run seed and a stream
-// name (FNV-1a folded through one splitmix step), mirroring
-// faults.siteSeed / serve.streamSeed.
-func streamSeed(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	r := rng{state: seed ^ h}
-	return r.next()
-}
-
 // Sampler is one load driver's deterministic 1-in-N sampling stream.
 // Each driver owns its own stream (named after the driver), so sampling
 // decisions are independent of event interleaving across drivers.
 type Sampler struct {
 	t *Tracer
-	r rng
+	r sim.RNG
 }
 
 // Next reports whether the driver's next request is sampled.
@@ -167,7 +143,7 @@ func (s *Sampler) Next() bool {
 	if s.t.SampleN <= 1 {
 		return true
 	}
-	return s.r.next()%uint64(s.t.SampleN) == 0
+	return s.r.Intn(s.t.SampleN) == 0
 }
 
 // flowKey identifies one client->server TCP stream from the client's
@@ -297,7 +273,7 @@ func (t *Tracer) Sampler(name string) *Sampler {
 	if t == nil {
 		return nil
 	}
-	return &Sampler{t: t, r: rng{state: streamSeed(t.seed, "obs/"+name)}}
+	return &Sampler{t: t, r: sim.NewRNG(t.seed, "obs/"+name)}
 }
 
 // Start opens a span for one sampled request at its generation time.

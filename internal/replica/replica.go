@@ -82,30 +82,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// rng is the repo-wide splitmix64 stream (internal/faults scheme).
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// streamSeed derives a per-pair seed from the run seed and the pair
-// name, mirroring faults.siteSeed.
-func streamSeed(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	r := rng{state: seed ^ h}
-	return r.next()
-}
-
 // Pair wires one keyspace's two replicas into the manager. Index is the
 // keyspace (and primary host) shard index; BackupHost is the admission
 // index of the node hosting the backup store — its breaker state is the
@@ -137,7 +113,7 @@ type pairState struct {
 	pending  map[string]int // keys with a forward not yet acked
 	wake     *sim.Signal
 	conn     *netstack.TCPConn
-	jit      rng
+	jit      sim.RNG
 	// caughtUp gates the primary host's readmission: cleared when its
 	// breaker opens, set again when the gating catch-up pull converges.
 	caughtUp bool
@@ -195,7 +171,7 @@ func NewManager(k *sim.Kernel, cfg Config, seed uint64, ctrl *admit.Controller, 
 			Pair:     pr,
 			pending:  make(map[string]int),
 			wake:     k.NewSignal(),
-			jit:      rng{state: streamSeed(seed, "repl/"+pr.Name)},
+			jit:      sim.NewRNG(seed, "repl/"+pr.Name),
 			caughtUp: true,
 		}
 		m.pairs = append(m.pairs, ps)
@@ -270,7 +246,7 @@ func (m *Manager) peerDown(ps *pairState) bool {
 
 // retryDelay draws one jittered backoff from the pair's seeded stream.
 func (m *Manager) retryDelay(ps *pairState) sim.Duration {
-	return m.cfg.RetryBase + sim.Duration(float64(m.cfg.RetryBase)*ps.jit.float64())
+	return m.cfg.RetryBase + sim.Duration(float64(m.cfg.RetryBase)*ps.jit.Float64())
 }
 
 // pairFwd adapts one pair to the kvstore.Forwarder hook.
@@ -384,7 +360,7 @@ func (m *Manager) forwarder(p *sim.Proc, ps *pairState) {
 			ps.redial(p, m)
 			continue
 		}
-		if !readFull(p, ps.conn, hdr[:]) {
+		if !netstack.ReadFull(p, ps.conn, hdr[:]) {
 			ps.redial(p, m)
 			continue
 		}
@@ -485,12 +461,12 @@ func (m *Manager) pullConn(p *sim.Proc, conn *netstack.TCPConn, dst *kvstore.Ser
 		if err := conn.Send(p, kvstore.AppendDeltaRequest(nil, after)); err != nil {
 			return total, false
 		}
-		if !readFull(p, conn, hdr[:]) {
+		if !netstack.ReadFull(p, conn, hdr[:]) {
 			return total, false
 		}
 		_, vl, _ := kvstore.ParseRespHeader(hdr[:])
 		payload := make([]byte, vl)
-		if !readFull(p, conn, payload) {
+		if !netstack.ReadFull(p, conn, payload) {
 			return total, false
 		}
 		through, recs, ok := kvstore.ParseDelta(payload)
@@ -550,17 +526,4 @@ func Diverged(primary, backup *kvstore.Server) int {
 		}
 	}
 	return n
-}
-
-// readFull reads exactly len(buf) bytes; false means the stream ended.
-func readFull(p *sim.Proc, c *netstack.TCPConn, buf []byte) bool {
-	got := 0
-	for got < len(buf) {
-		n, ok := c.Recv(p, buf[got:])
-		got += n
-		if !ok && got < len(buf) {
-			return false
-		}
-	}
-	return true
 }

@@ -46,12 +46,20 @@ func admitFlapConfig(seed uint64, policy admit.Policy) Config {
 // index of the flapped shard.
 func runAdmitFlap(t *testing.T, seed uint64, policy admit.Policy) (*Result, int) {
 	t.Helper()
+	return runFlapped(t, admitFlapConfig(seed, policy))
+}
+
+// runFlapped runs cfg on a 4-DIMM server with host/mcn1 flapped offline
+// for 2ms starting 1ms into the measured window, and returns the result
+// plus the index of the flapped shard.
+func runFlapped(t *testing.T, cfg Config) (*Result, int) {
+	t.Helper()
 	const flapDimm = "host/mcn1"
 	k := sim.NewKernel()
-	cfg, inject := admitBench(k, 4, admitFlapConfig(seed, policy))
+	cfg, inject := admitBench(k, 4, cfg)
 	measStart := k.Now().Add(cfg.Warmup)
 	inject(faults.New(k, faults.Plan{
-		Seed: seed,
+		Seed: cfg.Seed,
 		DimmFlaps: []faults.DimmFlap{{
 			Name:  flapDimm,
 			Start: measStart.Add(sim.Millisecond),

@@ -455,7 +455,6 @@ type shardConn struct {
 	admitShard  int
 	addr        netstack.IP
 	port        uint16
-	backup      bool
 	client      cluster.Endpoint
 	q           *sim.Queue[*request]
 	inflight    *sim.Resource
@@ -603,38 +602,34 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 	}
 
 	// One pipelined connection per (client, shard) — plus, with
-	// replication on, one per (client, keyspace) to the backup store,
-	// dialed eagerly so failover never pays a handshake mid-outage.
+	// replication on, one per (client, keyspace) to the backup store on
+	// the next shard's node, dialed eagerly so failover never pays a
+	// handshake mid-outage. tag names the process: s for a primary, b
+	// for a backup.
+	shardConnTo := func(ci, si, host int, port uint16, tag string) *shardConn {
+		sc := &shardConn{
+			b: b, ci: ci, shard: si, admitShard: host, client: cfg.Clients[ci],
+			addr: cfg.Shards[host].Addr, port: port,
+			q:        sim.NewQueue[*request](k, 0),
+			inflight: k.NewResource(cfg.Inflight),
+			setVal:   val,
+		}
+		k.Go(fmt.Sprintf("serve/c%d/%s%d", ci, tag, si), sc.run)
+		return sc
+	}
 	b.conns = make([][]*shardConn, len(cfg.Clients))
 	if b.repl != nil {
 		b.bconns = make([][]*shardConn, len(cfg.Clients))
 	}
-	for ci, cl := range cfg.Clients {
+	for ci := range cfg.Clients {
 		b.conns[ci] = make([]*shardConn, len(cfg.Shards))
 		for si := range cfg.Shards {
-			sc := &shardConn{
-				b: b, ci: ci, shard: si, admitShard: si, client: cl,
-				addr: cfg.Shards[si].Addr, port: cfg.Shards[si].Port,
-				q:        sim.NewQueue[*request](k, 0),
-				inflight: k.NewResource(cfg.Inflight),
-				setVal:   val,
-			}
-			b.conns[ci][si] = sc
-			k.Go(fmt.Sprintf("serve/c%d/s%d", ci, si), sc.run)
+			b.conns[ci][si] = shardConnTo(ci, si, si, cfg.Shards[si].Port, "s")
 		}
 		if b.repl != nil {
 			b.bconns[ci] = make([]*shardConn, len(cfg.Shards))
 			for si := range cfg.Shards {
-				h := (si + 1) % len(cfg.Shards)
-				sc := &shardConn{
-					b: b, ci: ci, shard: si, admitShard: h, backup: true, client: cl,
-					addr: cfg.Shards[h].Addr, port: cfg.Shards[si].Backup.Port(),
-					q:        sim.NewQueue[*request](k, 0),
-					inflight: k.NewResource(cfg.Inflight),
-					setVal:   val,
-				}
-				b.bconns[ci][si] = sc
-				k.Go(fmt.Sprintf("serve/c%d/b%d", ci, si), sc.run)
+				b.bconns[ci][si] = shardConnTo(ci, si, (si+1)%len(cfg.Shards), cfg.Shards[si].Backup.Port(), "b")
 			}
 		}
 	}
@@ -664,7 +659,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 		share := cfg.RatePerSec / float64(len(cfg.Clients))
 		for ci := range cfg.Clients {
 			gen := w.newGenerator(zf, cfg.Seed, fmt.Sprintf("gen/%d/0", ci))
-			arr := rng{state: streamSeed(cfg.Seed, fmt.Sprintf("arrivals/%d/0", ci))}
+			arr := sim.NewRNG(cfg.Seed, fmt.Sprintf("arrivals/%d/0", ci))
 			smp := cfg.Tracer.Sampler(fmt.Sprintf("gen/%d/0", ci))
 			ci := ci
 			k.Go(fmt.Sprintf("serve/gen%d.0", ci), func(p *sim.Proc) {
@@ -689,59 +684,68 @@ func newZipfFor(w Workload) *zipf {
 // openLoop issues requests at Poisson arrivals of the given rate,
 // regardless of completions — offered load stays constant even when the
 // shards fall behind, which is what exposes the tail.
-func (b *bench) openLoop(p *sim.Proc, ci int, gen *generator, arr rng, rate float64, smp *obs.Sampler) {
+func (b *bench) openLoop(p *sim.Proc, ci int, gen *generator, arr sim.RNG, rate float64, smp *obs.Sampler) {
 	mean := 1 / rate // seconds
 	for {
-		p.Sleep(sim.Duration(arr.expDuration(mean) * float64(sim.Second)))
-		now := p.Now()
-		if now >= b.measEnd {
+		p.Sleep(sim.Duration(expDuration(&arr, mean) * float64(sim.Second)))
+		if p.Now() >= b.measEnd {
 			return
 		}
-		if b.ops != nil {
-			b.issueOps(p, ci, gen, smp, now, false)
-			continue
-		}
-		op, key, sync := gen.next()
-		req := &request{op: op, key: key, sync: sync, arrival: now}
-		if smp.Next() {
-			req.span = b.cfg.Tracer.Start(now, ci, op)
-		}
-		b.enqueue(p, ci, req)
+		b.issue(p, ci, gen, smp, false)
 	}
 }
 
 // closedWorker issues the next request as soon as the previous one
 // completes (throughput self-limits to 1/latency per worker).
 func (b *bench) closedWorker(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler) {
-	for {
-		now := p.Now()
-		if now >= b.measEnd {
-			return
-		}
-		if b.ops != nil {
-			sig := b.issueOps(p, ci, gen, smp, now, true)
-			if sig == nil {
-				p.Sleep(sim.Microsecond)
-				continue
-			}
+	for p.Now() < b.measEnd {
+		if sig := b.issue(p, ci, gen, smp, true); sig != nil {
 			sig.Wait(p)
-			continue
-		}
-		op, key, sync := gen.next()
-		req := &request{op: op, key: key, sync: sync, arrival: now, done: b.k.NewSignal()}
-		if smp.Next() {
-			req.span = b.cfg.Tracer.Start(now, ci, op)
-		}
-		if !b.enqueue(p, ci, req) {
+		} else {
 			// Shed at the router: the fast-fail comes straight back, so
 			// the worker turns around after a client-side beat instead of
 			// spinning at one simulated instant.
 			p.Sleep(sim.Microsecond)
-			continue
 		}
-		req.done.Wait(p)
 	}
 }
+
+// issue draws one logical request from the generator and enqueues it: a
+// plain GET/SET is one request, an operator (ops.go) its wire parts. The
+// operator-family draw happens only with operators on, so an ops-off
+// stream is unperturbed. It returns the completion signal a closed-loop
+// driver waits on; nil means nothing reached a queue (the request was
+// shed) or the driver is open-loop.
+func (b *bench) issue(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, closed bool) *sim.Signal {
+	now := p.Now()
+	var fam nmop.Kind
+	var op byte
+	var key int
+	var sync bool
+	if b.ops != nil {
+		fam, op, key, sync = gen.nextOps(b.ops.cfg)
+	} else {
+		op, key, sync = gen.next()
+	}
+	if fam != 0 {
+		return b.issueOps(p, ci, gen, smp, now, fam, key, closed)
+	}
+	req := &request{op: op, key: key, sync: sync, arrival: now}
+	if closed {
+		req.done = b.k.NewSignal()
+	}
+	if smp.Next() {
+		req.span = b.cfg.Tracer.Start(now, ci, op)
+	}
+	if !b.enqueue(p, ci, req) {
+		return nil
+	}
+	return req.done
+}
+
+// measured reports whether t (a request's arrival) falls in the measured
+// window.
+func (b *bench) measured(t sim.Time) bool { return t >= b.measStart && t < b.measEnd }
 
 // enqueue routes one request through admission control (when enabled) to a
 // shard connection. With replication on a request whose primary is not
@@ -752,7 +756,7 @@ func (b *bench) closedWorker(p *sim.Proc, ci int, gen *generator, smp *obs.Sampl
 // admitted it.
 func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 	req.shard = b.keyShard[req.key]
-	inWindow := req.arrival >= b.measStart && req.arrival < b.measEnd
+	inWindow := b.measured(req.arrival)
 	if b.repl != nil {
 		if !b.ctrl.Allow(req.shard) {
 			backupHost := (req.shard + 1) % len(b.cfg.Shards)
@@ -760,18 +764,10 @@ func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 			// judged by the backup host's own (primary-traffic) breaker
 			// without consuming its probe budget.
 			if b.ctrl.State(backupHost) != admit.Closed {
-				b.ctrl.NoteShed()
-				if inWindow {
-					b.res.Shed++
-					b.res.PerShard[req.shard].Shed++
-				}
-				b.cfg.Timeline.NoteShed(req.arrival)
-				b.cfg.Tracer.Abort(req.span)
-				return false
+				return b.shed(req, inWindow)
 			}
 			req.failover = true
 			if inWindow {
-				b.res.FailedOver++
 				b.res.PerShard[req.shard].FailedOver++
 			}
 			b.cfg.Timeline.NoteFailedOver(req.arrival)
@@ -795,21 +791,12 @@ func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 			}
 		}
 		if target < 0 {
-			b.ctrl.NoteShed()
-			if inWindow {
-				b.res.Shed++
-				b.res.PerShard[req.shard].Shed++
-			}
-			b.cfg.Timeline.NoteShed(req.arrival)
-			// A shed request never reaches the wire; its span ends here.
-			b.cfg.Tracer.Abort(req.span)
-			return false
+			return b.shed(req, inWindow)
 		}
 		if target != req.shard {
 			b.ctrl.NoteReroute()
 			req.shard = target
 			if inWindow {
-				b.res.Rerouted++
 				b.res.PerShard[target].Rerouted++
 			}
 			b.cfg.Timeline.NoteRerouted(req.arrival)
@@ -833,6 +820,19 @@ func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 		b.conns[ci][req.shard].q.Put(p, req)
 	}
 	return true
+}
+
+// shed fast-fails a request no replica or candidate shard admitted,
+// charging it to its primary owner. It never reaches the wire, so its
+// span ends here. It returns false, enqueue's shed verdict.
+func (b *bench) shed(req *request, inWindow bool) bool {
+	b.ctrl.NoteShed()
+	if inWindow {
+		b.res.PerShard[req.shard].Shed++
+	}
+	b.cfg.Timeline.NoteShed(req.arrival)
+	b.cfg.Tracer.Abort(req.span)
+	return false
 }
 
 // reqBytes is the encoded size of one request on the wire.
@@ -891,13 +891,13 @@ func (sc *shardConn) run(p *sim.Proc) {
 		}
 		sc.b.cfg.Timeline.QueueDelta(p.Now(), -1)
 		if sc.dead {
-			sc.fail(p, req)
+			sc.fail(p, req, false)
 			continue
 		}
 		sc.inflight.Acquire(p)
 		if sc.dead {
 			sc.inflight.Release()
-			sc.fail(p, req)
+			sc.fail(p, req, false)
 			continue
 		}
 		req.deq = p.Now()
@@ -951,7 +951,7 @@ func (sc *shardConn) run(p *sim.Proc) {
 		}
 		sc.flow.Advance(len(buf))
 		batch[len(batch)-1].eob = true
-		if bc.Enabled() && now >= sc.b.measStart && now < sc.b.measEnd {
+		if bc.Enabled() && sc.b.measured(now) {
 			sc.b.res.BatchSize.Record(int64(len(batch)))
 		}
 		// FIFO-match bookkeeping must precede Send: on loopback the
@@ -966,28 +966,20 @@ func (sc *shardConn) run(p *sim.Proc) {
 }
 
 // receive matches responses to outstanding requests in FIFO order and
-// records the per-phase latencies.
+// records the per-phase latencies. When the stream ends it fails every
+// request still awaiting a response and releases their batches' pipeline
+// slots (one per end-of-batch marker still outstanding).
 func (sc *shardConn) receive(p *sim.Proc) {
 	hdr := make([]byte, kvstore.RespHeaderBytes)
 	scratch := make([]byte, 64<<10)
-	for {
-		if !readFull(p, sc.conn, hdr) {
-			sc.dead = true
-			sc.drainOutstanding(p)
-			return
-		}
+stream:
+	for netstack.ReadFull(p, sc.conn, hdr) {
 		status, n, _ := kvstore.ParseRespHeader(hdr)
 		respBytes := kvstore.RespHeaderBytes + n
 		for n > 0 {
-			want := n
-			if want > len(scratch) {
-				want = len(scratch)
-			}
-			got, ok := sc.conn.Recv(p, scratch[:want])
+			got, ok := sc.conn.Recv(p, scratch[:min(n, len(scratch))])
 			if !ok {
-				sc.dead = true
-				sc.drainOutstanding(p)
-				return
+				break stream
 			}
 			n -= got
 		}
@@ -1000,6 +992,14 @@ func (sc *shardConn) receive(p *sim.Proc) {
 			sc.inflight.Release()
 		}
 	}
+	sc.dead = true
+	for _, req := range sc.outstanding {
+		sc.fail(p, req, true)
+		if req.eob {
+			sc.inflight.Release()
+		}
+	}
+	sc.outstanding = nil
 }
 
 // complete records one finished request.
@@ -1015,8 +1015,8 @@ func (sc *shardConn) complete(p *sim.Proc, req *request, status byte, respBytes 
 		// per-request accounting below, whatever path returns.
 		defer sc.opComplete(p, req, ok, now, respBytes)
 	}
+	inWin := sc.b.measured(req.arrival)
 	if req.span != nil {
-		inWin := req.arrival >= sc.b.measStart && req.arrival < sc.b.measEnd
 		sc.b.cfg.Tracer.Finish(req.span, now, inWin, ok)
 	}
 	if sc.b.ctrl != nil {
@@ -1036,20 +1036,17 @@ func (sc *shardConn) complete(p *sim.Proc, req *request, status byte, respBytes 
 	if ok {
 		ss.DoneEver++
 	}
-	if req.arrival < sc.b.measStart || req.arrival >= sc.b.measEnd {
+	if !inWin {
 		return
 	}
 	if !ok {
 		ss.Errors++
-		sc.b.res.Errors++
 		return
 	}
 	if status == kvstore.StatusMiss && req.op == opGet {
 		ss.Misses++
-		sc.b.res.Misses++
 	}
 	ss.N++
-	sc.b.res.N++
 	total := now.Sub(req.arrival)
 	ss.Lat.RecordDuration(total)
 	sc.b.res.Total.RecordDuration(total)
@@ -1058,69 +1055,56 @@ func (sc *shardConn) complete(p *sim.Proc, req *request, status byte, respBytes 
 	sc.b.res.Service.RecordDuration(now.Sub(req.sent))
 }
 
-// fail records a request that could not be sent (dead connection): an
-// error edge for the admission plane, with nothing on the wire to pop.
-func (sc *shardConn) fail(p *sim.Proc, req *request) {
-	if sc.b.ctrl != nil {
-		sc.b.ctrl.OnError(sc.admitShard)
+// fail records a request that got no response. A sent request (still
+// outstanding when the stream ended) gives the admission plane a matching
+// failed completion; an unsent one (dead connection) an error edge, with
+// nothing on the wire to pop.
+func (sc *shardConn) fail(p *sim.Proc, req *request, sent bool) {
+	if c := sc.b.ctrl; c != nil {
+		if sent {
+			c.OnComplete(sc.admitShard, 0, false)
+		} else {
+			c.OnError(sc.admitShard)
+		}
 	}
-	sc.failCommon(p, req)
-}
-
-// failCommon is the shared bookkeeping of both failure paths.
-func (sc *shardConn) failCommon(p *sim.Proc, req *request) {
 	sc.b.cfg.Timeline.NoteError(p.Now())
 	sc.b.cfg.Tracer.Abort(req.span)
 	if req.done != nil {
 		req.done.Notify()
 	}
-	if req.arrival >= sc.b.measStart && req.arrival < sc.b.measEnd {
+	if sc.b.measured(req.arrival) {
 		sc.b.res.PerShard[req.shard].Errors++
-		sc.b.res.Errors++
 	}
 	if req.lop != nil {
 		sc.opComplete(p, req, false, p.Now(), 0)
 	}
 }
 
-// drainOutstanding fails every request still awaiting a response and
-// releases their batches' pipeline slots (one slot per end-of-batch
-// marker still outstanding). Each drained request was sent, so the
-// admission plane sees a matching failed completion.
-func (sc *shardConn) drainOutstanding(p *sim.Proc) {
-	for _, req := range sc.outstanding {
-		if sc.b.ctrl != nil {
-			sc.b.ctrl.OnComplete(sc.admitShard, 0, false)
-		}
-		sc.failCommon(p, req)
-		if req.eob {
-			sc.inflight.Release()
-		}
-	}
-	sc.outstanding = nil
-}
-
 // collect finalizes the result after the kernel reached the deadline.
 func (b *bench) collect() {
-	for _, ss := range b.res.PerShard {
-		ss.Unfinished = ss.Issued - ss.N - ss.Errors
-		if ss.Unfinished < 0 {
-			ss.Unfinished = 0
-		}
-		b.res.Unfinished += ss.Unfinished
+	r := b.res
+	for _, ss := range r.PerShard {
+		ss.Unfinished = max(ss.Issued-ss.N-ss.Errors, 0)
+		r.N += ss.N
+		r.Errors += ss.Errors
+		r.Unfinished += ss.Unfinished
+		r.Shed += ss.Shed
+		r.Rerouted += ss.Rerouted
+		r.Misses += ss.Misses
+		r.FailedOver += ss.FailedOver
 	}
-	b.res.QPS = float64(b.res.N) / b.cfg.Measure.Seconds()
+	r.QPS = float64(r.N) / b.cfg.Measure.Seconds()
 	if b.ctrl != nil {
-		b.res.AdmitCounters = b.ctrl.Counters()
-		b.res.AdmitEvents = b.ctrl.Events()
+		r.AdmitCounters = b.ctrl.Counters()
+		r.AdmitEvents = b.ctrl.Events()
 	}
 	if b.repl != nil {
-		b.res.ReplCounters = b.repl.Counters()
-		b.res.ReplEvents = b.repl.Events()
+		r.ReplCounters = b.repl.Counters()
+		r.ReplEvents = b.repl.Events()
 	}
 	if tl := b.cfg.Timeline; tl != nil {
-		tl.SetAdmitEvents(b.res.AdmitEvents)
-		tl.SetReplEvents(b.res.ReplEvents)
+		tl.SetAdmitEvents(r.AdmitEvents)
+		tl.SetReplEvents(r.ReplEvents)
 	}
 	b.publish()
 }
@@ -1146,26 +1130,17 @@ func (b *bench) publish() {
 	reg.RegisterHDR("serve/lat/service", &b.res.Service)
 	reg.RegisterHDR("serve/batch/size", &b.res.BatchSize)
 	if b.res.OpsOn {
-		fams := []struct {
-			name string
-			t    *stats.OpTally
-			h    *stats.HDR
-		}{
-			{"multiget", &b.res.Ops.MultiGet, &b.res.OpsMultiGetLat},
-			{"scan", &b.res.Ops.Scan, &b.res.OpsScanLat},
-			{"filter", &b.res.Ops.Filter, &b.res.OpsFilterLat},
-			{"rmw", &b.res.Ops.RMW, &b.res.OpsRMWLat},
-		}
-		for _, f := range fams {
-			pre := "serve/ops/" + f.name + "/"
-			reg.Counter(pre + "issued").Add(f.t.Issued)
-			reg.Counter(pre + "offloaded").Add(f.t.Offloaded)
-			reg.Counter(pre + "host").Add(f.t.Host)
-			reg.Counter(pre + "errors").Add(f.t.Errors)
-			reg.Counter(pre + "wire_reqs").Add(f.t.WireReqs)
-			reg.Counter(pre + "req_bytes").Add(f.t.ReqBytes)
-			reg.Counter(pre + "resp_bytes").Add(f.t.RespBytes)
-			reg.RegisterHDR(pre+"lat", f.h)
+		for _, fam := range []nmop.Kind{nmop.KindMultiGet, nmop.KindScan, nmop.KindFilter, nmop.KindCAS} {
+			t, lat, name := b.opFam(fam)
+			pre := "serve/ops/" + name + "/"
+			reg.Counter(pre + "issued").Add(t.Issued)
+			reg.Counter(pre + "offloaded").Add(t.Offloaded)
+			reg.Counter(pre + "host").Add(t.Host)
+			reg.Counter(pre + "errors").Add(t.Errors)
+			reg.Counter(pre + "wire_reqs").Add(t.WireReqs)
+			reg.Counter(pre + "req_bytes").Add(t.ReqBytes)
+			reg.Counter(pre + "resp_bytes").Add(t.RespBytes)
+			reg.RegisterHDR(pre+"lat", lat)
 		}
 	}
 	for si, ss := range b.res.PerShard {
@@ -1186,20 +1161,12 @@ func (b *bench) publish() {
 			// open, and half-open so far. Snapshotted through GaugeFunc so
 			// the end-of-run registry snapshot integrates up to the final
 			// kernel time, not publish time.
-			si := si
-			apre := fmt.Sprintf("admit/shard/%d/dwell/", si)
-			reg.GaugeFunc(apre+"closed", func() int64 {
-				c, _, _ := b.ctrl.DwellTimes(si, b.k.Now())
-				return int64(c / sim.Nanosecond)
-			})
-			reg.GaugeFunc(apre+"open", func() int64 {
-				_, o, _ := b.ctrl.DwellTimes(si, b.k.Now())
-				return int64(o / sim.Nanosecond)
-			})
-			reg.GaugeFunc(apre+"half_open", func() int64 {
-				_, _, h := b.ctrl.DwellTimes(si, b.k.Now())
-				return int64(h / sim.Nanosecond)
-			})
+			for i, state := range []string{"closed", "open", "half_open"} {
+				reg.GaugeFunc(fmt.Sprintf("admit/shard/%d/dwell/%s", si, state), func() int64 {
+					c, o, h := b.ctrl.DwellTimes(si, b.k.Now())
+					return int64([3]sim.Duration{c, o, h}[i] / sim.Nanosecond)
+				})
+			}
 		}
 	}
 	if b.repl != nil {
@@ -1215,17 +1182,4 @@ func (b *bench) publish() {
 		reg.GaugeFunc("obs/spans/aborted", func() int64 { return t.Aborted })
 		reg.GaugeFunc("obs/spans/dropped", func() int64 { return t.DroppedSpans })
 	}
-}
-
-// readFull reads exactly len(buf) bytes; false means the stream ended.
-func readFull(p *sim.Proc, c netstack.Conn, buf []byte) bool {
-	got := 0
-	for got < len(buf) {
-		n, ok := c.Recv(p, buf[got:])
-		got += n
-		if !ok && got < len(buf) {
-			return false
-		}
-	}
-	return true
 }

@@ -140,7 +140,7 @@ func (b *bench) initOps() {
 		st.shardKeys[si] = append(st.shardKeys[si], key)
 		st.shardKeyIdx[si] = append(st.shardKeyIdx[si], i)
 	}
-	st.pred = nmop.PredForSelectivity(streamSeed(b.cfg.Seed, "ops/pred"), o.Selectivity)
+	st.pred = nmop.PredForSelectivity(sim.StreamSeed(b.cfg.Seed, "ops/pred"), o.Selectivity)
 	st.predBytes = nmop.AppendPred(nil, st.pred)
 	b.ops = st
 	b.res.OpsOn = true
@@ -152,7 +152,7 @@ func (b *bench) initOps() {
 // pins). RMW ops alternate CAS and fetch-and-add on a counter, not an
 // extra draw, mirroring the SyncEvery cadence.
 func (g *generator) nextOps(o OpsConfig) (fam nmop.Kind, op byte, keyIdx int, sync bool) {
-	u := g.r.float64()
+	u := g.r.Float64()
 	cut := o.MultiGetFrac
 	switch {
 	case u < cut:
@@ -172,58 +172,28 @@ func (g *generator) nextOps(o OpsConfig) (fam nmop.Kind, op byte, keyIdx int, sy
 	return 0, op, keyIdx, sync
 }
 
-// opTally maps an operator kind to its Result tally (CAS and fetch-add
-// share the RMW bucket).
-func (b *bench) opTally(k nmop.Kind) *stats.OpTally {
+// opFam maps an operator kind to its Result tally, logical-latency
+// histogram and metric name (CAS and fetch-add share the RMW bucket).
+func (b *bench) opFam(k nmop.Kind) (*stats.OpTally, *stats.HDR, string) {
 	switch k {
 	case nmop.KindMultiGet:
-		return &b.res.Ops.MultiGet
+		return &b.res.Ops.MultiGet, &b.res.OpsMultiGetLat, "multiget"
 	case nmop.KindScan:
-		return &b.res.Ops.Scan
+		return &b.res.Ops.Scan, &b.res.OpsScanLat, "scan"
 	case nmop.KindFilter:
-		return &b.res.Ops.Filter
+		return &b.res.Ops.Filter, &b.res.OpsFilterLat, "filter"
 	default:
-		return &b.res.Ops.RMW
+		return &b.res.Ops.RMW, &b.res.OpsRMWLat, "rmw"
 	}
 }
 
-// opLat maps an operator kind to its logical-latency histogram.
-func (b *bench) opLat(k nmop.Kind) *stats.HDR {
-	switch k {
-	case nmop.KindMultiGet:
-		return &b.res.OpsMultiGetLat
-	case nmop.KindScan:
-		return &b.res.OpsScanLat
-	case nmop.KindFilter:
-		return &b.res.OpsFilterLat
-	default:
-		return &b.res.OpsRMWLat
-	}
-}
-
-// issueOps draws one logical request from the generator and enqueues its
-// wire parts (a plain GET/SET stays a single ordinary request). It
-// returns the completion signal the closed-loop driver waits on; nil
-// means nothing reached a queue (the whole op was shed) or the run is
-// open-loop.
-func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, now sim.Time, closed bool) *sim.Signal {
+// issueOps enqueues the wire parts of one operator of family fam on key
+// (a multi-GET draws its other keys from gen). It returns the completion
+// signal the closed-loop driver waits on; nil means nothing reached a
+// queue (the whole op was shed) or the run is open-loop.
+func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, now sim.Time, fam nmop.Kind, key int, closed bool) *sim.Signal {
 	st := b.ops
 	o := st.cfg
-	fam, op, key, sync := gen.nextOps(o)
-	if fam == 0 {
-		req := &request{op: op, key: key, sync: sync, arrival: now}
-		if closed {
-			req.done = b.k.NewSignal()
-		}
-		if smp.Next() {
-			req.span = b.cfg.Tracer.Start(now, ci, op)
-		}
-		if !b.enqueue(p, ci, req) {
-			return nil
-		}
-		return req.done
-	}
-
 	lop := &logicalOp{fam: fam, arrival: now}
 	if closed {
 		lop.done = b.k.NewSignal()
@@ -345,9 +315,8 @@ func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, 
 		span.Offloaded = lop.offloaded
 		parts[0].span = span
 	}
-	inWin := now >= b.measStart && now < b.measEnd
-	if inWin {
-		t := b.opTally(fam)
+	if b.measured(now) {
+		t, _, _ := b.opFam(fam)
 		t.Issued++
 		if lop.offloaded {
 			t.Offloaded++
@@ -425,15 +394,15 @@ func (sc *shardConn) opComplete(p *sim.Proc, req *request, ok bool, now sim.Time
 // its closed-loop driver. Wire traffic counts only for in-window ops, in
 // full at completion, so replays tally identically.
 func (b *bench) opFinish(lop *logicalOp, now sim.Time) {
-	if lop.arrival >= b.measStart && lop.arrival < b.measEnd {
-		t := b.opTally(lop.fam)
+	if b.measured(lop.arrival) {
+		t, lat, _ := b.opFam(lop.fam)
 		t.WireReqs += lop.wire
 		t.ReqBytes += lop.reqB
 		t.RespBytes += lop.respB
 		if lop.errs > 0 {
 			t.Errors++
 		} else {
-			b.opLat(lop.fam).RecordDuration(now.Sub(lop.arrival))
+			lat.RecordDuration(now.Sub(lop.arrival))
 		}
 	}
 	if lop.done != nil {

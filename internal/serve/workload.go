@@ -14,7 +14,7 @@
 //     per-phase attribution (queue wait vs service time) and a
 //     warmup-trimmed summary (qps, p50, p95, p99, p999, max).
 //
-// Everything is seeded from the simulation (splitmix64 streams per
+// Everything is seeded from the simulation (one sim.RNG stream per
 // generator, no wall clock anywhere), so a run is bit-reproducible: same
 // seed, same topology, same arrivals, same tail.
 package serve
@@ -22,40 +22,15 @@ package serve
 import (
 	"fmt"
 	"math"
+
+	"github.com/mcn-arch/mcn/internal/sim"
 )
-
-// rng is a splitmix64 generator, the same scheme internal/faults uses for
-// its decision streams: every generator owns a stream derived from the run
-// seed and a site name, so streams stay independent of scheduling order.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform sample in [0, 1).
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // expDuration returns an exponential sample with the given mean, in the
 // caller's unit (used for Poisson inter-arrival times).
-func (r *rng) expDuration(mean float64) float64 {
-	u := r.float64()
+func expDuration(r *sim.RNG, mean float64) float64 {
+	u := r.Float64()
 	return -mean * math.Log(1-u)
-}
-
-// streamSeed derives a per-stream seed from the run seed and a stream name
-// (FNV-1a folded through one splitmix step), mirroring faults.siteSeed.
-func streamSeed(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	r := rng{state: seed ^ h}
-	return r.next()
 }
 
 // Popularity selects the key-popularity distribution.
@@ -139,8 +114,8 @@ func newZipf(n int, theta float64) *zipf {
 	return z
 }
 
-func (z *zipf) rank(r *rng) int {
-	u := r.float64()
+func (z *zipf) rank(r *sim.RNG) int {
+	u := r.Float64()
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
@@ -151,17 +126,17 @@ func (z *zipf) rank(r *rng) int {
 	return int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-// generator turns one rng stream into a deterministic request stream.
+// generator turns one sim.RNG stream into a deterministic request stream.
 type generator struct {
 	w    Workload
 	z    *zipf // shared, read-only after construction
-	r    rng
+	r    sim.RNG
 	sets int // SETs drawn so far, for the SyncEvery cadence
 	rmws int // RMW ops drawn so far, for the CAS/fetch-add alternation
 }
 
 func (w Workload) newGenerator(z *zipf, seed uint64, name string) *generator {
-	return &generator{w: w, z: z, r: rng{state: streamSeed(seed, name)}}
+	return &generator{w: w, z: z, r: sim.NewRNG(seed, name)}
 }
 
 // scramble spreads adjacent popularity ranks across the keyspace (YCSB's
@@ -180,7 +155,7 @@ func scramble(rank, n int) int {
 // perturbs the arrival or key streams.
 func (g *generator) next() (op byte, keyIdx int, sync bool) {
 	keyIdx = g.keyIdx()
-	if g.r.float64() < g.w.GetFrac {
+	if g.r.Float64() < g.w.GetFrac {
 		return opGet, keyIdx, false
 	}
 	g.sets++
@@ -195,7 +170,7 @@ func (g *generator) next() (op byte, keyIdx int, sync bool) {
 // stream with the same machinery.
 func (g *generator) keyIdx() int {
 	if g.w.Popularity == Uniform {
-		return int(g.r.next() % uint64(g.w.Keys))
+		return g.r.Intn(g.w.Keys)
 	}
 	return scramble(g.z.rank(&g.r), g.w.Keys)
 }

@@ -328,30 +328,6 @@ func (h *HDR) String() string {
 		h.n, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }
 
-// FaultCounters records the fault events one injection site has inflicted
-// on its layer. Sites live in internal/faults; the counter block lives here
-// so every layer reports faults in one shape and determinism tests can
-// compare snapshots across runs.
-type FaultCounters struct {
-	Site        string
-	Drops       int64 // frames/messages randomly lost
-	BurstDrops  int64 // additional losses inside a loss burst
-	FlapDrops   int64 // losses inside a carrier-flap window
-	Corruptions int64 // bit-flips injected (caught by FCS/CRC at RX)
-	Suppressed  int64 // interrupt/alert edges swallowed
-}
-
-// Total sums every kind of injected fault.
-func (f *FaultCounters) Total() int64 {
-	return f.Drops + f.BurstDrops + f.FlapDrops + f.Corruptions + f.Suppressed
-}
-
-// String renders the counters compactly.
-func (f *FaultCounters) String() string {
-	return fmt.Sprintf("%s: drop=%d burst=%d flap=%d corrupt=%d suppressed=%d",
-		f.Site, f.Drops, f.BurstDrops, f.FlapDrops, f.Corruptions, f.Suppressed)
-}
-
 // RecoveryCounters records a layer's fault-detection and recovery events:
 // what the hardened receive paths rejected and what the watchdogs repaired.
 // Components embed one and bump the fields that apply to them.
@@ -373,8 +349,7 @@ func (r *RecoveryCounters) String() string {
 // per-shard breakers shed or re-routed and how often they cycled. The
 // breaker state machine lives in internal/admit; the counter block lives
 // here so the serving telemetry and the determinism tests compare
-// admission activity in one shape, the way FaultCounters does for
-// injection sites.
+// admission activity in one shape.
 type AdmitCounters struct {
 	Shed      int64 // requests fast-failed because every candidate shard was open
 	Rerouted  int64 // requests moved off an open shard to the next vnode owner
@@ -533,14 +508,6 @@ type OpsCounters struct {
 	Scan     OpTally `json:"scan"`
 	Filter   OpTally `json:"filter"`
 	RMW      OpTally `json:"rmw"`
-}
-
-// Add folds another counter block into this one.
-func (o *OpsCounters) Add(b OpsCounters) {
-	o.MultiGet.Add(b.MultiGet)
-	o.Scan.Add(b.Scan)
-	o.Filter.Add(b.Filter)
-	o.RMW.Add(b.RMW)
 }
 
 // Total sums logical operators across families.

@@ -67,6 +67,17 @@ cmp "$TMP/plain.json" "$TMP/timelined.json"
 test -s "$TMP/timeline.json"
 grep -q '"windows"' "$TMP/timeline.json"
 
+# Replication + operator guard: the failover and operator planes ride
+# the same request lifecycle as admission, so the same point with every
+# observer on (-trace, -metrics, -timeline) must report telemetry
+# byte-identical to the plain run.
+echo ">> mcn-serve -topo mcn5+batch+repl+ops ... -trace/-metrics/-timeline (zero-perturbation guard)"
+"$SERVE" -topo mcn5+batch+repl+ops -rate 200000 -seed "$SEED" -json -out "$TMP/repl-plain.json"
+"$SERVE" -topo mcn5+batch+repl+ops -rate 200000 -seed "$SEED" -json \
+	-trace "$TMP/repl-trace.json" -metrics "$TMP/repl-metrics.json" \
+	-timeline "$TMP/repl-timeline.json" -out "$TMP/repl-traced.json"
+cmp "$TMP/repl-plain.json" "$TMP/repl-traced.json"
+
 cat "$TMP/plain.json"
 
 # One "+ops" point proves the suffix plumbing carries operator traffic
