@@ -43,8 +43,10 @@ var goldenReplayRuns = []string{
 // deterministic artifact the run can emit: the rendered telemetry (every
 // latency quantile and per-shard line), the sorted metrics-registry
 // snapshot, the Perfetto span stream of every request (sampling 1-in-1,
-// so each request contributes its per-phase boundary stamps), and — on
-// mcnt runs — the fabric's frame/credit accounting summary.
+// so each request contributes its per-phase boundary stamps), the
+// windowed timeline with its burn-rate alerts and incident report at
+// production settings, and — on mcnt runs — the fabric's frame/credit
+// accounting summary.
 func goldenReplayDigest(t *testing.T, name string) string {
 	t.Helper()
 	spec, faulted := strings.CutSuffix(name, "+faults")
@@ -71,6 +73,13 @@ func goldenReplayDigest(t *testing.T, name string) string {
 	})
 	section("metrics", run.Snapshot.WriteJSON)
 	section("spans", run.Tracer.WritePerfetto)
+	section("timeline", func(w io.Writer) error {
+		if err := run.Timeline.WriteJSON(w); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, run.Timeline.Report())
+		return err
+	})
 	if run.McntFabric != "" {
 		section("fabric", func(w io.Writer) error {
 			_, err := io.WriteString(w, run.McntFabric)
