@@ -327,7 +327,7 @@ func TestReplicatedFaultReplayDeterminism(t *testing.T) {
 	if rc.SyncFailed != 0 {
 		t.Fatalf("%d sync writes failed outright (want degrade-to-local during the flap, never an error)", rc.SyncFailed)
 	}
-	if w := int64(mcn.DefaultServeRepl.WithDefaults().Window); rc.MaxPending > w {
+	if w := int64(mcn.ServeReplWindow); rc.MaxPending > w {
 		t.Fatalf("async forward backlog hit %d, above the %d-record window", rc.MaxPending, w)
 	}
 	if rc.CatchupPulls == 0 || rc.CatchupRecs == 0 {

@@ -69,64 +69,41 @@ func (p Policy) String() string {
 	return "reroute"
 }
 
-// Config tunes the controller; the zero value (On=false) disables
-// admission control entirely.
+// Config switches the controller on and picks its policy; the zero value
+// (On=false) disables admission control entirely.
 type Config struct {
 	// On enables the controller.
 	On bool
 	// Policy picks shed vs re-route for requests to open shards.
 	Policy Policy
-	// Timeout is the outstanding-request age that counts as a timeout
-	// edge: a shard with a request on the wire for this long is treated
-	// as unresponsive. It must sit well above the healthy service tail
-	// and well below the netstack's RTO (default 200us).
-	Timeout sim.Duration
-	// Edges is how many timeout/error edges trip a closed breaker
-	// (default 1; a half-open breaker reopens on the first edge).
-	Edges int
-	// OpenBase is the first open window; each consecutive reopen doubles
-	// it up to OpenMax (defaults 1ms / 8ms).
-	OpenBase, OpenMax sim.Duration
-	// JitterFrac spreads each open window by +-this fraction, drawn from
-	// the per-shard seeded stream (default 0.1). Jitter decorrelates
-	// probe schedules across shards without breaking replay determinism.
-	JitterFrac float64
-	// ProbeSuccesses is how many consecutive half-open probes must
-	// complete OK before the breaker closes (default 2).
-	ProbeSuccesses int
-	// EWMAAlpha smooths the per-shard service-latency EWMA the health
-	// snapshot reports (default 0.2).
-	EWMAAlpha float64
 }
 
 // Enabled reports whether admission control is on.
 func (c Config) Enabled() bool { return c.On }
 
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Timeout == 0 {
-		c.Timeout = 200 * sim.Microsecond
-	}
-	if c.Edges == 0 {
-		c.Edges = 1
-	}
-	if c.OpenBase == 0 {
-		c.OpenBase = sim.Millisecond
-	}
-	if c.OpenMax == 0 {
-		c.OpenMax = 8 * sim.Millisecond
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.ProbeSuccesses == 0 {
-		c.ProbeSuccesses = 2
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.2
-	}
-	return c
-}
+// The breaker's tuning.
+const (
+	// Timeout is the outstanding-request age that counts as a timeout
+	// edge: a shard with a request on the wire for this long is treated
+	// as unresponsive. It sits well above the healthy service tail and
+	// well below the netstack's RTO. One timeout or error edge trips a
+	// closed breaker.
+	Timeout = 200 * sim.Microsecond
+	// OpenWindow is the first open window; each consecutive reopen
+	// doubles it up to maxWindow.
+	OpenWindow = sim.Millisecond
+	maxWindow  = 8 * sim.Millisecond
+	// jitterFrac spreads each open window by +-this fraction, drawn from
+	// the per-shard seeded stream. Jitter decorrelates probe schedules
+	// across shards without breaking replay determinism.
+	jitterFrac = 0.1
+	// probeQuota is how many consecutive half-open probes must complete
+	// OK before the breaker closes.
+	probeQuota = 2
+	// ewmaAlpha smooths the per-shard service-latency EWMA the health
+	// snapshot reports.
+	ewmaAlpha = 0.2
+)
 
 // tracker is one shard's health state.
 type tracker struct {
@@ -140,7 +117,6 @@ type tracker struct {
 	// outstanding holds the send time of every request on the wire, in
 	// send order (connections complete FIFO per shard).
 	outstanding []sim.Time
-	edges       int // consecutive timeout/error edges while closed
 	cycles      int // consecutive opens (drives the backoff doubling)
 	reopenAt    sim.Time
 	probes      int  // half-open probes in flight
@@ -157,7 +133,6 @@ type tracker struct {
 // wall clock), so its decision and event sequence replays exactly.
 type Controller struct {
 	k        *sim.Kernel
-	cfg      Config
 	trackers []*tracker
 	events   []stats.HealthEvent
 	counters stats.AdmitCounters
@@ -196,13 +171,7 @@ func (c *Controller) SetGate(f func(shard int) bool) { c.gate = f }
 // shard's name derives that shard's jitter stream, so topologies with the
 // same shard names replay identically at the same seed.
 func New(k *sim.Kernel, seed uint64, names []string) *Controller {
-	return NewWithConfig(k, Config{On: true}, seed, names)
-}
-
-// NewWithConfig is New with explicit tuning.
-func NewWithConfig(k *sim.Kernel, cfg Config, seed uint64, names []string) *Controller {
-	cfg = cfg.WithDefaults()
-	c := &Controller{k: k, cfg: cfg, start: k.Now()}
+	c := &Controller{k: k, start: k.Now()}
 	for i, name := range names {
 		c.trackers = append(c.trackers, &tracker{
 			shard: i, name: name,
@@ -211,9 +180,6 @@ func NewWithConfig(k *sim.Kernel, cfg Config, seed uint64, names []string) *Cont
 	}
 	return c
 }
-
-// Config returns the (defaults-filled) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // NumShards returns the tracked shard count.
 func (c *Controller) NumShards() int { return len(c.trackers) }
@@ -254,22 +220,21 @@ func (c *Controller) event(t *tracker, from, to State, reason string) {
 }
 
 // open trips the breaker (from closed or half-open): the window doubles
-// with each consecutive cycle, capped at OpenMax, and is jittered by the
-// shard's seeded stream.
+// with each consecutive cycle, capped at maxWindow, and is jittered by
+// the shard's seeded stream.
 func (c *Controller) open(t *tracker, reason string) {
 	from := t.state
-	window := c.cfg.OpenBase
-	for i := 0; i < t.cycles && window < c.cfg.OpenMax; i++ {
+	window := OpenWindow
+	for i := 0; i < t.cycles && window < maxWindow; i++ {
 		window *= 2
 	}
-	if window > c.cfg.OpenMax {
-		window = c.cfg.OpenMax
+	if window > maxWindow {
+		window = maxWindow
 	}
-	jitter := c.cfg.JitterFrac * (2*t.jit.Float64() - 1)
+	jitter := jitterFrac * (2*t.jit.Float64() - 1)
 	window += sim.Duration(float64(window) * jitter)
 	t.cycles++
 	t.reopenAt = c.k.Now().Add(window)
-	t.edges = 0
 	t.probes = 0
 	t.probeOKs = 0
 	t.gated = false
@@ -289,7 +254,6 @@ func (c *Controller) halfOpen(t *tracker) {
 // close readmits the shard and resets the backoff.
 func (c *Controller) close(t *tracker, reason string) {
 	t.cycles = 0
-	t.edges = 0
 	t.gated = false
 	c.counters.Closes++
 	c.event(t, HalfOpen, Closed, reason)
@@ -300,24 +264,18 @@ func (c *Controller) close(t *tracker, reason string) {
 // unless the shard is half-open with its probe budget already passed.
 func (c *Controller) Readmit(shard int) {
 	t := c.trackers[shard]
-	if t.state == HalfOpen && t.probeOKs >= c.cfg.ProbeSuccesses {
+	if t.state == HalfOpen && t.probeOKs >= probeQuota {
 		c.close(t, ReasonReadmitted)
 	}
 }
 
-// edge registers one timeout or error edge.
+// edge registers one timeout or error edge: it trips a closed breaker,
+// and a failed probe window reopens immediately with a longer window.
+// Edges from stale traffic change nothing while open.
 func (c *Controller) edge(t *tracker, reason string) {
-	switch t.state {
-	case Closed:
-		t.edges++
-		if t.edges >= c.cfg.Edges {
-			c.open(t, reason)
-		}
-	case HalfOpen:
-		// A failed probe window reopens immediately with a longer window.
+	if t.state != Open {
 		c.open(t, reason)
 	}
-	// Open: edges from stale traffic change nothing.
 }
 
 // checkTimeout counts a timeout edge when the shard's oldest live
@@ -331,7 +289,7 @@ func (c *Controller) checkTimeout(t *tracker) {
 		if sent < t.barrier {
 			continue
 		}
-		if now.Sub(sent) > c.cfg.Timeout {
+		if now.Sub(sent) > Timeout {
 			c.edge(t, "timeout")
 		}
 		return
@@ -355,7 +313,7 @@ func (c *Controller) Allow(shard int) bool {
 		c.halfOpen(t)
 		fallthrough
 	default: // HalfOpen
-		if t.probes < c.cfg.ProbeSuccesses-t.probeOKs {
+		if t.probes < probeQuota-t.probeOKs {
 			t.probes++
 			c.counters.Probes++
 			return true
@@ -432,7 +390,7 @@ func (c *Controller) OnComplete(shard int, serviceNs int64, ok bool) {
 		if !t.ewmaSeen {
 			t.ewmaNs, t.ewmaSeen = float64(serviceNs), true
 		} else {
-			t.ewmaNs += c.cfg.EWMAAlpha * (float64(serviceNs) - t.ewmaNs)
+			t.ewmaNs += ewmaAlpha * (float64(serviceNs) - t.ewmaNs)
 		}
 	}
 	if !fresh {
@@ -444,7 +402,7 @@ func (c *Controller) OnComplete(shard int, serviceNs int64, ok bool) {
 	case t.state == HalfOpen:
 		t.probes--
 		t.probeOKs++
-		if t.probeOKs >= c.cfg.ProbeSuccesses {
+		if t.probeOKs >= probeQuota {
 			if c.gate != nil && !c.gate(t.shard) {
 				// Liveness proven, readiness not: hold the shard
 				// half-open until Readmit. The self-transition marks the

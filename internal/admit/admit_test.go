@@ -8,21 +8,14 @@ import (
 	"github.com/mcn-arch/mcn/internal/stats"
 )
 
-// newTest builds a controller over two shards with a fast, jitter-heavy
-// configuration so tests exercise the backoff arithmetic.
-func newTest(seed uint64, cfg Config) (*sim.Kernel, *Controller) {
+// newTest builds a controller over two shards.
+func newTest(seed uint64) (*sim.Kernel, *Controller) {
 	k := sim.NewKernel()
-	cfg.On = true
-	return k, NewWithConfig(k, cfg, seed, []string{"shard-a", "shard-b"})
+	return k, New(k, seed, []string{"shard-a", "shard-b"})
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{On: true}.WithDefaults()
-	if cfg.Timeout == 0 || cfg.OpenBase == 0 || cfg.OpenMax == 0 ||
-		cfg.Edges == 0 || cfg.ProbeSuccesses == 0 || cfg.EWMAAlpha == 0 || cfg.JitterFrac == 0 {
-		t.Fatalf("defaults left zero fields: %+v", cfg)
-	}
-	if !cfg.Enabled() {
+	if !(Config{On: true}).Enabled() {
 		t.Fatal("On=true not Enabled")
 	}
 	if (Config{}).Enabled() {
@@ -37,7 +30,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestHealthyTrafficStaysClosed(t *testing.T) {
-	k, c := newTest(1, Config{})
+	k, c := newTest(1)
 	for i := 0; i < 1000; i++ {
 		if !c.Allow(0) {
 			t.Fatalf("healthy shard denied at request %d", i)
@@ -61,13 +54,12 @@ func TestHealthyTrafficStaysClosed(t *testing.T) {
 }
 
 func TestTimeoutOpensAndProbesClose(t *testing.T) {
-	k, c := newTest(2, Config{})
-	cfg := c.Config()
+	k, c := newTest(2)
 
 	// A request goes out and never comes back: the next Allow after
 	// Timeout must count the edge and open the breaker.
 	c.OnSend(0)
-	k.RunFor(cfg.Timeout + sim.Microsecond)
+	k.RunFor(Timeout + sim.Microsecond)
 	if c.Allow(0) {
 		t.Fatal("post-timeout Allow admitted; the edge must open the breaker before the verdict")
 	}
@@ -82,14 +74,14 @@ func TestTimeoutOpensAndProbesClose(t *testing.T) {
 	}
 
 	// Before the window expires: still denied.
-	k.RunFor(cfg.OpenBase / 2)
+	k.RunFor(OpenWindow / 2)
 	if c.Allow(0) {
 		t.Fatal("open breaker admitted before the window expired")
 	}
 
 	// After the (jittered) window: half-open, probes admitted up to the
 	// success quota, further traffic denied.
-	k.RunFor(cfg.OpenBase)
+	k.RunFor(OpenWindow)
 	if !c.Allow(0) {
 		t.Fatal("expired window denied the first probe")
 	}
@@ -97,7 +89,7 @@ func TestTimeoutOpensAndProbesClose(t *testing.T) {
 		t.Fatalf("state after window = %v, want half-open", c.State(0))
 	}
 	if !c.Allow(0) {
-		t.Fatal("second probe denied (quota is ProbeSuccesses)")
+		t.Fatal("second probe denied (quota is probeQuota)")
 	}
 	if c.Allow(0) {
 		t.Fatal("probe quota not enforced")
@@ -135,12 +127,11 @@ func TestTimeoutOpensAndProbesClose(t *testing.T) {
 }
 
 func TestProbeTimeoutReopensWithBackoff(t *testing.T) {
-	k, c := newTest(3, Config{JitterFrac: 1e-9}) // effectively unjittered windows
-	cfg := c.Config()
+	k, c := newTest(3)
 
 	// Trip the breaker with a stuck request.
 	c.OnSend(0)
-	k.RunFor(cfg.Timeout * 2)
+	k.RunFor(Timeout * 2)
 	c.Allow(0)
 	if c.State(0) != Open {
 		t.Fatal("setup: breaker not open")
@@ -148,12 +139,12 @@ func TestProbeTimeoutReopensWithBackoff(t *testing.T) {
 	firstWindow := c.trackers[0].reopenAt.Sub(k.Now())
 
 	// Window expires; the probe goes out and also gets stuck.
-	k.RunFor(cfg.OpenBase + sim.Microsecond)
+	k.RunUntil(c.trackers[0].reopenAt.Add(sim.Microsecond))
 	if !c.Allow(0) {
 		t.Fatal("probe denied")
 	}
 	c.OnSend(0)
-	k.RunFor(cfg.Timeout + sim.Microsecond)
+	k.RunFor(Timeout + sim.Microsecond)
 	c.Allow(0) // detects the stuck probe, reopens
 	if c.State(0) != Open {
 		t.Fatalf("stuck probe left state %v, want open", c.State(0))
@@ -168,7 +159,7 @@ func TestProbeTimeoutReopensWithBackoff(t *testing.T) {
 
 	// The stale stuck probe finally completes (RTO-style): it must not
 	// count as a probe outcome for the next half-open window.
-	k.RunFor(cfg.OpenBase * 4)
+	k.RunFor(OpenWindow * 4)
 	if !c.Allow(0) { // half-open again
 		t.Fatal("second half-open denied its probe")
 	}
@@ -179,17 +170,15 @@ func TestProbeTimeoutReopensWithBackoff(t *testing.T) {
 }
 
 func TestErrorEdgesOpen(t *testing.T) {
-	k, c := newTest(4, Config{Edges: 3})
-	_ = k
-	for i := 0; i < 2; i++ {
-		c.OnError(0)
-		if c.State(0) != Closed {
-			t.Fatalf("opened after %d of 3 edges", i+1)
-		}
-	}
+	_, c := newTest(4)
 	c.OnError(0)
 	if c.State(0) != Open {
-		t.Fatal("3 error edges did not open the breaker")
+		t.Fatal("an error edge did not open the breaker")
+	}
+	// Further edges while open change nothing.
+	c.OnError(0)
+	if got := c.Counters().Opens; got != 1 {
+		t.Fatalf("edge on an open breaker reopened it: %d opens", got)
 	}
 	// A sent request failing (conn death) also counts as an edge.
 	if c.State(1) != Closed {
@@ -197,23 +186,18 @@ func TestErrorEdgesOpen(t *testing.T) {
 	}
 	c.OnSend(1)
 	c.OnComplete(1, 0, false)
-	c.OnSend(1)
-	c.OnComplete(1, 0, false)
-	c.OnSend(1)
-	c.OnComplete(1, 0, false)
 	if c.State(1) != Open {
-		t.Fatal("3 failed completions did not open the breaker")
+		t.Fatal("a failed completion did not open the breaker")
 	}
 }
 
 func TestJitterIsSeedDeterministic(t *testing.T) {
 	trip := func(seed uint64) []sim.Time {
-		k, c := newTest(seed, Config{})
-		cfg := c.Config()
+		k, c := newTest(seed)
 		var reopens []sim.Time
 		for cycle := 0; cycle < 4; cycle++ {
 			c.OnSend(0)
-			k.RunFor(cfg.Timeout * 2)
+			k.RunFor(Timeout * 2)
 			c.Allow(0)
 			if c.State(0) != Open {
 				t.Fatalf("seed %d cycle %d: not open", seed, cycle)
@@ -244,9 +228,9 @@ func TestJitterIsSeedDeterministic(t *testing.T) {
 }
 
 func TestEventTraceRendering(t *testing.T) {
-	k, c := newTest(5, Config{})
+	k, c := newTest(5)
 	c.OnSend(1)
-	k.RunFor(c.Config().Timeout * 2)
+	k.RunFor(Timeout * 2)
 	c.Allow(1)
 	evs := c.Events()
 	if len(evs) != 1 {
@@ -259,7 +243,7 @@ func TestEventTraceRendering(t *testing.T) {
 }
 
 func TestNoteCounters(t *testing.T) {
-	_, c := newTest(6, Config{})
+	_, c := newTest(6)
 	c.NoteShed()
 	c.NoteShed()
 	c.NoteReroute()
@@ -273,15 +257,15 @@ func TestNoteCounters(t *testing.T) {
 }
 
 func TestEWMATracksLatency(t *testing.T) {
-	k, c := newTest(7, Config{EWMAAlpha: 0.5})
+	k, c := newTest(7)
 	c.OnSend(0)
 	k.RunFor(sim.Microsecond)
 	c.OnComplete(0, 10_000, true)
 	c.OnSend(0)
 	k.RunFor(sim.Microsecond)
 	c.OnComplete(0, 20_000, true)
-	if got := c.EWMA(0); got != 15_000 {
-		t.Fatalf("EWMA = %.0f, want 15000", got)
+	if got, want := c.EWMA(0), 10_000+ewmaAlpha*(20_000-10_000.0); got != want {
+		t.Fatalf("EWMA = %.0f, want %.0f", got, want)
 	}
 	if c.Outstanding(0) != 0 {
 		t.Fatalf("outstanding = %d after completions", c.Outstanding(0))
@@ -291,11 +275,10 @@ func TestEWMATracksLatency(t *testing.T) {
 // tripAndProbe drives shard 0 through one open cycle to the point where
 // both half-open probes have been sent and are about to complete.
 func tripAndProbe(k *sim.Kernel, c *Controller) {
-	cfg := c.Config()
 	c.OnSend(0)
-	k.RunFor(cfg.Timeout + sim.Microsecond)
+	k.RunFor(Timeout + sim.Microsecond)
 	c.Allow(0) // counts the timeout edge, opens
-	k.RunFor(2 * cfg.OpenBase)
+	k.RunFor(2 * OpenWindow)
 	c.Allow(0)
 	c.Allow(0)
 	c.OnSend(0)
@@ -306,7 +289,7 @@ func tripAndProbe(k *sim.Kernel, c *Controller) {
 }
 
 func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
-	k, c := newTest(11, Config{})
+	k, c := newTest(11)
 	ready := false
 	c.SetGate(func(shard int) bool { return ready })
 	var seen []string
@@ -351,7 +334,7 @@ func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
 }
 
 func TestUngatedControllerClosesAsBefore(t *testing.T) {
-	k, c := newTest(12, Config{})
+	k, c := newTest(12)
 	tripAndProbe(k, c)
 	c.OnComplete(0, 5_000, true)
 	c.OnComplete(0, 5_000, true)
@@ -364,8 +347,7 @@ func TestUngatedControllerClosesAsBefore(t *testing.T) {
 }
 
 func TestDwellTimesIntegrateTimeline(t *testing.T) {
-	k, c := newTest(13, Config{})
-	cfg := c.Config()
+	k, c := newTest(13)
 
 	// Shard 1 never transitions: all dwell is closed.
 	k.RunFor(sim.Millisecond)
@@ -377,10 +359,10 @@ func TestDwellTimesIntegrateTimeline(t *testing.T) {
 	// Shard 0: closed until the timeout edge, open until the window
 	// expires, then half-open.
 	c.OnSend(0)
-	k.RunFor(cfg.Timeout + sim.Microsecond)
+	k.RunFor(Timeout + sim.Microsecond)
 	c.Allow(0) // opens now
 	openedAt := k.Now()
-	k.RunFor(2 * cfg.OpenBase)
+	k.RunFor(2 * OpenWindow)
 	c.Allow(0) // first probe flips to half-open
 	halfAt := k.Now()
 	k.RunFor(sim.Millisecond)

@@ -66,9 +66,6 @@ type DimmDriver struct {
 // counterpart created by HostDriver.AddDimm (it defines the interface
 // MACs).
 func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Channel, d *Dimm, port *HostPort, opts Options, costs DriverCosts) *DimmDriver {
-	if opts.WatchdogInterval == 0 {
-		opts.WatchdogInterval = DefaultWatchdogInterval
-	}
 	drv := &DimmDriver{
 		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
 		dimm: d, local: local, port: port,
@@ -137,7 +134,7 @@ func (drv *DimmDriver) ArmWatchdog() {
 		return
 	}
 	d := drv.dimm
-	drv.watchdog = drv.CPU.NewHRTimer(drv.Opts.WatchdogInterval, func(p *sim.Proc) {
+	drv.watchdog = drv.CPU.NewHRTimer(DefaultWatchdogInterval, func(p *sim.Proc) {
 		if (d.Buf.RxPoll || !d.Buf.RX.Empty()) && !drv.draining {
 			drv.Recov.WatchdogKicks++
 			drv.drainRX(p)

@@ -82,9 +82,6 @@ func NewHostDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, opts Options, c
 	if opts.PollInterval == 0 {
 		opts.PollInterval = DefaultPollInterval
 	}
-	if opts.WatchdogInterval == 0 {
-		opts.WatchdogInterval = DefaultWatchdogInterval
-	}
 	hd := &HostDriver{
 		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
 		byMAC:         make(map[netstack.MAC]*HostPort),
@@ -218,7 +215,7 @@ func (hd *HostDriver) armWatchdog() {
 	if !hd.Opts.DimmInterrupt || hd.watchdog != nil {
 		return
 	}
-	hd.watchdog = hd.CPU.NewHRTimer(hd.Opts.WatchdogInterval, hd.watchdogScan)
+	hd.watchdog = hd.CPU.NewHRTimer(DefaultWatchdogInterval, hd.watchdogScan)
 	hd.watchdog.Start()
 }
 

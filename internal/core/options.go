@@ -61,11 +61,6 @@ type Options struct {
 	// PollInterval is the HR-timer period of the host polling agent when
 	// DimmInterrupt is off.
 	PollInterval sim.Duration
-	// WatchdogInterval is the recovery HR-timer period: with DimmInterrupt
-	// on, the host watchdog probes DIMM liveness and re-kicks rings whose
-	// ALERT_N edge was lost; the MCN-side driver runs a matching rx-ring
-	// watchdog. Coarse on purpose — it is a safety net, not the data path.
-	WatchdogInterval sim.Duration
 	// UncachedCopies disables the write-combining TX mapping and the
 	// cacheable RX mapping, degrading every SRAM access to 8-byte
 	// uncached transactions — the naive ioremap behavior Sec. III-B's
@@ -76,7 +71,11 @@ type Options struct {
 // DefaultPollInterval is the host polling agent's HR-timer period.
 const DefaultPollInterval = 5 * sim.Microsecond
 
-// DefaultWatchdogInterval is the recovery watchdogs' HR-timer period.
+// DefaultWatchdogInterval is the recovery HR-timer period: with
+// DimmInterrupt on, the host watchdog probes DIMM liveness and re-kicks
+// rings whose ALERT_N edge was lost; the MCN-side driver runs a matching
+// rx-ring watchdog. Coarse on purpose — it is a safety net, not the data
+// path.
 const DefaultWatchdogInterval = 50 * sim.Microsecond
 
 // Options expands the level into its mechanism set per Table I.

@@ -52,7 +52,7 @@ func serveTraced(seed uint64, topo Topo, rate float64, closedWorkers, sampleN in
 		cfg.ClosedWorkers = closedWorkers
 		cfg.RatePerSec = 0
 	}
-	tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
+	tl := obs.NewTimeline(k.Now())
 	if flapped {
 		fl := rig.flap(k, &cfg)
 		tl.AddFault(fl.Name, fl.Start, fl.End)

@@ -33,8 +33,9 @@ var McntServeRates = append(append([]float64(nil), DefaultServeRates...), 2.8e6,
 // DefaultServeSLONs is the p99 service-level objective (ns) used for the
 // qps-at-SLO headline. 40us sits well above every topology's unloaded
 // p99 and well below the saturated tails, so the headline measures where
-// each fabric's latency knee is.
-const DefaultServeSLONs = 40e3 // 40us
+// each fabric's latency knee is. The timeline's burn-rate monitor judges
+// completions against the same objective.
+const DefaultServeSLONs = obs.SLONs
 
 // ServeTopos lists the serving topologies in presentation order: both
 // MCN optimization extremes bare and batched, then the batched mcn5

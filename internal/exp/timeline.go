@@ -57,7 +57,7 @@ func ServeTimeline(seed uint64) *ServeTimelineResult {
 		cfg.Measure = serveAdmitMeasure
 		fl := rig.flap(k, &cfg)
 		out.FlapDimm, out.FlapStart, out.FlapEnd = fl.Name, fl.Start, fl.End
-		tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
+		tl := obs.NewTimeline(k.Now())
 		tl.AddFault(fl.Name, fl.Start, fl.End)
 		cfg.Timeline = tl
 		res := serve.Run(k, cfg)

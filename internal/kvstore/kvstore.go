@@ -760,14 +760,7 @@ func Dial(p *sim.Proc, ep cluster.Endpoint, addr netstack.IP, port uint16) (*Cli
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{conn: c}
-	// Bound the latency reservoir so long-lived clients (soak runs, the
-	// serving tier's warm-up probes) hold telemetry memory constant; the
-	// tuple keys the seed so per-client reservoirs replay identically.
-	_, lport, _, rport := c.Tuple()
-	cl.Lat.Cap = 4096
-	cl.Lat.Seed = uint64(lport)<<16 | uint64(rport)
-	return cl, nil
+	return &Client{conn: c}, nil
 }
 
 // Set stores val under key.

@@ -78,8 +78,8 @@ func (tl *Timeline) Finalize() {
 	tl.fillBreakersOpen()
 
 	// Per-window trailing burns + the firing/resolved state machine.
-	shortN := max(1, int(tl.cfg.Short/tl.cfg.Interval))
-	longN := max(1, int(tl.cfg.Long/tl.cfg.Interval))
+	shortN := max(1, int(burnShort/interval))
+	longN := max(1, int(burnLong/interval))
 	firing := false
 	fireIdx := -1
 	flush := func(endIdx int, resolvedIdx int) {
@@ -88,15 +88,15 @@ func (tl *Timeline) Finalize() {
 	for i, w := range tl.windows {
 		w.ShortBurn = tl.burnOver(i-shortN+1, i)
 		w.LongBurn = tl.burnOver(i-longN+1, i)
-		edge := int64(tl.start.Add(sim.Duration(i+1) * tl.cfg.Interval))
+		edge := int64(tl.start.Add(sim.Duration(i+1) * interval))
 		switch {
-		case !firing && w.ShortBurn >= tl.cfg.FireBurn && w.LongBurn >= tl.cfg.LongFire:
+		case !firing && w.ShortBurn >= fireBurn && w.LongBurn >= longFire:
 			firing, fireIdx = true, i
 			tl.alerts = append(tl.alerts, AlertEvent{
 				TPs: edge, State: "firing", Window: i,
 				ShortBurn: w.ShortBurn, LongBurn: w.LongBurn,
 			})
-		case firing && w.ShortBurn < tl.cfg.ClearBurn:
+		case firing && w.ShortBurn < clearBurn:
 			firing = false
 			tl.alerts = append(tl.alerts, AlertEvent{
 				TPs: edge, State: "resolved", Window: i,
@@ -127,7 +127,7 @@ func (tl *Timeline) burnOver(lo, hi int) float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(bad) / float64(total) / tl.cfg.Budget
+	return float64(bad) / float64(total) / budget
 }
 
 // fillBreakersOpen replays the admit health timeline into a per-window
@@ -136,7 +136,7 @@ func (tl *Timeline) fillBreakersOpen() {
 	var open int64
 	ev := 0
 	for i, w := range tl.windows {
-		edge := tl.start.Add(sim.Duration(i+1) * tl.cfg.Interval)
+		edge := tl.start.Add(sim.Duration(i+1) * interval)
 		for ev < len(tl.health) && tl.health[ev].T < edge {
 			e := tl.health[ev]
 			if e.To == "open" {
@@ -155,7 +155,7 @@ func (tl *Timeline) fillBreakersOpen() {
 // and subsystem timelines. resolvedIdx is -1 when the alert never
 // resolved.
 func (tl *Timeline) attribute(fireIdx, endIdx, resolvedIdx int) Incident {
-	winPs := int64(tl.cfg.Interval)
+	winPs := int64(interval)
 	startPs := int64(tl.start) + int64(fireIdx)*winPs
 	endPs := int64(tl.start) + int64(endIdx+1)*winPs
 	inc := Incident{
@@ -182,7 +182,7 @@ func (tl *Timeline) attribute(fireIdx, endIdx, resolvedIdx int) Incident {
 	// Cause: the fault whose window overlaps the episode (looking back
 	// one short-burn span, since detection trails injection), else the
 	// latest fault that started before the episode.
-	lookback := startPs - int64(tl.cfg.Short)
+	lookback := startPs - int64(burnShort)
 	var cause *FaultWindow
 	for i := range tl.faults {
 		f := &tl.faults[i]

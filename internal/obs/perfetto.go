@@ -217,7 +217,7 @@ func (pt PerfettoTrace) Write(w io.Writer) error {
 		tl.Finalize()
 		names := tl.SeriesNames()
 		for _, tw := range tl.Windows() {
-			ts := usec(tl.Start().Add(sim.Duration(tw.Index) * tl.Config().Interval))
+			ts := usec(tl.Start().Add(sim.Duration(tw.Index) * interval))
 			cInt := func(name string, v int64) {
 				emit(`{"ph":"C","pid":%d,"tid":0,"ts":%s,"name":%q,"args":{"value":%d}}`,
 					pidTimeline, ts, name, v)

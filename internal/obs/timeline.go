@@ -22,7 +22,6 @@ import (
 // attribution) happens post-run in Finalize, from per-window integer
 // sums — deterministic by construction.
 type Timeline struct {
-	cfg   TimelineConfig
 	start sim.Time
 
 	windows []*TimeWindow
@@ -39,57 +38,30 @@ type Timeline struct {
 	finalized bool
 }
 
-// TimelineConfig tunes the windowing and the burn-rate monitor. The zero
-// value of any field picks the default.
-type TimelineConfig struct {
-	// Interval is the sampling window width (default 1ms of sim time).
-	Interval sim.Duration
+// The windowing and the burn-rate monitor's settings.
+const (
+	// interval is the sampling window width in sim time.
+	interval = sim.Millisecond
 	// SLONs is the per-request latency objective in nanoseconds a
-	// completion must beat to stay inside the SLO (default 40µs — the
-	// serving tier's p99 objective).
-	SLONs float64
-	// Budget is the allowed violation fraction: burn rate 1.0 means
-	// exactly Budget of the window's requests were bad (default 0.01).
-	Budget float64
-	// Short and Long are the trailing burn-rate evaluation windows
-	// (defaults 2ms / 10ms — scaled from the classic multi-window SLO
-	// alert shape to the simulator's millisecond-scale runs).
-	Short, Long sim.Duration
-	// FireBurn / LongFire gate alert firing: both the short- and
-	// long-window burns must clear their threshold (defaults 2.0 / 0.5).
-	FireBurn, LongFire float64
-	// ClearBurn resolves a firing alert once the short-window burn drops
-	// below it (default 1.0).
-	ClearBurn float64
-}
-
-func (c TimelineConfig) withDefaults() TimelineConfig {
-	if c.Interval <= 0 {
-		c.Interval = sim.Millisecond
-	}
-	if c.SLONs <= 0 {
-		c.SLONs = 40e3
-	}
-	if c.Budget <= 0 {
-		c.Budget = 0.01
-	}
-	if c.Short <= 0 {
-		c.Short = 2 * sim.Millisecond
-	}
-	if c.Long <= 0 {
-		c.Long = 10 * sim.Millisecond
-	}
-	if c.FireBurn <= 0 {
-		c.FireBurn = 2.0
-	}
-	if c.LongFire <= 0 {
-		c.LongFire = 0.5
-	}
-	if c.ClearBurn <= 0 {
-		c.ClearBurn = 1.0
-	}
-	return c
-}
+	// completion must beat to stay inside the SLO: the serving tier's
+	// 40µs p99 objective.
+	SLONs = 40e3
+	// budget is the allowed violation fraction: burn rate 1.0 means
+	// exactly budget of the window's requests were bad.
+	budget = 0.01
+	// burnShort and burnLong are the trailing burn-rate evaluation
+	// windows: the classic multi-window SLO alert shape scaled to the
+	// simulator's millisecond-scale runs.
+	burnShort = 2 * sim.Millisecond
+	burnLong  = 10 * sim.Millisecond
+	// fireBurn and longFire gate alert firing: both the short- and
+	// long-window burns must clear their threshold.
+	fireBurn = 2.0
+	longFire = 0.5
+	// clearBurn resolves a firing alert once the short-window burn drops
+	// below it.
+	clearBurn = 1.0
+)
 
 // TimeWindow is one sampling interval's raw tallies.
 type TimeWindow struct {
@@ -121,18 +93,10 @@ type tlSeries struct {
 }
 
 // NewTimeline builds a timeline whose window zero starts at start
-// (normally kernel time at run start). cfg fields left zero take
-// defaults.
-func NewTimeline(start sim.Time, cfg TimelineConfig) *Timeline {
-	return &Timeline{
-		cfg:    cfg.withDefaults(),
-		start:  start,
-		series: map[string]*tlSeries{},
-	}
+// (normally kernel time at run start).
+func NewTimeline(start sim.Time) *Timeline {
+	return &Timeline{start: start, series: map[string]*tlSeries{}}
 }
-
-// Config returns the defaulted configuration in effect.
-func (tl *Timeline) Config() TimelineConfig { return tl.cfg }
 
 // Start returns the timestamp of window zero's left edge.
 func (tl *Timeline) Start() sim.Time { return tl.start }
@@ -147,7 +111,7 @@ func (tl *Timeline) Windows() []*TimeWindow { return tl.windows }
 func (tl *Timeline) win(at sim.Time) *TimeWindow {
 	idx := 0
 	if d := at.Sub(tl.start); d > 0 {
-		idx = int(d / tl.cfg.Interval)
+		idx = int(d / interval)
 	}
 	for len(tl.windows) <= idx {
 		tl.windows = append(tl.windows, &TimeWindow{Index: len(tl.windows)})
@@ -172,7 +136,7 @@ func (tl *Timeline) NoteComplete(at sim.Time, latNs int64) {
 	w := tl.win(at)
 	w.Completed++
 	w.Lat.Record(latNs)
-	if float64(latNs) > tl.cfg.SLONs {
+	if float64(latNs) > SLONs {
 		w.SLOViol++
 	}
 }
@@ -396,19 +360,19 @@ func (tl *Timeline) JSON() *TimelineJSON {
 	tl.Finalize()
 	out := &TimelineJSON{
 		StartPs:    int64(tl.start),
-		IntervalPs: int64(tl.cfg.Interval),
-		SLONs:      tl.cfg.SLONs,
-		Budget:     tl.cfg.Budget,
+		IntervalPs: int64(interval),
+		SLONs:      SLONs,
+		Budget:     budget,
 		Faults:     tl.faults,
 		Alerts:     tl.alerts,
 		Incidents:  tl.incidents,
 	}
-	secs := float64(tl.cfg.Interval) / 1e12
+	secs := float64(interval) / 1e12
 	names := tl.SeriesNames()
 	for _, w := range tl.windows {
 		wj := WindowJSON{
 			Index:        w.Index,
-			StartPs:      int64(tl.start.Add(sim.Duration(w.Index) * tl.cfg.Interval)),
+			StartPs:      int64(tl.start.Add(sim.Duration(w.Index) * interval)),
 			Issued:       w.Issued,
 			Completed:    w.Completed,
 			Errors:       w.Errors,

@@ -15,7 +15,7 @@ import (
 func ms(n int64) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
 
 func TestTimelineWindowing(t *testing.T) {
-	tl := NewTimeline(ms(1), TimelineConfig{})
+	tl := NewTimeline(ms(1))
 
 	// Stamps before the start clamp into window zero instead of panicking.
 	tl.NoteIssued(ms(0))
@@ -128,18 +128,14 @@ func fill(tl *Timeline, at sim.Time, n int, latNs int64) {
 // firing/resolve state machine, and the incident joined against the
 // fault, breaker and transport timelines.
 func TestBurnMonitorAttribution(t *testing.T) {
-	cfg := TimelineConfig{
-		Interval: sim.Millisecond, SLONs: 1000, Budget: 0.01,
-		Short: 2 * sim.Millisecond, Long: 4 * sim.Millisecond,
-		FireBurn: 2.0, LongFire: 0.5, ClearBurn: 1.0,
-	}
-	tl := NewTimeline(0, cfg)
+	tl := NewTimeline(0)
 
-	// Windows 0-3 healthy, 4-5 fully violating, 6-9 healthy again.
+	// Windows 0-3 healthy, 4-5 fully violating the 40µs objective, 6-9
+	// healthy again.
 	for i := int64(0); i < 10; i++ {
-		lat := int64(500)
+		lat := int64(20_000)
 		if i == 4 || i == 5 {
-			lat = 5000
+			lat = 50_000
 		}
 		fill(tl, ms(i)+ms(1)/2, 100, lat)
 	}
@@ -226,15 +222,11 @@ func TestBurnMonitorAttribution(t *testing.T) {
 // when the run stops flushes an unrecovered incident, and with no fault
 // registered it stays unattributed.
 func TestBurnMonitorUnresolved(t *testing.T) {
-	cfg := TimelineConfig{
-		Interval: sim.Millisecond, SLONs: 1000,
-		Short: 2 * sim.Millisecond, Long: 4 * sim.Millisecond,
-	}
-	tl := NewTimeline(0, cfg)
+	tl := NewTimeline(0)
 	for i := int64(0); i < 6; i++ {
-		lat := int64(500)
+		lat := int64(20_000)
 		if i >= 4 {
-			lat = 5000
+			lat = 50_000
 		}
 		fill(tl, ms(i)+ms(1)/2, 100, lat)
 	}
@@ -250,8 +242,8 @@ func TestBurnMonitorUnresolved(t *testing.T) {
 	}
 
 	// A healthy run reports cleanly.
-	quiet := NewTimeline(0, cfg)
-	fill(quiet, ms(0), 100, 500)
+	quiet := NewTimeline(0)
+	fill(quiet, ms(0), 100, 20_000)
 	if quiet.Report() != "no incidents\n" || len(quiet.Alerts()) != 0 {
 		t.Fatalf("quiet run: %q", quiet.Report())
 	}
@@ -261,7 +253,7 @@ func TestBurnMonitorUnresolved(t *testing.T) {
 // renders of the same timeline are byte-identical, and the envelope
 // round-trips as JSON.
 func TestTimelineJSONStable(t *testing.T) {
-	tl := NewTimeline(ms(1), TimelineConfig{})
+	tl := NewTimeline(ms(1))
 	for i := int64(0); i < 5; i++ {
 		fill(tl, ms(1+i), 10, 20_000+i)
 		tl.Count("mcnt/resent", ms(1+i), i)

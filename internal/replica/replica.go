@@ -40,47 +40,33 @@ import (
 	"github.com/mcn-arch/mcn/internal/stats"
 )
 
-// Config tunes the replication plane; the zero value (On=false)
+// Config switches the replication plane on; the zero value (On=false)
 // disables it.
 type Config struct {
 	// On enables replication.
 	On bool
-	// Window bounds the per-pair forward queue: the async staleness
-	// bound, in records (default 32). Overflow drops the oldest queued
-	// record — anti-entropy heals it later.
-	Window int
-	// SyncTimeout is how long a SyncFlag write waits for the backup ack
-	// before degrading (backup not admitted) or failing with
-	// StatusUnavail (default 1ms).
-	SyncTimeout sim.Duration
-	// RetryBase is the base backoff between forward-connection redials
-	// and catch-up pull retries, jittered from the pair's seeded stream
-	// (default 200us).
-	RetryBase sim.Duration
-	// PortDelta is the backup store's listening-port offset from its
-	// keyspace's primary port (default 1000).
-	PortDelta int
 }
 
 // Enabled reports whether replication is on.
 func (c Config) Enabled() bool { return c.On }
 
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 32
-	}
-	if c.SyncTimeout == 0 {
-		c.SyncTimeout = sim.Millisecond
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 200 * sim.Microsecond
-	}
-	if c.PortDelta == 0 {
-		c.PortDelta = 1000
-	}
-	return c
-}
+// The replication plane's tuning.
+const (
+	// Window bounds the per-pair forward queue: the async staleness
+	// bound, in records. Overflow drops the oldest queued record —
+	// anti-entropy heals it later.
+	Window = 32
+	// syncTimeout is how long a SyncFlag write waits for the backup ack
+	// before degrading (backup not admitted) or failing with
+	// StatusUnavail.
+	syncTimeout = sim.Millisecond
+	// retryBase is the base backoff between forward-connection redials
+	// and catch-up pull retries, jittered from the pair's seeded stream.
+	retryBase = 200 * sim.Microsecond
+	// BackupPortOffset is the backup store's listening-port offset from
+	// its keyspace's primary port.
+	BackupPortOffset = 1000
+)
 
 // Pair wires one keyspace's two replicas into the manager. Index is the
 // keyspace (and primary host) shard index; BackupHost is the admission
@@ -129,7 +115,6 @@ type pairState struct {
 // replication telemetry.
 type Manager struct {
 	k        *sim.Kernel
-	cfg      Config
 	ctrl     *admit.Controller
 	pairs    []*pairState
 	counters stats.ReplCounters
@@ -163,9 +148,8 @@ func (m *Manager) noteBacklog(at sim.Time) {
 // the primaries' forwarders, installs the readmission gate and observer
 // on ctrl, and starts one forwarder process per pair. seed keys every
 // retry-jitter stream.
-func NewManager(k *sim.Kernel, cfg Config, seed uint64, ctrl *admit.Controller, pairs []Pair) *Manager {
-	cfg = cfg.WithDefaults()
-	m := &Manager{k: k, cfg: cfg, ctrl: ctrl}
+func NewManager(k *sim.Kernel, seed uint64, ctrl *admit.Controller, pairs []Pair) *Manager {
+	m := &Manager{k: k, ctrl: ctrl}
 	for _, pr := range pairs {
 		ps := &pairState{
 			Pair:     pr,
@@ -182,9 +166,6 @@ func NewManager(k *sim.Kernel, cfg Config, seed uint64, ctrl *admit.Controller, 
 	ctrl.SetObserver(m.observe)
 	return m
 }
-
-// Config returns the (defaults-filled) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Counters returns the replication tally so far.
 func (m *Manager) Counters() stats.ReplCounters { return m.counters }
@@ -246,7 +227,7 @@ func (m *Manager) peerDown(ps *pairState) bool {
 
 // retryDelay draws one jittered backoff from the pair's seeded stream.
 func (m *Manager) retryDelay(ps *pairState) sim.Duration {
-	return m.cfg.RetryBase + sim.Duration(float64(m.cfg.RetryBase)*ps.jit.Float64())
+	return retryBase + sim.Duration(float64(retryBase)*ps.jit.Float64())
 }
 
 // pairFwd adapts one pair to the kvstore.Forwarder hook.
@@ -274,7 +255,7 @@ func (f *pairFwd) Forward(p *sim.Proc, rec kvstore.ReplRecord, sync bool) bool {
 	if sync {
 		it.done = m.k.NewSignal()
 	}
-	if len(ps.queue) >= m.cfg.Window {
+	if len(ps.queue) >= Window {
 		old := ps.queue[0]
 		ps.queue = ps.queue[1:]
 		ps.unpend(old.rec.Key)
@@ -293,7 +274,7 @@ func (f *pairFwd) Forward(p *sim.Proc, rec kvstore.ReplRecord, sync bool) bool {
 	if !sync {
 		return true
 	}
-	woke := it.done.WaitTimeout(p, m.cfg.SyncTimeout)
+	woke := it.done.WaitTimeout(p, syncTimeout)
 	if woke && it.acked {
 		m.counters.SyncAcks++
 		return true

@@ -27,7 +27,9 @@ type rig struct {
 	deadline sim.Time
 }
 
-func newRig(t *testing.T, n int, cfg Config) *rig {
+// refused points every pair's forwarder at a port nothing listens on, so
+// forwards can never land.
+func newRig(t *testing.T, n int, refused bool) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	s := cluster.NewMcnServer(k, n, core.MCN5.Options())
@@ -35,7 +37,7 @@ func newRig(t *testing.T, n int, cfg Config) *rig {
 	for i := range names {
 		names[i] = s.Mcns[i].Node.Name
 	}
-	ctrl := admit.NewWithConfig(k, admit.Config{On: true, Policy: admit.Reroute}, 42, names)
+	ctrl := admit.New(k, 42, names)
 	r := &rig{
 		k: k, s: s, ctrl: ctrl,
 		hostEp:   cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()},
@@ -50,8 +52,8 @@ func newRig(t *testing.T, n int, cfg Config) *rig {
 		h := (i + 1) % n
 		ep := cluster.Endpoint{Node: s.Mcns[h].Node, IP: s.Mcns[h].IP}
 		bport := uint16(12211 + i)
-		if cfg.PortDelta < 0 {
-			bport = 9 // nothing listens here: forwards can never land
+		if refused {
+			bport = 9
 		}
 		bk := kvstore.NewServer(k, ep, uint16(12211+i))
 		r.backup = append(r.backup, bk)
@@ -61,9 +63,7 @@ func newRig(t *testing.T, n int, cfg Config) *rig {
 			BackupAddr: s.Mcns[h].IP, BackupPort: bport, BackupHost: h,
 		})
 	}
-	cfg.On = true
-	cfg.PortDelta = 0
-	r.m = NewManager(k, cfg, 42, ctrl, pairs)
+	r.m = NewManager(k, 42, ctrl, pairs)
 	return r
 }
 
@@ -83,17 +83,13 @@ func (r *rig) dial(p *sim.Proc, i int) *kvstore.Client {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{On: true}.WithDefaults()
-	if cfg.Window == 0 || cfg.SyncTimeout == 0 || cfg.RetryBase == 0 || cfg.PortDelta == 0 {
-		t.Fatalf("defaults left zero fields: %+v", cfg)
-	}
-	if !cfg.Enabled() || (Config{}).Enabled() {
+	if !(Config{On: true}).Enabled() || (Config{}).Enabled() {
 		t.Fatal("Enabled() wrong")
 	}
 }
 
 func TestHealthyForwardsConverge(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, false)
 	r.drive(func(p *sim.Proc) {
 		c := r.dial(p, 0)
 		for i := 0; i < 20; i++ {
@@ -132,10 +128,10 @@ func TestHealthyForwardsConverge(t *testing.T) {
 }
 
 func TestPeerDownSkipsAndSyncDegrades(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, false)
 	// Trip DIMM 1's breaker: pair 0's backup host is no longer admitted.
 	r.ctrl.OnSend(1)
-	r.k.RunFor(r.ctrl.Config().Timeout + sim.Microsecond)
+	r.k.RunFor(admit.Timeout + sim.Microsecond)
 	if r.ctrl.Allow(1) {
 		t.Fatal("breaker did not open")
 	}
@@ -165,10 +161,10 @@ func TestPeerDownSkipsAndSyncDegrades(t *testing.T) {
 func TestWindowOverflowDropsOldestAndSyncTimesOut(t *testing.T) {
 	// Backups listen on a refused port: every forward dial RSTs, the
 	// queue backs up behind the redial backoff, and the window drops.
-	r := newRig(t, 2, Config{Window: 2, SyncTimeout: 500 * sim.Microsecond, PortDelta: -1})
+	r := newRig(t, 2, true)
 	r.drive(func(p *sim.Proc) {
 		c := r.dial(p, 0)
-		for i := 0; i < 6; i++ {
+		for i := 0; i < Window+8; i++ {
 			if err := c.Set(p, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 				panic(err)
 			}
@@ -182,7 +178,7 @@ func TestWindowOverflowDropsOldestAndSyncTimesOut(t *testing.T) {
 	})
 	got := r.m.Counters()
 	if got.Dropped == 0 {
-		t.Fatalf("2-record window never dropped: %s", got.String())
+		t.Fatalf("%d-record window never dropped: %s", Window, got.String())
 	}
 	if got.SyncFailed != 1 {
 		t.Fatalf("sync failures: %s", got.String())
@@ -190,14 +186,14 @@ func TestWindowOverflowDropsOldestAndSyncTimesOut(t *testing.T) {
 	if got.Reconnects == 0 {
 		t.Fatalf("refused forward dials counted no reconnects: %s", got.String())
 	}
-	if got.MaxPending < 2 {
+	if got.MaxPending < Window {
 		t.Fatalf("max pending %d never reached the window", got.MaxPending)
 	}
 	r.k.Shutdown()
 }
 
 func TestStaleFailoverReadsCounted(t *testing.T) {
-	r := newRig(t, 2, Config{PortDelta: -1})
+	r := newRig(t, 2, true)
 	r.drive(func(p *sim.Proc) {
 		c := r.dial(p, 0)
 		if err := c.Set(p, "hot", []byte("v")); err != nil {
@@ -219,11 +215,10 @@ func TestStaleFailoverReadsCounted(t *testing.T) {
 // tripProbeCycle drives shard i of r.ctrl through open -> half-open ->
 // probes-passed, returning right after the gate held it half-open.
 func tripProbeCycle(r *rig, i int) {
-	cfg := r.ctrl.Config()
 	r.ctrl.OnSend(i)
-	r.k.RunFor(cfg.Timeout + sim.Microsecond)
+	r.k.RunFor(admit.Timeout + sim.Microsecond)
 	r.ctrl.Allow(i) // timeout edge: opens
-	r.k.RunFor(2 * cfg.OpenBase)
+	r.k.RunFor(2 * admit.OpenWindow)
 	r.ctrl.Allow(i) // half-open, probe 1
 	r.ctrl.Allow(i) // probe 2
 	r.ctrl.OnSend(i)
@@ -235,7 +230,7 @@ func tripProbeCycle(r *rig, i int) {
 }
 
 func TestCatchUpGatesReadmission(t *testing.T) {
-	r := newRig(t, 3, Config{})
+	r := newRig(t, 3, false)
 	// Seed pair 0's backup with failover-era writes the dead primary
 	// never saw (epoch 1 fences the primary's unforwarded state).
 	r.drive(func(p *sim.Proc) {
@@ -284,7 +279,7 @@ func TestCatchUpGatesReadmission(t *testing.T) {
 }
 
 func TestFinalSweepHealsBothDirections(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, false)
 	r.drive(func(p *sim.Proc) {
 		// Divergence in both directions, injected behind the forwarders'
 		// backs: a record only the primary has, one only the backup has.
@@ -308,7 +303,7 @@ func TestFinalSweepHealsBothDirections(t *testing.T) {
 }
 
 func TestPublishRegistersTelemetry(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, false)
 	r.drive(func(p *sim.Proc) {
 		c := r.dial(p, 0)
 		if err := c.Set(p, "k", []byte("v")); err != nil {
@@ -336,9 +331,6 @@ func TestPublishRegistersTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("repl/forward_lag HDR missing from snapshot")
-	}
-	if r.m.Config().Window != (Config{}).WithDefaults().Window {
-		t.Fatal("Config() lost the defaults")
 	}
 	r.k.Shutdown()
 }

@@ -21,6 +21,9 @@ const (
 	opSet = kvstore.OpSet
 )
 
+// maxInflight caps pipelined requests per shard connection.
+const maxInflight = 16
+
 // Shard is one kvstore target the router can address.
 type Shard struct {
 	// Name labels the shard in summaries ("host/mcn3", "node5", ...).
@@ -56,8 +59,6 @@ type Config struct {
 	// per client endpoint, each issuing the next request as soon as the
 	// previous one completes.
 	ClosedWorkers int
-	// Inflight caps pipelined requests per shard connection (default 16).
-	Inflight int
 	// Batch bounds the per-connection coalescing window; the zero value
 	// disables batching (one request per Send).
 	Batch BatchConfig
@@ -137,9 +138,6 @@ func (bc BatchConfig) withDefaults() BatchConfig {
 
 func (c Config) withDefaults() Config {
 	c.Workload = c.Workload.withDefaults()
-	if c.Inflight == 0 {
-		c.Inflight = 16
-	}
 	c.Batch = c.Batch.withDefaults()
 	c.Ops = c.Ops.withDefaults()
 	if c.Warmup == 0 {
@@ -502,7 +500,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 		for si := range cfg.Shards {
 			names[si] = cfg.Shards[si].Name
 		}
-		b.ctrl = admit.NewWithConfig(k, cfg.Admit, cfg.Seed, names)
+		b.ctrl = admit.New(k, cfg.Seed, names)
 		b.res.AdmitOn = true
 	}
 
@@ -517,14 +515,13 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 		if len(cfg.Shards) < 2 {
 			panic("serve: replication needs at least two shards")
 		}
-		rc := cfg.Repl.WithDefaults()
 		pairs := make([]replica.Pair, len(cfg.Shards))
 		for i := range cfg.Shards {
 			if cfg.Shards[i].Server == nil {
 				panic("serve: replication needs every shard's Server")
 			}
 			h := (i + 1) % len(cfg.Shards)
-			bport := cfg.Shards[i].Port + uint16(rc.PortDelta)
+			bport := cfg.Shards[i].Port + replica.BackupPortOffset
 			bsrv := kvstore.NewServer(k, cfg.Shards[h].Server.Endpoint(), bport)
 			cfg.Shards[i].Backup = bsrv
 			pairs[i] = replica.Pair{
@@ -534,7 +531,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 				BackupHost: h,
 			}
 		}
-		b.repl = replica.NewManager(k, rc, cfg.Seed, b.ctrl, pairs)
+		b.repl = replica.NewManager(k, cfg.Seed, b.ctrl, pairs)
 		b.repl.SetTimeline(cfg.Timeline)
 		b.res.ReplOn = true
 		b.res.Repl = b.repl
@@ -611,7 +608,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 			b: b, ci: ci, shard: si, admitShard: host, client: cfg.Clients[ci],
 			addr: cfg.Shards[host].Addr, port: port,
 			q:        sim.NewQueue[*request](k, 0),
-			inflight: k.NewResource(cfg.Inflight),
+			inflight: k.NewResource(maxInflight),
 			setVal:   val,
 		}
 		k.Go(fmt.Sprintf("serve/c%d/%s%d", ci, tag, si), sc.run)
@@ -637,7 +634,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 	// Drivers. Shard connections establish under load: with ARP steered
 	// to its own control-plane queue, a cold-start handshake completes in
 	// a few RTTs, comfortably inside the warmup window.
-	zf := newZipfFor(w)
+	zf := newZipf(w.Keys, zipfTheta)
 	if cfg.ClosedWorkers > 0 {
 		for ci := range cfg.Clients {
 			for wi := 0; wi < cfg.ClosedWorkers; wi++ {
@@ -671,14 +668,6 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 	k.RunUntil(base.Add(cfg.Deadline()))
 	b.collect()
 	return b.res
-}
-
-// newZipfFor builds the (shared, read-only) Zipf tables when needed.
-func newZipfFor(w Workload) *zipf {
-	if w.Popularity != Zipfian {
-		return nil
-	}
-	return newZipf(w.Keys, w.ZipfTheta)
 }
 
 // openLoop issues requests at Poisson arrivals of the given rate,
@@ -723,7 +712,7 @@ func (b *bench) issue(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, clo
 	var key int
 	var sync bool
 	if b.ops != nil {
-		fam, op, key, sync = gen.nextOps(b.ops.cfg)
+		fam, op, key, sync = gen.nextOps()
 	} else {
 		op, key, sync = gen.next()
 	}

@@ -24,23 +24,14 @@ import (
 )
 
 // OpsConfig mixes near-memory operator traffic into the workload. The
-// zero value disables it; the family fractions are of all logical
-// requests, and the remainder stays the plain GET/SET mix.
+// zero value disables it.
 type OpsConfig struct {
 	// On enables operator traffic. Every stream draw and pipeline hook
 	// below is gated on it, so an ops-off run stays byte-identical to one
 	// built before the subsystem existed.
 	On bool
-	// Family fractions of the logical request stream. All zero (with On
-	// set) selects the default mix.
-	MultiGetFrac, ScanFrac, FilterFrac, RMWFrac float64
-	// MultiGetKeys is the keys per multi-GET, drawn from the popularity
-	// distribution: the on-DIMM path fans one multi-GET out per owning
-	// shard, the host path issues one GET per key.
-	MultiGetKeys int
-	// ScanRows / FilterRows bound one scan / filter page.
-	ScanRows, FilterRows int
-	// Selectivity is the filter predicate's expected match fraction.
+	// Selectivity is the filter predicate's expected match fraction
+	// (default 0.10).
 	Selectivity float64
 	// ReturnMatches ships the matched rows (not just the aggregate) back
 	// from a filter — the analytics-over-cache shape whose byte savings
@@ -54,23 +45,24 @@ type OpsConfig struct {
 	Model *nmop.CostModel
 }
 
+// The operator mix. The family fractions are of all logical requests;
+// the remainder stays the plain GET/SET mix.
+const (
+	multiGetFrac = 0.05
+	scanFrac     = 0.03
+	filterFrac   = 0.04
+	rmwFrac      = 0.08
+	// multiGetKeys is the keys per multi-GET, drawn from the popularity
+	// distribution: the on-DIMM path fans one multi-GET out per owning
+	// shard, the host path issues one GET per key.
+	multiGetKeys = 8
+	// scanRows / filterRows bound one scan / filter page.
+	scanRows   = 32
+	filterRows = 512
+)
+
 func (o OpsConfig) withDefaults() OpsConfig {
-	if !o.On {
-		return o
-	}
-	if o.MultiGetFrac == 0 && o.ScanFrac == 0 && o.FilterFrac == 0 && o.RMWFrac == 0 {
-		o.MultiGetFrac, o.ScanFrac, o.FilterFrac, o.RMWFrac = 0.05, 0.03, 0.04, 0.08
-	}
-	if o.MultiGetKeys == 0 {
-		o.MultiGetKeys = 8
-	}
-	if o.ScanRows == 0 {
-		o.ScanRows = 32
-	}
-	if o.FilterRows == 0 {
-		o.FilterRows = 512
-	}
-	if o.Selectivity == 0 {
+	if o.On && o.Selectivity == 0 {
 		o.Selectivity = 0.10
 	}
 	return o
@@ -151,17 +143,16 @@ func (b *bench) initOps() {
 // never perturbs an ops-off stream (the gate the byte-identity test
 // pins). RMW ops alternate CAS and fetch-and-add on a counter, not an
 // extra draw, mirroring the SyncEvery cadence.
-func (g *generator) nextOps(o OpsConfig) (fam nmop.Kind, op byte, keyIdx int, sync bool) {
+func (g *generator) nextOps() (fam nmop.Kind, op byte, keyIdx int, sync bool) {
 	u := g.r.Float64()
-	cut := o.MultiGetFrac
 	switch {
-	case u < cut:
+	case u < multiGetFrac:
 		return nmop.KindMultiGet, 0, g.keyIdx(), false
-	case u < cut+o.ScanFrac:
+	case u < multiGetFrac+scanFrac:
 		return nmop.KindScan, 0, g.keyIdx(), false
-	case u < cut+o.ScanFrac+o.FilterFrac:
+	case u < multiGetFrac+scanFrac+filterFrac:
 		return nmop.KindFilter, 0, g.keyIdx(), false
-	case u < cut+o.ScanFrac+o.FilterFrac+o.RMWFrac:
+	case u < multiGetFrac+scanFrac+filterFrac+rmwFrac:
 		g.rmws++
 		if g.rmws%2 == 0 {
 			return nmop.KindCAS, 0, g.keyIdx(), false
@@ -204,7 +195,7 @@ func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, 
 	var parts []*request
 	switch fam {
 	case nmop.KindMultiGet:
-		idxs := make([]int, o.MultiGetKeys)
+		idxs := make([]int, multiGetKeys)
 		idxs[0] = key
 		for i := 1; i < len(idxs); i++ {
 			idxs[i] = gen.keyIdx()
@@ -242,7 +233,7 @@ func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, 
 		// GETs the client can derive from its own routing view.
 		si := b.keyShard[key]
 		pos := sort.SearchStrings(st.shardKeys[si], b.keys[key])
-		end := pos + o.ScanRows
+		end := pos + scanRows
 		if end > len(st.shardKeys[si]) {
 			end = len(st.shardKeys[si])
 		}
@@ -250,7 +241,7 @@ func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, 
 		if lop.offloaded {
 			parts = append(parts, &request{
 				op: opWire(fam), kind: fam, key: key,
-				payload: nmop.AppendScanPayload(nil, "", uint32(o.ScanRows), 0),
+				payload: nmop.AppendScanPayload(nil, "", uint32(scanRows), 0),
 				arrival: now, lop: lop,
 			})
 		} else {
@@ -267,20 +258,20 @@ func (b *bench) issueOps(p *sim.Proc, ci int, gen *generator, smp *obs.Sampler, 
 		si := b.keyShard[key]
 		pos := sort.SearchStrings(st.shardKeys[si], b.keys[key])
 		rows := len(st.shardKeys[si]) - pos
-		if rows > o.FilterRows {
-			rows = o.FilterRows
+		if rows > filterRows {
+			rows = filterRows
 		}
 		lop.offloaded = st.model.DecideFilter(o.Mode, rows, keyLen+vb, o.Selectivity)
 		if lop.offloaded {
 			parts = append(parts, &request{
 				op: opWire(fam), kind: fam, key: key,
-				payload: nmop.AppendFilterPayload(nil, "", uint32(o.FilterRows), st.predBytes, o.ReturnMatches),
+				payload: nmop.AppendFilterPayload(nil, "", uint32(filterRows), st.predBytes, o.ReturnMatches),
 				arrival: now, lop: lop,
 			})
 		} else {
 			parts = append(parts, &request{
 				op: opWire(nmop.KindScan), kind: nmop.KindScan, key: key,
-				payload: nmop.AppendScanPayload(nil, "", uint32(o.FilterRows), 0),
+				payload: nmop.AppendScanPayload(nil, "", uint32(filterRows), 0),
 				rows:    rows,
 				arrival: now, lop: lop,
 			})

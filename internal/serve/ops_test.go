@@ -35,7 +35,7 @@ func TestOpsOffByteIdentical(t *testing.T) {
 	plain := mk(Config{Seed: 7, Workload: Workload{Keys: 1500}, RatePerSec: 90e3})
 	gated := mk(Config{Seed: 7, Workload: Workload{Keys: 1500}, RatePerSec: 90e3,
 		// Everything set except On: none of it may leak into the run.
-		Ops: OpsConfig{FilterFrac: 0.5, FilterRows: 512, Selectivity: 0.5, Mode: nmop.ModeDimm},
+		Ops: OpsConfig{Selectivity: 0.5, ReturnMatches: true, Mode: nmop.ModeDimm},
 	})
 	if plain != gated {
 		t.Fatalf("disabled ops config perturbed the run:\n--- plain ---\n%s\n--- gated ---\n%s", plain, gated)

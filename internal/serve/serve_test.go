@@ -142,7 +142,7 @@ func TestSeedChangesArrivals(t *testing.T) {
 
 func TestZipfSkewAndOpMix(t *testing.T) {
 	w := Workload{Keys: 5000, GetFrac: 0.9}.withDefaults()
-	g := w.newGenerator(newZipfFor(w), 9, "gen/test")
+	g := w.newGenerator(newZipf(w.Keys, zipfTheta), 9, "gen/test")
 	const draws = 100000
 	counts := make(map[int]int)
 	gets := 0
@@ -171,7 +171,7 @@ func TestZipfSkewAndOpMix(t *testing.T) {
 		t.Errorf("hottest key drew %d/%d: distribution looks uniform, not Zipfian", max, draws)
 	}
 	// Distinct seeds give distinct streams.
-	g2 := w.newGenerator(newZipfFor(w), 10, "gen/test")
+	g2 := w.newGenerator(newZipf(w.Keys, zipfTheta), 10, "gen/test")
 	same := true
 	for i := 0; i < 32; i++ {
 		o1, k1, _ := g.next()
@@ -183,22 +183,5 @@ func TestZipfSkewAndOpMix(t *testing.T) {
 	}
 	if same {
 		t.Errorf("different seeds produced the same request stream")
-	}
-}
-
-func TestUniformPopularity(t *testing.T) {
-	w := Workload{Keys: 100, Popularity: Uniform, GetFrac: 1}.withDefaults()
-	g := w.newGenerator(newZipfFor(w), 5, "gen/u")
-	counts := make([]int, w.Keys)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		_, key, _ := g.next()
-		counts[key]++
-	}
-	mean := draws / w.Keys
-	for k, c := range counts {
-		if c < mean/2 || c > mean*2 {
-			t.Errorf("uniform key %d drawn %d times, mean %d", k, c, mean)
-		}
 	}
 }

@@ -2,8 +2,8 @@
 // running MCN as a serving tier (the paper's Discussion: one MCN server
 // replacing a rack of memcached nodes). It provides
 //
-//   - workload generators: a keyspace with Zipfian or uniform key
-//     popularity, a configurable GET/SET mix, and two request drivers — an
+//   - workload generators: a keyspace with Zipfian key popularity, a
+//     configurable GET/SET mix, and two request drivers — an
 //     open-loop Poisson arrival process (offered load is independent of
 //     completions, the shape production traffic has) and a closed-loop
 //     worker pool;
@@ -33,24 +33,10 @@ func expDuration(r *sim.RNG, mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// Popularity selects the key-popularity distribution.
-type Popularity int
-
-const (
-	// Zipfian popularity with parameter Workload.ZipfTheta: a few keys
-	// absorb most of the traffic, the shape measured on production
-	// memcached pools.
-	Zipfian Popularity = iota
-	// Uniform popularity: every key equally likely.
-	Uniform
-)
-
-func (p Popularity) String() string {
-	if p == Uniform {
-		return "uniform"
-	}
-	return "zipfian"
-}
+// zipfTheta is the skew of the Zipfian key popularity, the YCSB default:
+// a few keys absorb most of the traffic, the shape measured on
+// production memcached pools.
+const zipfTheta = 0.99
 
 // Workload describes the request stream of one run.
 type Workload struct {
@@ -58,10 +44,6 @@ type Workload struct {
 	// value.
 	Keys       int
 	ValueBytes int
-	// Popularity picks the key distribution; ZipfTheta is the Zipfian
-	// skew (0 means the YCSB default 0.99).
-	Popularity Popularity
-	ZipfTheta  float64
 	// GetFrac is the fraction of GETs; the rest are SETs (0 means the
 	// memcached-classic 0.95).
 	GetFrac float64
@@ -79,9 +61,6 @@ func (w Workload) withDefaults() Workload {
 	}
 	if w.ValueBytes == 0 {
 		w.ValueBytes = 128
-	}
-	if w.ZipfTheta == 0 {
-		w.ZipfTheta = 0.99
 	}
 	if w.GetFrac == 0 {
 		w.GetFrac = 0.95
@@ -169,8 +148,5 @@ func (g *generator) next() (op byte, keyIdx int, sync bool) {
 // out of next so operator traffic (ops.go) draws keys from the same
 // stream with the same machinery.
 func (g *generator) keyIdx() int {
-	if g.w.Popularity == Uniform {
-		return g.r.Intn(g.w.Keys)
-	}
 	return scramble(g.z.rank(&g.r), g.w.Keys)
 }

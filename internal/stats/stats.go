@@ -59,40 +59,16 @@ func (c *Counter) RateOver(span sim.Duration) float64 {
 	return float64(c.Total) / s
 }
 
-// Histogram collects samples and reports order statistics. By default it
-// stores every raw sample (fine for the few hundred thousand observations
-// a short simulation makes). Setting Cap before the first Observe bounds
-// memory for long runs: the stored set becomes a uniform random reservoir
-// of Cap samples (Vitter's Algorithm R on a seeded splitmix64 stream, so
-// replays stay byte-identical), while N, Mean, Min and Max remain exact
-// over every observation; only the quantiles are estimated from the
-// reservoir. Hot paths that need exact tails use HDR instead.
+// Histogram collects samples and reports order statistics. It stores
+// every raw sample (fine for the few hundred thousand observations a
+// short simulation makes); hot paths that need bounded memory use HDR
+// instead.
 type Histogram struct {
-	// Cap, when > 0, bounds the stored samples to a reservoir of that
-	// size. Seed selects the replacement stream (0 is a valid seed).
-	Cap  int
-	Seed uint64
-
 	samples  []float64
 	sorted   bool
 	sum      float64
 	n        int64
 	min, max float64
-	rng      uint64
-	rngInit  bool
-}
-
-// rand is one splitmix64 step, the repo-wide seeded stream primitive.
-func (h *Histogram) rand() uint64 {
-	if !h.rngInit {
-		h.rng = h.Seed
-		h.rngInit = true
-	}
-	h.rng += 0x9e3779b97f4a7c15
-	z := h.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Observe records one sample.
@@ -105,17 +81,6 @@ func (h *Histogram) Observe(v float64) {
 	if h.n == 1 || v > h.max {
 		h.max = v
 	}
-	if h.Cap > 0 && len(h.samples) >= h.Cap {
-		// Algorithm R: the new sample displaces a random resident with
-		// probability Cap/n, keeping the reservoir a uniform sample of
-		// everything seen. (Sorting permutes slots, but slots are
-		// exchangeable, so a uniform index stays a uniform victim.)
-		if j := h.rand() % uint64(h.n); j < uint64(h.Cap) {
-			h.samples[j] = v
-			h.sorted = false
-		}
-		return
-	}
 	h.samples = append(h.samples, v)
 	h.sorted = false
 }
@@ -123,10 +88,10 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration sample in nanoseconds.
 func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(d.Nanoseconds()) }
 
-// N returns the number of observations (not the retained sample count).
+// N returns the number of observations.
 func (h *Histogram) N() int { return int(h.n) }
 
-// Mean returns the exact mean over all observations (0 with none).
+// Mean returns the mean over all observations (0 with none).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
 		return 0
@@ -134,12 +99,10 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Min returns the smallest observation, exact even in reservoir mode (0
-// with no samples).
+// Min returns the smallest observation (0 with no samples).
 func (h *Histogram) Min() float64 { return h.min }
 
-// Max returns the largest observation, exact even in reservoir mode (0
-// with no samples).
+// Max returns the largest observation (0 with no samples).
 func (h *Histogram) Max() float64 { return h.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank.
@@ -167,9 +130,6 @@ func (h *Histogram) ensureSorted() {
 		h.sorted = true
 	}
 }
-
-// Retained returns the stored sample count (== N unless Cap bounded it).
-func (h *Histogram) Retained() int { return len(h.samples) }
 
 // String summarizes the histogram.
 func (h *Histogram) String() string {

@@ -93,49 +93,6 @@ func TestBusyMeterEnergy(t *testing.T) {
 	}
 }
 
-func TestHistogramReservoir(t *testing.T) {
-	h := Histogram{Cap: 100, Seed: 42}
-	for i := 1; i <= 10000; i++ {
-		h.Observe(float64(i))
-	}
-	// N, Mean, Min and Max stay exact over every observation; only the
-	// stored sample set is bounded.
-	if h.N() != 10000 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Retained() != 100 {
-		t.Fatalf("retained %d samples", h.Retained())
-	}
-	if h.Min() != 1 || h.Max() != 10000 {
-		t.Fatalf("min/max %g/%g", h.Min(), h.Max())
-	}
-	if mean := h.Mean(); mean != 5000.5 {
-		t.Fatalf("mean %g", mean)
-	}
-	// The reservoir is a uniform sample, so the median estimate must land
-	// in the middle of the distribution (binomial bounds: +-40% is >5
-	// sigma for n=100).
-	if med := h.Median(); med < 3000 || med > 7000 {
-		t.Fatalf("reservoir median %g", med)
-	}
-	// Seeded: same stream, same reservoir.
-	h2 := Histogram{Cap: 100, Seed: 42}
-	for i := 1; i <= 10000; i++ {
-		h2.Observe(float64(i))
-	}
-	if h.Quantile(0.9) != h2.Quantile(0.9) {
-		t.Fatal("reservoir not deterministic")
-	}
-	// Cap = 0 keeps the historical store-everything behavior.
-	var u Histogram
-	for i := 1; i <= 50; i++ {
-		u.Observe(float64(i))
-	}
-	if u.Retained() != 50 || u.N() != 50 || u.Quantile(1) != 50 {
-		t.Fatalf("unbounded mode: retained=%d n=%d", u.Retained(), u.N())
-	}
-}
-
 func TestOpsCounters(t *testing.T) {
 	var o OpsCounters
 	o.Filter.Add(OpTally{Issued: 2, Offloaded: 1, Host: 1, WireReqs: 3, ReqBytes: 100, RespBytes: 900})

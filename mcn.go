@@ -38,6 +38,7 @@ import (
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/npb"
 	"github.com/mcn-arch/mcn/internal/obs"
+	"github.com/mcn-arch/mcn/internal/replica"
 	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/stats"
@@ -310,6 +311,10 @@ type (
 // breaker-driven failover and versioned anti-entropy catch-up
 // (internal/replica defaults; implies admission control).
 var DefaultServeRepl = exp.DefaultServeRepl
+
+// ServeReplWindow is the replication plane's per-pair forward window in
+// records: the async staleness bound.
+const ServeReplWindow = replica.Window
 
 // Topo is one serving topology as a typed value: a fabric ("mcn0",
 // "mcn5", "10gbe", "scaleup") plus the planes switched on over it — Batch
