@@ -115,5 +115,3 @@ func Fig10(names []string, scale Scale) *Fig10Result {
 	}
 	return res
 }
-
-var _ = sim.Second

@@ -7,7 +7,6 @@ import (
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/mpi"
-	"github.com/mcn-arch/mcn/internal/npb"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/workloads"
 )
@@ -117,6 +116,3 @@ func Fig9(names []string, scale Scale) *Fig9Result {
 	}
 	return res
 }
-
-// npbNamesOnly guards against suite drift in tests.
-var _ = npb.Names

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Full local gate: build, vet, and the complete test suite under the race
-# detector. Pass -short (or any other go test flags) as arguments to trim
-# the run; the chaos integration test skips itself in -short mode.
+# Full local gate: build, vet, gofmt, and the complete test suite under
+# the race detector. Pass -short (or any other go test flags) as arguments
+# to trim the run; the chaos integration test skips itself in -short mode.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -11,6 +11,9 @@ go build ./...
 
 echo ">> go vet ./..."
 go vet ./...
+
+echo ">> gofmt -l"
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 
 # Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
 # the TCP/IP stack, the serving tier, its admission plane, the
