@@ -67,18 +67,17 @@ type Histogram struct {
 	samples  []float64
 	sorted   bool
 	sum      float64
-	n        int64
 	min, max float64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	h.n++
+	first := len(h.samples) == 0
 	h.sum += v
-	if h.n == 1 || v < h.min {
+	if first || v < h.min {
 		h.min = v
 	}
-	if h.n == 1 || v > h.max {
+	if first || v > h.max {
 		h.max = v
 	}
 	h.samples = append(h.samples, v)
@@ -89,14 +88,14 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(d.Nanoseconds()) }
 
 // N returns the number of observations.
-func (h *Histogram) N() int { return int(h.n) }
+func (h *Histogram) N() int { return len(h.samples) }
 
 // Mean returns the mean over all observations (0 with none).
 func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return h.sum / float64(len(h.samples))
 }
 
 // Min returns the smallest observation (0 with no samples).
