@@ -99,6 +99,9 @@ type Channel struct {
 	// stream: the controller has already pipelined its CAS, so only bus
 	// occupancy is charged.
 	lastBurstEnd sim.Time
+	// idle pools the Transfers that Access and BusTransfer run for
+	// processes.
+	idle []*Transfer
 
 	// Stats
 	Bytes    stats.Counter
@@ -125,20 +128,16 @@ func (c *Channel) Config() Config { return c.cfg }
 // addr. The request is served one row at a time, the way an FR-FCFS
 // scheduler batches row hits: each row chunk pays its activation once and
 // then streams bursts at bus rate. Bytes moved are accounted as bus traffic
-// (whole 64B bursts).
+// (whole 64B bursts). The access runs as a Transfer, and the process parks
+// once until the last row chunk retires.
 func (c *Channel) Access(p *sim.Proc, addr uint64, write bool, bytes int) {
 	if bytes <= 0 {
 		return
 	}
-	end := addr + uint64(bytes)
-	for addr < end {
-		n := c.rowChunk(addr, end)
-		c.bus.Acquire(p)
-		busy, bursts := c.prepRow(addr, n)
-		p.Sleep(busy)
-		c.retire(busy, bursts, write)
-		addr += uint64(n)
-	}
+	t := c.transfer()
+	t.Access(c, addr, write, bytes, p.ResumeFunc())
+	p.Suspend()
+	c.idle = append(c.idle, t)
 }
 
 // Read is Access with write=false.
@@ -213,27 +212,37 @@ func (c *Channel) retire(busy sim.Duration, bursts int, write bool) {
 // one-time device latency, without bank timing. It models accesses to a
 // buffer-device SRAM window (the MCN interface) that sits on this channel:
 // such traffic contends for the channel's data bus with regular DRAM
-// traffic but involves no DRAM banks.
+// traffic but involves no DRAM banks. Like Access, it runs as a Transfer
+// and parks the process once.
 func (c *Channel) BusTransfer(p *sim.Proc, bytes int, deviceLat sim.Duration, write bool) {
 	if bytes <= 0 {
 		return
 	}
-	busy, bursts := c.busBursts(bytes)
-	// The device latency does not occupy the data bus.
-	if deviceLat > 0 {
-		p.Sleep(deviceLat)
+	t := c.transfer()
+	t.BusTransfer(c, bytes, deviceLat, write, p.ResumeFunc())
+	p.Suspend()
+	c.idle = append(c.idle, t)
+}
+
+// transfer takes an idle Transfer from the channel's pool for a process
+// caller of Access or BusTransfer, which returns it when resumed.
+func (c *Channel) transfer() *Transfer {
+	if n := len(c.idle); n > 0 {
+		t := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return t
 	}
-	c.bus.Acquire(p)
-	p.Sleep(busy)
-	c.retire(busy, bursts, write)
+	return NewTransfer()
 }
 
 // A Transfer performs Access or BusTransfer for a kernel-callback state
-// machine instead of a process: every Sleep becomes a kernel callback at
-// the same instant and event sequence position, and every bus wait an
-// AcquireThen, so a transfer driven this way is indistinguishable from the
-// process version. A Transfer runs one operation at a time and allocates
-// nothing after NewTransfer; its owner keeps it for reuse.
+// machine: each bus occupancy is a kernel callback and each bus wait an
+// AcquireThen, at the instant and event sequence position a process
+// sleeping and acquiring in their place would take. Channel.Access and
+// Channel.BusTransfer are this machine with the caller's resume as done.
+// A Transfer runs one operation at a time and allocates nothing after
+// NewTransfer; its owner keeps it for reuse. done is its last step, so
+// done may start the Transfer's next operation.
 type Transfer struct {
 	c       *Channel
 	addr    uint64

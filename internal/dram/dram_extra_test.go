@@ -122,23 +122,70 @@ var transferOps = []struct {
 	{true, 0, 9000, false},
 }
 
-// TestTransferMatchesProcess runs transferOps through a process and through
-// a Transfer, each on its own channel next to an identical rival process:
-// every completion time, the final time and every counter must match.
+// refAccess and refBusTransfer are the process loops Channel.Access and
+// Channel.BusTransfer ran before they became Transfer wrappers: one bus
+// acquire and one sleep per row chunk, each a process park. They are the
+// reference the Transfer state machine must match event for event.
+func refAccess(c *Channel, p *sim.Proc, addr uint64, write bool, bytes int) {
+	if bytes <= 0 {
+		return
+	}
+	end := addr + uint64(bytes)
+	for addr < end {
+		n := c.rowChunk(addr, end)
+		c.bus.Acquire(p)
+		busy, bursts := c.prepRow(addr, n)
+		p.Sleep(busy)
+		c.retire(busy, bursts, write)
+		addr += uint64(n)
+	}
+}
+
+func refBusTransfer(c *Channel, p *sim.Proc, bytes int, deviceLat sim.Duration, write bool) {
+	if bytes <= 0 {
+		return
+	}
+	busy, bursts := c.busBursts(bytes)
+	if deviceLat > 0 {
+		p.Sleep(deviceLat)
+	}
+	c.bus.Acquire(p)
+	p.Sleep(busy)
+	c.retire(busy, bursts, write)
+}
+
+// TestTransferMatchesProcess runs transferOps three ways, each on its own
+// channel next to an identical rival: through the reference process loops,
+// through the Channel.Access/BusTransfer wrappers, and through a bare
+// Transfer driven by callbacks. Every completion time, the final time and
+// every counter must match the reference, and the wrappers must push and
+// pop exactly the reference's events.
 func TestTransferMatchesProcess(t *testing.T) {
-	run := func(callbacks bool) []any {
+	const (
+		reference = iota
+		wrapper
+		callbacks
+	)
+	run := func(mode int) ([]any, sim.KernelStats) {
 		k := sim.NewKernel()
 		defer k.Shutdown()
 		ch := NewChannel(k, DDR4_3200())
+		access := func(p *sim.Proc, addr uint64, write bool, bytes int) {
+			if mode == reference {
+				refAccess(ch, p, addr, write, bytes)
+			} else {
+				ch.Access(p, addr, write, bytes)
+			}
+		}
 		// The rival flips bank 0 between two rows, so a row's hit or miss
 		// depends on when the bus is granted, not when it is requested.
 		k.Go("rival", func(p *sim.Proc) {
 			for i := 0; i < 8; i++ {
-				ch.Access(p, uint64(i%2)*8192*16, i%2 == 0, 2048)
+				access(p, uint64(i%2)*8192*16, i%2 == 0, 2048)
 			}
 		})
 		var ends []sim.Time
-		if callbacks {
+		if mode == callbacks {
 			x := NewTransfer()
 			i := 0
 			var next func()
@@ -161,21 +208,33 @@ func TestTransferMatchesProcess(t *testing.T) {
 		} else {
 			k.Go("ops", func(p *sim.Proc) {
 				for _, o := range transferOps {
-					if o.bus {
+					switch {
+					case !o.bus:
+						access(p, o.addr, o.write, o.bytes)
+					case mode == reference:
+						refBusTransfer(ch, p, o.bytes, 40*sim.Nanosecond, o.write)
+					default:
 						ch.BusTransfer(p, o.bytes, 40*sim.Nanosecond, o.write)
-					} else {
-						ch.Access(p, o.addr, o.write, o.bytes)
 					}
 					ends = append(ends, p.Now())
 				}
 			})
 		}
 		k.Run()
-		return []any{ends, k.Now(), ch.RowHits, ch.RowMiss, ch.Reads, ch.Writes, ch.Bytes.Total, ch.BusyTime.Busy}
+		return []any{ends, k.Now(), ch.RowHits, ch.RowMiss, ch.Reads, ch.Writes, ch.Bytes.Total, ch.BusyTime.Busy}, k.Stats()
 	}
-	want, got := run(false), run(true)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Transfer diverges from the process version:\n got %v\nwant %v", got, want)
+	want, refStats := run(reference)
+	for _, mode := range []int{wrapper, callbacks} {
+		if got, _ := run(mode); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("mode %d diverges from the reference process loops:\n got %v\nwant %v", mode, got, want)
+		}
+	}
+	_, st := run(wrapper)
+	if st.Pushes != refStats.Pushes || st.Pops != refStats.Pops {
+		t.Fatalf("wrappers pushed/popped %d/%d events, reference %d/%d", st.Pushes, st.Pops, refStats.Pushes, refStats.Pops)
+	}
+	if st.Switches >= refStats.Switches {
+		t.Fatalf("wrappers took %d switches, reference %d: want fewer", st.Switches, refStats.Switches)
 	}
 }
 
@@ -196,5 +255,26 @@ func TestTransferAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(256, cycle); avg != 0 {
 		t.Fatalf("Transfer allocates %.2f objects per access pair, want 0", avg)
+	}
+}
+
+func TestAccessWrapperAllocs(t *testing.T) {
+	// A process looping over the wrappers reuses the channel's pooled
+	// Transfer: no allocation per access.
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	ch := NewChannel(k, DDR4_3200())
+	k.Go("loop", func(p *sim.Proc) {
+		for {
+			ch.Access(p, 8000, true, 1024)
+			ch.BusTransfer(p, 512, 40*sim.Nanosecond, false)
+		}
+	})
+	cycle := func() { k.RunFor(sim.Microsecond) }
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(256, cycle); avg != 0 {
+		t.Fatalf("Access/BusTransfer allocate %.2f objects per microsecond, want 0", avg)
 	}
 }

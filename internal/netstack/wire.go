@@ -1,6 +1,9 @@
 package netstack
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file defines the on-wire formats: Ethernet II frames, IPv4, ICMP,
 // UDP and TCP headers, and the Internet checksum. Headers are real bytes so
@@ -11,17 +14,47 @@ import "encoding/binary"
 // Checksum computes the Internet checksum (RFC 1071) over b.
 func Checksum(b []byte) uint16 { return checksumFold(checksumAdd(0, b)) }
 
-// checksumAdd accumulates b into a running one's-complement sum. Parts of
-// a logically concatenated buffer may be summed separately as long as each
-// part starts at an even offset of the whole (RFC 1071 Sec. 2(A)).
+// checksumAdd accumulates b into a running one's-complement sum and
+// returns it folded to at most 16 bits. Parts of a logically concatenated
+// buffer may be summed separately, each call taking the previous result as
+// sum, as long as each part starts at an even offset of the whole
+// (RFC 1071 Sec. 2(A)).
+//
+// The kernel adds big-endian 64-bit words, four per iteration, with the
+// carry out of each add fed into the next one. Since 2^64 = 1 mod 2^16-1,
+// a carry out of bit 63 is worth 1 in the one's-complement sum, so adding
+// it back and folding 64 -> 16 bits gives the same sum as adding 16-bit
+// words one at a time (RFC 1071 Sec. 2(C), parallel summation), at any
+// length. A nonzero total never folds to zero, so the result matches the
+// 16-bit loop's exactly, including the 0x0000/0xFFFF distinction.
 func checksumAdd(sum uint32, b []byte) uint32 {
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	acc, carry := uint64(sum), uint64(0)
+	for len(b) >= 32 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), carry)
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	return sum
+	// At most three 16-bit words and an odd byte are left.
+	var tail uint64
+	for ; len(b) >= 2; b = b[2:] {
+		tail += uint64(binary.BigEndian.Uint16(b))
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	acc, carry = bits.Add64(acc, tail, carry)
+	acc += carry // cannot wrap: after a carry out, acc <= tail
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>16 + acc&0xffff
+	acc = acc>>16 + acc&0xffff
+	return uint32(acc)
 }
 
 // checksumFold folds the carries and complements the result.

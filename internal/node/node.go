@@ -103,6 +103,7 @@ type Node struct {
 	Stack    *netstack.Stack
 	Channels []*dram.Channel
 	copyIdx  int
+	copies   []*copyOp // idle Stack.Copy chains
 }
 
 // New builds a node from a config.
@@ -113,21 +114,74 @@ func New(k *sim.Kernel, cfg Config) *Node {
 	for i := 0; i < cfg.Channels; i++ {
 		n.Channels = append(n.Channels, dram.NewChannel(k, cfg.DRAM))
 	}
-	// Bulk copies run through the memory system: a read and a write
-	// stream on a rotating channel, with the core held.
-	n.Stack.Copy = func(p *sim.Proc, bytes int) {
-		n.CPU.ExecWhile(p, func() { n.MemMove(p, bytes) })
-	}
+	n.Stack.Copy = n.copy
 	return n
 }
+
+// copy is the stack's bulk copy: a read and a write stream on a rotating
+// channel, with a core held for the whole copy. It is CPU.ExecWhile around
+// MemMove run as one callback chain — core grant, read Transfer, write
+// Transfer, core release — that takes the events ExecWhile and MemMove
+// would, at the same (at, seq), while the process parks once.
+func (n *Node) copy(p *sim.Proc, bytes int) {
+	if bytes <= 0 {
+		n.CPU.ExecWhile(p, func() { n.MemMove(p, bytes) })
+		return
+	}
+	var op *copyOp
+	if i := len(n.copies) - 1; i >= 0 {
+		op, n.copies = n.copies[i], n.copies[:i]
+	} else {
+		op = &copyOp{n: n, xfer: dram.NewTransfer()}
+		op.granted, op.read, op.written = op.onGrant, op.onRead, op.onWritten
+	}
+	op.bytes, op.resume = bytes, p.ResumeFunc()
+	n.CPU.Cores.AcquireThen(op.granted)
+	p.Suspend()
+	n.copies = append(n.copies, op)
+}
+
+// copyOp is one Stack.Copy in flight. It allocates nothing after its first
+// use; the node pools it.
+type copyOp struct {
+	n      *Node
+	xfer   *dram.Transfer
+	ch     *dram.Channel
+	bytes  int
+	start  sim.Time
+	resume func()
+	// bound once: onGrant, onRead, onWritten
+	granted, read, written func()
+}
+
+func (op *copyOp) onGrant() {
+	n := op.n
+	op.start = n.K.Now()
+	op.ch = n.Channels[n.copyIdx%len(n.Channels)]
+	n.copyIdx++
+	op.xfer.Access(op.ch, copySrc, false, op.bytes, op.read)
+}
+
+func (op *copyOp) onRead() { op.xfer.Access(op.ch, copyDst, true, op.bytes, op.written) }
+
+func (op *copyOp) onWritten() {
+	c := op.n.CPU
+	c.Cores.Release()
+	c.Busy.AddBusy(op.n.K.Now().Sub(op.start))
+	op.resume()
+}
+
+// copySrc and copyDst are the channel addresses a bulk copy reads and
+// writes; they set its banks and rows.
+const copySrc, copyDst = 0x2000_0000, 0x3000_0000
 
 // MemMove charges a memory-to-memory copy of the given size (read+write)
 // on the node's channels.
 func (n *Node) MemMove(p *sim.Proc, bytes int) {
 	ch := n.Channels[n.copyIdx%len(n.Channels)]
 	n.copyIdx++
-	ch.Read(p, 0x2000_0000, bytes)
-	ch.Write(p, 0x3000_0000, bytes)
+	ch.Read(p, copySrc, bytes)
+	ch.Write(p, copyDst, bytes)
 }
 
 // MemStream charges a pure streaming access (the roofline memory term of a

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/mcn-arch/mcn/internal/cluster"
@@ -161,4 +162,81 @@ func TestPrototypeIsSlow(t *testing.T) {
 		t.Fatalf("prototype bandwidth %.3g B/s suspiciously low", bw)
 	}
 	k.Shutdown()
+}
+
+// TestCopyChainMatchesExecWhile runs the same copies through Stack.Copy's
+// callback chain and through the reference CPU.ExecWhile around MemMove,
+// on a one-core, two-channel node where a rival process contends for the
+// core and both channels. Every completion time, the row hit and miss
+// counts, the bytes moved and the CPU busy time must be identical, and the
+// chain must push and pop exactly the reference's events.
+func TestCopyChainMatchesExecWhile(t *testing.T) {
+	sizes := []int{9000, 0, 64, 20000, 1500, 8192}
+	run := func(chain bool) ([]any, sim.KernelStats) {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		cfg := node.HostConfig("h")
+		cfg.Cores = 1
+		n := node.New(k, cfg)
+		k.Go("rival", func(p *sim.Proc) {
+			for i := 0; i < 12; i++ {
+				n.CPU.Exec(p, 700)
+				n.Channels[i%2].Access(p, uint64(i%3)*8192, i%2 == 0, 3000)
+				p.Sleep(sim.Duration(i%4) * 400 * sim.Nanosecond)
+			}
+		})
+		// Each copy records its completion time and the core and busy
+		// state the copier sees when it continues.
+		var ends []any
+		for c := 0; c < 2; c++ {
+			k.Go("copier", func(p *sim.Proc) {
+				for i, b := range sizes {
+					if chain {
+						n.Stack.Copy(p, b)
+					} else {
+						n.CPU.ExecWhile(p, func() { n.MemMove(p, b) })
+					}
+					ends = append(ends, p.Now(), n.CPU.Cores.InUse(), n.CPU.Busy.Busy)
+					p.Sleep(sim.Duration(i*c) * 500 * sim.Nanosecond)
+				}
+			})
+		}
+		k.Run()
+		out := []any{ends, k.Now(), n.CPU.Busy.Busy, n.TotalDRAMBytes()}
+		for _, ch := range n.Channels {
+			out = append(out, ch.RowHits, ch.RowMiss, ch.Reads, ch.Writes)
+		}
+		return out, k.Stats()
+	}
+	want, wantStats := run(false)
+	got, gotStats := run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("copy chain diverges from ExecWhile+MemMove:\n got %v\nwant %v", got, want)
+	}
+	if gotStats.Pushes != wantStats.Pushes || gotStats.Pops != wantStats.Pops {
+		t.Fatalf("chain pushed/popped %d/%d events, reference %d/%d", gotStats.Pushes, gotStats.Pops, wantStats.Pushes, wantStats.Pops)
+	}
+	if gotStats.Switches >= wantStats.Switches {
+		t.Fatalf("chain took %d switches, reference %d: want fewer", gotStats.Switches, wantStats.Switches)
+	}
+}
+
+func TestCopyChainAllocs(t *testing.T) {
+	// After the first copy warms the node's chain pool, a Stack.Copy
+	// allocates nothing.
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	n := node.New(k, node.HostConfig("h"))
+	k.Go("copier", func(p *sim.Proc) {
+		for {
+			n.Stack.Copy(p, 9000)
+		}
+	})
+	cycle := func() { k.RunFor(sim.Microsecond) }
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(256, cycle); avg != 0 {
+		t.Fatalf("Stack.Copy allocates %.2f objects per microsecond, want 0", avg)
+	}
 }

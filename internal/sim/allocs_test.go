@@ -136,3 +136,25 @@ func TestAllocsWheelHeapSpill(t *testing.T) {
 		t.Fatalf("heap spill allocates %.2f objects per cycle, want 0", avg)
 	}
 }
+
+func TestAllocsProcSuspendResume(t *testing.T) {
+	// One process suspends and a callback resumes it in place per cycle:
+	// the callback event, the switch out and the in-place switch back in
+	// must all be free.
+	k := NewKernel()
+	defer k.Shutdown()
+	k.Go("suspender", func(p *Proc) {
+		resume := p.ResumeFunc()
+		for {
+			k.After(100, resume)
+			p.Suspend()
+		}
+	})
+	cycle := func() { k.RunUntil(k.Now().Add(100)) }
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(512, cycle); avg != 0 {
+		t.Fatalf("process suspend/resume allocates %.2f objects per cycle, want 0", avg)
+	}
+}

@@ -17,7 +17,10 @@ type Kernel struct {
 	live  map[*Proc]struct{}
 	pool  []*shell
 	inRun bool
-	stats KernelStats
+	// inProc is set while a process body runs, between a switch into its
+	// coroutine and its next park.
+	inProc bool
+	stats  KernelStats
 }
 
 // KernelStats counts scheduler work since the kernel was created. Every
@@ -29,9 +32,9 @@ type KernelStats struct {
 	WheelPushes uint64 // pushes that landed in a timer-wheel level
 	Pops        uint64 // events popped and dispatched (incl. stale wakes)
 	StaleWakes  uint64 // wake events dropped by the generation check
-	ProcWakes   uint64 // wakes delivered to a process
+	ProcWakes   uint64 // wakes delivered to a process, in-place resumes included
 	SelfWakes   uint64 // always 0; kept only because benchmark/ reads it
-	Switches    uint64 // coroutine resumes: one per delivered wake
+	Switches    uint64 // coroutine resumes: one per delivered wake or in-place resume
 	Spawns      uint64 // processes created with Go
 	Shells      uint64 // coroutines actually created (pool misses)
 }
@@ -117,7 +120,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		panic("sim: nested Run")
 	}
 	k.inRun = true
-	defer func() { k.inRun = false }()
+	defer func() { k.inRun, k.inProc = false, false }()
 	for {
 		idx := k.q.peek(k.now)
 		if idx == nilIdx || k.q.arena[idx].at > limit {
@@ -139,7 +142,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 			p.reason = reason
 			k.stats.ProcWakes++
 			k.stats.Switches++
-			p.shell.next()
+			k.switchTo(p)
 		case tm != nil:
 			tm.ev = nilIdx
 			tm.fn()
@@ -151,6 +154,13 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		k.now = limit
 	}
 	return k.now
+}
+
+// switchTo runs p's coroutine until the process parks again.
+func (k *Kernel) switchTo(p *Proc) {
+	k.inProc = true
+	p.shell.next()
+	k.inProc = false
 }
 
 // Idle reports whether no events are pending.

@@ -17,7 +17,9 @@ type Proc struct {
 	waiting bool
 	waitGen uint64
 	reason  WakeReason // why the last wake resumed the process
-	done    bool
+	// suspended marks a park that only the shell's resume function ends.
+	suspended bool
+	done      bool
 }
 
 // procAbort is panicked inside an aborted process to unwind it; the shell
@@ -35,6 +37,9 @@ type shell struct {
 	next  func() (struct{}, bool) // resume the coroutine from the event loop
 	stop  func()                  // make the pending yield return false
 	yield func(struct{}) bool     // suspend back to the event loop
+	// resume continues p from Suspend inside the calling event; bound
+	// once per shell so handing it out allocates nothing.
+	resume func()
 }
 
 // Go creates a process named name running fn and schedules it to start at
@@ -50,6 +55,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	} else {
 		sh = &shell{k: k}
 		sh.next, sh.stop = iter.Pull(sh.run)
+		sh.resume = sh.resumeInPlace
 		k.stats.Shells++
 	}
 	sh.p, sh.body = p, fn
@@ -129,6 +135,43 @@ func (p *Proc) park() WakeReason {
 		panic(procAbort{})
 	}
 	return p.reason
+}
+
+// Suspend parks the process until a kernel callback calls the function
+// ResumeFunc returned. It is for callback state machines (dram.Transfer,
+// Resource.AcquireThen chains) that run a multi-step operation for the
+// process: the process starts the chain, suspends once, and the chain's
+// last step resumes it, so the intermediate steps cost no switches.
+func (p *Proc) Suspend() {
+	p.prepareWait()
+	p.suspended = true
+	p.park()
+}
+
+// ResumeFunc returns the function that ends p's Suspend. Called from a
+// kernel callback, it continues the process inside that callback's event,
+// exactly where RunUntil would have delivered a wake scheduled in its
+// place: it counts one ProcWakes and one Switches and schedules nothing.
+// It panics if p is not suspended or if it is called from a process body
+// rather than from the event loop. The function is bound to p's pooled
+// coroutine: every Suspend of p may reuse it, but it must not be called
+// after p returns.
+func (p *Proc) ResumeFunc() func() { return p.shell.resume }
+
+func (sh *shell) resumeInPlace() {
+	p, k := sh.p, sh.k
+	if p == nil || !p.suspended {
+		panic("sim: resume of a process that is not suspended")
+	}
+	if k.inProc {
+		panic("sim: resume called from a process body")
+	}
+	p.suspended = false
+	p.waiting = false
+	p.reason = WakeDone
+	k.stats.ProcWakes++
+	k.stats.Switches++
+	k.switchTo(p)
 }
 
 // Sleep suspends the process for d simulated time.
