@@ -25,7 +25,10 @@ type Table3Row struct {
 	DMARX     float64
 	DriverRX  float64
 	Total     float64
-	RawTotal  sim.Duration
+	// Stages holds the raw Driver-TX, DMA-TX, PHY, DMA-RX and Driver-RX
+	// durations the normalized columns are computed from.
+	Stages   [5]sim.Duration
+	RawTotal sim.Duration
 }
 
 // Table3Result is the full table.
@@ -62,7 +65,14 @@ func Table3() *Table3Result {
 			DMARX:     n(eth.DMARxEnd.Sub(eth.PhyEnd)),
 			DriverRX:  n(eth.DriverRxEnd.Sub(eth.DMARxEnd)),
 			Total:     1,
-			RawTotal:  ethTotal,
+			Stages: [5]sim.Duration{
+				eth.DMATxStart.Sub(eth.DriverTxStart),
+				eth.PhyStart.Sub(eth.DMATxStart),
+				eth.PhyEnd.Sub(eth.PhyStart),
+				eth.DMARxEnd.Sub(eth.PhyEnd),
+				eth.DriverRxEnd.Sub(eth.DMARxEnd),
+			},
+			RawTotal: ethTotal,
 		})
 		mcnTotal := mcn.DriverRxEnd.Sub(mcn.DriverTxStart)
 		res.Rows = append(res.Rows, Table3Row{
@@ -73,6 +83,10 @@ func Table3() *Table3Result {
 			// PHY and its time is inside the driver copies.
 			DriverRX: n(mcn.DriverRxEnd.Sub(mcn.DriverTxEnd)),
 			Total:    n(mcnTotal),
+			Stages: [5]sim.Duration{
+				0: mcn.DriverTxEnd.Sub(mcn.DriverTxStart),
+				4: mcn.DriverRxEnd.Sub(mcn.DriverTxEnd),
+			},
 			RawTotal: mcnTotal,
 		})
 	}
