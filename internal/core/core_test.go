@@ -9,6 +9,7 @@ import (
 	"github.com/mcn-arch/mcn/internal/dram"
 	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/sim"
+	"github.com/mcn-arch/mcn/internal/sram"
 )
 
 func TestOptLevelsTableI(t *testing.T) {
@@ -380,10 +381,34 @@ func TestNetdevTxBusyBackpressure(t *testing.T) {
 	}
 }
 
+// siteLog is a test tap: it counts every frame per site and device, and
+// keeps the latest crossing of each site by a frame of at least minLen
+// bytes.
+type siteLog struct {
+	minLen int
+	count  map[string]int // "site@dev"
+	at     map[netstack.TapSite]sim.Time
+}
+
+func newSiteLog(minLen int) *siteLog {
+	return &siteLog{minLen: minLen, count: map[string]int{}, at: map[netstack.TapSite]sim.Time{}}
+}
+
+func (l *siteLog) Frame(at sim.Time, site netstack.TapSite, dev string, frame []byte) {
+	l.count[site.String()+"@"+dev]++
+	if len(frame) >= l.minLen {
+		l.at[site] = at
+	}
+}
+
+// TestMcnStampsTable3Shape reads the MCN row of Table III off the frame
+// taps: the DIMM stack's TX, the DIMM driver's TX-ring push, the host
+// drain's pop and the host stack's RX.
 func TestMcnStampsTable3Shape(t *testing.T) {
 	fx := newFixture(MCN0.Options(), 1, 1)
-	fx.hd.TraceMinBytes = 1000
-	fx.mcns[0].drv.TraceMinBytes = 1000
+	tap := newSiteLog(1000)
+	fx.hostStk.Tap, fx.hd.ChanTap = tap, tap
+	fx.mcns[0].stack.Tap, fx.mcns[0].drv.ChanTap = tap, tap
 	fx.k.Go("server", func(p *sim.Proc) {
 		l, _ := fx.hostStk.Listen(5001)
 		c, _ := l.Accept(p)
@@ -397,19 +422,89 @@ func TestMcnStampsTable3Shape(t *testing.T) {
 		c.SendN(p, 1400)
 	})
 	fx.k.RunUntil(sim.Time(sim.Second))
-	st := fx.hd.LastTrace
-	if st == nil {
+	tx, push, pop, rx := tap.at[netstack.TapTx], tap.at[netstack.TapDimmPush], tap.at[netstack.TapHostPop], tap.at[netstack.TapRx]
+	if tx == 0 {
 		t.Fatal("no MCN trace captured")
 	}
-	if !(st.DriverTxStart < st.DriverTxEnd && st.DriverTxEnd <= st.DriverRxStart && st.DriverRxStart < st.DriverRxEnd) {
-		t.Fatalf("stamps out of order: %+v", st)
+	if !(tx < push && push <= pop && pop < rx) {
+		t.Fatalf("sites out of order: tx=%v dimm-push=%v host-pop=%v rx=%v", tx, push, pop, rx)
 	}
-	// There is no PHY/DMA stage: the gap between TX end and RX start is
+	// There is no PHY/DMA stage: the gap between the push and the pop is
 	// pure polling delay, bounded by the poll interval plus service.
-	if gap := st.DriverRxStart.Sub(st.DriverTxEnd); gap > 2*DefaultPollInterval {
+	if gap := pop.Sub(push); gap > 2*DefaultPollInterval {
 		t.Fatalf("polling gap %v exceeds two poll intervals", gap)
 	}
 	fx.k.Shutdown()
+}
+
+// TestChannelFlowBalance checks that the channel taps account for every
+// ring message: mid-traffic, per DIMM and per direction, the pushes seen
+// equal the pops seen plus the messages still in the ring, so a drain path
+// that skips its tap fails here. mcn0 drains the TX rings from a polled
+// process, mcn1 from an ALERT_N-spawned one and mcn5 with the MCN-DMA
+// engines. Both DIMMs carry a TCP stream (one each way) and the ping
+// between them relays through the host.
+func TestChannelFlowBalance(t *testing.T) {
+	for _, level := range []OptLevel{MCN0, MCN1, MCN5} {
+		t.Run(level.String(), func(t *testing.T) {
+			fx := newFixture(level.Options(), 2, 2)
+			defer fx.k.Shutdown()
+			tap := newSiteLog(0)
+			fx.hd.ChanTap = tap
+			for _, m := range fx.mcns {
+				m.drv.ChanTap = tap
+			}
+			stream := func(from, to *netstack.Stack, toIP netstack.IP) {
+				fx.k.Go("server", func(p *sim.Proc) {
+					l, _ := to.Listen(5001)
+					c, _ := l.Accept(p)
+					c.RecvN(p, 4<<20)
+				})
+				fx.k.Go("client", func(p *sim.Proc) {
+					c, err := from.Connect(p, toIP, 5001)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					c.SendN(p, 4<<20)
+				})
+			}
+			stream(fx.hostStk, fx.mcns[0].stack, fx.mcns[0].ip)
+			stream(fx.mcns[1].stack, fx.hostStk, fx.hostIP)
+			fx.k.Go("ping", func(p *sim.Proc) {
+				if _, ok := fx.mcns[0].stack.Ping(p, fx.mcns[1].ip, 56, sim.Second); !ok {
+					t.Error("mcn-mcn ping lost")
+				}
+			})
+			fx.k.RunUntil(sim.Time(500 * sim.Microsecond))
+			// The kernel is stopped: count what each ring still holds.
+			held := func(r *sram.Ring) int {
+				n := 0
+				for ; !r.Empty(); n++ {
+					r.Pop()
+				}
+				return n
+			}
+			for _, m := range fx.mcns {
+				d := m.dimm
+				for _, dir := range []struct {
+					push, pop netstack.TapSite
+					ring      *sram.Ring
+				}{
+					{netstack.TapChanPush, netstack.TapDimmPop, d.Buf.RX},
+					{netstack.TapDimmPush, netstack.TapHostPop, d.Buf.TX},
+				} {
+					push := tap.count[dir.push.String()+"@"+d.Name]
+					pop := tap.count[dir.pop.String()+"@"+d.Name]
+					occ := held(dir.ring)
+					t.Logf("%s %v/%v: %d pushed, %d popped, %d held", d.Name, dir.push, dir.pop, push, pop, occ)
+					if pop == 0 || push != pop+occ {
+						t.Errorf("%s: %d %v != %d %v + %d held", d.Name, push, dir.push, pop, dir.pop, occ)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestSRAMTrafficContendssOnGlobalChannel(t *testing.T) {

@@ -30,7 +30,8 @@ type DimmDriver struct {
 	dma    *ringEngine      // MCN-DMA mode
 
 	// ChanTap, when set, observes every IRQ-drain pop from this node's
-	// SRAM RX ring as netstack.TapDimmPop, named by DIMM.
+	// SRAM RX ring as netstack.TapDimmPop and every T3 push into its TX
+	// ring as netstack.TapDimmPush, named by DIMM.
 	ChanTap netstack.Tap
 	// qdisc performs T1-T3 on a core of the node when MCN-DMA is off.
 	qdisc *ringEngine
@@ -38,17 +39,12 @@ type DimmDriver struct {
 	// messages out of the SRAM; protocol processing is spread across
 	// per-flow queues serviced on different cores (Linux RPS), keeping
 	// one hot flow from serializing the whole node behind one core.
-	rxq []*sim.Queue[rxEntry]
+	rxq []*sim.Queue[[]byte]
 	// arpq is a dedicated control-plane queue: ARP frames must never
 	// queue behind a flow whose service process is itself blocked in
 	// ResolveMAC, or the node's first inbound handshake head-of-line
 	// blocks on its own unprocessed ARP reply and rides a full RTO.
-	arpq *sim.Queue[rxEntry]
-
-	// TraceMinBytes / LastTrace mirror the host driver's Table III hooks
-	// for the host->MCN direction.
-	TraceMinBytes int
-	LastTrace     *McnStamps
+	arpq *sim.Queue[[]byte]
 
 	// FastRx receives non-IPv4 frames (see HostDriver.FastRx).
 	FastRx func(p *sim.Proc, frame []byte)
@@ -69,7 +65,6 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	drv := &DimmDriver{
 		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
 		dimm: d, local: local, port: port,
-		TraceMinBytes: 1 << 30,
 	}
 	drv.getBuf = s.GetFrameBuf
 	if opts.DMA {
@@ -77,43 +72,39 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	}
 	drv.qdisc = newRingEngine(k, c)
 	for i := 0; i < c.NumCores(); i++ {
-		q := sim.NewQueue[rxEntry](k, 0)
+		q := sim.NewQueue[[]byte](k, 0)
 		drv.rxq = append(drv.rxq, q)
 		k.Go(fmt.Sprintf("%s/rps%d", d.Name, i), func(p *sim.Proc) {
 			for {
-				e, ok := q.Get(p)
+				msg, ok := q.Get(p)
 				if !ok {
 					return
 				}
 				drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
-				if e.st != nil {
-					e.st.DriverRxEnd = p.Now()
-					drv.LastTrace = e.st
-				}
-				if eth, ok2 := netstack.ParseEth(e.msg); ok2 &&
+				if eth, ok2 := netstack.ParseEth(msg); ok2 &&
 					eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP &&
 					drv.FastRx != nil {
 					// The fast-path transport copies payload bytes it
 					// keeps, so the ring buffer is recyclable after it.
-					drv.FastRx(p, e.msg)
-					drv.Stack.RecycleFrameBuf(e.msg)
+					drv.FastRx(p, msg)
+					drv.Stack.RecycleFrameBuf(msg)
 					continue
 				}
-				drv.Stack.RxFrame(p, drv, e.msg)
-				drv.Stack.RecycleFrameBuf(e.msg)
+				drv.Stack.RxFrame(p, drv, msg)
+				drv.Stack.RecycleFrameBuf(msg)
 			}
 		})
 	}
-	drv.arpq = sim.NewQueue[rxEntry](k, 0)
+	drv.arpq = sim.NewQueue[[]byte](k, 0)
 	k.Go(d.Name+"/arp-rx", func(p *sim.Proc) {
 		for {
-			e, ok := drv.arpq.Get(p)
+			msg, ok := drv.arpq.Get(p)
 			if !ok {
 				return
 			}
 			drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
-			drv.Stack.RxFrame(p, drv, e.msg)
-			drv.Stack.RecycleFrameBuf(e.msg)
+			drv.Stack.RxFrame(p, drv, msg)
+			drv.Stack.RecycleFrameBuf(msg)
 		}
 	})
 	d.SetRxIRQ(func() {
@@ -143,16 +134,11 @@ func (drv *DimmDriver) ArmWatchdog() {
 	drv.watchdog.Start()
 }
 
-type rxEntry struct {
-	msg []byte
-	st  *McnStamps
-}
-
 // flowQueue picks the RPS queue for a frame by hashing its flow identity.
 // ARP is steered to the dedicated control-plane queue so resolution
 // replies are processed even while every flow service process is parked
 // (e.g. blocked in ResolveMAC sending a SYN-ACK).
-func (drv *DimmDriver) flowQueue(msg []byte) *sim.Queue[rxEntry] {
+func (drv *DimmDriver) flowQueue(msg []byte) *sim.Queue[[]byte] {
 	h := uint32(2166136261)
 	eth, ok := netstack.ParseEth(msg)
 	if ok && eth.Type == netstack.EtherTypeARP {
@@ -209,17 +195,13 @@ func (drv *DimmDriver) Features() netstack.Features {
 // dev_queue_xmit it only enqueues: the MCN-DMA engine or the qdisc does
 // the copy, so a receive context sending an ACK never blocks on the ring.
 func (drv *DimmDriver) Transmit(p *sim.Proc, f netstack.Frame) {
-	var st *McnStamps
-	if len(f.Data) >= drv.TraceMinBytes {
-		st = &McnStamps{DriverTxStart: p.Now()}
-	}
 	drv.CPU.Exec(p, drv.Costs.TxSetupCycles)
 	e := drv.qdisc
 	if drv.Opts.DMA {
 		drv.CPU.Exec(p, drv.Costs.DMASetupCycles)
 		e = drv.dma
 	}
-	e.submit(ringJob{kind: dimmTx, drv: drv, msg: f.Data, st: st, pooled: f.Pooled})
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: f.Data, pooled: f.Pooled})
 }
 
 // drainRX empties the RX ring: for each MCN message, copy it from the SRAM
@@ -237,14 +219,6 @@ func (drv *DimmDriver) drainRX(p *sim.Proc) {
 			if drv.ChanTap != nil {
 				drv.ChanTap.Frame(p.Now(), netstack.TapDimmPop, d.Name, msg)
 			}
-			var st *McnStamps
-			if len(drv.port.rxMeta) > 0 {
-				st = drv.port.rxMeta[0]
-				drv.port.rxMeta = drv.port.rxMeta[1:]
-			}
-			if st != nil {
-				st.DriverRxStart = p.Now()
-			}
 			drv.CPU.ExecWhile(p, func() {
 				d.McnAccessCost(p, sram.HeaderBytes+len(msg))
 				drv.local.Write(p, 0x1800_0000, len(msg))
@@ -252,7 +226,7 @@ func (drv *DimmDriver) drainRX(p *sim.Proc) {
 			drv.RxMsgs++
 			// Hand off to the flow's RPS queue; protocol processing
 			// runs on another core while this drain keeps copying.
-			drv.flowQueue(msg).TryPut(rxEntry{msg: msg, st: st})
+			drv.flowQueue(msg).TryPut(msg)
 		}
 		// Clear rx-poll, then re-check: a message may have landed
 		// between the last pop and the clear.

@@ -38,7 +38,7 @@ type ringEngine struct {
 	start  sim.Time // when the attempt's core was granted (qdisc mode)
 	acc    int      // bytes of the host access in flight, accounted on resume
 	accWr  bool     // whether that access writes
-	pkts   []rxEntry
+	pkts   [][]byte
 	xfer   *dram.Transfer
 
 	step func() // e.resume, bound once
@@ -59,7 +59,6 @@ type ringJob struct {
 	port *HostPort   // hostTx, hostDrain
 	drv  *DimmDriver // dimmTx
 	msg  []byte
-	st   *McnStamps
 	// pooled: msg came from the stack's frame pool and is recycled once
 	// the job has consumed (pushed into a ring) or dropped it.
 	pooled bool
@@ -274,16 +273,15 @@ func (e *ringEngine) tx() bool {
 	}
 }
 
-// published completes T3 for a message that landed in the ring: record its
-// trace metadata, set the poll flag and raise the peer's interrupt on a
-// 0->1 edge.
+// published completes T3 for a message that landed in the ring: report it
+// to the pushing driver's channel tap, set the poll flag and raise the
+// peer's interrupt on a 0->1 edge.
 func (e *ringEngine) published(d *Dimm) {
 	j, now := &e.job, e.k.Now()
-	if j.st != nil {
-		j.st.DriverTxEnd = now
-	}
 	if j.kind == dimmTx {
-		j.drv.port.txMeta = append(j.drv.port.txMeta, j.st)
+		if j.drv.ChanTap != nil {
+			j.drv.ChanTap.Frame(now, netstack.TapDimmPush, d.Name, j.msg)
+		}
 		j.drv.TxMsgs++
 		wasIdle := !d.Buf.TxPoll
 		d.Buf.TxPoll = true
@@ -293,7 +291,6 @@ func (e *ringEngine) published(d *Dimm) {
 		return
 	}
 	hd := j.port.drv
-	j.port.rxMeta = append(j.port.rxMeta, j.st)
 	if hd.ChanTap != nil {
 		hd.ChanTap.Frame(now, netstack.TapChanPush, d.Name, j.msg)
 	}
@@ -336,15 +333,10 @@ func (e *ringEngine) drain() bool {
 				return false
 			}
 			msg := d.Buf.TX.PopWith(hd.getBuf)
-			var st *McnStamps
-			if len(port.txMeta) > 0 {
-				st = port.txMeta[0]
-				port.txMeta = port.txMeta[1:]
+			if hd.ChanTap != nil {
+				hd.ChanTap.Frame(e.k.Now(), netstack.TapHostPop, d.Name, msg)
 			}
-			if st != nil {
-				st.DriverRxStart = e.k.Now()
-			}
-			e.pkts = append(e.pkts, rxEntry{msg: msg, st: st})
+			e.pkts = append(e.pkts, msg)
 			// R2-R3: the engine reads the message into host memory.
 			e.hostAccess(d, sram.HeaderBytes+len(msg), false, true)
 			return false
@@ -360,9 +352,9 @@ func (e *ringEngine) drain() bool {
 				// The interrupt handler owns this batch.
 				e.pkts = nil
 				hd.CPU.RaiseIRQ("mcn-dma-rx", func(p *sim.Proc) {
-					for _, pk := range pkts {
+					for _, msg := range pkts {
 						hd.CPU.Exec(p, hd.Costs.RxPerMsgCycles)
-						hd.forward(p, port, pk.msg, pk.st, true)
+						hd.forward(p, port, msg, true)
 					}
 				})
 			}

@@ -11,16 +11,6 @@ import (
 	"github.com/mcn-arch/mcn/internal/stats"
 )
 
-// McnStamps carries per-stage timestamps for one traced MCN message; the
-// MCN rows of Table III come from these. MCN has no DMA-TX/PHY/DMA-RX
-// stages (the memory channel is the PHY and the copies are the driver).
-type McnStamps struct {
-	DriverTxStart sim.Time // sender driver begins T1
-	DriverTxEnd   sim.Time // message fully in the SRAM ring
-	DriverRxStart sim.Time // receiver begins reading the ring
-	DriverRxEnd   sim.Time // handed to the network stack
-}
-
 // retryInterval is how long a driver waits before retrying after
 // NETDEV_TX_BUSY (ring full).
 const retryInterval = 2 * sim.Microsecond
@@ -49,13 +39,9 @@ type HostDriver struct {
 	// across the L2 domain. Set before the first AddDimm.
 	MACBase uint32
 
-	// TraceMinBytes arms Table III tracing for messages at least this
-	// large; LastTrace holds the most recent completed trace.
-	TraceMinBytes int
-	LastTrace     *McnStamps
-
 	// ChanTap, when set, observes every successful SRAM RX-ring push
-	// (T3) on this host's channels as netstack.TapChanPush, named by DIMM.
+	// (T3) on this host's channels as netstack.TapChanPush and every pop
+	// from a DIMM's TX ring as netstack.TapHostPop, named by DIMM.
 	ChanTap netstack.Tap
 
 	// FastRx, when set, receives frames whose EtherType is not IPv4 and
@@ -84,9 +70,8 @@ func NewHostDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, opts Options, c
 	}
 	hd := &HostDriver{
 		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
-		byMAC:         make(map[netstack.MAC]*HostPort),
-		dmas:          make(map[int]*ringEngine),
-		TraceMinBytes: 1 << 30,
+		byMAC: make(map[netstack.MAC]*HostPort),
+		dmas:  make(map[int]*ringEngine),
 	}
 	hd.getBuf = s.GetFrameBuf
 	return hd
@@ -115,9 +100,6 @@ type HostPort struct {
 	// again. With carrier down the port fails fast instead of retrying
 	// into a dead ring.
 	carrier bool
-	// rx metadata queues parallel the SRAM rings for traced messages.
-	txMeta []*McnStamps
-	rxMeta []*McnStamps
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -180,14 +162,14 @@ func (hd *HostDriver) bridgeFromUplink(p *sim.Proc, frame []byte) bool {
 		// Copy toward every local MCN node; the local stack still
 		// processes it too (return false).
 		for _, port := range hd.ports {
-			hd.relay(p, port, frame, nil, false)
+			hd.relay(p, port, frame, false)
 		}
 		hd.BridgedIn++
 		return false
 	}
 	if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 && eth.Dst == tgt.mcnMAC {
 		hd.BridgedIn++
-		hd.relay(p, tgt, frame, nil, false)
+		hd.relay(p, tgt, frame, false)
 		return true
 	}
 	return false
@@ -326,12 +308,8 @@ func (p *HostPort) Transmit(pr *sim.Proc, f netstack.Frame) {
 		}
 		return
 	}
-	var st *McnStamps
-	if len(f.Data) >= hd.TraceMinBytes {
-		st = &McnStamps{DriverTxStart: pr.Now()}
-	}
 	hd.CPU.Exec(pr, hd.Costs.TxSetupCycles)
-	hd.relay(pr, p, f.Data, st, f.Pooled)
+	hd.relay(pr, p, f.Data, f.Pooled)
 }
 
 // ---- Polling agent and receive path (R1-R5) ----
@@ -417,13 +395,8 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 		for !d.Buf.TX.Empty() {
 			idle = 0
 			msg := d.Buf.TX.PopWith(hd.getBuf)
-			var st *McnStamps
-			if len(port.txMeta) > 0 {
-				st = port.txMeta[0]
-				port.txMeta = port.txMeta[1:]
-			}
-			if st != nil {
-				st.DriverRxStart = p.Now()
+			if hd.ChanTap != nil {
+				hd.ChanTap.Frame(p.Now(), netstack.TapHostPop, d.Name, msg)
 			}
 			// R2-R3: read the message through the cacheable mapping,
 			// then invalidate the lines (Sec. III-B "memory mapping
@@ -434,7 +407,7 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 			lines := int64(len(msg)/64 + 1)
 			hd.CPU.Exec(p, hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles)
 			// R4: hand to the packet forwarding engine.
-			hd.forward(p, port, msg, st, true)
+			hd.forward(p, port, msg, true)
 		}
 		// R5: all consumed; reset tx-poll.
 		d.Buf.TxPoll = false
@@ -458,8 +431,8 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 func (hd *HostDriver) DebugState() string {
 	var b strings.Builder
 	for _, port := range hd.ports {
-		fmt.Fprintf(&b, "%s: draining=%v qdisc=%d txMeta=%d ringTX=%d ringRX=%d txpoll=%v rxpoll=%v\n",
-			port.name, port.draining, port.qdisc.Len(), len(port.txMeta),
+		fmt.Fprintf(&b, "%s: draining=%v qdisc=%d ringTX=%d ringRX=%d txpoll=%v rxpoll=%v\n",
+			port.name, port.draining, port.qdisc.Len(),
 			port.dimm.Buf.TX.Used(), port.dimm.Buf.RX.Used(),
 			port.dimm.Buf.TxPoll, port.dimm.Buf.RxPoll)
 	}
@@ -471,20 +444,20 @@ func (hd *HostDriver) DebugState() string {
 // calling (transmit or receive) context. With MCN-DMA the CPU programs a
 // descriptor and the channel's engine moves the data; otherwise the CPU
 // performs the copy (memcpy_to_mcn) from the port's qdisc.
-func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, st *McnStamps, pooled bool) {
+func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, pooled bool) {
 	e := tgt.qdisc
 	if hd.Opts.DMA {
 		hd.CPU.Exec(p, hd.Costs.DMASetupCycles)
 		e = hd.dmas[tgt.dimm.ChannelIdx]
 	}
-	e.submit(ringJob{kind: hostTx, port: tgt, msg: frame, st: st, pooled: pooled})
+	e.submit(ringJob{kind: hostTx, port: tgt, msg: frame, pooled: pooled})
 }
 
 // forward implements the packet forwarding engine rules F1-F4. pooled
 // marks frame as recyclable once this function (or the relay machinery it
 // hands off to) is done with it; aliasing dispositions — broadcast fan-out
 // and the conventional NIC — leave the buffer to the garbage collector.
-func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnStamps, pooled bool) {
+func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled bool) {
 	hd.CPU.Exec(p, hd.Costs.ForwardCycles)
 	recycle := func() {
 		if pooled {
@@ -499,10 +472,6 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnS
 	if eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP {
 		// Non-IP traffic: the fast-path transport (Sec. VII) or nothing.
 		if eth.Dst == src.hostMAC && hd.FastRx != nil {
-			if st != nil {
-				st.DriverRxEnd = p.Now()
-				hd.LastTrace = st
-			}
 			// The fast-path transport copies payload bytes it keeps.
 			hd.FastRx(p, src, frame)
 			recycle()
@@ -510,7 +479,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnS
 		}
 		if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 && tgt != src && eth.Dst == tgt.mcnMAC {
 			hd.RelayedDimm++
-			hd.relay(p, tgt, frame, nil, pooled)
+			hd.relay(p, tgt, frame, pooled)
 			return
 		}
 		recycle()
@@ -521,10 +490,6 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnS
 		// F1: for this host. The stack's receive path copies what it
 		// keeps, so the frame is dead when RxFrame returns.
 		hd.DeliveredHost++
-		if st != nil {
-			st.DriverRxEnd = p.Now()
-			hd.LastTrace = st
-		}
 		hd.Stack.RxFrame(p, src, frame)
 		recycle()
 	case eth.Dst.IsBroadcast():
@@ -535,7 +500,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnS
 		hd.Stack.RxFrame(p, src, frame)
 		for _, port := range hd.ports {
 			if port != src {
-				hd.relay(p, port, frame, nil, false)
+				hd.relay(p, port, frame, false)
 			}
 		}
 		if hd.uplink != nil {
@@ -552,11 +517,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, st *McnS
 				// the outbound copy is offloaded to the target
 				// channel's engine, exactly like a host transmit.
 				hd.RelayedDimm++
-				if st != nil {
-					st.DriverRxEnd = p.Now()
-					hd.LastTrace = st
-				}
-				hd.relay(p, tgt, frame, nil, pooled)
+				hd.relay(p, tgt, frame, pooled)
 				return
 			}
 			// Addressed to another host-side interface MAC: deliver up.

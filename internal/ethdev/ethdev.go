@@ -18,24 +18,12 @@ import (
 	"github.com/mcn-arch/mcn/internal/stats"
 )
 
-// Stamps carries per-stage timestamps for one traced frame; Table III is
-// derived from these.
-type Stamps struct {
-	DriverTxStart sim.Time // driver begins descriptor setup
-	DMATxStart    sim.Time // NIC starts fetching from DRAM
-	PhyStart      sim.Time // first bit on the wire
-	PhyEnd        sim.Time // frame fully received by the peer NIC
-	DMARxEnd      sim.Time // DMA into the RX ring complete
-	DriverRxEnd   sim.Time // handed to the network stack
-}
-
 // wireFrame is what travels between NICs and switches. The FCS is stamped
 // lazily — only on links with a fault injector attached — so fault-free
 // simulations pay nothing for it. A frame corrupted in flight keeps its
 // original FCS, which is exactly how the receiver catches the flip.
 type wireFrame struct {
 	data   []byte
-	stamps *Stamps
 	fcs    uint32
 	hasFCS bool
 }
@@ -160,10 +148,10 @@ type NIC struct {
 	burstScratch []wireFrame
 	frameScratch [][]byte
 
-	// Trace captures stage timestamps for data frames of at least
-	// TraceMinBytes; the most recent completed trace is in LastTrace.
-	TraceMinBytes int
-	LastTrace     *Stamps
+	// Tap, when set, observes every frame at the NIC's four internal
+	// sites: netstack.TapDMATx and TapWireStart on the transmitter,
+	// TapWireEnd and TapDMARx on the receiver, named by the NIC.
+	Tap netstack.Tap
 
 	// Stats.
 	TxBytes, RxBytes stats.Counter
@@ -179,10 +167,9 @@ type NIC struct {
 func New(k *sim.Kernel, c *cpu.CPU, mem *dram.Channel, s *netstack.Stack, cfg Config, link *Link) *NIC {
 	n := &NIC{
 		cfg: cfg, k: k, cpu: c, mem: mem, stack: s, link: link,
-		txq:           sim.NewQueue[wireFrame](k, cfg.TxRing),
-		rxq:           sim.NewQueue[wireFrame](k, cfg.RxRing),
-		Busy:          &stats.BusyMeter{},
-		TraceMinBytes: 1 << 30,
+		txq:  sim.NewQueue[wireFrame](k, cfg.TxRing),
+		rxq:  sim.NewQueue[wireFrame](k, cfg.RxRing),
+		Busy: &stats.BusyMeter{},
 	}
 	link.attach(n)
 	k.Go(cfg.Name+"/tx-engine", n.txEngine)
@@ -206,22 +193,21 @@ func (n *NIC) Features() netstack.Features {
 // doorbell, and enqueue into the TX ring (blocking when the ring is full —
 // the NETDEV_TX_BUSY backpressure).
 func (n *NIC) Transmit(p *sim.Proc, f netstack.Frame) {
-	var st *Stamps
-	if len(f.Data) >= n.TraceMinBytes {
-		st = &Stamps{DriverTxStart: p.Now()}
-	}
 	n.cpu.Exec(p, n.cfg.DriverTxCycles)
 	frames := [][]byte{f.Data}
 	if f.TSOSegSize > 0 {
 		// O1-O4: the NIC hardware segments; no CPU cost.
 		frames = netstack.SegmentTSO(f.Data, f.TSOSegSize)
 	}
-	for i, fr := range frames {
-		wf := wireFrame{data: fr}
-		if st != nil && i == 0 {
-			wf.stamps = st
-		}
-		n.txq.Put(p, wf)
+	for _, fr := range frames {
+		n.txq.Put(p, wireFrame{data: fr})
+	}
+}
+
+// tap reports a frame at one of the NIC's sites.
+func (n *NIC) tap(site netstack.TapSite, data []byte) {
+	if n.Tap != nil {
+		n.Tap.Frame(n.k.Now(), site, n.cfg.Name, data)
 	}
 }
 
@@ -234,9 +220,7 @@ func (n *NIC) txEngine(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		if wf.stamps != nil {
-			wf.stamps.DMATxStart = p.Now()
-		}
+		n.tap(netstack.TapDMATx, wf.data)
 		// DMA read of the frame from host memory.
 		if burstStart {
 			p.Sleep(n.cfg.DMALat)
@@ -244,9 +228,7 @@ func (n *NIC) txEngine(p *sim.Proc) {
 		if n.mem != nil {
 			n.mem.Read(p, 0x4000_0000, len(wf.data))
 		}
-		if wf.stamps != nil {
-			wf.stamps.PhyStart = p.Now()
-		}
+		n.tap(netstack.TapWireStart, wf.data)
 		// Serialization: frame + Ethernet overhead (preamble 8B, FCS 4B,
 		// IFG 12B).
 		ser := sim.AtRate(int64(len(wf.data)+24), n.cfg.LinkBps/8)
@@ -266,9 +248,7 @@ func (n *NIC) receive(f wireFrame) {
 		n.Recov.FCSDrops++
 		return
 	}
-	if f.stamps != nil {
-		f.stamps.PhyEnd = n.k.Now()
-	}
+	n.tap(netstack.TapWireEnd, f.data)
 	if !n.rxq.TryPut(f) {
 		n.RxDropped++ // RX ring overflow
 	}
@@ -297,16 +277,12 @@ func (n *NIC) napi(p *sim.Proc) {
 		}
 		// DMA all frames of the burst into memory (pipelined: memory
 		// bandwidth is charged, per-frame PCIe latency is hidden).
-		var stamps []*Stamps
 		frames := n.frameScratch[:0]
 		for _, b := range burst {
 			if n.mem != nil {
 				n.mem.Write(p, 0x4800_0000, len(b.data))
 			}
-			if b.stamps != nil {
-				b.stamps.DMARxEnd = p.Now()
-				stamps = append(stamps, b.stamps)
-			}
+			n.tap(netstack.TapDMARx, b.data)
 			frames = append(frames, b.data)
 		}
 		n.burstScratch = burst
@@ -315,20 +291,15 @@ func (n *NIC) napi(p *sim.Proc) {
 			frames = netstack.CoalesceTCP(frames, 64<<10)
 		}
 		for _, fr := range frames {
-			n.deliverUp(p, fr, stamps)
-			stamps = nil
+			n.deliverUp(p, fr)
 		}
 	}
 }
 
-func (n *NIC) deliverUp(p *sim.Proc, frame []byte, stamps []*Stamps) {
+func (n *NIC) deliverUp(p *sim.Proc, frame []byte) {
 	n.cpu.Exec(p, n.cfg.DriverRxCycles)
 	n.RxBytes.Add(p.Now(), int64(len(frame)))
 	n.RxFrames++
-	for _, st := range stamps {
-		st.DriverRxEnd = p.Now()
-		n.LastTrace = st
-	}
 	n.stack.RxFrame(p, n, frame)
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/mcn-arch/mcn/internal/ethdev"
 	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/node"
+	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
@@ -48,60 +49,72 @@ func (t *Table3Result) String() string {
 	return b.String()
 }
 
-// Table3 regenerates Table III for 1.5KB and 9KB TCP packets.
+// Table3 regenerates Table III for 1.5KB and 9KB TCP packets. Every stage
+// boundary is a frame-tap site the traced packet crossed.
 func Table3() *Table3Result {
 	res := &Table3Result{}
 	for _, size := range []int{1460, 8960} {
 		eth := traceEth(size)
-		mcn := traceMcn(size)
-		ethTotal := eth.DriverRxEnd.Sub(eth.DriverTxStart)
+		ethTotal := eth[0] + eth[1] + eth[2] + eth[3] + eth[4]
 		n := func(d sim.Duration) float64 { return float64(d) / float64(ethTotal) }
-		res.Rows = append(res.Rows, Table3Row{
-			SizeBytes: size,
-			Type:      "10GbE",
-			DriverTX:  n(eth.DMATxStart.Sub(eth.DriverTxStart)),
-			DMATX:     n(eth.PhyStart.Sub(eth.DMATxStart)),
-			PHY:       n(eth.PhyEnd.Sub(eth.PhyStart)),
-			DMARX:     n(eth.DMARxEnd.Sub(eth.PhyEnd)),
-			DriverRX:  n(eth.DriverRxEnd.Sub(eth.DMARxEnd)),
-			Total:     1,
-			Stages: [5]sim.Duration{
-				eth.DMATxStart.Sub(eth.DriverTxStart),
-				eth.PhyStart.Sub(eth.DMATxStart),
-				eth.PhyEnd.Sub(eth.PhyStart),
-				eth.DMARxEnd.Sub(eth.PhyEnd),
-				eth.DriverRxEnd.Sub(eth.DMARxEnd),
-			},
-			RawTotal: ethTotal,
-		})
-		mcnTotal := mcn.DriverRxEnd.Sub(mcn.DriverTxStart)
-		res.Rows = append(res.Rows, Table3Row{
-			SizeBytes: size,
-			Type:      "MCN-0",
-			DriverTX:  n(mcn.DriverTxEnd.Sub(mcn.DriverTxStart)),
-			// MCN has no DMA or PHY stages: the memory channel is the
-			// PHY and its time is inside the driver copies.
-			DriverRX: n(mcn.DriverRxEnd.Sub(mcn.DriverTxEnd)),
-			Total:    n(mcnTotal),
-			Stages: [5]sim.Duration{
-				0: mcn.DriverTxEnd.Sub(mcn.DriverTxStart),
-				4: mcn.DriverRxEnd.Sub(mcn.DriverTxEnd),
-			},
-			RawTotal: mcnTotal,
-		})
+		for _, r := range []struct {
+			typ string
+			st  [5]sim.Duration
+		}{{"10GbE", eth}, {"MCN-0", traceMcn(size)}} {
+			total := r.st[0] + r.st[1] + r.st[2] + r.st[3] + r.st[4]
+			res.Rows = append(res.Rows, Table3Row{
+				SizeBytes: size, Type: r.typ,
+				DriverTX: n(r.st[0]), DMATX: n(r.st[1]), PHY: n(r.st[2]),
+				DMARX: n(r.st[3]), DriverRX: n(r.st[4]), Total: n(total),
+				Stages: r.st, RawTotal: total,
+			})
+		}
 	}
 	return res
 }
 
-// traceEth sends one TCP packet of the given payload across a 10GbE link
-// and returns the receiver's stage stamps. Jumbo-frame MTU is used for
+// tracePacket sends one TCP packet of payload bytes from one stack to
+// another and returns when it crossed each of sites, read from rec — a
+// capture of frames of at least 1000 bytes, so of that packet alone,
+// which the caller attached to the taps on its path. A site crossed more
+// than once keeps its latest crossing.
+func tracePacket(k *sim.Kernel, from, to *netstack.Stack, toIP netstack.IP, payload int, rec *obs.Recorder, sites ...netstack.TapSite) []sim.Time {
+	rec.Filter = func(r obs.Record) bool { return r.Len >= 1000 }
+	k.Go("server", func(p *sim.Proc) {
+		l, _ := to.Listen(5001)
+		c, _ := l.Accept(p)
+		c.RecvN(p, payload)
+	})
+	k.Go("client", func(p *sim.Proc) {
+		c, err := from.Connect(p, toIP, 5001)
+		if err != nil {
+			panic(err)
+		}
+		c.SendN(p, payload)
+	})
+	k.RunUntil(sim.Time(sim.Second))
+	k.Shutdown()
+	at := make([]sim.Time, len(sites))
+	for i, site := range sites {
+		for _, r := range rec.Records {
+			if r.Dir == site.String() {
+				at[i] = r.At
+			}
+		}
+		if at[i] == 0 {
+			panic(fmt.Sprintf("table3: the packet never crossed %v", site))
+		}
+	}
+	return at
+}
+
+// traceEth traces one TCP packet across a 10GbE link through the sender's
+// stack, both NICs and the receiver's stack. Jumbo-frame MTU is used for
 // payloads above 1500 so the packet stays a single frame, as in the paper.
-func traceEth(payload int) *ethdev.Stamps {
+func traceEth(payload int) [5]sim.Duration {
 	k := sim.NewKernel()
-	cfgA := node.HostConfig("a")
-	cfgB := node.HostConfig("b")
-	a := node.NewHost(k, cfgA)
-	b := node.NewHost(k, cfgB)
+	a := node.NewHost(k, node.HostConfig("a"))
+	b := node.NewHost(k, node.HostConfig("b"))
 	link := ethdev.NewLink(k, sim.Microsecond)
 	nicCfg := func(name string, id uint32) ethdev.Config {
 		c := ethdev.DefaultConfig(name, netstack.NewMAC(id))
@@ -117,58 +130,35 @@ func traceEth(payload int) *ethdev.Stamps {
 	ib := b.Stack.AddIface(nicB, netstack.IPv4(10, 0, 0, 2), netstack.Mask24)
 	ia.Neighbors[netstack.IPv4(10, 0, 0, 2)] = nicB.MAC()
 	ib.Neighbors[netstack.IPv4(10, 0, 0, 1)] = nicA.MAC()
-	nicA.TraceMinBytes = 1000
-
-	k.Go("server", func(p *sim.Proc) {
-		l, _ := b.Stack.Listen(5001)
-		c, _ := l.Accept(p)
-		c.RecvN(p, payload)
-	})
-	k.Go("client", func(p *sim.Proc) {
-		c, err := a.Stack.Connect(p, netstack.IPv4(10, 0, 0, 2), 5001)
-		if err != nil {
-			panic(err)
-		}
-		c.SendN(p, payload)
-	})
-	k.RunUntil(sim.Time(sim.Second))
-	st := nicB.LastTrace
-	k.Shutdown()
-	if st == nil {
-		panic("table3: no ethernet trace captured")
+	rec := obs.NewRecorder(0)
+	a.Stack.Tap, nicA.Tap, nicB.Tap, b.Stack.Tap = rec, rec, rec, rec
+	at := tracePacket(k, a.Stack, b.Stack, netstack.IPv4(10, 0, 0, 2), payload, rec,
+		netstack.TapTx, netstack.TapDMATx, netstack.TapWireStart,
+		netstack.TapWireEnd, netstack.TapDMARx, netstack.TapRx)
+	var st [5]sim.Duration
+	for i := range st {
+		st[i] = at[i+1].Sub(at[i])
 	}
 	return st
 }
 
-// traceMcn sends one TCP packet from an MCN node to the host under the
+// traceMcn traces one TCP packet from an MCN node to the host under the
 // mcn0 configuration (with the MTU raised for the 9KB row, as Table III
-// isolates packet size, not the other optimizations).
-func traceMcn(payload int) *core.McnStamps {
+// isolates packet size, not the other optimizations). MCN has no DMA or
+// PHY stages: the memory channel is the PHY and its time is inside the
+// driver copies, so Driver-TX ends when the DIMM driver's T3 lands the
+// message in the SRAM TX ring and Driver-RX (polling wait included) runs
+// from there to the host stack.
+func traceMcn(payload int) [5]sim.Duration {
 	k := sim.NewKernel()
 	opts := core.MCN0.Options()
 	if payload > 1460 {
 		opts.MTU = 9000
 	}
 	s := cluster.NewMcnServer(k, 1, opts)
-	s.Host.Driver.TraceMinBytes = 1000
-	s.Mcns[0].Drv.TraceMinBytes = 1000
-	k.Go("server", func(p *sim.Proc) {
-		l, _ := s.Host.Stack.Listen(5001)
-		c, _ := l.Accept(p)
-		c.RecvN(p, payload)
-	})
-	k.Go("client", func(p *sim.Proc) {
-		c, err := s.Mcns[0].Stack.Connect(p, s.Host.HostMcnIP(), 5001)
-		if err != nil {
-			panic(err)
-		}
-		c.SendN(p, payload)
-	})
-	k.RunUntil(sim.Time(sim.Second))
-	st := s.Host.Driver.LastTrace
-	k.Shutdown()
-	if st == nil {
-		panic("table3: no MCN trace captured")
-	}
-	return st
+	rec := obs.NewRecorder(0)
+	s.Mcns[0].Stack.Tap, s.Mcns[0].Drv.ChanTap, s.Host.Stack.Tap = rec, rec, rec
+	at := tracePacket(k, s.Mcns[0].Stack, s.Host.Stack, s.Host.HostMcnIP(), payload, rec,
+		netstack.TapTx, netstack.TapDimmPush, netstack.TapRx)
+	return [5]sim.Duration{0: at[1].Sub(at[0]), 4: at[2].Sub(at[1])}
 }

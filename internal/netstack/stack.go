@@ -58,12 +58,30 @@ const (
 	// TapDimmPop: the DIMM driver's IRQ drain popped it back out. The
 	// window between push and pop is the channel occupancy.
 	TapDimmPop
+	// TapDimmPush: the DIMM driver's T3 landed the frame in its SRAM TX
+	// ring.
+	TapDimmPush
+	// TapHostPop: the host's drain (polled, ALERT_N or MCN-DMA) popped it
+	// back out.
+	TapHostPop
+	// TapDMATx: a NIC's TX engine began fetching the frame from memory.
+	TapDMATx
+	// TapWireStart: the frame's first bit went onto the wire.
+	TapWireStart
+	// TapWireEnd: the peer NIC received the whole frame.
+	TapWireEnd
+	// TapDMARx: the receiving NIC's DMA into its RX ring completed.
+	TapDMARx
 )
 
-var tapSiteNames = [...]string{"tx", "rx", "lo", "push", "pop"}
+var tapSiteNames = [...]string{
+	"tx", "rx", "lo", "push", "pop", "dimm-push", "host-pop",
+	"dma-tx", "wire-start", "wire-end", "dma-rx",
+}
 
-// String returns the site's short tcpdump-style name ("tx", "rx", "lo",
-// "push", "pop").
+// String returns the site's short tcpdump-style name: "tx", "rx", "lo",
+// "push", "pop", "dimm-push", "host-pop", "dma-tx", "wire-start",
+// "wire-end" or "dma-rx".
 func (s TapSite) String() string {
 	if int(s) < len(tapSiteNames) {
 		return tapSiteNames[s]
@@ -73,10 +91,11 @@ func (s TapSite) String() string {
 
 // Tap observes raw Ethernet frames: at a stack's device boundary (Stack.Tap,
 // the tcpdump attachment point), on the MCN SRAM channel (the core drivers'
-// ChanTap) and on the mcnt fabric (Fabric.SetTap). Loopback packets carry
-// a synthesized Ethernet header so they render like any other frame. A tap
-// runs at the instant of the event, must charge no simulated time, and
-// must copy any bytes it keeps.
+// ChanTap), inside a conventional NIC (ethdev.NIC.Tap) and on the mcnt
+// fabric (Fabric.SetTap). Loopback packets carry a synthesized Ethernet
+// header so they render like any other frame. A tap runs at the instant of
+// the event, must charge no simulated time, and must copy any bytes it
+// keeps.
 type Tap interface {
 	Frame(at sim.Time, site TapSite, dev string, frame []byte)
 }

@@ -12,8 +12,11 @@ import (
 
 // Record is one captured frame.
 type Record struct {
-	At      sim.Time
-	Dir     string // the tap site's name: "tx", "rx", "lo", "push" or "pop"
+	At sim.Time
+	// Dir is the tap site's name (netstack.TapSite.String): "tx", "rx",
+	// "lo", "push", "pop", "dimm-push", "host-pop", "dma-tx",
+	// "wire-start", "wire-end" or "dma-rx".
+	Dir     string
 	Dev     string
 	Len     int
 	Summary string

@@ -366,6 +366,14 @@ func TestTapSites(t *testing.T) {
 	if sp2.HostTx != 300 || sp2.DimmRx != 300 || sp2.ChanPush != 0 || sp2.DimmPop != 0 {
 		t.Fatalf("lo: %v %v %v %v", sp2.HostTx, sp2.ChanPush, sp2.DimmPop, sp2.DimmRx)
 	}
+	// The sites the tracer has no boundary for stamp nothing.
+	tr3, sp3 := mk()
+	for site := netstack.TapDimmPush; site <= netstack.TapDMARx; site++ {
+		tr3.Frame(500, site, site.String(), data)
+	}
+	if sp3.HostTx != 0 || sp3.ChanPush != 0 || sp3.DimmPop != 0 || sp3.DimmRx != 0 {
+		t.Fatalf("NIC/return-channel sites stamped: %v %v %v %v", sp3.HostTx, sp3.ChanPush, sp3.DimmPop, sp3.DimmRx)
+	}
 	if netstack.TapSite(99).String() != "?" {
 		t.Fatal("unknown site name")
 	}
