@@ -17,6 +17,7 @@ func run(name string, build func(k *mcn.Kernel) (srv, cli mcn.Endpoint)) {
 	mcn.NewKVServer(k, srvEp, 11211)
 	var p50, p99 float64
 	var gets int
+	done := false
 	k.Go("client", func(p *mcn.Proc) {
 		c, err := mcn.DialKV(p, cliEp, srvEp.IP, 11211)
 		if err != nil {
@@ -33,8 +34,14 @@ func run(name string, build func(k *mcn.Kernel) (srv, cli mcn.Endpoint)) {
 			gets++
 		}
 		p50, p99 = c.Lat.Median(), c.Lat.Quantile(0.99)
+		done = true
 	})
-	k.RunFor(10 * mcn.Second)
+	// Step until the client is done, for at most 10 simulated seconds: at
+	// mcn0 the HR-timer polling never idles, so one RunFor would simulate
+	// all ten.
+	for end := k.Now().Add(10 * mcn.Second); !done && k.Now() < end; {
+		k.RunFor(mcn.Millisecond)
+	}
 	fmt.Printf("%-22s %6d GETs   p50 %7.2fus   p99 %7.2fus\n",
 		name, gets, p50/1e3, p99/1e3)
 }

@@ -119,10 +119,9 @@ type tracker struct {
 	outstanding []sim.Time
 	cycles      int // consecutive opens (drives the backoff doubling)
 	reopenAt    sim.Time
-	probes      int  // half-open probes in flight
-	probeOKs    int  // consecutive successful probes this half-open window
-	gated       bool // probes passed but the readmission gate said not yet
-	everOpened  bool
+	probes      int     // half-open probes in flight
+	probeOKs    int     // consecutive successful probes this half-open window
+	gated       bool    // probes passed but the readmission gate said not yet
 	ewmaNs      float64 // service-latency EWMA (ns), 0 until first sample
 	ewmaSeen    bool
 	jit         sim.RNG
@@ -181,22 +180,8 @@ func New(k *sim.Kernel, seed uint64, names []string) *Controller {
 	return c
 }
 
-// NumShards returns the tracked shard count.
-func (c *Controller) NumShards() int { return len(c.trackers) }
-
 // State returns a shard's current breaker state.
 func (c *Controller) State(shard int) State { return c.trackers[shard].state }
-
-// EverOpened reports whether a shard's breaker has ever left closed — the
-// health-timeline fact Degraded() reads instead of the latency heuristic.
-func (c *Controller) EverOpened(shard int) bool { return c.trackers[shard].everOpened }
-
-// EWMA returns a shard's service-latency EWMA in nanoseconds (0 before the
-// first completion).
-func (c *Controller) EWMA(shard int) float64 { return c.trackers[shard].ewmaNs }
-
-// Outstanding returns how many of a shard's requests are on the wire.
-func (c *Controller) Outstanding(shard int) int { return len(c.trackers[shard].outstanding) }
 
 // Counters returns the admission tally so far.
 func (c *Controller) Counters() stats.AdmitCounters { return c.counters }
@@ -238,7 +223,6 @@ func (c *Controller) open(t *tracker, reason string) {
 	t.probes = 0
 	t.probeOKs = 0
 	t.gated = false
-	t.everOpened = true
 	c.counters.Opens++
 	c.event(t, from, Open, reason)
 }

@@ -39,13 +39,13 @@ func TestHealthyTrafficStaysClosed(t *testing.T) {
 		k.RunFor(10 * sim.Microsecond) // well under the 200us timeout
 		c.OnComplete(0, 10_000, true)
 	}
-	if c.State(0) != Closed || c.EverOpened(0) {
-		t.Fatalf("healthy shard left closed: state=%v everOpened=%v", c.State(0), c.EverOpened(0))
+	if c.State(0) != Closed {
+		t.Fatalf("healthy shard left closed: state=%v", c.State(0))
 	}
 	if len(c.Events()) != 0 {
 		t.Fatalf("healthy run produced %d breaker events", len(c.Events()))
 	}
-	if got := c.EWMA(0); got != 10_000 {
+	if got := c.trackers[0].ewmaNs; got != 10_000 {
 		t.Fatalf("EWMA of constant 10us stream = %.0f, want 10000", got)
 	}
 	if c.Counters().Opens != 0 {
@@ -109,9 +109,6 @@ func TestTimeoutOpensAndProbesClose(t *testing.T) {
 	c.OnComplete(0, 5_000, true)
 	if c.State(0) != Closed {
 		t.Fatalf("state after successful probes = %v, want closed", c.State(0))
-	}
-	if !c.EverOpened(0) {
-		t.Fatal("EverOpened lost the open episode")
 	}
 	got := c.Counters()
 	if got.Opens != 1 || got.HalfOpens != 1 || got.Closes != 1 || got.Probes != 2 {
@@ -264,11 +261,11 @@ func TestEWMATracksLatency(t *testing.T) {
 	c.OnSend(0)
 	k.RunFor(sim.Microsecond)
 	c.OnComplete(0, 20_000, true)
-	if got, want := c.EWMA(0), 10_000+ewmaAlpha*(20_000-10_000.0); got != want {
+	if got, want := c.trackers[0].ewmaNs, 10_000+ewmaAlpha*(20_000-10_000.0); got != want {
 		t.Fatalf("EWMA = %.0f, want %.0f", got, want)
 	}
-	if c.Outstanding(0) != 0 {
-		t.Fatalf("outstanding = %d after completions", c.Outstanding(0))
+	if n := len(c.trackers[0].outstanding); n != 0 {
+		t.Fatalf("outstanding = %d after completions", n)
 	}
 }
 

@@ -140,15 +140,6 @@ func (c *EthCluster) Endpoints() []Endpoint {
 	return eps
 }
 
-// TotalDRAMBytes sums DRAM traffic across all nodes.
-func (c *EthCluster) TotalDRAMBytes() int64 {
-	var t int64
-	for _, n := range c.Nodes {
-		t += n.TotalDRAMBytes()
-	}
-	return t
-}
-
 // NewScaleUp builds a single conventional server with the given core count
 // (Fig. 11's scale-up baseline). Ranks communicate over loopback.
 func NewScaleUp(k *sim.Kernel, cores int) *node.Host {

@@ -103,9 +103,6 @@ func (e *ringEngine) submit(j ringJob) {
 	}
 }
 
-// Len returns the number of jobs waiting behind the running one.
-func (e *ringEngine) Len() int { return e.jobs.Len() }
-
 // next runs queued jobs until one has to wait; with the FIFO empty the
 // engine idles until submit.
 func (e *ringEngine) next() {

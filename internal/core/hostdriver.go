@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/netstack"
@@ -134,9 +133,6 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	return port
 }
 
-// Ports returns the registered host-side ports.
-func (hd *HostDriver) Ports() []*HostPort { return hd.ports }
-
 // SetUplink wires the conventional NIC used by forwarding rule F4 and
 // installs the ingress bridge so frames arriving on that NIC for this
 // host's MCN nodes are relayed into their DIMMs — the mechanism that lets
@@ -201,16 +197,6 @@ func (hd *HostDriver) armWatchdog() {
 	hd.watchdog.Start()
 }
 
-// Stop disarms the polling agent and the watchdog.
-func (hd *HostDriver) Stop() {
-	if hd.timer != nil {
-		hd.timer.Stop()
-	}
-	if hd.watchdog != nil {
-		hd.watchdog.Stop()
-	}
-}
-
 // probeCarrier refreshes one port's carrier state from the DIMM's
 // host-interface liveness, counting each transition.
 func (hd *HostDriver) probeCarrier(port *HostPort) {
@@ -224,9 +210,6 @@ func (hd *HostDriver) probeCarrier(port *HostPort) {
 		hd.Recov.CarrierUps++
 	}
 }
-
-// Carrier reports the port's netdev carrier state.
-func (p *HostPort) Carrier() bool { return p.carrier }
 
 // watchdogScan is the recovery timer body: probe every DIMM's liveness and
 // re-kick any ring that has work pending but no active drain — the state a
@@ -273,9 +256,6 @@ func (p *HostPort) MAC() netstack.MAC { return p.hostMAC }
 
 // McnMAC returns the MCN-side peer's MAC.
 func (p *HostPort) McnMAC() netstack.MAC { return p.mcnMAC }
-
-// Dimm returns the underlying DIMM.
-func (p *HostPort) Dimm() *Dimm { return p.dimm }
 
 // MTU returns the configured MTU (1.5KB, or 9KB for mcn3+).
 func (p *HostPort) MTU() int { return p.drv.Opts.MTU }
@@ -425,19 +405,6 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 		idle++
 		p.Sleep(napiLinger)
 	}
-}
-
-// DebugState renders per-port driver state for diagnosing stalls.
-func (hd *HostDriver) DebugState() string {
-	var b strings.Builder
-	for _, port := range hd.ports {
-		fmt.Fprintf(&b, "%s: draining=%v qdisc=%d ringTX=%d ringRX=%d txpoll=%v rxpoll=%v\n",
-			port.name, port.draining, port.qdisc.Len(),
-			port.dimm.Buf.TX.Used(), port.dimm.Buf.RX.Used(),
-			port.dimm.Buf.TxPoll, port.dimm.Buf.RxPoll)
-	}
-	fmt.Fprintf(&b, "host cores in use=%d/%d queue=%d\n", hd.CPU.Cores.InUse(), hd.CPU.Cores.Capacity(), hd.CPU.Cores.QueueLen())
-	return b.String()
 }
 
 // relay hands a frame to tgt's T1-T3 machinery without ever blocking the

@@ -130,15 +130,6 @@ func (c *CPU) softirqd(p *sim.Proc) {
 	}
 }
 
-// Utilization returns average busy cores / total cores over the run.
-func (c *CPU) Utilization() float64 {
-	span := c.K.Now()
-	if span == 0 {
-		return 0
-	}
-	return c.Busy.Busy.Seconds() / (sim.Duration(span).Seconds() * float64(c.NumCores()))
-}
-
 // An HRTimer re-arms itself every Interval and, per the paper's efficient
 // polling design (Sec. IV-A), its interrupt routine only pays a small fixed
 // cost and schedules a tasklet that does the real work.
@@ -173,9 +164,6 @@ func (h *HRTimer) Stop() {
 	h.running = false
 	h.timer.Stop()
 }
-
-// Interval returns the timer period.
-func (h *HRTimer) Interval() sim.Duration { return h.interval }
 
 func (h *HRTimer) fire() {
 	if !h.running {

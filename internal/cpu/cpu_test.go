@@ -138,9 +138,9 @@ func TestUtilization(t *testing.T) {
 		p.Sleep(500 * sim.Nanosecond)
 	})
 	k.Run()
-	// One of two cores busy half the time = 25%.
-	if u := c.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization=%v, want 0.25", u)
+	// One of two cores busy for half of the 1us run: 500ns of core time.
+	if busy, now := c.Busy.Busy, k.Now(); busy != 500*sim.Nanosecond || now != sim.Time(sim.Microsecond) {
+		t.Fatalf("busy=%v over %v, want 500ns over 1us", busy, now)
 	}
 	k.Shutdown()
 }

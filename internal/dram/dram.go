@@ -61,21 +61,6 @@ func DDR3_1066() Config {
 	}
 }
 
-// LPDDR4_1866 returns the MCN processor's local channel configuration
-// (Snapdragon-835-class, Sec. III-A).
-func LPDDR4_1866() Config {
-	return Config{
-		Name:        "LPDDR4-1866",
-		DataRateMTs: 1866 * 2, // DDR: 1866MHz clock
-		BeatBytes:   8,
-		TCL:         14000 * sim.Picosecond,
-		TRCD:        14000 * sim.Picosecond,
-		TRP:         14000 * sim.Picosecond,
-		Banks:       8,
-		RowBytes:    4096,
-	}
-}
-
 // PeakBandwidth returns the channel's theoretical bandwidth in bytes/sec.
 func (c Config) PeakBandwidth() float64 { return c.DataRateMTs * 1e6 * float64(c.BeatBytes) }
 
@@ -120,9 +105,6 @@ func NewChannel(k *sim.Kernel, cfg Config) *Channel {
 	}
 	return &Channel{cfg: cfg, k: k, bus: k.NewResource(1), banks: banks, BusyTime: &stats.BusyMeter{}}
 }
-
-// Config returns the channel configuration.
-func (c *Channel) Config() Config { return c.cfg }
 
 // Access performs a blocking memory access of the given size starting at
 // addr. The request is served one row at a time, the way an FR-FCFS
@@ -314,10 +296,3 @@ func (t *Transfer) onRetire() {
 	}
 	t.done()
 }
-
-// Utilization returns the fraction of elapsed time the data bus was busy.
-func (c *Channel) Utilization() float64 { return c.bus.Utilization() }
-
-// AchievedBandwidth returns bytes moved divided by the observation window
-// (bytes/sec); see stats.Counter.Rate.
-func (c *Channel) AchievedBandwidth() float64 { return c.Bytes.Rate() }

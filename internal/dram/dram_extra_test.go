@@ -93,7 +93,7 @@ func TestAccessTimeMonotonicProperty(t *testing.T) {
 }
 
 func TestConfigsSane(t *testing.T) {
-	for _, cfg := range []Config{DDR4_3200(), DDR3_1066(), LPDDR4_1866()} {
+	for _, cfg := range []Config{DDR4_3200(), DDR3_1066()} {
 		if cfg.PeakBandwidth() <= 0 || cfg.BurstTime() <= 0 || cfg.Banks <= 0 {
 			t.Fatalf("config %s broken: %+v", cfg.Name, cfg)
 		}

@@ -66,8 +66,8 @@ func TestStreamingApproachesPeakBandwidth(t *testing.T) {
 		ch.Read(p, 0, total)
 	})
 	k.Run()
-	bw := ch.AchievedBandwidth()
-	peak := ch.Config().PeakBandwidth()
+	bw := ch.Bytes.Rate()
+	peak := ch.cfg.PeakBandwidth()
 	if bw < 0.7*peak || bw > peak {
 		t.Fatalf("streaming bandwidth %.3g outside (0.7..1.0)x peak %.3g", bw, peak)
 	}

@@ -355,9 +355,6 @@ func (s *Server) SetTracer(t *obs.Tracer) { s.tracer = t }
 // SetForwarder attaches the primary->backup forwarder; nil detaches.
 func (s *Server) SetForwarder(f Forwarder) { s.fwd = f }
 
-// Seq returns the store's apply sequence (its journal position).
-func (s *Server) Seq() uint64 { return s.applySeq }
-
 // Versions snapshots every key's replication version, tombstones
 // included — the comparison surface for convergence checks.
 func (s *Server) Versions() map[string]Version {
@@ -419,9 +416,6 @@ func (s *Server) Preload(key string, val []byte) {
 		s.indexInsert(key)
 	}
 }
-
-// Len returns the number of live keys (tombstones excluded).
-func (s *Server) Len() int { return s.live }
 
 // respFlushBytes bounds the response burst accumulated before an early
 // flush, so a train of large GETs cannot grow the burst without limit.

@@ -123,8 +123,8 @@ func TestVersionedWritesAndFailoverEpoch(t *testing.T) {
 	if h.srv.FailoverSets != 1 {
 		t.Fatalf("FailoverSets = %d", h.srv.FailoverSets)
 	}
-	if h.srv.Seq() != 3 {
-		t.Fatalf("applySeq = %d after 3 writes", h.srv.Seq())
+	if h.srv.applySeq != 3 {
+		t.Fatalf("applySeq = %d after 3 writes", h.srv.applySeq)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestReplApplyNewerWinsAndTombstones(t *testing.T) {
 	if h.peer.ReplApplied != 2 || h.peer.ReplStale != 2 {
 		t.Fatalf("applied=%d stale=%d", h.peer.ReplApplied, h.peer.ReplStale)
 	}
-	if h.peer.Len() != 0 {
-		t.Fatalf("tombstoned store has %d live keys", h.peer.Len())
+	if h.peer.live != 0 {
+		t.Fatalf("tombstoned store has %d live keys", h.peer.live)
 	}
 	v := h.peer.Versions()["k"]
 	if !v.Dead || v.Ver != 6 {
@@ -295,20 +295,20 @@ func TestDeltaStreamConvergesAndPaginates(t *testing.T) {
 func TestPreloadIsVersionZeroAndUnjournaled(t *testing.T) {
 	h := newReplHarness(t)
 	h.srv.Preload("warm", []byte("data"))
-	if h.srv.Seq() != 0 {
-		t.Fatalf("preload advanced the journal to %d", h.srv.Seq())
+	if h.srv.applySeq != 0 {
+		t.Fatalf("preload advanced the journal to %d", h.srv.applySeq)
 	}
 	v := h.srv.Versions()["warm"]
 	if v.Epoch != 0 || v.Ver != 0 || v.Dead {
 		t.Fatalf("preload version %+v, want zero", v)
 	}
-	if h.srv.Len() != 1 {
-		t.Fatalf("live len %d", h.srv.Len())
+	if h.srv.live != 1 {
+		t.Fatalf("live len %d", h.srv.live)
 	}
 	// Re-preloading the same key replaces it without double-counting.
 	h.srv.Preload("warm", []byte("data2"))
-	if h.srv.Len() != 1 {
-		t.Fatalf("re-preload live len %d", h.srv.Len())
+	if h.srv.live != 1 {
+		t.Fatalf("re-preload live len %d", h.srv.live)
 	}
 	h.k.Shutdown()
 }

@@ -12,8 +12,6 @@
 // that holds the SRAM buffer.
 package memmap
 
-import "fmt"
-
 // LineBytes is the interleaving granularity: one CPU cacheline / one DDR
 // burst of a x64 DIMM (8 beats by 8 bytes).
 const LineBytes = 64
@@ -43,55 +41,6 @@ func (iv Interleave) HostAddr(channel int, channelOff uint64) uint64 {
 	localLine := channelOff / LineBytes
 	line := localLine*uint64(iv.Channels) + uint64(channel)
 	return line*LineBytes + channelOff%LineBytes
-}
-
-// Region is a range of a (host or device) physical address space.
-type Region struct {
-	Base uint64
-	Size uint64
-}
-
-// End returns the first address past the region.
-func (r Region) End() uint64 { return r.Base + r.Size }
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint64) bool { return addr >= r.Base && addr < r.End() }
-
-// Overlaps reports whether two regions share any address.
-func (r Region) Overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.End() }
-
-func (r Region) String() string {
-	return fmt.Sprintf("[%#x,%#x)", r.Base, r.End())
-}
-
-// CopyPlan describes a driver-level bulk copy between the host address
-// space and one MCN DIMM's SRAM window in terms of the memory-transaction
-// mix it generates. It is what the cost model consumes.
-type CopyPlan struct {
-	Bytes int
-	// Bursts is the number of LineBytes-granularity transactions on the
-	// target DIMM's channel (write-combining on TX, cacheable reads on
-	// RX give full-line transactions).
-	Bursts int
-	// WordAccesses is the number of 8-byte transactions when the mapping
-	// is uncacheable without write combining (the naive ioremap case).
-	WordAccesses int
-}
-
-// PlanCopy computes the transaction mix for an n-byte MCN copy. When
-// writeCombining is true the copy proceeds in full cachelines; otherwise it
-// degrades to 8-byte uncached accesses (Sec. III-B "Memory mapping unit").
-func PlanCopy(n int, writeCombining bool) CopyPlan {
-	if n < 0 {
-		panic("memmap: negative copy size")
-	}
-	p := CopyPlan{Bytes: n}
-	if writeCombining {
-		p.Bursts = (n + LineBytes - 1) / LineBytes
-	} else {
-		p.WordAccesses = (n + 7) / 8
-	}
-	return p
 }
 
 // InterleavedCopy emulates memcpy_to_mcn: it copies src into dst starting

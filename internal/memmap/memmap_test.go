@@ -64,33 +64,6 @@ func TestChannelPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestRegion(t *testing.T) {
-	r := Region{Base: 0x1000, Size: 0x100}
-	if !r.Contains(0x1000) || !r.Contains(0x10ff) || r.Contains(0x1100) || r.Contains(0xfff) {
-		t.Fatal("Contains is wrong at boundaries")
-	}
-	if !r.Overlaps(Region{Base: 0x10ff, Size: 1}) {
-		t.Fatal("adjacent-overlap should be true")
-	}
-	if r.Overlaps(Region{Base: 0x1100, Size: 0x10}) {
-		t.Fatal("touching regions do not overlap")
-	}
-}
-
-func TestPlanCopy(t *testing.T) {
-	p := PlanCopy(1500, true)
-	if p.Bursts != 24 || p.WordAccesses != 0 { // ceil(1500/64)=24
-		t.Fatalf("WC plan = %+v", p)
-	}
-	p = PlanCopy(1500, false)
-	if p.WordAccesses != 188 || p.Bursts != 0 { // ceil(1500/8)=188
-		t.Fatalf("uncached plan = %+v", p)
-	}
-	if p := PlanCopy(0, true); p.Bursts != 0 {
-		t.Fatalf("empty plan = %+v", p)
-	}
-}
-
 func TestInterleavedCopyPlacesDataAndStaysOnChannel(t *testing.T) {
 	iv := Interleave{Channels: 2}
 	hostBase := uint64(3 * LineBytes) // a line owned by channel 1

@@ -34,8 +34,6 @@ type World struct {
 	basePort uint16
 	start    sim.Time
 	finished int
-	done     *sim.Signal
-	failed   error
 	end      sim.Time
 }
 
@@ -57,7 +55,7 @@ type Rank struct {
 // for len(eps) consecutive ports. The simulation owner then runs the
 // kernel; Done/Elapsed report completion.
 func Launch(k *sim.Kernel, eps []cluster.Endpoint, basePort uint16, prog Program) *World {
-	w := &World{K: k, eps: eps, basePort: basePort, start: k.Now(), done: k.NewSignal()}
+	w := &World{K: k, eps: eps, basePort: basePort, start: k.Now()}
 	w.ranks = make([]*Rank, len(eps))
 	for i := range eps {
 		r := &Rank{W: w, ID: i, ep: eps[i], conns: make([]netstack.Conn, len(eps))}
@@ -78,7 +76,6 @@ func Launch(k *sim.Kernel, eps []cluster.Endpoint, basePort uint16, prog Program
 			w.finished++
 			if w.finished == len(w.ranks) {
 				w.end = p.Now()
-				w.done.Notify()
 			}
 		})
 	}
@@ -95,13 +92,6 @@ func (w *World) Elapsed() sim.Duration {
 		return 0
 	}
 	return w.end.Sub(w.start)
-}
-
-// Wait parks p until the job completes (for composite scenarios).
-func (w *World) Wait(p *sim.Proc) {
-	for !w.Done() {
-		w.done.Wait(p)
-	}
 }
 
 // Size returns the number of ranks.
@@ -416,6 +406,3 @@ func (r *Rank) Compute(flops, bytes int64) {
 		})
 	}
 }
-
-// Node returns the rank's node (for workload-specific accounting).
-func (r *Rank) Node() *cluster.Endpoint { return &r.ep }

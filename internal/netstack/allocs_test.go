@@ -138,3 +138,10 @@ func TestAllocsTCPBulk(t *testing.T) {
 	}
 	k.Shutdown()
 }
+
+// RecvTimeout is Recv with a deadline.
+func (u *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Duration) (Datagram, bool) {
+	u.s.CPU.Exec(p, u.s.Costs.SocketCycles)
+	dg, ok, _ := u.rx.GetTimeout(p, d)
+	return dg, ok
+}

@@ -21,10 +21,6 @@ func (t fourTuple) String() string {
 	return fmt.Sprintf("%v:%d-%v:%d", t.lip, t.lport, t.rip, t.rport)
 }
 
-func (t fourTuple) reversed() fourTuple {
-	return fourTuple{lip: t.rip, rip: t.lip, lport: t.rport, rport: t.lport}
-}
-
 type tcpState int
 
 const (
@@ -107,15 +103,14 @@ type TCPConn struct {
 	rxLock *sim.Resource
 
 	// Timers and wakeups.
-	rto       *sim.Timer
-	delack    *sim.Timer
-	sendable  *sim.Signal // transmitter wakeups
-	readable  *sim.Signal // reader wakeups
-	writable  *sim.Signal // writer wakeups (buffer space)
-	stateSig  *sim.Signal // connection state transitions
-	transDone bool
-	closed    bool
-	closeErr  error
+	rto      *sim.Timer
+	delack   *sim.Timer
+	sendable *sim.Signal // transmitter wakeups
+	readable *sim.Signal // reader wakeups
+	writable *sim.Signal // writer wakeups (buffer space)
+	stateSig *sim.Signal // connection state transitions
+	closed   bool
+	closeErr error
 
 	// backoff counts consecutive retransmission timeouts; each one doubles
 	// the next RTO (clamped at tcpMaxRTO) until a new ACK resets it.
@@ -241,9 +236,6 @@ func (c *TCPConn) Tuple() (local IP, lport uint16, remote IP, rport uint16) {
 	return c.tuple.lip, c.tuple.lport, c.tuple.rip, c.tuple.rport
 }
 
-// MSS returns the negotiated maximum segment size.
-func (c *TCPConn) MSS() int { return c.mss }
-
 // Send writes data to the connection, blocking for buffer space. It
 // returns once all bytes are accepted into the send buffer.
 func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
@@ -365,13 +357,6 @@ func (c *TCPConn) Close(p *sim.Proc) {
 
 // Closed reports whether the connection is fully terminated.
 func (c *TCPConn) Closed() bool { return c.closed }
-
-// WaitClosed blocks until both directions have shut down.
-func (c *TCPConn) WaitClosed(p *sim.Proc) {
-	for !c.closed {
-		c.stateSig.Wait(p)
-	}
-}
 
 func (c *TCPConn) teardown(err error) {
 	if c.closed {
@@ -964,16 +949,3 @@ func (c *TCPConn) processFin(p *sim.Proc, seq uint32, payloadLen int) {
 }
 
 func (c *TCPConn) gotFinAt(seq uint32) { c.finSeq = seq }
-
-// DumpConns renders every live TCP connection's state for debugging
-// stalled simulations.
-func (s *Stack) DumpConns() string {
-	var b []byte
-	for t, c := range s.conns {
-		b = append(b, fmt.Sprintf(
-			"%s state=%d sndUna=%d sndNxt=%d sndMax=%d sndBuf=%d rcvBuf=%d rcvNxt=%d cwnd=%d rwnd=%d ooo=%d rto=%v finQ=%v finSent=%v\n",
-			t, c.state, c.sndUna, c.sndNxt, c.sndMax, c.sndBuf.Len(), c.rcvBuf.Len(),
-			c.rcvNxt, c.cwnd, c.rwnd, len(c.ooo), c.rto.Pending(), c.finQueued, c.finSent)...)
-	}
-	return string(b)
-}

@@ -33,9 +33,6 @@ func (s *Stack) UDPBind(port uint16) (*UDPSocket, error) {
 	return u, nil
 }
 
-// Port returns the bound port.
-func (u *UDPSocket) Port() uint16 { return u.port }
-
 // SendTo transmits one datagram.
 func (u *UDPSocket) SendTo(p *sim.Proc, dst IP, dstPort uint16, data []byte) error {
 	s := u.s
@@ -52,13 +49,6 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst IP, dstPort uint16, data []byte) err
 func (u *UDPSocket) Recv(p *sim.Proc) (Datagram, bool) {
 	u.s.CPU.Exec(p, u.s.Costs.SocketCycles)
 	return u.rx.Get(p)
-}
-
-// RecvTimeout is Recv with a deadline.
-func (u *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Duration) (Datagram, bool) {
-	u.s.CPU.Exec(p, u.s.Costs.SocketCycles)
-	dg, ok, _ := u.rx.GetTimeout(p, d)
-	return dg, ok
 }
 
 // Close releases the port.

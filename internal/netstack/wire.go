@@ -68,7 +68,9 @@ func checksumFold(sum uint32) uint16 {
 // Ethernet II framing.
 const (
 	EthHeaderBytes = 14
-	// MinEthPayload pads runt frames as real Ethernet does.
+	// MinEthPayload is the smallest payload real Ethernet carries. The
+	// model does not pad runt frames up to it: a NIC's serialization
+	// time charges the frame as built plus preamble, FCS and IFG.
 	MinEthPayload = 46
 )
 

@@ -42,8 +42,8 @@ func (m Mode) String() string {
 // core instead of the host.
 type CostModel struct {
 	// ChannelNsPerByte is the marginal channel cost of moving one payload
-	// byte host-side — the knob live attribution calibrates (Calibrate /
-	// Observe): measured channel+stack nanoseconds per payload byte.
+	// byte host-side — the knob live attribution calibrates (Calibrate):
+	// measured channel+stack nanoseconds per payload byte.
 	ChannelNsPerByte float64
 	// DimmNsPerRow and HostNsPerRow price evaluating one row (predicate
 	// plus aggregate fold) on each side; the DIMM's in-order core is
@@ -78,13 +78,6 @@ func DefaultCostModel() CostModel {
 // the trusted band.
 func (m *CostModel) Calibrate(nsPerByte float64) {
 	m.ChannelNsPerByte = clampChannel(nsPerByte)
-}
-
-// Observe folds one measurement into the channel cost as an EWMA
-// (3/4 old + 1/4 new), clamped to the trusted band — the live feedback
-// path from obs phase attribution.
-func (m *CostModel) Observe(nsPerByte float64) {
-	m.ChannelNsPerByte = clampChannel(0.75*m.ChannelNsPerByte + 0.25*nsPerByte)
 }
 
 func clampChannel(v float64) float64 {

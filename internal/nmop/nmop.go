@@ -105,14 +105,6 @@ func PredForSelectivity(seed uint64, frac float64) Pred {
 	return Pred{Seed: seed, Mod: predSelDenom, Thresh: uint32(frac*predSelDenom + 0.5)}
 }
 
-// Selectivity returns the predicate's expected match fraction.
-func (pr Pred) Selectivity() float64 {
-	if pr.Mod == 0 {
-		return 0
-	}
-	return float64(pr.Thresh) / float64(pr.Mod)
-}
-
 // Match reports whether the predicate selects key.
 func (pr Pred) Match(key string) bool {
 	if pr.Mod == 0 {

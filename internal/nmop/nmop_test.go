@@ -378,13 +378,8 @@ func TestCalibrateObserve(t *testing.T) {
 		t.Errorf("calibrate did not clamp low: %v", m.ChannelNsPerByte)
 	}
 	m.Calibrate(0.12)
-	m.Observe(0.20)
-	if got := m.ChannelNsPerByte; got < 0.139 || got > 0.141 {
-		t.Errorf("EWMA = %v, want 0.14", got)
-	}
-	m.Observe(100)
-	if m.ChannelNsPerByte != maxChannelNsPerByte {
-		t.Errorf("observe did not clamp: %v", m.ChannelNsPerByte)
+	if m.ChannelNsPerByte != 0.12 {
+		t.Errorf("calibrate in band = %v, want 0.12", m.ChannelNsPerByte)
 	}
 }
 
@@ -395,4 +390,12 @@ func TestModeString(t *testing.T) {
 	if !strings.HasPrefix(Mode(9).String(), "mode(") {
 		t.Error("unknown mode string")
 	}
+}
+
+// Selectivity returns the predicate's expected match fraction.
+func (pr Pred) Selectivity() float64 {
+	if pr.Mod == 0 {
+		return 0
+	}
+	return float64(pr.Thresh) / float64(pr.Mod)
 }

@@ -60,11 +60,6 @@ func usecDur(d sim.Duration) string {
 	return fmt.Sprintf("%.6f", float64(d)/1e6)
 }
 
-type traceThread struct {
-	pid, tid int
-	name     string
-}
-
 // WritePerfetto renders the retained spans as a Chrome trace-event /
 // Perfetto JSON document (spans only; combine with counter tracks via
 // PerfettoTrace).

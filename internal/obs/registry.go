@@ -29,27 +29,14 @@ type Counter struct{ v int64 }
 // Add accumulates d.
 func (c *Counter) Add(d int64) { c.v += d }
 
-// Inc accumulates 1.
-func (c *Counter) Inc() { c.v++ }
-
 // Value returns the accumulated total.
 func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a point-in-time value owned by the registry.
-type Gauge struct{ v int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
 
 // metricKind discriminates registry entries.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHDR
 )
@@ -58,7 +45,7 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	default:
 		return "hdr"
@@ -69,7 +56,6 @@ type metric struct {
 	name string
 	kind metricKind
 	c    *Counter
-	g    *Gauge
 	gf   func() int64
 	h    *stats.HDR
 }
@@ -111,15 +97,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return m.c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	m := r.get(name, kindGauge)
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
-}
-
 // GaugeFunc registers a pull gauge: fn is evaluated at snapshot time.
 // This is how existing layer counters (driver message counts, stack byte
 // counters) join the registry without being rewritten.
@@ -132,18 +109,6 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 func (r *Registry) RegisterHDR(name string, h *stats.HDR) {
 	r.get(name, kindHDR).h = h
 }
-
-// HDR returns the named registry-owned HDR, creating it on first use.
-func (r *Registry) HDR(name string) *stats.HDR {
-	m := r.get(name, kindHDR)
-	if m.h == nil {
-		m.h = &stats.HDR{}
-	}
-	return m.h
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.byName) }
 
 // HDRStat is the frozen summary of one HDR histogram.
 type HDRStat struct {
@@ -184,8 +149,6 @@ func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 		switch m.kind {
 		case kindCounter:
 			mv.Value = m.c.Value()
-		case kindGauge:
-			mv.Value = m.g.Value()
 		case kindGaugeFunc:
 			if m.gf != nil {
 				mv.Value = m.gf()

@@ -167,9 +167,6 @@ type Flow struct {
 	pending  []*Span
 }
 
-// Index returns the flow's stable per-tracer index.
-func (f *Flow) Index() int { return f.idx }
-
 // Queued records one request entering the flow's batch buffer. Every
 // request advances the FIFO sequence and byte offset (the server counts
 // all of them); only sampled requests (sp != nil) are tracked. lastByte

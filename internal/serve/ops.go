@@ -8,8 +8,8 @@
 //
 // The driver models the two paths' traffic exactly (wire requests,
 // payload bytes, per-row compute time on the executing side); the
-// byte-for-byte result equivalence of the paths is proven at the kvstore
-// client layer (FilterAggHost et al. and the differential tests), whose
+// byte-for-byte result equivalence of the paths is proven by the kvstore
+// differential tests (the host-side twins in its oracle_test.go), whose
 // wire formats both paths here encode through.
 package serve
 

@@ -152,8 +152,8 @@ func TestOwnersClampAndSingleShard(t *testing.T) {
 	if got := one.Owners("anything", 4); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single-shard ring Owners=%v, want [0]", got)
 	}
-	if one.NumShards() != 1 {
-		t.Fatal("NumShards wrong")
+	if one.shards != 1 {
+		t.Fatal("shard count wrong")
 	}
 }
 

@@ -61,9 +61,6 @@ func NewRouter(nShards, vnodes int) *Router {
 	return r
 }
 
-// NumShards returns the shard count.
-func (r *Router) NumShards() int { return r.shards }
-
 // Shard returns the shard owning key.
 func (r *Router) Shard(key string) int {
 	h := fnv64(key)

@@ -26,15 +26,15 @@ func TestEqualTimestampMixedSources(t *testing.T) {
 	}
 }
 
-// TestYieldRunsSameInstantWork checks the wake/sleep contract of Yield:
-// everything already scheduled at the current instant runs before the
-// yielding process continues.
+// TestYieldRunsSameInstantWork checks the wake/sleep contract of a zero
+// sleep: everything already scheduled at the current instant runs before
+// the yielding process continues.
 func TestYieldRunsSameInstantWork(t *testing.T) {
 	k := NewKernel()
 	var got []string
 	k.Go("a", func(p *Proc) {
 		got = append(got, "a1")
-		p.Yield()
+		p.Sleep(0)
 		got = append(got, "a2")
 	})
 	k.Go("b", func(p *Proc) { got = append(got, "b") })
@@ -53,16 +53,16 @@ func TestProcAccessors(t *testing.T) {
 		if p.Name() != "worker" {
 			t.Errorf("Name() = %q", p.Name())
 		}
-		if p.Kernel() != k {
-			t.Error("Kernel() is not the owning kernel")
+		if p.k != k {
+			t.Error("process is not on the owning kernel")
 		}
-		if p.Done() {
-			t.Error("Done() inside the process body")
+		if p.done {
+			t.Error("done inside the process body")
 		}
 		p.Sleep(Nanosecond)
 	})
 	k.Run()
-	if inner == nil || !inner.Done() {
+	if inner == nil || !inner.done {
 		t.Fatal("process did not finish")
 	}
 }
@@ -75,8 +75,8 @@ func TestTimerPendingExpires(t *testing.T) {
 		t.Fatal("new timer is pending")
 	}
 	tm.Reset(10 * Nanosecond)
-	if !tm.Pending() || tm.Expires() != Time(10*Nanosecond) {
-		t.Fatalf("armed timer: pending=%v expires=%v", tm.Pending(), tm.Expires())
+	if !tm.Pending() || tm.expires != Time(10*Nanosecond) {
+		t.Fatalf("armed timer: pending=%v expires=%v", tm.Pending(), tm.expires)
 	}
 	if k.RunFor(5*Nanosecond) != Time(5*Nanosecond) {
 		t.Fatal("RunFor did not advance to its limit")
@@ -88,11 +88,11 @@ func TestTimerPendingExpires(t *testing.T) {
 	if fired != 1 || tm.Pending() {
 		t.Fatalf("timer at deadline: fired=%d pending=%v", fired, tm.Pending())
 	}
-	if !k.Idle() {
+	if k.PendingEvents() != 0 {
 		t.Fatal("kernel not idle after the only event fired")
 	}
 	k.After(Nanosecond, func() { fired++ })
-	if k.Idle() {
+	if k.PendingEvents() == 0 {
 		t.Fatal("kernel idle with a pending After")
 	}
 	k.Run()
@@ -104,16 +104,16 @@ func TestTimerPendingExpires(t *testing.T) {
 func TestSignalHasWaiters(t *testing.T) {
 	k := NewKernel()
 	s := k.NewSignal()
-	if s.HasWaiters() {
+	if len(s.waiters) != 0 {
 		t.Fatal("fresh signal has waiters")
 	}
 	k.Go("w", func(p *Proc) { s.Wait(p) })
 	k.Run()
-	if !s.HasWaiters() {
+	if len(s.waiters) != 1 || !s.waiters[0].valid() {
 		t.Fatal("parked waiter not reported")
 	}
 	s.Notify()
-	if s.HasWaiters() {
+	if len(s.waiters) != 0 {
 		t.Fatal("waiters remain after Notify")
 	}
 	k.Run()
@@ -163,21 +163,21 @@ func TestResourceTryAcquireAndAccessors(t *testing.T) {
 	}
 	ran := false
 	k.Go("user", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 2 {
-				t.Errorf("InUse inside Use = %d (unit transferred, count constant)", r.InUse())
-			}
-			ran = true
-		})
+		r.Acquire(p)
+		if r.InUse() != 2 {
+			t.Errorf("InUse after the handoff = %d (unit transferred, count constant)", r.InUse())
+		}
+		ran = true
+		r.Release()
 	})
 	k.Run()
 	if r.QueueLen() != 1 {
 		t.Fatalf("QueueLen=%d, want 1 parked acquirer", r.QueueLen())
 	}
-	r.Release() // hands the unit to the parked Use
+	r.Release() // hands the unit to the parked acquirer
 	k.Run()
 	if !ran {
-		t.Fatal("Use body never ran")
+		t.Fatal("parked acquirer never ran")
 	}
 	r.Release()
 	if r.InUse() != 0 {
@@ -318,4 +318,24 @@ func TestEventTraceDeterminism(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("empty trace")
 	}
+}
+
+// TryAcquire obtains a unit without blocking; it reports success.
+func (r *Resource) TryAcquire() bool {
+	if r.inUse < r.capacity {
+		r.grant()
+		return true
+	}
+	return false
+}
+
+// QueueLen returns the number of processes and callbacks waiting to acquire.
+func (r *Resource) QueueLen() int {
+	n := 0
+	for _, w := range r.queue.live() {
+		if w.valid() {
+			n++
+		}
+	}
+	return n
 }

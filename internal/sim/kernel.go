@@ -163,9 +163,6 @@ func (k *Kernel) switchTo(p *Proc) {
 	k.inProc = false
 }
 
-// Idle reports whether no events are pending.
-func (k *Kernel) Idle() bool { return k.q.size == 0 }
-
 // LiveProcs returns the number of processes that have been created and not
 // yet finished.
 func (k *Kernel) LiveProcs() int { return len(k.live) }
@@ -240,6 +237,3 @@ func (t *Timer) Stop() bool {
 
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.ev != nilIdx }
-
-// Expires returns the time the timer will fire if it is pending.
-func (t *Timer) Expires() Time { return t.expires }

@@ -362,8 +362,9 @@ func TestResourceUtilization(t *testing.T) {
 		p.Sleep(75 * Nanosecond)
 	})
 	k.Run()
-	if u := r.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization %v, want 0.25", u)
+	// Held for 25ns of the 100ns run.
+	if r.BusyTime != 25*Nanosecond || k.Now() != Time(100*Nanosecond) {
+		t.Fatalf("busy %v over %v, want 25ns over 100ns", r.BusyTime, k.Now())
 	}
 }
 
@@ -574,4 +575,12 @@ func TestProcPanicPropagates(t *testing.T) {
 	}()
 	k.Run()
 	t.Fatal("Run should have panicked")
+}
+
+// UseFor holds one unit for duration d: the canonical "execute on this
+// hardware for d" operation.
+func (r *Resource) UseFor(p *Proc, d Duration) {
+	r.Acquire(p)
+	p.Sleep(d)
+	r.Release()
 }

@@ -110,14 +110,8 @@ func (sh *shell) exec(p *Proc) (r any) {
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
 
 // prepareWait must be called before arming any wake source; it opens a new
 // wait generation so that stale wakes from previous waits are ignored.
@@ -185,7 +179,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.k.scheduleWake(p.k.now.Add(d), p, gen, WakeDone)
 	p.park()
 }
-
-// Yield lets every other event scheduled at the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

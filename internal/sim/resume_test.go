@@ -27,7 +27,7 @@ func TestResumeTakesPoppedEventSlot(t *testing.T) {
 			}
 			note("resumed")()
 			k.At(10, note("scheduled-by-proc"))
-			p.Yield()
+			p.Sleep(0)
 			note("yielded")()
 		})
 		k.At(10, note("after"))

@@ -49,16 +49,6 @@ func (s *Signal) Notify() {
 	}
 }
 
-// HasWaiters reports whether any process is currently waiting.
-func (s *Signal) HasWaiters() bool {
-	for _, w := range s.waiters {
-		if w.valid() {
-			return true
-		}
-	}
-	return false
-}
-
 // A Resource is a counted FIFO semaphore: up to Capacity holders at once,
 // further acquirers queue in arrival order. It models exclusive or pooled
 // hardware (CPU cores, bus slots, DMA channels).
@@ -97,17 +87,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of current holders.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes and callbacks waiting to acquire.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for _, w := range r.queue.live() {
-		if w.valid() {
-			n++
-		}
-	}
-	return n
-}
-
 // Acquire obtains one unit, blocking in FIFO order when none is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity {
@@ -133,15 +112,6 @@ func (r *Resource) AcquireThen(fn func()) {
 		return
 	}
 	r.queue.push(resWaiter{fn: fn})
-}
-
-// TryAcquire obtains a unit without blocking; it reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.grant()
-		return true
-	}
-	return false
 }
 
 func (r *Resource) grant() {
@@ -176,34 +146,6 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		r.BusyTime += r.k.now.Sub(r.busySince)
 	}
-}
-
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
-}
-
-// UseFor holds one unit for duration d: the canonical "execute on this
-// hardware for d" operation.
-func (r *Resource) UseFor(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
-
-// Utilization returns the fraction of time in [0, now] during which the
-// resource had at least one holder.
-func (r *Resource) Utilization() float64 {
-	busy := r.BusyTime
-	if r.inUse > 0 {
-		busy += r.k.now.Sub(r.busySince)
-	}
-	if r.k.now == 0 {
-		return 0
-	}
-	return float64(busy) / float64(r.k.now)
 }
 
 // A Queue is a FIFO of values with blocking Get and optionally bounded

@@ -43,9 +43,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{data: make([]byte, capacity)}
 }
 
-// Capacity returns the total ring size in bytes (one byte is unusable).
-func (r *Ring) Capacity() int { return len(r.data) }
-
 // Used returns the number of valid bytes between start and end.
 func (r *Ring) Used() int {
 	d := r.end - r.start
@@ -60,11 +57,6 @@ func (r *Ring) Free() int { return len(r.data) - 1 - r.Used() }
 
 // Empty reports whether the ring holds no messages.
 func (r *Ring) Empty() bool { return r.start == r.end }
-
-// Start and End expose the raw pointers (the driver reads these fields over
-// the memory channel in steps T1/R1).
-func (r *Ring) Start() int { return r.start }
-func (r *Ring) End() int   { return r.end }
 
 // Push appends one MCN message (length header + payload), following the
 // paper's transmit steps: write the message at end, then advance end. It
@@ -83,12 +75,10 @@ func (r *Ring) Push(packet []byte) bool {
 	return true
 }
 
-// Peek returns the payload of the oldest message without consuming it, or
-// nil if the ring is empty.
-func (r *Ring) Peek() []byte { return r.peekWith(stdAlloc) }
-
 func stdAlloc(n int) []byte { return make([]byte, n) }
 
+// peekWith returns the payload of the oldest message, in a buffer from
+// alloc, without consuming it, or nil if the ring is empty.
 func (r *Ring) peekWith(alloc func(int) []byte) []byte {
 	if r.Empty() {
 		return nil

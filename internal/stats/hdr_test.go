@@ -82,67 +82,14 @@ func TestHDRExactSmallValues(t *testing.T) {
 	if got := h.Quantile(1.0); got != 10 {
 		t.Errorf("p100 = %g, want 10", got)
 	}
-	if h.Min() != 1 || h.Max() != 10 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
-	}
-}
-
-func TestHDRMergeAssociative(t *testing.T) {
-	mk := func(seed uint64, n int, span int64) *HDR {
-		h := &HDR{}
-		r := testRng{state: seed}
-		for i := 0; i < n; i++ {
-			h.Record(int64(r.next() % uint64(span)))
-		}
-		return h
-	}
-	a, b, c := mk(1, 5000, 1000), mk(2, 7000, 1000000), mk(3, 3000, 100)
-
-	// (a+b)+c vs a+(b+c), built from fresh copies.
-	left := &HDR{}
-	left.Merge(a)
-	left.Merge(b)
-	left.Merge(c)
-	bc := &HDR{}
-	bc.Merge(b)
-	bc.Merge(c)
-	right := &HDR{}
-	right.Merge(a)
-	right.Merge(bc)
-
-	if left.N() != right.N() || left.Min() != right.Min() || left.Max() != right.Max() {
-		t.Fatalf("merge mismatch: n %d/%d min %d/%d max %d/%d",
-			left.N(), right.N(), left.Min(), right.Min(), left.Max(), right.Max())
-	}
-	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
-		if l, r := left.Quantile(q), right.Quantile(q); l != r {
-			t.Errorf("q=%g: %.0f vs %.0f", q, l, r)
-		}
-	}
-	if left.Mean() != right.Mean() {
-		t.Errorf("mean %g vs %g", left.Mean(), right.Mean())
-	}
-}
-
-func TestHDRMergePreservesCounts(t *testing.T) {
-	a, b := &HDR{}, &HDR{}
-	a.Record(10)
-	a.Record(20)
-	b.Record(1 << 40)
-	a.Merge(b)
-	if a.N() != 3 || a.Max() != 1<<40 || a.Min() != 10 {
-		t.Fatalf("n=%d min=%d max=%d", a.N(), a.Min(), a.Max())
-	}
-	// p100 must return the exact tracked max even though the top bucket is
-	// ~1.6% wide.
-	if got := a.Quantile(1.0); got != float64(int64(1)<<40) {
-		t.Errorf("p100 = %g", got)
+	if h.min != 1 || h.Max() != 10 {
+		t.Errorf("min/max = %d/%d", h.min, h.Max())
 	}
 }
 
 func TestHDREmpty(t *testing.T) {
 	var h HDR
-	if h.N() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.N() != 0 || h.Mean() != 0 || h.min != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	for _, q := range []float64{0, 0.5, 1} {
@@ -150,26 +97,13 @@ func TestHDREmpty(t *testing.T) {
 			t.Errorf("empty quantile(%g) = %g", q, got)
 		}
 	}
-	// Merging an empty histogram (or nil) is a no-op.
-	h.Merge(nil)
-	h.Merge(&HDR{})
-	if h.N() != 0 {
-		t.Fatal("merge of empties should stay empty")
-	}
-	var dst HDR
-	one := &HDR{}
-	one.Record(5)
-	dst.Merge(one)
-	if dst.N() != 1 || dst.Quantile(0.5) != 5 {
-		t.Fatalf("merge into empty: n=%d p50=%g", dst.N(), dst.Quantile(0.5))
-	}
 }
 
 func TestHDRSingleSample(t *testing.T) {
 	var h HDR
 	h.Record(777)
-	if h.N() != 1 || h.Min() != 777 || h.Max() != 777 || h.Mean() != 777 {
-		t.Fatalf("single sample: n=%d min=%d max=%d mean=%g", h.N(), h.Min(), h.Max(), h.Mean())
+	if h.N() != 1 || h.min != 777 || h.Max() != 777 || h.Mean() != 777 {
+		t.Fatalf("single sample: n=%d min=%d max=%d mean=%g", h.N(), h.min, h.Max(), h.Mean())
 	}
 	// Every quantile of a one-sample histogram is that sample, exactly:
 	// the bucket midpoint clamps to [min, max] and min == max. Out-of-range
@@ -181,63 +115,16 @@ func TestHDRSingleSample(t *testing.T) {
 	}
 }
 
-func TestHDRMergeDisjointRanges(t *testing.T) {
-	// Two histograms whose bucket ranges do not overlap at all: one in the
-	// exact low region (values < 64), one six orders of magnitude up. The
-	// merge must keep both populations, bridge the empty buckets between
-	// them, and agree regardless of merge order.
-	low, high := &HDR{}, &HDR{}
-	const perSide = 1000
-	for i := 0; i < perSide; i++ {
-		low.Record(int64(i % 50))
-		high.Record(1_000_000_000 + int64(i)*1000)
-	}
-	mergedA := &HDR{}
-	mergedA.Merge(low)
-	mergedA.Merge(high)
-	mergedB := &HDR{}
-	mergedB.Merge(high)
-	mergedB.Merge(low)
-
-	for _, m := range []*HDR{mergedA, mergedB} {
-		if m.N() != 2*perSide {
-			t.Fatalf("merged n = %d, want %d", m.N(), 2*perSide)
-		}
-		if m.Min() != 0 || m.Max() != high.Max() {
-			t.Fatalf("merged min=%d max=%d, want 0 and %d", m.Min(), m.Max(), high.Max())
-		}
-		// The median splits exactly between the populations; quantiles
-		// below it must come from the low range, above it from the high
-		// range — nothing may land in the empty gap between the ranges.
-		if p25 := m.Quantile(0.25); p25 >= 64 {
-			t.Errorf("p25 = %g, want a low-range value < 64", p25)
-		}
-		if p75 := m.Quantile(0.75); p75 < 1_000_000_000 {
-			t.Errorf("p75 = %g, want a high-range value >= 1e9", p75)
-		}
-		if mean, want := m.Mean(), (low.Mean()+high.Mean())/2; relErr(mean, want) > 1e-9 {
-			t.Errorf("merged mean %g, want %g", mean, want)
-		}
-	}
-	if mergedA.Quantile(0.5) != mergedB.Quantile(0.5) || mergedA.Quantile(0.99) != mergedB.Quantile(0.99) {
-		t.Fatal("merge order changed a quantile; bucket merge must be exact")
-	}
-	// The sources are untouched.
-	if low.N() != perSide || high.N() != perSide {
-		t.Fatalf("merge mutated a source: low n=%d high n=%d", low.N(), high.N())
-	}
-}
-
 func TestHDRRecordDuration(t *testing.T) {
 	var h HDR
 	h.RecordDuration(1500 * sim.Nanosecond)
 	h.RecordDuration(2 * sim.Microsecond)
-	if h.N() != 2 || h.Min() != 1500 || h.Max() != 2000 {
-		t.Fatalf("n=%d min=%d max=%d", h.N(), h.Min(), h.Max())
+	if h.N() != 2 || h.min != 1500 || h.Max() != 2000 {
+		t.Fatalf("n=%d min=%d max=%d", h.N(), h.min, h.Max())
 	}
 	// Negative and zero clamp to 0.
 	h.Record(-5)
-	if h.Min() != 0 {
-		t.Fatalf("negative record should clamp to 0, min=%d", h.Min())
+	if h.min != 0 {
+		t.Fatalf("negative record should clamp to 0, min=%d", h.min)
 	}
 }

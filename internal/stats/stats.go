@@ -34,12 +34,6 @@ func (c *Counter) Add(t sim.Time, v int64) {
 	c.N++
 }
 
-// First returns the time of the first Add.
-func (c *Counter) First() sim.Time { return c.first }
-
-// Last returns the time of the most recent Add.
-func (c *Counter) Last() sim.Time { return c.last }
-
 // Rate returns Total divided by the observation span in seconds (units per
 // second). It returns 0 if fewer than two events were recorded.
 func (c *Counter) Rate() float64 {
@@ -48,15 +42,6 @@ func (c *Counter) Rate() float64 {
 		return 0
 	}
 	return float64(c.Total) / span
-}
-
-// RateOver returns Total divided by an externally supplied span.
-func (c *Counter) RateOver(span sim.Duration) float64 {
-	s := span.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(c.Total) / s
 }
 
 // Histogram collects samples and reports order statistics. It stores
@@ -97,9 +82,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(len(h.samples))
 }
-
-// Min returns the smallest observation (0 with no samples).
-func (h *Histogram) Min() float64 { return h.min }
 
 // Max returns the largest observation (0 with no samples).
 func (h *Histogram) Max() float64 { return h.max }
@@ -204,14 +186,6 @@ func (h *HDR) RecordDuration(d sim.Duration) { h.Record(int64(d / sim.Nanosecond
 // N returns the number of observations.
 func (h *HDR) N() int64 { return h.n }
 
-// Min returns the smallest recorded value, exactly (0 when empty).
-func (h *HDR) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value, exactly (0 when empty).
 func (h *HDR) Max() int64 {
 	if h.n == 0 {
@@ -257,28 +231,6 @@ func (h *HDR) Quantile(q float64) float64 {
 		}
 	}
 	return float64(h.max)
-}
-
-// Merge adds every observation of o into h. Merging is exact: bucket
-// counts sum, so merge order never changes any quantile.
-func (h *HDR) Merge(o *HDR) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if h.counts == nil {
-		h.counts = make([]int64, hdrBuckets)
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
 }
 
 // String summarizes the histogram.
