@@ -52,7 +52,7 @@ func runChaos(t *testing.T) *chaosOutcome {
 	t.Helper()
 	k := mcn.NewKernel()
 	r := mcn.NewMcnRack(k, 2, 2, mcn.MCN1.Options())
-	in := mcn.NewFaultInjector(k, chaosPlan())
+	in := mcn.NewFaultInjector(chaosPlan())
 	r.InjectFaults(in)
 
 	// Patterned stream from an MCN node on host0 to one on host1: crosses
@@ -89,7 +89,6 @@ func runChaos(t *testing.T) *chaosOutcome {
 	// Wordcount across all four MCN nodes — including host0/mcn1, which
 	// flaps offline mid-run.
 	job := mcn.MapReduceJob{
-		Name: "wordcount",
 		Input: []string{
 			"the quick brown fox jumps over the lazy dog",
 			"the dog barks and the fox runs",
@@ -391,7 +390,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 	run := func(seed uint64) (mcn.Time, string) {
 		k := mcn.NewKernel()
 		s := mcn.NewMcnServer(k, 2, mcn.MCN1.Options())
-		in := mcn.NewFaultInjector(k, mcn.FaultPlan{
+		in := mcn.NewFaultInjector(mcn.FaultPlan{
 			Seed:              seed,
 			McnLossProb:       0.02,
 			AlertSuppressProb: 0.1,

@@ -56,7 +56,6 @@ func ExampleRunMapReduce() {
 	k := mcn.NewKernel()
 	s := mcn.NewMcnServer(k, 2, mcn.MCN3.Options())
 	job := mcn.MapReduceJob{
-		Name:  "wc",
 		Input: []string{"near memory", "memory channel network", "memory"},
 		Map: func(split string, emit func(k, v string)) {
 			for _, w := range splitWords(split) {

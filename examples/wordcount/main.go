@@ -39,7 +39,6 @@ func main() {
 	}
 
 	job := mcn.MapReduceJob{
-		Name:  "wordcount",
 		Input: input,
 		Map: func(split string, emit func(k, v string)) {
 			for _, w := range strings.Fields(split) {

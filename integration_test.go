@@ -91,7 +91,6 @@ func TestMapReduceOnPublicAPI(t *testing.T) {
 	k := mcn.NewKernel()
 	s := mcn.NewMcnServer(k, 2, mcn.MCN3.Options())
 	job := mcn.MapReduceJob{
-		Name:  "squares",
 		Input: []string{"1 2 3", "4 5", "6"},
 		Map: func(split string, emit func(k, v string)) {
 			for _, f := range strings.Fields(split) {

@@ -100,9 +100,6 @@ const (
 	// probeQuota is how many consecutive half-open probes must complete
 	// OK before the breaker closes.
 	probeQuota = 2
-	// ewmaAlpha smooths the per-shard service-latency EWMA the health
-	// snapshot reports.
-	ewmaAlpha = 0.2
 )
 
 // tracker is one shard's health state.
@@ -119,11 +116,9 @@ type tracker struct {
 	outstanding []sim.Time
 	cycles      int // consecutive opens (drives the backoff doubling)
 	reopenAt    sim.Time
-	probes      int     // half-open probes in flight
-	probeOKs    int     // consecutive successful probes this half-open window
-	gated       bool    // probes passed but the readmission gate said not yet
-	ewmaNs      float64 // service-latency EWMA (ns), 0 until first sample
-	ewmaSeen    bool
+	probes      int  // half-open probes in flight
+	probeOKs    int  // consecutive successful probes this half-open window
+	gated       bool // probes passed but the readmission gate said not yet
 	jit         sim.RNG
 }
 
@@ -357,27 +352,18 @@ func (c *Controller) OnSend(shard int) {
 	t.outstanding = append(t.outstanding, c.k.Now())
 }
 
-// OnComplete records the outcome of one sent request: ok with its service
-// latency (wire to response, ns), or a failure (response error or the
-// connection dying with the request in flight). Completions of requests
-// sent before the last breaker transition are stale: they update the EWMA
-// but never count as probe outcomes or fresh error edges.
-func (c *Controller) OnComplete(shard int, serviceNs int64, ok bool) {
+// OnComplete records the outcome of one sent request: ok, or a failure
+// (response error or the connection dying with the request in flight).
+// Completions of requests sent before the last breaker transition are
+// stale: they never count as probe outcomes or fresh error edges.
+func (c *Controller) OnComplete(shard int, ok bool) {
 	t := c.trackers[shard]
 	if len(t.outstanding) == 0 {
 		return
 	}
 	sent := t.outstanding[0]
 	t.outstanding = t.outstanding[1:]
-	fresh := sent >= t.barrier
-	if ok {
-		if !t.ewmaSeen {
-			t.ewmaNs, t.ewmaSeen = float64(serviceNs), true
-		} else {
-			t.ewmaNs += ewmaAlpha * (float64(serviceNs) - t.ewmaNs)
-		}
-	}
-	if !fresh {
+	if sent < t.barrier {
 		return
 	}
 	switch {

@@ -37,16 +37,13 @@ func TestHealthyTrafficStaysClosed(t *testing.T) {
 		}
 		c.OnSend(0)
 		k.RunFor(10 * sim.Microsecond) // well under the 200us timeout
-		c.OnComplete(0, 10_000, true)
+		c.OnComplete(0, true)
 	}
 	if c.State(0) != Closed {
 		t.Fatalf("healthy shard left closed: state=%v", c.State(0))
 	}
 	if len(c.Events()) != 0 {
 		t.Fatalf("healthy run produced %d breaker events", len(c.Events()))
-	}
-	if got := c.trackers[0].ewmaNs; got != 10_000 {
-		t.Fatalf("EWMA of constant 10us stream = %.0f, want 10000", got)
 	}
 	if c.Counters().Opens != 0 {
 		t.Fatalf("healthy counters: %+v", c.Counters())
@@ -101,12 +98,12 @@ func TestTimeoutOpensAndProbesClose(t *testing.T) {
 	c.OnSend(0)
 	c.OnSend(0)
 	k.RunFor(5 * sim.Microsecond)
-	c.OnComplete(0, 50_000_000, true)
+	c.OnComplete(0, true)
 	if c.State(0) != HalfOpen {
 		t.Fatalf("stale completion moved state to %v", c.State(0))
 	}
-	c.OnComplete(0, 5_000, true)
-	c.OnComplete(0, 5_000, true)
+	c.OnComplete(0, true)
+	c.OnComplete(0, true)
 	if c.State(0) != Closed {
 		t.Fatalf("state after successful probes = %v, want closed", c.State(0))
 	}
@@ -160,7 +157,7 @@ func TestProbeTimeoutReopensWithBackoff(t *testing.T) {
 	if !c.Allow(0) { // half-open again
 		t.Fatal("second half-open denied its probe")
 	}
-	c.OnComplete(0, 50_000_000, true) // the stale completion pops first
+	c.OnComplete(0, true) // the stale completion pops first
 	if c.State(0) != HalfOpen {
 		t.Fatalf("stale completion moved state to %v", c.State(0))
 	}
@@ -182,7 +179,7 @@ func TestErrorEdgesOpen(t *testing.T) {
 		t.Fatal("shard-b not closed")
 	}
 	c.OnSend(1)
-	c.OnComplete(1, 0, false)
+	c.OnComplete(1, false)
 	if c.State(1) != Open {
 		t.Fatal("a failed completion did not open the breaker")
 	}
@@ -253,22 +250,6 @@ func TestNoteCounters(t *testing.T) {
 	}
 }
 
-func TestEWMATracksLatency(t *testing.T) {
-	k, c := newTest(7)
-	c.OnSend(0)
-	k.RunFor(sim.Microsecond)
-	c.OnComplete(0, 10_000, true)
-	c.OnSend(0)
-	k.RunFor(sim.Microsecond)
-	c.OnComplete(0, 20_000, true)
-	if got, want := c.trackers[0].ewmaNs, 10_000+ewmaAlpha*(20_000-10_000.0); got != want {
-		t.Fatalf("EWMA = %.0f, want %.0f", got, want)
-	}
-	if n := len(c.trackers[0].outstanding); n != 0 {
-		t.Fatalf("outstanding = %d after completions", n)
-	}
-}
-
 // tripAndProbe drives shard 0 through one open cycle to the point where
 // both half-open probes have been sent and are about to complete.
 func tripAndProbe(k *sim.Kernel, c *Controller) {
@@ -282,7 +263,7 @@ func tripAndProbe(k *sim.Kernel, c *Controller) {
 	c.OnSend(0)
 	k.RunFor(5 * sim.Microsecond)
 	// The originally stuck request completes first (FIFO) and is stale.
-	c.OnComplete(0, 50_000_000, true)
+	c.OnComplete(0, true)
 }
 
 func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
@@ -293,8 +274,8 @@ func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
 	c.SetObserver(func(e stats.HealthEvent) { seen = append(seen, e.From+">"+e.To+":"+e.Reason) })
 
 	tripAndProbe(k, c)
-	c.OnComplete(0, 5_000, true)
-	c.OnComplete(0, 5_000, true)
+	c.OnComplete(0, true)
+	c.OnComplete(0, true)
 	if c.State(0) != HalfOpen {
 		t.Fatalf("gated shard closed anyway: state=%v", c.State(0))
 	}
@@ -306,7 +287,7 @@ func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
 	n := len(c.Events())
 	c.OnSend(0)
 	k.RunFor(sim.Microsecond)
-	c.OnComplete(0, 5_000, true)
+	c.OnComplete(0, true)
 	if len(c.Events()) != n {
 		t.Fatalf("gated shard re-fired events: %v", c.Events()[n:])
 	}
@@ -333,8 +314,8 @@ func TestReadmissionGateHoldsHalfOpen(t *testing.T) {
 func TestUngatedControllerClosesAsBefore(t *testing.T) {
 	k, c := newTest(12)
 	tripAndProbe(k, c)
-	c.OnComplete(0, 5_000, true)
-	c.OnComplete(0, 5_000, true)
+	c.OnComplete(0, true)
+	c.OnComplete(0, true)
 	if c.State(0) != Closed {
 		t.Fatalf("ungated probes did not close: %v", c.State(0))
 	}

@@ -153,7 +153,6 @@ func NewScaleUp(k *sim.Kernel, cores int) *node.Host {
 // different hosts reach each other through their hosts' conventional NICs
 // (forwarding rule F4 on egress, the uplink bridge on ingress).
 type McnRack struct {
-	K       *sim.Kernel
 	Servers []*McnServer
 	Switch  *ethdev.Switch
 	Links   []*ethdev.Link // host<->switch cables, by server order
@@ -163,7 +162,7 @@ type McnRack struct {
 // one switch. Each host gets a distinct MCN subnet (192.168.<i+1>.x) and
 // MAC range.
 func NewMcnRack(k *sim.Kernel, nServers, dimmsPer int, opts core.Options) *McnRack {
-	r := &McnRack{K: k, Switch: ethdev.NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)}
+	r := &McnRack{Switch: ethdev.NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)}
 	for i := 0; i < nServers; i++ {
 		cfg := node.HostConfig(fmt.Sprintf("host%d", i))
 		h := node.NewHost(k, cfg)

@@ -17,7 +17,6 @@ import (
 // driven by the MCN interface's hardware interrupt and copies packets from
 // the RX ring into kernel memory with memcpy (Sec. III-A).
 type DimmDriver struct {
-	K     *sim.Kernel
 	CPU   *cpu.CPU
 	Stack *netstack.Stack
 	Opts  Options
@@ -63,7 +62,7 @@ type DimmDriver struct {
 // MACs).
 func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Channel, d *Dimm, port *HostPort, opts Options, costs DriverCosts) *DimmDriver {
 	drv := &DimmDriver{
-		K: k, CPU: c, Stack: s, Opts: opts, Costs: costs,
+		CPU: c, Stack: s, Opts: opts, Costs: costs,
 		dimm: d, local: local, port: port,
 	}
 	drv.getBuf = s.GetFrameBuf

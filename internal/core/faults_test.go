@@ -13,7 +13,7 @@ import (
 // still complete, just on watchdog cadence.
 func TestWatchdogRecoversSuppressedAlerts(t *testing.T) {
 	fx := newFixture(MCN1.Options(), 1, 1)
-	in := faults.New(fx.k, faults.Plan{Seed: 21, AlertSuppressProb: 1})
+	in := faults.New(faults.Plan{Seed: 21, AlertSuppressProb: 1})
 	fx.hd.InjectFaults(in)
 
 	const total = 50 * 1024
@@ -48,7 +48,7 @@ func TestWatchdogRecoversSuppressedAlerts(t *testing.T) {
 // node's RX ring is drained only by its own watchdog.
 func TestWatchdogRecoversSuppressedRxIRQ(t *testing.T) {
 	fx := newFixture(MCN1.Options(), 1, 1)
-	in := faults.New(fx.k, faults.Plan{Seed: 22, RxIRQSuppressProb: 1})
+	in := faults.New(faults.Plan{Seed: 22, RxIRQSuppressProb: 1})
 	fx.hd.InjectFaults(in)
 
 	const total = 50 * 1024
@@ -81,7 +81,7 @@ func TestWatchdogRecoversSuppressedRxIRQ(t *testing.T) {
 // ends (carrier up) — with the payload still byte-identical.
 func TestDimmFlapRecoversByteIdentical(t *testing.T) {
 	fx := newFixture(MCN1.Options(), 1, 1)
-	in := faults.New(fx.k, faults.Plan{Seed: 23, DimmFlaps: []faults.DimmFlap{{
+	in := faults.New(faults.Plan{Seed: 23, DimmFlaps: []faults.DimmFlap{{
 		Name:  "dimm0",
 		Start: sim.Time(500 * sim.Microsecond),
 		End:   sim.Time(2500 * sim.Microsecond),
@@ -135,7 +135,7 @@ func TestWatchdogsLazyWithoutInjection(t *testing.T) {
 	if fx.hd.watchdog != nil || fx.mcns[0].drv.watchdog != nil {
 		t.Fatal("watchdog armed without fault injection")
 	}
-	in := faults.New(fx.k, faults.Plan{Seed: 1})
+	in := faults.New(faults.Plan{Seed: 1})
 	fx.hd.InjectFaults(in)
 	if fx.hd.watchdog == nil || fx.mcns[0].drv.watchdog == nil {
 		t.Fatal("InjectFaults did not arm the watchdogs")

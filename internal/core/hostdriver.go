@@ -85,7 +85,6 @@ type HostPort struct {
 	name    string
 	hostMAC netstack.MAC // this interface's MAC (F1 match)
 	mcnMAC  netstack.MAC // the MCN-side interface's MAC (F3 match)
-	iface   *netstack.Iface
 	// qdisc performs T1-T3 on a host core when the MCN-DMA engines are
 	// off (see ringEngine).
 	qdisc *ringEngine
@@ -117,7 +116,6 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	ifc.Peer = mcnIP
 	ifc.HasPeer = true
 	ifc.Neighbors[mcnIP] = port.mcnMAC
-	port.iface = ifc
 	port.qdisc = newRingEngine(hd.K, hd.CPU)
 	hd.ports = append(hd.ports, port)
 	hd.byMAC[port.hostMAC] = port

@@ -15,28 +15,21 @@ import (
 )
 
 // OSCosts collects the fixed cycle costs of kernel mechanisms. Values are
-// order-of-magnitude figures from Linux micro-benchmarks; experiments vary
-// them in ablations.
+// order-of-magnitude figures from Linux micro-benchmarks.
 type OSCosts struct {
-	IRQEntryCycles      int64 // interrupt entry: save state, dispatch
-	IRQExitCycles       int64 // interrupt return
-	TaskletRunCycles    int64 // softirq dispatch overhead per tasklet
-	HRTimerCycles       int64 // hrtimer interrupt routine body
-	SyscallCycles       int64 // user/kernel crossing
-	WakeupCycles        int64 // waking a blocked task (scheduler)
-	ContextSwitchCycles int64
+	IRQEntryCycles   int64 // interrupt entry: save state, dispatch
+	IRQExitCycles    int64 // interrupt return
+	TaskletRunCycles int64 // softirq dispatch overhead per tasklet
+	HRTimerCycles    int64 // hrtimer interrupt routine body
 }
 
 // DefaultOSCosts returns the costs used by the Table II configuration.
 func DefaultOSCosts() OSCosts {
 	return OSCosts{
-		IRQEntryCycles:      1200,
-		IRQExitCycles:       800,
-		TaskletRunCycles:    300,
-		HRTimerCycles:       400,
-		SyscallCycles:       400,
-		WakeupCycles:        900,
-		ContextSwitchCycles: 1500,
+		IRQEntryCycles:   1200,
+		IRQExitCycles:    800,
+		TaskletRunCycles: 300,
+		HRTimerCycles:    400,
 	}
 }
 

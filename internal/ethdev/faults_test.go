@@ -21,7 +21,7 @@ func TestCorruptedFrameDroppedAtRX(t *testing.T) {
 	ia.Neighbors[ipb] = b.nic.MAC()
 	ib.Neighbors[ipa] = a.nic.MAC()
 
-	in := faults.New(k, faults.Plan{Seed: 4, LinkCorruptProb: 1})
+	in := faults.New(faults.Plan{Seed: 4, LinkCorruptProb: 1})
 	link.Inject = in.LinkSite("l")
 
 	k.Go("blast", func(p *sim.Proc) {
@@ -50,7 +50,7 @@ func TestLinkDropAndCleanPass(t *testing.T) {
 	a, b := twoNodes(k)
 	// twoNodes shares one link between the two NICs; fetch it from the NIC.
 	link := a.nic.link
-	in := faults.New(k, faults.Plan{Seed: 8, LinkDropProb: 1})
+	in := faults.New(faults.Plan{Seed: 8, LinkDropProb: 1})
 	link.Inject = in.LinkSite("l")
 	k.Go("send", func(p *sim.Proc) {
 		u, _ := a.stack.UDPBind(0)
@@ -64,7 +64,7 @@ func TestLinkDropAndCleanPass(t *testing.T) {
 	}
 
 	// Now stop dropping: traffic flows and the FCS verify passes.
-	link.Inject = faults.New(k, faults.Plan{Seed: 8}).LinkSite("clean")
+	link.Inject = faults.New(faults.Plan{Seed: 8}).LinkSite("clean")
 	k.Go("send2", func(p *sim.Proc) {
 		u, _ := a.stack.UDPBind(0)
 		for i := 0; i < 5; i++ {
@@ -94,7 +94,7 @@ func TestSwitchDropsCorruptedAtIngress(t *testing.T) {
 	}
 	nodes[0].stack.Ifaces()[0].Neighbors[netstack.IPv4(10, 0, 0, 2)] = nodes[1].nic.MAC()
 
-	in := faults.New(k, faults.Plan{Seed: 6, LinkCorruptProb: 1})
+	in := faults.New(faults.Plan{Seed: 6, LinkCorruptProb: 1})
 	links[0].Inject = in.LinkSite("uplink")
 
 	k.Go("send", func(p *sim.Proc) {

@@ -13,7 +13,6 @@ import (
 // the span tracer (for Perfetto export and phase attribution) and the
 // end-of-run metrics snapshot.
 type ServeTraceResult struct {
-	Topo     string
 	Result   *serve.Result
 	Tracer   *obs.Tracer
 	Snapshot *obs.Snapshot
@@ -68,7 +67,7 @@ func serveTraced(seed uint64, topo Topo, rate float64, closedWorkers, sampleN in
 	res := serve.Run(k, cfg)
 	snap := reg.Snapshot(k.Now())
 	tl.Finalize()
-	out := &ServeTraceResult{Topo: topo.String(), Result: res, Tracer: tr, Snapshot: snap, Timeline: tl}
+	out := &ServeTraceResult{Result: res, Tracer: tr, Snapshot: snap, Timeline: tl}
 	if rig.fab != nil {
 		out.McntFabric = rig.fab.String()
 	}

@@ -45,14 +45,14 @@ func FaultSweep(seed uint64, rates []float64) *FaultSweepResult {
 
 		row.EthBps = runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
 			c := newEthCluster(k, 3)
-			c.InjectFaults(faults.New(k, faults.Plan{Seed: seed, LinkDropProb: rate}))
+			c.InjectFaults(faults.New(faults.Plan{Seed: seed, LinkDropProb: rate}))
 			eps := c.Endpoints()
 			return eps[0], eps[1:]
 		})
 		mcnAt := func(l core.OptLevel) float64 {
 			return runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
 				s := cluster.NewMcnServer(k, 4, l.Options())
-				s.InjectFaults(faults.New(k, faults.Plan{Seed: seed, McnLossProb: rate}))
+				s.InjectFaults(faults.New(faults.Plan{Seed: seed, McnLossProb: rate}))
 				server := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
 				return server, s.McnEndpoints()[:2]
 			})

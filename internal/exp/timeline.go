@@ -10,12 +10,11 @@ import (
 )
 
 // ServeTimelineVariant is one topology's flap run with the timeline on:
-// the ordinary telemetry, the finalized windowed timeline, and the
-// detection/burn/recovery headline derived from its first incident
+// the finalized windowed timeline and the detection/burn/recovery
+// headline derived from its first incident
 // (-1 marks "not observed": the monitor never fired, or never resolved).
 type ServeTimelineVariant struct {
 	Name     string
-	Result   *serve.Result
 	Timeline *obs.Timeline
 	// DetectNs is firing-alert edge minus fault injection; BurnNs is the
 	// firing episode's length; RecoverNs is resolve edge minus fault end.
@@ -60,11 +59,11 @@ func ServeTimeline(seed uint64) *ServeTimelineResult {
 		tl := obs.NewTimeline(k.Now())
 		tl.AddFault(fl.Name, fl.Start, fl.End)
 		cfg.Timeline = tl
-		res := serve.Run(k, cfg)
+		serve.Run(k, cfg)
 		k.Shutdown()
 		tl.Finalize()
 		tv := &ServeTimelineVariant{
-			Name: v.name, Result: res, Timeline: tl,
+			Name: v.name, Timeline: tl,
 			DetectNs: -1, BurnNs: -1, RecoverNs: -1,
 		}
 		if incs := tl.Incidents(); len(incs) > 0 {

@@ -240,6 +240,6 @@ func (r rig) flap(k *sim.Kernel, cfg *serve.Config) faults.DimmFlap {
 	}
 	start := k.Now().Add(cfg.Warmup).Add(sim.Millisecond)
 	fl := faults.DimmFlap{Name: "host/mcn3", Start: start, End: start.Add(2 * sim.Millisecond)}
-	r.inject(faults.New(k, faults.Plan{Seed: cfg.Seed, DimmFlaps: []faults.DimmFlap{fl}}))
+	r.inject(faults.New(faults.Plan{Seed: cfg.Seed, DimmFlaps: []faults.DimmFlap{fl}}))
 	return fl
 }

@@ -67,7 +67,6 @@ type Plan struct {
 // Injector owns the per-site decision streams and counters for one
 // simulation run.
 type Injector struct {
-	K    *sim.Kernel
 	Plan Plan
 
 	sites map[string]*Site
@@ -76,8 +75,8 @@ type Injector struct {
 
 // New creates an injector for the plan. Attach sites to components (or use
 // the cluster/core InjectFaults helpers) before running the simulation.
-func New(k *sim.Kernel, plan Plan) *Injector {
-	return &Injector{K: k, Plan: plan, sites: make(map[string]*Site)}
+func New(plan Plan) *Injector {
+	return &Injector{Plan: plan, sites: make(map[string]*Site)}
 }
 
 // Verdict is a per-frame injection decision.

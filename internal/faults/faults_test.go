@@ -12,8 +12,7 @@ import (
 func TestDeterministicReplay(t *testing.T) {
 	plan := Plan{Seed: 7, LinkDropProb: 0.1, LinkCorruptProb: 0.05}
 	run := func() []Verdict {
-		k := sim.NewKernel()
-		in := New(k, plan)
+		in := New(plan)
 		s := in.LinkSite("link/a")
 		var out []Verdict
 		for i := 0; i < 1000; i++ {
@@ -28,8 +27,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 
-	k := sim.NewKernel()
-	in := New(k, plan)
+	in := New(plan)
 	s1, s2 := in.LinkSite("link/a"), in.LinkSite("link/b")
 	same := 0
 	for i := 0; i < 1000; i++ {
@@ -43,8 +41,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestDropRateRoughlyHonored(t *testing.T) {
-	k := sim.NewKernel()
-	in := New(k, Plan{Seed: 1, LinkDropProb: 0.1})
+	in := New(Plan{Seed: 1, LinkDropProb: 0.1})
 	s := in.LinkSite("l")
 	drops := 0
 	const n = 20000
@@ -63,8 +60,7 @@ func TestDropRateRoughlyHonored(t *testing.T) {
 }
 
 func TestBurstLoss(t *testing.T) {
-	k := sim.NewKernel()
-	in := New(k, Plan{Seed: 3, LinkDropProb: 0.05, BurstLen: 3})
+	in := New(Plan{Seed: 3, LinkDropProb: 0.05, BurstLen: 3})
 	s := in.LinkSite("l")
 	// Every random drop must be followed by exactly BurstLen-1 burst drops.
 	run := 0
@@ -85,8 +81,7 @@ func TestBurstLoss(t *testing.T) {
 }
 
 func TestFlapWindow(t *testing.T) {
-	k := sim.NewKernel()
-	in := New(k, Plan{Seed: 5, PortFlaps: []Window{{
+	in := New(Plan{Seed: 5, PortFlaps: []Window{{
 		Site: "l", Start: sim.Time(100), End: sim.Time(200),
 	}}})
 	s := in.LinkSite("l")
@@ -105,8 +100,7 @@ func TestFlapWindow(t *testing.T) {
 }
 
 func TestCorruptCopyFlipsOneBitWithoutMutating(t *testing.T) {
-	k := sim.NewKernel()
-	in := New(k, Plan{Seed: 9, LinkCorruptProb: 1})
+	in := New(Plan{Seed: 9, LinkCorruptProb: 1})
 	s := in.LinkSite("l")
 	orig := []byte{0xAA, 0xBB, 0xCC, 0xDD}
 	keep := append([]byte(nil), orig...)
@@ -128,8 +122,7 @@ func TestCorruptCopyFlipsOneBitWithoutMutating(t *testing.T) {
 }
 
 func TestEdgeSuppression(t *testing.T) {
-	k := sim.NewKernel()
-	in := New(k, Plan{Seed: 11})
+	in := New(Plan{Seed: 11})
 	s := in.EdgeSite("d/alertn", 1.0)
 	if !s.SuppressEdge() {
 		t.Fatal("prob 1.0 should suppress")
@@ -145,8 +138,7 @@ func TestEdgeSuppression(t *testing.T) {
 
 func TestSummaryDeterministicOrder(t *testing.T) {
 	mk := func() string {
-		k := sim.NewKernel()
-		in := New(k, Plan{Seed: 2, LinkDropProb: 0.5})
+		in := New(Plan{Seed: 2, LinkDropProb: 0.5})
 		// Register in one order, exercise in another.
 		b := in.LinkSite("b")
 		a := in.LinkSite("a")

@@ -291,7 +291,6 @@ type Server struct {
 	ep    cluster.Endpoint
 	port  uint16
 	data  map[string]entry
-	live  int // keys present and not tombstoned
 	bytes int64
 
 	// index keeps the live keys sorted so range operators (scan, filter)
@@ -324,11 +323,11 @@ type Server struct {
 	// and CAS compare failures (StatusConflict).
 	MultiGets, Scans, Filters, CASes, FAdds int64
 	OpRows, BadReqs, Conflicts              int64
-	// Replication stats: versioned applies accepted/ignored, requests
-	// that arrived flagged as failover traffic, and delta-stream volume.
-	ReplApplied, ReplStale     int64
-	FailoverGets, FailoverSets int64
-	DeltaReqs, DeltaRecs       int64
+	// Replication stats: versioned applies accepted/ignored, writes
+	// that arrived flagged as failover traffic, and delta-stream records.
+	ReplApplied, ReplStale int64
+	FailoverSets           int64
+	DeltaRecs              int64
 }
 
 // entry is one stored key: its value plus the replication version. A
@@ -399,20 +398,13 @@ func (s *Server) Bytes() int64 { return s.bytes }
 // path — the warm-up an operator (or a serving benchmark) performs before
 // the measured window. It charges no simulated time.
 func (s *Server) Preload(key string, val []byte) {
-	wasLive := false
-	if old, ok := s.data[key]; ok {
-		s.bytes -= int64(len(old.val))
-		if !old.dead {
-			s.live--
-			wasLive = true
-		}
-	}
+	old, had := s.data[key]
+	s.bytes -= int64(len(old.val))
 	// Preloaded data is version zero on every replica, so replicas
 	// preloaded identically start converged without any journal.
 	s.data[key] = entry{val: val}
-	s.live++
 	s.bytes += int64(len(val))
-	if !wasLive {
+	if !had || old.dead {
 		s.indexInsert(key)
 	}
 }
@@ -495,9 +487,6 @@ func (s *Server) serve(p *sim.Proc, c netstack.Conn) {
 		switch base {
 		case OpGet:
 			s.Gets++
-			if failover {
-				s.FailoverGets++
-			}
 			e, ok := s.data[key]
 			if !ok || e.dead {
 				s.Misses++
@@ -580,22 +569,15 @@ func (s *Server) serve(p *sim.Proc, c netstack.Conn) {
 	}
 }
 
-// store applies one write's shared bookkeeping: live/bytes accounting,
-// the next apply sequence, and the journal record the delta stream walks.
+// store applies one write's shared bookkeeping: bytes accounting, the
+// live-key index, the next apply sequence, and the journal record the
+// delta stream walks.
 func (s *Server) store(key string, val []byte, epoch uint32, ver uint64, dead bool) {
 	old, had := s.data[key]
 	wasLive := had && !old.dead
-	if had {
-		s.bytes -= int64(len(old.val))
-		if wasLive {
-			s.live--
-		}
-	}
+	s.bytes -= int64(len(old.val))
 	s.applySeq++
 	s.data[key] = entry{val: val, epoch: epoch, ver: ver, seq: s.applySeq, dead: dead}
-	if !dead {
-		s.live++
-	}
 	s.bytes += int64(len(val))
 	s.journal = append(s.journal, journalEntry{seq: s.applySeq, key: key})
 	if !dead && !wasLive {
@@ -694,7 +676,6 @@ func (s *Server) buildDelta(p *sim.Proc, afterSeq uint64) []byte {
 		// The near-memory scan: the delta's values stream from DRAM.
 		s.ep.Node.MemStream(p, streamed, false)
 	}
-	s.DeltaReqs++
 	s.DeltaRecs += int64(count)
 	return payload
 }

@@ -50,8 +50,8 @@ func TestSetGetDeleteOnMcnNode(t *testing.T) {
 	if srv.Gets != 3 || srv.Sets != 1 || srv.Dels != 1 || srv.Misses != 2 {
 		t.Fatalf("server stats gets=%d sets=%d dels=%d miss=%d", srv.Gets, srv.Sets, srv.Dels, srv.Misses)
 	}
-	if srv.live != 0 || srv.Bytes() != 0 {
-		t.Fatalf("store should be empty: len=%d bytes=%d", srv.live, srv.Bytes())
+	if len(srv.index) != 0 || srv.Bytes() != 0 {
+		t.Fatalf("store should be empty: len=%d bytes=%d", len(srv.index), srv.Bytes())
 	}
 	k.Shutdown()
 }

@@ -325,8 +325,8 @@ func TestOpsDifferential(t *testing.T) {
 	for _, f := range failures {
 		t.Fatal(f)
 	}
-	if srvs[0].live != srvs[1].live || srvs[0].Bytes() != srvs[1].Bytes() {
-		t.Fatalf("stores diverged: len %d/%d bytes %d/%d", srvs[0].live, srvs[1].live, srvs[0].Bytes(), srvs[1].Bytes())
+	if len(srvs[0].index) != len(srvs[1].index) || srvs[0].Bytes() != srvs[1].Bytes() {
+		t.Fatalf("stores diverged: len %d/%d bytes %d/%d", len(srvs[0].index), len(srvs[1].index), srvs[0].Bytes(), srvs[1].Bytes())
 	}
 	vd, vh := srvs[0].Versions(), srvs[1].Versions()
 	if len(vd) != len(vh) {

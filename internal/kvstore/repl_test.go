@@ -147,8 +147,8 @@ func TestReplApplyNewerWinsAndTombstones(t *testing.T) {
 	if h.peer.ReplApplied != 2 || h.peer.ReplStale != 2 {
 		t.Fatalf("applied=%d stale=%d", h.peer.ReplApplied, h.peer.ReplStale)
 	}
-	if h.peer.live != 0 {
-		t.Fatalf("tombstoned store has %d live keys", h.peer.live)
+	if len(h.peer.index) != 0 {
+		t.Fatalf("tombstoned store has %d live keys", len(h.peer.index))
 	}
 	v := h.peer.Versions()["k"]
 	if !v.Dead || v.Ver != 6 {
@@ -302,13 +302,13 @@ func TestPreloadIsVersionZeroAndUnjournaled(t *testing.T) {
 	if v.Epoch != 0 || v.Ver != 0 || v.Dead {
 		t.Fatalf("preload version %+v, want zero", v)
 	}
-	if h.srv.live != 1 {
-		t.Fatalf("live len %d", h.srv.live)
+	if len(h.srv.index) != 1 {
+		t.Fatalf("live len %d", len(h.srv.index))
 	}
 	// Re-preloading the same key replaces it without double-counting.
 	h.srv.Preload("warm", []byte("data2"))
-	if h.srv.live != 1 {
-		t.Fatalf("re-preload live len %d", h.srv.live)
+	if len(h.srv.index) != 1 {
+		t.Fatalf("re-preload live len %d", len(h.srv.index))
 	}
 	h.k.Shutdown()
 }

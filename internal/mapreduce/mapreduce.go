@@ -24,7 +24,6 @@ import (
 // Job describes one MapReduce computation. Map and Reduce run on worker
 // ranks; the input lives on the driver and is shipped to the mappers.
 type Job struct {
-	Name string
 	// Input splits; each becomes one map task.
 	Input []string
 	// Map emits key/value pairs for one split.

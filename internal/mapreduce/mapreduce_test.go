@@ -16,7 +16,6 @@ import (
 
 func wordCountJob(input []string) Job {
 	return Job{
-		Name:  "wordcount",
 		Input: input,
 		Map: func(split string, emit func(k, v string)) {
 			for _, w := range strings.Fields(split) {
@@ -100,7 +99,6 @@ func TestInvertedIndex(t *testing.T) {
 	s := cluster.NewMcnServer(k, 2, core.MCN3.Options())
 	docs := []string{"doc0: alpha beta", "doc1: beta gamma", "doc2: alpha gamma"}
 	job := Job{
-		Name:  "index",
 		Input: docs,
 		Map: func(split string, emit func(k, v string)) {
 			parts := strings.SplitN(split, ": ", 2)
@@ -153,7 +151,6 @@ func TestCombineShrinksShuffle(t *testing.T) {
 			return strconv.Itoa(total)
 		}
 		return Job{
-			Name:  "sum",
 			Input: input,
 			Map: func(split string, emit func(k, v string)) {
 				f := strings.Fields(split)
@@ -214,7 +211,6 @@ func TestBigShuffleOnMcn(t *testing.T) {
 		input = append(input, fmt.Sprintf("k%d %s", i%10, pad))
 	}
 	job := Job{
-		Name:  "bigshuffle",
 		Input: input,
 		Map: func(split string, emit func(k, v string)) {
 			f := strings.Fields(split)

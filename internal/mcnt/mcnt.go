@@ -51,9 +51,7 @@ type Fabric struct {
 	K  *sim.Kernel
 	Pr Params
 
-	byIP   map[netstack.IP]*endpoint
 	byNode map[*node.Node]*endpoint
-	eps    []*endpoint
 	links  []*linkEnd
 
 	nextStream uint32
@@ -110,7 +108,6 @@ func Attach(k *sim.Kernel, h *node.Host, pr Params) *Fabric {
 	}
 	f := &Fabric{
 		K: k, Pr: pr,
-		byIP:       make(map[netstack.IP]*endpoint),
 		byNode:     make(map[*node.Node]*endpoint),
 		pairs:      make(map[uint32]*streamPair),
 		nextStream: 49152,
@@ -125,9 +122,7 @@ func Attach(k *sim.Kernel, h *node.Host, pr Params) *Fabric {
 			listeners:  make(map[uint16]*Listener),
 			embryo:     make(map[uint16][]*Conn),
 		}
-		f.byIP[ip] = ep
 		f.byNode[n] = ep
-		f.eps = append(f.eps, ep)
 		return ep
 	}
 	hostEp := newEp(h.Node, h.HostMcnIP(), true)

@@ -393,7 +393,7 @@ func TestGoBackNUnderLoss(t *testing.T) {
 		k := sim.NewKernel()
 		s := cluster.NewMcnServer(k, 2, core.MCN5.Options())
 		f := Attach(k, s.Host, DefaultParams())
-		in := faults.New(k, faults.Plan{Seed: seed, McnLossProb: 0.02})
+		in := faults.New(faults.Plan{Seed: seed, McnLossProb: 0.02})
 		s.InjectFaults(in)
 		const total = 256 << 10
 		msg := pattern(total)

@@ -178,3 +178,52 @@ func TestFastRetransmitAvoidsRTO(t *testing.T) {
 	}
 	pr.k.Shutdown()
 }
+
+// A FIN that arrives ahead of a lost data segment is dropped, not held
+// (see processFin). On a short stream the gap draws too few duplicate
+// ACKs for fast retransmit, so the sender's RTO resends the lost segment
+// and, behind it, the FIN. Every byte still arrives, in order, and both
+// ends close.
+func TestOutOfOrderFinWaitsForRetransmit(t *testing.T) {
+	pr := newPair(t, 1500, false)
+	pr.ad.dropAt = 4 // a->b frames: SYN, ACK, data, data (lost), data, FIN
+	data := make([]byte, 3*1460)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	var got []byte
+	var client, server *TCPConn
+	pr.k.Go("server", func(p *sim.Proc) {
+		l, _ := pr.b.Listen(5001)
+		server, _ = l.Accept(p)
+		buf := make([]byte, 1024)
+		for {
+			n, ok := server.Recv(p, buf)
+			got = append(got, buf[:n]...)
+			if !ok {
+				break
+			}
+		}
+		server.Close(p)
+	})
+	pr.k.Go("client", func(p *sim.Proc) {
+		c, err := pr.a.Connect(p, IPv4(10, 0, 0, 2), 5001)
+		if err != nil {
+			panic(err)
+		}
+		client = c
+		c.Send(p, data)
+		c.Close(p)
+	})
+	pr.k.RunUntil(sim.Time(sim.Second))
+	if !bytes.Equal(got, data) {
+		t.Fatalf("received %d of %d bytes, or out of order", len(got), len(data))
+	}
+	if client.Retransmit != 1 || client.Timeouts != 1 {
+		t.Fatalf("retransmit %d timeouts %d, want one RTO resending the lost segment", client.Retransmit, client.Timeouts)
+	}
+	if !client.Closed() || !server.Closed() {
+		t.Fatalf("closed: client %v server %v", client.Closed(), server.Closed())
+	}
+	pr.k.Shutdown()
+}

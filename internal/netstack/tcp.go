@@ -76,7 +76,6 @@ type TCPConn struct {
 	rcvNxt  uint32
 	ooo     map[uint32][]byte // out-of-order segments by seq
 	gotFin  bool
-	finSeq  uint32
 	ackedUp uint32 // highest rcvNxt we have acked
 	unacked int    // full segments received since last ack
 	// lastAdvWnd is the receive window advertised in the most recent
@@ -119,7 +118,6 @@ type TCPConn struct {
 	// Stats.
 	BytesSent  stats.Counter
 	BytesRcvd  stats.Counter
-	SegsSent   int64
 	SegsRcvd   int64
 	AcksSent   int64
 	Retransmit int64
@@ -478,7 +476,6 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, seg []byte, tsoSeg int) {
 	c.s.chargeCopy(p, n)
 	c.s.chargeChecksumOn(p, len(seg), c.ifc.Dev)
 	c.sendPayload(p, seg, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
-	c.SegsSent++
 	c.BytesSent.Add(p.Now(), int64(n))
 	if !c.rto.Pending() {
 		c.rto.Reset(c.currentRTO())
@@ -853,7 +850,6 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 		seg := c.stageData(0, n)
 		c.s.chargeChecksum(p, len(seg))
 		c.sendPayload(p, seg, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0)
-		c.SegsSent++
 	}
 	c.rtActive = false
 }
@@ -920,11 +916,12 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 	}
 }
 
+// processFin takes a FIN that arrives in order. A FIN beyond a gap in
+// the data is dropped, not held: the ACK sent for it asks again for the
+// missing bytes, and the FIN arrives again only with the peer's
+// retransmission after its RTO.
 func (c *TCPConn) processFin(p *sim.Proc, seq uint32, payloadLen int) {
-	finSeq := seq + uint32(payloadLen)
-	if finSeq != c.rcvNxt {
-		// FIN beyond in-order data; remember it.
-		c.gotFinAt(finSeq)
+	if seq+uint32(payloadLen) != c.rcvNxt {
 		c.sendAck(p)
 		return
 	}
@@ -947,5 +944,3 @@ func (c *TCPConn) processFin(p *sim.Proc, seq uint32, payloadLen int) {
 		c.teardown(nil)
 	}
 }
-
-func (c *TCPConn) gotFinAt(seq uint32) { c.finSeq = seq }

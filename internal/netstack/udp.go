@@ -15,9 +15,8 @@ type UDPSocket struct {
 
 // Datagram is one received UDP message.
 type Datagram struct {
-	Src     IP
-	SrcPort uint16
-	Data    []byte
+	Src  IP
+	Data []byte
 }
 
 // UDPBind opens a UDP socket on port (0 picks an ephemeral port).
@@ -72,5 +71,5 @@ func (s *Stack) rxUDP(p *sim.Proc, hdr IPv4Header, body []byte) {
 	data := make([]byte, int(uh.Len)-UDPHeaderBytes)
 	copy(data, body[UDPHeaderBytes:uh.Len])
 	s.chargeCopy(p, len(data))
-	sock.rx.TryPut(Datagram{Src: hdr.Src, SrcPort: uh.SrcPort, Data: data})
+	sock.rx.TryPut(Datagram{Src: hdr.Src, Data: data})
 }

@@ -115,7 +115,6 @@ type IPv4Header struct {
 	ID       uint16
 	TTL      uint8
 	Proto    uint8
-	Csum     uint16
 	Src, Dst IP
 	// DF / MF are the fragmentation control flags; FragOff is the
 	// fragment offset in bytes (stored on the wire in 8-byte units).
@@ -164,7 +163,6 @@ func ParseIPv4(b []byte) (IPv4Header, bool) {
 	h.FragOff = int(fragWord&0x1fff) * 8
 	h.TTL = b[8]
 	h.Proto = b[9]
-	h.Csum = binary.BigEndian.Uint16(b[10:12])
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	return h, true
@@ -269,7 +267,6 @@ type TCPHeader struct {
 	Seq, Ack         uint32
 	Flags            uint8
 	Window           uint32 // descaled byte count
-	Csum             uint16
 }
 
 // PutTCP writes the header and computes the checksum over the pseudo-header
@@ -300,7 +297,6 @@ func ParseTCP(b []byte) (TCPHeader, bool) {
 		Ack:     binary.BigEndian.Uint32(b[8:12]),
 		Flags:   b[13],
 		Window:  uint32(binary.BigEndian.Uint16(b[14:16])) << WindowShift,
-		Csum:    binary.BigEndian.Uint16(b[16:18]),
 	}, true
 }
 

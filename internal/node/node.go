@@ -76,7 +76,6 @@ func ContuttoConfig(name string) Config {
 // drivers and an unmodified MPI run across a host and an extremely weak
 // MCN processor, not producing performance numbers.
 type Prototype struct {
-	K    *sim.Kernel
 	Host *Host
 	Nios *McnNode
 }
@@ -92,7 +91,7 @@ func NewContutto(k *sim.Kernel) *Prototype {
 	d.HostLat = 150 * sim.Nanosecond
 	d.McnLat = 200 * sim.Nanosecond
 	d.McnBW = sim.GBps(0.8)
-	return &Prototype{K: k, Host: h, Nios: mcns[0]}
+	return &Prototype{Host: h, Nios: mcns[0]}
 }
 
 // Node is one simulated machine.

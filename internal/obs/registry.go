@@ -53,7 +53,6 @@ func (k metricKind) String() string {
 }
 
 type metric struct {
-	name string
 	kind metricKind
 	c    *Counter
 	gf   func() int64
@@ -83,7 +82,7 @@ func (r *Registry) get(name string, kind metricKind) *metric {
 		}
 		return m
 	}
-	m := &metric{name: name, kind: kind}
+	m := &metric{kind: kind}
 	r.byName[name] = m
 	return m
 }

@@ -66,13 +66,6 @@ type Span struct {
 	// Seq is the request's FIFO index on its connection — the correlation
 	// key for the kvstore's response stamp.
 	Seq int64
-	// Rerouted marks a span the admission plane moved off its primary
-	// shard; Shard is then the shard that absorbed it.
-	Rerouted bool
-	// FailedOver marks a span the replication plane served through the
-	// keyspace's backup store while the primary's breaker was open; Shard
-	// stays the keyspace (primary) index.
-	FailedOver bool
 	// InWindow marks spans whose arrival fell inside the measured window.
 	InWindow bool
 	// Err marks spans that completed with a non-OK status or failed.
@@ -157,9 +150,7 @@ type flowKey struct {
 // sequence number, the running request count and byte offset of the
 // request stream, and the sampled spans still in flight on it.
 type Flow struct {
-	t        *Tracer
 	idx      int // stable per-tracer flow index (Perfetto tid)
-	key      flowKey
 	iss      uint32
 	issKnown bool
 	txBytes  int64
@@ -289,7 +280,7 @@ func (t *Tracer) OpenFlow(lip netstack.IP, lport uint16, rip netstack.IP, rport 
 		return nil
 	}
 	key := flowKey{lip: lip, rip: rip, lport: lport, rport: rport}
-	f := &Flow{t: t, idx: len(t.flowList), key: key}
+	f := &Flow{idx: len(t.flowList)}
 	if iss, ok := t.pendingISS[key]; ok {
 		f.iss, f.issKnown = iss, true
 		delete(t.pendingISS, key)

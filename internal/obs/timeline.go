@@ -31,7 +31,6 @@ type Timeline struct {
 
 	faults []FaultWindow
 	health []stats.HealthEvent
-	repl   []stats.ReplEvent
 
 	alerts    []AlertEvent
 	incidents []Incident
@@ -259,14 +258,6 @@ func (tl *Timeline) SetAdmitEvents(evs []stats.HealthEvent) {
 		return
 	}
 	tl.health = evs
-}
-
-// SetReplEvents hands the replication timeline over for attribution.
-func (tl *Timeline) SetReplEvents(evs []stats.ReplEvent) {
-	if tl == nil {
-		return
-	}
-	tl.repl = evs
 }
 
 // seriesWindowValue reads a series at window idx with gauge forward-fill.

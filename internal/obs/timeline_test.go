@@ -111,7 +111,6 @@ func TestTimelineNilSafe(t *testing.T) {
 	tl.McntCreditStall(0)
 	tl.AddFault("f", 0, 1)
 	tl.SetAdmitEvents(nil)
-	tl.SetReplEvents(nil)
 	tl.Finalize()
 }
 

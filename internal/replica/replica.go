@@ -86,7 +86,6 @@ type Pair struct {
 type fwdItem struct {
 	rec   kvstore.ReplRecord
 	enq   sim.Time
-	sync  bool
 	acked bool
 	done  *sim.Signal // non-nil for sync items; notified on ack or drop
 }
@@ -251,7 +250,7 @@ func (f *pairFwd) Forward(p *sim.Proc, rec kvstore.ReplRecord, sync bool) bool {
 		}
 		return true
 	}
-	it := &fwdItem{rec: rec, enq: p.Now(), sync: sync}
+	it := &fwdItem{rec: rec, enq: p.Now()}
 	if sync {
 		it.done = m.k.NewSignal()
 	}

@@ -224,9 +224,9 @@ func tripProbeCycle(r *rig, i int) {
 	r.ctrl.OnSend(i)
 	r.ctrl.OnSend(i)
 	r.k.RunFor(5 * sim.Microsecond)
-	r.ctrl.OnComplete(i, 50_000_000, true) // the stuck request, stale
-	r.ctrl.OnComplete(i, 5_000, true)
-	r.ctrl.OnComplete(i, 5_000, true)
+	r.ctrl.OnComplete(i, true) // the stuck request, stale
+	r.ctrl.OnComplete(i, true)
+	r.ctrl.OnComplete(i, true)
 }
 
 func TestCatchUpGatesReadmission(t *testing.T) {

@@ -58,7 +58,7 @@ func runFlapped(t *testing.T, cfg Config) (*Result, int) {
 	k := sim.NewKernel()
 	cfg, inject := admitBench(k, 4, cfg)
 	measStart := k.Now().Add(cfg.Warmup)
-	inject(faults.New(k, faults.Plan{
+	inject(faults.New(faults.Plan{
 		Seed: cfg.Seed,
 		DimmFlaps: []faults.DimmFlap{{
 			Name:  flapDimm,
@@ -248,7 +248,7 @@ func TestAdmitFlapBoundsTail(t *testing.T) {
 	cfg, inject := admitBench(k, 4, admitFlapConfig(41, admit.Reroute))
 	cfg.Admit = admit.Config{}
 	measStart := k.Now().Add(cfg.Warmup)
-	inject(faults.New(k, faults.Plan{
+	inject(faults.New(faults.Plan{
 		Seed: 41,
 		DimmFlaps: []faults.DimmFlap{{
 			Name:  flapDimm,

@@ -449,7 +449,6 @@ type bench struct {
 type shardConn struct {
 	b           *bench
 	ci          int // owning client index (operator fan-out re-enqueues)
-	shard       int
 	admitShard  int
 	addr        netstack.IP
 	port        uint16
@@ -605,7 +604,7 @@ func Run(k *sim.Kernel, cfg Config) *Result {
 	// for a backup.
 	shardConnTo := func(ci, si, host int, port uint16, tag string) *shardConn {
 		sc := &shardConn{
-			b: b, ci: ci, shard: si, admitShard: host, client: cfg.Clients[ci],
+			b: b, ci: ci, admitShard: host, client: cfg.Clients[ci],
 			addr: cfg.Shards[host].Addr, port: port,
 			q:        sim.NewQueue[*request](k, 0),
 			inflight: k.NewResource(maxInflight),
@@ -760,9 +759,6 @@ func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 				b.res.PerShard[req.shard].FailedOver++
 			}
 			b.cfg.Timeline.NoteFailedOver(req.arrival)
-			if req.span != nil {
-				req.span.FailedOver = true
-			}
 			if req.op == opGet {
 				b.repl.NoteFailoverRead(req.shard, b.keys[req.key])
 			}
@@ -789,9 +785,6 @@ func (b *bench) enqueue(p *sim.Proc, ci int, req *request) bool {
 				b.res.PerShard[target].Rerouted++
 			}
 			b.cfg.Timeline.NoteRerouted(req.arrival)
-			if req.span != nil {
-				req.span.Rerouted = true
-			}
 		}
 	}
 	if req.span != nil {
@@ -1009,9 +1002,7 @@ func (sc *shardConn) complete(p *sim.Proc, req *request, status byte, respBytes 
 		sc.b.cfg.Tracer.Finish(req.span, now, inWin, ok)
 	}
 	if sc.b.ctrl != nil {
-		// Service latency (wire to response) is the health signal: queue
-		// wait reflects client backlog, not shard responsiveness.
-		sc.b.ctrl.OnComplete(sc.admitShard, int64(now.Sub(req.sent)/sim.Nanosecond), ok)
+		sc.b.ctrl.OnComplete(sc.admitShard, ok)
 	}
 	if req.done != nil {
 		req.done.Notify()
@@ -1051,7 +1042,7 @@ func (sc *shardConn) complete(p *sim.Proc, req *request, status byte, respBytes 
 func (sc *shardConn) fail(p *sim.Proc, req *request, sent bool) {
 	if c := sc.b.ctrl; c != nil {
 		if sent {
-			c.OnComplete(sc.admitShard, 0, false)
+			c.OnComplete(sc.admitShard, false)
 		} else {
 			c.OnError(sc.admitShard)
 		}
@@ -1093,7 +1084,6 @@ func (b *bench) collect() {
 	}
 	if tl := b.cfg.Timeline; tl != nil {
 		tl.SetAdmitEvents(r.AdmitEvents)
-		tl.SetReplEvents(r.ReplEvents)
 	}
 	b.publish()
 }

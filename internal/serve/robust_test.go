@@ -85,7 +85,7 @@ func TestDegradedDarkShardEndToEnd(t *testing.T) {
 	}
 	cfg.Clients = []cluster.Endpoint{{Node: s.Host.Node, IP: s.Host.HostMcnIP()}}
 	dark := 1
-	s.InjectFaults(faults.New(k, faults.Plan{
+	s.InjectFaults(faults.New(faults.Plan{
 		Seed: 7,
 		DimmFlaps: []faults.DimmFlap{{
 			Name:  s.Mcns[dark].Node.Name,

@@ -77,13 +77,12 @@ func (w Workload) Key(i int) string { return fmt.Sprintf("key-%08d", i) }
 // precomputed once, each sample is O(1).
 type zipf struct {
 	n                 int
-	theta             float64
 	alpha, zetan, eta float64
 	zeta2             float64
 }
 
 func newZipf(n int, theta float64) *zipf {
-	z := &zipf{n: n, theta: theta}
+	z := &zipf{n: n}
 	for i := 1; i <= n; i++ {
 		z.zetan += 1 / math.Pow(float64(i), theta)
 	}

@@ -323,11 +323,14 @@ func TestEventTraceDeterminism(t *testing.T) {
 // TryAcquire obtains a unit without blocking; it reports success.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity {
-		r.grant()
+		r.inUse++
 		return true
 	}
 	return false
 }
+
+// live returns the queued items, oldest first.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
 
 // QueueLen returns the number of processes and callbacks waiting to acquire.
 func (r *Resource) QueueLen() int {

@@ -354,20 +354,6 @@ func TestResourceCapacity(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel()
-	r := k.NewResource(1)
-	k.Go("u", func(p *Proc) {
-		r.UseFor(p, 25*Nanosecond)
-		p.Sleep(75 * Nanosecond)
-	})
-	k.Run()
-	// Held for 25ns of the 100ns run.
-	if r.BusyTime != 25*Nanosecond || k.Now() != Time(100*Nanosecond) {
-		t.Fatalf("busy %v over %v, want 25ns over 100ns", r.BusyTime, k.Now())
-	}
-}
-
 func TestQueueFIFOAndBlocking(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, 0)

@@ -57,11 +57,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	queue    fifo[resWaiter]
-
-	// accounting
-	busySince  Time
-	BusyTime   Duration // total time with at least one holder
-	GrantCount int64
 }
 
 // A resWaiter is one queued acquirer: a parked process (Acquire) or a
@@ -90,13 +85,13 @@ func (r *Resource) InUse() int { return r.inUse }
 // Acquire obtains one unit, blocking in FIFO order when none is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity {
-		r.grant()
+		r.inUse++
 		return
 	}
 	gen := p.prepareWait()
 	r.queue.push(resWaiter{waiterRef: waiterRef{p, gen}})
 	p.park()
-	// Release woke us and transferred its unit: it already called grant.
+	// Release woke us and transferred its unit to us.
 }
 
 // AcquireThen obtains one unit for a kernel callback: fn runs at once when
@@ -107,19 +102,11 @@ func (r *Resource) Acquire(p *Proc) {
 // the unit and must Release it.
 func (r *Resource) AcquireThen(fn func()) {
 	if r.inUse < r.capacity {
-		r.grant()
+		r.inUse++
 		fn()
 		return
 	}
 	r.queue.push(resWaiter{fn: fn})
-}
-
-func (r *Resource) grant() {
-	if r.inUse == 0 {
-		r.busySince = r.k.now
-	}
-	r.inUse++
-	r.GrantCount++
 }
 
 // Release returns one unit, handing it to the oldest waiter if any.
@@ -132,9 +119,7 @@ func (r *Resource) Release() {
 		if !w.valid() {
 			continue
 		}
-		// Transfer the unit directly: inUse stays constant but a new
-		// grant is recorded for the waiter.
-		r.GrantCount++
+		// Transfer the unit directly: inUse stays constant.
 		if w.fn != nil {
 			r.k.At(r.k.now, w.fn)
 		} else {
@@ -143,9 +128,6 @@ func (r *Resource) Release() {
 		return
 	}
 	r.inUse--
-	if r.inUse == 0 {
-		r.BusyTime += r.k.now.Sub(r.busySince)
-	}
 }
 
 // A Queue is a FIFO of values with blocking Get and optionally bounded
@@ -251,9 +233,6 @@ type fifo[T any] struct {
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
-
-// live returns the queued items, oldest first.
-func (f *fifo[T]) live() []T { return f.buf[f.head:] }
 
 func (f *fifo[T]) push(v T) {
 	if f.head > 0 && len(f.buf) == cap(f.buf) {

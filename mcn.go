@@ -214,8 +214,8 @@ type (
 // topologies' InjectFaults methods (EthCluster, McnServer, McnRack) before
 // running the simulation. Same seed, same topology, same workload — same
 // faults, bit for bit.
-func NewFaultInjector(k *Kernel, plan FaultPlan) *FaultInjector {
-	return faults.New(k, plan)
+func NewFaultInjector(plan FaultPlan) *FaultInjector {
+	return faults.New(plan)
 }
 
 // Tracer is a tcpdump-style packet capture; attach one to any node with

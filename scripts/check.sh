@@ -15,6 +15,13 @@ go vet ./...
 echo ">> gofmt -l"
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 
+# The code-hygiene gates (every internal/ function has a program caller,
+# every internal/ struct field a reader) load the module with go/types in
+# a few seconds; run them before the race passes below, which take
+# minutes, so dead code fails fast.
+echo ">> go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' ."
+go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' .
+
 # Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
 # the node's bulk-copy chain, the TCP/IP stack, the 10GbE NIC, the
 # serving tier, its admission plane, the replication plane, the
