@@ -111,9 +111,12 @@ type tracker struct {
 	// before it are stale (their fate was already judged) and never count
 	// a second timeout edge or probe outcome.
 	barrier sim.Time
-	// outstanding holds the send time of every request on the wire, in
-	// send order (connections complete FIFO per shard).
+	// outstanding[head:] holds the send time of every request on the
+	// wire, in send order (connections complete FIFO per shard). Popping
+	// advances head instead of re-slicing, so OnSend's append reuses the
+	// backing array.
 	outstanding []sim.Time
+	head        int
 	cycles      int // consecutive opens (drives the backoff doubling)
 	reopenAt    sim.Time
 	probes      int  // half-open probes in flight
@@ -264,7 +267,7 @@ func (c *Controller) edge(t *tracker, reason string) {
 // sends, half-open probes) can trip it again.
 func (c *Controller) checkTimeout(t *tracker) {
 	now := c.k.Now()
-	for _, sent := range t.outstanding {
+	for _, sent := range t.outstanding[t.head:] {
 		if sent < t.barrier {
 			continue
 		}
@@ -349,6 +352,10 @@ func (c *Controller) NoteReroute() { c.counters.Rerouted++ }
 // must be matched by exactly one OnComplete.
 func (c *Controller) OnSend(shard int) {
 	t := c.trackers[shard]
+	if t.head > 0 && len(t.outstanding) == cap(t.outstanding) {
+		n := copy(t.outstanding, t.outstanding[t.head:])
+		t.outstanding, t.head = t.outstanding[:n], 0
+	}
 	t.outstanding = append(t.outstanding, c.k.Now())
 }
 
@@ -358,11 +365,14 @@ func (c *Controller) OnSend(shard int) {
 // stale: they never count as probe outcomes or fresh error edges.
 func (c *Controller) OnComplete(shard int, ok bool) {
 	t := c.trackers[shard]
-	if len(t.outstanding) == 0 {
+	if t.head == len(t.outstanding) {
 		return
 	}
-	sent := t.outstanding[0]
-	t.outstanding = t.outstanding[1:]
+	sent := t.outstanding[t.head]
+	t.head++
+	if t.head == len(t.outstanding) {
+		t.outstanding, t.head = t.outstanding[:0], 0
+	}
 	if sent < t.barrier {
 		return
 	}

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -358,5 +359,33 @@ func TestDwellTimesIntegrateTimeline(t *testing.T) {
 	}
 	if cl+op+ho != now.Sub(sim.Time(0)) {
 		t.Fatalf("dwell times do not partition the run: %v+%v+%v != %v", cl, op, ho, now)
+	}
+}
+
+// TestOutstandingReusesItsArray keeps a window of requests in flight and
+// completes them FIFO: once the window is warm, a send and a completion
+// allocate nothing, because popping the oldest send time advances an index
+// rather than re-slicing the front of the array OnSend appends to.
+func TestOutstandingReusesItsArray(t *testing.T) {
+	_, c := newTest(1)
+	for i := 0; i < 8; i++ {
+		c.OnSend(0)
+	}
+	c.OnSend(0) // grows the array once, past the window
+	c.OnComplete(0, true)
+	// Counted over the whole run: AllocsPerRun's per-run average rounds
+	// an occasional regrowth down to zero.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		c.OnSend(0)
+		c.OnComplete(0, true)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("1000 sends and completions allocate %d objects, want 0", n)
+	}
+	if st := c.State(0); st != Closed {
+		t.Fatalf("healthy FIFO traffic left the shard %v", st)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
@@ -11,7 +13,7 @@ import (
 // the DIMM's RX ring and the reply its TX ring, through the polled drain at
 // mcn0 and the MCN-DMA engines at mcn5. Each ceiling keeps the headroom
 // ethdev's TestAllocsNICRoundtrip has over its measured count (30 over
-// 14): mcn0 measures 16 and mcn5 18.
+// 12): mcn0 measures 13 and mcn5 11.
 func TestAllocsMcnPingRoundtrip(t *testing.T) {
 	for _, c := range []struct {
 		level   OptLevel
@@ -45,5 +47,52 @@ func TestAllocsMcnPingRoundtrip(t *testing.T) {
 				t.Fatalf("%v echo roundtrip allocates %.1f objects, ceiling %.0f", c.level, avg, c.ceiling)
 			}
 		})
+	}
+}
+
+// TestAllocsMcnDataSegment streams TCP host<-DIMM and DIMM<-DIMM at mcn5
+// and, once pools, rings and connections are warm, requires the data path
+// to allocate nothing per segment: frames cross the SRAM rings as the
+// sender's pool buffers and go back to the server's one pool, and every
+// interrupt line and MCN-DMA batch is bound once. The one allocation left
+// is the kernel's record of each process spawned (an interrupt handler),
+// so the window's allocations must equal its spawns: about two per 32KB
+// data message here.
+func TestAllocsMcnDataSegment(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fx := newFixture(MCN5.Options(), 3, 2)
+	defer fx.k.Shutdown()
+	stream := func(from, to *netstack.Stack, toIP netstack.IP) {
+		fx.k.Go("sink", func(p *sim.Proc) {
+			l, _ := to.Listen(5001)
+			c, _ := l.Accept(p)
+			c.RecvN(p, 1<<40)
+		})
+		fx.k.Go("source", func(p *sim.Proc) {
+			c, err := from.Connect(p, toIP, 5001)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.SendN(p, 1<<40)
+		})
+	}
+	stream(fx.mcns[0].stack, fx.hostStk, fx.hostIP)
+	stream(fx.mcns[1].stack, fx.mcns[2].stack, fx.mcns[2].ip)
+	fx.k.RunUntil(sim.Time(5 * sim.Millisecond))
+	msgs := func() int64 { return fx.mcns[0].drv.TxMsgs + fx.mcns[1].drv.TxMsgs }
+	msgs0, spawns0 := msgs(), fx.k.Stats().Spawns
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fx.k.RunUntil(sim.Time(10 * sim.Millisecond))
+	runtime.ReadMemStats(&after)
+	n, allocs, spawns := msgs()-msgs0, after.Mallocs-before.Mallocs, fx.k.Stats().Spawns-spawns0
+	t.Logf("%d data messages: %d allocations, %d process spawns", n, allocs, spawns)
+	if n < 1000 {
+		t.Fatalf("only %d data messages in the window", n)
+	}
+	if allocs != spawns {
+		t.Fatalf("%d allocations over %d data messages, beyond the %d process records (%.3f per message)",
+			allocs, n, spawns, float64(allocs-spawns)/float64(n))
 	}
 }

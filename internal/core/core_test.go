@@ -73,6 +73,7 @@ func newFixture(opts Options, nDimms, nChannels int) *fixture {
 		port := fx.hd.AddDimm(d, fx.hostIP, mcnIP, i)
 		mc := cpu.New(k, fmt.Sprintf("mcn%d", i), 4, sim.GHz(2.45), cpu.DefaultOSCosts())
 		ms := netstack.NewStack(k, mc, fmt.Sprintf("mcn%d", i), netstack.DefaultProtoCosts())
+		ms.SharePool(fx.hostStk)
 		ms.ChecksumBypass = opts.ChecksumBypass
 		local := dram.NewChannel(k, dram.DDR4_3200())
 		drv := NewDimmDriver(k, mc, ms, local, d, port, opts, costs)

@@ -22,11 +22,10 @@ type DimmDriver struct {
 	Opts  Options
 	Costs DriverCosts
 
-	dimm   *Dimm
-	getBuf func(int) []byte // bound Stack.GetFrameBuf (avoids a closure per pop)
-	local  *dram.Channel    // the MCN node's private memory channel
-	port   *HostPort        // the host-side peer (for MAC identity)
-	dma    *ringEngine      // MCN-DMA mode
+	dimm  *Dimm
+	local *dram.Channel // the MCN node's private memory channel
+	port  *HostPort     // the host-side peer (for MAC identity)
+	dma   *ringEngine   // MCN-DMA mode
 
 	// ChanTap, when set, observes every IRQ-drain pop from this node's
 	// SRAM RX ring as netstack.TapDimmPop and every T3 push into its TX
@@ -65,7 +64,6 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 		CPU: c, Stack: s, Opts: opts, Costs: costs,
 		dimm: d, local: local, port: port,
 	}
-	drv.getBuf = s.GetFrameBuf
 	if opts.DMA {
 		drv.dma = newRingEngine(k, nil)
 	}
@@ -84,7 +82,7 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 					eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP &&
 					drv.FastRx != nil {
 					// The fast-path transport copies payload bytes it
-					// keeps, so the ring buffer is recyclable after it.
+					// keeps, so the popped buffer is recyclable after it.
 					drv.FastRx(p, msg)
 					drv.Stack.RecycleFrameBuf(msg)
 					continue
@@ -106,9 +104,7 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 			drv.Stack.RecycleFrameBuf(msg)
 		}
 	})
-	d.SetRxIRQ(func() {
-		c.RaiseIRQ(d.Name+"/rx", drv.drainRX)
-	})
+	d.SetRxIRQ(c.NewIRQ(d.Name+"/rx", drv.drainRX).Raise)
 	d.armRxWatchdog = drv.ArmWatchdog
 	return drv
 }
@@ -182,9 +178,6 @@ func (drv *DimmDriver) Features() netstack.Features {
 		TSO:         drv.Opts.TSO,
 		MaxTSOBytes: 32 << 10,
 		HWChecksum:  drv.Opts.ChecksumBypass,
-		// T2 copies the frame into the SRAM TX ring; the buffer is dead
-		// (and recycled) the moment the push completes.
-		ConsumesTxFrame: true,
 	}
 }
 
@@ -200,11 +193,12 @@ func (drv *DimmDriver) Transmit(p *sim.Proc, f netstack.Frame) {
 		drv.CPU.Exec(p, drv.Costs.DMASetupCycles)
 		e = drv.dma
 	}
-	e.submit(ringJob{kind: dimmTx, drv: drv, msg: f.Data, pooled: f.Pooled})
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: owned(drv.Stack, f.Data, f.Pooled)})
 }
 
 // drainRX empties the RX ring: for each MCN message, copy it from the SRAM
-// into kernel memory and hand it to the network stack.
+// into kernel memory and hand it to the network stack. The popped buffer
+// is the one the host pushed; the stack recycles it after delivery.
 func (drv *DimmDriver) drainRX(p *sim.Proc) {
 	if drv.draining {
 		return
@@ -214,7 +208,7 @@ func (drv *DimmDriver) drainRX(p *sim.Proc) {
 	d := drv.dimm
 	for {
 		for !d.Buf.RX.Empty() {
-			msg := d.Buf.RX.PopWith(drv.getBuf)
+			msg := d.Buf.RX.Pop()
 			if drv.ChanTap != nil {
 				drv.ChanTap.Frame(p.Now(), netstack.TapDimmPop, d.Name, msg)
 			}

@@ -38,8 +38,10 @@ type ringEngine struct {
 	start  sim.Time // when the attempt's core was granted (qdisc mode)
 	acc    int      // bytes of the host access in flight, accounted on resume
 	accWr  bool     // whether that access writes
-	pkts   [][]byte
+	batch  *rxBatch // drain: the messages copied so far
 	xfer   *dram.Transfer
+	// served holds the rxBatches whose interrupts are done with them.
+	served []*rxBatch
 
 	step func() // e.resume, bound once
 	wake func() // e.next, bound once
@@ -58,10 +60,9 @@ type ringJob struct {
 	kind ringJobKind
 	port *HostPort   // hostTx, hostDrain
 	drv  *DimmDriver // dimmTx
-	msg  []byte
-	// pooled: msg came from the stack's frame pool and is recycled once
-	// the job has consumed (pushed into a ring) or dropped it.
-	pooled bool
+	// msg is a frame-pool buffer the job owns: a push hands it to the
+	// ring (and so to the popping side), a drop recycles it.
+	msg []byte
 }
 
 // ringStep is the point a job resumes at.
@@ -112,7 +113,7 @@ func (e *ringEngine) next() {
 			e.idle = true
 			return
 		}
-		e.job, e.at = j, atBegin
+		e.job, e.at, e.pushed = j, atBegin, false
 		if !e.advance() {
 			return
 		}
@@ -141,8 +142,9 @@ func (e *ringEngine) advance() bool {
 	return e.tx()
 }
 
+// finish ends the job: a message that never reached the ring is dropped.
 func (e *ringEngine) finish() {
-	if j := &e.job; j.pooled {
+	if j := &e.job; !e.pushed && j.msg != nil {
 		if j.kind == dimmTx {
 			j.drv.Stack.RecycleFrameBuf(j.msg)
 		} else {
@@ -329,11 +331,14 @@ func (e *ringEngine) drain() bool {
 				e.hostAccess(d, 8, true, false)
 				return false
 			}
-			msg := d.Buf.TX.PopWith(hd.getBuf)
+			msg := d.Buf.TX.Pop()
 			if hd.ChanTap != nil {
 				hd.ChanTap.Frame(e.k.Now(), netstack.TapHostPop, d.Name, msg)
 			}
-			e.pkts = append(e.pkts, msg)
+			if e.batch == nil {
+				e.batch = e.newBatch(port)
+			}
+			e.batch.pkts = append(e.batch.pkts, msg)
 			// R2-R3: the engine reads the message into host memory.
 			e.hostAccess(d, sram.HeaderBytes+len(msg), false, true)
 			return false
@@ -345,17 +350,51 @@ func (e *ringEngine) drain() bool {
 			}
 		case atDrained:
 			port.draining = false
-			if pkts := e.pkts; len(pkts) > 0 {
+			if b := e.batch; b != nil {
 				// The interrupt handler owns this batch.
-				e.pkts = nil
-				hd.CPU.RaiseIRQ("mcn-dma-rx", func(p *sim.Proc) {
-					for _, msg := range pkts {
-						hd.CPU.Exec(p, hd.Costs.RxPerMsgCycles)
-						hd.forward(p, port, msg, true)
-					}
-				})
+				e.batch = nil
+				b.irq.Raise()
 			}
 			return true
 		}
 	}
+}
+
+// An rxBatch is the messages one MCN-DMA drain copied into host memory,
+// handed to the CPU with one "mcn-dma-rx" interrupt. Each batch has its
+// own interrupt line bound to it, so raising one allocates no closure;
+// the handlers of consecutive batches can run at once, so each batch goes
+// back to its engine only when its handler is done with it.
+type rxBatch struct {
+	e    *ringEngine
+	port *HostPort
+	pkts [][]byte
+	irq  *cpu.IRQ
+}
+
+// newBatch returns an empty batch for port, reusing a served one.
+func (e *ringEngine) newBatch(port *HostPort) *rxBatch {
+	var b *rxBatch
+	if n := len(e.served); n > 0 {
+		b, e.served = e.served[n-1], e.served[:n-1]
+	} else {
+		// An engine drains the ports of one host driver.
+		b = &rxBatch{e: e}
+		b.irq = port.drv.CPU.NewIRQ("mcn-dma-rx", b.deliver)
+	}
+	b.port = port
+	return b
+}
+
+// deliver is the batch's interrupt handler: route every message through
+// the forwarding engine.
+func (b *rxBatch) deliver(p *sim.Proc) {
+	hd := b.port.drv
+	for _, msg := range b.pkts {
+		hd.CPU.Exec(p, hd.Costs.RxPerMsgCycles)
+		hd.forward(p, b.port, msg)
+	}
+	clear(b.pkts)
+	b.pkts = b.pkts[:0]
+	b.e.served = append(b.e.served, b)
 }

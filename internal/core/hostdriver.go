@@ -26,7 +26,6 @@ type HostDriver struct {
 	Costs DriverCosts
 
 	ports    []*HostPort
-	getBuf   func(int) []byte           // bound Stack.GetFrameBuf (avoids a closure per pop)
 	byMAC    map[netstack.MAC]*HostPort // host-side and MCN-side MACs
 	uplink   netstack.NetDev            // conventional NIC for F4
 	timer    *cpu.HRTimer
@@ -72,7 +71,6 @@ func NewHostDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, opts Options, c
 		byMAC: make(map[netstack.MAC]*HostPort),
 		dmas:  make(map[int]*ringEngine),
 	}
-	hd.getBuf = s.GetFrameBuf
 	return hd
 }
 
@@ -266,9 +264,6 @@ func (p *HostPort) Features() netstack.Features {
 		TSO:         p.drv.Opts.TSO,
 		MaxTSOBytes: 32 << 10,
 		HWChecksum:  p.drv.Opts.ChecksumBypass,
-		// T2 copies the frame into the DIMM's RX ring; the buffer is
-		// dead (and recycled) the moment the push completes.
-		ConsumesTxFrame: true,
 	}
 }
 
@@ -372,7 +367,7 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 		}
 		for !d.Buf.TX.Empty() {
 			idle = 0
-			msg := d.Buf.TX.PopWith(hd.getBuf)
+			msg := d.Buf.TX.Pop()
 			if hd.ChanTap != nil {
 				hd.ChanTap.Frame(p.Now(), netstack.TapHostPop, d.Name, msg)
 			}
@@ -385,7 +380,7 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 			lines := int64(len(msg)/64 + 1)
 			hd.CPU.Exec(p, hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles)
 			// R4: hand to the packet forwarding engine.
-			hd.forward(p, port, msg, true)
+			hd.forward(p, port, msg)
 		}
 		// R5: all consumed; reset tx-poll.
 		d.Buf.TxPoll = false
@@ -408,30 +403,40 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 // relay hands a frame to tgt's T1-T3 machinery without ever blocking the
 // calling (transmit or receive) context. With MCN-DMA the CPU programs a
 // descriptor and the channel's engine moves the data; otherwise the CPU
-// performs the copy (memcpy_to_mcn) from the port's qdisc.
+// performs the copy (memcpy_to_mcn) from the port's qdisc. pooled hands
+// frame to the job; any other frame may be aliased (broadcast fan-out,
+// the uplink bridge, the mcnt fabric's retransmit queue), so the job takes
+// a copy.
 func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, pooled bool) {
 	e := tgt.qdisc
 	if hd.Opts.DMA {
 		hd.CPU.Exec(p, hd.Costs.DMASetupCycles)
 		e = hd.dmas[tgt.dimm.ChannelIdx]
 	}
-	e.submit(ringJob{kind: hostTx, port: tgt, msg: frame, pooled: pooled})
+	e.submit(ringJob{kind: hostTx, port: tgt, msg: owned(hd.Stack, frame, pooled)})
 }
 
-// forward implements the packet forwarding engine rules F1-F4. pooled
-// marks frame as recyclable once this function (or the relay machinery it
-// hands off to) is done with it; aliasing dispositions — broadcast fan-out
-// and the conventional NIC — leave the buffer to the garbage collector.
-func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled bool) {
-	hd.CPU.Exec(p, hd.Costs.ForwardCycles)
-	recycle := func() {
-		if pooled {
-			hd.Stack.RecycleFrameBuf(frame)
-		}
+// owned returns frame in a buffer a ring job can own: frame itself when it
+// is pooled, else a copy in a buffer from s's frame pool.
+func owned(s *netstack.Stack, frame []byte, pooled bool) []byte {
+	if pooled {
+		return frame
 	}
+	b := s.GetFrameBuf(len(frame))
+	copy(b, frame)
+	return b
+}
+
+// forward implements the packet forwarding engine rules F1-F4. frame is a
+// buffer popped from a DIMM's TX ring, which forward owns: it recycles it
+// once this function (or the relay machinery it hands off to) is done with
+// it; aliasing dispositions — broadcast fan-out and the conventional NIC —
+// leave the buffer to the garbage collector.
+func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
+	hd.CPU.Exec(p, hd.Costs.ForwardCycles)
 	eth, ok := netstack.ParseEth(frame)
 	if !ok {
-		recycle()
+		hd.Stack.RecycleFrameBuf(frame)
 		return
 	}
 	if eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP {
@@ -439,15 +444,15 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled b
 		if eth.Dst == src.hostMAC && hd.FastRx != nil {
 			// The fast-path transport copies payload bytes it keeps.
 			hd.FastRx(p, src, frame)
-			recycle()
+			hd.Stack.RecycleFrameBuf(frame)
 			return
 		}
 		if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 && tgt != src && eth.Dst == tgt.mcnMAC {
 			hd.RelayedDimm++
-			hd.relay(p, tgt, frame, pooled)
+			hd.relay(p, tgt, frame, true)
 			return
 		}
-		recycle()
+		hd.Stack.RecycleFrameBuf(frame)
 		return
 	}
 	switch {
@@ -456,11 +461,11 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled b
 		// keeps, so the frame is dead when RxFrame returns.
 		hd.DeliveredHost++
 		hd.Stack.RxFrame(p, src, frame)
-		recycle()
+		hd.Stack.RecycleFrameBuf(frame)
 	case eth.Dst.IsBroadcast():
 		// F2: deliver locally, relay to every other MCN node, and send
-		// out the conventional NIC. The fan-out aliases the buffer, so
-		// it is never recycled.
+		// out the conventional NIC. The relays copy; the NIC aliases the
+		// buffer, so it is never recycled.
 		hd.Broadcasts++
 		hd.Stack.RxFrame(p, src, frame)
 		for _, port := range hd.ports {
@@ -474,7 +479,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled b
 	default:
 		if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 {
 			if tgt == src {
-				recycle()
+				hd.Stack.RecycleFrameBuf(frame)
 				return // a node talking to itself through us: drop
 			}
 			if eth.Dst == tgt.mcnMAC {
@@ -482,13 +487,13 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled b
 				// the outbound copy is offloaded to the target
 				// channel's engine, exactly like a host transmit.
 				hd.RelayedDimm++
-				hd.relay(p, tgt, frame, pooled)
+				hd.relay(p, tgt, frame, true)
 				return
 			}
 			// Addressed to another host-side interface MAC: deliver up.
 			hd.DeliveredHost++
 			hd.Stack.RxFrame(p, tgt, frame)
-			recycle()
+			hd.Stack.RecycleFrameBuf(frame)
 			return
 		}
 		// F4: unknown MAC, hand to the conventional NIC (dev_queue_xmit).
@@ -497,7 +502,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte, pooled b
 			hd.SentNIC++
 			hd.uplink.Transmit(p, netstack.Frame{Data: frame})
 		} else {
-			recycle()
+			hd.Stack.RecycleFrameBuf(frame)
 		}
 	}
 }

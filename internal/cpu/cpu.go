@@ -98,12 +98,36 @@ func (c *CPU) ExecWhile(p *sim.Proc, fn func()) {
 // pays entry cost, runs handler, and pays exit cost. It returns immediately
 // (the interrupt is asynchronous).
 func (c *CPU) RaiseIRQ(name string, handler func(p *sim.Proc)) {
-	c.K.Go(c.Name+"/irq/"+name, func(p *sim.Proc) {
-		c.Exec(p, c.Costs.IRQEntryCycles)
-		handler(p)
-		c.Exec(p, c.Costs.IRQExitCycles)
-	})
+	c.K.Go(c.Name+"/irq/"+name, func(p *sim.Proc) { c.serveIRQ(p, handler) })
 }
+
+func (c *CPU) serveIRQ(p *sim.Proc, handler func(p *sim.Proc)) {
+	c.Exec(p, c.Costs.IRQEntryCycles)
+	handler(p)
+	c.Exec(p, c.Costs.IRQExitCycles)
+}
+
+// An IRQ is an interrupt line with a fixed handler: Raise is RaiseIRQ
+// with the process name and body built once, for a device that raises the
+// same interrupt for every batch of packets.
+type IRQ struct {
+	c       *CPU
+	name    string
+	handler func(p *sim.Proc)
+	serve   func(p *sim.Proc) // q.run, bound once
+}
+
+// NewIRQ returns the interrupt line name of c, served by handler.
+func (c *CPU) NewIRQ(name string, handler func(p *sim.Proc)) *IRQ {
+	q := &IRQ{c: c, name: c.Name + "/irq/" + name, handler: handler}
+	q.serve = q.run
+	return q
+}
+
+// Raise fires the interrupt, exactly as RaiseIRQ(name, handler) would.
+func (q *IRQ) Raise() { q.c.K.Go(q.name, q.serve) }
+
+func (q *IRQ) run(p *sim.Proc) { q.c.serveIRQ(p, q.handler) }
 
 // ScheduleTasklet defers fn to softirq context, as the MCN polling agent
 // and NIC NAPI paths do. The tasklet runs on the softirqd process in FIFO

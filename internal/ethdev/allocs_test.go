@@ -1,6 +1,7 @@
 package ethdev
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/mcn-arch/mcn/internal/netstack"
@@ -35,5 +36,58 @@ func TestAllocsNICRoundtrip(t *testing.T) {
 	const ceiling = 30
 	if avg > ceiling {
 		t.Fatalf("NIC echo roundtrip allocates %.1f objects, ceiling %d", avg, ceiling)
+	}
+}
+
+// chunkTap counts the TSO chunks a stack hands its NIC.
+type chunkTap struct{ n int }
+
+func (c *chunkTap) Frame(_ sim.Time, site netstack.TapSite, _ string, f []byte) {
+	if site == netstack.TapTx && len(f) > 1514 {
+		c.n++
+	}
+}
+
+// TestAllocsTSOChunk bounds a warm 10GbE TCP stream's allocations per 64KB
+// TSO chunk. The chunk goes back to the sender's pool once segmented, the
+// segments are cut from one allocation (plus their slice), GRO builds into
+// pool buffers the NIC recycles after delivery, and the link's in-flight
+// FIFO carries frames without a closure each. What is left is those two
+// and the receiver's ACKs, which the wire aliases: about 10 per chunk.
+func TestAllocsTSOChunk(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	a, b := twoNodes(k)
+	tap := &chunkTap{}
+	a.stack.Tap = tap
+	k.Go("sink", func(p *sim.Proc) {
+		l, _ := b.stack.Listen(5001)
+		c, _ := l.Accept(p)
+		c.RecvN(p, 1<<40)
+	})
+	k.Go("source", func(p *sim.Proc) {
+		c, err := a.stack.Connect(p, netstack.IPv4(10, 0, 0, 2), 5001)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.SendN(p, 1<<40)
+	})
+	k.RunUntil(sim.Time(5 * sim.Millisecond))
+	chunks0 := tap.n
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k.RunUntil(sim.Time(15 * sim.Millisecond))
+	runtime.ReadMemStats(&after)
+	chunks := tap.n - chunks0
+	per := float64(after.Mallocs-before.Mallocs) / float64(chunks)
+	t.Logf("%d TSO chunks: %.2f allocations each", chunks, per)
+	if chunks < 100 {
+		t.Fatalf("only %d TSO chunks in the window", chunks)
+	}
+	const ceiling = 14
+	if per > ceiling {
+		t.Fatalf("a TSO chunk costs %.2f allocations, ceiling %d", per, ceiling)
 	}
 }

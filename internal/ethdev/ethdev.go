@@ -45,15 +45,51 @@ type Link struct {
 	k       *sim.Kernel
 	Latency sim.Duration
 	a, b    endpoint
+	// inflight holds the frames on the cable, in both directions.
+	inflight *delayLine[arrival]
 
 	// Inject, when set, subjects every frame crossing the link (either
 	// direction) to the site's drop/corrupt/flap decisions.
 	Inject *faults.Site
 }
 
+// arrival is a frame on a link and the endpoint it arrives at.
+type arrival struct {
+	to endpoint
+	f  wireFrame
+}
+
 // NewLink creates an unattached link with the given propagation delay.
 func NewLink(k *sim.Kernel, latency sim.Duration) *Link {
-	return &Link{k: k, Latency: latency}
+	return &Link{k: k, Latency: latency, inflight: newDelayLine(k, func(a arrival) { a.to.receive(a.f) })}
+}
+
+// delayLine hands each value to deliver a fixed delay after send: a cable's
+// propagation or a switch's forwarding pipeline. Every value waits the same
+// time, so values leave in the order they entered, and one FIFO with one
+// bound callback stands in for a closure per value.
+type delayLine[T any] struct {
+	k       *sim.Kernel
+	q       *sim.Queue[T]
+	deliver func(T)
+	arrive  func() // d.pop, bound once
+}
+
+func newDelayLine[T any](k *sim.Kernel, deliver func(T)) *delayLine[T] {
+	d := &delayLine[T]{k: k, q: sim.NewQueue[T](k, 0), deliver: deliver}
+	d.arrive = d.pop
+	return d
+}
+
+// send delivers v after delay, which must be the same for every value.
+func (d *delayLine[T]) send(delay sim.Duration, v T) {
+	d.q.TryPut(v)
+	d.k.After(delay, d.arrive)
+}
+
+func (d *delayLine[T]) pop() {
+	v, _ := d.q.TryGet()
+	d.deliver(v)
 }
 
 func (l *Link) attach(e endpoint) {
@@ -92,7 +128,7 @@ func (l *Link) deliver(from endpoint, f wireFrame) {
 			f.data = l.Inject.CorruptCopy(f.data) // FCS left stale on purpose
 		}
 	}
-	l.k.After(l.Latency, func() { to.receive(f) })
+	l.inflight.send(l.Latency, arrival{to, f})
 }
 
 // Config holds NIC parameters.
@@ -143,10 +179,12 @@ type NIC struct {
 	rxq *sim.Queue[wireFrame]
 
 	// Per-NIC scratch reused across napi rounds so draining a burst
-	// allocates nothing: the burst gather and the frame list are rebuilt
-	// in place every interrupt. Only the napi process touches them.
+	// allocates nothing: the burst gather, the frame list and the GRO
+	// state are rebuilt in place every interrupt. Only the napi process
+	// touches them.
 	burstScratch []wireFrame
 	frameScratch [][]byte
+	gro          netstack.GRO
 
 	// Tap, when set, observes every frame at the NIC's four internal
 	// sites: netstack.TapDMATx and TapWireStart on the transmitter,
@@ -191,13 +229,17 @@ func (n *NIC) Features() netstack.Features {
 
 // Transmit implements the driver TX path: write descriptors, ring the
 // doorbell, and enqueue into the TX ring (blocking when the ring is full —
-// the NETDEV_TX_BUSY backpressure).
+// the NETDEV_TX_BUSY backpressure). The wire aliases the frames it
+// carries; a pooled TSO chunk is recycled once segmentation has copied it.
 func (n *NIC) Transmit(p *sim.Proc, f netstack.Frame) {
 	n.cpu.Exec(p, n.cfg.DriverTxCycles)
 	frames := [][]byte{f.Data}
 	if f.TSOSegSize > 0 {
 		// O1-O4: the NIC hardware segments; no CPU cost.
 		frames = netstack.SegmentTSO(f.Data, f.TSOSegSize)
+		if f.Pooled && len(frames) > 1 {
+			n.stack.RecycleFrameBuf(f.Data)
+		}
 	}
 	for _, fr := range frames {
 		n.txq.Put(p, wireFrame{data: fr})
@@ -288,10 +330,16 @@ func (n *NIC) napi(p *sim.Proc) {
 		n.burstScratch = burst
 		n.frameScratch = frames
 		if n.cfg.LRO {
-			frames = netstack.CoalesceTCP(frames, 64<<10)
+			frames = n.gro.Coalesce(n.stack, frames, 64<<10)
 		}
-		for _, fr := range frames {
+		for i, fr := range frames {
 			n.deliverUp(p, fr)
+			// The stack copies what it keeps: a frame GRO built is
+			// dead once delivered. The others may be aliased by a
+			// switch's flood, so the collector takes them.
+			if n.cfg.LRO && n.gro.Built(i) {
+				n.stack.RecycleFrameBuf(fr)
+			}
 		}
 	}
 }
@@ -325,6 +373,8 @@ type switchPort struct {
 	sw   *Switch
 	link *Link
 	outq *sim.Queue[wireFrame]
+	// pipeline holds serialized frames for the forwarding latency.
+	pipeline *delayLine[wireFrame]
 }
 
 // NewSwitch creates a switch with the given per-port rate and forwarding
@@ -341,6 +391,7 @@ func NewSwitch(k *sim.Kernel, name string, rateBps float64, latency sim.Duration
 // where topology is known).
 func (s *Switch) AttachPort(link *Link, hostMAC netstack.MAC) {
 	p := &switchPort{sw: s, link: link, outq: sim.NewQueue[wireFrame](s.k, 8192)}
+	p.pipeline = newDelayLine(s.k, func(f wireFrame) { p.link.deliver(p, f) })
 	link.attach(p)
 	s.ports = append(s.ports, p)
 	s.fdb[hostMAC] = p
@@ -408,7 +459,6 @@ func (p *switchPort) transmitter(pr *sim.Proc) {
 		// pipeline latency is added to the delivery time but overlaps
 		// with the next frame's serialization.
 		pr.Sleep(sim.AtRate(int64(len(f.data)+24), p.sw.rateBps/8))
-		ff := f
-		p.sw.k.After(p.sw.latency, func() { p.link.deliver(p, ff) })
+		p.pipeline.send(p.sw.latency, f)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // failure rather than a silent events/sec loss.
 
 func TestAllocsFramePool(t *testing.T) {
-	s := &Stack{}
+	s := &Stack{pool: new(framePool)}
 	for _, n := range []int{64, 1500, 9000, 64 << 10} {
 		n := n
 		cycle := func() {

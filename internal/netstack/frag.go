@@ -42,7 +42,7 @@ func (s *Stack) sendFragmented(p *sim.Proc, proto uint8, src, dst IP, payload []
 			mf = false
 		}
 		chunk := payload[off:end]
-		frame := make([]byte, EthHeaderBytes+IPv4HeaderBytes+len(chunk))
+		frame := s.GetFrameBuf(EthHeaderBytes + IPv4HeaderBytes + len(chunk))
 		PutEth(frame, EthHeader{Dst: dstMAC, Src: ifc.Dev.MAC(), Type: EtherTypeIPv4})
 		PutIPv4(frame[EthHeaderBytes:], IPv4Header{
 			TotalLen: uint16(IPv4HeaderBytes + len(chunk)),
@@ -52,7 +52,7 @@ func (s *Stack) sendFragmented(p *sim.Proc, proto uint8, src, dst IP, payload []
 		copy(frame[EthHeaderBytes+IPv4HeaderBytes:], chunk)
 		s.chargeChecksum(p, IPv4HeaderBytes)
 		s.IPTx.Add(s.K.Now(), int64(len(frame)))
-		ifc.Dev.Transmit(p, Frame{Data: frame})
+		ifc.Dev.Transmit(p, Frame{Data: frame, Pooled: true})
 	}
 }
 

@@ -38,8 +38,6 @@ func (d *wireDev) Features() Features { return d.feats }
 func (d *wireDev) Transmit(p *sim.Proc, f Frame) {
 	frames := [][]byte{f.Data}
 	if f.TSOSegSize > 0 {
-		frames = SegmentTSO(f.Data, f.TSOSegSize+IPv4HeaderBytes+TCPHeaderBytes+EthHeaderBytes)
-		// SegmentTSO takes the payload budget; recompute properly below.
 		frames = SegmentTSO(f.Data, f.TSOSegSize)
 	}
 	for _, fr := range frames {

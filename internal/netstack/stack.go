@@ -19,11 +19,6 @@ type Features struct {
 	// HWChecksum: the device computes/verifies TCP checksums in hardware,
 	// so the stack charges no CPU cycles for them on this interface.
 	HWChecksum bool
-	// ConsumesTxFrame: Transmit (or its queued continuation) copies the
-	// frame bytes out — into an SRAM ring, for the MCN drivers — and
-	// never aliases them afterwards. The stack then allocates TX frames
-	// from its recycling pool and the device returns them when done.
-	ConsumesTxFrame bool
 }
 
 // Frame is what the stack hands a device: the wire bytes plus offload
@@ -33,10 +28,13 @@ type Frame struct {
 	// TSOSegSize is nonzero when Data carries one jumbo TCP chunk that
 	// the device must segment into MSS-sized wire packets.
 	TSOSegSize int
-	// Pooled transfers ownership of Data: a device that consumes the
-	// frame must hand the buffer back via Stack.RecycleFrameBuf once the
-	// bytes are copied out (or the frame is dropped). Devices that alias
-	// frames (the conventional NIC path) never see Pooled frames.
+	// Pooled transfers ownership of Data, a buffer from the sending
+	// stack's frame pool: the device may keep it (the MCN drivers park it
+	// in an SRAM ring, and the receiver recycles it), recycle it via
+	// Stack.RecycleFrameBuf once it is done with the bytes, or let a wire
+	// alias it and leave it to the garbage collector. A frame that is not
+	// Pooled may be referenced elsewhere: a device that holds it past
+	// Transmit copies it first.
 	Pooled bool
 }
 
@@ -174,8 +172,8 @@ type Stack struct {
 	Bridge func(p *sim.Proc, dev NetDev, frame []byte) bool
 
 	ifaces  []*Iface
-	pool    framePool
-	discard []byte // see DiscardBuf
+	pool    *framePool // see SharePool
+	discard []byte     // see DiscardBuf
 
 	// Transport state.
 	conns     map[fourTuple]*TCPConn
@@ -204,31 +202,26 @@ type echoWaiter struct {
 
 // framePool recycles frame buffers in size-class free lists. The kernel
 // guarantees exactly one goroutine executes at any instant, so the lists
-// need no synchronization. Buffers are handed out with stale contents;
-// every Get caller overwrites all n bytes.
+// need no synchronization, even when the stacks of one server share them.
+// Buffers are handed out with stale contents; every Get caller overwrites
+// all n bytes.
 type framePool struct {
-	class [4][][]byte
+	class [6][][]byte
 }
 
 // Frame size-class upper bounds: pure ACK/control segments, standard
-// Ethernet MTU frames, jumbo frames, and unbounded (TSO chunks).
-const (
-	frameClassSmall = 128
-	frameClassMTU   = 2048
-	frameClassJumbo = 16 << 10
-)
+// Ethernet MTU frames, jumbo frames, the MCN drivers' 32KB TSO chunks, the
+// largest TSO chunk or GRO frame (a 64KB IPv4 packet and its headers), and
+// unbounded.
+var frameClassCap = [...]int{128, 2048, 16 << 10, 33 << 10, 66 << 10}
 
 func frameClass(n int) int {
-	switch {
-	case n <= frameClassSmall:
-		return 0
-	case n <= frameClassMTU:
-		return 1
-	case n <= frameClassJumbo:
-		return 2
-	default:
-		return 3
+	for c, max := range frameClassCap {
+		if n <= max {
+			return c
+		}
 	}
+	return len(frameClassCap)
 }
 
 // GetFrameBuf returns an n-byte buffer from the pool (or a fresh one).
@@ -246,13 +239,8 @@ func (s *Stack) GetFrameBuf(n int) []byte {
 		// Only the unbounded class can hold an undersized buffer; let
 		// the GC have it and allocate at the requested size.
 	}
-	switch c {
-	case 0:
-		return make([]byte, n, frameClassSmall)
-	case 1:
-		return make([]byte, n, frameClassMTU)
-	case 2:
-		return make([]byte, n, frameClassJumbo)
+	if c < len(frameClassCap) {
+		return make([]byte, n, frameClassCap[c])
 	}
 	return make([]byte, n)
 }
@@ -266,6 +254,13 @@ func (s *Stack) RecycleFrameBuf(b []byte) {
 	c := frameClass(cap(b))
 	s.pool.class[c] = append(s.pool.class[c], b)
 }
+
+// SharePool makes s take frame buffers from, and recycle them into, the
+// pool of with. Stacks whose frames end in each other's pools share one:
+// an MCN server's frames are allocated by the stack that sends them and
+// recycled by the stack that receives them, so with a pool per stack the
+// senders' pools would drain and the receivers' grow.
+func (s *Stack) SharePool(with *Stack) { s.pool = with.pool }
 
 // DiscardBuf returns the stack's 64KB sink for received bytes that are
 // thrown away (RecvN, RecvAll); nothing reads it back. It is per stack
@@ -281,6 +276,7 @@ func (s *Stack) DiscardBuf() []byte {
 func NewStack(k *sim.Kernel, c *cpu.CPU, host string, costs ProtoCosts) *Stack {
 	return &Stack{
 		K: k, CPU: c, Host: host, Costs: costs,
+		pool:        new(framePool),
 		conns:       make(map[fourTuple]*TCPConn),
 		listeners:   make(map[uint16]*Listener),
 		udpSocks:    make(map[uint16]*UDPSocket),
@@ -393,9 +389,27 @@ func (s *Stack) chargeCopy(p *sim.Proc, n int) {
 	s.CPU.Exec(p, int64(n)/s.Costs.CopyBytesPerCycle+1)
 }
 
-// sendIP builds and transmits one IP packet (or TSO chunk) with the given
-// transport payload. The payload must already contain its transport header.
-func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, tsoSeg int) error {
+// frameHeadroom is the room a transmit frame keeps ahead of its transport
+// bytes for the Ethernet and IPv4 headers sendFrame writes.
+const frameHeadroom = EthHeaderBytes + IPv4HeaderBytes
+
+// getTxFrame returns a pool frame with n transport bytes at frameHeadroom.
+func (s *Stack) getTxFrame(n int) []byte { return s.GetFrameBuf(frameHeadroom + n) }
+
+// sendIP copies payload, which must already contain its transport header,
+// into a pool frame and sends it as one IP packet.
+func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte) error {
+	frame := s.getTxFrame(len(payload))
+	copy(frame[frameHeadroom:], payload)
+	return s.sendFrame(p, proto, src, dst, frame, 0)
+}
+
+// sendFrame transmits one IP packet (or TSO chunk) whose transport bytes,
+// header included, sit in frame[frameHeadroom:]; it writes the IPv4 and
+// Ethernet headers in place. frame must come from getTxFrame, and
+// sendFrame takes ownership of it.
+func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, tsoSeg int) error {
+	payload := frame[frameHeadroom:]
 	if IPv4HeaderBytes+len(payload) > 65535 {
 		panic(fmt.Sprintf("netstack(%s): packet of %d bytes exceeds the IPv4 length field", s.Host, IPv4HeaderBytes+len(payload)))
 	}
@@ -404,30 +418,28 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 	// the receive path in the middle of the sender's critical section.
 	if s.isLocal(dst) {
 		s.CPU.Exec(p, s.Costs.IPTxCycles)
-		pkt := s.GetFrameBuf(IPv4HeaderBytes + len(payload))
+		pkt := frame[EthHeaderBytes:]
 		s.ipID++
 		PutIPv4(pkt, IPv4Header{TotalLen: uint16(len(pkt)), ID: s.ipID, TTL: 64, Proto: proto, Src: src, Dst: dst})
-		copy(pkt[IPv4HeaderBytes:], payload)
 		s.IPTx.Add(s.K.Now(), int64(len(pkt)))
 		if s.Tap != nil {
 			// Loopback capture: synthesize an Ethernet header so the
 			// frame renders like any other.
-			frame := make([]byte, EthHeaderBytes+len(pkt))
 			PutEth(frame, EthHeader{Type: EtherTypeIPv4})
-			copy(frame[EthHeaderBytes:], pkt)
 			s.Tap.Frame(s.K.Now(), TapLoop, "lo", frame)
 		}
 		s.K.Go(s.Host+"/lo-rx", func(rp *sim.Proc) {
 			s.deliverIP(rp, pkt)
 			// The receive path copies what it keeps (rcvBuf, frag
 			// buffers, app buffers), so the packet dies here.
-			s.RecycleFrameBuf(pkt)
+			s.RecycleFrameBuf(frame)
 		})
 		return nil
 	}
 
 	ifc, err := s.route(dst)
 	if err != nil {
+		s.RecycleFrameBuf(frame)
 		return err
 	}
 	if src.IsZero() {
@@ -435,6 +447,7 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 	}
 	dstMAC, err := ifc.resolveMAC(p, dst)
 	if err != nil {
+		s.RecycleFrameBuf(frame)
 		return err
 	}
 	s.CPU.Exec(p, s.Costs.IPTxCycles)
@@ -445,33 +458,21 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte, ts
 	// segments fit the MSS and TSO frames are segmented by the device).
 	if tsoSeg == 0 && IPv4HeaderBytes+len(payload) > ifc.Dev.MTU() {
 		s.sendFragmented(p, proto, src, dst, payload, ifc, dstMAC, s.ipID)
+		s.RecycleFrameBuf(frame)
 		return nil
 	}
 
-	// Devices that consume TX frames (the MCN drivers copy them into an
-	// SRAM ring) take pooled buffers and recycle them; aliasing devices
-	// (the conventional NIC hands the same bytes to the receiver) get
-	// garbage-collected ones.
-	pooled := ifc.Dev.Features().ConsumesTxFrame
-	size := EthHeaderBytes + IPv4HeaderBytes + len(payload)
-	var frame []byte
-	if pooled {
-		frame = s.GetFrameBuf(size)
-	} else {
-		frame = make([]byte, size)
-	}
 	PutEth(frame, EthHeader{Dst: dstMAC, Src: ifc.Dev.MAC(), Type: EtherTypeIPv4})
 	PutIPv4(frame[EthHeaderBytes:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderBytes + len(payload)),
 		ID:       s.ipID, TTL: 64, Proto: proto, Src: src, Dst: dst,
 		DF: proto == ProtoTCP,
 	})
-	copy(frame[EthHeaderBytes+IPv4HeaderBytes:], payload)
 	s.IPTx.Add(s.K.Now(), int64(len(frame)))
 	if s.Tap != nil {
 		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
-	ifc.Dev.Transmit(p, Frame{Data: frame, TSOSegSize: tsoSeg, Pooled: pooled})
+	ifc.Dev.Transmit(p, Frame{Data: frame, TSOSegSize: tsoSeg, Pooled: true})
 	return nil
 }
 
@@ -560,7 +561,7 @@ func (s *Stack) Ping(p *sim.Proc, dst IP, payloadLen int, timeout sim.Duration) 
 	PutICMPEcho(msg, ICMPEcho{Type: ICMPEchoRequest, ID: id, Seq: seq}, payloadLen)
 	s.chargeChecksum(p, len(msg))
 	start := p.Now()
-	if err := s.sendIP(p, ProtoICMP, IP{}, dst, msg, 0); err != nil {
+	if err := s.sendIP(p, ProtoICMP, IP{}, dst, msg); err != nil {
 		return 0, false
 	}
 	for !w.done {
@@ -588,7 +589,7 @@ func (s *Stack) rxICMP(p *sim.Proc, hdr IPv4Header, body []byte) {
 		s.chargeChecksum(p, len(reply))
 		dst := hdr.Src
 		s.K.Go(s.Host+"/icmp-reply", func(rp *sim.Proc) {
-			_ = s.sendIP(rp, ProtoICMP, hdr.Dst, dst, reply, 0)
+			_ = s.sendIP(rp, ProtoICMP, hdr.Dst, dst, reply)
 		})
 	case ICMPEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)

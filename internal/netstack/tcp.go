@@ -74,7 +74,7 @@ type TCPConn struct {
 	// Receive state.
 	rcvBuf  ByteRing
 	rcvNxt  uint32
-	ooo     map[uint32][]byte // out-of-order segments by seq
+	ooo     map[uint32][]byte // out-of-order segments by seq, in pool buffers
 	gotFin  bool
 	ackedUp uint32 // highest rcvNxt we have acked
 	unacked int    // full segments received since last ack
@@ -433,13 +433,13 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 			if tsoSeg != 0 && n <= c.mss {
 				tsoSeg = 0
 			}
-			seg := c.stageData(inFlight, n)
+			frame := c.stageData(inFlight, n)
 			seq := c.sndNxt
 			c.sndNxt += uint32(n)
 			if SeqGT(c.sndNxt, c.sndMax) {
 				c.sndMax = c.sndNxt
 			}
-			c.emitData(p, seq, seg, tsoSeg)
+			c.emitData(p, seq, frame, tsoSeg)
 			sentAny = true
 			continue
 		}
@@ -468,14 +468,15 @@ func (c *TCPConn) trySend(p *sim.Proc) bool {
 }
 
 // emitData sends one staged data segment (or TSO chunk) starting at seq.
-func (c *TCPConn) emitData(p *sim.Proc, seq uint32, seg []byte, tsoSeg int) {
-	n := len(seg) - TCPHeaderBytes
+func (c *TCPConn) emitData(p *sim.Proc, seq uint32, frame []byte, tsoSeg int) {
+	segLen := len(frame) - frameHeadroom
+	n := segLen - TCPHeaderBytes
 	// Per-segment protocol cost: with TSO one cost covers the whole
 	// chunk; without it each MSS pays its own way.
 	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles)
 	c.s.chargeCopy(p, n)
-	c.s.chargeChecksumOn(p, len(seg), c.ifc.Dev)
-	c.sendPayload(p, seg, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
+	c.s.chargeChecksumOn(p, segLen, c.ifc.Dev)
+	c.sendPayload(p, frame, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
 	c.BytesSent.Add(p.Now(), int64(n))
 	if !c.rto.Pending() {
 		c.rto.Reset(c.currentRTO())
@@ -493,26 +494,28 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, seg []byte, tsoSeg int) {
 func (c *TCPConn) sendSegment(p *sim.Proc, flags uint8, seq, ack uint32) {
 	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles/2)
 	c.s.chargeChecksumOn(p, TCPHeaderBytes, c.ifc.Dev)
-	c.sendPayload(p, c.s.GetFrameBuf(TCPHeaderBytes), flags, seq, ack, 0)
+	c.sendPayload(p, c.s.getTxFrame(TCPHeaderBytes), flags, seq, ack, 0)
 }
 
 // stageData copies n send-buffer bytes from off into the payload of a
-// fresh segment buffer. A data segment is staged before its first CPU
-// charge: the ring reuses the space ACKs free, so a view into sndBuf held
-// across a park could be overwritten by a Send that runs meanwhile.
+// fresh pool frame, behind room for the Ethernet, IPv4 and TCP headers:
+// this is the segment's one copy before the wire. A data segment is
+// staged before its first CPU charge: the ring reuses the space ACKs
+// free, so a view into sndBuf held across a park could be overwritten by
+// a Send that runs meanwhile.
 func (c *TCPConn) stageData(off, n int) []byte {
-	seg := c.s.GetFrameBuf(TCPHeaderBytes + n)
-	c.sndBuf.CopyAt(seg[TCPHeaderBytes:], off)
-	return seg
+	frame := c.s.getTxFrame(TCPHeaderBytes + n)
+	c.sndBuf.CopyAt(frame[frameHeadroom+TCPHeaderBytes:], off)
+	return frame
 }
 
-// sendPayload fills in the header of seg, whose payload is already in
-// place, and sends it. The segment buffer comes from the stack's frame
-// pool: sendIP copies it into the wire frame (or loopback packet) before
-// returning, so it goes straight back. A per-conn scratch would not do —
-// two procs of the same connection can both be parked between staging
-// and sendIP's copy (CPU charge, ARP resolution).
-func (c *TCPConn) sendPayload(p *sim.Proc, seg []byte, flags uint8, seq, ack uint32, tsoSeg int) {
+// sendPayload fills in the TCP header of frame, a getTxFrame buffer whose
+// payload is already in place, and sends it; sendFrame takes the frame.
+// Each segment has its own frame: two procs of the same connection can
+// both be parked between staging and the device (CPU charge, ARP
+// resolution).
+func (c *TCPConn) sendPayload(p *sim.Proc, frame []byte, flags uint8, seq, ack uint32, tsoSeg int) {
+	seg := frame[frameHeadroom:]
 	payload := seg[TCPHeaderBytes:]
 	if len(payload) > 0 && SeqGT(seq+uint32(len(payload)), c.sndMax) {
 		panic(fmt.Sprintf("netstack(%s) %s: emitting seq %d..%d beyond sndMax %d",
@@ -524,8 +527,7 @@ func (c *TCPConn) sendPayload(p *sim.Proc, seg []byte, flags uint8, seq, ack uin
 		SrcPort: c.tuple.lport, DstPort: c.tuple.rport,
 		Seq: seq, Ack: ack, Flags: flags, Window: wnd,
 	}, c.tuple.lip, c.tuple.rip, payload)
-	_ = c.s.sendIP(p, ProtoTCP, c.tuple.lip, c.tuple.rip, seg, tsoSeg)
-	c.s.RecycleFrameBuf(seg)
+	_ = c.s.sendFrame(p, ProtoTCP, c.tuple.lip, c.tuple.rip, frame, tsoSeg)
 }
 
 func (c *TCPConn) currentRTO() sim.Duration {
@@ -662,7 +664,7 @@ func (s *Stack) sendRST(p *sim.Proc, t fourTuple, ack uint32) {
 		SrcPort: t.lport, DstPort: t.rport,
 		Seq: 0, Ack: ack, Flags: TCPRst | TCPAck, Window: 0,
 	}, t.lip, t.rip, nil)
-	_ = s.sendIP(p, ProtoTCP, t.lip, t.rip, seg, 0)
+	_ = s.sendIP(p, ProtoTCP, t.lip, t.rip, seg)
 }
 
 func (l *Listener) onSyn(p *sim.Proc, t fourTuple, th TCPHeader) {
@@ -847,9 +849,9 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 	// here without advancing sndNxt/sndMax would let the peer acknowledge
 	// sequence numbers the sender believes it never sent.
 	if n := min(c.mss, int(c.sndMax-c.sndUna), c.sndBuf.Len()); n > 0 {
-		seg := c.stageData(0, n)
-		c.s.chargeChecksum(p, len(seg))
-		c.sendPayload(p, seg, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0)
+		frame := c.stageData(0, n)
+		c.s.chargeChecksum(p, len(frame)-frameHeadroom)
+		c.sendPayload(p, frame, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0)
 	}
 	c.rtActive = false
 }
@@ -858,7 +860,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 	if SeqGT(seq, c.rcvNxt) {
 		// Out of order: hold and dup-ack.
 		if _, dup := c.ooo[seq]; !dup {
-			buf := make([]byte, len(payload))
+			buf := c.s.GetFrameBuf(len(payload))
 			copy(buf, payload)
 			c.ooo[seq] = buf
 		}
@@ -902,6 +904,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 			break
 		}
 		c.rcvBuf.Write(next)
+		c.s.RecycleFrameBuf(next)
 		c.rcvNxt += uint32(len(next))
 		c.BytesRcvd.Add(p.Now(), int64(len(next)))
 	}

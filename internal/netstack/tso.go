@@ -7,7 +7,8 @@ package netstack
 // Total Length, sequence numbers and checksums, (O4) emit each packet.
 //
 // It returns frames ready for transmission; a frame that does not parse as
-// TCP/IPv4, or whose payload already fits, is returned unchanged.
+// TCP/IPv4, or whose payload already fits, is returned unchanged, alone.
+// Otherwise the segments are copies, and frame is no longer referenced.
 func SegmentTSO(frame []byte, segSize int) [][]byte {
 	eth, ok := ParseEth(frame)
 	if !ok || eth.Type != EtherTypeIPv4 || segSize <= 0 {
@@ -27,7 +28,12 @@ func SegmentTSO(frame []byte, segSize int) [][]byte {
 		return [][]byte{frame}
 	}
 
-	var out [][]byte
+	// Every segment is cut from one allocation: the wire aliases the
+	// segments, so they outlive the chunk, which the device may recycle.
+	const hdrs = EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes
+	nseg := (len(payload) + segSize - 1) / segSize
+	buf := make([]byte, nseg*hdrs+len(payload))
+	out := make([][]byte, 0, nseg)
 	for off := 0; off < len(payload); off += segSize {
 		end := off + segSize
 		last := false
@@ -36,7 +42,9 @@ func SegmentTSO(frame []byte, segSize int) [][]byte {
 			last = true
 		}
 		chunk := payload[off:end]
-		seg := make([]byte, EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes+len(chunk))
+		n := hdrs + len(chunk)
+		seg := buf[:n:n]
+		buf = buf[n:]
 		PutEth(seg, eth)
 		PutIPv4(seg[EthHeaderBytes:], IPv4Header{
 			TotalLen: uint16(IPv4HeaderBytes + TCPHeaderBytes + len(chunk)),
@@ -52,7 +60,7 @@ func SegmentTSO(frame []byte, segSize int) [][]byte {
 			Seq: th.Seq + uint32(off), Ack: th.Ack,
 			Flags: flags, Window: th.Window,
 		}, ip.Src, ip.Dst, chunk)
-		copy(seg[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:], chunk)
+		copy(seg[hdrs:], chunk)
 		out = append(out, seg)
 	}
 	return out

@@ -41,7 +41,7 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst IP, dstPort uint16, data []byte) err
 	msg := make([]byte, UDPHeaderBytes+len(data))
 	PutUDP(msg, UDPHeader{SrcPort: u.port, DstPort: dstPort, Len: uint16(len(msg))})
 	copy(msg[UDPHeaderBytes:], data)
-	return s.sendIP(p, ProtoUDP, IP{}, dst, msg, 0)
+	return s.sendIP(p, ProtoUDP, IP{}, dst, msg)
 }
 
 // Recv blocks for the next datagram; ok=false after Close.

@@ -263,6 +263,10 @@ func (h *Host) AttachMCN(n int, opts core.Options, mcnCfg Config) []*McnNode {
 		ip := netstack.IPv4(192, 168, h.McnSubnet, byte(i+2))
 		port := h.Driver.AddDimm(d, h.mcnIP, ip, i)
 		mn := &McnNode{Node: New(h.K, cfg), Dimm: d, IP: ip, Port: port}
+		// Frames cross the SRAM rings as the buffers their sender
+		// allocated and are recycled by their receiver: one pool for
+		// the server.
+		mn.Stack.SharePool(h.Stack)
 		mn.Stack.ChecksumBypass = opts.ChecksumBypass
 		mn.Drv = core.NewDimmDriver(h.K, mn.CPU, mn.Stack, mn.Channels[0], d, port, opts, costs)
 		// No static neighbor entries: the MCN node discovers the host

@@ -12,8 +12,6 @@
 // charged by the driver models in internal/core.
 package sram
 
-import "encoding/binary"
-
 // DefaultSize is the SRAM buffer capacity used by the paper's MCN
 // interface.
 const DefaultSize = 96 * 1024
@@ -29,10 +27,19 @@ const controlBytes = 64
 // the first valid byte, end one past the last valid byte. One byte of
 // capacity is sacrificed to distinguish full from empty, as usual for
 // pointer-based rings.
+//
+// The pointers account every message's bytes exactly as the SRAM holds
+// them, but the ring keeps the pushed packet slices themselves rather
+// than a byte copy: Push hands the packet buffer to the ring and Pop hands
+// it to the consumer. The simulated copy in and out is charged by the
+// drivers; the model does not repeat it in host memory.
 type Ring struct {
-	data  []byte
-	start int
-	end   int
+	capacity int
+	start    int
+	end      int
+	// msgs holds the messages between start and end, oldest at head.
+	msgs [][]byte
+	head int
 }
 
 // NewRing returns a ring with the given capacity in bytes.
@@ -40,20 +47,20 @@ func NewRing(capacity int) *Ring {
 	if capacity < HeaderBytes+1 {
 		panic("sram: ring too small")
 	}
-	return &Ring{data: make([]byte, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Used returns the number of valid bytes between start and end.
 func (r *Ring) Used() int {
 	d := r.end - r.start
 	if d < 0 {
-		d += len(r.data)
+		d += r.capacity
 	}
 	return d
 }
 
 // Free returns the number of bytes that can still be pushed.
-func (r *Ring) Free() int { return len(r.data) - 1 - r.Used() }
+func (r *Ring) Free() int { return r.capacity - 1 - r.Used() }
 
 // Empty reports whether the ring holds no messages.
 func (r *Ring) Empty() bool { return r.start == r.end }
@@ -61,65 +68,57 @@ func (r *Ring) Empty() bool { return r.start == r.end }
 // Push appends one MCN message (length header + payload), following the
 // paper's transmit steps: write the message at end, then advance end. It
 // returns false — the NETDEV_TX_BUSY case — when there is not enough free
-// space.
+// space. On success the ring owns packet until Pop returns it: the caller
+// must not modify or recycle it.
 func (r *Ring) Push(packet []byte) bool {
 	need := HeaderBytes + len(packet)
 	if need > r.Free() {
 		return false
 	}
-	var hdr [HeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(packet)))
-	r.write(r.end, hdr[:])
-	r.write((r.end+HeaderBytes)%len(r.data), packet)
-	r.end = (r.end + need) % len(r.data)
-	return true
-}
-
-func stdAlloc(n int) []byte { return make([]byte, n) }
-
-// peekWith returns the payload of the oldest message, in a buffer from
-// alloc, without consuming it, or nil if the ring is empty.
-func (r *Ring) peekWith(alloc func(int) []byte) []byte {
-	if r.Empty() {
-		return nil
+	if r.head > 0 && len(r.msgs) == cap(r.msgs) {
+		// Slide the live messages down before growing, so a steady
+		// push/pop stream reuses the slot array.
+		n := copy(r.msgs, r.msgs[r.head:])
+		clear(r.msgs[n:])
+		r.msgs, r.head = r.msgs[:n], 0
 	}
-	var hdr [HeaderBytes]byte
-	r.read(r.start, hdr[:])
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	out := alloc(n)
-	r.read((r.start+HeaderBytes)%len(r.data), out)
-	return out
+	if packet == nil {
+		packet = []byte{} // nil is Pop's empty-ring result
+	}
+	r.msgs = append(r.msgs, packet)
+	r.end = (r.end + need) % r.capacity
+	return true
 }
 
 // Pop removes and returns the oldest message payload, or nil if empty.
 // This is the receive side's R2-R5 walk: read at start, advance start.
-func (r *Ring) Pop() []byte { return r.PopWith(stdAlloc) }
-
-// PopWith is Pop with a caller-supplied buffer allocator — the seam the
-// drivers use to land popped messages in recycled frame buffers instead
-// of fresh garbage-collected ones. alloc(n) must return a buffer of
-// length exactly n; every byte is overwritten.
-func (r *Ring) PopWith(alloc func(int) []byte) []byte {
-	out := r.peekWith(alloc)
-	if out == nil {
+// The caller takes ownership of the returned buffer (the slice Push was
+// given).
+func (r *Ring) Pop() []byte {
+	if r.Empty() {
 		return nil
 	}
-	r.start = (r.start + HeaderBytes + len(out)) % len(r.data)
+	out := r.msgs[r.head]
+	r.msgs[r.head] = nil
+	r.head++
+	if r.head == len(r.msgs) {
+		r.msgs, r.head = r.msgs[:0], 0
+	}
+	r.start = (r.start + HeaderBytes + len(out)) % r.capacity
 	return out
 }
 
-func (r *Ring) write(off int, b []byte) {
-	n := copy(r.data[off:], b)
-	if n < len(b) {
-		copy(r.data, b[n:])
+// PopWith is Pop with the message copied into a caller-supplied buffer:
+// alloc(n) must return a buffer of length exactly n, and every byte is
+// overwritten. The pushed buffer is dropped, not handed back.
+func (r *Ring) PopWith(alloc func(int) []byte) []byte {
+	msg := r.Pop()
+	if msg == nil {
+		return nil
 	}
-}
-
-func (r *Ring) read(off int, b []byte) {
-	n := copy(b, r.data[off:])
-	if n < len(b) {
-		copy(b[n:], r.data)
-	}
+	out := alloc(len(msg))
+	copy(out, msg)
+	return out
 }
 
 // Buffer is the whole MCN interface SRAM: the TX ring (packets the MCN

@@ -2,9 +2,118 @@ package sram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// refRing is the byte-copying ring the package used to ship: every Push
+// copies the length header and payload into a backing array, every Pop
+// copies them back out. It is the reference FuzzRingMatchesReference
+// holds Ring to.
+type refRing struct {
+	data  []byte
+	start int
+	end   int
+}
+
+func newRefRing(capacity int) *refRing { return &refRing{data: make([]byte, capacity)} }
+
+func (r *refRing) Used() int {
+	d := r.end - r.start
+	if d < 0 {
+		d += len(r.data)
+	}
+	return d
+}
+
+func (r *refRing) Free() int { return len(r.data) - 1 - r.Used() }
+
+func (r *refRing) Empty() bool { return r.start == r.end }
+
+func (r *refRing) Push(packet []byte) bool {
+	need := HeaderBytes + len(packet)
+	if need > r.Free() {
+		return false
+	}
+	var hdr [HeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(packet)))
+	r.write(r.end, hdr[:])
+	r.write((r.end+HeaderBytes)%len(r.data), packet)
+	r.end = (r.end + need) % len(r.data)
+	return true
+}
+
+func (r *refRing) Pop() []byte {
+	if r.Empty() {
+		return nil
+	}
+	var hdr [HeaderBytes]byte
+	r.read(r.start, hdr[:])
+	out := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	r.read((r.start+HeaderBytes)%len(r.data), out)
+	r.start = (r.start + HeaderBytes + len(out)) % len(r.data)
+	return out
+}
+
+func (r *refRing) write(off int, b []byte) {
+	n := copy(r.data[off:], b)
+	if n < len(b) {
+		copy(r.data, b[n:])
+	}
+}
+
+func (r *refRing) read(off int, b []byte) {
+	n := copy(b, r.data[off:])
+	if n < len(b) {
+		copy(b[n:], r.data)
+	}
+}
+
+// FuzzRingMatchesReference drives Ring and refRing with the same push/pop
+// sequence and requires the same Push results, the same Used/Free/Empty
+// after every step and the same popped bytes. The first byte picks the
+// capacity; each later byte is one step: an even byte pushes a message of
+// (byte/2)*step bytes, an odd one pops. Every pushed message gets its own
+// buffer, as the drivers' frames do.
+func FuzzRingMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 2, 2, 1, 1, 1})                                   // push, push, pop past empty
+	f.Add([]byte{59, 20, 20, 1, 20, 1, 20, 1, 20, 1, 20, 1, 1, 1, 1}) // start/end wrap a 64-byte ring
+	f.Add([]byte{10, 20, 2, 1, 2, 1})                                 // exactly full, then busy
+	f.Add([]byte{200, 40, 40, 40, 1, 40, 1, 1, 1})                    // 80-byte messages
+	f.Add([]byte{3, 0, 0, 1, 0, 1, 1})                                // zero-length messages
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		capacity := HeaderBytes + 1 + int(ops[0])
+		step := 1 + int(ops[0])/64
+		r, ref := NewRing(capacity), newRefRing(capacity)
+		next := byte(0)
+		for i, op := range ops[1:] {
+			if op%2 == 0 {
+				msg := make([]byte, int(op/2)*step)
+				for j := range msg {
+					msg[j] = next
+					next++
+				}
+				got, want := r.Push(msg), ref.Push(msg)
+				if got != want {
+					t.Fatalf("step %d: Push(%d bytes) = %v, reference %v", i, len(msg), got, want)
+				}
+			} else {
+				got, want := r.Pop(), ref.Pop()
+				if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+					t.Fatalf("step %d: Pop = %v, reference %v", i, got, want)
+				}
+			}
+			if r.Used() != ref.Used() || r.Free() != ref.Free() || r.Empty() != ref.Empty() {
+				t.Fatalf("step %d: used/free/empty %d/%d/%v, reference %d/%d/%v",
+					i, r.Used(), r.Free(), r.Empty(), ref.Used(), ref.Free(), ref.Empty())
+			}
+		}
+	})
+}
 
 func TestPushPopFIFO(t *testing.T) {
 	r := NewRing(1024)
@@ -61,17 +170,24 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
+// TestPopHandsOverPushedBuffer pins the ownership rule the drivers rely
+// on: Pop returns the very buffer Push was given, and PopWith copies it
+// into the caller's buffer instead.
+func TestPopHandsOverPushedBuffer(t *testing.T) {
 	r := NewRing(128)
-	r.Push([]byte("hello"))
-	if got := r.peekWith(stdAlloc); !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("peek = %q", got)
+	pkt := []byte("hello")
+	r.Push(pkt)
+	if got := r.Pop(); &got[0] != &pkt[0] {
+		t.Fatal("Pop returned a copy, not the pushed buffer")
 	}
-	if r.Used() != 9 { // 4 header + 5 payload
-		t.Fatalf("used=%d after peek, want 9", r.Used())
+	r.Push(pkt)
+	out := make([]byte, len(pkt))
+	got := r.PopWith(func(n int) []byte { return out[:n] })
+	if &got[0] != &out[0] || !bytes.Equal(got, pkt) {
+		t.Fatalf("PopWith = %q, not a copy into the supplied buffer", got)
 	}
-	if got := r.Pop(); !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("pop = %q", got)
+	if r.PopWith(func(int) []byte { t.Fatal("alloc on empty ring"); return nil }) != nil {
+		t.Fatal("PopWith on empty should be nil")
 	}
 }
 
@@ -106,7 +222,7 @@ func TestUsedFreeInvariant(t *testing.T) {
 					pending = pending[1:]
 				}
 			}
-			if r.Used()+r.Free() != len(r.data)-1 {
+			if r.Used()+r.Free() != r.capacity-1 {
 				return false
 			}
 		}
@@ -132,8 +248,8 @@ func TestBufferLayout(t *testing.T) {
 	b := NewDefault()
 	// 96KB minus control, split evenly.
 	want := (DefaultSize - 64) / 2
-	if len(b.TX.data) != want || len(b.RX.data) != want {
-		t.Fatalf("ring capacities %d/%d, want %d", len(b.TX.data), len(b.RX.data), want)
+	if b.TX.capacity != want || b.RX.capacity != want {
+		t.Fatalf("ring capacities %d/%d, want %d", b.TX.capacity, b.RX.capacity, want)
 	}
 	// The rings must comfortably hold a 9KB jumbo MCN message plus a TSO
 	// chunk; Sec. IV-A requires the buffers to fit the largest chunk the

@@ -34,11 +34,12 @@ go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' .
 # and mcnt processes fill and drain around their CPU-charge parks (with
 # the stack's stream-integrity fuzz seeds), the NIC's TX-engine and NAPI
 # processes, which emit through a frame tap shared with the stack taps
-# (Table III's recorder), and the concurrency-heavy
+# (Table III's recorder), the SRAM rings, whose slots hold the frame
+# buffers one process pushes and another pops, and the concurrency-heavy
 # breaker/loadgen/forwarder/tracer/retransmit interplay mean a race in
 # these packages fails fast before the full suite spins up.
-echo ">> go test -race ./internal/sim ./internal/core ./internal/dram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
-go test -race ./internal/sim ./internal/core ./internal/dram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
+echo ">> go test -race ./internal/sim ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
+go test -race ./internal/sim ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
 
 # The continuous-telemetry suite crosses package lines (serve hooks, exp
 # A/B, the root chaos replay gate), so race it explicitly as well: these
