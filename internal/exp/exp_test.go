@@ -2,13 +2,29 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/mcn-arch/mcn/internal/core"
 )
 
+// The paper's figure set, each computed at most once per test binary and
+// shared by every shape test and by TestFigureGolden. The arguments are
+// the scales the shape tests were written against.
+var (
+	fig8a      = sync.OnceValue(Fig8a)
+	fig8b      = sync.OnceValue(Fig8b)
+	fig8c      = sync.OnceValue(Fig8c)
+	table3     = sync.OnceValue(Table3)
+	fig9       = sync.OnceValue(func() *Fig9Result { return Fig9([]string{"mg", "grep"}, 0.3) })
+	fig10      = sync.OnceValue(func() *Fig10Result { return Fig10([]string{"mg", "grep"}, QuickScale) })
+	fig11      = sync.OnceValue(func() *Fig11Result { return Fig11([]string{"mg", "ep", "cg"}, 0.3) })
+	headline   = sync.OnceValue(func() *HeadlineResult { return Headline([]string{"mg"}, QuickScale) })
+	discussion = sync.OnceValue(Discussion)
+)
+
 func TestFig8aShape(t *testing.T) {
-	r := Fig8a()
+	r := fig8a()
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows=%d", len(r.Rows))
 	}
@@ -41,7 +57,7 @@ func TestFig8aShape(t *testing.T) {
 }
 
 func TestFig8bShape(t *testing.T) {
-	f := Fig8b()
+	f := fig8b()
 	// Paper: mcn0 cuts RTT by 62-75% across sizes vs same-size 10GbE;
 	// here we require every MCN level to beat 10GbE at every size, and
 	// the 16B mcn0 RTT to be under half the 10GbE 16B RTT.
@@ -63,8 +79,8 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cShape(t *testing.T) {
-	f := Fig8c()
-	b := Fig8b()
+	f := fig8c()
+	b := fig8b()
 	// mcn-mcn goes through the host twice: slower than host-mcn at the
 	// same level, but the optimized levels still beat 10GbE (paper:
 	// mcn5 cuts 52-79%).
@@ -80,7 +96,7 @@ func TestFig8cShape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r := Table3()
+	r := table3()
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows=%d", len(r.Rows))
 	}
@@ -109,7 +125,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	// Two representative memory-bound workloads at quick scale.
-	r := Fig9([]string{"mg", "grep"}, 0.3)
+	r := fig9()
 	for _, w := range r.Workloads {
 		row := r.Norm[w]
 		if row[len(row)-1] <= 1.2 {
@@ -129,7 +145,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r := Fig10([]string{"mg", "grep"}, QuickScale)
+	r := fig10()
 	// Paper: savings grow with scale and are positive from 2 DIMMs on.
 	for i, s := range r.AvgSaving {
 		if s <= 0 {
@@ -144,7 +160,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r := Fig11([]string{"mg", "ep", "cg"}, 0.3)
+	r := fig11()
 	// mg (memory bound): MCN must beat scale-up at every step.
 	for i := 1; i < len(Fig11Steps); i++ {
 		if !(r.Mcn["mg"][i] < r.ScaleUp["mg"][i]) {
@@ -164,7 +180,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
-	h := Headline([]string{"mg"}, QuickScale)
+	h := headline()
 	if h.BandwidthGain <= 0 {
 		t.Errorf("bandwidth gain %.2f should be positive", h.BandwidthGain)
 	}
@@ -185,7 +201,7 @@ func TestHeadline(t *testing.T) {
 }
 
 func TestDiscussionShape(t *testing.T) {
-	d := Discussion()
+	d := discussion()
 	if d.FastSpeedup <= 1 {
 		t.Errorf("mcnt (%.2f Gbps) should beat TCP (%.2f Gbps) on the memory channel",
 			d.FastGoodputBps*8/1e9, d.TCPGoodputBps*8/1e9)
