@@ -60,8 +60,8 @@ func Discussion() *DiscussionResult {
 // DIMM endpoints, on the mcnt transport when native is set.
 func discussionPair(k *sim.Kernel, level core.OptLevel, native bool) (host, dimm cluster.Endpoint) {
 	s := cluster.NewMcnServer(k, 1, level.Options())
-	host = cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-	dimm = cluster.Endpoint{Node: s.Mcns[0].Node, IP: s.Mcns[0].IP}
+	eps := s.Endpoints()
+	host, dimm = eps[0], eps[1]
 	if native {
 		fab := mcnt.Attach(k, s.Host, mcnt.DefaultParams())
 		host.Transport, dimm.Transport = fab.TransportFor(host.Node), fab.TransportFor(dimm.Node)

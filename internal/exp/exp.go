@@ -15,7 +15,10 @@ import (
 
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
+	"github.com/mcn-arch/mcn/internal/mpi"
+	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/node"
+	"github.com/mcn-arch/mcn/internal/npb"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/workloads"
 )
@@ -26,14 +29,6 @@ type Scale float64
 
 // QuickScale is small enough for test suites; bench runs may raise it.
 const QuickScale Scale = 0.05
-
-// newEthPair builds two conventional nodes on a point-to-point 10GbE link
-// (the Fig. 8 baseline measures node-to-node, no switch hop... the paper
-// pipes iperf through a standard setup; we include the ToR switch to match
-// Table II's network row).
-func newEthCluster(k *sim.Kernel, n int) *cluster.EthCluster {
-	return cluster.NewEthCluster(k, n, node.HostConfig(""))
-}
 
 // runIperf builds the given topology, runs iperf for the measurement
 // window and returns aggregate goodput in bytes/sec.
@@ -54,8 +49,7 @@ func runIperf(build func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint)) 
 // paper's one-NIC-per-node setup).
 func Iperf10GbE() float64 {
 	return runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
-		c := newEthCluster(k, 5)
-		eps := c.Endpoints()
+		eps := cluster.NewEthCluster(k, 5, node.HostConfig("")).Endpoints()
 		return eps[0], eps[1:]
 	})
 }
@@ -64,9 +58,8 @@ func Iperf10GbE() float64 {
 // level: server on the host, clients on four MCN DIMMs.
 func IperfHostMcn(l core.OptLevel) float64 {
 	return runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
-		s := cluster.NewMcnServer(k, 8, l.Options())
-		server := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-		return server, s.McnEndpoints()[:4]
+		eps := cluster.NewMcnServer(k, 8, l.Options()).Endpoints()
+		return eps[0], eps[1:5]
 	})
 }
 
@@ -74,14 +67,49 @@ func IperfHostMcn(l core.OptLevel) float64 {
 // clients on the host and three other DIMMs.
 func IperfMcnMcn(l core.OptLevel) float64 {
 	return runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
-		s := cluster.NewMcnServer(k, 8, l.Options())
-		server := cluster.Endpoint{Node: s.Mcns[0].Node, IP: s.Mcns[0].IP}
-		clients := []cluster.Endpoint{{Node: s.Host.Node, IP: s.Host.HostMcnIP()}}
-		for _, m := range s.Mcns[1:4] {
-			clients = append(clients, cluster.Endpoint{Node: m.Node, IP: m.IP})
-		}
-		return server, clients
+		eps := cluster.NewMcnServer(k, 8, l.Options()).Endpoints()
+		return eps[1], append([]cluster.Endpoint{eps[0]}, eps[2:5]...)
 	})
+}
+
+// ranks places MPI ranks: hostRanks on host, then perDimm on each of
+// dimms in order.
+func ranks(host cluster.Endpoint, hostRanks int, dimms []cluster.Endpoint, perDimm int) []cluster.Endpoint {
+	eps := make([]cluster.Endpoint, 0, hostRanks+len(dimms)*perDimm)
+	for i := 0; i < hostRanks; i++ {
+		eps = append(eps, host)
+	}
+	for _, d := range dimms {
+		for i := 0; i < perDimm; i++ {
+			eps = append(eps, d)
+		}
+	}
+	return eps
+}
+
+// mpiRun launches fn at the given scale as one MPI rank per endpoint and
+// runs k to quiescence, at most 600 simulated seconds, so that the
+// memory and energy counters the caller reads next include the traffic
+// still draining after the ranks finish. It returns the job's elapsed
+// time and panics, naming what, if the job did not finish.
+func mpiRun(k *sim.Kernel, eps []cluster.Endpoint, fn npb.KernelFunc, scale Scale, what string) sim.Duration {
+	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
+	k.RunUntil(sim.Time(600 * sim.Second))
+	if !w.Done() {
+		panic(what + " did not finish")
+	}
+	return w.Elapsed()
+}
+
+// scaleUpRun runs fn with n ranks over loopback on one conventional
+// server of the given core count, and returns the job's elapsed time and
+// the server's DRAM bytes.
+func scaleUpRun(fn npb.KernelFunc, cores, n int, scale Scale, what string) (sim.Duration, int64) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	h := cluster.NewScaleUp(k, cores)
+	el := mpiRun(k, ranks(cluster.Endpoint{Node: h.Node, IP: netstack.Loopback}, n, nil, 0), fn, scale, what)
+	return el, h.TotalDRAMBytes()
 }
 
 // Fig8aRow is one bar group of Fig. 8(a).
@@ -161,38 +189,42 @@ func (f *Fig8Latency) String() string {
 	return b.String()
 }
 
-// baselinePing measures node-to-node 10GbE RTTs per payload size.
-func baselinePing() map[int]sim.Duration {
+// ping runs a PingSweep over sizes, 5 pings each, from endpoint from
+// to endpoint to of the topology build returns, and returns the mean
+// RTT per size.
+func ping(sizes []int, from, to int, build func(k *sim.Kernel) []cluster.Endpoint) map[int]sim.Duration {
 	k := sim.NewKernel()
-	c := newEthCluster(k, 2)
-	eps := c.Endpoints()
-	res := workloads.PingSweep(k, eps[0], eps[1].IP, PingSizes, 5)
+	eps := build(k)
+	res := workloads.PingSweep(k, eps[from], eps[to].IP, sizes, 5)
 	k.RunUntil(sim.Time(sim.Second))
 	k.Shutdown()
 	return res
 }
 
-// Fig8b regenerates Fig. 8(b): host to MCN node RTT across payload sizes
-// and optimization levels.
-func Fig8b() *Fig8Latency {
-	return pingFigure("Fig 8(b) host-mcn", func(k *sim.Kernel, l core.OptLevel) (cluster.Endpoint, cluster.Endpoint) {
-		s := cluster.NewMcnServer(k, 2, l.Options())
-		return cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()},
-			cluster.Endpoint{Node: s.Mcns[0].Node, IP: s.Mcns[0].IP}
+// baselinePing measures node-to-node 10GbE RTTs per payload size.
+func baselinePing() map[int]sim.Duration {
+	return ping(PingSizes, 0, 1, func(k *sim.Kernel) []cluster.Endpoint {
+		return cluster.NewEthCluster(k, 2, node.HostConfig("")).Endpoints()
 	})
 }
+
+// mcnPing measures RTTs per payload size between endpoints from and to
+// (0 is the host, 1 and 2 its DIMMs) of a 2-DIMM MCN server at level l.
+func mcnPing(l core.OptLevel, sizes []int, from, to int) map[int]sim.Duration {
+	return ping(sizes, from, to, func(k *sim.Kernel) []cluster.Endpoint {
+		return cluster.NewMcnServer(k, 2, l.Options()).Endpoints()
+	})
+}
+
+// Fig8b regenerates Fig. 8(b): host to MCN node RTT across payload sizes
+// and optimization levels.
+func Fig8b() *Fig8Latency { return pingFigure("Fig 8(b) host-mcn", 0, 1) }
 
 // Fig8c regenerates Fig. 8(c): MCN node to MCN node RTT (through the host
 // forwarding engine).
-func Fig8c() *Fig8Latency {
-	return pingFigure("Fig 8(c) mcn-mcn", func(k *sim.Kernel, l core.OptLevel) (cluster.Endpoint, cluster.Endpoint) {
-		s := cluster.NewMcnServer(k, 2, l.Options())
-		return cluster.Endpoint{Node: s.Mcns[0].Node, IP: s.Mcns[0].IP},
-			cluster.Endpoint{Node: s.Mcns[1].Node, IP: s.Mcns[1].IP}
-	})
-}
+func Fig8c() *Fig8Latency { return pingFigure("Fig 8(c) mcn-mcn", 1, 2) }
 
-func pingFigure(name string, build func(k *sim.Kernel, l core.OptLevel) (cluster.Endpoint, cluster.Endpoint)) *Fig8Latency {
+func pingFigure(name string, from, to int) *Fig8Latency {
 	f := &Fig8Latency{
 		Name:    name,
 		BaseRTT: baselinePing(),
@@ -200,12 +232,7 @@ func pingFigure(name string, build func(k *sim.Kernel, l core.OptLevel) (cluster
 	}
 	f.Base16B = f.BaseRTT[16]
 	for _, l := range core.Levels() {
-		k := sim.NewKernel()
-		from, to := build(k, l)
-		res := workloads.PingSweep(k, from, to.IP, PingSizes, 5)
-		k.RunUntil(sim.Time(sim.Second))
-		f.Rows[l] = res
-		k.Shutdown()
+		f.Rows[l] = mcnPing(l, PingSizes, from, to)
 	}
 	return f
 }

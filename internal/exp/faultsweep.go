@@ -7,6 +7,7 @@ import (
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/faults"
+	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func FaultSweep(seed uint64, rates []float64) *FaultSweepResult {
 		row := FaultSweepRow{LossPct: rate * 100}
 
 		row.EthBps = runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
-			c := newEthCluster(k, 3)
+			c := cluster.NewEthCluster(k, 3, node.HostConfig(""))
 			c.InjectFaults(faults.New(faults.Plan{Seed: seed, LinkDropProb: rate}))
 			eps := c.Endpoints()
 			return eps[0], eps[1:]
@@ -53,8 +54,8 @@ func FaultSweep(seed uint64, rates []float64) *FaultSweepResult {
 			return runIperf(func(k *sim.Kernel) (cluster.Endpoint, []cluster.Endpoint) {
 				s := cluster.NewMcnServer(k, 4, l.Options())
 				s.InjectFaults(faults.New(faults.Plan{Seed: seed, McnLossProb: rate}))
-				server := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-				return server, s.McnEndpoints()[:2]
+				eps := s.Endpoints()
+				return eps[0], eps[1:3]
 			})
 		}
 		row.Mcn0Bps = mcnAt(core.MCN0)

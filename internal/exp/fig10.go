@@ -7,7 +7,6 @@ import (
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/energy"
-	"github.com/mcn-arch/mcn/internal/mpi"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/workloads"
@@ -54,45 +53,33 @@ func (f *Fig10Result) String() string {
 	return b.String()
 }
 
-// runMcnEnergy runs a workload on an MCN server with the paper's
-// equal-core rank placement (2 ranks on the host + 1 per DIMM) and
-// returns consumed energy.
-func runMcnEnergy(name string, dimms int, scale Scale, pw energy.Power) float64 {
+// runMcnEnergy runs a workload on a dimms-DIMM MCN server at level l,
+// with hostRanks ranks on the host and one per DIMM, and returns the
+// job's elapsed time and the server's energy.
+func runMcnEnergy(name string, dimms int, l core.OptLevel, hostRanks int, scale Scale, pw energy.Power) (sim.Duration, float64) {
 	k := sim.NewKernel()
-	s := cluster.NewMcnServer(k, dimms, core.MCN3.Options())
-	hostEp := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-	eps := []cluster.Endpoint{hostEp, hostEp}
-	eps = append(eps, s.McnEndpoints()...)
-	fn := workloads.Suite[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig10: %s on %d dimms did not finish", name, dimms))
-	}
-	e := pw.McnServerEnergy(s, w.Elapsed())
-	k.Shutdown()
-	return e
+	defer k.Shutdown()
+	s := cluster.NewMcnServer(k, dimms, l.Options())
+	eps := s.Endpoints()
+	el := mpiRun(k, ranks(eps[0], hostRanks, eps[1:], 1), workloads.Suite[name], scale,
+		fmt.Sprintf("%s on an MCN server with %d dimms", name, dimms))
+	return el, pw.McnServerEnergy(s, el)
 }
 
-// runClusterEnergy runs the same rank count (2 + dimms) on an equal-core
-// scale-out cluster and returns consumed energy.
-func runClusterEnergy(name string, nodes, ranks int, scale Scale, pw energy.Power) float64 {
+// runClusterEnergy runs a workload with n ranks dealt round-robin over
+// an equal-core scale-out cluster of the given size, and returns the
+// job's elapsed time and the cluster's energy.
+func runClusterEnergy(name string, nodes, n int, scale Scale, pw energy.Power) (sim.Duration, float64) {
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	c := cluster.NewEthCluster(k, nodes, node.HostConfig(""))
-	eps := make([]cluster.Endpoint, 0, ranks)
 	all := c.Endpoints()
-	for i := 0; i < ranks; i++ {
-		eps = append(eps, all[i%len(all)])
+	eps := make([]cluster.Endpoint, n)
+	for i := range eps {
+		eps[i] = all[i%nodes]
 	}
-	fn := workloads.Suite[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig10: %s on %d nodes did not finish", name, nodes))
-	}
-	e := pw.EthClusterEnergy(c, w.Elapsed())
-	k.Shutdown()
-	return e
+	el := mpiRun(k, eps, workloads.Suite[name], scale, fmt.Sprintf("%s on %d nodes", name, nodes))
+	return el, pw.EthClusterEnergy(c, el)
 }
 
 // Fig10 regenerates the figure over the given workload subset (nil means
@@ -106,8 +93,10 @@ func Fig10(names []string, scale Scale) *Fig10Result {
 	for _, name := range names {
 		row := make([]float64, len(Fig10Points))
 		for i, pt := range Fig10Points {
-			em := runMcnEnergy(name, pt.Dimms, scale, pw)
-			ec := runClusterEnergy(name, pt.Nodes, 2+pt.Dimms, scale, pw)
+			// The paper's equal-core placement: 2 ranks on the host + 1
+			// per DIMM against the same rank count on the cluster.
+			_, em := runMcnEnergy(name, pt.Dimms, core.MCN3, 2, scale, pw)
+			_, ec := runClusterEnergy(name, pt.Nodes, 2+pt.Dimms, scale, pw)
 			row[i] = em / ec
 			res.AvgSaving[i] += (1 - em/ec) / float64(len(names))
 		}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
-	"github.com/mcn-arch/mcn/internal/mpi"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/npb"
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -57,51 +56,22 @@ func (f *Fig11Result) String() string {
 
 // fig11ScaleUp runs kernel name with `cores` ranks on one big node.
 func fig11ScaleUp(name string, cores int, scale Scale) sim.Duration {
-	k := sim.NewKernel()
-	h := cluster.NewScaleUp(k, cores)
-	eps := make([]cluster.Endpoint, cores)
-	for i := range eps {
-		eps[i] = cluster.Endpoint{Node: h.Node, IP: loopbackIP()}
-	}
-	fn := npb.Kernels[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig11: %s scale-up %d cores did not finish", name, cores))
-	}
-	e := w.Elapsed()
-	k.Shutdown()
-	return e
+	el, _ := scaleUpRun(npb.Kernels[name], cores, cores, scale, fmt.Sprintf("fig11: %s scale-up %d cores", name, cores))
+	return el
 }
 
 // fig11Mcn runs kernel name on a 4-core host plus dimms MCN DIMMs, with 4
 // ranks on the host and 4 per DIMM (one rank per core everywhere).
 func fig11Mcn(name string, dimms int, scale Scale) sim.Duration {
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	hostCfg := node.HostConfig("host")
 	hostCfg.Cores = 4
 	h := node.NewHost(k, hostCfg)
-	mcns := h.AttachMCN(dimms, core.MCN3.Options(), node.McnConfig(""))
-	hostEp := cluster.Endpoint{Node: h.Node, IP: h.HostMcnIP()}
-	var eps []cluster.Endpoint
-	for i := 0; i < 4; i++ {
-		eps = append(eps, hostEp)
-	}
-	for _, m := range mcns {
-		ep := cluster.Endpoint{Node: m.Node, IP: m.IP}
-		for i := 0; i < 4; i++ {
-			eps = append(eps, ep)
-		}
-	}
-	fn := npb.Kernels[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig11: %s mcn %d dimms did not finish", name, dimms))
-	}
-	e := w.Elapsed()
-	k.Shutdown()
-	return e
+	s := &cluster.McnServer{K: k, Host: h, Mcns: h.AttachMCN(dimms, core.MCN3.Options(), node.McnConfig(""))}
+	eps := s.Endpoints()
+	return mpiRun(k, ranks(eps[0], 4, eps[1:], 4), npb.Kernels[name], scale,
+		fmt.Sprintf("fig11: %s mcn %d dimms", name, dimms))
 }
 
 // Fig11 regenerates the figure for the given kernels (nil = all NPB).

@@ -6,7 +6,6 @@ import (
 
 	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
-	"github.com/mcn-arch/mcn/internal/mpi"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/workloads"
 )
@@ -50,50 +49,25 @@ func (f *Fig9Result) String() string {
 	return b.String()
 }
 
-// aggregateBW runs one workload and returns total DRAM bytes / elapsed.
+// aggregateBWMcn runs one workload on an MCN3 server with four ranks on
+// the host plus one per DIMM (the host application spreads onto the
+// near-memory processors), and returns total DRAM bytes / elapsed.
 func aggregateBWMcn(name string, dimms int, scale Scale) float64 {
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	s := cluster.NewMcnServer(k, dimms, core.MCN3.Options())
-	// Four ranks on the host plus one per DIMM: the host application
-	// spreads onto the near-memory processors.
-	eps := make([]cluster.Endpoint, 0, 4+dimms)
-	hostEp := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-	for i := 0; i < 4; i++ {
-		eps = append(eps, hostEp)
-	}
-	eps = append(eps, s.McnEndpoints()...)
-	fn := workloads.Suite[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig9: %s with %d dimms did not finish", name, dimms))
-	}
-	bytes := s.TotalDRAMBytes()
-	el := w.Elapsed().Seconds()
-	k.Shutdown()
-	return float64(bytes) / el
+	eps := s.Endpoints()
+	el := mpiRun(k, ranks(eps[0], 4, eps[1:], 1), workloads.Suite[name], scale,
+		fmt.Sprintf("fig9: %s with %d dimms", name, dimms))
+	return float64(s.TotalDRAMBytes()) / el.Seconds()
 }
 
+// aggregateBWConventional is aggregateBWMcn's baseline: four ranks on an
+// 8-core conventional server.
 func aggregateBWConventional(name string, scale Scale) float64 {
-	k := sim.NewKernel()
-	h := cluster.NewScaleUp(k, 8)
-	eps := make([]cluster.Endpoint, 4)
-	for i := range eps {
-		eps[i] = cluster.Endpoint{Node: h.Node, IP: loopbackIP()}
-	}
-	fn := workloads.Suite[name]
-	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-	k.RunUntil(sim.Time(600 * sim.Second))
-	if !w.Done() {
-		panic(fmt.Sprintf("fig9: %s conventional did not finish", name))
-	}
-	bytes := h.TotalDRAMBytes()
-	el := w.Elapsed().Seconds()
-	k.Shutdown()
-	return float64(bytes) / el
+	el, bytes := scaleUpRun(workloads.Suite[name], 8, 4, scale, "fig9: "+name+" conventional")
+	return float64(bytes) / el.Seconds()
 }
-
-func loopbackIP() (ip [4]byte) { return [4]byte{127, 0, 0, 1} }
 
 // Fig9 regenerates the figure over the given workload subset (nil means
 // the full suite).

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/cluster"
 	"github.com/mcn-arch/mcn/internal/core"
 	"github.com/mcn-arch/mcn/internal/energy"
-	"github.com/mcn-arch/mcn/internal/mpi"
-	"github.com/mcn-arch/mcn/internal/node"
-	"github.com/mcn-arch/mcn/internal/sim"
-	"github.com/mcn-arch/mcn/internal/workloads"
 )
 
 // HeadlineResult reproduces the abstract's summary numbers:
@@ -52,46 +47,15 @@ func Headline(names []string, scale Scale) *HeadlineResult {
 	res.BandwidthGain = IperfHostMcn(core.MCN5)/base - 1
 
 	basePing := baselinePing()[16]
-	k := sim.NewKernel()
-	s := cluster.NewMcnServer(k, 2, core.MCN5.Options())
-	from := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-	sweep := workloads.PingSweep(k, from, s.Mcns[0].IP, []int{16}, 5)
-	k.RunUntil(sim.Time(sim.Second))
-	k.Shutdown()
-	res.LatencyCut = 1 - float64(sweep[16])/float64(basePing)
+	res.LatencyCut = 1 - float64(mcnPing(core.MCN5, []int{16}, 0, 1)[16])/float64(basePing)
 
-	// Throughput + energy: 8-DIMM MCN server vs 9-node cluster, average
-	// over the subset.
+	// Throughput + energy: 8-DIMM MCN server (one rank on the host and
+	// one per DIMM) vs 9-node cluster, average over the subset.
 	pw := energy.Default()
 	var tRatio, eRatio float64
 	for _, name := range names {
-		fn := workloads.Suite[name]
-
-		k1 := sim.NewKernel()
-		ms := cluster.NewMcnServer(k1, 8, core.MCN5.Options())
-		hostEp := cluster.Endpoint{Node: ms.Host.Node, IP: ms.Host.HostMcnIP()}
-		eps := []cluster.Endpoint{hostEp}
-		eps = append(eps, ms.McnEndpoints()...)
-		w1 := mpi.Launch(k1, eps, 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-		k1.RunUntil(sim.Time(600 * sim.Second))
-		if !w1.Done() {
-			panic(fmt.Sprintf("headline: %s on MCN server did not finish", name))
-		}
-		tm := w1.Elapsed()
-		em := pw.McnServerEnergy(ms, tm)
-		k1.Shutdown()
-
-		k2 := sim.NewKernel()
-		c := cluster.NewEthCluster(k2, 9, node.HostConfig(""))
-		w2 := mpi.Launch(k2, c.Endpoints(), 7000, func(r *mpi.Rank) { fn(r, float64(scale)) })
-		k2.RunUntil(sim.Time(600 * sim.Second))
-		if !w2.Done() {
-			panic(fmt.Sprintf("headline: %s on the cluster did not finish", name))
-		}
-		tc := w2.Elapsed()
-		ec := pw.EthClusterEnergy(c, tc)
-		k2.Shutdown()
-
+		tm, em := runMcnEnergy(name, 8, core.MCN5, 1, scale, pw)
+		tc, ec := runClusterEnergy(name, 9, 9, scale, pw)
 		tRatio += float64(tc) / float64(tm) / float64(len(names))
 		eRatio += em / ec / float64(len(names))
 	}

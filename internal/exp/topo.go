@@ -10,6 +10,7 @@ import (
 	"github.com/mcn-arch/mcn/internal/kvstore"
 	"github.com/mcn-arch/mcn/internal/mcnt"
 	"github.com/mcn-arch/mcn/internal/netstack"
+	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -164,19 +165,17 @@ func (t Topo) build(k *sim.Kernel, seed uint64, rate float64) (serve.Config, rig
 		if t.Mcnt {
 			r.fab = mcnt.Attach(k, s.Host, mcnt.DefaultParams())
 		}
-		for _, m := range s.Mcns {
-			ep := cluster.Endpoint{Node: m.Node, IP: m.IP}
-			if r.fab != nil {
-				ep.Transport = r.fab.TransportFor(m.Node)
-			}
-			srv := kvstore.NewServer(k, ep, 11211)
-			cfg.Shards = append(cfg.Shards, serve.Shard{Name: m.Node.Name, Addr: m.IP, Port: 11211, Server: srv})
-		}
-		cl := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
+		eps := s.Endpoints()
 		if r.fab != nil {
-			cl.Transport = r.fab.TransportFor(s.Host.Node)
+			for i := range eps {
+				eps[i].Transport = r.fab.TransportFor(eps[i].Node)
+			}
 		}
-		cfg.Clients = []cluster.Endpoint{cl}
+		for _, ep := range eps[1:] {
+			srv := kvstore.NewServer(k, ep, 11211)
+			cfg.Shards = append(cfg.Shards, serve.Shard{Name: ep.Node.Name, Addr: ep.IP, Port: 11211, Server: srv})
+		}
+		cfg.Clients = eps[:1]
 		r.inject = s.InjectFaults
 		r.observe = func(tr *obs.Tracer) {
 			s.Host.Driver.ChanTap = tr
@@ -188,7 +187,7 @@ func (t Topo) build(k *sim.Kernel, seed uint64, rate float64) (serve.Config, rig
 			}
 		}
 	case "10gbe":
-		c := newEthCluster(k, ServeShards+1)
+		c := cluster.NewEthCluster(k, ServeShards+1, node.HostConfig(""))
 		eps := c.Endpoints()
 		for _, ep := range eps[1:] {
 			srv := kvstore.NewServer(k, ep, 11211)
