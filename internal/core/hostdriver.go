@@ -96,6 +96,9 @@ type HostPort struct {
 	// again. With carrier down the port fails fast instead of retrying
 	// into a dead ring.
 	carrier bool
+	// alertn is the ALERT_N interrupt this DIMM's channel raises when
+	// the MCN-DMA engines are off.
+	alertn *cpu.IRQ
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -119,6 +122,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	hd.byMAC[port.hostMAC] = port
 	hd.byMAC[port.mcnMAC] = port
 	if hd.Opts.DimmInterrupt {
+		port.alertn = hd.CPU.NewIRQ("alertn", func(p *sim.Proc) { hd.serveAlert(p, port) })
 		d.SetAlertN(func() { hd.onAlert(port) })
 	}
 	if hd.Opts.DMA {
@@ -322,24 +326,28 @@ func (hd *HostDriver) onAlert(src *HostPort) {
 		hd.dmas[src.dimm.ChannelIdx].submit(ringJob{kind: hostDrain, port: src})
 		return
 	}
-	hd.CPU.RaiseIRQ("alertn", func(p *sim.Proc) {
-		for _, port := range hd.ports {
-			if port.dimm.ChannelIdx != src.dimm.ChannelIdx {
-				continue
-			}
-			hd.CPU.Exec(p, hd.Costs.PollCheckCycles)
-			if !port.dimm.Buf.TxPoll {
-				continue
-			}
-			if port.draining {
-				// Latch the edge: the active drain rechecks before it
-				// exits, so this wakeup cannot be lost.
-				port.alertPending = true
-				continue
-			}
-			hd.spawnDrain(port)
+	src.alertn.Raise()
+}
+
+// serveAlert is the ALERT_N handler: it polls the asserting channel's
+// DIMMs and starts a drain on each with packets ready.
+func (hd *HostDriver) serveAlert(p *sim.Proc, src *HostPort) {
+	for _, port := range hd.ports {
+		if port.dimm.ChannelIdx != src.dimm.ChannelIdx {
+			continue
 		}
-	})
+		hd.CPU.Exec(p, hd.Costs.PollCheckCycles)
+		if !port.dimm.Buf.TxPoll {
+			continue
+		}
+		if port.draining {
+			// Latch the edge: the active drain rechecks before it
+			// exits, so this wakeup cannot be lost.
+			port.alertPending = true
+			continue
+		}
+		hd.spawnDrain(port)
+	}
 }
 
 // napiLinger is how long a drain context re-polls an empty ring before

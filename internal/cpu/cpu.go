@@ -94,22 +94,11 @@ func (c *CPU) ExecWhile(p *sim.Proc, fn func()) {
 	c.Busy.AddBusy(p.Now().Sub(start))
 }
 
-// RaiseIRQ models a hardware interrupt: a new kernel-context process that
-// pays entry cost, runs handler, and pays exit cost. It returns immediately
-// (the interrupt is asynchronous).
-func (c *CPU) RaiseIRQ(name string, handler func(p *sim.Proc)) {
-	c.K.Go(c.Name+"/irq/"+name, func(p *sim.Proc) { c.serveIRQ(p, handler) })
-}
-
-func (c *CPU) serveIRQ(p *sim.Proc, handler func(p *sim.Proc)) {
-	c.Exec(p, c.Costs.IRQEntryCycles)
-	handler(p)
-	c.Exec(p, c.Costs.IRQExitCycles)
-}
-
-// An IRQ is an interrupt line with a fixed handler: Raise is RaiseIRQ
-// with the process name and body built once, for a device that raises the
-// same interrupt for every batch of packets.
+// An IRQ is a hardware interrupt line with a fixed handler. Each Raise is
+// a new kernel-context process that pays entry cost, runs the handler and
+// pays exit cost; Raise returns immediately (the interrupt is
+// asynchronous). The process name and body are built once, for a device
+// that raises the same interrupt for every batch of packets.
 type IRQ struct {
 	c       *CPU
 	name    string
@@ -124,10 +113,14 @@ func (c *CPU) NewIRQ(name string, handler func(p *sim.Proc)) *IRQ {
 	return q
 }
 
-// Raise fires the interrupt, exactly as RaiseIRQ(name, handler) would.
+// Raise fires the interrupt.
 func (q *IRQ) Raise() { q.c.K.Go(q.name, q.serve) }
 
-func (q *IRQ) run(p *sim.Proc) { q.c.serveIRQ(p, q.handler) }
+func (q *IRQ) run(p *sim.Proc) {
+	q.c.Exec(p, q.c.Costs.IRQEntryCycles)
+	q.handler(p)
+	q.c.Exec(p, q.c.Costs.IRQExitCycles)
+}
 
 // ScheduleTasklet defers fn to softirq context, as the MCN polling agent
 // and NIC NAPI paths do. The tasklet runs on the softirqd process in FIFO
@@ -151,9 +144,8 @@ func (c *CPU) softirqd(p *sim.Proc) {
 // polling design (Sec. IV-A), its interrupt routine only pays a small fixed
 // cost and schedules a tasklet that does the real work.
 type HRTimer struct {
-	cpu      *CPU
 	interval sim.Duration
-	body     func(p *sim.Proc)
+	irq      *IRQ
 	timer    *sim.Timer
 	running  bool
 	Fires    int64
@@ -162,7 +154,13 @@ type HRTimer struct {
 // NewHRTimer creates a stopped high-resolution timer whose tasklet body is
 // fn.
 func (c *CPU) NewHRTimer(interval sim.Duration, fn func(p *sim.Proc)) *HRTimer {
-	h := &HRTimer{cpu: c, interval: interval, body: fn}
+	h := &HRTimer{interval: interval}
+	// The timer interrupt itself: entry + short routine + exit, then the
+	// body runs in softirq context.
+	h.irq = c.NewIRQ("hrtimer", func(p *sim.Proc) {
+		c.Exec(p, c.Costs.HRTimerCycles)
+		c.ScheduleTasklet(fn)
+	})
 	h.timer = c.K.NewTimer(h.fire)
 	return h
 }
@@ -187,12 +185,7 @@ func (h *HRTimer) fire() {
 		return
 	}
 	h.Fires++
-	// The timer interrupt itself: entry + short routine + exit, then the
-	// body runs in softirq context.
-	h.cpu.RaiseIRQ("hrtimer", func(p *sim.Proc) {
-		h.cpu.Exec(p, h.cpu.Costs.HRTimerCycles)
-		h.cpu.ScheduleTasklet(h.body)
-	})
+	h.irq.Raise()
 	if h.running {
 		h.timer.Reset(h.interval)
 	}

@@ -53,13 +53,13 @@ func TestIRQRunsAsynchronously(t *testing.T) {
 	c := newCPU(k, 2)
 	var handled sim.Time
 	k.Go("main", func(p *sim.Proc) {
-		c.RaiseIRQ("test", func(hp *sim.Proc) {
+		c.NewIRQ("test", func(hp *sim.Proc) {
 			c.Exec(hp, 100)
 			handled = hp.Now()
-		})
-		// RaiseIRQ must not block the raiser.
+		}).Raise()
+		// Raise must not block the raiser.
 		if p.Now() != 0 {
-			panic("RaiseIRQ blocked")
+			panic("Raise blocked")
 		}
 	})
 	k.Run()
