@@ -71,42 +71,35 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	for i := 0; i < c.NumCores(); i++ {
 		q := sim.NewQueue[[]byte](k, 0)
 		drv.rxq = append(drv.rxq, q)
-		k.Go(fmt.Sprintf("%s/rps%d", d.Name, i), func(p *sim.Proc) {
-			for {
-				msg, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
-				if eth, ok2 := netstack.ParseEth(msg); ok2 &&
-					eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP &&
-					drv.FastRx != nil {
-					// The fast-path transport copies payload bytes it
-					// keeps, so the popped buffer is recyclable after it.
-					drv.FastRx(p, msg)
-					drv.Stack.RecycleFrameBuf(msg)
-					continue
-				}
-				drv.Stack.RxFrame(p, drv, msg)
-				drv.Stack.RecycleFrameBuf(msg)
-			}
-		})
+		k.Go(fmt.Sprintf("%s/rps%d", d.Name, i), func(p *sim.Proc) { drv.serveRx(p, q) })
 	}
 	drv.arpq = sim.NewQueue[[]byte](k, 0)
-	k.Go(d.Name+"/arp-rx", func(p *sim.Proc) {
-		for {
-			msg, ok := drv.arpq.Get(p)
-			if !ok {
-				return
-			}
-			drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
-			drv.Stack.RxFrame(p, drv, msg)
-			drv.Stack.RecycleFrameBuf(msg)
-		}
-	})
+	k.Go(d.Name+"/arp-rx", func(p *sim.Proc) { drv.serveRx(p, drv.arpq) })
 	d.SetRxIRQ(c.NewIRQ(d.Name+"/rx", drv.drainRX).Raise)
 	d.armRxWatchdog = drv.ArmWatchdog
 	return drv
+}
+
+// serveRx is one receive context (an RPS core, or the ARP queue's): it
+// hands each message queued on q to the fast-path transport or the stack,
+// then recycles its buffer.
+func (drv *DimmDriver) serveRx(p *sim.Proc, q *sim.Queue[[]byte]) {
+	for {
+		msg, ok := q.Get(p)
+		if !ok {
+			return
+		}
+		drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
+		if eth, ok := netstack.ParseEth(msg); ok && drv.FastRx != nil &&
+			eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP {
+			// The fast-path transport copies payload bytes it keeps, so
+			// the popped buffer is recyclable after it.
+			drv.FastRx(p, msg)
+		} else {
+			drv.Stack.RxFrame(p, drv, msg)
+		}
+		drv.Stack.RecycleFrameBuf(msg)
+	}
 }
 
 // ArmWatchdog starts the RX recovery watchdog (idempotent). The rx-poll IRQ
