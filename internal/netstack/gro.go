@@ -133,14 +133,14 @@ const lroHeaderBytes = EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes
 // putHeaders writes the Ethernet, IPv4 and TCP headers of the merged
 // frame, whose payload is already in place: the first segment's addresses,
 // IPv4 ID, TTL and sequence number, the last segment's ACK and window, and
-// the union of the flags. The IPv4 flags word is written as zero, so DF
-// is not carried over.
+// the union of the flags. DF is the first segment's, as Linux GRO keeps
+// it.
 func (b *groFlow) putHeaders(frame []byte) {
 	m := &b.meta
 	PutEth(frame, m.eh)
 	PutIPv4(frame[EthHeaderBytes:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderBytes + TCPHeaderBytes + b.bytes),
-		ID:       m.ih.ID, TTL: m.ih.TTL, Proto: ProtoTCP,
+		ID:       m.ih.ID, DF: m.ih.DF, TTL: m.ih.TTL, Proto: ProtoTCP,
 		Src: m.ih.Src, Dst: m.ih.Dst,
 	})
 	PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{

@@ -72,7 +72,7 @@ func refCoalesceTCP(frames [][]byte, maxBytes int) [][]byte {
 		PutEth(merged, m.eh)
 		PutIPv4(merged[EthHeaderBytes:], IPv4Header{
 			TotalLen: uint16(IPv4HeaderBytes + TCPHeaderBytes + len(b.payload)),
-			ID:       m.ih.ID, TTL: m.ih.TTL, Proto: ProtoTCP,
+			ID:       m.ih.ID, DF: m.ih.DF, TTL: m.ih.TTL, Proto: ProtoTCP,
 			Src: m.ih.Src, Dst: m.ih.Dst,
 		})
 		PutTCP(merged[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{
@@ -159,13 +159,14 @@ func FuzzGROMatchesReference(f *testing.F) {
 	})
 }
 
-// mkSeg builds one TCP data frame for GRO tests.
+// mkSeg builds one TCP data frame for GRO tests, with DF set as the stack
+// sends TCP.
 func mkSeg(src, dst IP, sport, dport uint16, seq uint32, payload []byte, flags uint8) []byte {
 	f := make([]byte, EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes+len(payload))
 	PutEth(f, EthHeader{Dst: NewMAC(1), Src: NewMAC(2), Type: EtherTypeIPv4})
 	PutIPv4(f[EthHeaderBytes:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderBytes + TCPHeaderBytes + len(payload)),
-		TTL:      64, Proto: ProtoTCP, Src: src, Dst: dst,
+		DF:       true, TTL: 64, Proto: ProtoTCP, Src: src, Dst: dst,
 	})
 	PutTCP(f[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{
 		SrcPort: sport, DstPort: dport, Seq: seq, Flags: flags, Window: 1 << 16,
@@ -198,6 +199,9 @@ func TestGROMergesContiguousSameFlow(t *testing.T) {
 		t.Fatalf("merged into %d frames, want 1", len(out))
 	}
 	got := groPayload(t, out[0])
+	if ih, _ := ParseIPv4(out[0][EthHeaderBytes:]); !ih.DF {
+		t.Fatal("DF from the segments lost")
+	}
 	want := append(append(append([]byte{}, a...), b...), c...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("merged payload corrupted")
