@@ -96,9 +96,7 @@ type HostPort struct {
 	// again. With carrier down the port fails fast instead of retrying
 	// into a dead ring.
 	carrier bool
-	// alertn is the ALERT_N interrupt this DIMM's channel raises when
-	// the MCN-DMA engines are off.
-	alertn *cpu.IRQ
+	alertn  *cpu.IRQ // ALERT_N's handler when the MCN-DMA engines are off
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN

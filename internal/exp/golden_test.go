@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,9 +35,22 @@ func checkGolden(t *testing.T, name string, got []byte, err error) {
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("diverged from %s:\n%s\nwant:\n%s", path, got, want)
+	if bytes.Equal(got, want) {
+		return
 	}
+	// Name the first differing line; the golden file gives its context.
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return strings.TrimSpace(lines[i])
+		}
+		return "(end of file)"
+	}
+	t.Fatalf("diverged from %s at line %d:\n got: %s\nwant: %s", path, i+1, at(g), at(w))
 }
 
 // TestTable3Golden pins Table III exactly: every row's raw stage

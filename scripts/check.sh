@@ -22,6 +22,12 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 echo ">> go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' ."
 go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' .
 
+# The paper's figures and Table III are pinned exactly by two goldens.
+# Without the race detector they take seconds, so a drifted figure fails
+# here instead of after the 30-minute race pass below.
+echo ">> go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp"
+go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp
+
 # Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
 # the node's bulk-copy chain, the TCP/IP stack, the 10GbE NIC, the
 # serving tier, its admission plane, the replication plane, the
