@@ -10,26 +10,40 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/mcn-arch/mcn"
 )
 
-func main() {
-	fig := flag.String("fig", "", "which figure/table to regenerate: 8a, 8b, 8c, t3, 9, 10, 11, faults, serve, serve-batch, serve-faults[:TOPO], serve-admit, serve-repl, serve-attrib, serve-mcnt, serve-ops, serve-ops-faults, serve-timeline, all")
-	headline := flag.Bool("headline", false, "compute the abstract's headline numbers")
-	discussion := flag.Bool("discussion", false, "run the Sec. VII TCP-overhead / fast-transport comparison")
-	scale := flag.Float64("scale", float64(mcn.QuickScale), "working-set multiplier for figs 9-11")
-	workloadList := flag.String("workloads", "", "comma-separated workload subset (default: full suite)")
-	seed := flag.Uint64("seed", 42, "random seed for -fig faults/serve/serve-faults/serve-admit/serve-attrib (same seed replays exactly)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints to stdout and stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcn-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "which figure/table to regenerate: 8a, 8b, 8c, t3, 9, 10, 11, faults, serve, serve-batch, serve-faults[:TOPO], serve-admit, serve-repl, serve-attrib, serve-mcnt, serve-ops, serve-ops-faults, serve-timeline, all")
+	headline := fs.Bool("headline", false, "compute the abstract's headline numbers")
+	discussion := fs.Bool("discussion", false, "run the Sec. VII TCP-overhead / fast-transport comparison")
+	scale := fs.Float64("scale", float64(mcn.QuickScale), "working-set multiplier for figs 9-11")
+	workloadList := fs.String("workloads", "", "comma-separated workload subset (default: full suite)")
+	seed := fs.Uint64("seed", 42, "random seed for -fig faults/serve/serve-faults/serve-admit/serve-attrib (same seed replays exactly)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if !*headline && !*discussion && *fig == "" {
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "Usage of mcn-experiments:")
+		fs.PrintDefaults()
+		return 2
 	}
 	var names []string
 	if *workloadList != "" {
@@ -37,7 +51,7 @@ func main() {
 	}
 	s := mcn.Scale(*scale)
 
-	run := func(f string) {
+	show := func(f string) int {
 		// serve-faults takes an optional ":TOPO" (default mcn5);
 		// serve-ops-faults is its mcn5+batch+ops spelling.
 		topoText := "mcn5"
@@ -46,64 +60,69 @@ func main() {
 		} else if f == "serve-ops-faults" {
 			f, topoText = "serve-faults", "mcn5+batch+ops"
 		}
+		var r fmt.Stringer
 		switch f {
 		case "8a":
-			fmt.Print(mcn.Fig8a())
+			r = mcn.Fig8a()
 		case "8b":
-			fmt.Print(mcn.Fig8b())
+			r = mcn.Fig8b()
 		case "8c":
-			fmt.Print(mcn.Fig8c())
+			r = mcn.Fig8c()
 		case "t3", "table3", "3":
-			fmt.Print(mcn.Table3())
+			r = mcn.Table3()
 		case "9":
-			fmt.Print(mcn.Fig9(names, s))
+			r = mcn.Fig9(names, s)
 		case "10":
-			fmt.Print(mcn.Fig10(names, s))
+			r = mcn.Fig10(names, s)
 		case "11":
-			fmt.Print(mcn.Fig11(names, s))
+			r = mcn.Fig11(names, s)
 		case "faults":
-			fmt.Print(mcn.FaultSweep(*seed, nil))
+			r = mcn.FaultSweep(*seed, nil)
 		case "serve":
-			fmt.Print(mcn.ServeCurve(*seed, nil))
+			r = mcn.ServeCurve(*seed, nil)
 		case "serve-batch":
-			fmt.Print(mcn.ServeBatch(*seed, nil))
+			r = mcn.ServeBatch(*seed, nil)
 		case "serve-faults":
 			topo, err := mcn.ParseTopo(topoText)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "-fig serve-faults: %v; want %s\n", err, mcn.TopoGrammar())
-				os.Exit(2)
+				fmt.Fprintf(stderr, "-fig serve-faults: %v; want %s\n", err, mcn.TopoGrammar())
+				return 2
 			}
-			fmt.Print(mcn.ServeFaults(*seed, topo))
+			r = mcn.ServeFaults(*seed, topo)
 		case "serve-admit":
-			fmt.Print(mcn.ServeAdmit(*seed))
+			r = mcn.ServeAdmit(*seed)
 		case "serve-repl":
-			fmt.Print(mcn.ServeRepl(*seed))
+			r = mcn.ServeRepl(*seed)
 		case "serve-attrib":
-			fmt.Print(mcn.ServeAttrib(*seed))
+			r = mcn.ServeAttrib(*seed)
 		case "serve-mcnt":
-			fmt.Print(mcn.ServeMcnt(*seed, nil))
+			r = mcn.ServeMcnt(*seed, nil)
 		case "serve-ops":
-			fmt.Print(mcn.ServeOps(*seed))
+			r = mcn.ServeOps(*seed)
 		case "serve-timeline":
-			fmt.Print(mcn.ServeTimeline(*seed))
+			r = mcn.ServeTimeline(*seed)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", f)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown figure %q\n", f)
+			return 2
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout, r)
+		return 0
 	}
 
 	if *fig == "all" {
 		for _, f := range []string{"8a", "8b", "8c", "t3", "9", "10", "11"} {
-			run(f)
+			show(f)
 		}
 	} else if *fig != "" {
-		run(*fig)
+		if code := show(*fig); code != 0 {
+			return code
+		}
 	}
 	if *headline {
-		fmt.Print(mcn.Headline(names, s))
+		fmt.Fprint(stdout, mcn.Headline(names, s))
 	}
 	if *discussion {
-		fmt.Print(mcn.Discussion())
+		fmt.Fprint(stdout, mcn.Discussion())
 	}
+	return 0
 }

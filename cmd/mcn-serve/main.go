@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,29 +81,40 @@ type runShardJSON struct {
 	MaxNs      int64   `json:"max_ns"`
 }
 
-func main() {
-	seed := flag.Uint64("seed", 42, "random seed; the same seed replays bit-identically")
-	topoFlag := flag.String("topo", "mcn5", "serving topology, "+mcn.TopoGrammar())
-	rate := flag.Float64("rate", 400e3, "open-loop offered load, requests/sec")
-	workers := flag.Int("closed", 0, "closed-loop worker count (overrides -rate)")
-	curve := flag.Bool("curve", false, "sweep the full latency-vs-load curve over every topology")
-	bench := flag.Bool("bench", false, "run the sweep and write the qps-at-SLO benchmark JSON")
-	rates := flag.String("rates", "", "comma-separated offered-load ladder for -curve/-bench/-check (default: built-in)")
-	slo := flag.Float64("slo", mcn.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
-	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
-	out := flag.String("out", "", "write output to this file instead of stdout")
-	traceOut := flag.String("trace", "", "single run: write a Perfetto/Chrome trace-event JSON of sampled request spans to this file")
-	sample := flag.Int("sample", 1, "1-in-N span sampling rate for -trace/-metrics (1 traces every request)")
-	metricsOut := flag.String("metrics", "", "single run: write the metrics-registry snapshot JSON to this file")
-	timelineOut := flag.String("timeline", "", "single run: write the windowed timeline JSON (per-1ms qps/tails/queue/subsystem series, burn-rate alerts, attributed incidents) to this file")
-	check := flag.String("check", "", "regenerate every section of this BENCH_serve.json or BENCH_wallclock.json at -seed and exit non-zero naming each JSON path that drifted (-rates trims the serving sweep to a partial ladder)")
-	wallBench := flag.Bool("wallbench", false, "count the simulator's kernel work (events, switches, spawns, ...) over the canonical topologies and write the BENCH_wallclock.json artifact")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints to stdout and stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcn-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 42, "random seed; the same seed replays bit-identically")
+	topoFlag := fs.String("topo", "mcn5", "serving topology, "+mcn.TopoGrammar())
+	rate := fs.Float64("rate", 400e3, "open-loop offered load, requests/sec")
+	workers := fs.Int("closed", 0, "closed-loop worker count (overrides -rate)")
+	curve := fs.Bool("curve", false, "sweep the full latency-vs-load curve over every topology")
+	bench := fs.Bool("bench", false, "run the sweep and write the qps-at-SLO benchmark JSON")
+	rates := fs.String("rates", "", "comma-separated offered-load ladder for -curve/-bench/-check (default: built-in)")
+	slo := fs.Float64("slo", mcn.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
+	out := fs.String("out", "", "write output to this file instead of stdout")
+	traceOut := fs.String("trace", "", "single run: write a Perfetto/Chrome trace-event JSON of sampled request spans to this file")
+	sample := fs.Int("sample", 1, "1-in-N span sampling rate for -trace/-metrics (1 traces every request)")
+	metricsOut := fs.String("metrics", "", "single run: write the metrics-registry snapshot JSON to this file")
+	timelineOut := fs.String("timeline", "", "single run: write the windowed timeline JSON (per-1ms qps/tails/queue/subsystem series, burn-rate alerts, attributed incidents) to this file")
+	check := fs.String("check", "", "regenerate every section of this BENCH_serve.json or BENCH_wallclock.json at -seed and exit non-zero naming each JSON path that drifted (-rates trims the serving sweep to a partial ladder)")
+	wallBench := fs.Bool("wallbench", false, "count the simulator's kernel work (events, switches, spawns, ...) over the canonical topologies and write the BENCH_wallclock.json artifact")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	topo, err := mcn.ParseTopo(*topoFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "-topo: %v; want %s\n", err, mcn.TopoGrammar())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-topo: %v; want %s\n", err, mcn.TopoGrammar())
+		return 2
 	}
 
 	var ladder []float64
@@ -110,8 +122,8 @@ func main() {
 		for _, f := range strings.Split(*rates, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -rates entry %q: %v\n", f, err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "bad -rates entry %q: %v\n", f, err)
+				return 2
 			}
 			ladder = append(ladder, v)
 		}
@@ -120,22 +132,22 @@ func main() {
 	if *check != "" {
 		raw, err := os.ReadFile(*check)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-check: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "-check: %v\n", err)
+			return 1
 		}
 		notes, drift := mcn.CheckArtifact(raw, *seed, ladder)
 		for _, n := range notes {
-			fmt.Fprintf(os.Stderr, "-check: %s\n", n)
+			fmt.Fprintf(stderr, "-check: %s\n", n)
 		}
 		for _, d := range drift {
-			fmt.Fprintf(os.Stderr, "-check: DRIFT %s\n", d)
+			fmt.Fprintf(stderr, "-check: DRIFT %s\n", d)
 		}
 		if len(drift) > 0 {
-			fmt.Fprintf(os.Stderr, "-check: %d values drifted from %s\n", len(drift), *check)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "-check: %d values drifted from %s\n", len(drift), *check)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "-check: %s matches\n", *check)
-		return
+		fmt.Fprintf(stderr, "-check: %s matches\n", *check)
+		return 0
 	}
 
 	var text string
@@ -159,9 +171,15 @@ func main() {
 			tr := mcn.ServeTraced(*seed, topo, *rate, *workers, *sample)
 			res = tr.Result
 			ct := mcn.CombinedTrace{Tracer: tr.Tracer, Snapshot: tr.Snapshot, Timeline: tr.Timeline}
-			writeArtifact(*traceOut, ct.Write)
-			writeArtifact(*metricsOut, tr.Snapshot.WriteJSON)
-			writeArtifact(*timelineOut, tr.Timeline.WriteJSON)
+			for _, a := range []struct {
+				path  string
+				write func(io.Writer) error
+			}{{*traceOut, ct.Write}, {*metricsOut, tr.Snapshot.WriteJSON}, {*timelineOut, tr.Timeline.WriteJSON}} {
+				if err := writeArtifact(a.path, a.write); err != nil {
+					fmt.Fprintln(stderr, err)
+					return 1
+				}
+			}
 		} else {
 			res = mcn.ServeOnce(*seed, topo, *rate, *workers)
 		}
@@ -189,48 +207,40 @@ func main() {
 		value, text = j, res.String()
 	}
 
-	var buf []byte
+	buf := []byte(text)
 	if *jsonOut {
 		var err error
 		buf, err = json.MarshalIndent(value, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		buf = append(buf, '\n')
-	} else {
-		buf = []byte(text)
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
-	os.Stdout.Write(buf)
+	stdout.Write(buf)
+	return 0
 }
 
 // writeArtifact streams one trace/metrics artifact to path (no-op when
 // path is empty).
-func writeArtifact(path string, write func(io.Writer) error) {
+func writeArtifact(path string, write func(io.Writer) error) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := write(f); err == nil {
-		err = f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
+	if err := write(f); err != nil {
 		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
+	return f.Close()
 }

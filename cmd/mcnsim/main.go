@@ -29,115 +29,154 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/mcn-arch/mcn"
 )
 
-var commands = map[string]func(args []string){
+// command is one sub-command: it parses args, prints to stdout and
+// stderr, and returns the exit status.
+type command func(args []string, stdout, stderr io.Writer) int
+
+var commands = map[string]command{
 	"config": config,
-	"run":    run,
+	"run":    runWorkload,
 	"iperf":  iperf,
 	"ping":   ping,
 	"npb":    npb,
 	"trace":  trace,
 }
 
-func main() {
-	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: mcnsim config|run|iperf|ping|npb|trace [flags]  (-h on a sub-command lists its flags)")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches args[0] to its sub-command and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 || commands[args[0]] == nil {
+		fmt.Fprintln(stderr, "usage: mcnsim config|run|iperf|ping|npb|trace [flags]  (-h on a sub-command lists its flags)")
+		return 2
 	}
-	commands[os.Args[1]](os.Args[2:])
+	return commands[args[0]](args[1:], stdout, stderr)
 }
 
-// fail prints msg to stderr and exits with status code.
-func fail(code int, format string, a ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", a...)
-	os.Exit(code)
+// flags returns a sub-command's flag set, reporting to stderr.
+func flags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parse parses args into fs; when it returns false, code is the exit
+// status: 0 after -h, 2 after a bad flag.
+func parse(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	return 0, true
+}
+
+// fail prints msg to stderr and returns the exit status code.
+func fail(stderr io.Writer, code int, format string, a ...any) int {
+	fmt.Fprintf(stderr, format+"\n", a...)
+	return code
 }
 
 // finish steps k until the MPI job ends: at mcn0 the HR-timer polling
-// never idles, so one long RunFor would simulate the whole cap.
-func finish(k *mcn.Kernel, w *mcn.World) {
+// never idles, so one long RunFor would simulate the whole cap. It
+// reports whether the job ended within 600 simulated seconds.
+func finish(k *mcn.Kernel, w *mcn.World) bool {
 	for end := k.Now().Add(600 * mcn.Second); !w.Done() && k.Now() < end; {
 		k.RunFor(mcn.Millisecond)
 	}
-	if !w.Done() {
-		fail(1, "job did not finish within 600 simulated seconds")
-	}
+	return w.Done()
 }
 
-func config(args []string) {
-	fs := flag.NewFlagSet("config", flag.ExitOnError)
+func config(args []string, stdout, stderr io.Writer) int {
+	fs := flags("config", stderr)
 	list := fs.Bool("list", false, "list available workloads")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	if *list {
 		for _, n := range mcn.WorkloadNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	h := mcn.HostConfig("host")
 	m := mcn.McnConfig("mcn")
-	fmt.Println("System configuration (Table II):")
-	fmt.Printf("  host: %d cores @ %.2f GHz, %d x %s memory channels\n",
+	fmt.Fprintln(stdout, "System configuration (Table II):")
+	fmt.Fprintf(stdout, "  host: %d cores @ %.2f GHz, %d x %s memory channels\n",
 		h.Cores, h.FreqHz/1e9, h.Channels, h.DRAM.Name)
-	fmt.Printf("  MCN:  %d cores @ %.2f GHz, %d x %s private channel\n",
+	fmt.Fprintf(stdout, "  MCN:  %d cores @ %.2f GHz, %d x %s private channel\n",
 		m.Cores, m.FreqHz/1e9, m.Channels, m.DRAM.Name)
-	fmt.Printf("  network: 10GbE, 1us link latency; MCN SRAM buffer: 96KB\n")
-	fmt.Printf("  optimization levels (Table I):\n")
+	fmt.Fprintf(stdout, "  network: 10GbE, 1us link latency; MCN SRAM buffer: 96KB\n")
+	fmt.Fprintf(stdout, "  optimization levels (Table I):\n")
 	for _, l := range mcn.OptLevels() {
 		o := l.Options()
-		fmt.Printf("    %v: interrupt=%v csum-bypass=%v mtu=%d tso=%v dma=%v\n",
+		fmt.Fprintf(stdout, "    %v: interrupt=%v csum-bypass=%v mtu=%d tso=%v dma=%v\n",
 			l, o.DimmInterrupt, o.ChecksumBypass, o.MTU, o.TSO, o.DMA)
 	}
+	return 0
 }
 
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func runWorkload(args []string, stdout, stderr io.Writer) int {
+	fs := flags("run", stderr)
 	dimms := fs.Int("dimms", 4, "MCN DIMM count")
 	level := fs.Int("level", 3, "optimization level 0..5")
 	workload := fs.String("workload", "mg", "workload name (see mcnsim config -list)")
 	scale := fs.Float64("scale", 0.1, "working-set multiplier")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	fn, ok := mcn.WorkloadSuite()[*workload]
 	if !ok {
-		fail(2, "unknown workload %q (try mcnsim config -list)", *workload)
+		return fail(stderr, 2, "unknown workload %q (try mcnsim config -list)", *workload)
 	}
 	k := mcn.NewKernel()
+	defer k.Shutdown()
 	s := mcn.NewMcnServer(k, *dimms, mcn.OptLevel(*level).Options())
 	eps := s.Endpoints()
 	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
-	finish(k, w)
+	if !finish(k, w) {
+		return fail(stderr, 1, "job did not finish within 600 simulated seconds")
+	}
 	el := w.Elapsed()
 	cpu := s.Host.CPU
-	fmt.Printf("workload=%s dimms=%d level=mcn%d ranks=%d\n", *workload, *dimms, *level, len(eps))
-	fmt.Printf("execution time:       %v\n", el)
-	fmt.Printf("aggregate DRAM:       %.2f GB/s (%.1f MB moved)\n",
+	fmt.Fprintf(stdout, "workload=%s dimms=%d level=mcn%d ranks=%d\n", *workload, *dimms, *level, len(eps))
+	fmt.Fprintf(stdout, "execution time:       %v\n", el)
+	fmt.Fprintf(stdout, "aggregate DRAM:       %.2f GB/s (%.1f MB moved)\n",
 		float64(s.TotalDRAMBytes())/el.Seconds()/1e9, float64(s.TotalDRAMBytes())/1e6)
-	fmt.Printf("host CPU utilization: %.1f%%\n", cpu.Busy.Busy.Seconds()/(el.Seconds()*float64(cpu.NumCores()))*100)
-	fmt.Printf("energy:               %.2f J\n", mcn.DefaultPower().McnServerEnergy(s, el))
+	fmt.Fprintf(stdout, "host CPU utilization: %.1f%%\n", cpu.Busy.Busy.Seconds()/(el.Seconds()*float64(cpu.NumCores()))*100)
+	fmt.Fprintf(stdout, "energy:               %.2f J\n", mcn.DefaultPower().McnServerEnergy(s, el))
+	return 0
 }
 
-func iperf(args []string) {
-	fs := flag.NewFlagSet("iperf", flag.ExitOnError)
+func iperf(args []string, stdout, stderr io.Writer) int {
+	fs := flags("iperf", stderr)
 	mode := fs.String("mode", "host-mcn", "host-mcn | mcn-mcn | eth")
 	level := fs.Int("level", 0, "MCN optimization level 0..5 (Table I)")
 	dimms := fs.Int("dimms", 8, "number of MCN DIMMs")
 	clients := fs.Int("clients", 4, "number of iperf clients")
 	durMs := fs.Int("duration", 18, "measurement window (simulated ms)")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	if *level < 0 || *level > 5 {
-		fail(2, "level must be 0..5")
+		return fail(stderr, 2, "level must be 0..5")
 	}
 	opts := mcn.OptLevel(*level).Options()
 	k := mcn.NewKernel()
+	defer k.Shutdown()
 	warm := 6 * mcn.Millisecond
 	dur := mcn.Duration(*durMs) * mcn.Millisecond
 
@@ -159,27 +198,31 @@ func iperf(args []string) {
 		eps := c.Endpoints()
 		res = mcn.Iperf(k, eps[0], eps[1:], 5201, warm, dur)
 	default:
-		fail(2, "unknown mode %q", *mode)
+		return fail(stderr, 2, "unknown mode %q", *mode)
 	}
 	k.RunFor(warm + dur + 10*mcn.Millisecond)
 
-	fmt.Printf("mode=%s level=mcn%d clients=%d\n", *mode, *level, *clients)
-	fmt.Printf("aggregate goodput: %8.2f Gbps\n", res.GoodputBps*8/1e9)
+	fmt.Fprintf(stdout, "mode=%s level=mcn%d clients=%d\n", *mode, *level, *clients)
+	fmt.Fprintf(stdout, "aggregate goodput: %8.2f Gbps\n", res.GoodputBps*8/1e9)
 	for i, pc := range res.PerClient {
-		fmt.Printf("  client %d:        %8.2f Gbps\n", i, pc*8/1e9)
+		fmt.Fprintf(stdout, "  client %d:        %8.2f Gbps\n", i, pc*8/1e9)
 	}
+	return 0
 }
 
-func ping(args []string) {
-	fs := flag.NewFlagSet("ping", flag.ExitOnError)
+func ping(args []string, stdout, stderr io.Writer) int {
+	fs := flags("ping", stderr)
 	mode := fs.String("mode", "host-mcn", "host-mcn | mcn-mcn | eth")
 	level := fs.Int("level", 0, "MCN optimization level 0..5")
 	count := fs.Int("count", 5, "pings per payload size")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	sizes := []int{16, 256, 1024, 4096, 8192}
 	opts := mcn.OptLevel(*level).Options()
 	k := mcn.NewKernel()
+	defer k.Shutdown()
 
 	var from mcn.Endpoint
 	var to mcn.IP
@@ -195,33 +238,37 @@ func ping(args []string) {
 		eps := c.Endpoints()
 		from, to = eps[0], eps[1].IP
 	default:
-		fail(2, "unknown mode %q", *mode)
+		return fail(stderr, 2, "unknown mode %q", *mode)
 	}
 	res := mcn.PingSweep(k, from, to, sizes, *count)
 	k.RunFor(mcn.Second)
 
-	fmt.Printf("mode=%s level=mcn%d\n", *mode, *level)
-	fmt.Printf("%8s %12s\n", "payload", "avg RTT")
+	fmt.Fprintf(stdout, "mode=%s level=mcn%d\n", *mode, *level)
+	fmt.Fprintf(stdout, "%8s %12s\n", "payload", "avg RTT")
 	for _, s := range sizes {
-		fmt.Printf("%7dB %12v\n", s, res[s])
+		fmt.Fprintf(stdout, "%7dB %12v\n", s, res[s])
 	}
+	return 0
 }
 
-func npb(args []string) {
-	fs := flag.NewFlagSet("npb", flag.ExitOnError)
+func npb(args []string, stdout, stderr io.Writer) int {
+	fs := flags("npb", stderr)
 	kernel := fs.String("kernel", "mg", "cg|ep|ft|is|lu|mg (or any suite workload)")
 	system := fs.String("system", "scaleup", "scaleup | mcn")
 	cores := fs.Int("cores", 8, "scale-up core count (ranks = cores)")
 	dimms := fs.Int("dimms", 2, "MCN DIMM count (mcn system)")
 	level := fs.Int("level", 3, "MCN optimization level")
 	scale := fs.Float64("scale", 0.1, "working-set multiplier")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	fn, ok := mcn.WorkloadSuite()[*kernel]
 	if !ok {
-		fail(2, "unknown kernel %q", *kernel)
+		return fail(stderr, 2, "unknown kernel %q", *kernel)
 	}
 	k := mcn.NewKernel()
+	defer k.Shutdown()
 	var eps []mcn.Endpoint
 	var dramBytes func() int64
 	switch *system {
@@ -245,27 +292,33 @@ func npb(args []string) {
 		}
 		dramBytes = s.TotalDRAMBytes
 	default:
-		fail(2, "unknown system %q", *system)
+		return fail(stderr, 2, "unknown system %q", *system)
 	}
 
 	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
-	finish(k, w)
+	if !finish(k, w) {
+		return fail(stderr, 1, "job did not finish within 600 simulated seconds")
+	}
 	el := w.Elapsed()
-	fmt.Printf("kernel=%s system=%s ranks=%d\n", *kernel, *system, len(eps))
-	fmt.Printf("execution time:        %v\n", el)
-	fmt.Printf("aggregate DRAM moved:  %.1f MB\n", float64(dramBytes())/1e6)
-	fmt.Printf("aggregate DRAM rate:   %.2f GB/s\n", float64(dramBytes())/el.Seconds()/1e9)
+	fmt.Fprintf(stdout, "kernel=%s system=%s ranks=%d\n", *kernel, *system, len(eps))
+	fmt.Fprintf(stdout, "execution time:        %v\n", el)
+	fmt.Fprintf(stdout, "aggregate DRAM moved:  %.1f MB\n", float64(dramBytes())/1e6)
+	fmt.Fprintf(stdout, "aggregate DRAM rate:   %.2f GB/s\n", float64(dramBytes())/el.Seconds()/1e9)
+	return 0
 }
 
-func trace(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+func trace(args []string, stdout, stderr io.Writer) int {
+	fs := flags("trace", stderr)
 	scenario := fs.String("scenario", "ping", "ping | tcp | mpi")
 	level := fs.Int("level", 0, "MCN optimization level 0..5")
 	out := fs.String("o", "", "write a pcap file instead of printing")
 	max := fs.Int("max", 256, "capture buffer size (frames)")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
 
 	k := mcn.NewKernel()
+	defer k.Shutdown()
 	s := mcn.NewMcnServer(k, 2, mcn.OptLevel(*level).Options())
 	tap := mcn.NewTracer(*max)
 	tap.CaptureBytes = *out != ""
@@ -304,22 +357,23 @@ func trace(args []string) {
 			}
 		})
 	default:
-		fail(2, "unknown scenario %q", *scenario)
+		return fail(stderr, 2, "unknown scenario %q", *scenario)
 	}
 	k.RunFor(100 * mcn.Millisecond)
 
 	if *out == "" {
-		fmt.Printf("captured %d frames on %s's MCN interface:\n", len(tap.Records), s.Mcns[0].Node.Name)
-		fmt.Print(tap.Dump())
-		return
+		fmt.Fprintf(stdout, "captured %d frames on %s's MCN interface:\n", len(tap.Records), s.Mcns[0].Node.Name)
+		fmt.Fprint(stdout, tap.Dump())
+		return 0
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fail(1, "%v", err)
+		return fail(stderr, 1, "%v", err)
 	}
 	defer f.Close()
 	if err := tap.WritePcap(f); err != nil {
-		fail(1, "%v", err)
+		return fail(stderr, 1, "%v", err)
 	}
-	fmt.Printf("wrote %d frames to %s\n", len(tap.Records), *out)
+	fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(tap.Records), *out)
+	return 0
 }
