@@ -14,13 +14,14 @@ import (
 	"testing"
 
 	"github.com/mcn-arch/mcn"
+	"github.com/mcn-arch/mcn/internal/exp"
 )
 
 // BenchmarkFig8a regenerates Fig. 8(a): iperf bandwidth, mcn0..mcn5,
 // host-mcn and mcn-mcn, normalized to 10GbE.
 func BenchmarkFig8a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mcn.Fig8a()
+		r := exp.Fig8a()
 		b.ReportMetric(r.Rows[mcn.MCN5].HostMcn, "mcn5-host-mcn-x")
 		b.ReportMetric(r.Rows[mcn.MCN0].HostMcn, "mcn0-host-mcn-x")
 	}
@@ -30,7 +31,7 @@ func BenchmarkFig8a(b *testing.B) {
 // sizes.
 func BenchmarkFig8b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := mcn.Fig8b()
+		f := exp.Fig8b()
 		cut := 1 - float64(f.Rows[mcn.MCN0][16])/float64(f.Base16B)
 		b.ReportMetric(cut*100, "mcn0-16B-latency-cut-%")
 	}
@@ -39,7 +40,7 @@ func BenchmarkFig8b(b *testing.B) {
 // BenchmarkFig8c regenerates Fig. 8(c): MCN-MCN ping RTT.
 func BenchmarkFig8c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := mcn.Fig8c()
+		f := exp.Fig8c()
 		cut := 1 - float64(f.Rows[mcn.MCN5][16])/float64(f.Base16B)
 		b.ReportMetric(cut*100, "mcn5-16B-latency-cut-%")
 	}
@@ -49,7 +50,7 @@ func BenchmarkFig8c(b *testing.B) {
 // breakdown.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mcn.Table3()
+		r := exp.Table3()
 		b.ReportMetric(r.Rows[1].Total, "mcn0-1.5KB-total-vs-10GbE")
 		b.ReportMetric(r.Rows[3].Total, "mcn0-9KB-total-vs-10GbE")
 	}
@@ -62,7 +63,7 @@ var benchWorkloads = []string{"mg", "grep"}
 // BenchmarkFig9 regenerates Fig. 9: aggregate memory bandwidth scaling.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mcn.Fig9(benchWorkloads, mcn.QuickScale)
+		r := exp.Fig9(benchWorkloads, exp.QuickScale)
 		b.ReportMetric(r.Avg[len(r.Avg)-1], "avg-8dimm-bandwidth-x")
 		b.ReportMetric(r.Max, "max-bandwidth-x")
 	}
@@ -71,7 +72,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates Fig. 10: energy vs equal-core scale-out.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mcn.Fig10(benchWorkloads, mcn.QuickScale)
+		r := exp.Fig10(benchWorkloads, exp.QuickScale)
 		b.ReportMetric(r.AvgSaving[len(r.AvgSaving)-1]*100, "avg-8dimm-energy-saving-%")
 	}
 }
@@ -81,7 +82,7 @@ func BenchmarkFig10(b *testing.B) {
 // working set large enough for the memory wall to matter.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mcn.Fig11([]string{"mg", "ep"}, 0.3)
+		r := exp.Fig11([]string{"mg", "ep"}, 0.3)
 		b.ReportMetric((1-r.Mcn["mg"][3]/r.ScaleUp["mg"][3])*100, "mg-step3-improvement-%")
 	}
 }
@@ -89,7 +90,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkHeadline regenerates the abstract's summary numbers.
 func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := mcn.Headline([]string{"mg"}, mcn.QuickScale)
+		h := exp.Headline([]string{"mg"}, exp.QuickScale)
 		b.ReportMetric(h.Throughput, "throughput-x")
 		b.ReportMetric(h.EnergyCut*100, "energy-saving-%")
 	}

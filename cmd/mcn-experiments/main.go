@@ -17,7 +17,7 @@ import (
 	"os"
 	"strings"
 
-	"github.com/mcn-arch/mcn"
+	"github.com/mcn-arch/mcn/internal/exp"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -30,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fig := fs.String("fig", "", "which figure/table to regenerate: 8a, 8b, 8c, t3, 9, 10, 11, faults, serve, serve-batch, serve-faults[:TOPO], serve-admit, serve-repl, serve-attrib, serve-mcnt, serve-ops, serve-ops-faults, serve-timeline, all")
 	headline := fs.Bool("headline", false, "compute the abstract's headline numbers")
 	discussion := fs.Bool("discussion", false, "run the Sec. VII TCP-overhead / fast-transport comparison")
-	scale := fs.Float64("scale", float64(mcn.QuickScale), "working-set multiplier for figs 9-11")
+	scale := fs.Float64("scale", float64(exp.QuickScale), "working-set multiplier for figs 9-11")
 	workloadList := fs.String("workloads", "", "comma-separated workload subset (default: full suite)")
 	seed := fs.Uint64("seed", 42, "random seed for -fig faults/serve/serve-faults/serve-admit/serve-attrib (same seed replays exactly)")
 	if err := fs.Parse(args); err != nil {
@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *workloadList != "" {
 		names = strings.Split(*workloadList, ",")
 	}
-	s := mcn.Scale(*scale)
+	s := exp.Scale(*scale)
 
 	show := func(f string) int {
 		// serve-faults takes an optional ":TOPO" (default mcn5);
@@ -63,44 +63,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var r fmt.Stringer
 		switch f {
 		case "8a":
-			r = mcn.Fig8a()
+			r = exp.Fig8a()
 		case "8b":
-			r = mcn.Fig8b()
+			r = exp.Fig8b()
 		case "8c":
-			r = mcn.Fig8c()
+			r = exp.Fig8c()
 		case "t3", "table3", "3":
-			r = mcn.Table3()
+			r = exp.Table3()
 		case "9":
-			r = mcn.Fig9(names, s)
+			r = exp.Fig9(names, s)
 		case "10":
-			r = mcn.Fig10(names, s)
+			r = exp.Fig10(names, s)
 		case "11":
-			r = mcn.Fig11(names, s)
+			r = exp.Fig11(names, s)
 		case "faults":
-			r = mcn.FaultSweep(*seed, nil)
+			r = exp.FaultSweep(*seed, nil)
 		case "serve":
-			r = mcn.ServeCurve(*seed, nil)
+			r = exp.ServeCurve(*seed, nil)
 		case "serve-batch":
-			r = mcn.ServeBatch(*seed, nil)
+			r = exp.ServeBatch(*seed, nil)
 		case "serve-faults":
-			topo, err := mcn.ParseTopo(topoText)
+			topo, err := exp.ParseTopo(topoText)
 			if err != nil {
-				fmt.Fprintf(stderr, "-fig serve-faults: %v; want %s\n", err, mcn.TopoGrammar())
+				fmt.Fprintf(stderr, "-fig serve-faults: %v; want %s\n", err, exp.TopoGrammar())
 				return 2
 			}
-			r = mcn.ServeFaults(*seed, topo)
+			r = exp.ServeFaults(*seed, topo)
 		case "serve-admit":
-			r = mcn.ServeAdmit(*seed)
+			r = exp.ServeAdmit(*seed)
 		case "serve-repl":
-			r = mcn.ServeRepl(*seed)
+			r = exp.ServeRepl(*seed)
 		case "serve-attrib":
-			r = mcn.ServeAttrib(*seed)
+			r = exp.ServeAttrib(*seed)
 		case "serve-mcnt":
-			r = mcn.ServeMcnt(*seed, nil)
+			r = exp.ServeMcnt(*seed, nil)
 		case "serve-ops":
-			r = mcn.ServeOps(*seed)
+			r = exp.ServeOps(*seed)
 		case "serve-timeline":
-			r = mcn.ServeTimeline(*seed)
+			r = exp.ServeTimeline(*seed)
 		default:
 			fmt.Fprintf(stderr, "unknown figure %q\n", f)
 			return 2
@@ -119,10 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *headline {
-		fmt.Fprint(stdout, mcn.Headline(names, s))
+		fmt.Fprint(stdout, exp.Headline(names, s))
 	}
 	if *discussion {
-		fmt.Fprint(stdout, mcn.Discussion())
+		fmt.Fprint(stdout, exp.Discussion())
 	}
 	return 0
 }

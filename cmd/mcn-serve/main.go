@@ -39,32 +39,35 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/mcn-arch/mcn"
+	"github.com/mcn-arch/mcn/internal/exp"
+	"github.com/mcn-arch/mcn/internal/obs"
+	"github.com/mcn-arch/mcn/internal/serve"
+	"github.com/mcn-arch/mcn/internal/stats"
 )
 
 // runJSON is the single-run JSON shape.
 type runJSON struct {
-	Seed       uint64           `json:"seed"`
-	Topo       string           `json:"topo"`
-	OfferedQPS float64          `json:"offered_qps,omitempty"`
-	Workers    int              `json:"closed_workers,omitempty"`
-	QPS        float64          `json:"qps"`
-	N          int64            `json:"n"`
-	Errors     int64            `json:"errors"`
-	Unfinished int64            `json:"unfinished"`
-	P50Ns      float64          `json:"p50_ns"`
-	P95Ns      float64          `json:"p95_ns"`
-	P99Ns      float64          `json:"p99_ns"`
-	P999Ns     float64          `json:"p999_ns"`
-	MaxNs      float64          `json:"max_ns"`
-	Shed       int64            `json:"shed,omitempty"`
-	Rerouted   int64            `json:"rerouted,omitempty"`
-	Misses     int64            `json:"misses,omitempty"`
-	FailedOver int64            `json:"failed_over,omitempty"`
-	StaleReads int64            `json:"stale_reads,omitempty"`
-	Degraded   []int            `json:"degraded,omitempty"`
-	Ops        *mcn.OpsCounters `json:"ops,omitempty"`
-	Shards     []runShardJSON   `json:"shards"`
+	Seed       uint64             `json:"seed"`
+	Topo       string             `json:"topo"`
+	OfferedQPS float64            `json:"offered_qps,omitempty"`
+	Workers    int                `json:"closed_workers,omitempty"`
+	QPS        float64            `json:"qps"`
+	N          int64              `json:"n"`
+	Errors     int64              `json:"errors"`
+	Unfinished int64              `json:"unfinished"`
+	P50Ns      float64            `json:"p50_ns"`
+	P95Ns      float64            `json:"p95_ns"`
+	P99Ns      float64            `json:"p99_ns"`
+	P999Ns     float64            `json:"p999_ns"`
+	MaxNs      float64            `json:"max_ns"`
+	Shed       int64              `json:"shed,omitempty"`
+	Rerouted   int64              `json:"rerouted,omitempty"`
+	Misses     int64              `json:"misses,omitempty"`
+	FailedOver int64              `json:"failed_over,omitempty"`
+	StaleReads int64              `json:"stale_reads,omitempty"`
+	Degraded   []int              `json:"degraded,omitempty"`
+	Ops        *stats.OpsCounters `json:"ops,omitempty"`
+	Shards     []runShardJSON     `json:"shards"`
 }
 
 type runShardJSON struct {
@@ -89,13 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcn-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 42, "random seed; the same seed replays bit-identically")
-	topoFlag := fs.String("topo", "mcn5", "serving topology, "+mcn.TopoGrammar())
+	topoFlag := fs.String("topo", "mcn5", "serving topology, "+exp.TopoGrammar())
 	rate := fs.Float64("rate", 400e3, "open-loop offered load, requests/sec")
 	workers := fs.Int("closed", 0, "closed-loop worker count (overrides -rate)")
 	curve := fs.Bool("curve", false, "sweep the full latency-vs-load curve over every topology")
 	bench := fs.Bool("bench", false, "run the sweep and write the qps-at-SLO benchmark JSON")
 	rates := fs.String("rates", "", "comma-separated offered-load ladder for -curve/-bench/-check (default: built-in)")
-	slo := fs.Float64("slo", mcn.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
+	slo := fs.Float64("slo", exp.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
 	out := fs.String("out", "", "write output to this file instead of stdout")
 	traceOut := fs.String("trace", "", "single run: write a Perfetto/Chrome trace-event JSON of sampled request spans to this file")
@@ -111,9 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	topo, err := mcn.ParseTopo(*topoFlag)
+	topo, err := exp.ParseTopo(*topoFlag)
 	if err != nil {
-		fmt.Fprintf(stderr, "-topo: %v; want %s\n", err, mcn.TopoGrammar())
+		fmt.Fprintf(stderr, "-topo: %v; want %s\n", err, exp.TopoGrammar())
 		return 2
 	}
 
@@ -135,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "-check: %v\n", err)
 			return 1
 		}
-		notes, drift := mcn.CheckArtifact(raw, *seed, ladder)
+		notes, drift := exp.CheckArtifact(raw, *seed, ladder)
 		for _, n := range notes {
 			fmt.Fprintf(stderr, "-check: %s\n", n)
 		}
@@ -154,23 +157,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var value any
 	switch {
 	case *wallBench:
-		r := mcn.WallBench(*seed)
+		r := exp.WallBench(*seed)
 		value, text = r, r.String()
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *bench:
-		b := mcn.RunServeBench(*seed, *slo, ladder)
+		b := exp.RunServeBench(*seed, *slo, ladder)
 		value, text = b, b.String()
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *curve:
-		r := mcn.ServeCurve(*seed, ladder)
+		r := exp.ServeCurve(*seed, ladder)
 		r.SLONs = *slo
 		value, text = r, r.String()
 	default:
-		var res *mcn.ServeResult
+		var res *serve.Result
 		if *traceOut != "" || *metricsOut != "" || *timelineOut != "" {
-			tr := mcn.ServeTraced(*seed, topo, *rate, *workers, *sample)
+			tr := exp.ServeTraced(*seed, topo, *rate, *workers, *sample)
 			res = tr.Result
-			ct := mcn.CombinedTrace{Tracer: tr.Tracer, Snapshot: tr.Snapshot, Timeline: tr.Timeline}
+			ct := obs.PerfettoTrace{Tracer: tr.Tracer, Snapshot: tr.Snapshot, Timeline: tr.Timeline}
 			for _, a := range []struct {
 				path  string
 				write func(io.Writer) error
@@ -181,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		} else {
-			res = mcn.ServeOnce(*seed, topo, *rate, *workers)
+			res = exp.ServeOnce(*seed, topo, *rate, *workers)
 		}
 		j := runJSON{
 			Seed: res.Seed, Topo: *topoFlag, OfferedQPS: res.OfferedQPS, Workers: res.ClosedWorkers,

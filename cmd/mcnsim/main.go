@@ -35,7 +35,15 @@ import (
 	"io"
 	"os"
 
-	"github.com/mcn-arch/mcn"
+	"github.com/mcn-arch/mcn/internal/cluster"
+	"github.com/mcn-arch/mcn/internal/core"
+	"github.com/mcn-arch/mcn/internal/energy"
+	"github.com/mcn-arch/mcn/internal/mpi"
+	"github.com/mcn-arch/mcn/internal/netstack"
+	"github.com/mcn-arch/mcn/internal/node"
+	"github.com/mcn-arch/mcn/internal/obs"
+	"github.com/mcn-arch/mcn/internal/sim"
+	"github.com/mcn-arch/mcn/internal/workloads"
 )
 
 // command is one sub-command: it parses args, prints to stdout and
@@ -90,9 +98,9 @@ func fail(stderr io.Writer, code int, format string, a ...any) int {
 // finish steps k until the MPI job ends: at mcn0 the HR-timer polling
 // never idles, so one long RunFor would simulate the whole cap. It
 // reports whether the job ended within 600 simulated seconds.
-func finish(k *mcn.Kernel, w *mcn.World) bool {
-	for end := k.Now().Add(600 * mcn.Second); !w.Done() && k.Now() < end; {
-		k.RunFor(mcn.Millisecond)
+func finish(k *sim.Kernel, w *mpi.World) bool {
+	for end := k.Now().Add(600 * sim.Second); !w.Done() && k.Now() < end; {
+		k.RunFor(sim.Millisecond)
 	}
 	return w.Done()
 }
@@ -105,13 +113,13 @@ func config(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, n := range mcn.WorkloadNames() {
+		for _, n := range workloads.SuiteNames {
 			fmt.Fprintln(stdout, n)
 		}
 		return 0
 	}
-	h := mcn.HostConfig("host")
-	m := mcn.McnConfig("mcn")
+	h := node.HostConfig("host")
+	m := node.McnConfig("mcn")
 	fmt.Fprintln(stdout, "System configuration (Table II):")
 	fmt.Fprintf(stdout, "  host: %d cores @ %.2f GHz, %d x %s memory channels\n",
 		h.Cores, h.FreqHz/1e9, h.Channels, h.DRAM.Name)
@@ -119,7 +127,7 @@ func config(args []string, stdout, stderr io.Writer) int {
 		m.Cores, m.FreqHz/1e9, m.Channels, m.DRAM.Name)
 	fmt.Fprintf(stdout, "  network: 10GbE, 1us link latency; MCN SRAM buffer: 96KB\n")
 	fmt.Fprintf(stdout, "  optimization levels (Table I):\n")
-	for _, l := range mcn.OptLevels() {
+	for _, l := range core.Levels() {
 		o := l.Options()
 		fmt.Fprintf(stdout, "    %v: interrupt=%v csum-bypass=%v mtu=%d tso=%v dma=%v\n",
 			l, o.DimmInterrupt, o.ChecksumBypass, o.MTU, o.TSO, o.DMA)
@@ -137,15 +145,15 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	fn, ok := mcn.WorkloadSuite()[*workload]
+	fn, ok := workloads.Suite[*workload]
 	if !ok {
 		return fail(stderr, 2, "unknown workload %q (try mcnsim config -list)", *workload)
 	}
-	k := mcn.NewKernel()
+	k := sim.NewKernel()
 	defer k.Shutdown()
-	s := mcn.NewMcnServer(k, *dimms, mcn.OptLevel(*level).Options())
+	s := cluster.NewMcnServer(k, *dimms, core.OptLevel(*level).Options())
 	eps := s.Endpoints()
-	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
+	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, *scale) })
 	if !finish(k, w) {
 		return fail(stderr, 1, "job did not finish within 600 simulated seconds")
 	}
@@ -156,7 +164,7 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "aggregate DRAM:       %.2f GB/s (%.1f MB moved)\n",
 		float64(s.TotalDRAMBytes())/el.Seconds()/1e9, float64(s.TotalDRAMBytes())/1e6)
 	fmt.Fprintf(stdout, "host CPU utilization: %.1f%%\n", cpu.Busy.Busy.Seconds()/(el.Seconds()*float64(cpu.NumCores()))*100)
-	fmt.Fprintf(stdout, "energy:               %.2f J\n", mcn.DefaultPower().McnServerEnergy(s, el))
+	fmt.Fprintf(stdout, "energy:               %.2f J\n", energy.Default().McnServerEnergy(s, el))
 	return 0
 }
 
@@ -174,33 +182,33 @@ func iperf(args []string, stdout, stderr io.Writer) int {
 	if *level < 0 || *level > 5 {
 		return fail(stderr, 2, "level must be 0..5")
 	}
-	opts := mcn.OptLevel(*level).Options()
-	k := mcn.NewKernel()
+	opts := core.OptLevel(*level).Options()
+	k := sim.NewKernel()
 	defer k.Shutdown()
-	warm := 6 * mcn.Millisecond
-	dur := mcn.Duration(*durMs) * mcn.Millisecond
+	warm := 6 * sim.Millisecond
+	dur := sim.Duration(*durMs) * sim.Millisecond
 
-	var res *mcn.IperfResult
+	var res *workloads.IperfResult
 	switch *mode {
 	case "host-mcn":
-		s := mcn.NewMcnServer(k, *dimms, opts)
+		s := cluster.NewMcnServer(k, *dimms, opts)
 		server := s.Endpoints()[0]
-		res = mcn.Iperf(k, server, s.McnEndpoints()[:*clients], 5201, warm, dur)
+		res = workloads.Iperf(k, server, s.McnEndpoints()[:*clients], 5201, warm, dur)
 	case "mcn-mcn":
-		s := mcn.NewMcnServer(k, *dimms, opts)
+		s := cluster.NewMcnServer(k, *dimms, opts)
 		eps := s.Endpoints()
 		server := eps[1] // first MCN node
-		cl := []mcn.Endpoint{eps[0]}
+		cl := []cluster.Endpoint{eps[0]}
 		cl = append(cl, eps[2:2+*clients-1]...)
-		res = mcn.Iperf(k, server, cl, 5201, warm, dur)
+		res = workloads.Iperf(k, server, cl, 5201, warm, dur)
 	case "eth":
-		c := mcn.NewEthCluster(k, *clients+1)
+		c := cluster.NewEthCluster(k, *clients+1, node.HostConfig(""))
 		eps := c.Endpoints()
-		res = mcn.Iperf(k, eps[0], eps[1:], 5201, warm, dur)
+		res = workloads.Iperf(k, eps[0], eps[1:], 5201, warm, dur)
 	default:
 		return fail(stderr, 2, "unknown mode %q", *mode)
 	}
-	k.RunFor(warm + dur + 10*mcn.Millisecond)
+	k.RunFor(warm + dur + 10*sim.Millisecond)
 
 	fmt.Fprintf(stdout, "mode=%s level=mcn%d clients=%d\n", *mode, *level, *clients)
 	fmt.Fprintf(stdout, "aggregate goodput: %8.2f Gbps\n", res.GoodputBps*8/1e9)
@@ -220,28 +228,28 @@ func ping(args []string, stdout, stderr io.Writer) int {
 	}
 
 	sizes := []int{16, 256, 1024, 4096, 8192}
-	opts := mcn.OptLevel(*level).Options()
-	k := mcn.NewKernel()
+	opts := core.OptLevel(*level).Options()
+	k := sim.NewKernel()
 	defer k.Shutdown()
 
-	var from mcn.Endpoint
-	var to mcn.IP
+	var from cluster.Endpoint
+	var to netstack.IP
 	switch *mode {
 	case "host-mcn":
-		s := mcn.NewMcnServer(k, 2, opts)
+		s := cluster.NewMcnServer(k, 2, opts)
 		from, to = s.Endpoints()[0], s.McnEndpoints()[0].IP
 	case "mcn-mcn":
-		s := mcn.NewMcnServer(k, 2, opts)
+		s := cluster.NewMcnServer(k, 2, opts)
 		from, to = s.McnEndpoints()[0], s.McnEndpoints()[1].IP
 	case "eth":
-		c := mcn.NewEthCluster(k, 2)
+		c := cluster.NewEthCluster(k, 2, node.HostConfig(""))
 		eps := c.Endpoints()
 		from, to = eps[0], eps[1].IP
 	default:
 		return fail(stderr, 2, "unknown mode %q", *mode)
 	}
-	res := mcn.PingSweep(k, from, to, sizes, *count)
-	k.RunFor(mcn.Second)
+	res := workloads.PingSweep(k, from, to, sizes, *count)
+	k.RunFor(sim.Second)
 
 	fmt.Fprintf(stdout, "mode=%s level=mcn%d\n", *mode, *level)
 	fmt.Fprintf(stdout, "%8s %12s\n", "payload", "avg RTT")
@@ -263,24 +271,24 @@ func npb(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	fn, ok := mcn.WorkloadSuite()[*kernel]
+	fn, ok := workloads.Suite[*kernel]
 	if !ok {
 		return fail(stderr, 2, "unknown kernel %q", *kernel)
 	}
-	k := mcn.NewKernel()
+	k := sim.NewKernel()
 	defer k.Shutdown()
-	var eps []mcn.Endpoint
+	var eps []cluster.Endpoint
 	var dramBytes func() int64
 	switch *system {
 	case "scaleup":
-		h := mcn.NewScaleUp(k, *cores)
-		lo := mcn.IP{127, 0, 0, 1}
+		h := cluster.NewScaleUp(k, *cores)
+		lo := netstack.IP{127, 0, 0, 1}
 		for i := 0; i < *cores; i++ {
-			eps = append(eps, mcn.Endpoint{Node: h.Node, IP: lo})
+			eps = append(eps, cluster.Endpoint{Node: h.Node, IP: lo})
 		}
 		dramBytes = h.TotalDRAMBytes
 	case "mcn":
-		s := mcn.NewMcnServer(k, *dimms, mcn.OptLevel(*level).Options())
+		s := cluster.NewMcnServer(k, *dimms, core.OptLevel(*level).Options())
 		hostEp := s.Endpoints()[0]
 		for i := 0; i < 4; i++ {
 			eps = append(eps, hostEp)
@@ -295,7 +303,7 @@ func npb(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, 2, "unknown system %q", *system)
 	}
 
-	w := mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) { fn(r, *scale) })
+	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, *scale) })
 	if !finish(k, w) {
 		return fail(stderr, 1, "job did not finish within 600 simulated seconds")
 	}
@@ -317,27 +325,27 @@ func trace(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	k := mcn.NewKernel()
+	k := sim.NewKernel()
 	defer k.Shutdown()
-	s := mcn.NewMcnServer(k, 2, mcn.OptLevel(*level).Options())
-	tap := mcn.NewTracer(*max)
+	s := cluster.NewMcnServer(k, 2, core.OptLevel(*level).Options())
+	tap := obs.NewRecorder(*max)
 	tap.CaptureBytes = *out != ""
 	s.Mcns[0].Stack.Tap = tap
 
 	switch *scenario {
 	case "ping":
-		k.Go("ping", func(p *mcn.Proc) {
-			s.Host.Stack.Ping(p, s.Mcns[0].IP, 56, mcn.Second)
-			s.Mcns[0].Stack.Ping(p, s.Mcns[1].IP, 56, mcn.Second)
+		k.Go("ping", func(p *sim.Proc) {
+			s.Host.Stack.Ping(p, s.Mcns[0].IP, 56, sim.Second)
+			s.Mcns[0].Stack.Ping(p, s.Mcns[1].IP, 56, sim.Second)
 		})
 	case "tcp":
-		k.Go("server", func(p *mcn.Proc) {
+		k.Go("server", func(p *sim.Proc) {
 			l, _ := s.Mcns[0].Node.Stack.Listen(5001)
 			c, _ := l.Accept(p)
 			c.RecvN(p, 8192)
 			c.Close(p)
 		})
-		k.Go("client", func(p *mcn.Proc) {
+		k.Go("client", func(p *sim.Proc) {
 			c, err := s.Host.Stack.Connect(p, s.Mcns[0].IP, 5001)
 			if err != nil {
 				panic(err)
@@ -347,7 +355,7 @@ func trace(args []string, stdout, stderr io.Writer) int {
 		})
 	case "mpi":
 		eps := s.Endpoints()
-		mcn.LaunchMPI(k, eps, 7000, func(r *mcn.Rank) {
+		mpi.Launch(k, eps, 7000, func(r *mpi.Rank) {
 			if r.ID == 0 {
 				for i := 1; i < r.W.Size(); i++ {
 					r.RecvData(i)
@@ -359,7 +367,7 @@ func trace(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(stderr, 2, "unknown scenario %q", *scenario)
 	}
-	k.RunFor(100 * mcn.Millisecond)
+	k.RunFor(100 * sim.Millisecond)
 
 	if *out == "" {
 		fmt.Fprintf(stdout, "captured %d frames on %s's MCN interface:\n", len(tap.Records), s.Mcns[0].Node.Name)
