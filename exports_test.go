@@ -34,7 +34,9 @@ var probes = map[string]bool{
 // when an interface type in the module's non-test code names it, since a
 // call through an interface leaves no static reference. Entries in
 // probes are exempt, and an entry that no longer needs the exemption
-// fails too.
+// fails too. It also fails on a name the root package exports that no
+// example and no root test references: the facade is the surface the
+// examples use, and cmd/ reaches internal/ directly.
 func TestExportsHaveCallers(t *testing.T) {
 	m := loadModule(t)
 
@@ -61,6 +63,34 @@ func TestExportsHaveCallers(t *testing.T) {
 	for name := range stale {
 		t.Errorf("probes entry %s is stale: it has a caller now, or no longer exists", name)
 	}
+	for _, name := range m.unusedRootExports() {
+		t.Errorf("mcn.%s: neither examples/ nor a root test references it", name)
+	}
+}
+
+// unusedRootExports lists the names the root package exports that no
+// example and no root test references. A type also passes when the
+// signature of a referenced function uses it, so a caller can name what
+// it is handed.
+func (m *module) unusedRootExports() []string {
+	root := m.pkgs[m.path]
+	if root == nil {
+		return nil
+	}
+	kept := map[token.Pos]bool{}
+	for pos := range m.rootUses {
+		kept[pos] = true
+		for _, tpos := range m.rootSigs[pos] {
+			kept[tpos] = true
+		}
+	}
+	var names []string
+	for _, name := range root.Scope().Names() {
+		if obj := root.Scope().Lookup(name); obj.Exported() && !kept[obj.Pos()] {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // TestFieldsHaveReaders fails on a struct field declared in internal/
@@ -179,6 +209,10 @@ type module struct {
 	funcs      []*types.Func        // funcs and methods declared in internal/
 	called     map[*types.Func]bool // referenced by a counting caller
 	ifaceNames map[string]bool      // method names of module interfaces
+	// Root-package objects are keyed by their declaring position too:
+	// the root tests see the test type-check's copy of the package.
+	rootUses map[token.Pos]bool        // referenced from examples/ or a root test
+	rootSigs map[token.Pos][]token.Pos // root func -> root types its signature names
 	// Fields are keyed by their declaring position: the program and the
 	// test type-check of a package create distinct objects for them.
 	fields map[token.Pos]field // fields declared in internal/
@@ -228,6 +262,8 @@ func newModule(fsys fs.FS) (*module, error) {
 		pkgs:       map[string]*types.Package{},
 		called:     map[*types.Func]bool{},
 		ifaceNames: map[string]bool{},
+		rootUses:   map[token.Pos]bool{},
+		rootSigs:   map[token.Pos][]token.Pos{},
 		fields:     map[token.Pos]field{},
 		read:       map[token.Pos]bool{},
 		walked:     map[types.Type]bool{},
@@ -341,6 +377,16 @@ func (m *module) importPkg(path string) (*types.Package, error) {
 			m.called[fn.Origin()] = true
 		}
 	}
+	m.useRoot(info)
+	if path == m.path {
+		for _, f := range d.src {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					m.rootSigs[fd.Name.Pos()] = m.rootTypes(fd.Type, info)
+				}
+			}
+		}
+	}
 	for expr, tv := range info.Types {
 		if _, ok := expr.(*ast.InterfaceType); !ok {
 			continue
@@ -395,8 +441,38 @@ func (m *module) check(path string, files []*ast.File, variant *types.Package, s
 			m.called[fn.Origin()] = true
 		}
 	}
+	m.useRoot(info)
 	m.readFields(files, info)
 	return pkg
+}
+
+// useRoot records the root package's names that info's files in
+// examples/ or the root tests reference.
+func (m *module) useRoot(info *types.Info) {
+	for id, obj := range info.Uses {
+		if obj.Pkg() == nil || obj.Pkg().Path() != m.path || obj.Parent() != obj.Pkg().Scope() {
+			continue
+		}
+		file := m.fset.Position(id.Pos()).Filename
+		if strings.HasPrefix(file, "examples/") || path.Dir(file) == "." && strings.HasSuffix(file, "_test.go") {
+			m.rootUses[obj.Pos()] = true
+		}
+	}
+}
+
+// rootTypes returns the declaring positions of the root-package types
+// that the function type ft names.
+func (m *module) rootTypes(ft *ast.FuncType, info *types.Info) []token.Pos {
+	var pos []token.Pos
+	ast.Inspect(ft, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if tn, ok := info.Uses[id].(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == m.path {
+				pos = append(pos, tn.Pos())
+			}
+		}
+		return true
+	})
+	return pos
 }
 
 // declareFields records every struct field f declares, named
