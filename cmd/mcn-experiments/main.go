@@ -15,9 +15,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/mcn-arch/mcn/internal/exp"
+	"github.com/mcn-arch/mcn/internal/npb"
+	"github.com/mcn-arch/mcn/internal/workloads"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -48,6 +51,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var names []string
 	if *workloadList != "" {
 		names = strings.Split(*workloadList, ",")
+	}
+	// Figs. 9 and 10 and the headline run workloads from the suite,
+	// Fig. 11 its NPB kernels, all at -scale.
+	if *headline || *fig == "9" || *fig == "10" || *fig == "11" || *fig == "all" {
+		if !(*scale >= 0) {
+			fmt.Fprintf(stderr, "-scale %v: want >= 0\n", *scale)
+			return 2
+		}
+		want := workloads.SuiteNames
+		if *fig == "11" || *fig == "all" {
+			want = npb.Names
+		}
+		for _, n := range names {
+			if !slices.Contains(want, n) {
+				fmt.Fprintf(stderr, "-workloads %q: want a subset of %s\n", n, strings.Join(want, ","))
+				return 2
+			}
+		}
 	}
 	s := exp.Scale(*scale)
 

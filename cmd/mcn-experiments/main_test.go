@@ -28,5 +28,7 @@ func TestCLI(t *testing.T) {
 		{Name: "unknown-fig", Args: []string{"-fig", "nope"}},
 		{Name: "bad-topo", Args: []string{"-fig", "serve-faults:bogus"}},
 		{Name: "help", Args: []string{"-h"}},
+		{Name: "fig9-bad-workload", Args: []string{"-fig", "9", "-workloads", "nope"}},
+		{Name: "fig11-negative-scale", Args: []string{"-fig", "11", "-scale", "-1", "-workloads", "mg"}},
 	})
 }

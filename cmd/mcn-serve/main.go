@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -128,6 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "bad -rates entry %q: %v\n", f, err)
 				return 2
 			}
+			if !validRate(v) {
+				fmt.Fprintf(stderr, "-rates entry %v: want a finite rate > 0 requests/sec\n", v)
+				return 2
+			}
 			ladder = append(ladder, v)
 		}
 	}
@@ -169,6 +174,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r.SLONs = *slo
 		value, text = r, r.String()
 	default:
+		if *workers < 1 && !validRate(*rate) {
+			fmt.Fprintf(stderr, "-rate %v: want a finite rate > 0 requests/sec, or -closed N\n", *rate)
+			return 2
+		}
 		var res *serve.Result
 		if *traceOut != "" || *metricsOut != "" || *timelineOut != "" {
 			tr := exp.ServeTraced(*seed, topo, *rate, *workers, *sample)
@@ -230,6 +239,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stdout.Write(buf)
 	return 0
 }
+
+// validRate reports whether r is an offered load an open-loop run can
+// generate.
+func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // writeArtifact streams one trace/metrics artifact to path (no-op when
 // path is empty).

@@ -26,5 +26,8 @@ func TestCLI(t *testing.T) {
 		{Name: "bad-rates", Args: []string{"-rates", "1,x"}},
 		{Name: "check-missing", Args: []string{"-check", "nope.json"}},
 		{Name: "help", Args: []string{"-h"}},
+		{Name: "rate-zero", Args: []string{"-rate", "0"}},
+		{Name: "rate-negative", Args: []string{"-rate", "-5"}},
+		{Name: "curve-rate-zero", Args: []string{"-curve", "-rates", "0"}},
 	})
 }

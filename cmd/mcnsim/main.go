@@ -95,6 +95,16 @@ func fail(stderr io.Writer, code int, format string, a ...any) int {
 	return code
 }
 
+// options returns the Table I options of optimization level level; it
+// prints the accepted range and returns false when there is no such level.
+func options(level int, stderr io.Writer) (core.Options, bool) {
+	if level < int(core.MCN0) || level > int(core.MCN5) {
+		fmt.Fprintf(stderr, "-level %d: want %d..%d\n", level, core.MCN0, core.MCN5)
+		return core.Options{}, false
+	}
+	return core.OptLevel(level).Options(), true
+}
+
 // finish steps k until the MPI job ends: at mcn0 the HR-timer polling
 // never idles, so one long RunFor would simulate the whole cap. It
 // reports whether the job ended within 600 simulated seconds.
@@ -145,13 +155,17 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	opts, ok := options(*level, stderr)
+	if !ok {
+		return 2
+	}
 	fn, ok := workloads.Suite[*workload]
 	if !ok {
 		return fail(stderr, 2, "unknown workload %q (try mcnsim config -list)", *workload)
 	}
 	k := sim.NewKernel()
 	defer k.Shutdown()
-	s := cluster.NewMcnServer(k, *dimms, core.OptLevel(*level).Options())
+	s := cluster.NewMcnServer(k, *dimms, opts)
 	eps := s.Endpoints()
 	w := mpi.Launch(k, eps, 7000, func(r *mpi.Rank) { fn(r, *scale) })
 	if !finish(k, w) {
@@ -179,10 +193,20 @@ func iperf(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	if *level < 0 || *level > 5 {
-		return fail(stderr, 2, "level must be 0..5")
+	opts, ok := options(*level, stderr)
+	if !ok {
+		return 2
 	}
-	opts := core.OptLevel(*level).Options()
+	// Each client runs on its own node: a DIMM, or a 10GbE cluster node.
+	if *mode != "eth" && *dimms < 1 {
+		return fail(stderr, 2, "-dimms %d: want >= 1", *dimms)
+	}
+	if *clients < 1 {
+		return fail(stderr, 2, "-clients %d: want >= 1", *clients)
+	}
+	if *mode != "eth" && *clients > *dimms {
+		return fail(stderr, 2, "-clients %d: want 1..%d, one per DIMM", *clients, *dimms)
+	}
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	warm := 6 * sim.Millisecond
@@ -227,8 +251,11 @@ func ping(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	opts, ok := options(*level, stderr)
+	if !ok {
+		return 2
+	}
 	sizes := []int{16, 256, 1024, 4096, 8192}
-	opts := core.OptLevel(*level).Options()
 	k := sim.NewKernel()
 	defer k.Shutdown()
 
@@ -271,6 +298,10 @@ func npb(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	opts, ok := options(*level, stderr)
+	if !ok {
+		return 2
+	}
 	fn, ok := workloads.Suite[*kernel]
 	if !ok {
 		return fail(stderr, 2, "unknown kernel %q", *kernel)
@@ -281,6 +312,9 @@ func npb(args []string, stdout, stderr io.Writer) int {
 	var dramBytes func() int64
 	switch *system {
 	case "scaleup":
+		if *cores < 1 {
+			return fail(stderr, 2, "-cores %d: want >= 1", *cores)
+		}
 		h := cluster.NewScaleUp(k, *cores)
 		lo := netstack.IP{127, 0, 0, 1}
 		for i := 0; i < *cores; i++ {
@@ -288,7 +322,10 @@ func npb(args []string, stdout, stderr io.Writer) int {
 		}
 		dramBytes = h.TotalDRAMBytes
 	case "mcn":
-		s := cluster.NewMcnServer(k, *dimms, core.OptLevel(*level).Options())
+		if *dimms < 1 {
+			return fail(stderr, 2, "-dimms %d: want >= 1", *dimms)
+		}
+		s := cluster.NewMcnServer(k, *dimms, opts)
 		hostEp := s.Endpoints()[0]
 		for i := 0; i < 4; i++ {
 			eps = append(eps, hostEp)
@@ -325,9 +362,13 @@ func trace(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	opts, ok := options(*level, stderr)
+	if !ok {
+		return 2
+	}
 	k := sim.NewKernel()
 	defer k.Shutdown()
-	s := cluster.NewMcnServer(k, 2, core.OptLevel(*level).Options())
+	s := cluster.NewMcnServer(k, 2, opts)
 	tap := obs.NewRecorder(*max)
 	tap.CaptureBytes = *out != ""
 	s.Mcns[0].Stack.Tap = tap

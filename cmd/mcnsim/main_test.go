@@ -31,5 +31,15 @@ func TestCLI(t *testing.T) {
 		{Name: "usage"},
 		{Name: "ping-bad-mode", Args: []string{"ping", "-mode", "nope"}},
 		{Name: "ping-help", Args: []string{"ping", "-h"}},
+		{Name: "iperf-too-many-clients", Args: []string{"iperf", "-mode", "host-mcn", "-dimms", "2", "-clients", "4"}},
+		{Name: "iperf-no-clients", Args: []string{"iperf", "-mode", "mcn-mcn", "-clients", "0"}},
+		{Name: "iperf-no-dimms", Args: []string{"iperf", "-mode", "host-mcn", "-dimms", "0", "-clients", "1"}},
+		{Name: "npb-no-cores", Args: []string{"npb", "-cores", "0"}},
+		{Name: "npb-no-dimms", Args: []string{"npb", "-system", "mcn", "-dimms", "0"}},
+		{Name: "run-bad-level", Args: []string{"run", "-level", "9"}},
+		{Name: "iperf-bad-level", Args: []string{"iperf", "-level", "9"}},
+		{Name: "ping-bad-level", Args: []string{"ping", "-level", "9"}},
+		{Name: "npb-bad-level", Args: []string{"npb", "-level", "9"}},
+		{Name: "trace-bad-level", Args: []string{"trace", "-level", "-1"}},
 	})
 }
