@@ -80,3 +80,9 @@ func TestFigureGolden(t *testing.T) {
 	}{fig8a(), fig8b(), fig8c(), fig9(), fig10(), fig11(), headline(), discussion()}, "", "  ")
 	checkGolden(t, "golden_figures.json", got, err)
 }
+
+// TestServeBatchGolden pins the batching off/on A/B's report at one
+// offered load.
+func TestServeBatchGolden(t *testing.T) {
+	checkGolden(t, "golden_serve_batch.txt", []byte(ServeBatch(42, []float64{200e3}).String()), nil)
+}

@@ -28,6 +28,23 @@ go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' .
 echo ">> go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp"
 go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp
 
+# Every non-test function runs somewhere in the suite, apart from the
+# named fillers in scripts/never-run.txt: the list of 0.0% functions under
+# a module-wide coverage profile must equal that allowlist, so a new
+# function no test reaches fails here, and so does a stale entry.
+echo ">> go test -coverpkg=./internal/...,. ./... (never-run functions)"
+prof="$(mktemp)"
+trap 'rm -f "$prof" "$prof.zero" "$prof.allow"' EXIT
+go test -coverpkg=./internal/...,. -coverprofile="$prof" ./...
+go tool cover -func="$prof" |
+    awk '$NF == "0.0%" { sub(/^github.com\/mcn-arch\/mcn\//, "", $1); sub(/:[0-9]+:$/, "", $1); print $1, $2 }' |
+    sort >"$prof.zero"
+sed -e 's/#.*//' -e '/^ *$/d' scripts/never-run.txt | awk '{ print $1, $2 }' | sort >"$prof.allow"
+if ! diff "$prof.allow" "$prof.zero"; then
+    echo "never-run: the 0.0% functions (>) differ from scripts/never-run.txt (<)"
+    exit 1
+fi
+
 # Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
 # the node's bulk-copy chain, the TCP/IP stack, the 10GbE NIC, the
 # serving tier, its admission plane, the replication plane, the

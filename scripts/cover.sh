@@ -23,7 +23,10 @@ cat "$out"
 awk '
 BEGIN {
     pre = "github.com/mcn-arch/mcn"
-    f[pre] = 27
+    f[pre] = 70
+    f[pre "/cmd/mcn-experiments"] = 80
+    f[pre "/cmd/mcn-serve"] = 70
+    f[pre "/cmd/mcnsim"] = 89
     f[pre "/internal/admit"] = 90
     f[pre "/internal/cluster"] = 72
     f[pre "/internal/core"] = 77
