@@ -23,7 +23,7 @@ cat "$out"
 awk '
 BEGIN {
     pre = "github.com/mcn-arch/mcn"
-    f[pre] = 70
+    f[pre] = 74
     f[pre "/cmd/mcn-experiments"] = 80
     f[pre "/cmd/mcn-serve"] = 70
     f[pre "/cmd/mcnsim"] = 89
