@@ -145,16 +145,6 @@ func (d *Dimm) hostAccessed(n int, write bool) {
 	}
 }
 
-// McnAccessCost charges an MCN-processor-side access to the SRAM through
-// the on-chip interconnect.
-func (d *Dimm) McnAccessCost(p *sim.Proc, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	p.Sleep(d.mcnAccessTime(bytes))
-	d.McnAccess.Add(p.Now(), int64(bytes))
-}
-
 // mcnAccessTime is the on-chip interconnect time of an n-byte SRAM access.
 func (d *Dimm) mcnAccessTime(n int) sim.Duration {
 	return d.McnLat + sim.AtRate(int64(n), d.McnBW)

@@ -53,6 +53,17 @@ type DimmDriver struct {
 	Recov          stats.RecoveryCounters
 	draining       bool
 	watchdog       *cpu.HRTimer
+
+	// The receive drain's chain state: the message being copied, the
+	// copy step's continuation and the transfer that writes it to local
+	// memory. One drain runs at a time.
+	rxMsg  []byte
+	rxDone func()
+	rxXfer *dram.Transfer
+	// bound once: onRxBegin, onRxCopy, onRxWrite, onRxQueued
+	rxBegin, rxQueued func(*cpu.Seq)
+	rxCopy            func(n int, done func())
+	rxWrite           func()
 }
 
 // NewDimmDriver creates the MCN-side driver for dimm, attaching it to the
@@ -63,7 +74,10 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	drv := &DimmDriver{
 		CPU: c, Stack: s, Opts: opts, Costs: costs,
 		dimm: d, local: local, port: port,
+		rxXfer: dram.NewTransfer(),
 	}
+	drv.rxBegin, drv.rxQueued = drv.onRxBegin, drv.onRxQueued
+	drv.rxCopy, drv.rxWrite = drv.onRxCopy, drv.onRxWrite
 	if opts.DMA {
 		drv.dma = newRingEngine(k, nil)
 	}
@@ -75,7 +89,7 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 	}
 	drv.arpq = sim.NewQueue[[]byte](k, 0)
 	k.Go(d.Name+"/arp-rx", func(p *sim.Proc) { drv.serveRx(p, drv.arpq) })
-	d.SetRxIRQ(c.NewIRQ(d.Name+"/rx", drv.drainRX).Raise)
+	d.SetRxIRQ(c.NewIRQChain(d.Name+"/rx", drv.drainRX).Raise)
 	d.armRxWatchdog = drv.ArmWatchdog
 	return drv
 }
@@ -116,7 +130,7 @@ func (drv *DimmDriver) ArmWatchdog() {
 	drv.watchdog = drv.CPU.NewHRTimer(DefaultWatchdogInterval, func(p *sim.Proc) {
 		if (d.Buf.RxPoll || !d.Buf.RX.Empty()) && !drv.draining {
 			drv.Recov.WatchdogKicks++
-			drv.drainRX(p)
+			drv.CPU.Seq().Hook(drv.rxBegin).Run(p)
 		}
 	})
 	drv.watchdog.Start()
@@ -180,46 +194,74 @@ func (drv *DimmDriver) Features() netstack.Features {
 // dev_queue_xmit it only enqueues: the MCN-DMA engine or the qdisc does
 // the copy, so a receive context sending an ACK never blocks on the ring.
 func (drv *DimmDriver) Transmit(p *sim.Proc, f netstack.Frame) {
-	drv.CPU.Exec(p, drv.Costs.TxSetupCycles)
+	q := drv.CPU.Seq().Exec(drv.Costs.TxSetupCycles)
 	e := drv.qdisc
 	if drv.Opts.DMA {
-		drv.CPU.Exec(p, drv.Costs.DMASetupCycles)
+		q.Exec(drv.Costs.DMASetupCycles)
 		e = drv.dma
 	}
+	q.Run(p)
 	e.submit(ringJob{kind: dimmTx, drv: drv, msg: owned(drv.Stack, f.Data, f.Pooled)})
 }
 
-// drainRX empties the RX ring: for each MCN message, copy it from the SRAM
-// into kernel memory and hand it to the network stack. The popped buffer
-// is the one the host pushed; the stack recycles it after delivery.
-func (drv *DimmDriver) drainRX(p *sim.Proc) {
+// drainRX is the MCN-side rx interrupt's handler: it empties the RX ring,
+// copying each MCN message from the SRAM into kernel memory and handing it
+// to a receive context, which reaches the network stack. The drain never
+// enters the stack itself, so it is a callback chain with no process; the
+// RX watchdog runs the same chain from its tasklet. The popped buffer is
+// the one the host pushed; the stack recycles it after delivery.
+func (drv *DimmDriver) drainRX(done func()) { drv.CPU.Seq().Hook(drv.rxBegin).RunThen(done) }
+
+// onRxBegin starts a drain unless one is already running.
+func (drv *DimmDriver) onRxBegin(q *cpu.Seq) {
 	if drv.draining {
 		return
 	}
 	drv.draining = true
-	defer func() { drv.draining = false }()
+	drv.rxPop(q)
+}
+
+// rxPop pops the next message and appends its copy, with a core held, to
+// the chain; with the ring empty it clears rx-poll and re-checks, since a
+// message may have landed between the last pop and the clear, and ends the
+// drain when none did.
+func (drv *DimmDriver) rxPop(q *cpu.Seq) {
 	d := drv.dimm
-	for {
-		for !d.Buf.RX.Empty() {
-			msg := d.Buf.RX.Pop()
-			if drv.ChanTap != nil {
-				drv.ChanTap.Frame(p.Now(), netstack.TapDimmPop, d.Name, msg)
-			}
-			drv.CPU.ExecWhile(p, func() {
-				d.McnAccessCost(p, sram.HeaderBytes+len(msg))
-				drv.local.Write(p, 0x1800_0000, len(msg))
-			})
-			drv.RxMsgs++
-			// Hand off to the flow's RPS queue; protocol processing
-			// runs on another core while this drain keeps copying.
-			drv.flowQueue(msg).TryPut(msg)
-		}
-		// Clear rx-poll, then re-check: a message may have landed
-		// between the last pop and the clear.
+	if d.Buf.RX.Empty() {
 		d.Buf.RxPoll = false
 		if d.Buf.RX.Empty() {
+			drv.draining = false
 			return
 		}
 		d.Buf.RxPoll = true
 	}
+	msg := d.Buf.RX.Pop()
+	if drv.ChanTap != nil {
+		drv.ChanTap.Frame(drv.CPU.K.Now(), netstack.TapDimmPop, d.Name, msg)
+	}
+	drv.rxMsg = msg
+	q.While(drv.rxCopy, len(msg)).Hook(drv.rxQueued)
+}
+
+// onRxCopy reads the n-byte message and its header out of the SRAM over
+// the on-chip interconnect, then writes it to local memory.
+func (drv *DimmDriver) onRxCopy(n int, done func()) {
+	drv.rxDone = done
+	drv.CPU.K.After(drv.dimm.mcnAccessTime(sram.HeaderBytes+n), drv.rxWrite)
+}
+
+func (drv *DimmDriver) onRxWrite() {
+	n := len(drv.rxMsg)
+	drv.dimm.McnAccess.Add(drv.CPU.K.Now(), int64(sram.HeaderBytes+n))
+	drv.rxXfer.Access(drv.local, 0x1800_0000, true, n, drv.rxDone)
+}
+
+// onRxQueued hands the copied message to its flow's RPS queue, where
+// protocol processing runs on another core, and goes on to the next.
+func (drv *DimmDriver) onRxQueued(q *cpu.Seq) {
+	msg := drv.rxMsg
+	drv.rxMsg, drv.rxDone = nil, nil
+	drv.RxMsgs++
+	drv.flowQueue(msg).TryPut(msg)
+	drv.rxPop(q)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mcn-arch/mcn/internal/cpu"
+	"github.com/mcn-arch/mcn/internal/dram"
 	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/sram"
@@ -97,6 +98,18 @@ type HostPort struct {
 	// into a dead ring.
 	carrier bool
 	alertn  *cpu.IRQ // ALERT_N's handler when the MCN-DMA engines are off
+
+	// The drain's chain state (one drain runs per port): the transfer
+	// that reads a message out of the TX ring, its size and continuation.
+	rdXfer  *dram.Transfer
+	rdBytes int
+	rdDone  func()
+	// bound once: onAlertPoll, onAlertCheck, onRead, onReadRetired, and
+	// the drain's process body
+	alertPoll, alertCheck func(*cpu.Seq)
+	read                  func(n int, done func())
+	readRetired           func()
+	drainBody             func(p *sim.Proc)
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -110,7 +123,11 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 		hostMAC: netstack.NewMAC(0x10000 + hd.MACBase + uint32(idx)),
 		mcnMAC:  netstack.NewMAC(0x20000 + hd.MACBase + uint32(idx)),
 		carrier: true,
+		rdXfer:  dram.NewTransfer(),
 	}
+	port.alertPoll, port.alertCheck = port.onAlertPoll, port.onAlertCheck
+	port.read, port.readRetired = port.onRead, port.onReadRetired
+	port.drainBody = func(p *sim.Proc) { hd.drain(p, port) }
 	ifc := hd.Stack.AddIface(port, hostIP, netstack.MaskAll)
 	ifc.Peer = mcnIP
 	ifc.HasPeer = true
@@ -120,7 +137,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 	hd.byMAC[port.hostMAC] = port
 	hd.byMAC[port.mcnMAC] = port
 	if hd.Opts.DimmInterrupt {
-		port.alertn = hd.CPU.NewIRQ("alertn", func(p *sim.Proc) { hd.serveAlert(p, port) })
+		port.alertn = hd.CPU.NewIRQChain("alertn", port.serveAlert)
 		d.SetAlertN(func() { hd.onAlert(port) })
 	}
 	if hd.Opts.DMA {
@@ -238,11 +255,7 @@ func (hd *HostDriver) kick(port *HostPort) {
 }
 
 // spawnDrain starts a drain context on the port's TX ring.
-func (hd *HostDriver) spawnDrain(port *HostPort) {
-	hd.K.Go(port.name+"/drain", func(dp *sim.Proc) {
-		hd.drain(dp, port)
-	})
-}
+func (hd *HostDriver) spawnDrain(port *HostPort) { hd.K.Go(port.name+"/drain", port.drainBody) }
 
 // ---- netstack.NetDev for HostPort ----
 
@@ -283,8 +296,8 @@ func (p *HostPort) Transmit(pr *sim.Proc, f netstack.Frame) {
 		}
 		return
 	}
-	hd.CPU.Exec(pr, hd.Costs.TxSetupCycles)
-	hd.relay(pr, p, f.Data, f.Pooled)
+	hd.dmaSetup(hd.CPU.Seq().Exec(hd.Costs.TxSetupCycles)).Run(pr)
+	hd.enqueue(p, f.Data, f.Pooled)
 }
 
 // ---- Polling agent and receive path (R1-R5) ----
@@ -327,25 +340,39 @@ func (hd *HostDriver) onAlert(src *HostPort) {
 	src.alertn.Raise()
 }
 
-// serveAlert is the ALERT_N handler: it polls the asserting channel's
-// DIMMs and starts a drain on each with packets ready.
-func (hd *HostDriver) serveAlert(p *sim.Proc, src *HostPort) {
-	for _, port := range hd.ports {
-		if port.dimm.ChannelIdx != src.dimm.ChannelIdx {
-			continue
+// serveAlert is src's ALERT_N handler, a callback chain with no process:
+// it polls the asserting channel's DIMMs and starts a drain on each with
+// packets ready. The chain's N is the index of the next port to poll.
+func (src *HostPort) serveAlert(done func()) {
+	src.drv.CPU.Seq().Hook(src.alertPoll).RunThen(done)
+}
+
+// onAlertPoll charges the flag check of the next port on src's channel.
+func (src *HostPort) onAlertPoll(q *cpu.Seq) {
+	hd := src.drv
+	for ; q.N < len(hd.ports); q.N++ {
+		if hd.ports[q.N].dimm.ChannelIdx == src.dimm.ChannelIdx {
+			q.Exec(hd.Costs.PollCheckCycles).Hook(src.alertCheck)
+			return
 		}
-		hd.CPU.Exec(p, hd.Costs.PollCheckCycles)
-		if !port.dimm.Buf.TxPoll {
-			continue
-		}
-		if port.draining {
-			// Latch the edge: the active drain rechecks before it
-			// exits, so this wakeup cannot be lost.
-			port.alertPending = true
-			continue
-		}
+	}
+}
+
+// onAlertCheck reads the polled port's flag and goes on to the next port.
+func (src *HostPort) onAlertCheck(q *cpu.Seq) {
+	hd := src.drv
+	port := hd.ports[q.N]
+	q.N++
+	switch {
+	case !port.dimm.Buf.TxPoll:
+	case port.draining:
+		// Latch the edge: the active drain rechecks before it exits, so
+		// this wakeup cannot be lost.
+		port.alertPending = true
+	default:
 		hd.spawnDrain(port)
 	}
+	src.onAlertPoll(q)
 }
 
 // napiLinger is how long a drain context re-polls an empty ring before
@@ -379,13 +406,13 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 			}
 			// R2-R3: read the message through the cacheable mapping,
 			// then invalidate the lines (Sec. III-B "memory mapping
-			// unit").
-			hd.CPU.ExecWhile(p, func() {
-				d.HostAccess(p, sram.HeaderBytes+len(msg), false, !hd.Opts.UncachedCopies)
-			})
+			// unit"). R4: hand it to the packet forwarding engine. The
+			// read, the invalidate and the forwarding charge run as one
+			// chain.
 			lines := int64(len(msg)/64 + 1)
-			hd.CPU.Exec(p, hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles)
-			// R4: hand to the packet forwarding engine.
+			hd.CPU.Seq().While(port.read, len(msg)).
+				Exec(hd.Costs.InvalidateCyclesPerLine*lines + hd.Costs.RxPerMsgCycles).
+				Exec(hd.Costs.ForwardCycles).Run(p)
 			hd.forward(p, port, msg)
 		}
 		// R5: all consumed; reset tx-poll.
@@ -406,6 +433,21 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 	}
 }
 
+// onRead is the drain's R2 read of an n-byte message and its header
+// through the host mapping: Dimm.HostAccess as a callback chain.
+func (port *HostPort) onRead(n int, done func()) {
+	d := port.dimm
+	port.rdBytes, port.rdDone = sram.HeaderBytes+n, done
+	port.rdXfer.BusTransfer(d.Global, hostBusBytes(port.rdBytes, !port.drv.Opts.UncachedCopies), d.HostLat, false, port.readRetired)
+}
+
+func (port *HostPort) onReadRetired() {
+	done := port.rdDone
+	port.rdDone = nil
+	port.dimm.hostAccessed(port.rdBytes, false)
+	done()
+}
+
 // relay hands a frame to tgt's T1-T3 machinery without ever blocking the
 // calling (transmit or receive) context. With MCN-DMA the CPU programs a
 // descriptor and the channel's engine moves the data; otherwise the CPU
@@ -414,9 +456,23 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 // the uplink bridge, the mcnt fabric's retransmit queue), so the job takes
 // a copy.
 func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, pooled bool) {
+	hd.dmaSetup(hd.CPU.Seq()).Run(p)
+	hd.enqueue(tgt, frame, pooled)
+}
+
+// dmaSetup appends the MCN-DMA descriptor setup, when the engines are on,
+// to a charge sequence.
+func (hd *HostDriver) dmaSetup(q *cpu.Seq) *cpu.Seq {
+	if hd.Opts.DMA {
+		q.Exec(hd.Costs.DMASetupCycles)
+	}
+	return q
+}
+
+// enqueue submits a frame to the engine that performs tgt's T1-T3.
+func (hd *HostDriver) enqueue(tgt *HostPort, frame []byte, pooled bool) {
 	e := tgt.qdisc
 	if hd.Opts.DMA {
-		hd.CPU.Exec(p, hd.Costs.DMASetupCycles)
 		e = hd.dmas[tgt.dimm.ChannelIdx]
 	}
 	e.submit(ringJob{kind: hostTx, port: tgt, msg: owned(hd.Stack, frame, pooled)})
@@ -437,9 +493,9 @@ func owned(s *netstack.Stack, frame []byte, pooled bool) []byte {
 // buffer popped from a DIMM's TX ring, which forward owns: it recycles it
 // once this function (or the relay machinery it hands off to) is done with
 // it; aliasing dispositions — broadcast fan-out and the conventional NIC —
-// leave the buffer to the garbage collector.
+// leave the buffer to the garbage collector. Its ForwardCycles charge is
+// the last of the caller's charge sequence.
 func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
-	hd.CPU.Exec(p, hd.Costs.ForwardCycles)
 	eth, ok := netstack.ParseEth(frame)
 	if !ok {
 		hd.Stack.RecycleFrameBuf(frame)

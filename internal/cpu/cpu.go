@@ -44,6 +44,8 @@ type CPU struct {
 	Busy *stats.BusyMeter
 
 	softq *sim.Queue[func(p *sim.Proc)]
+	execs []*execOp // idle ExecThen chains
+	seqs  []*Seq    // idle charge sequences
 }
 
 // New creates a CPU with the given core count and clock and starts its
@@ -71,15 +73,66 @@ func (c *CPU) CyclesDur(n int64) sim.Duration { return sim.Cycles(n, c.Freq) }
 // Exec occupies one core for n cycles.
 func (c *CPU) Exec(p *sim.Proc, n int64) { c.ExecFor(p, c.CyclesDur(n)) }
 
-// ExecFor occupies one core for the given duration.
+// ExecFor occupies one core for the given duration. It runs as an
+// ExecThen chain, so the process parks once even when it queues for a
+// core.
 func (c *CPU) ExecFor(p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.Cores.Acquire(p)
-	p.Sleep(d)
+	p.Await(c.exec(d, p.ResumeFunc()).begin)
+}
+
+// ExecThen is ExecFor as a callback chain: it occupies one core for d and
+// then runs then (if non-nil), taking the events ExecFor would at the same
+// (at, seq): the core grant where the process's acquire would land and the
+// release where its wake would. then runs at once when d <= 0. A charge
+// allocates nothing once the CPU's pool is warm.
+func (c *CPU) ExecThen(d sim.Duration, then func()) {
+	if d <= 0 {
+		if then != nil {
+			then()
+		}
+		return
+	}
+	c.exec(d, then).begin()
+}
+
+// exec takes an idle charge from the pool.
+func (c *CPU) exec(d sim.Duration, then func()) *execOp {
+	var x *execOp
+	if i := len(c.execs) - 1; i >= 0 {
+		x, c.execs = c.execs[i], c.execs[:i]
+	} else {
+		x = &execOp{c: c}
+		x.begin, x.granted, x.retired = x.onBegin, x.onGrant, x.onRetire
+	}
+	x.d, x.then = d, then
+	return x
+}
+
+// execOp is one ExecThen in flight.
+type execOp struct {
+	c    *CPU
+	d    sim.Duration
+	then func()
+	// bound once: onBegin, onGrant, onRetire
+	begin, granted, retired func()
+}
+
+func (x *execOp) onBegin() { x.c.Cores.AcquireThen(x.granted) }
+
+func (x *execOp) onGrant() { x.c.K.After(x.d, x.retired) }
+
+func (x *execOp) onRetire() {
+	c, then := x.c, x.then
 	c.Cores.Release()
-	c.Busy.AddBusy(d)
+	c.Busy.AddBusy(x.d)
+	x.then = nil
+	c.execs = append(c.execs, x)
+	if then != nil {
+		then()
+	}
 }
 
 // ExecWhile occupies one core for as long as fn runs. It is used for
@@ -94,33 +147,62 @@ func (c *CPU) ExecWhile(p *sim.Proc, fn func()) {
 	c.Busy.AddBusy(p.Now().Sub(start))
 }
 
-// An IRQ is a hardware interrupt line with a fixed handler. Each Raise is
-// a new kernel-context process that pays entry cost, runs the handler and
-// pays exit cost; Raise returns immediately (the interrupt is
-// asynchronous). The process name and body are built once, for a device
-// that raises the same interrupt for every batch of packets.
+// An IRQ is a hardware interrupt line with a fixed handler. Each Raise
+// pays the entry cost, runs the handler and pays the exit cost; Raise
+// returns immediately (the interrupt is asynchronous). The entry and exit
+// charges are ExecThen callbacks. A handler that reaches the network
+// stack runs in a process started in place when the entry charge retires
+// (NewIRQ); one that never does is itself a callback chain and runs with
+// no process at all (NewIRQChain). Everything a Raise runs is bound once
+// per line, so raising allocates nothing beyond a handler's process.
 type IRQ struct {
 	c       *CPU
 	name    string
-	handler func(p *sim.Proc)
-	serve   func(p *sim.Proc) // q.run, bound once
+	handler func(p *sim.Proc) // NewIRQ
+	chain   func(done func()) // NewIRQChain
+	// bound once: onEnter, onStart, onExit, run
+	enter, start, exit func()
+	serve              func(p *sim.Proc)
 }
 
-// NewIRQ returns the interrupt line name of c, served by handler.
+// NewIRQ returns the interrupt line name of c, served by handler in a
+// kernel-context process.
 func (c *CPU) NewIRQ(name string, handler func(p *sim.Proc)) *IRQ {
-	q := &IRQ{c: c, name: c.Name + "/irq/" + name, handler: handler}
-	q.serve = q.run
+	return c.newIRQ(name, handler, nil)
+}
+
+// NewIRQChain returns the interrupt line name of c, served by handler as
+// a callback chain that calls done when it is finished.
+func (c *CPU) NewIRQChain(name string, handler func(done func())) *IRQ {
+	return c.newIRQ(name, nil, handler)
+}
+
+func (c *CPU) newIRQ(name string, handler func(p *sim.Proc), chain func(done func())) *IRQ {
+	q := &IRQ{c: c, name: c.Name + "/irq/" + name, handler: handler, chain: chain}
+	q.enter, q.start, q.exit, q.serve = q.onEnter, q.onStart, q.onExit, q.run
 	return q
 }
 
-// Raise fires the interrupt.
-func (q *IRQ) Raise() { q.c.K.Go(q.name, q.serve) }
+// Raise fires the interrupt. The entry charge begins in an event at the
+// current instant, the slot the start wake of a handler process took.
+func (q *IRQ) Raise() { q.c.K.At(q.c.K.Now(), q.enter) }
+
+func (q *IRQ) onEnter() { q.c.ExecThen(q.c.CyclesDur(q.c.Costs.IRQEntryCycles), q.start) }
+
+func (q *IRQ) onStart() {
+	if q.chain != nil {
+		q.chain(q.exit)
+		return
+	}
+	q.c.K.GoInPlace(q.name, q.serve)
+}
 
 func (q *IRQ) run(p *sim.Proc) {
-	q.c.Exec(p, q.c.Costs.IRQEntryCycles)
 	q.handler(p)
-	q.c.Exec(p, q.c.Costs.IRQExitCycles)
+	q.exit()
 }
+
+func (q *IRQ) onExit() { q.c.ExecThen(q.c.CyclesDur(q.c.Costs.IRQExitCycles), nil) }
 
 // ScheduleTasklet defers fn to softirq context, as the MCN polling agent
 // and NIC NAPI paths do. The tasklet runs on the softirqd process in FIFO
@@ -142,28 +224,36 @@ func (c *CPU) softirqd(p *sim.Proc) {
 
 // An HRTimer re-arms itself every Interval and, per the paper's efficient
 // polling design (Sec. IV-A), its interrupt routine only pays a small fixed
-// cost and schedules a tasklet that does the real work.
+// cost and schedules a tasklet that does the real work. The routine is a
+// callback chain: the timer interrupt runs without a process.
 type HRTimer struct {
+	c        *CPU
 	interval sim.Duration
+	fn       func(p *sim.Proc)
 	irq      *IRQ
 	timer    *sim.Timer
 	running  bool
 	Fires    int64
+	schedule func(*Seq) // h.scheduleTasklet, bound once
 }
 
 // NewHRTimer creates a stopped high-resolution timer whose tasklet body is
 // fn.
 func (c *CPU) NewHRTimer(interval sim.Duration, fn func(p *sim.Proc)) *HRTimer {
-	h := &HRTimer{interval: interval}
-	// The timer interrupt itself: entry + short routine + exit, then the
-	// body runs in softirq context.
-	h.irq = c.NewIRQ("hrtimer", func(p *sim.Proc) {
-		c.Exec(p, c.Costs.HRTimerCycles)
-		c.ScheduleTasklet(fn)
-	})
+	h := &HRTimer{c: c, interval: interval, fn: fn}
+	h.schedule = h.scheduleTasklet
+	h.irq = c.NewIRQChain("hrtimer", h.routine)
 	h.timer = c.K.NewTimer(h.fire)
 	return h
 }
+
+// routine is the timer interrupt's handler: a short fixed cost, then the
+// body is deferred to softirq context.
+func (h *HRTimer) routine(done func()) {
+	h.c.Seq().Exec(h.c.Costs.HRTimerCycles).Hook(h.schedule).RunThen(done)
+}
+
+func (h *HRTimer) scheduleTasklet(*Seq) { h.c.ScheduleTasklet(h.fn) }
 
 // Start arms the timer.
 func (h *HRTimer) Start() {
@@ -189,4 +279,151 @@ func (h *HRTimer) fire() {
 	if h.running {
 		h.timer.Reset(h.interval)
 	}
+}
+
+// A Seq is a run of charges that one process (or one interrupt handler)
+// makes back to back — ExecFor durations, callback-form operations such
+// as a node's bulk copy, an operation with a core held around it as under
+// ExecWhile — run as one callback chain, so the process parks at most once
+// however many charges there are, and not at all when every charge is
+// free. Each step takes the events its process form would at the same
+// (at, seq). A hook step runs code at the instant the process form would
+// have run it between two charges; it may append further steps, and the
+// chain ends when no step is left. N and Buf are the chain's scratch
+// values: the caller sets them, hooks read and update them, and Run
+// returns N. Seqs are pooled per CPU: building and running one allocates
+// nothing once the pool is warm, as long as every function handed to it
+// is bound once by its owner.
+type Seq struct {
+	c      *CPU
+	steps  []seqStep
+	i      int
+	N      int
+	Buf    []byte
+	resume func() // the process's resume, or the handler's done
+	proc   bool   // Run rather than RunThen
+	start  sim.Time
+	// bound once: step, onGrant, onHeld
+	next, granted, held func()
+}
+
+type seqStep struct {
+	d    sim.Duration             // hold a core for d (op and hook nil)
+	op   func(n int, done func()) // a callback-form operation on n
+	n    int
+	hold bool // op runs with a core held around it
+	hook func(s *Seq)
+}
+
+// Seq returns an empty charge sequence.
+func (c *CPU) Seq() *Seq {
+	if i := len(c.seqs) - 1; i >= 0 {
+		s := c.seqs[i]
+		c.seqs = c.seqs[:i]
+		return s
+	}
+	s := &Seq{c: c}
+	s.next, s.granted, s.held = s.step, s.onGrant, s.onHeld
+	return s
+}
+
+// Exec appends an n-cycle charge.
+func (s *Seq) Exec(n int64) *Seq { return s.ExecFor(s.c.CyclesDur(n)) }
+
+// ExecFor appends a charge of duration d.
+func (s *Seq) ExecFor(d sim.Duration) *Seq {
+	return s.add(seqStep{d: d})
+}
+
+// Then appends op(n, done), a callback-form operation that calls done
+// when it completes.
+func (s *Seq) Then(op func(n int, done func()), n int) *Seq {
+	return s.add(seqStep{op: op, n: n})
+}
+
+// While appends op(n, done) run with one core held around it, as
+// ExecWhile holds one around its function.
+func (s *Seq) While(op func(n int, done func()), n int) *Seq {
+	return s.add(seqStep{op: op, n: n, hold: true})
+}
+
+// Hook appends fn, run when the steps before it are done.
+func (s *Seq) Hook(fn func(s *Seq)) *Seq {
+	return s.add(seqStep{hook: fn})
+}
+
+// add appends st. Once every step so far has run, the slice restarts,
+// so a chain that loops through its hooks keeps a bounded step list.
+func (s *Seq) add(st seqStep) *Seq {
+	if s.i == len(s.steps) {
+		clear(s.steps)
+		s.steps, s.i = s.steps[:0], 0
+	}
+	s.steps = append(s.steps, st)
+	return s
+}
+
+// Run runs the sequence for p, parking p at most once, and returns N.
+func (s *Seq) Run(p *sim.Proc) int {
+	s.resume, s.proc = p.ResumeFunc(), true
+	p.Await(s.next)
+	n := s.N
+	s.release()
+	return n
+}
+
+// RunThen runs the sequence as a callback chain and calls done when it
+// ends.
+func (s *Seq) RunThen(done func()) {
+	s.resume, s.proc = done, false
+	s.step()
+}
+
+// release returns the sequence to its CPU's pool.
+func (s *Seq) release() {
+	clear(s.steps)
+	s.steps, s.i, s.N, s.Buf, s.resume = s.steps[:0], 0, 0, nil, nil
+	s.c.seqs = append(s.c.seqs, s)
+}
+
+// step runs steps until one has to wait, or ends the chain. A step's
+// callback may run before the call that armed it returns, so arming a
+// wait is always the last thing step does.
+func (s *Seq) step() {
+	for s.i < len(s.steps) {
+		st := s.steps[s.i]
+		s.i++
+		switch {
+		case st.hook != nil:
+			st.hook(s)
+		case st.hold:
+			s.c.Cores.AcquireThen(s.granted)
+			return
+		case st.op != nil:
+			st.op(st.n, s.next)
+			return
+		case st.d > 0:
+			s.c.ExecThen(st.d, s.next)
+			return
+		}
+	}
+	if s.proc {
+		s.resume()
+		return
+	}
+	done := s.resume
+	s.release()
+	done()
+}
+
+func (s *Seq) onGrant() {
+	s.start = s.c.K.Now()
+	st := s.steps[s.i-1]
+	st.op(st.n, s.held)
+}
+
+func (s *Seq) onHeld() {
+	s.c.Cores.Release()
+	s.c.Busy.AddBusy(s.c.K.Now().Sub(s.start))
+	s.next()
 }

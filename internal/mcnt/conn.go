@@ -3,6 +3,7 @@ package mcnt
 import (
 	"fmt"
 
+	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -36,14 +37,18 @@ type Conn struct {
 
 	closed     bool // our direction FINed
 	peerClosed bool // peer's direction FINed
+
+	recvChunk func(*cpu.Seq) // c.onRecvChunk, bound once
 }
 
 func newConn(ep *endpoint, l *linkEnd, stream uint32, dialer bool, localIP netstack.IP, lport uint16, remoteIP netstack.IP, rport uint16) *Conn {
-	return &Conn{
+	c := &Conn{
 		ep: ep, l: l, stream: stream, dialer: dialer,
 		localIP: localIP, lport: lport, remoteIP: remoteIP, rport: rport,
 		sendSig: ep.f.K.NewSignal(), rxSig: ep.f.K.NewSignal(),
 	}
+	c.recvChunk = c.onRecvChunk
+	return c
 }
 
 // McntStreamID exposes the stream id; the observability plane
@@ -70,8 +75,8 @@ func (c *Conn) onCredit(wire uint32) {
 // pure-credit frame cannot wedge the stream.
 func (c *Conn) Send(p *sim.Proc, data []byte) error {
 	st := c.ep.n.Stack
-	st.CPU.Exec(p, st.Costs.SocketCycles)
-	c.chargeCopy(p, len(data))
+	// The socket charge and the copy run as one chain.
+	st.CopyStep(st.CPU.Seq().Exec(st.Costs.SocketCycles), len(data)).Run(p)
 	w := uint64(c.ep.f.Pr.Window)
 	for off := 0; off < len(data); {
 		if c.closed {
@@ -128,19 +133,24 @@ func (c *Conn) SendN(p *sim.Proc, n int) error {
 func (c *Conn) Buffered() int { return c.rxbuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available.
-// It returns 0, false at end of stream.
+// It returns 0, false at end of stream. The socket charge and, when
+// bytes are already buffered, their copy run as one chain.
 func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	st := c.ep.n.Stack
-	st.CPU.Exec(p, st.Costs.SocketCycles)
-	for c.rxbuf.Len() == 0 {
-		if c.peerClosed || c.closed {
-			return 0, false
+	q := st.CPU.Seq().Exec(st.Costs.SocketCycles).Hook(c.recvChunk)
+	q.N, q.Buf = -1, buf
+	n := q.Run(p)
+	if n < 0 {
+		for c.rxbuf.Len() == 0 {
+			if c.peerClosed || c.closed {
+				return 0, false
+			}
+			c.rxSig.Wait(p)
 		}
-		c.rxSig.Wait(p)
+		n = c.rxbuf.CopyAt(buf, 0)
+		c.rxbuf.Discard(n)
+		st.CopyStep(st.CPU.Seq(), n).Run(p)
 	}
-	n := c.rxbuf.CopyAt(buf, 0)
-	c.rxbuf.Discard(n)
-	c.chargeCopy(p, n)
 	c.consumedB += uint64(n)
 	// Return credit once half a window has accumulated unannounced;
 	// reverse-direction data frames piggyback it for free otherwise.
@@ -191,13 +201,17 @@ func (c *Conn) Close(p *sim.Proc) {
 // Closed reports whether both directions are shut down.
 func (c *Conn) Closed() bool { return c.closed && c.peerClosed }
 
-func (c *Conn) chargeCopy(p *sim.Proc, n int) {
-	st := c.ep.n.Stack
-	if st.Copy != nil {
-		st.Copy(p, n)
+// onRecvChunk runs when Recv's socket charge retires: buffered bytes are
+// copied into Buf and consumed, N becomes their count and their copy
+// charge joins the chain. With nothing buffered N stays -1 and Recv
+// waits.
+func (c *Conn) onRecvChunk(q *cpu.Seq) {
+	if c.rxbuf.Len() == 0 {
 		return
 	}
-	st.CPU.Exec(p, int64(n)/st.Costs.CopyBytesPerCycle+1)
+	q.N = c.rxbuf.CopyAt(q.Buf, 0)
+	c.rxbuf.Discard(q.N)
+	c.ep.n.Stack.CopyStep(q, q.N)
 }
 
 // String describes the stream's cumulative accounting.

@@ -158,10 +158,10 @@ type Stack struct {
 	// verification (MCN optimization mcn2: the memory channel is ECC/CRC
 	// protected, Sec. IV-A). Checksums are still computed functionally.
 	ChecksumBypass bool
-	// Copy charges a bulk user/kernel copy; nodes override it to run the
-	// copy through their memory system. nil falls back to
-	// CopyBytesPerCycle.
-	Copy func(p *sim.Proc, bytes int)
+	// Copy charges a bulk user/kernel copy of bytes as a callback chain
+	// that calls done when it retires; nodes set it to run the copy
+	// through their memory system. nil falls back to CopyBytesPerCycle.
+	Copy func(bytes int, done func())
 	// Tap, when set, observes every frame entering or leaving the stack
 	// (a tcpdump attachment point; see obs.Recorder).
 	Tap Tap
@@ -377,16 +377,28 @@ func (s *Stack) chargeChecksumOn(p *sim.Proc, n int, dev NetDev) {
 	s.chargeChecksum(p, n)
 }
 
+// checksumStep appends chargeChecksumOn's charge to a charge sequence.
+func (s *Stack) checksumStep(q *cpu.Seq, n int, dev NetDev) {
+	if s.ChecksumBypass || n <= 0 || (dev != nil && dev.Features().HWChecksum) {
+		return
+	}
+	q.Exec(int64(n)/s.Costs.ChecksumBytesPerCycle + 1)
+}
+
 // chargeCopy charges a bulk data copy.
 func (s *Stack) chargeCopy(p *sim.Proc, n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		s.CopyStep(s.CPU.Seq(), n).Run(p)
 	}
+}
+
+// CopyStep appends a bulk copy of n bytes to a charge sequence: the
+// node's Copy chain, or CopyBytesPerCycle without one.
+func (s *Stack) CopyStep(q *cpu.Seq, n int) *cpu.Seq {
 	if s.Copy != nil {
-		s.Copy(p, n)
-		return
+		return q.Then(s.Copy, n)
 	}
-	s.CPU.Exec(p, int64(n)/s.Costs.CopyBytesPerCycle+1)
+	return q.Exec(int64(n)/s.Costs.CopyBytesPerCycle + 1)
 }
 
 // frameHeadroom is the room a transmit frame keeps ahead of its transport

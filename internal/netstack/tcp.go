@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 
+	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/sim"
 	"github.com/mcn-arch/mcn/internal/stats"
 )
@@ -111,6 +112,9 @@ type TCPConn struct {
 	closed   bool
 	closeErr error
 
+	// sendChunk and recvChunk are onSendChunk and onRecvChunk, bound once.
+	sendChunk, recvChunk func(*cpu.Seq)
+
 	// backoff counts consecutive retransmission timeouts; each one doubles
 	// the next RTO (clamped at tcpMaxRTO) until a new ACK resets it.
 	backoff int
@@ -138,6 +142,7 @@ func (s *Stack) newConn(t fourTuple, ifc *Iface) *TCPConn {
 	c.cwnd = tcpInitCwndMSS * c.mss
 	c.ssthresh = tcpRcvBufCap
 	c.rxLock = s.K.NewResource(1)
+	c.sendChunk, c.recvChunk = c.onSendChunk, c.onRecvChunk
 	c.rto = s.K.NewTimer(func() { c.onRTO() })
 	c.delack = s.K.NewTimer(func() { c.onDelAckTimer() })
 	s.conns[t] = c
@@ -235,9 +240,16 @@ func (c *TCPConn) Tuple() (local IP, lport uint16, remote IP, rport uint16) {
 }
 
 // Send writes data to the connection, blocking for buffer space. It
-// returns once all bytes are accepted into the send buffer.
+// returns once all bytes are accepted into the send buffer. The socket
+// charge and the first chunk's copy run as one chain.
 func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
-	c.s.CPU.Exec(p, c.s.Costs.SocketCycles)
+	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles).Hook(c.sendChunk)
+	q.N = len(data)
+	if n := q.Run(p); n > 0 {
+		c.sndBuf.Write(data[:n])
+		data = data[n:]
+		c.sendable.Notify()
+	}
 	for len(data) > 0 {
 		if c.closed || c.finQueued {
 			return fmt.Errorf("netstack(%s): send on closed connection", c.s.Host)
@@ -258,6 +270,21 @@ func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
 		c.sendable.Notify()
 	}
 	return nil
+}
+
+// onSendChunk runs when Send's socket charge retires, with N the bytes to
+// send. When the connection is open and the first chunk fits, its copy
+// joins the chain and N becomes its size; otherwise N is 0 and Send's
+// loop takes over.
+func (c *TCPConn) onSendChunk(q *cpu.Seq) {
+	n := q.N
+	q.N = 0
+	space := tcpSndBufCap - c.sndBuf.Len()
+	if n == 0 || c.closed || c.finQueued || space == 0 {
+		return
+	}
+	q.N = min(n, space)
+	c.s.CopyStep(q, q.N)
 }
 
 // zeroChunk is SendN's synthetic payload; nothing writes to it.
@@ -285,17 +312,22 @@ func (c *TCPConn) SendN(p *sim.Proc, n int) error {
 func (c *TCPConn) Buffered() int { return c.rcvBuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available. It
-// returns 0, false at end of stream.
+// returns 0, false at end of stream. The socket charge and, when bytes
+// are already buffered, their copy run as one chain.
 func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
-	c.s.CPU.Exec(p, c.s.Costs.SocketCycles)
-	for c.rcvBuf.Len() == 0 {
-		if c.gotFin || c.closed {
-			return 0, false
+	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles).Hook(c.recvChunk)
+	q.N, q.Buf = -1, buf
+	n := q.Run(p)
+	if n < 0 {
+		for c.rcvBuf.Len() == 0 {
+			if c.gotFin || c.closed {
+				return 0, false
+			}
+			c.readable.Wait(p)
 		}
-		c.readable.Wait(p)
+		n = c.rcvBuf.CopyAt(buf, 0)
+		c.s.chargeCopy(p, n)
 	}
-	n := c.rcvBuf.CopyAt(buf, 0)
-	c.s.chargeCopy(p, n)
 	// The bytes stay buffered through the copy charge: the window any
 	// segment advertises meanwhile still counts them.
 	c.rcvBuf.Discard(n)
@@ -308,6 +340,19 @@ func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 		}
 	}
 	return n, true
+}
+
+// onRecvChunk runs when Recv's socket charge retires: buffered bytes are
+// copied into Buf, N becomes their count and their copy charge joins the
+// chain. With nothing buffered N stays -1 and Recv waits.
+func (c *TCPConn) onRecvChunk(q *cpu.Seq) {
+	if c.rcvBuf.Len() == 0 {
+		return
+	}
+	q.N = c.rcvBuf.CopyAt(q.Buf, 0)
+	if q.N > 0 {
+		c.s.CopyStep(q, q.N)
+	}
 }
 
 // RecvN discards exactly n bytes from the stream (traffic sink); it
@@ -472,10 +517,14 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, frame []byte, tsoSeg int) {
 	segLen := len(frame) - frameHeadroom
 	n := segLen - TCPHeaderBytes
 	// Per-segment protocol cost: with TSO one cost covers the whole
-	// chunk; without it each MSS pays its own way.
-	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles)
-	c.s.chargeCopy(p, n)
-	c.s.chargeChecksumOn(p, segLen, c.ifc.Dev)
+	// chunk; without it each MSS pays its own way. The protocol, copy
+	// and checksum charges run as one chain.
+	q := c.s.CPU.Seq().Exec(c.s.Costs.TCPTxCycles)
+	if n > 0 {
+		c.s.CopyStep(q, n)
+	}
+	c.s.checksumStep(q, segLen, c.ifc.Dev)
+	q.Run(p)
 	c.sendPayload(p, frame, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
 	c.BytesSent.Add(p.Now(), int64(n))
 	if !c.rto.Pending() {

@@ -119,14 +119,10 @@ func New(k *sim.Kernel, cfg Config) *Node {
 
 // copy is the stack's bulk copy: a read and a write stream on a rotating
 // channel, with a core held for the whole copy. It is CPU.ExecWhile around
-// MemMove run as one callback chain — core grant, read Transfer, write
-// Transfer, core release — that takes the events ExecWhile and MemMove
-// would, at the same (at, seq), while the process parks once.
-func (n *Node) copy(p *sim.Proc, bytes int) {
-	if bytes <= 0 {
-		n.CPU.ExecWhile(p, func() { n.MemMove(p, bytes) })
-		return
-	}
+// a memory-to-memory move run as one callback chain — core grant, read
+// Transfer, write Transfer, core release — that calls done when the write
+// retires. A copy of no bytes still takes and releases a core.
+func (n *Node) copy(bytes int, done func()) {
 	var op *copyOp
 	if i := len(n.copies) - 1; i >= 0 {
 		op, n.copies = n.copies[i], n.copies[:i]
@@ -134,21 +130,19 @@ func (n *Node) copy(p *sim.Proc, bytes int) {
 		op = &copyOp{n: n, xfer: dram.NewTransfer()}
 		op.granted, op.read, op.written = op.onGrant, op.onRead, op.onWritten
 	}
-	op.bytes, op.resume = bytes, p.ResumeFunc()
+	op.bytes, op.done = bytes, done
 	n.CPU.Cores.AcquireThen(op.granted)
-	p.Suspend()
-	n.copies = append(n.copies, op)
 }
 
 // copyOp is one Stack.Copy in flight. It allocates nothing after its first
 // use; the node pools it.
 type copyOp struct {
-	n      *Node
-	xfer   *dram.Transfer
-	ch     *dram.Channel
-	bytes  int
-	start  sim.Time
-	resume func()
+	n     *Node
+	xfer  *dram.Transfer
+	ch    *dram.Channel
+	bytes int
+	start sim.Time
+	done  func()
 	// bound once: onGrant, onRead, onWritten
 	granted, read, written func()
 }
@@ -164,24 +158,17 @@ func (op *copyOp) onGrant() {
 func (op *copyOp) onRead() { op.xfer.Access(op.ch, copyDst, true, op.bytes, op.written) }
 
 func (op *copyOp) onWritten() {
-	c := op.n.CPU
-	c.Cores.Release()
-	c.Busy.AddBusy(op.n.K.Now().Sub(op.start))
-	op.resume()
+	n, done := op.n, op.done
+	n.CPU.Cores.Release()
+	n.CPU.Busy.AddBusy(n.K.Now().Sub(op.start))
+	op.done = nil
+	n.copies = append(n.copies, op)
+	done()
 }
 
 // copySrc and copyDst are the channel addresses a bulk copy reads and
 // writes; they set its banks and rows.
 const copySrc, copyDst = 0x2000_0000, 0x3000_0000
-
-// MemMove charges a memory-to-memory copy of the given size (read+write)
-// on the node's channels.
-func (n *Node) MemMove(p *sim.Proc, bytes int) {
-	ch := n.Channels[n.copyIdx%len(n.Channels)]
-	n.copyIdx++
-	ch.Read(p, copySrc, bytes)
-	ch.Write(p, copyDst, bytes)
-}
 
 // MemStream charges a pure streaming access (the roofline memory term of a
 // compute phase) spread across the node's channels.

@@ -29,9 +29,7 @@ func TestTableIIConfigs(t *testing.T) {
 func TestNodeCopyChargesMemory(t *testing.T) {
 	k := sim.NewKernel()
 	n := node.New(k, node.HostConfig("h"))
-	k.Go("copy", func(p *sim.Proc) {
-		n.Stack.Copy(p, 1<<20)
-	})
+	k.Go("copy", func(p *sim.Proc) { stackCopy(n, p, 1<<20) })
 	k.Run()
 	// A 1MB copy moves 2MB (read + write) through DRAM.
 	if got := n.TotalDRAMBytes(); got < 2<<20 {
@@ -192,7 +190,7 @@ func TestCopyChainMatchesExecWhile(t *testing.T) {
 			k.Go("copier", func(p *sim.Proc) {
 				for i, b := range sizes {
 					if chain {
-						n.Stack.Copy(p, b)
+						stackCopy(n, p, b)
 					} else {
 						n.CPU.ExecWhile(p, func() { n.MemMove(p, b) })
 					}
@@ -221,6 +219,10 @@ func TestCopyChainMatchesExecWhile(t *testing.T) {
 	}
 }
 
+// stackCopy runs the node's Stack.Copy chain for a process, as the stack's
+// own copy charge does.
+func stackCopy(n *node.Node, p *sim.Proc, bytes int) { n.Stack.CopyStep(n.CPU.Seq(), bytes).Run(p) }
+
 func TestCopyChainAllocs(t *testing.T) {
 	// After the first copy warms the node's chain pool, a Stack.Copy
 	// allocates nothing.
@@ -229,7 +231,7 @@ func TestCopyChainAllocs(t *testing.T) {
 	n := node.New(k, node.HostConfig("h"))
 	k.Go("copier", func(p *sim.Proc) {
 		for {
-			n.Stack.Copy(p, 9000)
+			stackCopy(n, p, 9000)
 		}
 	})
 	cycle := func() { k.RunFor(sim.Microsecond) }

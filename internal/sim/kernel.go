@@ -32,11 +32,14 @@ type KernelStats struct {
 	WheelPushes uint64 // pushes that landed in a timer-wheel level
 	Pops        uint64 // events popped and dispatched (incl. stale wakes)
 	StaleWakes  uint64 // wake events dropped by the generation check
-	ProcWakes   uint64 // wakes delivered to a process, in-place resumes included
+	ProcWakes   uint64 // wakes delivered to a process, in-place resumes and starts included
 	SelfWakes   uint64 // always 0; kept only because benchmark/ reads it
-	Switches    uint64 // coroutine resumes: one per delivered wake or in-place resume
-	Spawns      uint64 // processes created with Go
-	Shells      uint64 // coroutines actually created (pool misses)
+	Switches    uint64 // coroutine resumes: one per delivered wake, in-place resume or in-place start
+	// Spawns counts processes created with Go or GoInPlace. Interrupt
+	// handlers that never enter the stack (the DIMM rx drain, ALERT_N,
+	// the hrtimer routine) are callback chains and spawn nothing.
+	Spawns uint64
+	Shells uint64 // coroutines actually created (pool misses)
 }
 
 // WakeReason tells a parked process why it resumed.

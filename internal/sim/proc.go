@@ -19,7 +19,10 @@ type Proc struct {
 	reason  WakeReason // why the last wake resumed the process
 	// suspended marks a park that only the shell's resume function ends.
 	suspended bool
-	done      bool
+	// awaiting is set while Await runs its chain's first steps in the
+	// process body: a resume then only marks the chain finished.
+	awaiting bool
+	done     bool
 }
 
 // procAbort is panicked inside an aborted process to unwind it; the shell
@@ -46,6 +49,34 @@ type shell struct {
 // the current simulated time. It may be called before Run or from within any
 // running process or event callback.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	p := k.newProc(name, fn)
+	// The start is delivered like a wake so it obeys event ordering.
+	p.waiting = true
+	k.scheduleWake(k.now, p, p.waitGen, WakeDone)
+	return p
+}
+
+// GoInPlace creates a process named name running fn and starts it inside
+// the calling kernel callback, exactly where RunUntil would have delivered
+// the start wake of a Go called in that callback's place: the body runs
+// until its first park before GoInPlace returns. It is the start-side
+// counterpart of ResumeFunc, for a callback chain that ends by handing
+// its work to a process (an interrupt's entry charge starting its
+// handler). It counts one Spawns, ProcWakes and Switches and schedules
+// nothing. It panics if called from a process body.
+func (k *Kernel) GoInPlace(name string, fn func(p *Proc)) *Proc {
+	if k.inProc {
+		panic("sim: in-place start from a process body")
+	}
+	p := k.newProc(name, fn)
+	k.stats.ProcWakes++
+	k.stats.Switches++
+	k.switchTo(p)
+	return p
+}
+
+// newProc creates a process on a pooled or fresh shell.
+func (k *Kernel) newProc(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name}
 	var sh *shell
 	if n := len(k.pool); n > 0 {
@@ -62,9 +93,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p.shell = sh
 	k.live[p] = struct{}{}
 	k.stats.Spawns++
-	// The start is delivered like a wake so it obeys event ordering.
-	p.waiting = true
-	k.scheduleWake(k.now, p, p.waitGen, WakeDone)
 	return p
 }
 
@@ -142,7 +170,24 @@ func (p *Proc) Suspend() {
 	p.park()
 }
 
-// ResumeFunc returns the function that ends p's Suspend. Called from a
+// Await runs start, which begins a callback chain whose last step calls
+// p's ResumeFunc, and parks p until that call: however many charges the
+// chain makes, the process parks at most once. A chain whose every step
+// ran synchronously, calling the resume function before start returns,
+// does not park p at all, just as a process form whose charges were all
+// free would not have.
+func (p *Proc) Await(start func()) {
+	p.prepareWait()
+	p.suspended = true
+	p.awaiting = true
+	start()
+	p.awaiting = false
+	if p.suspended {
+		p.park()
+	}
+}
+
+// ResumeFunc returns the function that ends p's Suspend or Await. Called from a
 // kernel callback, it continues the process inside that callback's event,
 // exactly where RunUntil would have delivered a wake scheduled in its
 // place: it counts one ProcWakes and one Switches and schedules nothing.
@@ -156,6 +201,11 @@ func (sh *shell) resumeInPlace() {
 	p, k := sh.p, sh.k
 	if p == nil || !p.suspended {
 		panic("sim: resume of a process that is not suspended")
+	}
+	if p.awaiting {
+		// The chain finished inside Await's start: p never parked.
+		p.suspended, p.waiting = false, false
+		return
 	}
 	if k.inProc {
 		panic("sim: resume called from a process body")
