@@ -159,6 +159,9 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
+	if *dimms < 0 {
+		return fail(stderr, 2, "-dimms %d: want >= 0", *dimms)
+	}
 	fn, ok := workloads.Suite[*workload]
 	if !ok {
 		return fail(stderr, 2, "unknown workload %q (try mcnsim config -list)", *workload)
@@ -207,6 +210,9 @@ func iperf(args []string, stdout, stderr io.Writer) int {
 	if *mode != "eth" && *clients > *dimms {
 		return fail(stderr, 2, "-clients %d: want 1..%d, one per DIMM", *clients, *dimms)
 	}
+	if *durMs < 1 {
+		return fail(stderr, 2, "-duration %d: want >= 1", *durMs)
+	}
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	warm := 6 * sim.Millisecond
@@ -254,6 +260,9 @@ func ping(args []string, stdout, stderr io.Writer) int {
 	opts, ok := options(*level, stderr)
 	if !ok {
 		return 2
+	}
+	if *count < 1 {
+		return fail(stderr, 2, "-count %d: want >= 1", *count)
 	}
 	sizes := []int{16, 256, 1024, 4096, 8192}
 	k := sim.NewKernel()

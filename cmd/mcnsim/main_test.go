@@ -50,6 +50,9 @@ func TestCLI(t *testing.T) {
 		{"ping-bad-level", []string{"ping", "-level", "9"}},
 		{"npb-bad-level", []string{"npb", "-level", "9"}},
 		{"trace-bad-level", []string{"trace", "-level", "-1"}},
+		{"run-negative-dimms", []string{"run", "-dimms", "-1"}},
+		{"iperf-no-duration", []string{"iperf", "-duration", "0"}},
+		{"ping-no-count", []string{"ping", "-count", "0"}},
 	} {
 		t.Run(r.name, func(t *testing.T) { checkGolden(t, r.name+".golden", invoke(r.args...)) })
 	}
