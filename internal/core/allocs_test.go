@@ -13,7 +13,7 @@ import (
 // the DIMM's RX ring and the reply its TX ring, through the polled drain at
 // mcn0 and the MCN-DMA engines at mcn5. Each ceiling keeps the headroom
 // ethdev's TestAllocsNICRoundtrip has over its measured count (30 over
-// 12): mcn0 measures 13 and mcn5 11.
+// 12): mcn0 measures 9 and mcn5 10.
 func TestAllocsMcnPingRoundtrip(t *testing.T) {
 	for _, c := range []struct {
 		level   OptLevel
@@ -55,9 +55,11 @@ func TestAllocsMcnPingRoundtrip(t *testing.T) {
 // to allocate nothing per segment: frames cross the SRAM rings as the
 // sender's pool buffers and go back to the server's one pool, and every
 // interrupt line and MCN-DMA batch is bound once. The one allocation left
-// is the kernel's record of each process spawned (an interrupt handler),
-// so the window's allocations must equal its spawns: about two per 32KB
-// data message here.
+// is the kernel's record of each process spawned, so the window's
+// allocations must equal its spawns. The DIMM rx drain runs with no
+// process, so what spawns is the MCN-DMA batch handler, which enters the
+// stack: about one per 32KB data message here (2 767 over 2 470 messages;
+// two per message when every interrupt spawned).
 func TestAllocsMcnDataSegment(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fx := newFixture(MCN5.Options(), 3, 2)

@@ -1,0 +1,306 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/mcn-arch/mcn/internal/cpu"
+	"github.com/mcn-arch/mcn/internal/dram"
+	"github.com/mcn-arch/mcn/internal/netstack"
+	"github.com/mcn-arch/mcn/internal/sim"
+	"github.com/mcn-arch/mcn/internal/sram"
+)
+
+// The process forms below are the references the drivers' callback chains
+// are checked against: what each converted path did, charge by charge,
+// before its charges ran as one chain.
+
+// refExec is CPU.Exec's process form: acquire a core, sleep, release.
+func refExec(c *cpu.CPU, p *sim.Proc, n int64) {
+	d := c.CyclesDur(n)
+	if d <= 0 {
+		return
+	}
+	c.Cores.Acquire(p)
+	p.Sleep(d)
+	c.Cores.Release()
+	c.Busy.AddBusy(d)
+}
+
+// refDrainRX is the DIMM rx drain's process form.
+func refDrainRX(drv *DimmDriver, p *sim.Proc) {
+	if drv.draining {
+		return
+	}
+	drv.draining = true
+	defer func() { drv.draining = false }()
+	d := drv.dimm
+	for {
+		for !d.Buf.RX.Empty() {
+			msg := d.Buf.RX.Pop()
+			if drv.ChanTap != nil {
+				drv.ChanTap.Frame(p.Now(), netstack.TapDimmPop, d.Name, msg)
+			}
+			drv.CPU.ExecWhile(p, func() {
+				n := sram.HeaderBytes + len(msg)
+				p.Sleep(d.mcnAccessTime(n))
+				d.McnAccess.Add(p.Now(), int64(n))
+				drv.local.Write(p, 0x1800_0000, len(msg))
+			})
+			drv.RxMsgs++
+			drv.flowQueue(msg).TryPut(msg)
+		}
+		d.Buf.RxPoll = false
+		if d.Buf.RX.Empty() {
+			return
+		}
+		d.Buf.RxPoll = true
+	}
+}
+
+// refServeAlert is the ALERT_N handler's process form.
+func refServeAlert(hd *HostDriver, p *sim.Proc, src *HostPort) {
+	for _, port := range hd.ports {
+		if port.dimm.ChannelIdx != src.dimm.ChannelIdx {
+			continue
+		}
+		refExec(hd.CPU, p, hd.Costs.PollCheckCycles)
+		if !port.dimm.Buf.TxPoll {
+			continue
+		}
+		if port.draining {
+			port.alertPending = true
+			continue
+		}
+		hd.spawnDrain(port)
+	}
+}
+
+// refDrain is the host drain's process form: per message, the read under
+// a held core, the invalidate and the forwarding charge one by one.
+func refDrain(hd *HostDriver, p *sim.Proc, port *HostPort) {
+	if port.draining {
+		return
+	}
+	port.draining = true
+	defer func() { port.draining = false }()
+	d := port.dimm
+	d.HostAccess(p, 64, false, true)
+	idle := 0
+	for {
+		if !d.Online() {
+			return
+		}
+		for !d.Buf.TX.Empty() {
+			idle = 0
+			msg := d.Buf.TX.Pop()
+			if hd.ChanTap != nil {
+				hd.ChanTap.Frame(p.Now(), netstack.TapHostPop, d.Name, msg)
+			}
+			hd.CPU.ExecWhile(p, func() {
+				d.HostAccess(p, sram.HeaderBytes+len(msg), false, !hd.Opts.UncachedCopies)
+			})
+			lines := int64(len(msg)/64 + 1)
+			refExec(hd.CPU, p, hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles)
+			refExec(hd.CPU, p, hd.Costs.ForwardCycles)
+			hd.forward(p, port, msg)
+		}
+		d.Buf.TxPoll = false
+		d.HostAccess(p, 8, true, false)
+		if idle >= 2 {
+			if port.alertPending || !d.Buf.TX.Empty() {
+				port.alertPending = false
+				idle = 0
+				continue
+			}
+			return
+		}
+		idle++
+		p.Sleep(napiLinger)
+	}
+}
+
+// refDeliver is the MCN-DMA batch handler's process form.
+func refDeliver(b *rxBatch, p *sim.Proc) {
+	hd := b.port.drv
+	for _, msg := range b.pkts {
+		refExec(hd.CPU, p, hd.Costs.RxPerMsgCycles)
+		refExec(hd.CPU, p, hd.Costs.ForwardCycles)
+		hd.forward(p, b.port, msg)
+	}
+	clear(b.pkts)
+	b.pkts = b.pkts[:0]
+	b.e.served = append(b.e.served, b)
+}
+
+// refDimmDev and refHostDev carry the transmit paths' process forms.
+type refDimmDev struct{ *DimmDriver }
+
+func (drv refDimmDev) Transmit(p *sim.Proc, f netstack.Frame) {
+	refExec(drv.CPU, p, drv.Costs.TxSetupCycles)
+	e := drv.qdisc
+	if drv.Opts.DMA {
+		refExec(drv.CPU, p, drv.Costs.DMASetupCycles)
+		e = drv.dma
+	}
+	e.submit(ringJob{kind: dimmTx, drv: drv.DimmDriver, msg: owned(drv.Stack, f.Data, f.Pooled)})
+}
+
+type refHostDev struct{ *HostPort }
+
+func (port refHostDev) Transmit(p *sim.Proc, f netstack.Frame) {
+	hd := port.drv
+	if !port.carrier {
+		hd.Recov.CarrierDrops++
+		if f.Pooled {
+			hd.Stack.RecycleFrameBuf(f.Data)
+		}
+		return
+	}
+	refExec(hd.CPU, p, hd.Costs.TxSetupCycles)
+	if hd.Opts.DMA {
+		refExec(hd.CPU, p, hd.Costs.DMASetupCycles)
+	}
+	hd.enqueue(port.HostPort, f.Data, f.Pooled)
+}
+
+// chainLoad drives a fixture for a differential run: a TCP stream each way
+// between the host and DIMM 0, a stream from the last DIMM to the host, a
+// DIMM-to-DIMM ping relayed through the host, and rivals contending for
+// the host's cores and channel and for DIMM 0's cores and local channel.
+// It returns what the run must reproduce exactly.
+func chainLoad(t *testing.T, fx *fixture) []any {
+	var ends []any
+	port := uint16(5000)
+	stream := func(from, to *netstack.Stack, toIP netstack.IP, n int) {
+		port++
+		port := port
+		fx.k.Go("server", func(p *sim.Proc) {
+			l, _ := to.Listen(port)
+			c, _ := l.Accept(p)
+			got := c.RecvN(p, n)
+			ends = append(ends, "recv", got, p.Now())
+		})
+		fx.k.Go("client", func(p *sim.Proc) {
+			c, err := from.Connect(p, toIP, port)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.SendN(p, n)
+			ends = append(ends, "sent", p.Now())
+		})
+	}
+	last := fx.mcns[len(fx.mcns)-1]
+	stream(fx.hostStk, fx.mcns[0].stack, fx.mcns[0].ip, 96<<10)
+	stream(last.stack, fx.hostStk, fx.hostIP, 128<<10)
+	if len(fx.mcns) > 2 {
+		stream(fx.mcns[1].stack, fx.hostStk, fx.hostIP, 64<<10)
+	}
+	fx.k.Go("ping", func(p *sim.Proc) {
+		rtt, ok := fx.mcns[0].stack.Ping(p, last.ip, 56, sim.Second)
+		ends = append(ends, "ping", rtt, ok)
+	})
+	rival := func(c *cpu.CPU, ch *dram.Channel) {
+		fx.k.Go("rival", func(p *sim.Proc) {
+			for i := 0; i < 150; i++ {
+				refExec(c, p, int64(500+i%7*300))
+				ch.Access(p, uint64(i%5)*8192, i%2 == 0, 4096)
+				p.Sleep(sim.Duration(i%4) * 300 * sim.Nanosecond)
+			}
+		})
+	}
+	rival(fx.hostCPU, fx.channels[0])
+	rival(fx.mcns[0].cpu, fx.mcns[0].local)
+	fx.k.RunUntil(sim.Time(400 * sim.Microsecond))
+	out := []any{ends, fx.hostCPU.Busy.Busy, fx.hd.DeliveredHost, fx.hd.RelayedDimm, fx.hd.PollRounds, fx.hd.TxBusy}
+	for _, ch := range fx.channels {
+		out = append(out, ch.Bytes.Total, ch.RowHits, ch.RowMiss)
+	}
+	for _, m := range fx.mcns {
+		out = append(out, m.cpu.Busy.Busy, m.local.Bytes.Total, m.drv.RxMsgs, m.drv.TxMsgs,
+			m.dimm.HostReads.Total, m.dimm.HostWrites.Total, m.dimm.McnAccess.Total, m.dimm.RxIRQs, m.dimm.Alerts)
+	}
+	return out
+}
+
+// TestDriverChainsMatchProcessForms swaps one converted path at a time
+// back to its process form and runs the same traffic both ways. Every
+// completion time, busy time and byte count must be identical, the kernel
+// must push and pop the same events, and the chains must take strictly
+// fewer switches.
+func TestDriverChainsMatchProcessForms(t *testing.T) {
+	const stock = 64 // process-form MCN-DMA batches, per engine
+	for _, c := range []struct {
+		name   string
+		levels []OptLevel
+		swap   func(fx *fixture)
+	}{
+		{"DimmDriver.drainRX", []OptLevel{MCN0, MCN5}, func(fx *fixture) {
+			for _, m := range fx.mcns {
+				drv := m.drv
+				m.dimm.SetRxIRQ(m.cpu.NewIRQ("ref-rx", func(p *sim.Proc) { refDrainRX(drv, p) }).Raise)
+			}
+		}},
+		{"HostDriver.serveAlert", []OptLevel{MCN1, MCN3}, func(fx *fixture) {
+			for _, port := range fx.hd.ports {
+				port.alertn = fx.hostCPU.NewIRQ("ref-alertn", func(p *sim.Proc) { refServeAlert(fx.hd, p, port) })
+			}
+		}},
+		{"HostDriver.drain", []OptLevel{MCN0, MCN1}, func(fx *fixture) {
+			for _, port := range fx.hd.ports {
+				port.drainBody = func(p *sim.Proc) { refDrain(fx.hd, p, port) }
+			}
+		}},
+		{"rxBatch.deliver", []OptLevel{MCN5}, func(fx *fixture) {
+			// Every batch the run hands out comes from this stock, each
+			// bound to the process-form handler.
+			for _, e := range fx.hd.dmas {
+				for i := 0; i < stock; i++ {
+					b := &rxBatch{e: e}
+					b.irq = fx.hostCPU.NewIRQ("ref-dma-rx", func(p *sim.Proc) { refDeliver(b, p) })
+					e.served = append(e.served, b)
+				}
+			}
+		}},
+		// Without MCN-DMA a transmit makes one charge; there is nothing
+		// to chain.
+		{"Transmit", []OptLevel{MCN5}, func(fx *fixture) {
+			for i, m := range fx.mcns {
+				m.stack.Ifaces()[0].Dev = refDimmDev{m.drv}
+				fx.hostStk.Ifaces()[i].Dev = refHostDev{fx.hd.ports[i]}
+			}
+		}},
+	} {
+		for _, level := range c.levels {
+			t.Run(c.name+"/"+level.String(), func(t *testing.T) {
+				run := func(ref bool) ([]any, sim.KernelStats) {
+					fx := newFixture(level.Options(), 3, 2)
+					defer fx.k.Shutdown()
+					if ref {
+						c.swap(fx)
+					}
+					out := chainLoad(t, fx)
+					for _, e := range fx.hd.dmas {
+						if ref && c.name == "rxBatch.deliver" && len(e.served) != stock {
+							t.Fatalf("%d batches served, want the %d of the stock", len(e.served), stock)
+						}
+					}
+					return out, fx.k.Stats()
+				}
+				want, ws := run(true)
+				got, gs := run(false)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("chain diverges from the process form:\n got %v\nwant %v", got, want)
+				}
+				if gs.Pushes != ws.Pushes || gs.Pops != ws.Pops {
+					t.Fatalf("chain pushed/popped %d/%d events, process form %d/%d", gs.Pushes, gs.Pops, ws.Pushes, ws.Pops)
+				}
+				if gs.Switches >= ws.Switches {
+					t.Fatalf("chain took %d switches, process form %d: want fewer", gs.Switches, ws.Switches)
+				}
+				t.Logf("switches %d -> %d, spawns %d -> %d", ws.Switches, gs.Switches, ws.Spawns, gs.Spawns)
+			})
+		}
+	}
+}

@@ -158,3 +158,22 @@ func TestAllocsProcSuspendResume(t *testing.T) {
 		t.Fatalf("process suspend/resume allocates %.2f objects per cycle, want 0", avg)
 	}
 }
+
+func TestAllocsGoInPlace(t *testing.T) {
+	// A callback starts a short process in place per cycle: once the
+	// shell pool is warm, the process record is the only allocation.
+	k := NewKernel()
+	defer k.Shutdown()
+	body := func(p *Proc) { p.Sleep(10) }
+	start := func() { k.GoInPlace("irq", body) }
+	cycle := func() {
+		k.After(0, start)
+		k.RunUntil(k.Now().Add(100))
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(512, cycle); avg != 1 {
+		t.Fatalf("in-place start allocates %.2f objects per cycle, want 1 (the Proc)", avg)
+	}
+}

@@ -110,3 +110,91 @@ func TestShutdownUnwindsSuspended(t *testing.T) {
 		t.Fatalf("after Shutdown: unwound=%v LiveProcs=%d", unwound, k.LiveProcs())
 	}
 }
+
+// TestGoInPlaceTakesStartWakeSlot: a process started in place by a
+// callback runs exactly where the start wake of a Go called in that
+// callback's place would have started it. The events around it at the same
+// instant run in the same order, what the process schedules takes the same
+// sequence positions, and the kernel pushes and pops the same events.
+func TestGoInPlaceTakesStartWakeSlot(t *testing.T) {
+	run := func(inPlace bool) (string, KernelStats) {
+		k := NewKernel()
+		defer k.Shutdown()
+		var log []string
+		note := func(s string) func() { return func() { log = append(log, fmt.Sprint(k.Now(), ":", s)) } }
+		body := func(p *Proc) {
+			note("started")()
+			k.At(p.Now(), note("scheduled-by-proc"))
+			p.Sleep(0)
+			note("yielded")()
+		}
+		k.At(10, note("before"))
+		k.At(10, func() {
+			note("raise")()
+			if inPlace {
+				k.At(10, func() { k.GoInPlace("proc", body) })
+			} else {
+				k.Go("proc", body)
+			}
+			k.At(10, note("after-raise"))
+		})
+		k.At(10, note("after"))
+		k.Run()
+		return strings.Join(log, " "), k.Stats()
+	}
+	wantLog, wantStats := run(false)
+	gotLog, gotStats := run(true)
+	if gotLog != wantLog {
+		t.Fatalf("in-place start order:\n got %s\nwant %s", gotLog, wantLog)
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats differ: got %+v, want %+v", gotStats, wantStats)
+	}
+}
+
+// TestGoInPlaceFromProcessPanics: only a kernel callback may start a
+// process in place; a process body doing so would nest coroutines.
+func TestGoInPlaceFromProcessPanics(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	k.Go("starter", func(p *Proc) {
+		k.GoInPlace("nested", func(*Proc) {})
+	})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "from a process body") {
+			t.Fatalf("recovered %v, want an in-place start panic", r)
+		}
+	}()
+	k.Run()
+}
+
+// TestAwaitParksAtMostOnce: a chain that finishes inside Await's start
+// does not park the process at all, and one that runs several callbacks
+// parks it once, resuming it in the chain's last event.
+func TestAwaitParksAtMostOnce(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	var syncAt, asyncAt Time
+	var syncSwitches, asyncSwitches uint64
+	k.Go("awaiter", func(p *Proc) {
+		resume := p.ResumeFunc()
+		before := k.Stats().Switches
+		p.Await(resume) // every step synchronous
+		syncAt, syncSwitches = p.Now(), k.Stats().Switches-before
+		before = k.Stats().Switches
+		p.Await(func() {
+			k.After(5, func() { k.After(7, resume) })
+		})
+		asyncAt, asyncSwitches = p.Now(), k.Stats().Switches-before
+	})
+	k.Run()
+	if syncAt != 0 || syncSwitches != 0 {
+		t.Fatalf("synchronous chain: continued at %v after %d switches, want 0 and 0", syncAt, syncSwitches)
+	}
+	if asyncAt != 12 || asyncSwitches != 1 {
+		t.Fatalf("two-step chain: continued at %v after %d switches, want 12 and 1", asyncAt, asyncSwitches)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("awaiter did not finish: %d live", k.LiveProcs())
+	}
+}
