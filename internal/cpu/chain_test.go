@@ -8,19 +8,11 @@ import (
 )
 
 // The process forms below are the references the callback chains are
-// checked against: what ExecFor, an interrupt line and the hrtimer routine
-// did before each became a chain.
+// checked against: what an interrupt line and the hrtimer routine did
+// before each became a chain. ExecFor is the process form of ExecThen.
 
-// refExecFor is ExecFor's process form: acquire a core, sleep, release.
-func refExecFor(c *CPU, p *sim.Proc, d sim.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.Cores.Acquire(p)
-	p.Sleep(d)
-	c.Cores.Release()
-	c.Busy.AddBusy(d)
-}
+// refExecFor is ExecFor, named as the process form it stands for.
+func refExecFor(c *CPU, p *sim.Proc, d sim.Duration) { c.ExecFor(p, d) }
 
 // refRaise is an interrupt's process form: every raise spawns a process
 // that pays the entry cost, runs the handler and pays the exit cost.
@@ -60,11 +52,11 @@ func diffChain(t *testing.T, run func(chain bool) ([]any, sim.KernelStats)) {
 	}
 }
 
-// TestExecForMatchesProcessForm: ExecFor, now an ExecThen chain, takes the
-// process form's events on a two-core CPU that four workers and a rival
-// oversubscribe, zero-length charges included; a queued acquire no longer
-// costs a switch of its own.
-func TestExecForMatchesProcessForm(t *testing.T) {
+// TestExecThenMatchesExecFor: ExecThen takes ExecFor's events on a
+// two-core CPU that four workers and a rival oversubscribe, zero-length
+// charges included, and a process waiting on it parks once even when it
+// queues for a core.
+func TestExecThenMatchesExecFor(t *testing.T) {
 	diffChain(t, func(chain bool) ([]any, sim.KernelStats) {
 		k := sim.NewKernel()
 		defer k.Shutdown()
@@ -73,12 +65,13 @@ func TestExecForMatchesProcessForm(t *testing.T) {
 		var ends []any
 		for w := 0; w < 4; w++ {
 			k.Go("worker", func(p *sim.Proc) {
+				resume := p.ResumeFunc()
 				for i, n := range []int64{700, 0, 1200, 64, 2500, 1} {
 					d := c.CyclesDur(n)
 					if chain {
-						c.ExecFor(p, d)
+						p.Await(func() { c.ExecThen(d, resume) })
 					} else {
-						refExecFor(c, p, d)
+						c.ExecFor(p, d)
 					}
 					ends = append(ends, p.Now(), c.Cores.InUse(), c.Busy.Busy)
 					p.Sleep(sim.Duration(i*w) * 50 * sim.Nanosecond)

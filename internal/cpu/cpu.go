@@ -73,14 +73,15 @@ func (c *CPU) CyclesDur(n int64) sim.Duration { return sim.Cycles(n, c.Freq) }
 // Exec occupies one core for n cycles.
 func (c *CPU) Exec(p *sim.Proc, n int64) { c.ExecFor(p, c.CyclesDur(n)) }
 
-// ExecFor occupies one core for the given duration. It runs as an
-// ExecThen chain, so the process parks once even when it queues for a
-// core.
+// ExecFor occupies one core for the given duration.
 func (c *CPU) ExecFor(p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	p.Await(c.exec(d, p.ResumeFunc()).begin)
+	c.Cores.Acquire(p)
+	p.Sleep(d)
+	c.Cores.Release()
+	c.Busy.AddBusy(d)
 }
 
 // ExecThen is ExecFor as a callback chain: it occupies one core for d and
@@ -95,20 +96,15 @@ func (c *CPU) ExecThen(d sim.Duration, then func()) {
 		}
 		return
 	}
-	c.exec(d, then).begin()
-}
-
-// exec takes an idle charge from the pool.
-func (c *CPU) exec(d sim.Duration, then func()) *execOp {
 	var x *execOp
 	if i := len(c.execs) - 1; i >= 0 {
 		x, c.execs = c.execs[i], c.execs[:i]
 	} else {
 		x = &execOp{c: c}
-		x.begin, x.granted, x.retired = x.onBegin, x.onGrant, x.onRetire
+		x.granted, x.retired = x.onGrant, x.onRetire
 	}
 	x.d, x.then = d, then
-	return x
+	c.Cores.AcquireThen(x.granted)
 }
 
 // execOp is one ExecThen in flight.
@@ -116,11 +112,9 @@ type execOp struct {
 	c    *CPU
 	d    sim.Duration
 	then func()
-	// bound once: onBegin, onGrant, onRetire
-	begin, granted, retired func()
+	// bound once: onGrant, onRetire
+	granted, retired func()
 }
-
-func (x *execOp) onBegin() { x.c.Cores.AcquireThen(x.granted) }
 
 func (x *execOp) onGrant() { x.c.K.After(x.d, x.retired) }
 
@@ -302,9 +296,14 @@ type Seq struct {
 	Buf    []byte
 	resume func() // the process's resume, or the handler's done
 	proc   bool   // Run rather than RunThen
-	start  sim.Time
-	// bound once: step, onGrant, onHeld
-	next, granted, held func()
+	// The step in flight: a charge's duration, or a held-core
+	// operation, its argument and its core grant time.
+	d     sim.Duration
+	op    func(n int, done func())
+	n     int
+	start sim.Time
+	// bound once: step, onCharge, onCharged, onHold, onHeld
+	next, charge, charged, hold, held func()
 }
 
 type seqStep struct {
@@ -323,7 +322,7 @@ func (c *CPU) Seq() *Seq {
 		return s
 	}
 	s := &Seq{c: c}
-	s.next, s.granted, s.held = s.step, s.onGrant, s.onHeld
+	s.next, s.charge, s.charged, s.hold, s.held = s.step, s.onCharge, s.onCharged, s.onHold, s.onHeld
 	return s
 }
 
@@ -382,28 +381,32 @@ func (s *Seq) RunThen(done func()) {
 // release returns the sequence to its CPU's pool.
 func (s *Seq) release() {
 	clear(s.steps)
-	s.steps, s.i, s.N, s.Buf, s.resume = s.steps[:0], 0, 0, nil, nil
+	s.steps, s.i, s.N, s.Buf, s.resume, s.op = s.steps[:0], 0, 0, nil, nil, nil
 	s.c.seqs = append(s.c.seqs, s)
 }
 
 // step runs steps until one has to wait, or ends the chain. A step's
 // callback may run before the call that armed it returns, so arming a
-// wait is always the last thing step does.
+// wait is always the last thing step does. A charge and a held core are
+// ExecThen and ExecWhile run by the sequence itself: Cores.AcquireThen,
+// then After(d) or the operation, then the release.
 func (s *Seq) step() {
 	for s.i < len(s.steps) {
-		st := s.steps[s.i]
+		st := &s.steps[s.i]
 		s.i++
 		switch {
 		case st.hook != nil:
 			st.hook(s)
 		case st.hold:
-			s.c.Cores.AcquireThen(s.granted)
+			s.op, s.n = st.op, st.n
+			s.c.Cores.AcquireThen(s.hold)
 			return
 		case st.op != nil:
 			st.op(st.n, s.next)
 			return
 		case st.d > 0:
-			s.c.ExecThen(st.d, s.next)
+			s.d = st.d
+			s.c.Cores.AcquireThen(s.charge)
 			return
 		}
 	}
@@ -416,14 +419,21 @@ func (s *Seq) step() {
 	done()
 }
 
-func (s *Seq) onGrant() {
+func (s *Seq) onCharge() { s.c.K.After(s.d, s.charged) }
+
+func (s *Seq) onCharged() {
+	s.c.Cores.Release()
+	s.c.Busy.AddBusy(s.d)
+	s.step()
+}
+
+func (s *Seq) onHold() {
 	s.start = s.c.K.Now()
-	st := s.steps[s.i-1]
-	st.op(st.n, s.held)
+	s.op(s.n, s.held)
 }
 
 func (s *Seq) onHeld() {
 	s.c.Cores.Release()
 	s.c.Busy.AddBusy(s.c.K.Now().Sub(s.start))
-	s.next()
+	s.step()
 }
