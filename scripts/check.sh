@@ -45,24 +45,26 @@ if ! diff "$prof.allow" "$prof.zero"; then
     exit 1
 fi
 
-# Targeted race gate on the sim kernel, the MCN drivers and DRAM model,
-# the node's bulk-copy chain, the TCP/IP stack, the 10GbE NIC, the
-# serving tier, its admission plane, the replication plane, the
+# Targeted race gate on the sim kernel, the CPU model, the MCN drivers
+# and DRAM model, the node's bulk-copy chain, the TCP/IP stack, the 10GbE
+# NIC, the serving tier, its admission plane, the replication plane, the
 # observability plane (spans, registry and the windowed timeline/burn
 # monitor), the mcnt transport and the near-memory operator layer first:
 # the kernel's coroutine switches between the event loop and process
-# bodies (including the in-place resumes that end a Transfer or a
-# Stack.Copy chain), the core/dram/node callback state machines that
-# share Resources with those processes, the socket-buffer rings that TCP
-# and mcnt processes fill and drain around their CPU-charge parks (with
-# the stack's stream-integrity fuzz seeds), the NIC's TX-engine and NAPI
-# processes, which emit through a frame tap shared with the stack taps
-# (Table III's recorder), the SRAM rings, whose slots hold the frame
+# bodies (including the in-place resumes that end a Transfer, a
+# Stack.Copy or a charge-sequence chain, and the in-place starts of
+# interrupt handlers), the IRQ, which is a callback state machine that
+# shares Cores with processes, the core/dram/node callback state machines
+# that share Resources with those processes, the socket-buffer rings that
+# TCP and mcnt processes fill and drain around their CPU-charge parks
+# (with the stack's stream-integrity fuzz seeds), the NIC's TX-engine and
+# NAPI processes, which emit through a frame tap shared with the stack
+# taps (Table III's recorder), the SRAM rings, whose slots hold the frame
 # buffers one process pushes and another pops, and the concurrency-heavy
 # breaker/loadgen/forwarder/tracer/retransmit interplay mean a race in
 # these packages fails fast before the full suite spins up.
-echo ">> go test -race ./internal/sim ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
-go test -race ./internal/sim ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
+echo ">> go test -race ./internal/sim ./internal/cpu ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
+go test -race ./internal/sim ./internal/cpu ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
 
 # The continuous-telemetry suite crosses package lines (serve hooks, exp
 # A/B, the root chaos replay gate), so race it explicitly as well: these
