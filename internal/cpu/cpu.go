@@ -289,13 +289,13 @@ func (h *HRTimer) fire() {
 // nothing once the pool is warm, as long as every function handed to it
 // is bound once by its owner.
 type Seq struct {
-	c      *CPU
-	steps  []seqStep
-	i      int
-	N      int
-	Buf    []byte
-	resume func() // the process's resume, or the handler's done
-	proc   bool   // Run rather than RunThen
+	c        *CPU
+	steps    [seqMax]seqStep
+	i, count int // next step to run, steps held
+	N        int
+	Buf      []byte
+	resume   func() // the process's resume, or the handler's done
+	proc     bool   // Run rather than RunThen
 	// The step in flight: a charge's duration, or a held-core
 	// operation, its argument and its core grant time.
 	d     sim.Duration
@@ -305,6 +305,10 @@ type Seq struct {
 	// bound once: step, onCharge, onCharged, onHold, onHeld
 	next, charge, charged, hold, held func()
 }
+
+// seqMax bounds the steps a Seq holds that have not run yet; a hook that
+// appends steps after the others have run starts from an empty list.
+const seqMax = 8
 
 type seqStep struct {
 	d    sim.Duration             // hold a core for d (op and hook nil)
@@ -351,14 +355,17 @@ func (s *Seq) Hook(fn func(s *Seq)) *Seq {
 	return s.add(seqStep{hook: fn})
 }
 
-// add appends st. Once every step so far has run, the slice restarts,
-// so a chain that loops through its hooks keeps a bounded step list.
+// add appends st. Once every step so far has run, the list restarts, so a
+// chain that loops through its hooks holds a bounded number of steps.
 func (s *Seq) add(st seqStep) *Seq {
-	if s.i == len(s.steps) {
-		clear(s.steps)
-		s.steps, s.i = s.steps[:0], 0
+	if s.i == s.count {
+		s.i, s.count = 0, 0
 	}
-	s.steps = append(s.steps, st)
+	if s.count == seqMax {
+		panic("cpu: Seq holds too many steps")
+	}
+	s.steps[s.count] = st
+	s.count++
 	return s
 }
 
@@ -380,8 +387,7 @@ func (s *Seq) RunThen(done func()) {
 
 // release returns the sequence to its CPU's pool.
 func (s *Seq) release() {
-	clear(s.steps)
-	s.steps, s.i, s.N, s.Buf, s.resume, s.op = s.steps[:0], 0, 0, nil, nil, nil
+	s.i, s.count, s.N, s.Buf = 0, 0, 0, nil
 	s.c.seqs = append(s.c.seqs, s)
 }
 
@@ -391,7 +397,7 @@ func (s *Seq) release() {
 // ExecThen and ExecWhile run by the sequence itself: Cores.AcquireThen,
 // then After(d) or the operation, then the release.
 func (s *Seq) step() {
-	for s.i < len(s.steps) {
+	for s.i < s.count {
 		st := &s.steps[s.i]
 		s.i++
 		switch {
