@@ -83,10 +83,10 @@ func TestExecThenMatchesExecFor(t *testing.T) {
 	})
 }
 
-// TestSeqMatchesProcessForm: a charge sequence — charges, a callback
-// operation, an operation under a held core, and hooks that log and
-// append steps at their instants — matches the same charges made one by
-// one from a process, under core contention.
+// TestSeqMatchesProcessForm: a charge sequence — charges, an operation
+// under a held core, and hooks that log and append steps at their
+// instants — matches the same charges made one by one from a process,
+// under core contention.
 func TestSeqMatchesProcessForm(t *testing.T) {
 	diffChain(t, func(chain bool) ([]any, sim.KernelStats) {
 		k := sim.NewKernel()
@@ -95,7 +95,8 @@ func TestSeqMatchesProcessForm(t *testing.T) {
 		rival(c)
 		var log []any
 		note := func(what string) { log = append(log, what, k.Now(), c.Cores.InUse()) }
-		// op is a callback operation of n ns; its process form sleeps.
+		// op is a callback operation of n ns; its process form sleeps
+		// under ExecWhile.
 		op := func(n int, done func()) { k.After(sim.Duration(n)*sim.Nanosecond, done) }
 		hook := func(*Seq) { note("hook") }
 		tail := func(q *Seq) {
@@ -108,12 +109,11 @@ func TestSeqMatchesProcessForm(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					n := 100 + 50*w + i
 					if chain {
-						q := c.Seq().Exec(int64(n)).Then(op, n).Hook(hook).While(op, 2*n).Exec(0).Hook(tail)
+						q := c.Seq().Exec(int64(n)).Hook(hook).While(op, 2*n).Exec(0).Hook(tail)
 						q.N = 40
 						log = append(log, q.Run(p))
 					} else {
 						refExecFor(c, p, c.CyclesDur(int64(n)))
-						p.Sleep(sim.Duration(n) * sim.Nanosecond)
 						note("hook")
 						c.ExecWhile(p, func() { p.Sleep(sim.Duration(2*n) * sim.Nanosecond) })
 						note("tail")
@@ -139,7 +139,7 @@ func TestSeqSynchronousDoesNotPark(t *testing.T) {
 	k.Go("caller", func(p *sim.Proc) {
 		before := k.Stats().Switches
 		now := func(n int, done func()) { done() }
-		c.Seq().Exec(0).Then(now, 1).While(now, 2).Run(p)
+		c.Seq().Exec(0).While(now, 2).Run(p)
 		switches = k.Stats().Switches - before
 	})
 	k.Run()

@@ -44,8 +44,7 @@ type CPU struct {
 	Busy *stats.BusyMeter
 
 	softq *sim.Queue[func(p *sim.Proc)]
-	execs []*execOp // idle ExecThen chains
-	seqs  []*Seq    // idle charge sequences
+	seqs  []*Seq // idle charge sequences
 }
 
 // New creates a CPU with the given core count and clock and starts its
@@ -87,47 +86,8 @@ func (c *CPU) ExecFor(p *sim.Proc, d sim.Duration) {
 // ExecThen is ExecFor as a callback chain: it occupies one core for d and
 // then runs then (if non-nil), taking the events ExecFor would at the same
 // (at, seq): the core grant where the process's acquire would land and the
-// release where its wake would. then runs at once when d <= 0. A charge
-// allocates nothing once the CPU's pool is warm.
-func (c *CPU) ExecThen(d sim.Duration, then func()) {
-	if d <= 0 {
-		if then != nil {
-			then()
-		}
-		return
-	}
-	var x *execOp
-	if i := len(c.execs) - 1; i >= 0 {
-		x, c.execs = c.execs[i], c.execs[:i]
-	} else {
-		x = &execOp{c: c}
-		x.granted, x.retired = x.onGrant, x.onRetire
-	}
-	x.d, x.then = d, then
-	c.Cores.AcquireThen(x.granted)
-}
-
-// execOp is one ExecThen in flight.
-type execOp struct {
-	c    *CPU
-	d    sim.Duration
-	then func()
-	// bound once: onGrant, onRetire
-	granted, retired func()
-}
-
-func (x *execOp) onGrant() { x.c.K.After(x.d, x.retired) }
-
-func (x *execOp) onRetire() {
-	c, then := x.c, x.then
-	c.Cores.Release()
-	c.Busy.AddBusy(x.d)
-	x.then = nil
-	c.execs = append(c.execs, x)
-	if then != nil {
-		then()
-	}
-}
+// release where its wake would. then runs at once when d <= 0.
+func (c *CPU) ExecThen(d sim.Duration, then func()) { c.Seq().ExecFor(d).RunThen(then) }
 
 // ExecWhile occupies one core for as long as fn runs. It is used for
 // operations whose duration is set by another subsystem (e.g. a driver
@@ -276,8 +236,8 @@ func (h *HRTimer) fire() {
 }
 
 // A Seq is a run of charges that one process (or one interrupt handler)
-// makes back to back — ExecFor durations, callback-form operations such
-// as a node's bulk copy, an operation with a core held around it as under
+// makes back to back — ExecFor durations, and callback-form operations
+// such as a node's bulk copy with a core held around them as under
 // ExecWhile — run as one callback chain, so the process parks at most once
 // however many charges there are, and not at all when every charge is
 // free. Each step takes the events its process form would at the same
@@ -312,9 +272,8 @@ const seqMax = 8
 
 type seqStep struct {
 	d    sim.Duration             // hold a core for d (op and hook nil)
-	op   func(n int, done func()) // a callback-form operation on n
+	op   func(n int, done func()) // or for op(n, done), a callback chain
 	n    int
-	hold bool // op runs with a core held around it
 	hook func(s *Seq)
 }
 
@@ -338,16 +297,10 @@ func (s *Seq) ExecFor(d sim.Duration) *Seq {
 	return s.add(seqStep{d: d})
 }
 
-// Then appends op(n, done), a callback-form operation that calls done
-// when it completes.
-func (s *Seq) Then(op func(n int, done func()), n int) *Seq {
-	return s.add(seqStep{op: op, n: n})
-}
-
 // While appends op(n, done) run with one core held around it, as
 // ExecWhile holds one around its function.
 func (s *Seq) While(op func(n int, done func()), n int) *Seq {
-	return s.add(seqStep{op: op, n: n, hold: true})
+	return s.add(seqStep{op: op, n: n})
 }
 
 // Hook appends fn, run when the steps before it are done.
@@ -378,8 +331,8 @@ func (s *Seq) Run(p *sim.Proc) int {
 	return n
 }
 
-// RunThen runs the sequence as a callback chain and calls done when it
-// ends.
+// RunThen runs the sequence as a callback chain and calls done (if
+// non-nil) when it ends.
 func (s *Seq) RunThen(done func()) {
 	s.resume, s.proc = done, false
 	s.step()
@@ -403,12 +356,9 @@ func (s *Seq) step() {
 		switch {
 		case st.hook != nil:
 			st.hook(s)
-		case st.hold:
+		case st.op != nil:
 			s.op, s.n = st.op, st.n
 			s.c.Cores.AcquireThen(s.hold)
-			return
-		case st.op != nil:
-			st.op(st.n, s.next)
 			return
 		case st.d > 0:
 			s.d = st.d
@@ -422,7 +372,9 @@ func (s *Seq) step() {
 	}
 	done := s.resume
 	s.release()
-	done()
+	if done != nil {
+		done()
+	}
 }
 
 func (s *Seq) onCharge() { s.c.K.After(s.d, s.charged) }

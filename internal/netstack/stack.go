@@ -158,9 +158,10 @@ type Stack struct {
 	// verification (MCN optimization mcn2: the memory channel is ECC/CRC
 	// protected, Sec. IV-A). Checksums are still computed functionally.
 	ChecksumBypass bool
-	// Copy charges a bulk user/kernel copy of bytes as a callback chain
-	// that calls done when it retires; nodes set it to run the copy
-	// through their memory system. nil falls back to CopyBytesPerCycle.
+	// Copy moves a bulk user/kernel copy of bytes through the node's
+	// memory system as a callback chain that calls done when it retires;
+	// the charge sequence holds a core around it. nil falls back to
+	// CopyBytesPerCycle.
 	Copy func(bytes int, done func())
 	// Tap, when set, observes every frame entering or leaving the stack
 	// (a tcpdump attachment point; see obs.Recorder).
@@ -393,10 +394,10 @@ func (s *Stack) chargeCopy(p *sim.Proc, n int) {
 }
 
 // CopyStep appends a bulk copy of n bytes to a charge sequence: the
-// node's Copy chain, or CopyBytesPerCycle without one.
+// node's Copy chain with a core held, or CopyBytesPerCycle without one.
 func (s *Stack) CopyStep(q *cpu.Seq, n int) *cpu.Seq {
 	if s.Copy != nil {
-		return q.Then(s.Copy, n)
+		return q.While(s.Copy, n)
 	}
 	return q.Exec(int64(n)/s.Costs.CopyBytesPerCycle + 1)
 }

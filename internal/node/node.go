@@ -117,21 +117,23 @@ func New(k *sim.Kernel, cfg Config) *Node {
 	return n
 }
 
-// copy is the stack's bulk copy: a read and a write stream on a rotating
-// channel, with a core held for the whole copy. It is CPU.ExecWhile around
-// a memory-to-memory move run as one callback chain — core grant, read
-// Transfer, write Transfer, core release — that calls done when the write
-// retires. A copy of no bytes still takes and releases a core.
+// copy is the stack's bulk copy, run by its charge sequence with a core
+// held (Stack.CopyStep): a read and then a write stream on a rotating
+// channel, as a callback chain of two Transfers that calls done when the
+// write retires. A copy of no bytes moves nothing but still takes its
+// channel turn.
 func (n *Node) copy(bytes int, done func()) {
 	var op *copyOp
 	if i := len(n.copies) - 1; i >= 0 {
 		op, n.copies = n.copies[i], n.copies[:i]
 	} else {
 		op = &copyOp{n: n, xfer: dram.NewTransfer()}
-		op.granted, op.read, op.written = op.onGrant, op.onRead, op.onWritten
+		op.read, op.written = op.onRead, op.onWritten
 	}
 	op.bytes, op.done = bytes, done
-	n.CPU.Cores.AcquireThen(op.granted)
+	op.ch = n.Channels[n.copyIdx%len(n.Channels)]
+	n.copyIdx++
+	op.xfer.Access(op.ch, copySrc, false, bytes, op.read)
 }
 
 // copyOp is one Stack.Copy in flight. It allocates nothing after its first
@@ -141,28 +143,17 @@ type copyOp struct {
 	xfer  *dram.Transfer
 	ch    *dram.Channel
 	bytes int
-	start sim.Time
 	done  func()
-	// bound once: onGrant, onRead, onWritten
-	granted, read, written func()
-}
-
-func (op *copyOp) onGrant() {
-	n := op.n
-	op.start = n.K.Now()
-	op.ch = n.Channels[n.copyIdx%len(n.Channels)]
-	n.copyIdx++
-	op.xfer.Access(op.ch, copySrc, false, op.bytes, op.read)
+	// bound once: onRead, onWritten
+	read, written func()
 }
 
 func (op *copyOp) onRead() { op.xfer.Access(op.ch, copyDst, true, op.bytes, op.written) }
 
 func (op *copyOp) onWritten() {
-	n, done := op.n, op.done
-	n.CPU.Cores.Release()
-	n.CPU.Busy.AddBusy(n.K.Now().Sub(op.start))
+	done := op.done
 	op.done = nil
-	n.copies = append(n.copies, op)
+	op.n.copies = append(op.n.copies, op)
 	done()
 }
 
