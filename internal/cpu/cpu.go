@@ -112,28 +112,29 @@ func (c *CPU) ExecWhile(p *sim.Proc, fn func()) {
 type IRQ struct {
 	c       *CPU
 	name    string
-	handler func(p *sim.Proc) // NewIRQ
-	chain   func(done func()) // NewIRQChain
-	// bound once: onEnter, onStart, onExit, run
+	handler func(done func())
+	// bound once: onEnter, onStart, onExit
 	enter, start, exit func()
-	serve              func(p *sim.Proc)
 }
 
 // NewIRQ returns the interrupt line name of c, served by handler in a
-// kernel-context process.
+// kernel-context process: a chain handler that starts the process in
+// place and pays the exit cost when the process's body returns.
 func (c *CPU) NewIRQ(name string, handler func(p *sim.Proc)) *IRQ {
-	return c.newIRQ(name, handler, nil)
+	var q *IRQ
+	serve := func(p *sim.Proc) {
+		handler(p)
+		q.exit()
+	}
+	q = c.NewIRQChain(name, func(func()) { c.K.GoInPlace(q.name, serve) })
+	return q
 }
 
 // NewIRQChain returns the interrupt line name of c, served by handler as
 // a callback chain that calls done when it is finished.
 func (c *CPU) NewIRQChain(name string, handler func(done func())) *IRQ {
-	return c.newIRQ(name, nil, handler)
-}
-
-func (c *CPU) newIRQ(name string, handler func(p *sim.Proc), chain func(done func())) *IRQ {
-	q := &IRQ{c: c, name: c.Name + "/irq/" + name, handler: handler, chain: chain}
-	q.enter, q.start, q.exit, q.serve = q.onEnter, q.onStart, q.onExit, q.run
+	q := &IRQ{c: c, name: c.Name + "/irq/" + name, handler: handler}
+	q.enter, q.start, q.exit = q.onEnter, q.onStart, q.onExit
 	return q
 }
 
@@ -143,18 +144,7 @@ func (q *IRQ) Raise() { q.c.K.At(q.c.K.Now(), q.enter) }
 
 func (q *IRQ) onEnter() { q.c.ExecThen(q.c.CyclesDur(q.c.Costs.IRQEntryCycles), q.start) }
 
-func (q *IRQ) onStart() {
-	if q.chain != nil {
-		q.chain(q.exit)
-		return
-	}
-	q.c.K.GoInPlace(q.name, q.serve)
-}
-
-func (q *IRQ) run(p *sim.Proc) {
-	q.handler(p)
-	q.exit()
-}
+func (q *IRQ) onStart() { q.handler(q.exit) }
 
 func (q *IRQ) onExit() { q.c.ExecThen(q.c.CyclesDur(q.c.Costs.IRQExitCycles), nil) }
 
