@@ -126,7 +126,7 @@ func TestAllocsWheelHeapSpill(t *testing.T) {
 	defer k.Shutdown()
 	tm := k.NewTimer(func() {})
 	spill := func() {
-		tm.Reset(Duration(1) << wheelShifts[2] * 300) // beyond the wheel
+		tm.Reset(Duration(1) << wheelShifts[len(wheelShifts)-1] * 300) // beyond the wheel
 		tm.Stop()
 	}
 	for i := 0; i < 64; i++ {

@@ -82,6 +82,37 @@ type difTimer struct {
 	idx int32 // nilIdx when idle
 }
 
+// wheelHorizons is the horizon mix the scheduler oracles push at:
+// same-instant, sub-slot, then for every wheel level a few slots in, deep
+// in the level and exactly its horizon (the first prefix the next level
+// takes), beyond the last level (the heap), and a jump of several
+// level-1 slots at once, which moves the cascade cursors by more than
+// one slot.
+func wheelHorizons() []Duration {
+	h := []Duration{0, 0, 1, 100, Duration(1) << wheelShifts[0] / 1000}
+	for _, shift := range wheelShifts {
+		h = append(h, Duration(1)<<shift*3, Duration(1)<<shift*200, Duration(1)<<shift*256)
+	}
+	last := wheelShifts[len(wheelShifts)-1]
+	return append(h, Duration(1)<<last*300, Duration(1)<<wheelShifts[1]*7+12345)
+}
+
+// checkCascaded fails unless a peek at now left every level above 0
+// without an event in now's own slot prefix: the cascade cursors skip a
+// level only while no such event can exist, and one left behind would
+// make every later rescan of its level walk the whole slot.
+func checkCascaded(t *testing.T, q *eventQueue, now Time) {
+	t.Helper()
+	for l := 1; l < len(q.wheel); l++ {
+		prefix := uint64(now) >> wheelShifts[l]
+		for idx := q.wheel[l].slot[int32(prefix)&(wheelSlots-1)]; idx != nilIdx; idx = q.arena[idx].next {
+			if uint64(q.arena[idx].at)>>wheelShifts[l] == prefix {
+				t.Fatalf("now %d: level %d still holds an event at %d in the cursor slot", now, l, q.arena[idx].at)
+			}
+		}
+	}
+}
+
 func TestDifferentialScheduler(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -99,18 +130,7 @@ func TestDifferentialScheduler(t *testing.T) {
 		for i := range timers {
 			timers[i] = &difTimer{idx: nilIdx}
 		}
-		// Horizon mix: same-instant, inside each wheel level, straddling
-		// the cascade boundaries, and far enough to overflow to the heap.
-		horizons := []Duration{
-			0, 0, 1, 100,
-			Duration(1) << wheelShifts[0] / 1000, // sub-slot at level 0
-			Duration(1) << wheelShifts[0] * 200,  // deep in level 0
-			Duration(1) << wheelShifts[0] * 256,  // exactly the L0 horizon
-			Duration(1) << wheelShifts[1] * 3,    // level 1
-			Duration(1) << wheelShifts[1] * 256,  // exactly the L1 horizon
-			Duration(1) << wheelShifts[2] * 7,    // level 2
-			Duration(1) << wheelShifts[2] * 300,  // beyond the wheel: heap
-		}
+		horizons := wheelHorizons()
 		var lastAt Time
 
 		pushBoth := func(at Time, tm *difTimer) {
@@ -132,7 +152,12 @@ func TestDifferentialScheduler(t *testing.T) {
 		}
 
 		for op := 0; op < 4000; op++ {
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(11); {
+			case r == 10: // advance now without a pop, as RunUntil does to its limit
+				jump := Duration(1)<<wheelShifts[1]*5 + Duration(rng.Intn(1<<wheelShifts[1]))
+				if idx := q.peek(now); idx == nilIdx || q.arena[idx].at >= now.Add(jump) {
+					now = now.Add(jump)
+				}
 			case r < 4: // plain push
 				at := now.Add(horizons[rng.Intn(len(horizons))])
 				if rng.Intn(4) == 0 && lastAt >= now {
@@ -163,6 +188,7 @@ func TestDifferentialScheduler(t *testing.T) {
 			default: // pop and compare
 				rat, rseq, rid, rok := ref.popLive()
 				idx := q.peek(now)
+				checkCascaded(t, &q, now)
 				if !rok {
 					if idx != nilIdx {
 						t.Fatalf("seed %d op %d: ref empty, queue has (at=%d seq=%d)",
@@ -195,6 +221,7 @@ func TestDifferentialScheduler(t *testing.T) {
 		for {
 			rat, rseq, rid, rok := ref.popLive()
 			idx := q.peek(now)
+			checkCascaded(t, &q, now)
 			if !rok {
 				if idx != nilIdx {
 					t.Fatalf("seed %d drain: ref empty, queue has seq=%d", seed, q.arena[idx].seq)

@@ -14,7 +14,8 @@ import "math/bits"
 // the 256 slots hold 256 *consecutive* prefixes and the first occupied
 // slot in circular order from the now-cursor necessarily contains the
 // level minimum; events sharing a slot share a prefix and are ordered
-// by a (at, seq) scan of that slot's list.
+// by a (at, seq) scan of that slot's list. A peek compares at most five
+// candidates: the four level minima and the heap root.
 
 const nilIdx = int32(-1)
 
@@ -23,15 +24,17 @@ const (
 	levelHeap = int8(-1) // in the overflow heap
 )
 
-// wheelShifts pick the granularity of each level: 2^16 ps ≈ 65.5ns slots
-// covering ~16.8us, 2^24 ps ≈ 16.8us slots covering ~4.3ms, and 2^32 ps
-// ≈ 4.3ms slots covering ~1.1s. Anything further out overflows to the
-// heap (rare: long experiment horizons and end-of-run drains). The L0/L1
-// split deliberately separates the fire band (sub-us bus, link and cpu
-// events that almost always pop) from the churn band (RTO and watchdog
-// timers ~100us+ out that are usually cancelled): cancelling an L1 timer
-// rarely touches the cached L1 minimum, so it never forces a rescan.
-var wheelShifts = [3]uint{16, 24, 32}
+// wheelShifts pick the granularity of each level: 2^12 ps ≈ 4.1ns slots
+// covering ~1.05us, 2^20 ps ≈ 1.05us slots covering ~268us, 2^28 ps ≈
+// 268us slots covering ~68.7ms, and 2^36 ps ≈ 68.7ms slots covering
+// ~17.6s. Anything further out overflows to the heap (rare: end-of-run
+// drains). Level 0 holds the fire band (sub-us bus, link and cpu events
+// that almost always pop) in slots so narrow that the slot a rescan
+// walks holds a fraction of an event on average; RTO and watchdog
+// timers ~100us+ out, which are usually cancelled, sit in level 1 and
+// up, so cancelling one rarely touches the cached level-0 minimum.
+// Adjacent shifts differ by 8 bits, one level's 256 slots.
+var wheelShifts = [4]uint{12, 20, 28, 36}
 
 const wheelSlots = 256
 
@@ -68,13 +71,16 @@ type wheelLevel struct {
 	// compare in peek never dereferences the arena for a warm cache.
 	minAt  Time
 	minSeq uint64
+	// cursor is the prefix now>>shift at the level's last cascade; the
+	// slot it names was emptied then, and no insert can land in it.
+	cursor uint64
 }
 
 type eventQueue struct {
 	arena []event
 	free  int32 // free-list head, linked through event.next
 	heap  []int32
-	wheel [3]wheelLevel
+	wheel [len(wheelShifts)]wheelLevel
 	size  int
 }
 
@@ -91,6 +97,7 @@ func (q *eventQueue) init() {
 		w.occ = [wheelSlots / 64]uint64{}
 		w.min = nilIdx
 		w.count = 0
+		w.cursor = ^uint64(0) // the first peek cascades every level
 	}
 }
 
@@ -180,15 +187,31 @@ func (q *eventQueue) remove(idx int32) {
 // reached down to the next finer level. Events sharing the cursor's
 // prefix at level L are within 2^shift[L] of now and their bits above
 // shift[L] equal now's, so they always fit level L-1. Each event moves
-// at most twice over its lifetime, keeping the hot min-scans confined
-// to the ~1us level-0 slots.
+// at most three times over its lifetime, keeping the hot min-scans
+// confined to the ~4ns level-0 slots.
+//
+// A level is visited only when now>>shift enters a new slot. That is
+// exact: an insert never lands in a level's cursor slot (an event with
+// now's prefix at level L fits level L-1 and is filed there), and a
+// cascade from level L+1 only fills level L's cursor slot when level
+// L's own prefix moved too, so the top-down pass below empties it.
+// The cursors are nested the same way: while level 1's prefix stands
+// still, so do all the others'.
 func (q *eventQueue) cascade(now Time) {
+	if uint64(now)>>wheelShifts[1] == q.wheel[1].cursor {
+		return
+	}
 	for l := len(q.wheel) - 1; l >= 1; l-- {
 		w := &q.wheel[l]
+		prefix := uint64(now) >> wheelShifts[l]
+		if prefix == w.cursor {
+			continue
+		}
+		w.cursor = prefix
 		if w.count == 0 {
 			continue
 		}
-		s := int32(uint64(now)>>wheelShifts[l]) & (wheelSlots - 1)
+		s := int32(prefix) & (wheelSlots - 1)
 		if w.occ[s>>6]&(1<<uint(s&63)) == 0 {
 			continue
 		}

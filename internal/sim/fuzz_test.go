@@ -6,16 +6,18 @@ import "testing"
 // production eventQueue and the reference heap from differential_test.go,
 // then checks the two agree on every pop and on the final drain. Each
 // 6-byte chunk is one op: [kind, d0, d1, d2, d3, shift]. The horizon
-// uint32(d)<<(shift%12) spans same-slot pushes, every wheel level, the
-// cascade boundaries, and the far-future heap spill.
+// uint32(d)<<(shift%16), up to 2^47 ps (~141 s), spans same-slot pushes,
+// every wheel level, the cascade boundaries, and the far-future heap
+// spill beyond the last level's ~17.6 s.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{})
-	// One push per horizon band: L0, L1, L2, heap; then a pop.
+	// One push per horizon band: L0, L1, L2, L3, heap; then a pop.
 	f.Add([]byte{
 		0, 1, 0, 0, 0, 0, // at = now+1 (level 0)
-		0, 0, 0, 4, 0, 2, // level 1
-		0, 0, 0, 0, 8, 4, // level 2
-		0, 0, 0, 0, 255, 11, // heap
+		0, 0, 0, 64, 0, 0, // 2^22: level 1
+		0, 0, 0, 0, 64, 0, // 2^30: level 2
+		0, 0, 0, 0, 64, 10, // 2^40: level 3
+		0, 0, 0, 0, 255, 15, // ~2^47: heap
 		5, 0, 0, 0, 0, 0, // pop
 	})
 	// Equal-timestamp seq tie-break: two zero-delta pushes then pops.
@@ -54,7 +56,7 @@ func FuzzTimerWheel(f *testing.F) {
 		for i := 0; i+6 <= len(data); i += 6 {
 			d := uint64(data[i+1]) | uint64(data[i+2])<<8 |
 				uint64(data[i+3])<<16 | uint64(data[i+4])<<24
-			horizon := Duration(d << (data[i+5] % 12))
+			horizon := Duration(d << (data[i+5] % 16))
 			tm := timers[int(data[i+5])%len(timers)]
 			switch data[i] % 6 {
 			case 0, 1, 2:
@@ -80,6 +82,7 @@ func FuzzTimerWheel(f *testing.F) {
 			case 5: // pop and compare
 				rat, rseq, rid, rok := ref.popLive()
 				idx := q.peek(now)
+				checkCascaded(t, &q, now)
 				if !rok {
 					if idx != nilIdx {
 						t.Fatalf("op %d: ref empty, queue has (at=%d seq=%d)",
@@ -109,6 +112,7 @@ func FuzzTimerWheel(f *testing.F) {
 		for {
 			rat, rseq, rid, rok := ref.popLive()
 			idx := q.peek(now)
+			checkCascaded(t, &q, now)
 			if !rok {
 				if idx != nilIdx {
 					t.Fatalf("drain: ref empty, queue has seq=%d", q.arena[idx].seq)
