@@ -64,27 +64,15 @@ func TestAllocsMcnDataSegment(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fx := newFixture(MCN5.Options(), 3, 2)
 	defer fx.k.Shutdown()
-	stream := func(from, to *netstack.Stack, toIP netstack.IP) {
-		fx.k.Go("sink", func(p *sim.Proc) {
-			l, _ := to.Listen(5001)
-			c, _ := l.Accept(p)
-			c.RecvN(p, 1<<40)
-		})
-		fx.k.Go("source", func(p *sim.Proc) {
-			c, err := from.Connect(p, toIP, 5001)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			c.SendN(p, 1<<40)
-		})
-	}
-	stream(fx.mcns[0].stack, fx.hostStk, fx.hostIP)
-	stream(fx.mcns[1].stack, fx.mcns[2].stack, fx.mcns[2].ip)
+	stream(t, fx, fx.mcns[0].stack, fx.hostStk, fx.hostIP)
+	stream(t, fx, fx.mcns[1].stack, fx.mcns[2].stack, fx.mcns[2].ip)
 	fx.k.RunUntil(sim.Time(5 * sim.Millisecond))
 	msgs := func() int64 { return fx.mcns[0].drv.TxMsgs + fx.mcns[1].drv.TxMsgs }
 	msgs0, spawns0 := msgs(), fx.k.Stats().Spawns
 	var before, after runtime.MemStats
+	// A collection that starts inside the window allocates for its own
+	// workers; finish one first so the count is the simulation's alone.
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	fx.k.RunUntil(sim.Time(10 * sim.Millisecond))
 	runtime.ReadMemStats(&after)
@@ -96,5 +84,60 @@ func TestAllocsMcnDataSegment(t *testing.T) {
 	if allocs != spawns {
 		t.Fatalf("%d allocations over %d data messages, beyond the %d process records (%.3f per message)",
 			allocs, n, spawns, float64(allocs-spawns)/float64(n))
+	}
+}
+
+// stream runs an endless TCP stream from one stack to another.
+func stream(t *testing.T, fx *fixture, from, to *netstack.Stack, toIP netstack.IP) {
+	fx.k.Go("sink", func(p *sim.Proc) {
+		l, _ := to.Listen(5001)
+		c, _ := l.Accept(p)
+		c.RecvN(p, 1<<40)
+	})
+	fx.k.Go("source", func(p *sim.Proc) {
+		c, err := from.Connect(p, toIP, 5001)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.SendN(p, 1<<40)
+	})
+}
+
+// TestSwitchesMcnDataSegment bounds the coroutine switches per TCP data
+// segment (one 32KB message) of a warm stream host<-DIMM and DIMM<-DIMM
+// at mcn5, every process of the server counted: the sender's socket
+// calls and transmitter, both drivers, the MCN-DMA batch handlers, the
+// receiver's RPS context and its ACKs. A segment crosses TCP, IP and the
+// driver with one park on transmit and on receive: 11.5 and 15.0 per
+// message, where parking once per IP and driver charge took 16.0 and
+// 19.5. The ceilings sit about 10% over the counts.
+func TestSwitchesMcnDataSegment(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		to      func(fx *fixture) (*netstack.Stack, netstack.IP)
+		ceiling float64
+	}{
+		{"host<-dimm", func(fx *fixture) (*netstack.Stack, netstack.IP) { return fx.hostStk, fx.hostIP }, 12.7},
+		{"dimm<-dimm", func(fx *fixture) (*netstack.Stack, netstack.IP) { return fx.mcns[2].stack, fx.mcns[2].ip }, 16.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newFixture(MCN5.Options(), 3, 2)
+			defer fx.k.Shutdown()
+			to, ip := c.to(fx)
+			stream(t, fx, fx.mcns[0].stack, to, ip)
+			fx.k.RunUntil(sim.Time(2 * sim.Millisecond))
+			msgs0, sw0 := fx.mcns[0].drv.TxMsgs, fx.k.Stats().Switches
+			fx.k.RunUntil(sim.Time(6 * sim.Millisecond))
+			n, sw := fx.mcns[0].drv.TxMsgs-msgs0, fx.k.Stats().Switches-sw0
+			per := float64(sw) / float64(n)
+			t.Logf("%d data messages, %d switches: %.2f per message", n, sw, per)
+			if n < 500 {
+				t.Fatalf("only %d data messages in the window", n)
+			}
+			if per > c.ceiling {
+				t.Fatalf("%.2f switches per data message, ceiling %.1f", per, c.ceiling)
+			}
+		})
 	}
 }

@@ -134,21 +134,31 @@ func refDeliver(b *rxBatch, p *sim.Proc) {
 }
 
 // refDimmDev and refHostDev carry the transmit paths' process forms.
-type refDimmDev struct{ *DimmDriver }
+// They are no netstack.StepDev: a stack hands them each frame through
+// Transmit once its own chain has ended.
+type refDimmDev struct {
+	netstack.NetDev
+	drv *DimmDriver
+}
 
-func (drv refDimmDev) Transmit(p *sim.Proc, f netstack.Frame) {
+func (d refDimmDev) Transmit(p *sim.Proc, f netstack.Frame) {
+	drv := d.drv
 	refExec(drv.CPU, p, drv.Costs.TxSetupCycles)
 	e := drv.qdisc
 	if drv.Opts.DMA {
 		refExec(drv.CPU, p, drv.Costs.DMASetupCycles)
 		e = drv.dma
 	}
-	e.submit(ringJob{kind: dimmTx, drv: drv.DimmDriver, msg: owned(drv.Stack, f.Data, f.Pooled)})
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: owned(drv.Stack, f.Data, f.Pooled)})
 }
 
-type refHostDev struct{ *HostPort }
+type refHostDev struct {
+	netstack.NetDev
+	port *HostPort
+}
 
-func (port refHostDev) Transmit(p *sim.Proc, f netstack.Frame) {
+func (d refHostDev) Transmit(p *sim.Proc, f netstack.Frame) {
+	port := d.port
 	hd := port.drv
 	if !port.carrier {
 		hd.Recov.CarrierDrops++
@@ -161,7 +171,7 @@ func (port refHostDev) Transmit(p *sim.Proc, f netstack.Frame) {
 	if hd.Opts.DMA {
 		refExec(hd.CPU, p, hd.Costs.DMASetupCycles)
 	}
-	hd.enqueue(port.HostPort, f.Data, f.Pooled)
+	hd.enqueue(port, f.Data, f.Pooled)
 }
 
 // chainLoad drives a fixture for a differential run: a TCP stream each way
@@ -267,8 +277,8 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 		// to chain.
 		{"Transmit", []OptLevel{MCN5}, func(fx *fixture) {
 			for i, m := range fx.mcns {
-				m.stack.Ifaces()[0].Dev = refDimmDev{m.drv}
-				fx.hostStk.Ifaces()[i].Dev = refHostDev{fx.hd.ports[i]}
+				m.stack.Ifaces()[0].Dev = refDimmDev{m.drv, m.drv}
+				fx.hostStk.Ifaces()[i].Dev = refHostDev{fx.hd.ports[i], fx.hd.ports[i]}
 			}
 		}},
 	} {

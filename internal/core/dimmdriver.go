@@ -60,10 +60,10 @@ type DimmDriver struct {
 	rxMsg  []byte
 	rxDone func()
 	rxXfer *dram.Transfer
-	// bound once: onRxBegin, onRxCopy, onRxWrite, onRxQueued
-	rxBegin, rxQueued func(*cpu.Seq)
-	rxCopy            func(n int, done func())
-	rxWrite           func()
+	// bound once: onRxBegin, onRxCopy, onRxWrite, onRxQueued, onEnqueue
+	rxBegin, rxQueued, enqueue func(*cpu.Seq)
+	rxCopy                     func(n int, done func())
+	rxWrite                    func()
 }
 
 // NewDimmDriver creates the MCN-side driver for dimm, attaching it to the
@@ -76,7 +76,7 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 		dimm: d, local: local, port: port,
 		rxXfer: dram.NewTransfer(),
 	}
-	drv.rxBegin, drv.rxQueued = drv.onRxBegin, drv.onRxQueued
+	drv.rxBegin, drv.rxQueued, drv.enqueue = drv.onRxBegin, drv.onRxQueued, drv.onEnqueue
 	drv.rxCopy, drv.rxWrite = drv.onRxCopy, drv.onRxWrite
 	if opts.DMA {
 		drv.dma = newRingEngine(k, nil)
@@ -194,14 +194,33 @@ func (drv *DimmDriver) Features() netstack.Features {
 // dev_queue_xmit it only enqueues: the MCN-DMA engine or the qdisc does
 // the copy, so a receive context sending an ACK never blocks on the ring.
 func (drv *DimmDriver) Transmit(p *sim.Proc, f netstack.Frame) {
-	q := drv.CPU.Seq().Exec(drv.Costs.TxSetupCycles)
-	e := drv.qdisc
+	drv.setupSteps(drv.CPU.Seq()).Run(p)
+	drv.submit(owned(drv.Stack, f.Data, f.Pooled))
+}
+
+// TransmitSteps is Transmit as steps of the sender's charge sequence
+// (netstack.StepDev), for the pooled frame q.Buf.
+func (drv *DimmDriver) TransmitSteps(q *cpu.Seq) { drv.setupSteps(q).Hook(drv.enqueue) }
+
+func (drv *DimmDriver) onEnqueue(q *cpu.Seq) { drv.submit(q.Buf) }
+
+// setupSteps appends the descriptor setup of a transmit to q.
+func (drv *DimmDriver) setupSteps(q *cpu.Seq) *cpu.Seq {
+	q.Exec(drv.Costs.TxSetupCycles)
 	if drv.Opts.DMA {
 		q.Exec(drv.Costs.DMASetupCycles)
+	}
+	return q
+}
+
+// submit hands msg, a buffer the job owns, to the MCN-DMA engine or the
+// qdisc.
+func (drv *DimmDriver) submit(msg []byte) {
+	e := drv.qdisc
+	if drv.Opts.DMA {
 		e = drv.dma
 	}
-	q.Run(p)
-	e.submit(ringJob{kind: dimmTx, drv: drv, msg: owned(drv.Stack, f.Data, f.Pooled)})
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: msg})
 }
 
 // drainRX is the MCN-side rx interrupt's handler: it empties the RX ring,

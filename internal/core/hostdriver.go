@@ -104,12 +104,12 @@ type HostPort struct {
 	rdXfer  *dram.Transfer
 	rdBytes int
 	rdDone  func()
-	// bound once: onAlertPoll, onAlertCheck, onRead, onReadRetired, and
-	// the drain's process body
-	alertPoll, alertCheck func(*cpu.Seq)
-	read                  func(n int, done func())
-	readRetired           func()
-	drainBody             func(p *sim.Proc)
+	// bound once: onAlertPoll, onAlertCheck, onEnqueue, onRead,
+	// onReadRetired, and the drain's process body
+	alertPoll, alertCheck, enqueue func(*cpu.Seq)
+	read                           func(n int, done func())
+	readRetired                    func()
+	drainBody                      func(p *sim.Proc)
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -125,7 +125,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 		carrier: true,
 		rdXfer:  dram.NewTransfer(),
 	}
-	port.alertPoll, port.alertCheck = port.onAlertPoll, port.onAlertCheck
+	port.alertPoll, port.alertCheck, port.enqueue = port.onAlertPoll, port.onAlertCheck, port.onEnqueue
 	port.read, port.readRetired = port.onRead, port.onReadRetired
 	port.drainBody = func(p *sim.Proc) { hd.drain(p, port) }
 	ifc := hd.Stack.AddIface(port, hostIP, netstack.MaskAll)
@@ -287,17 +287,38 @@ func (p *HostPort) Features() netstack.Features {
 // the qdisc or the MCN-DMA engine performs T1-T3.
 func (p *HostPort) Transmit(pr *sim.Proc, f netstack.Frame) {
 	hd := p.drv
-	if !p.carrier {
-		// Fail fast: the DIMM is dead; let the sender's own recovery
-		// (TCP retransmission) find another path or wait out the flap.
-		hd.Recov.CarrierDrops++
-		if f.Pooled {
-			hd.Stack.RecycleFrameBuf(f.Data)
-		}
+	if p.carrierDrop(f.Data, f.Pooled) {
 		return
 	}
 	hd.dmaSetup(hd.CPU.Seq().Exec(hd.Costs.TxSetupCycles)).Run(pr)
 	hd.enqueue(p, f.Data, f.Pooled)
+}
+
+// TransmitSteps is Transmit as steps of the sender's charge sequence
+// (netstack.StepDev), for the pooled frame q.Buf.
+func (p *HostPort) TransmitSteps(q *cpu.Seq) {
+	hd := p.drv
+	if p.carrierDrop(q.Buf, true) {
+		return
+	}
+	hd.dmaSetup(q.Exec(hd.Costs.TxSetupCycles)).Hook(p.enqueue)
+}
+
+func (p *HostPort) onEnqueue(q *cpu.Seq) { p.drv.enqueue(p, q.Buf, true) }
+
+// carrierDrop drops frame when the port's carrier is down. It fails
+// fast: the DIMM is dead; let the sender's own recovery (TCP
+// retransmission) find another path or wait out the flap.
+func (p *HostPort) carrierDrop(frame []byte, pooled bool) bool {
+	if p.carrier {
+		return false
+	}
+	hd := p.drv
+	hd.Recov.CarrierDrops++
+	if pooled {
+		hd.Stack.RecycleFrameBuf(frame)
+	}
+	return true
 }
 
 // ---- Polling agent and receive path (R1-R5) ----

@@ -83,18 +83,20 @@ func TestExecThenMatchesExecFor(t *testing.T) {
 	})
 }
 
-// TestSeqMatchesProcessForm: a charge sequence — charges, an operation
-// under a held core, and hooks that log and append steps at their
-// instants — matches the same charges made one by one from a process,
-// under core contention.
+// TestSeqMatchesProcessForm: a charge sequence — charges, a lock taken
+// with no core held, an operation under a held core, and hooks that log
+// and append steps at their instants — matches the same charges and the
+// same Acquire made one by one from a process, under core and lock
+// contention.
 func TestSeqMatchesProcessForm(t *testing.T) {
 	diffChain(t, func(chain bool) ([]any, sim.KernelStats) {
 		k := sim.NewKernel()
 		defer k.Shutdown()
 		c := newCPU(k, 1)
 		rival(c)
+		lk := k.NewResource(1)
 		var log []any
-		note := func(what string) { log = append(log, what, k.Now(), c.Cores.InUse()) }
+		note := func(what string) { log = append(log, what, k.Now(), c.Cores.InUse(), lk.InUse()) }
 		// op is a callback operation of n ns; its process form sleeps
 		// under ExecWhile.
 		op := func(n int, done func()) { k.After(sim.Duration(n)*sim.Nanosecond, done) }
@@ -109,18 +111,21 @@ func TestSeqMatchesProcessForm(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					n := 100 + 50*w + i
 					if chain {
-						q := c.Seq().Exec(int64(n)).Hook(hook).While(op, 2*n).Exec(0).Hook(tail)
+						q := c.Seq().Exec(int64(n)).Hook(hook).Lock(lk).While(op, 2*n).Exec(0).Hook(tail)
 						q.N = 40
 						log = append(log, q.Run(p))
 					} else {
 						refExecFor(c, p, c.CyclesDur(int64(n)))
 						note("hook")
+						lk.Acquire(p)
 						c.ExecWhile(p, func() { p.Sleep(sim.Duration(2*n) * sim.Nanosecond) })
 						note("tail")
 						refExecFor(c, p, c.CyclesDur(40))
 						log = append(log, 7)
 					}
 					note("done")
+					p.Sleep(sim.Duration(30*i) * sim.Nanosecond)
+					lk.Release()
 				}
 			})
 		}

@@ -226,9 +226,9 @@ func (h *HRTimer) fire() {
 }
 
 // A Seq is a run of charges that one process (or one interrupt handler)
-// makes back to back — ExecFor durations, and callback-form operations
-// such as a node's bulk copy with a core held around them as under
-// ExecWhile — run as one callback chain, so the process parks at most once
+// makes back to back — ExecFor durations, callback-form operations such
+// as a node's bulk copy with a core held around them as under ExecWhile,
+// and lock acquisitions that hold no core — run as one callback chain, so the process parks at most once
 // however many charges there are, and not at all when every charge is
 // free. Each step takes the events its process form would at the same
 // (at, seq). A hook step runs code at the instant the process form would
@@ -261,9 +261,10 @@ type Seq struct {
 const seqMax = 8
 
 type seqStep struct {
-	d    sim.Duration             // hold a core for d (op and hook nil)
+	d    sim.Duration             // hold a core for d (op, lock and hook nil)
 	op   func(n int, done func()) // or for op(n, done), a callback chain
 	n    int
+	lock *sim.Resource // or take a unit of lock
 	hook func(s *Seq)
 }
 
@@ -291,6 +292,13 @@ func (s *Seq) ExecFor(d sim.Duration) *Seq {
 // ExecWhile holds one around its function.
 func (s *Seq) While(op func(n int, done func()), n int) *Seq {
 	return s.add(seqStep{op: op, n: n})
+}
+
+// Lock appends taking one unit of r, queued in r's FIFO where Acquire
+// would queue the process but holding no core. The unit stays taken when
+// the sequence ends: its owner releases it.
+func (s *Seq) Lock(r *sim.Resource) *Seq {
+	return s.add(seqStep{lock: r})
 }
 
 // Hook appends fn, run when the steps before it are done.
@@ -349,6 +357,9 @@ func (s *Seq) step() {
 		case st.op != nil:
 			s.op, s.n = st.op, st.n
 			s.c.Cores.AcquireThen(s.hold)
+			return
+		case st.lock != nil:
+			st.lock.AcquireThen(s.next)
 			return
 		case st.d > 0:
 			s.d = st.d

@@ -86,19 +86,13 @@ const arpAttempts = 3
 // static table, then the ARP cache, then performing a full ARP exchange.
 // It blocks the calling process during resolution.
 func (ifc *Iface) ResolveMAC(p *sim.Proc, dst IP) (MAC, error) {
-	if m, ok := ifc.Neighbors[dst]; ok {
+	if m, ok := ifc.neighbour(dst); ok {
 		return m, nil
-	}
-	if ifc.HasGateway {
-		return ifc.Gateway, nil
 	}
 	s := ifc.Stack
 	if s.arpCache == nil {
 		s.arpCache = make(map[IP]arpEntry)
 		s.arpWait = make(map[IP]*sim.Signal)
-	}
-	if e, ok := s.arpCache[dst]; ok && p.Now().Sub(e.at) < arpTimeout {
-		return e.mac, nil
 	}
 	// Join (or start) a resolution.
 	sig, inFlight := s.arpWait[dst]
@@ -120,6 +114,22 @@ func (ifc *Iface) ResolveMAC(p *sim.Proc, dst IP) (MAC, error) {
 	}
 	delete(s.arpWait, dst)
 	return MAC{}, &NoNeighborError{Host: s.Host, IP: dst}
+}
+
+// neighbour returns the next-hop MAC for dst when ResolveMAC has it
+// without an exchange: from the static table, the gateway or the cache.
+func (ifc *Iface) neighbour(dst IP) (MAC, bool) {
+	if m, ok := ifc.Neighbors[dst]; ok {
+		return m, true
+	}
+	if ifc.HasGateway {
+		return ifc.Gateway, true
+	}
+	s := ifc.Stack
+	if e, ok := s.arpCache[dst]; ok && s.K.Now().Sub(e.at) < arpTimeout {
+		return e.mac, true
+	}
+	return MAC{}, false
 }
 
 // NoNeighborError reports a failed ARP resolution.

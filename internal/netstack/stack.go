@@ -119,6 +119,16 @@ type NetDev interface {
 	Transmit(p *sim.Proc, f Frame)
 }
 
+// A StepDev is a NetDev whose transmit path can join the caller's charge
+// sequence, so a packet goes from the transport through IP into the
+// device with one park of the sending process. TransmitSteps is called
+// at the instant Transmit would have been, for the pooled frame q.Buf:
+// it appends the charges Transmit makes and a last hook that hands the
+// frame over at the instant Transmit would have returned.
+type StepDev interface {
+	TransmitSteps(q *cpu.Seq)
+}
+
 // ProtoCosts is the per-operation CPU cost table of the protocol stack.
 type ProtoCosts struct {
 	IPTxCycles            int64 // ip_output per packet
@@ -175,6 +185,8 @@ type Stack struct {
 	ifaces  []*Iface
 	pool    *framePool // see SharePool
 	discard []byte     // see DiscardBuf
+	txPkts  []*txPkt   // idle packet chains, each direction
+	rxPkts  []*rxPkt
 
 	// Transport state.
 	conns     map[fourTuple]*TCPConn
@@ -354,12 +366,6 @@ func (s *Stack) route(dst IP) (*Iface, error) {
 	return nil, fmt.Errorf("netstack(%s): no route to %v", s.Host, dst)
 }
 
-// resolveMAC is ResolveMAC (arp.go); the indirection keeps the old name
-// alive for the routing tests.
-func (ifc *Iface) resolveMAC(p *sim.Proc, dst IP) (MAC, error) {
-	return ifc.ResolveMAC(p, dst)
-}
-
 // chargeChecksum charges the cycle cost of checksumming n bytes unless the
 // stack runs with checksum bypass.
 func (s *Stack) chargeChecksum(p *sim.Proc, n int) {
@@ -369,16 +375,8 @@ func (s *Stack) chargeChecksum(p *sim.Proc, n int) {
 	s.CPU.Exec(p, int64(n)/s.Costs.ChecksumBytesPerCycle+1)
 }
 
-// chargeChecksumOn is chargeChecksum unless the device offloads checksums
-// in hardware.
-func (s *Stack) chargeChecksumOn(p *sim.Proc, n int, dev NetDev) {
-	if dev != nil && dev.Features().HWChecksum {
-		return
-	}
-	s.chargeChecksum(p, n)
-}
-
-// checksumStep appends chargeChecksumOn's charge to a charge sequence.
+// checksumStep appends chargeChecksum's charge to a charge sequence,
+// unless dev (when not nil) offloads checksums in hardware.
 func (s *Stack) checksumStep(q *cpu.Seq, n int, dev NetDev) {
 	if s.ChecksumBypass || n <= 0 || (dev != nil && dev.Features().HWChecksum) {
 		return
@@ -387,15 +385,15 @@ func (s *Stack) checksumStep(q *cpu.Seq, n int, dev NetDev) {
 }
 
 // chargeCopy charges a bulk data copy.
-func (s *Stack) chargeCopy(p *sim.Proc, n int) {
-	if n > 0 {
-		s.CopyStep(s.CPU.Seq(), n).Run(p)
-	}
-}
+func (s *Stack) chargeCopy(p *sim.Proc, n int) { s.CopyStep(s.CPU.Seq(), n).Run(p) }
 
 // CopyStep appends a bulk copy of n bytes to a charge sequence: the
 // node's Copy chain with a core held, or CopyBytesPerCycle without one.
+// Copying nothing appends nothing.
 func (s *Stack) CopyStep(q *cpu.Seq, n int) *cpu.Seq {
+	if n <= 0 {
+		return q
+	}
 	if s.Copy != nil {
 		return q.While(s.Copy, n)
 	}
@@ -420,20 +418,118 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte) er
 // sendFrame transmits one IP packet (or TSO chunk) whose transport bytes,
 // header included, sit in frame[frameHeadroom:]; it writes the IPv4 and
 // Ethernet headers in place. frame must come from getTxFrame, and
-// sendFrame takes ownership of it.
+// sendFrame takes ownership of it. The IP charges and a StepDev's
+// transmit charges run as one chain.
 func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, tsoSeg int) error {
-	payload := frame[frameHeadroom:]
-	if IPv4HeaderBytes+len(payload) > 65535 {
-		panic(fmt.Sprintf("netstack(%s): packet of %d bytes exceeds the IPv4 length field", s.Host, IPv4HeaderBytes+len(payload)))
+	t := s.getTx(proto, src, dst, frame, tsoSeg)
+	s.CPU.Seq().Hook(t.ip).Run(p)
+	return t.finish(p)
+}
+
+// A txPkt is one IP packet on its way from a transport through IP to a
+// device as one charge sequence. Its hooks run the code sendFrame's
+// process form ran between its charges, at the same instants; whatever
+// can block — an unresolved neighbour, fragmentation, a device that is
+// no StepDev — ends the chain, and finish runs the rest in the process
+// from the same instant. txPkts are pooled per stack and their hooks
+// bound once, so a packet's chain allocates nothing.
+type txPkt struct {
+	s        *Stack
+	proto    uint8
+	src, dst IP
+	frame    []byte // a control segment's hook takes it from the pool
+	tsoSeg   int
+
+	// A TCP segment, whose header onTCP writes when the transport
+	// charges retire. liveAck takes the ack from the connection then
+	// (data segments); otherwise ack was read when the segment was sent.
+	c        *TCPConn
+	flags    uint8
+	seq, ack uint32
+	liveAck  bool
+
+	ifc  *Iface // nil for local delivery
+	mac  MAC
+	id   uint16
+	rest txRest
+	err  error
+	// bound once: onTCP, onIP, onOut
+	tcp, ip, out func(*cpu.Seq)
+}
+
+// txRest is what a packet's process does once its chain has ended.
+type txRest uint8
+
+const (
+	txDone txRest = iota
+	txARP         // resolve the next hop, then the IP charges and the rest
+	txFrag        // send the datagram as fragments
+	txDev         // hand the frame to the device's Transmit
+)
+
+// getTx returns an idle packet chain of s for frame.
+func (s *Stack) getTx(proto uint8, src, dst IP, frame []byte, tsoSeg int) *txPkt {
+	var t *txPkt
+	if n := len(s.txPkts); n > 0 {
+		t = s.txPkts[n-1]
+		s.txPkts = s.txPkts[:n-1]
+	} else {
+		t = &txPkt{s: s}
+		t.tcp, t.ip, t.out = t.onTCP, t.onIP, t.onOut
 	}
-	// Local delivery short-circuits through the loopback path. Delivery
-	// is asynchronous (a softirq in Linux): delivering inline would run
-	// the receive path in the middle of the sender's critical section.
-	if s.isLocal(dst) {
-		s.CPU.Exec(p, s.Costs.IPTxCycles)
+	t.proto, t.src, t.dst, t.frame, t.tsoSeg = proto, src, dst, frame, tsoSeg
+	return t
+}
+
+// onIP runs when the packet reaches IP: the loopback or the route and the
+// next hop, then the IP charges.
+func (t *txPkt) onIP(q *cpu.Seq) {
+	s := t.s
+	if n := IPv4HeaderBytes + len(t.frame) - frameHeadroom; n > 65535 {
+		panic(fmt.Sprintf("netstack(%s): packet of %d bytes exceeds the IPv4 length field", s.Host, n))
+	}
+	// Local delivery short-circuits through the loopback path.
+	if s.isLocal(t.dst) {
+		q.Exec(s.Costs.IPTxCycles).Hook(t.out)
+		return
+	}
+	ifc, err := s.route(t.dst)
+	if err != nil {
+		s.RecycleFrameBuf(t.frame)
+		t.err = err
+		return
+	}
+	if t.src.IsZero() {
+		t.src = ifc.IP
+	}
+	t.ifc = ifc
+	mac, ok := ifc.neighbour(t.dst)
+	if !ok {
+		t.rest = txARP
+		return
+	}
+	t.mac = mac
+	t.ipCharges(q)
+}
+
+// ipCharges appends ip_output's charges and the hook that follows them.
+func (t *txPkt) ipCharges(q *cpu.Seq) {
+	q.Exec(t.s.Costs.IPTxCycles)
+	t.s.checksumStep(q, IPv4HeaderBytes, nil)
+	q.Hook(t.out)
+}
+
+// onOut runs when the IP charges retire: it writes the headers and hands
+// the frame to the loopback or the device.
+func (t *txPkt) onOut(q *cpu.Seq) {
+	s, frame := t.s, t.frame
+	s.ipID++
+	if t.ifc == nil {
+		// Delivery is asynchronous (a softirq in Linux): delivering
+		// inline would run the receive path in the middle of the
+		// sender's critical section.
 		pkt := frame[EthHeaderBytes:]
-		s.ipID++
-		PutIPv4(pkt, IPv4Header{TotalLen: uint16(len(pkt)), ID: s.ipID, TTL: 64, Proto: proto, Src: src, Dst: dst})
+		PutIPv4(pkt, IPv4Header{TotalLen: uint16(len(pkt)), ID: s.ipID, TTL: 64, Proto: t.proto, Src: t.src, Dst: t.dst})
 		s.IPTx.Add(s.K.Now(), int64(len(pkt)))
 		if s.Tap != nil {
 			// Loopback capture: synthesize an Ethernet header so the
@@ -447,46 +543,59 @@ func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, t
 			// buffers, app buffers), so the packet dies here.
 			s.RecycleFrameBuf(frame)
 		})
-		return nil
+		return
 	}
-
-	ifc, err := s.route(dst)
-	if err != nil {
-		s.RecycleFrameBuf(frame)
-		return err
-	}
-	if src.IsZero() {
-		src = ifc.IP
-	}
-	dstMAC, err := ifc.resolveMAC(p, dst)
-	if err != nil {
-		s.RecycleFrameBuf(frame)
-		return err
-	}
-	s.CPU.Exec(p, s.Costs.IPTxCycles)
-	s.chargeChecksum(p, IPv4HeaderBytes)
-	s.ipID++
-
+	ifc, payload := t.ifc, frame[frameHeadroom:]
 	// Datagrams larger than the MTU fragment (TCP never takes this path:
 	// segments fit the MSS and TSO frames are segmented by the device).
-	if tsoSeg == 0 && IPv4HeaderBytes+len(payload) > ifc.Dev.MTU() {
-		s.sendFragmented(p, proto, src, dst, payload, ifc, dstMAC, s.ipID)
-		s.RecycleFrameBuf(frame)
-		return nil
+	if t.tsoSeg == 0 && IPv4HeaderBytes+len(payload) > ifc.Dev.MTU() {
+		t.id, t.rest = s.ipID, txFrag
+		return
 	}
-
-	PutEth(frame, EthHeader{Dst: dstMAC, Src: ifc.Dev.MAC(), Type: EtherTypeIPv4})
+	PutEth(frame, EthHeader{Dst: t.mac, Src: ifc.Dev.MAC(), Type: EtherTypeIPv4})
 	PutIPv4(frame[EthHeaderBytes:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderBytes + len(payload)),
-		ID:       s.ipID, TTL: 64, Proto: proto, Src: src, Dst: dst,
-		DF: proto == ProtoTCP,
+		ID:       s.ipID, TTL: 64, Proto: t.proto, Src: t.src, Dst: t.dst,
+		DF: t.proto == ProtoTCP,
 	})
 	s.IPTx.Add(s.K.Now(), int64(len(frame)))
 	if s.Tap != nil {
 		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
-	ifc.Dev.Transmit(p, Frame{Data: frame, TSOSegSize: tsoSeg, Pooled: true})
-	return nil
+	if d, ok := ifc.Dev.(StepDev); ok {
+		q.Buf = frame
+		d.TransmitSteps(q)
+		return
+	}
+	t.rest = txDev
+}
+
+// finish runs in the process once the packet's chain has ended: what the
+// chain left it, then the chain goes back to the pool. It returns the
+// routing or resolution error, if any.
+func (t *txPkt) finish(p *sim.Proc) error {
+	s := t.s
+	if t.rest == txARP {
+		t.rest = txDone
+		if t.mac, t.err = t.ifc.ResolveMAC(p, t.dst); t.err != nil {
+			s.RecycleFrameBuf(t.frame)
+		} else {
+			q := s.CPU.Seq()
+			t.ipCharges(q)
+			q.Run(p)
+		}
+	}
+	switch t.rest {
+	case txFrag:
+		s.sendFragmented(p, t.proto, t.src, t.dst, t.frame[frameHeadroom:], t.ifc, t.mac, t.id)
+		s.RecycleFrameBuf(t.frame)
+	case txDev:
+		t.ifc.Dev.Transmit(p, Frame{Data: t.frame, TSOSegSize: t.tsoSeg, Pooled: true})
+	}
+	err := t.err
+	*t = txPkt{s: s, tcp: t.tcp, ip: t.ip, out: t.out}
+	s.txPkts = append(s.txPkts, t)
+	return err
 }
 
 // RxFrame is called by a device's receive path with a full Ethernet frame.
@@ -517,20 +626,69 @@ func (s *Stack) RxFrame(p *sim.Proc, dev NetDev, frame []byte) {
 }
 
 // deliverIP runs the IP receive path and dispatches to the transport.
+// The IP charges and, for a segment of an open connection, its checksum
+// charge, the socket lock and the TCP input charge run as one chain; the
+// transport then runs in the process.
 func (s *Stack) deliverIP(p *sim.Proc, pkt []byte) {
 	hdr, ok := ParseIPv4(pkt)
 	if !ok || int(hdr.TotalLen) > len(pkt) {
 		s.Drops++
 		return
 	}
-	pkt = pkt[:hdr.TotalLen]
-	s.CPU.Exec(p, s.Costs.IPRxCycles)
-	s.chargeChecksum(p, IPv4HeaderBytes)
-	if !VerifyIPv4Checksum(pkt) {
+	r := s.getRx()
+	r.hdr, r.pkt = hdr, pkt[:hdr.TotalLen]
+	q := s.CPU.Seq().Exec(s.Costs.IPRxCycles)
+	s.checksumStep(q, IPv4HeaderBytes, nil)
+	q.Hook(r.in).Run(p)
+	body, th, c := r.body, r.th, r.c
+	*r = rxPkt{s: s, in: r.in}
+	s.rxPkts = append(s.rxPkts, r)
+	switch {
+	case body == nil: // dropped, or an incomplete datagram
+	case c != nil:
+		c.segArrives(p, th, body[TCPHeaderBytes:])
+	case hdr.Proto == ProtoTCP:
+		s.rxTCPNoConn(p, hdr, th)
+	case hdr.Proto == ProtoICMP:
+		s.rxICMP(p, hdr, body)
+	case hdr.Proto == ProtoUDP:
+		s.rxUDP(p, hdr, body)
+	default:
 		s.Drops++
-		return
 	}
-	if !s.isLocal(hdr.Dst) {
+}
+
+// An rxPkt is one IP packet on its way up through deliverIP's chain:
+// pooled per stack, its hook bound once.
+type rxPkt struct {
+	s   *Stack
+	hdr IPv4Header
+	pkt []byte
+	// Set by the chain: the transport bytes, nil when the packet was
+	// dropped or completed no datagram; a TCP segment's header, and its
+	// connection, whose socket lock the chain took.
+	body []byte
+	th   TCPHeader
+	c    *TCPConn
+	in   func(*cpu.Seq) // onIn, bound once
+}
+
+// getRx returns an idle receive chain of s.
+func (s *Stack) getRx() *rxPkt {
+	if n := len(s.rxPkts); n > 0 {
+		r := s.rxPkts[n-1]
+		s.rxPkts = s.rxPkts[:n-1]
+		return r
+	}
+	r := &rxPkt{s: s}
+	r.in = r.onIn
+	return r
+}
+
+// onIn runs when the IP receive charges retire.
+func (r *rxPkt) onIn(q *cpu.Seq) {
+	s, hdr, pkt := r.s, r.hdr, r.pkt
+	if !VerifyIPv4Checksum(pkt) || !s.isLocal(hdr.Dst) {
 		// This stack does not forward at the IP layer; MCN forwarding
 		// happens in the driver below (F1-F4).
 		s.Drops++
@@ -539,20 +697,13 @@ func (s *Stack) deliverIP(p *sim.Proc, pkt []byte) {
 	s.IPRx.Add(s.K.Now(), int64(len(pkt)))
 	body := pkt[IPv4HeaderBytes:]
 	if hdr.MF || hdr.FragOff > 0 {
-		body = s.reassemble(hdr, body)
-		if body == nil {
-			return // incomplete datagram
+		if body = s.reassemble(hdr, body); body == nil {
+			return
 		}
 	}
-	switch hdr.Proto {
-	case ProtoICMP:
-		s.rxICMP(p, hdr, body)
-	case ProtoTCP:
-		s.rxTCP(p, hdr, body)
-	case ProtoUDP:
-		s.rxUDP(p, hdr, body)
-	default:
-		s.Drops++
+	r.body = body
+	if hdr.Proto == ProtoTCP {
+		s.rxTCP(q, r)
 	}
 }
 

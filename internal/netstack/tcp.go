@@ -350,9 +350,7 @@ func (c *TCPConn) onRecvChunk(q *cpu.Seq) {
 		return
 	}
 	q.N = c.rcvBuf.CopyAt(q.Buf, 0)
-	if q.N > 0 {
-		c.s.CopyStep(q, q.N)
-	}
+	c.s.CopyStep(q, q.N)
 }
 
 // RecvN discards exactly n bytes from the stream (traffic sink); it
@@ -518,14 +516,13 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, frame []byte, tsoSeg int) {
 	n := segLen - TCPHeaderBytes
 	// Per-segment protocol cost: with TSO one cost covers the whole
 	// chunk; without it each MSS pays its own way. The protocol, copy
-	// and checksum charges run as one chain.
+	// and checksum charges, IP and the device run as one chain.
 	q := c.s.CPU.Seq().Exec(c.s.Costs.TCPTxCycles)
-	if n > 0 {
-		c.s.CopyStep(q, n)
-	}
+	c.s.CopyStep(q, n)
 	c.s.checksumStep(q, segLen, c.ifc.Dev)
-	q.Run(p)
-	c.sendPayload(p, frame, TCPAck|TCPPsh, seq, c.rcvNxt, tsoSeg)
+	t := c.segment(frame, TCPAck|TCPPsh, seq, 0, tsoSeg)
+	t.liveAck = true
+	t.sendAfter(p, q)
 	c.BytesSent.Add(p.Now(), int64(n))
 	if !c.rto.Pending() {
 		c.rto.Reset(c.currentRTO())
@@ -539,11 +536,12 @@ func (c *TCPConn) emitData(p *sim.Proc, seq uint32, frame []byte, tsoSeg int) {
 	c.ackCarried()
 }
 
-// sendSegment emits a control segment (SYN, FIN, pure ACK).
+// sendSegment emits a control segment (SYN, FIN, pure ACK): its charges,
+// IP and the device run as one chain.
 func (c *TCPConn) sendSegment(p *sim.Proc, flags uint8, seq, ack uint32) {
-	c.s.CPU.Exec(p, c.s.Costs.TCPTxCycles/2)
-	c.s.chargeChecksumOn(p, TCPHeaderBytes, c.ifc.Dev)
-	c.sendPayload(p, c.s.getTxFrame(TCPHeaderBytes), flags, seq, ack, 0)
+	q := c.s.CPU.Seq().Exec(c.s.Costs.TCPTxCycles / 2)
+	c.s.checksumStep(q, TCPHeaderBytes, c.ifc.Dev)
+	c.segment(nil, flags, seq, ack, 0).sendAfter(p, q)
 }
 
 // stageData copies n send-buffer bytes from off into the payload of a
@@ -558,25 +556,47 @@ func (c *TCPConn) stageData(off, n int) []byte {
 	return frame
 }
 
-// sendPayload fills in the TCP header of frame, a getTxFrame buffer whose
-// payload is already in place, and sends it; sendFrame takes the frame.
-// Each segment has its own frame: two procs of the same connection can
-// both be parked between staging and the device (CPU charge, ARP
-// resolution).
-func (c *TCPConn) sendPayload(p *sim.Proc, frame []byte, flags uint8, seq, ack uint32, tsoSeg int) {
-	seg := frame[frameHeadroom:]
+// segment returns a packet chain for one of c's segments: frame is a
+// getTxFrame buffer whose payload is already in place, or nil for a
+// control segment, whose header-only frame the chain takes. Each segment
+// has its own frame: two procs of the same connection can both be parked
+// between staging and the device (CPU charge, ARP resolution).
+func (c *TCPConn) segment(frame []byte, flags uint8, seq, ack uint32, tsoSeg int) *txPkt {
+	t := c.s.getTx(ProtoTCP, c.tuple.lip, c.tuple.rip, frame, tsoSeg)
+	t.c, t.flags, t.seq, t.ack = c, flags, seq, ack
+	return t
+}
+
+// sendAfter sends the segment with its transport charges, which q holds,
+// IP and the device as one chain.
+func (t *txPkt) sendAfter(p *sim.Proc, q *cpu.Seq) {
+	q.Hook(t.tcp).Run(p)
+	t.finish(p)
+}
+
+// onTCP runs when the segment's transport charges retire: it fills in the
+// TCP header and hands the segment to IP.
+func (t *txPkt) onTCP(q *cpu.Seq) {
+	c := t.c
+	if t.frame == nil {
+		t.frame = c.s.getTxFrame(TCPHeaderBytes)
+	}
+	if t.liveAck {
+		t.ack = c.rcvNxt
+	}
+	seg := t.frame[frameHeadroom:]
 	payload := seg[TCPHeaderBytes:]
-	if len(payload) > 0 && SeqGT(seq+uint32(len(payload)), c.sndMax) {
+	if len(payload) > 0 && SeqGT(t.seq+uint32(len(payload)), c.sndMax) {
 		panic(fmt.Sprintf("netstack(%s) %s: emitting seq %d..%d beyond sndMax %d",
-			c.s.Host, c.tuple, seq, seq+uint32(len(payload)), c.sndMax))
+			c.s.Host, c.tuple, t.seq, t.seq+uint32(len(payload)), c.sndMax))
 	}
 	wnd := uint32(tcpRcvBufCap - c.rcvBuf.Len())
 	c.lastAdvWnd = wnd
 	PutTCP(seg, TCPHeader{
 		SrcPort: c.tuple.lport, DstPort: c.tuple.rport,
-		Seq: seq, Ack: ack, Flags: flags, Window: wnd,
+		Seq: t.seq, Ack: t.ack, Flags: t.flags, Window: wnd,
 	}, c.tuple.lip, c.tuple.rip, payload)
-	_ = c.s.sendFrame(p, ProtoTCP, c.tuple.lip, c.tuple.rip, frame, tsoSeg)
+	t.onIP(q)
 }
 
 func (c *TCPConn) currentRTO() sim.Duration {
@@ -673,25 +693,36 @@ func (c *TCPConn) ackCarried() {
 
 // ---- Receive path ----
 
-// rxTCP dispatches an inbound TCP segment to its connection or listener.
-func (s *Stack) rxTCP(p *sim.Proc, hdr IPv4Header, seg []byte) {
+// rxTCP dispatches an inbound TCP segment, in deliverIP's chain. A
+// segment of an open connection appends its checksum charge, charged per
+// the receiving interface's offload capability, the socket lock and the
+// TCP input charge; segArrives then runs in the process. Any other
+// segment goes to rxTCPNoConn.
+func (s *Stack) rxTCP(q *cpu.Seq, r *rxPkt) {
+	seg := r.body
 	th, ok := ParseTCP(seg)
-	if !ok {
+	if !ok || (!s.ChecksumBypass && !VerifyTCPChecksum(seg, r.hdr.Src, r.hdr.Dst)) {
 		s.Drops++
+		r.body = nil
 		return
 	}
-	if !s.ChecksumBypass && !VerifyTCPChecksum(seg, hdr.Src, hdr.Dst) {
-		s.Drops++
-		return
+	r.th = th
+	if c, ok := s.conns[rxTuple(r.hdr, th)]; ok {
+		r.c = c
+		s.checksumStep(q, len(seg), c.ifc.Dev)
+		q.Lock(c.rxLock).Exec(s.Costs.TCPRxCycles)
 	}
-	t := fourTuple{lip: hdr.Dst, rip: hdr.Src, lport: th.DstPort, rport: th.SrcPort}
-	if c, ok := s.conns[t]; ok {
-		// Checksum verification cost is charged per the receiving
-		// interface's offload capability.
-		s.chargeChecksumOn(p, len(seg), c.ifc.Dev)
-		c.segArrives(p, th, seg[TCPHeaderBytes:])
-		return
-	}
+}
+
+// rxTuple is the four-tuple of the connection an inbound segment is for.
+func rxTuple(hdr IPv4Header, th TCPHeader) fourTuple {
+	return fourTuple{lip: hdr.Dst, rip: hdr.Src, lport: th.DstPort, rport: th.SrcPort}
+}
+
+// rxTCPNoConn takes a segment no connection owns: a SYN for a listener,
+// a SYN refused with RST, or a drop.
+func (s *Stack) rxTCPNoConn(p *sim.Proc, hdr IPv4Header, th TCPHeader) {
+	t := rxTuple(hdr, th)
 	if th.Flags&TCPSyn != 0 && th.Flags&TCPAck == 0 {
 		if l, ok := s.listeners[th.DstPort]; ok {
 			l.onSyn(p, t, th)
@@ -744,11 +775,10 @@ func (c *TCPConn) irsInit(th TCPHeader) {
 	c.rwnd = th.Window
 }
 
-// segArrives is the TCP input routine. It runs under the socket lock.
+// segArrives is the TCP input routine. deliverIP's chain took the socket
+// lock and charged tcp_rcv; segArrives releases the lock when it returns.
 func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload []byte) {
-	c.rxLock.Acquire(p)
 	defer c.rxLock.Release()
-	c.s.CPU.Exec(p, c.s.Costs.TCPRxCycles)
 	c.SegsRcvd++
 	if th.Flags&TCPRst != 0 {
 		c.teardown(fmt.Errorf("connection reset by peer"))
@@ -898,9 +928,11 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 	// here without advancing sndNxt/sndMax would let the peer acknowledge
 	// sequence numbers the sender believes it never sent.
 	if n := min(c.mss, int(c.sndMax-c.sndUna), c.sndBuf.Len()); n > 0 {
+		// The socket lock holds sndUna and rcvNxt through the charge.
 		frame := c.stageData(0, n)
-		c.s.chargeChecksum(p, len(frame)-frameHeadroom)
-		c.sendPayload(p, frame, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0)
+		q := c.s.CPU.Seq()
+		c.s.checksumStep(q, len(frame)-frameHeadroom, nil)
+		c.segment(frame, TCPAck|TCPPsh, c.sndUna, c.rcvNxt, 0).sendAfter(p, q)
 	}
 	c.rtActive = false
 }

@@ -191,7 +191,7 @@ func TestCopyChainMatchesExecWhile(t *testing.T) {
 				for i, b := range sizes {
 					if chain {
 						stackCopy(n, p, b)
-					} else {
+					} else if b > 0 { // copying nothing charges nothing
 						n.CPU.ExecWhile(p, func() { n.MemMove(p, b) })
 					}
 					ends = append(ends, p.Now(), n.CPU.Cores.InUse(), n.CPU.Busy.Busy)
