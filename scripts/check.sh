@@ -28,6 +28,16 @@ go test -run 'TestExportsHaveCallers|TestFieldsHaveReaders' .
 echo ">> go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp"
 go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp
 
+# The exactness gates: every charge-sequence chain against the process
+# form it replaced (cpu's charges, interrupts and locks, TCP's socket
+# calls and segments, the IP frame chains, mcnt, the node's copy, the
+# core drivers) and the scheduler's differential harness against the
+# reference heap. They take about a second without the race detector, so
+# a chain that moves an event fails here, not after the race pass.
+echo ">> go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' (chains, scheduler)"
+go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' \
+    ./internal/cpu ./internal/netstack ./internal/mcnt ./internal/core ./internal/node ./internal/sim
+
 # Every non-test function runs somewhere in the suite, apart from the
 # named fillers in scripts/never-run.txt: the list of 0.0% functions under
 # a module-wide coverage profile must equal that allowlist, so a new
@@ -55,14 +65,17 @@ fi
 # Stack.Copy or a charge-sequence chain, and the in-place starts of
 # interrupt handlers), the IRQ, which is a callback state machine that
 # shares Cores with processes, the core/dram/node callback state machines
-# that share Resources with those processes, the socket-buffer rings that
-# TCP and mcnt processes fill and drain around their CPU-charge parks
-# (with the stack's stream-integrity fuzz seeds), the NIC's TX-engine and
-# NAPI processes, which emit through a frame tap shared with the stack
-# taps (Table III's recorder), the SRAM rings, whose slots hold the frame
-# buffers one process pushes and another pops, and the concurrency-heavy
-# breaker/loadgen/forwarder/tracer/retransmit interplay mean a race in
-# these packages fails fast before the full suite spins up.
+# that share Resources with those processes, the frame chains that carry
+# a segment through TCP, IP and a driver's setup charges (and on receive
+# through IP into the socket lock) in kernel callbacks, the socket-buffer
+# rings that TCP and mcnt processes fill and drain around their
+# CPU-charge parks (with the stack's stream-integrity fuzz seeds), the
+# NIC's TX-engine and NAPI processes, which emit through a frame tap
+# shared with the stack taps (Table III's recorder), the SRAM rings,
+# whose slots hold the frame buffers one process pushes and another
+# pops, and the concurrency-heavy breaker/loadgen/forwarder/tracer/
+# retransmit interplay mean a race in these packages fails fast before
+# the full suite spins up.
 echo ">> go test -race ./internal/sim ./internal/cpu ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop"
 go test -race ./internal/sim ./internal/cpu ./internal/core ./internal/dram ./internal/sram ./internal/node ./internal/netstack ./internal/ethdev ./internal/admit ./internal/serve ./internal/replica ./internal/obs ./internal/mcnt ./internal/nmop
 
