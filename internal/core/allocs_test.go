@@ -70,9 +70,6 @@ func TestAllocsMcnDataSegment(t *testing.T) {
 	msgs := func() int64 { return fx.mcns[0].drv.TxMsgs + fx.mcns[1].drv.TxMsgs }
 	msgs0, spawns0 := msgs(), fx.k.Stats().Spawns
 	var before, after runtime.MemStats
-	// A collection that starts inside the window allocates for its own
-	// workers; finish one first so the count is the simulation's alone.
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	fx.k.RunUntil(sim.Time(10 * sim.Millisecond))
 	runtime.ReadMemStats(&after)

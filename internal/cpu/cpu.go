@@ -228,16 +228,16 @@ func (h *HRTimer) fire() {
 // A Seq is a run of charges that one process (or one interrupt handler)
 // makes back to back — ExecFor durations, callback-form operations such
 // as a node's bulk copy with a core held around them as under ExecWhile,
-// and lock acquisitions that hold no core — run as one callback chain, so the process parks at most once
-// however many charges there are, and not at all when every charge is
-// free. Each step takes the events its process form would at the same
-// (at, seq). A hook step runs code at the instant the process form would
-// have run it between two charges; it may append further steps, and the
-// chain ends when no step is left. N and Buf are the chain's scratch
-// values: the caller sets them, hooks read and update them, and Run
-// returns N. Seqs are pooled per CPU: building and running one allocates
-// nothing once the pool is warm, as long as every function handed to it
-// is bound once by its owner.
+// and lock acquisitions that hold no core — run as one callback chain,
+// so the process parks at most once however many charges there are, and
+// not at all when every charge is free. Each step takes the events its
+// process form would at the same (at, seq). A hook step runs code at the
+// instant the process form would have run it between two charges; it may
+// append further steps, and the chain ends when no step is left. N and
+// Buf are the chain's scratch values: the caller sets them, hooks read
+// and update them, and Run returns N. Seqs are pooled per CPU: building
+// and running one allocates nothing once the pool is warm, as long as
+// every function handed to it is bound once by its owner.
 type Seq struct {
 	c        *CPU
 	steps    [seqMax]seqStep

@@ -318,6 +318,12 @@ type Iface struct {
 	// everything to the host, and for off-subnet traffic).
 	Gateway    MAC
 	HasGateway bool
+
+	// stepDev caches Dev's step form (nil for none) and stepOf the device
+	// it was read from: an interface assertion per packet would fill the
+	// assertion's type cache, which allocates, at random moments.
+	stepDev StepDev
+	stepOf  NetDev
 }
 
 // AddIface attaches a device with an address; it returns the Iface for
@@ -326,6 +332,15 @@ func (s *Stack) AddIface(dev NetDev, ip, mask IP) *Iface {
 	ifc := &Iface{Stack: s, Dev: dev, IP: ip, Mask: mask, Neighbors: make(map[IP]MAC)}
 	s.ifaces = append(s.ifaces, ifc)
 	return ifc
+}
+
+// steps returns Dev's step form, or nil when it has none.
+func (ifc *Iface) steps() StepDev {
+	if ifc.Dev != ifc.stepOf {
+		ifc.stepOf = ifc.Dev
+		ifc.stepDev, _ = ifc.Dev.(StepDev)
+	}
+	return ifc.stepDev
 }
 
 // Ifaces returns the configured interfaces in attach order.
@@ -562,7 +577,7 @@ func (t *txPkt) onOut(q *cpu.Seq) {
 	if s.Tap != nil {
 		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
-	if d, ok := ifc.Dev.(StepDev); ok {
+	if d := ifc.steps(); d != nil {
 		q.Buf = frame
 		d.TransmitSteps(q)
 		return

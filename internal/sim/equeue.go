@@ -71,8 +71,9 @@ type wheelLevel struct {
 	// compare in peek never dereferences the arena for a warm cache.
 	minAt  Time
 	minSeq uint64
-	// cursor is the prefix now>>shift at the level's last cascade; the
-	// slot it names was emptied then, and no insert can land in it.
+	// cursor (levels 1 and up) is the prefix now>>shift at the level's
+	// last cascade: the slot it names was emptied then, and no insert
+	// lands in it while now keeps that prefix.
 	cursor uint64
 }
 
