@@ -447,7 +447,7 @@ func tcpPacket(c *TCPConn, flags uint8, seq uint32, n int, bad bool) []byte {
 // socket lock, with a corrupt one and a SYN nobody listens for, while
 // rivals contend for both stacks' cores. resolved keeps a's neighbour
 // table; otherwise a's first datagram to b resolves it with ARP while
-// the other sender's wait on it.
+// the other sender waits on it.
 func frameLoad(t *testing.T, resolved, hw, chain bool) ([]any, sim.KernelStats) {
 	p := newPair(t, 1500, false)
 	defer p.k.Shutdown()

@@ -443,10 +443,10 @@ func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, t
 
 // A txPkt is one IP packet on its way from a transport through IP to a
 // device as one charge sequence. Its hooks run the code sendFrame's
-// process form ran between its charges, at the same instants; whatever
-// can block — an unresolved neighbour, fragmentation, a device that is
-// no StepDev — ends the chain, and finish runs the rest in the process
-// from the same instant. txPkts are pooled per stack and their hooks
+// process form ran between its charges, at the same instants. What the
+// chain does not carry — an unresolved neighbour (ARP waits), a datagram
+// that fragments, a device that is no StepDev — ends it, and finish runs
+// the rest in the process from the same instant. txPkts are pooled per stack and their hooks
 // bound once, so a packet's chain allocates nothing.
 type txPkt struct {
 	s        *Stack
