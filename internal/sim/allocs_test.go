@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Steady-state allocation ceilings for the kernel hot path. The event
 // arena, free-list, and timer eager-rearm are all pooled, so after warm-up
@@ -119,21 +122,32 @@ func TestAllocsTimerRearm(t *testing.T) {
 	}
 }
 
-func TestAllocsWheelHeapSpill(t *testing.T) {
-	// Far-future events overflow the wheel into the 4-ary heap; the heap
-	// backing array and the arena both pool, so spill/unspill is also free.
+func TestAllocsTopLevelRearm(t *testing.T) {
+	// A timer armed out to the end of the clock lands in the top wheel
+	// level; arming and cancelling it reuses the arena slot like any
+	// other rearm.
 	k := NewKernel()
 	defer k.Shutdown()
 	tm := k.NewTimer(func() {})
-	spill := func() {
-		tm.Reset(Duration(1) << wheelShifts[len(wheelShifts)-1] * 300) // beyond the wheel
+	rearm := func() {
+		tm.Reset(MaxTime.Sub(k.Now()))
+		if l := k.q.arena[tm.ev].level; int(l) != len(wheelShifts)-1 {
+			t.Fatalf("timer at MaxTime filed in level %d, want the top", l)
+		}
 		tm.Stop()
 	}
 	for i := 0; i < 64; i++ {
-		spill()
+		rearm()
 	}
-	if avg := testing.AllocsPerRun(512, spill); avg != 0 {
-		t.Fatalf("heap spill allocates %.2f objects per cycle, want 0", avg)
+	if avg := testing.AllocsPerRun(512, rearm); avg != 0 {
+		t.Fatalf("top-level rearm allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
+// TestEventSlotSize pins the arena slot to one 64-byte cache line.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event slot is %d bytes, want 64", n)
 	}
 }
 

@@ -75,8 +75,8 @@ func TestTimerPendingExpires(t *testing.T) {
 		t.Fatal("new timer is pending")
 	}
 	tm.Reset(10 * Nanosecond)
-	if !tm.Pending() || tm.expires != Time(10*Nanosecond) {
-		t.Fatalf("armed timer: pending=%v expires=%v", tm.Pending(), tm.expires)
+	if !tm.Pending() || k.q.arena[tm.ev].at != Time(10*Nanosecond) {
+		t.Fatalf("armed timer: pending=%v", tm.Pending())
 	}
 	if k.RunFor(5*Nanosecond) != Time(5*Nanosecond) {
 		t.Fatal("RunFor did not advance to its limit")

@@ -85,16 +85,30 @@ type difTimer struct {
 // wheelHorizons is the horizon mix the scheduler oracles push at:
 // same-instant, sub-slot, then for every wheel level a few slots in, deep
 // in the level and exactly its horizon (the first prefix the next level
-// takes), beyond the last level (the heap), and a jump of several
-// level-1 slots at once, which moves the cascade cursors by more than
-// one slot.
+// takes), the end of the clock (capAt turns it into MaxTime), and a jump
+// of several level-1 slots at once, which moves the cascade cursors by
+// more than one slot. Slot counts that would overflow int64 at the top
+// levels saturate, so they also land on MaxTime.
 func wheelHorizons() []Duration {
 	h := []Duration{0, 0, 1, 100, Duration(1) << wheelShifts[0] / 1000}
 	for _, shift := range wheelShifts {
-		h = append(h, Duration(1)<<shift*3, Duration(1)<<shift*200, Duration(1)<<shift*256)
+		for _, n := range []uint64{3, 200, 256} {
+			if n > uint64(MaxTime)>>shift {
+				h = append(h, Duration(MaxTime))
+				continue
+			}
+			h = append(h, Duration(n<<shift))
+		}
 	}
-	last := wheelShifts[len(wheelShifts)-1]
-	return append(h, Duration(1)<<last*300, Duration(1)<<wheelShifts[1]*7+12345)
+	return append(h, Duration(MaxTime), Duration(1)<<wheelShifts[1]*7+12345)
+}
+
+// capAt returns now+h, or MaxTime where that sum would not fit a Time.
+func capAt(now Time, h Duration) Time {
+	if h > MaxTime.Sub(now) {
+		return MaxTime
+	}
+	return now.Add(h)
 }
 
 // checkCascaded fails unless a peek at now left every level above 0
@@ -155,11 +169,11 @@ func TestDifferentialScheduler(t *testing.T) {
 			switch r := rng.Intn(11); {
 			case r == 10: // advance now without a pop, as RunUntil does to its limit
 				jump := Duration(1)<<wheelShifts[1]*5 + Duration(rng.Intn(1<<wheelShifts[1]))
-				if idx := q.peek(now); idx == nilIdx || q.arena[idx].at >= now.Add(jump) {
-					now = now.Add(jump)
+				if idx := q.peek(now); idx == nilIdx || q.arena[idx].at >= capAt(now, jump) {
+					now = capAt(now, jump)
 				}
 			case r < 4: // plain push
-				at := now.Add(horizons[rng.Intn(len(horizons))])
+				at := capAt(now, horizons[rng.Intn(len(horizons))])
 				if rng.Intn(4) == 0 && lastAt >= now {
 					at = lastAt // force (at, seq) tie-breaks
 				}
@@ -173,7 +187,7 @@ func TestDifferentialScheduler(t *testing.T) {
 					q.remove(tm.idx)
 					q.release(tm.idx)
 				}
-				pushBoth(now.Add(horizons[rng.Intn(len(horizons))]), tm)
+				pushBoth(capAt(now, horizons[rng.Intn(len(horizons))]), tm)
 			case r < 7: // timer stop: ghost in ref, removal in new
 				tm := timers[rng.Intn(len(timers))]
 				if tm.ref.pending {

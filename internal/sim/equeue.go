@@ -3,9 +3,8 @@ package sim
 import "math/bits"
 
 // The event queue behind the kernel: a slab of pooled event structs
-// addressed by int32 index, placed either in a hierarchical timer wheel
-// (near-future events — the common case for RTO, watchdog, linger and
-// NAPI timers) or in an inlined 4-ary min-heap (far-future events).
+// addressed by int32 index, filed in a hierarchical timer wheel whose
+// seven levels cover every instant of the int64 clock.
 //
 // Determinism contract: peek/pop always yield the live event with the
 // smallest (at, seq), exactly as the old container/heap implementation
@@ -14,27 +13,26 @@ import "math/bits"
 // the 256 slots hold 256 *consecutive* prefixes and the first occupied
 // slot in circular order from the now-cursor necessarily contains the
 // level minimum; events sharing a slot share a prefix and are ordered
-// by a (at, seq) scan of that slot's list. A peek compares at most five
-// candidates: the four level minima and the heap root.
+// by a (at, seq) scan of that slot's list. A peek compares the minima
+// of the occupied levels only.
 
 const nilIdx = int32(-1)
 
-const (
-	levelFree = int8(-2) // on the free list
-	levelHeap = int8(-1) // in the overflow heap
-)
+const levelFree = int8(-1) // on the free list
 
 // wheelShifts pick the granularity of each level: 2^12 ps ≈ 4.1ns slots
 // covering ~1.05us, 2^20 ps ≈ 1.05us slots covering ~268us, 2^28 ps ≈
-// 268us slots covering ~68.7ms, and 2^36 ps ≈ 68.7ms slots covering
-// ~17.6s. Anything further out overflows to the heap (rare: end-of-run
-// drains). Level 0 holds the fire band (sub-us bus, link and cpu events
-// that almost always pop) in slots so narrow that the slot a rescan
-// walks holds a fraction of an event on average; RTO and watchdog
-// timers ~100us+ out, which are usually cancelled, sit in level 1 and
-// up, so cancelling one rarely touches the cached level-0 minimum.
-// Adjacent shifts differ by 8 bits, one level's 256 slots.
-var wheelShifts = [4]uint{12, 20, 28, 36}
+// 268us slots covering ~68.7ms, 2^36 ps ≈ 68.7ms slots covering ~17.6s,
+// and three more levels of 2^44, 2^52 and 2^60 ps slots. The top level
+// needs only 8 of its slots: at>>60 is at most 7 for any Time, so it
+// takes every event the levels below it do not, and no event is ever
+// out of range. Level 0 holds the fire band (sub-us bus, link and cpu
+// events that almost always pop) in slots so narrow that the slot a
+// rescan walks holds a fraction of an event on average; RTO and
+// watchdog timers ~100us+ out, which are usually cancelled, sit in
+// level 1 and up, so cancelling one rarely touches the cached level-0
+// minimum. Adjacent shifts differ by 8 bits, one level's 256 slots.
+var wheelShifts = [7]uint{12, 20, 28, 36, 44, 52, 60}
 
 const wheelSlots = 256
 
@@ -43,13 +41,13 @@ type event struct {
 	seq    uint64
 	fn     func()
 	proc   *Proc
-	timer  *Timer
 	gen    uint64 // wait generation the wake targets (proc events only)
 	reason WakeReason
 
-	// Queue placement. level selects the structure; pos is the heap
-	// position or wheel slot; next/prev link the slot's intrusive list
-	// (next doubles as the free-list link).
+	// Queue placement. level is the wheel level; pos is the slot;
+	// next/prev link the slot's intrusive list (next doubles as the
+	// free-list link). The three bytes after level are padding: the
+	// struct is one 64-byte cache line.
 	level      int8
 	pos        int32
 	next, prev int32
@@ -80,15 +78,15 @@ type wheelLevel struct {
 type eventQueue struct {
 	arena []event
 	free  int32 // free-list head, linked through event.next
-	heap  []int32
 	wheel [len(wheelShifts)]wheelLevel
+	live  uint8 // bit l set while level l holds an event
 	size  int
 }
 
 func (q *eventQueue) init() {
 	q.arena = q.arena[:0]
 	q.free = nilIdx
-	q.heap = q.heap[:0]
+	q.live = 0
 	q.size = 0
 	for l := range q.wheel {
 		w := &q.wheel[l]
@@ -122,21 +120,20 @@ func (q *eventQueue) release(idx int32) {
 	q.free = idx
 }
 
-// insert places an allocated event into the wheel level matching its
-// horizon, or the heap beyond the outermost level. It reports whether
-// the event landed in the wheel. Requires at >= now.
-func (q *eventQueue) insert(idx int32, now Time) bool {
+// insert places an allocated event into the finest wheel level whose
+// horizon reaches it; the top level reaches every Time. Requires
+// at >= now.
+func (q *eventQueue) insert(idx int32, now Time) {
 	e := &q.arena[idx]
 	q.size++
-	for l := 0; l < len(wheelShifts); l++ {
+	l := 0
+	for ; l < len(wheelShifts)-1; l++ {
 		shift := wheelShifts[l]
 		if uint64(e.at)>>shift-uint64(now)>>shift < wheelSlots {
-			q.wheelInsert(l, idx, e)
-			return true
+			break
 		}
 	}
-	q.heapInsert(idx, e)
-	return false
+	q.wheelInsert(l, idx, e)
 }
 
 func (q *eventQueue) wheelInsert(l int, idx int32, e *event) {
@@ -151,21 +148,20 @@ func (q *eventQueue) wheelInsert(l int, idx int32, e *event) {
 		w.occ[s>>6] |= 1 << uint(s&63)
 	}
 	w.slot[s] = idx
-	if w.count == 0 || (w.min != nilIdx && (e.at < w.minAt || (e.at == w.minAt && e.seq < w.minSeq))) {
+	if w.count == 0 {
+		q.live |= 1 << uint(l)
+		w.min, w.minAt, w.minSeq = idx, e.at, e.seq
+	} else if w.min != nilIdx && (e.at < w.minAt || (e.at == w.minAt && e.seq < w.minSeq)) {
 		w.min, w.minAt, w.minSeq = idx, e.at, e.seq
 	}
 	w.count++
 }
 
-// remove unlinks a live event from whichever structure holds it. The
-// slot itself stays allocated; the caller releases it.
+// remove unlinks a live event from its wheel slot. The arena slot itself
+// stays allocated; the caller releases it.
 func (q *eventQueue) remove(idx int32) {
 	e := &q.arena[idx]
 	q.size--
-	if e.level == levelHeap {
-		q.heapRemove(e.pos)
-		return
-	}
 	w := &q.wheel[e.level]
 	if e.prev != nilIdx {
 		q.arena[e.prev].next = e.next
@@ -179,6 +175,9 @@ func (q *eventQueue) remove(idx int32) {
 		q.arena[e.next].prev = e.prev
 	}
 	w.count--
+	if w.count == 0 {
+		q.live &^= 1 << uint(e.level)
+	}
 	if w.min == idx {
 		w.min = nilIdx
 	}
@@ -187,8 +186,8 @@ func (q *eventQueue) remove(idx int32) {
 // cascade re-files outer-level events whose slot the now-cursor has
 // reached down to the next finer level. Events sharing the cursor's
 // prefix at level L are within 2^shift[L] of now and their bits above
-// shift[L] equal now's, so they always fit level L-1. Each event moves
-// at most three times over its lifetime, keeping the hot min-scans
+// shift[L] equal now's, so they always fit level L-1. An event moves
+// down one level per cascade and never up, keeping the hot min-scans
 // confined to the ~4ns level-0 slots.
 //
 // A level is visited only when now>>shift enters a new slot. That is
@@ -209,7 +208,7 @@ func (q *eventQueue) cascade(now Time) {
 			continue
 		}
 		w.cursor = prefix
-		if w.count == 0 {
+		if q.live&(1<<uint(l)) == 0 {
 			continue
 		}
 		s := int32(prefix) & (wheelSlots - 1)
@@ -229,6 +228,9 @@ func (q *eventQueue) cascade(now Time) {
 			q.wheelInsert(l-1, idx, e)
 			idx = next
 		}
+		if w.count == 0 {
+			q.live &^= 1 << uint(l)
+		}
 	}
 }
 
@@ -239,16 +241,9 @@ func (q *eventQueue) peek(now Time) int32 {
 	best := nilIdx
 	var bAt Time
 	var bSeq uint64
-	if len(q.heap) > 0 {
-		best = q.heap[0]
-		e := &q.arena[best]
-		bAt, bSeq = e.at, e.seq
-	}
-	for l := range q.wheel {
+	for m := q.live; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros8(m)
 		w := &q.wheel[l]
-		if w.count == 0 {
-			continue
-		}
 		if w.min == nilIdx {
 			q.wheelRescan(l, now)
 		}
@@ -295,80 +290,4 @@ func (q *eventQueue) firstOccupied(w *wheelLevel, c int32) int32 {
 		}
 	}
 	panic("sim: firstOccupied on empty wheel level")
-}
-
-func (q *eventQueue) heapInsert(idx int32, e *event) {
-	e.level = levelHeap
-	e.pos = int32(len(q.heap))
-	q.heap = append(q.heap, idx)
-	q.heapUp(e.pos)
-}
-
-func (q *eventQueue) heapRemove(i int32) {
-	h := q.heap
-	n := int32(len(h)) - 1
-	last := h[n]
-	h[n] = 0
-	q.heap = h[:n]
-	if i == n {
-		return
-	}
-	h[i] = last
-	q.arena[last].pos = i
-	if !q.heapDown(i) {
-		q.heapUp(i)
-	}
-}
-
-func (q *eventQueue) heapUp(i int32) {
-	h := q.heap
-	idx := h[i]
-	e := &q.arena[idx]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventLess(e, &q.arena[h[parent]]) {
-			break
-		}
-		h[i] = h[parent]
-		q.arena[h[i]].pos = i
-		i = parent
-	}
-	h[i] = idx
-	e.pos = i
-}
-
-// heapDown sifts the element at position i toward the leaves and
-// reports whether it moved.
-func (q *eventQueue) heapDown(i int32) bool {
-	h := q.heap
-	n := int32(len(h))
-	idx := h[i]
-	e := &q.arena[idx]
-	start := i
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		be := &q.arena[h[c]]
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if je := &q.arena[h[j]]; eventLess(je, be) {
-				best, be = j, je
-			}
-		}
-		if !eventLess(be, e) {
-			break
-		}
-		h[i] = h[best]
-		q.arena[h[i]].pos = i
-		i = best
-	}
-	h[i] = idx
-	e.pos = i
-	return i != start
 }

@@ -6,18 +6,18 @@ import "testing"
 // production eventQueue and the reference heap from differential_test.go,
 // then checks the two agree on every pop and on the final drain. Each
 // 6-byte chunk is one op: [kind, d0, d1, d2, d3, shift]. The horizon
-// uint32(d)<<(shift%16), up to 2^47 ps (~141 s), spans same-slot pushes,
-// every wheel level, the cascade boundaries, and the far-future heap
-// spill beyond the last level's ~17.6 s.
+// uint32(d)<<(shift%32), up to 2^63 ps and capped at MaxTime, spans
+// same-slot pushes, every wheel level, the cascade boundaries, and the
+// top level, which takes every event up to the end of the clock.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{})
-	// One push per horizon band: L0, L1, L2, L3, heap; then a pop.
+	// One push per horizon band: L0, L1, L2, L3, L4; then a pop.
 	f.Add([]byte{
 		0, 1, 0, 0, 0, 0, // at = now+1 (level 0)
 		0, 0, 0, 64, 0, 0, // 2^22: level 1
 		0, 0, 0, 0, 64, 0, // 2^30: level 2
 		0, 0, 0, 0, 64, 10, // 2^40: level 3
-		0, 0, 0, 0, 255, 15, // ~2^47: heap
+		0, 0, 0, 0, 255, 15, // ~2^47: level 4
 		5, 0, 0, 0, 0, 0, // pop
 	})
 	// Equal-timestamp seq tie-break: two zero-delta pushes then pops.
@@ -56,11 +56,11 @@ func FuzzTimerWheel(f *testing.F) {
 		for i := 0; i+6 <= len(data); i += 6 {
 			d := uint64(data[i+1]) | uint64(data[i+2])<<8 |
 				uint64(data[i+3])<<16 | uint64(data[i+4])<<24
-			horizon := Duration(d << (data[i+5] % 16))
+			horizon := Duration(d << (data[i+5] % 32))
 			tm := timers[int(data[i+5])%len(timers)]
 			switch data[i] % 6 {
 			case 0, 1, 2:
-				pushBoth(now.Add(horizon), nil)
+				pushBoth(capAt(now, horizon), nil)
 			case 3: // timer reset
 				tm.ref.gen++
 				tm.ref.pending = true
@@ -68,7 +68,7 @@ func FuzzTimerWheel(f *testing.F) {
 					q.remove(tm.idx)
 					q.release(tm.idx)
 				}
-				pushBoth(now.Add(horizon), tm)
+				pushBoth(capAt(now, horizon), tm)
 			case 4: // timer stop
 				if tm.ref.pending {
 					tm.ref.gen++
@@ -144,8 +144,8 @@ func FuzzTimerWheel(f *testing.F) {
 				t.Fatalf("wheel level %d reports %d residual events", l, q.wheel[l].count)
 			}
 		}
-		if len(q.heap) != 0 {
-			t.Fatalf("heap holds %d residual events", len(q.heap))
+		if q.live != 0 {
+			t.Fatalf("live-level mask %08b after drain, want 0", q.live)
 		}
 	})
 }

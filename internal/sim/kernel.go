@@ -29,7 +29,7 @@ type Kernel struct {
 // the Go scheduler, so artifact gates may compare them exactly.
 type KernelStats struct {
 	Pushes      uint64 // events scheduled (callbacks, wakes, timer arms)
-	WheelPushes uint64 // pushes that landed in a timer-wheel level
+	WheelPushes uint64 // equal to Pushes; kept only because benchmark/ reads it
 	Pops        uint64 // events popped and dispatched (incl. stale wakes)
 	StaleWakes  uint64 // wake events dropped by the generation check
 	ProcWakes   uint64 // wakes delivered to a process, in-place resumes and starts included
@@ -65,7 +65,11 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Stats returns the scheduler work counters accumulated so far.
-func (k *Kernel) Stats() KernelStats { return k.stats }
+func (k *Kernel) Stats() KernelStats {
+	st := k.stats
+	st.WheelPushes = st.Pushes // the wheel takes every event
+	return st
+}
 
 // PendingEvents returns the number of scheduled events that have not yet
 // fired. Cancelled timers do not count: Timer.Stop and Timer.Reset unlink
@@ -73,7 +77,10 @@ func (k *Kernel) Stats() KernelStats { return k.stats }
 func (k *Kernel) PendingEvents() int { return k.q.size }
 
 // At schedules fn to run in kernel context at time t (clamped to now).
-func (k *Kernel) At(t Time, fn func()) {
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
+
+// schedule is At, returning the arena index of the queued event.
+func (k *Kernel) schedule(t Time, fn func()) int32 {
 	if t < k.now {
 		t = k.now
 	}
@@ -82,6 +89,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	e.at, e.seq, e.fn = t, k.seq, fn
 	k.seq++
 	k.insert(idx)
+	return idx
 }
 
 // After schedules fn to run in kernel context after delay d.
@@ -101,9 +109,7 @@ func (k *Kernel) scheduleWake(t Time, p *Proc, gen uint64, reason WakeReason) {
 
 func (k *Kernel) insert(idx int32) {
 	k.stats.Pushes++
-	if k.q.insert(idx, k.now) {
-		k.stats.WheelPushes++
-	}
+	k.q.insert(idx, k.now)
 }
 
 // Run executes events until none remain, then returns the final simulated
@@ -130,28 +136,24 @@ func (k *Kernel) RunUntil(limit Time) Time {
 			break
 		}
 		e := &k.q.arena[idx]
-		at, fn, p, tm, gen, reason := e.at, e.fn, e.proc, e.timer, e.gen, e.reason
+		at, fn, p, gen, reason := e.at, e.fn, e.proc, e.gen, e.reason
 		k.q.remove(idx)
 		k.q.release(idx)
 		k.now = at
 		k.stats.Pops++
-		switch {
-		case p != nil:
-			if !p.waiting || p.waitGen != gen {
-				k.stats.StaleWakes++
-				continue // stale wake (e.g. signal raced a timeout)
-			}
-			p.waiting = false
-			p.reason = reason
-			k.stats.ProcWakes++
-			k.stats.Switches++
-			k.switchTo(p)
-		case tm != nil:
-			tm.ev = nilIdx
-			tm.fn()
-		default:
+		if p == nil {
 			fn()
+			continue
 		}
+		if !p.waiting || p.waitGen != gen {
+			k.stats.StaleWakes++
+			continue // stale wake (e.g. signal raced a timeout)
+		}
+		p.waiting = false
+		p.reason = reason
+		k.stats.ProcWakes++
+		k.stats.Switches++
+		k.switchTo(p)
 	}
 	if k.now < limit && limit != MaxTime {
 		k.now = limit
@@ -196,35 +198,27 @@ func (k *Kernel) Shutdown() {
 // churning timer (RTO backoff, watchdogs) holds at most one queue entry
 // and cancelled firings cost nothing at dispatch time.
 type Timer struct {
-	k       *Kernel
-	fn      func()
-	ev      int32 // arena index of the armed event, nilIdx when idle
-	expires Time
+	k    *Kernel
+	fire func() // bound once: marks the timer idle, then calls the callback
+	ev   int32  // arena index of the armed event, nilIdx when idle
 }
 
 // NewTimer returns a stopped timer that will call fn in kernel context when
 // it fires.
-func (k *Kernel) NewTimer(fn func()) *Timer { return &Timer{k: k, fn: fn, ev: nilIdx} }
+func (k *Kernel) NewTimer(fn func()) *Timer {
+	t := &Timer{k: k, ev: nilIdx}
+	t.fire = func() {
+		t.ev = nilIdx
+		fn()
+	}
+	return t
+}
 
 // Reset (re)arms the timer to fire after d. Any previously scheduled firing
 // is cancelled.
 func (t *Timer) Reset(d Duration) {
-	k := t.k
-	if t.ev != nilIdx {
-		k.q.remove(t.ev)
-		k.q.release(t.ev)
-	}
-	t.expires = k.now.Add(d)
-	at := t.expires
-	if at < k.now {
-		at = k.now
-	}
-	idx := k.q.alloc()
-	e := &k.q.arena[idx]
-	e.at, e.seq, e.timer = at, k.seq, t
-	k.seq++
-	k.insert(idx)
-	t.ev = idx
+	t.Stop()
+	t.ev = t.k.schedule(t.k.now.Add(d), t.fire)
 }
 
 // Stop cancels any pending firing. It reports whether a firing was pending.
