@@ -229,19 +229,27 @@ func (hd *HostDriver) probeCarrier(port *HostPort) {
 // watchdogScan is the recovery timer body: probe every DIMM's liveness and
 // re-kick any ring that has work pending but no active drain — the state a
 // lost ALERT_N edge leaves behind.
-func (hd *HostDriver) watchdogScan(p *sim.Proc) {
+func (hd *HostDriver) watchdogScan(p *sim.Proc) { hd.Recov.WatchdogKicks += hd.scan(p, hd.kick) }
+
+// scan probes every port's carrier and, on each live one, charges a read
+// of the tx-poll flag; it calls start on each port whose flag is set with
+// no drain active, and returns how many it started.
+func (hd *HostDriver) scan(p *sim.Proc, start func(*HostPort)) int64 {
+	var started int64
 	for _, port := range hd.ports {
 		hd.probeCarrier(port)
 		if !port.carrier {
 			continue
 		}
 		hd.CPU.Exec(p, hd.Costs.PollCheckCycles)
+		// Reading the flag is one uncached access to the SRAM window.
 		port.dimm.HostAccess(p, 8, false, false)
 		if port.dimm.Buf.TxPoll && !port.draining {
-			hd.Recov.WatchdogKicks++
-			hd.kick(port)
+			started++
+			start(port)
 		}
 	}
+	return started
 }
 
 // kick dispatches a drain of the port's TX ring through whichever engine
@@ -330,19 +338,7 @@ func (p *HostPort) carrierDrop(frame []byte, pooled bool) bool {
 // parallelism.
 func (hd *HostDriver) pollAll(p *sim.Proc) {
 	hd.PollRounds++
-	for _, port := range hd.ports {
-		hd.probeCarrier(port)
-		if !port.carrier {
-			continue
-		}
-		hd.CPU.Exec(p, hd.Costs.PollCheckCycles)
-		// Reading the flag is one uncached access to the SRAM window.
-		port.dimm.HostAccess(p, 8, false, false)
-		if port.dimm.Buf.TxPoll && !port.draining {
-			hd.PollHits++
-			hd.spawnDrain(port)
-		}
-	}
+	hd.PollHits += hd.scan(p, hd.spawnDrain)
 }
 
 // onAlert services an ALERT_N interrupt: the MC knows which channel

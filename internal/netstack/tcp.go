@@ -240,42 +240,34 @@ func (c *TCPConn) Tuple() (local IP, lport uint16, remote IP, rport uint16) {
 }
 
 // Send writes data to the connection, blocking for buffer space. It
-// returns once all bytes are accepted into the send buffer. The socket
-// charge and the first chunk's copy run as one chain.
+// returns once all bytes are accepted into the send buffer. Each chunk's
+// copy runs as a chain, the first one behind the socket charge.
 func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
-	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles).Hook(c.sendChunk)
-	q.N = len(data)
-	if n := q.Run(p); n > 0 {
-		c.sndBuf.Write(data[:n])
-		data = data[n:]
-		c.sendable.Notify()
-	}
-	for len(data) > 0 {
+	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles)
+	for {
+		q.N = len(data)
+		if n := q.Hook(c.sendChunk).Run(p); n > 0 {
+			c.sndBuf.Write(data[:n])
+			data = data[n:]
+			c.sendable.Notify()
+		}
+		if len(data) == 0 {
+			return nil
+		}
 		if c.closed || c.finQueued {
 			return fmt.Errorf("netstack(%s): send on closed connection", c.s.Host)
 		}
-		space := tcpSndBufCap - c.sndBuf.Len()
-		if space == 0 {
+		if c.sndBuf.Len() == tcpSndBufCap {
 			c.writable.Wait(p)
-			continue
 		}
-		n := len(data)
-		if n > space {
-			n = space
-		}
-		// Copy user data into the kernel send buffer.
-		c.s.chargeCopy(p, n)
-		c.sndBuf.Write(data[:n])
-		data = data[n:]
-		c.sendable.Notify()
+		q = c.s.CPU.Seq()
 	}
-	return nil
 }
 
-// onSendChunk runs when Send's socket charge retires, with N the bytes to
-// send. When the connection is open and the first chunk fits, its copy
-// joins the chain and N becomes its size; otherwise N is 0 and Send's
-// loop takes over.
+// onSendChunk runs when Send's socket charge (or, for a later chunk, the
+// chain's start) retires, with N the bytes left to send. When the
+// connection is open and the buffer has room, the chunk's copy joins the
+// chain and N becomes its size; otherwise N is 0 and Send checks why.
 func (c *TCPConn) onSendChunk(q *cpu.Seq) {
 	n := q.N
 	q.N = 0
@@ -312,21 +304,21 @@ func (c *TCPConn) SendN(p *sim.Proc, n int) error {
 func (c *TCPConn) Buffered() int { return c.rcvBuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available. It
-// returns 0, false at end of stream. The socket charge and, when bytes
-// are already buffered, their copy run as one chain.
+// returns 0, false at end of stream. The copy of the bytes read runs as a
+// chain, behind the socket charge when they are already buffered.
 func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
-	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles).Hook(c.recvChunk)
-	q.N, q.Buf = -1, buf
-	n := q.Run(p)
-	if n < 0 {
-		for c.rcvBuf.Len() == 0 {
-			if c.gotFin || c.closed {
-				return 0, false
-			}
-			c.readable.Wait(p)
+	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles)
+	var n int
+	for {
+		q.N, q.Buf = -1, buf
+		if n = q.Hook(c.recvChunk).Run(p); n >= 0 {
+			break
 		}
-		n = c.rcvBuf.CopyAt(buf, 0)
-		c.s.chargeCopy(p, n)
+		if c.gotFin || c.closed {
+			return 0, false
+		}
+		c.readable.Wait(p)
+		q = c.s.CPU.Seq()
 	}
 	// The bytes stay buffered through the copy charge: the window any
 	// segment advertises meanwhile still counts them.
@@ -342,9 +334,10 @@ func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	return n, true
 }
 
-// onRecvChunk runs when Recv's socket charge retires: buffered bytes are
-// copied into Buf, N becomes their count and their copy charge joins the
-// chain. With nothing buffered N stays -1 and Recv waits.
+// onRecvChunk runs when Recv's socket charge (or, after a wait, the
+// chain's start) retires: buffered bytes are copied into Buf, N becomes
+// their count and their copy charge joins the chain. With nothing
+// buffered N stays -1 and Recv waits.
 func (c *TCPConn) onRecvChunk(q *cpu.Seq) {
 	if c.rcvBuf.Len() == 0 {
 		return
