@@ -77,10 +77,7 @@ func (k *Kernel) Stats() KernelStats {
 func (k *Kernel) PendingEvents() int { return k.q.size }
 
 // At schedules fn to run in kernel context at time t (clamped to now).
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
-
-// schedule is At, returning the arena index of the queued event.
-func (k *Kernel) schedule(t Time, fn func()) int32 {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
@@ -89,7 +86,6 @@ func (k *Kernel) schedule(t Time, fn func()) int32 {
 	e.at, e.seq, e.fn = t, k.seq, fn
 	k.seq++
 	k.insert(idx)
-	return idx
 }
 
 // After schedules fn to run in kernel context after delay d.
@@ -217,8 +213,21 @@ func (k *Kernel) NewTimer(fn func()) *Timer {
 // Reset (re)arms the timer to fire after d. Any previously scheduled firing
 // is cancelled.
 func (t *Timer) Reset(d Duration) {
-	t.Stop()
-	t.ev = t.k.schedule(t.k.now.Add(d), t.fire)
+	k := t.k
+	if t.ev != nilIdx {
+		k.q.remove(t.ev)
+		k.q.release(t.ev)
+	}
+	at := k.now.Add(d)
+	if at < k.now {
+		at = k.now
+	}
+	idx := k.q.alloc()
+	e := &k.q.arena[idx]
+	e.at, e.seq, e.fn = at, k.seq, t.fire
+	k.seq++
+	k.insert(idx)
+	t.ev = idx
 }
 
 // Stop cancels any pending firing. It reports whether a firing was pending.
