@@ -38,6 +38,12 @@ echo ">> go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differenti
 go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' \
     ./internal/cpu ./internal/netstack ./internal/mcnt ./internal/core ./internal/node ./internal/sim
 
+# Ten seconds of fuzzing the timer wheel against the reference heap, from
+# the committed corpus: new operation streams reach every wheel level, the
+# top one at the end of the clock included.
+echo ">> go test -run '^\$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/sim"
+go test -run '^$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/sim
+
 # Every non-test function runs somewhere in the suite, apart from the
 # named fillers in scripts/never-run.txt: the list of 0.0% functions under
 # a module-wide coverage profile must equal that allowlist, so a new
