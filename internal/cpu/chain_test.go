@@ -84,7 +84,8 @@ func TestExecThenMatchesExecFor(t *testing.T) {
 }
 
 // TestSeqMatchesProcessForm: a charge sequence — charges, a lock taken
-// with no core held, an operation under a held core, and hooks that log
+// with no core held, an operation under a held core, the same operation
+// waited for with no core held, and hooks that log
 // and append steps at their instants — matches the same charges and the
 // same Acquire made one by one from a process, under core and lock
 // contention.
@@ -111,7 +112,7 @@ func TestSeqMatchesProcessForm(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					n := 100 + 50*w + i
 					if chain {
-						q := c.Seq().Exec(int64(n)).Hook(hook).Lock(lk).While(op, 2*n).Exec(0).Hook(tail)
+						q := c.Seq().Exec(int64(n)).Hook(hook).Lock(lk).While(op, 2*n).Wait(op, n).Exec(0).Hook(tail)
 						q.N = 40
 						log = append(log, q.Run(p))
 					} else {
@@ -119,6 +120,7 @@ func TestSeqMatchesProcessForm(t *testing.T) {
 						note("hook")
 						lk.Acquire(p)
 						c.ExecWhile(p, func() { p.Sleep(sim.Duration(2*n) * sim.Nanosecond) })
+						p.Sleep(sim.Duration(n) * sim.Nanosecond)
 						note("tail")
 						refExecFor(c, p, c.CyclesDur(40))
 						log = append(log, 7)

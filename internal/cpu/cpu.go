@@ -228,7 +228,8 @@ func (h *HRTimer) fire() {
 // A Seq is a run of charges that one process (or one interrupt handler)
 // makes back to back — ExecFor durations, callback-form operations such
 // as a node's bulk copy with a core held around them as under ExecWhile,
-// and lock acquisitions that hold no core — run as one callback chain,
+// and lock acquisitions and other waits that hold no core — run as one
+// callback chain,
 // so the process parks at most once however many charges there are, and
 // not at all when every charge is free. Each step takes the events its
 // process form would at the same (at, seq). A hook step runs code at the
@@ -264,6 +265,7 @@ type seqStep struct {
 	d    sim.Duration             // hold a core for d (op, lock and hook nil)
 	op   func(n int, done func()) // or for op(n, done), a callback chain
 	n    int
+	free bool          // run op with no core held
 	lock *sim.Resource // or take a unit of lock
 	hook func(s *Seq)
 }
@@ -299,6 +301,13 @@ func (s *Seq) While(op func(n int, done func()), n int) *Seq {
 // the sequence ends: its owner releases it.
 func (s *Seq) Lock(r *sim.Resource) *Seq {
 	return s.add(seqStep{lock: r})
+}
+
+// Wait appends op(n, done) run with no core held: a wait, as Lock's is,
+// for a condition that op's owner signals by calling done at the instant
+// a process waiting on it would have been woken.
+func (s *Seq) Wait(op func(n int, done func()), n int) *Seq {
+	return s.add(seqStep{op: op, n: n, free: true})
 }
 
 // Hook appends fn, run when the steps before it are done.
@@ -354,6 +363,9 @@ func (s *Seq) step() {
 		switch {
 		case st.hook != nil:
 			st.hook(s)
+		case st.free:
+			st.op(st.n, s.next)
+			return
 		case st.op != nil:
 			s.op, s.n = st.op, st.n
 			s.c.Cores.AcquireThen(s.hold)

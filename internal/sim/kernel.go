@@ -76,10 +76,11 @@ func (k *Kernel) Stats() KernelStats {
 // their event eagerly instead of leaving a ghost in the queue.
 func (k *Kernel) PendingEvents() int { return k.q.size }
 
-// At schedules fn to run in kernel context at time t (clamped to now).
+// At schedules fn to run in kernel context at time t. It panics if t is
+// before now: the event could only fire late, at another time than asked.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
-		t = k.now
+		panic(fmt.Sprintf("sim: At(%v) scheduled before now (%v)", t, k.now))
 	}
 	idx := k.q.alloc()
 	e := &k.q.arena[idx]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -20,6 +21,49 @@ func TestTimeArithmetic(t *testing.T) {
 	if s := (1500 * Millisecond).Seconds(); s != 1.5 {
 		t.Fatalf("Seconds = %v", s)
 	}
+}
+
+// TestAfterPastEndOfClockNeverFires: a delay that would carry the clock
+// past MaxTime saturates there instead of wrapping to a time at once.
+func TestAfterPastEndOfClockNeverFires(t *testing.T) {
+	if got := Time(Nanosecond).Add(Duration(MaxTime)); got != MaxTime {
+		t.Fatalf("1ns + MaxTime = %v, want MaxTime", got)
+	}
+	k := NewKernel()
+	fired := false
+	k.At(Time(Nanosecond), func() { k.After(Duration(MaxTime), func() { fired = true }) })
+	k.RunUntil(MaxTime - 1)
+	if fired || k.PendingEvents() != 1 {
+		t.Fatalf("fired %v with %d events pending, want a pending event that never fired", fired, k.PendingEvents())
+	}
+}
+
+// TestTimerResetPastEndOfClockStaysPending: a timer reset beyond the end
+// of the clock stays armed and does not fire.
+func TestTimerResetPastEndOfClockStaysPending(t *testing.T) {
+	k := NewKernel()
+	fired := false
+	tm := k.NewTimer(func() { fired = true })
+	k.RunUntil(Time(Nanosecond))
+	tm.Reset(Duration(MaxTime))
+	k.RunUntil(Time(2 * Nanosecond))
+	if fired || !tm.Pending() {
+		t.Fatalf("fired %v, pending %v: want pending and unfired", fired, tm.Pending())
+	}
+}
+
+// TestAtInThePastPanics: an event scheduled before now panics, naming
+// both times, instead of firing late.
+func TestAtInThePastPanics(t *testing.T) {
+	k := NewKernel()
+	k.RunUntil(Time(2 * Microsecond))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "1us") || !strings.Contains(msg, "2us") {
+			t.Fatalf("panic %q, want one naming 1us and 2us", msg)
+		}
+	}()
+	k.At(Time(Microsecond), func() {})
 }
 
 func TestCycles(t *testing.T) {
@@ -351,6 +395,46 @@ func TestResourceCapacity(t *testing.T) {
 	}
 	if end["c"] != Time(20*Nanosecond) {
 		t.Fatalf("c should queue: %v", end["c"])
+	}
+}
+
+// TestQueueWhenJoinsProcessFIFO: a callback waiting for an item (WhenItem)
+// or for room (WhenRoom) is woken in one FIFO with the processes blocked
+// in Get or Put, at the same instant and in arrival order, and re-checks
+// the queue as they do.
+func TestQueueWhenJoinsProcessFIFO(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k, 1)
+	var log []string
+	note := func(what string) { log = append(log, what+"@"+k.Now().String()) }
+	k.Go("getter", func(p *Proc) {
+		v, _ := q.Get(p)
+		note(fmt.Sprint("got ", v))
+	})
+	var item func()
+	item = func() {
+		if v, ok := q.TryGet(); ok {
+			note(fmt.Sprint("item ", v))
+			return
+		}
+		note("no item")
+		q.WhenItem(item)
+	}
+	k.At(0, func() { q.WhenItem(item) })
+	k.At(Time(Nanosecond), func() { q.TryPut(1) })
+	k.At(Time(2*Nanosecond), func() { q.TryPut(2) })
+	k.RunUntil(Time(3 * Nanosecond))
+	q.TryPut(3) // full: a putter and a room callback queue behind it
+	k.Go("putter", func(p *Proc) {
+		q.Put(p, 4)
+		note("put 4")
+	})
+	k.At(k.Now(), func() { q.WhenRoom(func() { note(fmt.Sprint("room ", q.Len())) }) })
+	k.At(Time(4*Nanosecond), func() { q.TryGet() })
+	k.Run()
+	want := "got 1@1ns,no item@1ns,item 2@2ns,put 4@4ns,room 1@4ns"
+	if got := strings.Join(log, ","); got != want {
+		t.Fatalf("log %s, want %s", got, want)
 	}
 }
 

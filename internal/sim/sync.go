@@ -13,10 +13,11 @@ func (w waiterRef) valid() bool { return w.p.waiting && w.p.waitGen == w.gen }
 // A Signal is a broadcast condition: processes Wait on it and any code may
 // Notify to wake all current waiters. Waits may carry a timeout. Because
 // waiters are woken (not handed a value), users should re-check their
-// predicate in a loop after Wait returns.
+// predicate in a loop after Wait returns. A kernel callback waits with
+// waitThen, in the same FIFO as the processes.
 type Signal struct {
 	k       *Kernel
-	waiters []waiterRef
+	waiters []resWaiter
 }
 
 // NewSignal returns a signal bound to kernel k.
@@ -25,15 +26,20 @@ func (k *Kernel) NewSignal() *Signal { return &Signal{k: k} }
 // Wait parks p until the next Notify.
 func (s *Signal) Wait(p *Proc) {
 	gen := p.prepareWait()
-	s.waiters = append(s.waiters, waiterRef{p, gen})
+	s.waiters = append(s.waiters, resWaiter{waiterRef: waiterRef{p, gen}})
 	p.park()
 }
+
+// waitThen runs fn at the next Notify, at the instant and event sequence
+// position at which Notify would have woken a process waiting in its
+// place.
+func (s *Signal) waitThen(fn func()) { s.waiters = append(s.waiters, resWaiter{fn: fn}) }
 
 // WaitTimeout parks p until the next Notify or until d elapses. It reports
 // true if the signal fired and false on timeout.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 	gen := p.prepareWait()
-	s.waiters = append(s.waiters, waiterRef{p, gen})
+	s.waiters = append(s.waiters, resWaiter{waiterRef: waiterRef{p, gen}})
 	s.k.scheduleWake(s.k.now.Add(d), p, gen, WakeTimeout)
 	return p.park() != WakeTimeout
 }
@@ -43,7 +49,10 @@ func (s *Signal) Notify() {
 	ws := s.waiters
 	s.waiters = s.waiters[:0]
 	for _, w := range ws {
-		if w.valid() {
+		switch {
+		case w.fn != nil:
+			s.k.At(s.k.now, w.fn)
+		case w.valid():
 			s.k.scheduleWake(s.k.now, w.p, w.gen, WakeDone)
 		}
 	}
@@ -201,6 +210,17 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool, timedOut bool)
 
 // TryGet removes the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) { return q.take() }
+
+// WhenItem runs fn where a process blocked in Get would be woken: at the
+// next Put or TryPut, or Close. Like that process, fn must re-check the
+// queue: a callback state machine takes its items this way, in the same
+// FIFO as the processes.
+func (q *Queue[T]) WhenItem(fn func()) { q.notEmpty.waitThen(fn) }
+
+// WhenRoom runs fn where a process blocked in Put would be woken: when a
+// Get or TryGet next takes an item, or at Close. fn must re-check for
+// room.
+func (q *Queue[T]) WhenRoom(fn func()) { q.notFull.waitThen(fn) }
 
 func (q *Queue[T]) take() (T, bool) {
 	if q.items.len() == 0 {

@@ -32,8 +32,14 @@ const (
 // MaxTime is the largest representable simulated timestamp.
 const MaxTime = Time(1<<63 - 1)
 
-// Add returns the time d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the time d after t, or MaxTime where that would not fit a
+// Time: a delay past the end of the clock never comes due.
+func (t Time) Add(d Duration) Time {
+	if u := t + Time(d); d <= 0 || u > t {
+		return u
+	}
+	return MaxTime
+}
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
