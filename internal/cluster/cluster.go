@@ -105,13 +105,18 @@ type EthCluster struct {
 	Links  []*ethdev.Link // node<->switch cables, by node order
 }
 
-// NewEthCluster builds a scale-out cluster of n Table II nodes.
+// NewEthCluster builds a scale-out cluster of n Table II nodes. Their
+// stacks share one frame pool: a wire frame is cut from the sender's pool
+// and recycled by the receiving NIC.
 func NewEthCluster(k *sim.Kernel, n int, cfg node.Config) *EthCluster {
-	c := &EthCluster{K: k, Switch: ethdev.NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)}
+	c := &EthCluster{K: k, Switch: ethdev.NewSwitch(k, 10e9, 500*sim.Nanosecond)}
 	for i := 0; i < n; i++ {
 		nc := cfg
 		nc.Name = fmt.Sprintf("node%d", i)
 		h := node.NewHost(k, nc)
+		if i > 0 {
+			h.Stack.SharePool(c.Nodes[0].Stack)
+		}
 		link := ethdev.NewLink(k, sim.Microsecond)
 		ip := netstack.IPv4(10, 0, 0, byte(i+1))
 		h.AttachNIC(link, ip, uint32(0x30000+i))
@@ -160,12 +165,16 @@ type McnRack struct {
 
 // NewMcnRack builds nServers MCN servers with dimmsPer DIMMs each, all on
 // one switch. Each host gets a distinct MCN subnet (192.168.<i+1>.x) and
-// MAC range.
+// MAC range. Every stack in the rack shares one frame pool.
 func NewMcnRack(k *sim.Kernel, nServers, dimmsPer int, opts core.Options) *McnRack {
-	r := &McnRack{Switch: ethdev.NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)}
+	r := &McnRack{Switch: ethdev.NewSwitch(k, 10e9, 500*sim.Nanosecond)}
 	for i := 0; i < nServers; i++ {
 		cfg := node.HostConfig(fmt.Sprintf("host%d", i))
 		h := node.NewHost(k, cfg)
+		if i > 0 {
+			// Before AttachMCN, whose DIMM stacks take the host's pool.
+			h.Stack.SharePool(r.Servers[0].Host.Stack)
+		}
 		h.McnSubnet = byte(i + 1)
 		h.MACBase = uint32(i+1) << 8
 		mcns := h.AttachMCN(dimmsPer, opts, node.McnConfig(""))

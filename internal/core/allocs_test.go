@@ -12,7 +12,7 @@ import (
 // echo round trip once pools and ARP state are warm: the request crosses
 // the DIMM's RX ring and the reply its TX ring, through the polled drain at
 // mcn0 and the MCN-DMA engines at mcn5. Each ceiling keeps the headroom
-// ethdev's TestAllocsNICRoundtrip has over its measured count (30 over
+// ethdev's TestAllocsNICRoundtrip had over its measured count (30 over
 // 12): mcn0 measures 9 and mcn5 10.
 func TestAllocsMcnPingRoundtrip(t *testing.T) {
 	for _, c := range []struct {

@@ -133,45 +133,98 @@ func refDeliver(b *rxBatch, p *sim.Proc) {
 	b.e.served = append(b.e.served, b)
 }
 
-// refDimmDev and refHostDev carry the transmit paths' process forms.
-// They are no netstack.StepDev: a stack hands them each frame through
-// Transmit once its own chain has ended.
-type refDimmDev struct {
-	netstack.NetDev
-	drv *DimmDriver
-}
-
-func (d refDimmDev) Transmit(p *sim.Proc, f netstack.Frame) {
-	drv := d.drv
+// refDimmTransmit and refHostTransmit are the transmit paths' process
+// forms, for a pooled frame.
+func refDimmTransmit(drv *DimmDriver, p *sim.Proc, frame []byte) {
 	refExec(drv.CPU, p, drv.Costs.TxSetupCycles)
 	e := drv.qdisc
 	if drv.Opts.DMA {
 		refExec(drv.CPU, p, drv.Costs.DMASetupCycles)
 		e = drv.dma
 	}
-	e.submit(ringJob{kind: dimmTx, drv: drv, msg: owned(drv.Stack, f.Data, f.Pooled)})
+	e.submit(ringJob{kind: dimmTx, drv: drv, msg: frame})
 }
 
-type refHostDev struct {
-	netstack.NetDev
-	port *HostPort
-}
-
-func (d refHostDev) Transmit(p *sim.Proc, f netstack.Frame) {
-	port := d.port
+func refHostTransmit(port *HostPort, p *sim.Proc, frame []byte) {
 	hd := port.drv
 	if !port.carrier {
 		hd.Recov.CarrierDrops++
-		if f.Pooled {
-			hd.Stack.RecycleFrameBuf(f.Data)
-		}
+		hd.Stack.RecycleFrameBuf(frame)
 		return
 	}
 	refExec(hd.CPU, p, hd.Costs.TxSetupCycles)
 	if hd.Opts.DMA {
 		refExec(hd.CPU, p, hd.Costs.DMASetupCycles)
 	}
-	hd.enqueue(port, f.Data, f.Pooled)
+	hd.enqueue(port, frame, true)
+}
+
+// udpFrame returns a pool frame of s holding an n-byte UDP datagram to
+// port 9, addressed from src to dst.
+func udpFrame(s *netstack.Stack, srcMAC, dstMAC netstack.MAC, src, dst netstack.IP, n int) []byte {
+	const hdrs = netstack.EthHeaderBytes + netstack.IPv4HeaderBytes + netstack.UDPHeaderBytes
+	frame := s.GetFrameBuf(hdrs + n)
+	netstack.PutEth(frame, netstack.EthHeader{Dst: dstMAC, Src: srcMAC, Type: netstack.EtherTypeIPv4})
+	ip := frame[netstack.EthHeaderBytes:]
+	netstack.PutIPv4(ip, netstack.IPv4Header{TotalLen: uint16(len(ip)), TTL: 64, Proto: netstack.ProtoUDP, Src: src, Dst: dst})
+	netstack.PutUDP(ip[netstack.IPv4HeaderBytes:], netstack.UDPHeader{SrcPort: 9, DstPort: 9, Len: uint16(netstack.UDPHeaderBytes + n)})
+	clear(frame[hdrs:])
+	return frame
+}
+
+// txLoad sends UDP datagrams from DIMM 0 to the host through its driver
+// and from the host to DIMM 0 through its port, two senders each way,
+// by the devices' step forms run as charge sequences or, with ref, by
+// their process forms. It returns what the run must reproduce: when each
+// transmit returned and when each datagram arrived.
+func txLoad(fx *fixture, ref bool) func() []any {
+	var ends []any
+	m, port := fx.mcns[0], fx.hd.ports[0]
+	for _, s := range []*netstack.Stack{fx.hostStk, m.stack} {
+		u, _ := s.UDPBind(9)
+		fx.k.Go("udp-sink", func(p *sim.Proc) {
+			for {
+				d, ok := u.Recv(p)
+				if !ok {
+					return
+				}
+				ends = append(ends, s.Host, len(d.Data), p.Now())
+			}
+		})
+	}
+	for w := 0; w < 2; w++ {
+		fx.k.Go("dimm-tx", func(p *sim.Proc) {
+			for i, n := range []int{200, 8000, 1, 3000} {
+				frame := udpFrame(m.stack, port.mcnMAC, port.hostMAC, m.ip, fx.hostIP, n+w)
+				if ref {
+					refDimmTransmit(m.drv, p, frame)
+				} else {
+					q := m.cpu.Seq()
+					q.Buf = frame
+					m.drv.TransmitSteps(q)
+					q.Run(p)
+				}
+				ends = append(ends, "dimm-tx", p.Now())
+				p.Sleep(sim.Duration(i*w+1) * 900 * sim.Nanosecond)
+			}
+		})
+		fx.k.Go("host-tx", func(p *sim.Proc) {
+			for i, n := range []int{5000, 64, 1500, 700} {
+				frame := udpFrame(fx.hostStk, port.hostMAC, port.mcnMAC, fx.hostIP, m.ip, n+w)
+				if ref {
+					refHostTransmit(port, p, frame)
+				} else {
+					q := fx.hostCPU.Seq()
+					q.Buf = frame
+					port.TransmitSteps(q)
+					q.Run(p)
+				}
+				ends = append(ends, "host-tx", p.Now())
+				p.Sleep(sim.Duration(i+w) * 700 * sim.Nanosecond)
+			}
+		})
+	}
+	return func() []any { return ends }
 }
 
 // chainLoad drives a fixture for a differential run: a TCP stream each way
@@ -245,23 +298,24 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 		name   string
 		levels []OptLevel
 		swap   func(fx *fixture)
+		load   func(fx *fixture, ref bool) func() []any
 	}{
 		{"DimmDriver.drainRX", []OptLevel{MCN0, MCN5}, func(fx *fixture) {
 			for _, m := range fx.mcns {
 				drv := m.drv
 				m.dimm.SetRxIRQ(m.cpu.NewIRQ("ref-rx", func(p *sim.Proc) { refDrainRX(drv, p) }).Raise)
 			}
-		}},
+		}, nil},
 		{"HostDriver.serveAlert", []OptLevel{MCN1, MCN3}, func(fx *fixture) {
 			for _, port := range fx.hd.ports {
 				port.alertn = fx.hostCPU.NewIRQ("ref-alertn", func(p *sim.Proc) { refServeAlert(fx.hd, p, port) })
 			}
-		}},
+		}, nil},
 		{"HostDriver.drain", []OptLevel{MCN0, MCN1}, func(fx *fixture) {
 			for _, port := range fx.hd.ports {
 				port.drainBody = func(p *sim.Proc) { refDrain(fx.hd, p, port) }
 			}
-		}},
+		}, nil},
 		{"rxBatch.deliver", []OptLevel{MCN5}, func(fx *fixture) {
 			// Every batch the run hands out comes from this stock, each
 			// bound to the process-form handler.
@@ -272,25 +326,28 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 					e.served = append(e.served, b)
 				}
 			}
-		}},
+		}, nil},
 		// Without MCN-DMA a transmit makes one charge; there is nothing
-		// to chain.
-		{"Transmit", []OptLevel{MCN5}, func(fx *fixture) {
-			for i, m := range fx.mcns {
-				m.stack.Ifaces()[0].Dev = refDimmDev{m.drv, m.drv}
-				fx.hostStk.Ifaces()[i].Dev = refHostDev{fx.hd.ports[i], fx.hd.ports[i]}
-			}
-		}},
+		// to chain. The stacks reach the step forms from their own
+		// chains, whose process form netstack's tests hold them to.
+		{"Transmit", []OptLevel{MCN5}, nil, txLoad},
 	} {
 		for _, level := range c.levels {
 			t.Run(c.name+"/"+level.String(), func(t *testing.T) {
 				run := func(ref bool) ([]any, sim.KernelStats) {
 					fx := newFixture(level.Options(), 3, 2)
 					defer fx.k.Shutdown()
-					if ref {
+					if ref && c.swap != nil {
 						c.swap(fx)
 					}
+					var extra func() []any
+					if c.load != nil {
+						extra = c.load(fx, ref)
+					}
 					out := chainLoad(t, fx)
+					if extra != nil {
+						out = append(out, extra())
+					}
 					for _, e := range fx.hd.dmas {
 						if ref && c.name == "rxBatch.deliver" && len(e.served) != stock {
 							t.Fatalf("%d batches served, want the %d of the stock", len(e.served), stock)

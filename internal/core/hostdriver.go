@@ -509,9 +509,9 @@ func owned(s *netstack.Stack, frame []byte, pooled bool) []byte {
 // forward implements the packet forwarding engine rules F1-F4. frame is a
 // buffer popped from a DIMM's TX ring, which forward owns: it recycles it
 // once this function (or the relay machinery it hands off to) is done with
-// it; aliasing dispositions — broadcast fan-out and the conventional NIC —
-// leave the buffer to the garbage collector. Its ForwardCycles charge is
-// the last of the caller's charge sequence.
+// it, or hands it on — to a ring job, or to the conventional NIC, whose
+// wire owns it until the receiving NIC recycles it. Its ForwardCycles
+// charge is the last of the caller's charge sequence.
 func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 	eth, ok := netstack.ParseEth(frame)
 	if !ok {
@@ -543,8 +543,8 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 		hd.Stack.RecycleFrameBuf(frame)
 	case eth.Dst.IsBroadcast():
 		// F2: deliver locally, relay to every other MCN node, and send
-		// out the conventional NIC. The relays copy; the NIC aliases the
-		// buffer, so it is never recycled.
+		// out the conventional NIC. The relays copy; the NIC takes the
+		// buffer last.
 		hd.Broadcasts++
 		hd.Stack.RxFrame(p, src, frame)
 		for _, port := range hd.ports {
@@ -553,7 +553,9 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 			}
 		}
 		if hd.uplink != nil {
-			hd.uplink.Transmit(p, netstack.Frame{Data: frame})
+			hd.uplink.Transmit(p, netstack.Frame{Data: frame, Pooled: true})
+		} else {
+			hd.Stack.RecycleFrameBuf(frame)
 		}
 	default:
 		if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 {
@@ -575,11 +577,11 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 			hd.Stack.RecycleFrameBuf(frame)
 			return
 		}
-		// F4: unknown MAC, hand to the conventional NIC (dev_queue_xmit).
-		// The NIC aliases the frame across the wire; not recyclable.
+		// F4: unknown MAC, hand to the conventional NIC (dev_queue_xmit),
+		// which takes the buffer.
 		if hd.uplink != nil {
 			hd.SentNIC++
-			hd.uplink.Transmit(p, netstack.Frame{Data: frame})
+			hd.uplink.Transmit(p, netstack.Frame{Data: frame, Pooled: true})
 		} else {
 			hd.Stack.RecycleFrameBuf(frame)
 		}

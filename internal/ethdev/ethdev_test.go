@@ -25,11 +25,13 @@ func newNode(k *sim.Kernel, name string, id uint32, link *Link) *testNode {
 	return &testNode{cpu: c, mem: mem, stack: s, nic: nic}
 }
 
-// twoNodes builds a-link-b with addresses 10.0.0.1/2.
+// twoNodes builds a-link-b with addresses 10.0.0.1/2. The stacks share
+// one frame pool, as stacks that exchange wire frames must.
 func twoNodes(k *sim.Kernel) (*testNode, *testNode) {
 	link := NewLink(k, sim.Microsecond)
 	a := newNode(k, "a", 1, link)
 	b := newNode(k, "b", 2, link)
+	b.stack.SharePool(a.stack)
 	ipa, ipb := netstack.IPv4(10, 0, 0, 1), netstack.IPv4(10, 0, 0, 2)
 	ia := a.stack.AddIface(a.nic, ipa, netstack.Mask24)
 	ib := b.stack.AddIface(b.nic, ipb, netstack.Mask24)
@@ -138,7 +140,7 @@ func TestTraceStampsOrdered(t *testing.T) {
 
 func TestSwitchForwardsBetweenThreeNodes(t *testing.T) {
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)
+	sw := NewSwitch(k, 10e9, 500*sim.Nanosecond)
 	nodes := make([]*testNode, 3)
 	for i := range nodes {
 		link := NewLink(k, sim.Microsecond)

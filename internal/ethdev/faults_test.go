@@ -82,7 +82,7 @@ func TestLinkDropAndCleanPass(t *testing.T) {
 // ingress, not be forwarded onward.
 func TestSwitchDropsCorruptedAtIngress(t *testing.T) {
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)
+	sw := NewSwitch(k, 10e9, 500*sim.Nanosecond)
 	nodes := make([]*testNode, 2)
 	links := make([]*Link, 2)
 	for i := range nodes {

@@ -9,7 +9,7 @@ import (
 
 func TestSwitchLearnsAndStopsFlooding(t *testing.T) {
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)
+	sw := NewSwitch(k, 10e9, 500*sim.Nanosecond)
 	nodes := make([]*testNode, 3)
 	for i := range nodes {
 		link := NewLink(k, sim.Microsecond)
@@ -42,7 +42,7 @@ func TestSwitchLearnsAndStopsFlooding(t *testing.T) {
 
 func TestSwitchDropsMalformedAndSelfDirected(t *testing.T) {
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "tor", 10e9, 500*sim.Nanosecond)
+	sw := NewSwitch(k, 10e9, 500*sim.Nanosecond)
 	link := NewLink(k, sim.Microsecond)
 	n := newNode(k, "a", 1, link)
 	n.stack.AddIface(n.nic, netstack.IPv4(10, 0, 0, 1), netstack.Mask24)

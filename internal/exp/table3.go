@@ -115,6 +115,7 @@ func traceEth(payload int) [5]sim.Duration {
 	k := sim.NewKernel()
 	a := node.NewHost(k, node.HostConfig("a"))
 	b := node.NewHost(k, node.HostConfig("b"))
+	b.Stack.SharePool(a.Stack) // the wire hands a's frames to b
 	link := ethdev.NewLink(k, sim.Microsecond)
 	nicCfg := func(name string, id uint32) ethdev.Config {
 		c := ethdev.DefaultConfig(name, netstack.NewMAC(id))

@@ -382,15 +382,13 @@ func TestAllocsChainedSocketCall(t *testing.T) {
 // stepDev is the test wire with a driver in front: a transmit charges
 // setup cycles on the sending stack's CPU, then the wire serializes the
 // frame behind the ones before it, with no process sleeping through it.
-// It is a StepDev; procDev hides its step form, leaving Transmit.
+// Its Transmit is the process form of its steps.
 type stepDev struct {
 	*wireDev
 	c    *cpu.CPU
 	free sim.Time       // when the wire finishes its last frame
 	put  func(*cpu.Seq) // onPut, bound once
 }
-
-type procDev struct{ NetDev }
 
 func newStepDev(d *wireDev, c *cpu.CPU) *stepDev {
 	sd := &stepDev{wireDev: d, c: c}
@@ -457,11 +455,7 @@ func frameLoad(t *testing.T, resolved, hw, chain bool) ([]any, sim.KernelStats) 
 		d *wireDev
 	}{{p.a, p.ad}, {p.b, p.bd}} {
 		side.d.feats.HWChecksum = hw
-		var dev NetDev = newStepDev(side.d, side.s.CPU)
-		if !chain {
-			dev = procDev{dev}
-		}
-		side.s.Ifaces()[0].Dev = dev
+		side.s.Ifaces()[0].Dev = newStepDev(side.d, side.s.CPU)
 	}
 	var cli, srv *TCPConn
 	p.k.Go("server", func(pr *sim.Proc) {

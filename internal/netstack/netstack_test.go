@@ -36,34 +36,70 @@ func (d *wireDev) MTU() int           { return d.mtu }
 func (d *wireDev) Features() Features { return d.feats }
 
 func (d *wireDev) Transmit(p *sim.Proc, f Frame) {
-	frames := [][]byte{f.Data}
-	if f.TSOSegSize > 0 {
-		frames = SegmentTSO(f.Data, f.TSOSegSize)
-	}
-	for _, fr := range frames {
-		d.count++
-		if d.dropNext > 0 {
-			d.dropNext--
+	for _, fr := range d.segments(f.Data, f.TSOSegSize) {
+		if d.drop() {
 			continue
 		}
-		if d.dropAt > 0 && d.count == d.dropAt {
-			continue
-		}
-		if d.dropEvery > 0 && d.count%d.dropEvery == 0 {
-			continue
-		}
-		fr := fr
 		p.Sleep(sim.AtRate(int64(len(fr)), d.rate))
-		lat := d.latency
-		if d.jitterFn != nil {
-			lat = d.jitterFn()
-		}
-		d.k.After(lat, func() {
-			d.k.Go(d.name+"/rx", func(rp *sim.Proc) {
-				d.peer.RxFrame(rp, d.peerDev, fr)
-			})
-		})
+		d.deliver(fr)
 	}
+}
+
+// TransmitSteps is Transmit as steps of the sender's chain: each frame's
+// serialization is a wait with no core held.
+func (d *wireDev) TransmitSteps(q *cpu.Seq) {
+	frames := d.segments(q.Buf, q.N)
+	var next func(*cpu.Seq)
+	next = func(q *cpu.Seq) {
+		for len(frames) > 0 {
+			fr := frames[0]
+			frames = frames[1:]
+			if d.drop() {
+				continue
+			}
+			q.Wait(d.serialize, len(fr)).Hook(func(*cpu.Seq) { d.deliver(fr) }).Hook(next)
+			return
+		}
+	}
+	q.Hook(next)
+}
+
+// segments cuts a frame handed over with TSO segment size seg (0 for
+// none) into its wire frames.
+func (d *wireDev) segments(frame []byte, seg int) [][]byte {
+	var out [][]byte
+	for off := 0; ; {
+		var fr []byte
+		fr, off = SegmentTSO(d.peer, frame, seg, off)
+		if out = append(out, fr); off == 0 {
+			return out
+		}
+	}
+}
+
+// drop counts a frame and reports whether the link loses it.
+func (d *wireDev) drop() bool {
+	d.count++
+	if d.dropNext > 0 {
+		d.dropNext--
+		return true
+	}
+	return (d.dropAt > 0 && d.count == d.dropAt) || (d.dropEvery > 0 && d.count%d.dropEvery == 0)
+}
+
+func (d *wireDev) serialize(n int, done func()) { d.k.After(sim.AtRate(int64(n), d.rate), done) }
+
+// deliver hands a serialized frame to the peer after the link latency.
+func (d *wireDev) deliver(fr []byte) {
+	lat := d.latency
+	if d.jitterFn != nil {
+		lat = d.jitterFn()
+	}
+	d.k.After(lat, func() {
+		d.k.Go(d.name+"/rx", func(rp *sim.Proc) {
+			d.peer.RxFrame(rp, d.peerDev, fr)
+		})
+	})
 }
 
 type pair struct {
@@ -390,7 +426,7 @@ func TestTSOSegmentation(t *testing.T) {
 	PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{SrcPort: 1, DstPort: 2, Seq: 1000, Flags: TCPAck | TCPPsh, Window: 1 << 16}, src, dst, payload)
 	copy(frame[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:], payload)
 
-	segs := SegmentTSO(frame, 1460)
+	segs := (&wireDev{peer: &Stack{pool: new(framePool)}}).segments(frame, 1460)
 	if len(segs) != 3 { // 1460+1460+1080
 		t.Fatalf("segments=%d, want 3", len(segs))
 	}
@@ -627,4 +663,23 @@ func TestLoopbackBidirectionalLargeExchange(t *testing.T) {
 		t.Fatalf("exchange incomplete: %d / %d of %d", got0, got1, each)
 	}
 	k.Shutdown()
+}
+
+// TestLoopDevRefusesFrames: loopback packets are delivered inside the
+// stack, so the loopback interface's device panics on either transmit
+// form instead of losing a frame.
+func TestLoopDevRefusesFrames(t *testing.T) {
+	for name, send := range map[string]func(){
+		"Transmit":      func() { loopDev{}.Transmit(nil, Frame{}) },
+		"TransmitSteps": func() { loopDev{}.TransmitSteps(nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("loopDev.%s accepted a frame", name)
+				}
+			}()
+			send()
+		}()
+	}
 }

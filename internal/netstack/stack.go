@@ -110,21 +110,24 @@ func (ts Taps) Frame(at sim.Time, site TapSite, dev string, frame []byte) {
 
 // NetDev is a network device (a 10GbE NIC, an MCN virtual interface, or the
 // loopback). Transmit may block briefly (ring full == NETDEV_TX_BUSY with
-// requeue) but must eventually accept the frame.
+// requeue) but must eventually accept the frame. Its step form carries the
+// stack's own packets.
 type NetDev interface {
 	Name() string
 	MAC() MAC
 	MTU() int
 	Features() Features
 	Transmit(p *sim.Proc, f Frame)
+	StepDev
 }
 
-// A StepDev is a NetDev whose transmit path can join the caller's charge
+// StepDev is a device's transmit path as steps of the caller's charge
 // sequence, so a packet goes from the transport through IP into the
 // device with one park of the sending process. TransmitSteps is called
-// at the instant Transmit would have been, for the pooled frame q.Buf:
-// it appends the charges Transmit makes and a last hook that hands the
-// frame over at the instant Transmit would have returned.
+// at the instant Transmit would have been, for the pooled frame q.Buf
+// with q.N its TSO segment size (0 for none): it appends the charges and
+// waits Transmit makes, and hooks that hand the frame over at the instant
+// Transmit would have returned. N is the device's from then on.
 type StepDev interface {
 	TransmitSteps(q *cpu.Seq)
 }
@@ -318,12 +321,6 @@ type Iface struct {
 	// everything to the host, and for off-subnet traffic).
 	Gateway    MAC
 	HasGateway bool
-
-	// stepDev caches Dev's step form (nil for none) and stepOf the device
-	// it was read from: an interface assertion per packet would fill the
-	// assertion's type cache, which allocates, at random moments.
-	stepDev StepDev
-	stepOf  NetDev
 }
 
 // AddIface attaches a device with an address; it returns the Iface for
@@ -332,15 +329,6 @@ func (s *Stack) AddIface(dev NetDev, ip, mask IP) *Iface {
 	ifc := &Iface{Stack: s, Dev: dev, IP: ip, Mask: mask, Neighbors: make(map[IP]MAC)}
 	s.ifaces = append(s.ifaces, ifc)
 	return ifc
-}
-
-// steps returns Dev's step form, or nil when it has none.
-func (ifc *Iface) steps() StepDev {
-	if ifc.Dev != ifc.stepOf {
-		ifc.stepOf = ifc.Dev
-		ifc.stepDev, _ = ifc.Dev.(StepDev)
-	}
-	return ifc.stepDev
 }
 
 // Ifaces returns the configured interfaces in attach order.
@@ -433,8 +421,8 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, src, dst IP, payload []byte) er
 // sendFrame transmits one IP packet (or TSO chunk) whose transport bytes,
 // header included, sit in frame[frameHeadroom:]; it writes the IPv4 and
 // Ethernet headers in place. frame must come from getTxFrame, and
-// sendFrame takes ownership of it. The IP charges and a StepDev's
-// transmit charges run as one chain.
+// sendFrame takes ownership of it. The IP charges and the device's
+// transmit steps run as one chain.
 func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, tsoSeg int) error {
 	t := s.getTx(proto, src, dst, frame, tsoSeg)
 	s.CPU.Seq().Hook(t.ip).Run(p)
@@ -444,10 +432,10 @@ func (s *Stack) sendFrame(p *sim.Proc, proto uint8, src, dst IP, frame []byte, t
 // A txPkt is one IP packet on its way from a transport through IP to a
 // device as one charge sequence. Its hooks run the code sendFrame's
 // process form ran between its charges, at the same instants. What the
-// chain does not carry — an unresolved neighbour (ARP waits), a datagram
-// that fragments, a device that is no StepDev — ends it, and finish runs
-// the rest in the process from the same instant. txPkts are pooled per stack and their hooks
-// bound once, so a packet's chain allocates nothing.
+// chain does not carry — an unresolved neighbour (ARP waits) or a
+// datagram that fragments — ends it, and finish runs the rest in the
+// process from the same instant. txPkts are pooled per stack and their
+// hooks bound once, so a packet's chain allocates nothing.
 type txPkt struct {
 	s        *Stack
 	proto    uint8
@@ -479,7 +467,6 @@ const (
 	txDone txRest = iota
 	txARP         // resolve the next hop, then the IP charges and the rest
 	txFrag        // send the datagram as fragments
-	txDev         // hand the frame to the device's Transmit
 )
 
 // getTx returns an idle packet chain of s for frame.
@@ -577,12 +564,8 @@ func (t *txPkt) onOut(q *cpu.Seq) {
 	if s.Tap != nil {
 		s.Tap.Frame(s.K.Now(), TapTx, ifc.Dev.Name(), frame)
 	}
-	if d := ifc.steps(); d != nil {
-		q.Buf = frame
-		d.TransmitSteps(q)
-		return
-	}
-	t.rest = txDev
+	q.Buf, q.N = frame, t.tsoSeg
+	ifc.Dev.TransmitSteps(q)
 }
 
 // finish runs in the process once the packet's chain has ended: what the
@@ -600,12 +583,9 @@ func (t *txPkt) finish(p *sim.Proc) error {
 			q.Run(p)
 		}
 	}
-	switch t.rest {
-	case txFrag:
+	if t.rest == txFrag {
 		s.sendFragmented(p, t.proto, t.src, t.dst, t.frame[frameHeadroom:], t.ifc, t.mac, t.id)
 		s.RecycleFrameBuf(t.frame)
-	case txDev:
-		t.ifc.Dev.Transmit(p, Frame{Data: t.frame, TSOSegSize: t.tsoSeg, Pooled: true})
 	}
 	err := t.err
 	*t = txPkt{s: s, tcp: t.tcp, ip: t.ip, out: t.out}

@@ -233,6 +233,7 @@ func (loopDev) MAC() MAC                  { return MAC{} }
 func (loopDev) MTU() int                  { return 65535 - TCPHeaderBytes }
 func (loopDev) Features() Features        { return Features{} }
 func (loopDev) Transmit(*sim.Proc, Frame) { panic("loopback frames are delivered in-stack") }
+func (loopDev) TransmitSteps(*cpu.Seq)    { panic("loopback frames are delivered in-stack") }
 
 // Tuple returns the connection 4-tuple.
 func (c *TCPConn) Tuple() (local IP, lport uint16, remote IP, rport uint16) {

@@ -31,12 +31,13 @@ go test -run 'TestFigureGolden|TestTable3Golden' ./internal/exp
 # The exactness gates: every charge-sequence chain against the process
 # form it replaced (cpu's charges, interrupts and locks, TCP's socket
 # calls and segments, the IP frame chains, mcnt, the node's copy, the
-# core drivers) and the scheduler's differential harness against the
-# reference heap. They take about a second without the race detector, so
-# a chain that moves an event fails here, not after the race pass.
+# core drivers, the 10GbE NIC and switch) and the scheduler's
+# differential harness against the reference heap. They take about a
+# second without the race detector, so a chain that moves an event fails
+# here, not after the race pass.
 echo ">> go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' (chains, scheduler)"
 go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' \
-    ./internal/cpu ./internal/netstack ./internal/mcnt ./internal/core ./internal/node ./internal/sim
+    ./internal/cpu ./internal/netstack ./internal/mcnt ./internal/core ./internal/node ./internal/ethdev ./internal/sim
 
 # Ten seconds of fuzzing the timer wheel against the reference heap, from
 # the committed corpus: new operation streams reach every wheel level, the
@@ -76,8 +77,10 @@ fi
 # through IP into the socket lock) in kernel callbacks, the socket-buffer
 # rings that TCP and mcnt processes fill and drain around their
 # CPU-charge parks (with the stack's stream-integrity fuzz seeds), the
-# NIC's TX-engine and NAPI processes, which emit through a frame tap
-# shared with the stack taps (Table III's recorder), the SRAM rings,
+# NIC's TX-engine, NAPI and switch-port callback chains and its napi
+# delivery process, which emit through a frame tap shared with the stack
+# taps (Table III's recorder) and hand pooled wire frames from one
+# stack's transmit to another's receive, the SRAM rings,
 # whose slots hold the frame buffers one process pushes and another
 # pops, and the concurrency-heavy breaker/loadgen/forwarder/tracer/
 # retransmit interplay mean a race in these packages fails fast before
