@@ -95,8 +95,8 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 }
 
 // serveRx is one receive context (an RPS core, or the ARP queue's): it
-// hands each message queued on q to the fast-path transport or the stack,
-// then recycles its buffer.
+// hands each message queued on q, with its buffer, to the stack, or to
+// the fast-path transport and then recycles the buffer.
 func (drv *DimmDriver) serveRx(p *sim.Proc, q *sim.Queue[[]byte]) {
 	for {
 		msg, ok := q.Get(p)
@@ -109,10 +109,10 @@ func (drv *DimmDriver) serveRx(p *sim.Proc, q *sim.Queue[[]byte]) {
 			// The fast-path transport copies payload bytes it keeps, so
 			// the popped buffer is recyclable after it.
 			drv.FastRx(p, msg)
+			drv.Stack.RecycleFrameBuf(msg)
 		} else {
-			drv.Stack.RxFrame(p, drv, msg)
+			drv.Stack.RxFrame(p, drv, netstack.Frame{Data: msg, Pooled: true})
 		}
-		drv.Stack.RecycleFrameBuf(msg)
 	}
 }
 

@@ -509,9 +509,9 @@ func owned(s *netstack.Stack, frame []byte, pooled bool) []byte {
 // forward implements the packet forwarding engine rules F1-F4. frame is a
 // buffer popped from a DIMM's TX ring, which forward owns: it recycles it
 // once this function (or the relay machinery it hands off to) is done with
-// it, or hands it on — to a ring job, or to the conventional NIC, whose
-// wire owns it until the receiving NIC recycles it. Its ForwardCycles
-// charge is the last of the caller's charge sequence.
+// it, or hands it on — to the stack, to a ring job, or to the
+// conventional NIC, whose wire owns it until the receiving stack takes it.
+// Its ForwardCycles charge is the last of the caller's charge sequence.
 func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 	eth, ok := netstack.ParseEth(frame)
 	if !ok {
@@ -536,17 +536,16 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 	}
 	switch {
 	case eth.Dst == src.hostMAC:
-		// F1: for this host. The stack's receive path copies what it
-		// keeps, so the frame is dead when RxFrame returns.
+		// F1: for this host. The frame changes hands once: the stack
+		// keeps it in a TCP receive queue or recycles it.
 		hd.DeliveredHost++
-		hd.Stack.RxFrame(p, src, frame)
-		hd.Stack.RecycleFrameBuf(frame)
+		hd.Stack.RxFrame(p, src, netstack.Frame{Data: frame, Pooled: true})
 	case eth.Dst.IsBroadcast():
 		// F2: deliver locally, relay to every other MCN node, and send
-		// out the conventional NIC. The relays copy; the NIC takes the
-		// buffer last.
+		// out the conventional NIC. The stack and the relays copy what
+		// they keep; the NIC takes the buffer last.
 		hd.Broadcasts++
-		hd.Stack.RxFrame(p, src, frame)
+		hd.Stack.RxFrame(p, src, netstack.Frame{Data: frame})
 		for _, port := range hd.ports {
 			if port != src {
 				hd.relay(p, port, frame, false)
@@ -573,8 +572,7 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 			}
 			// Addressed to another host-side interface MAC: deliver up.
 			hd.DeliveredHost++
-			hd.Stack.RxFrame(p, tgt, frame)
-			hd.Stack.RecycleFrameBuf(frame)
+			hd.Stack.RxFrame(p, tgt, netstack.Frame{Data: frame, Pooled: true})
 			return
 		}
 		// F4: unknown MAC, hand to the conventional NIC (dev_queue_xmit),

@@ -81,25 +81,19 @@ func refNapi(n *NIC, p *sim.Proc) {
 			}
 			burst = append(burst, more)
 		}
-		var frames [][]byte
+		var frames []netstack.Frame
 		for _, b := range burst {
 			if n.mem != nil {
 				n.mem.Write(p, 0x4800_0000, len(b.data))
 			}
 			n.tap(netstack.TapDMARx, b.data)
-			frames = append(frames, b.data)
+			frames = append(frames, netstack.Frame{Data: b.data, Pooled: b.pooled})
 		}
 		if n.cfg.LRO {
 			frames = n.gro.Coalesce(n.stack, frames, 64<<10)
 		}
-		for i, fr := range frames {
-			n.deliverUp(p, fr)
-			if n.cfg.LRO && n.gro.Built(i) {
-				n.stack.RecycleFrameBuf(fr)
-			}
-		}
-		for _, b := range burst {
-			n.recycle(b)
+		for _, f := range frames {
+			n.deliverUp(p, f)
 		}
 	}
 }

@@ -23,9 +23,10 @@ import (
 // original FCS, which is exactly how the receiver catches the flip.
 //
 // A pooled frame's data is a buffer from the frame pool of the stacks at
-// both ends, owned by the wire: the receiving NIC recycles it once its
-// burst is delivered. A frame that exists in more than one place — a
-// switch's flood, a link fault's corrupted copy — is not pooled.
+// both ends, owned by the wire: the receiving NIC hands it to its stack
+// as a Pooled netstack.Frame (or GRO recycles it once it has copied its
+// payload). A frame that exists in more than one place — a switch's
+// flood, a link fault's corrupted copy — is not pooled.
 type wireFrame struct {
 	data   []byte
 	fcs    uint32
@@ -202,8 +203,8 @@ type NIC struct {
 	// and what goes up to the stack. The scratch is reused every
 	// interrupt, so a burst allocates nothing.
 	burst  []wireFrame
-	frames [][]byte
-	up     [][]byte
+	frames []netstack.Frame
+	up     []netstack.Frame
 	rxXfer *dram.Transfer
 	gro    netstack.GRO
 	// deliver resumes the napi process.
@@ -483,42 +484,37 @@ func (n *NIC) rxWrite() {
 }
 
 func (n *NIC) onRxWritten() {
-	data := n.burst[len(n.frames)].data
-	n.tap(netstack.TapDMARx, data)
-	n.frames = append(n.frames, data)
+	wf := n.burst[len(n.frames)]
+	n.tap(netstack.TapDMARx, wf.data)
+	n.frames = append(n.frames, netstack.Frame{Data: wf.data, Pooled: wf.pooled})
 	n.rxWrite()
 }
 
 // napi starts the NAPI chain from its loop head and waits for it to
 // resume the process with a burst in memory. It delivers the burst —
 // each frame's driver charge and the stack's receive path — and goes
-// round again. The stack copies what it keeps, so once the burst is
-// delivered its frames are dead: GRO's are recycled as each is
-// delivered, the burst's pooled wire frames at the end.
+// round again. Each frame changes hands once: the stack owns the frames
+// GRO built and the burst's pooled wire frames once they are delivered
+// (GRO recycled the ones it merged), and copies from the others what it
+// keeps.
 func (n *NIC) napi(p *sim.Proc) {
 	n.deliver = p.ResumeFunc()
 	for {
 		n.onRxWake()
 		p.Suspend()
-		for i, fr := range n.up {
-			n.deliverUp(p, fr)
-			if n.cfg.LRO && n.gro.Built(i) {
-				n.stack.RecycleFrameBuf(fr)
-			}
-		}
-		for _, f := range n.burst {
-			n.recycle(f)
+		for _, f := range n.up {
+			n.deliverUp(p, f)
 		}
 		clear(n.burst)
 		clear(n.frames)
 	}
 }
 
-func (n *NIC) deliverUp(p *sim.Proc, frame []byte) {
+func (n *NIC) deliverUp(p *sim.Proc, f netstack.Frame) {
 	n.cpu.Exec(p, n.cfg.DriverRxCycles)
-	n.RxBytes.Add(p.Now(), int64(len(frame)))
+	n.RxBytes.Add(p.Now(), int64(len(f.Data)))
 	n.RxFrames++
-	n.stack.RxFrame(p, n, frame)
+	n.stack.RxFrame(p, n, f)
 }
 
 // Switch is an output-queued store-and-forward Ethernet switch with MAC

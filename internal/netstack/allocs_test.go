@@ -139,6 +139,79 @@ func TestAllocsTCPBulk(t *testing.T) {
 	k.Shutdown()
 }
 
+// sinkDev is a test wire's identity with a transmit path that swallows
+// every frame, recycling it into s's pool.
+type sinkDev struct {
+	*wireDev
+	s *Stack
+}
+
+func (d sinkDev) Transmit(_ *sim.Proc, f Frame) {
+	if f.Pooled {
+		d.s.RecycleFrameBuf(f.Data)
+	}
+}
+
+func (d sinkDev) TransmitSteps(q *cpu.Seq) { d.s.RecycleFrameBuf(q.Buf) }
+
+// TestAllocsTCPDataSegment: a warm in-order data segment, handed to the
+// stack in a pooled frame and read by the application, allocates
+// nothing. The receive queue keeps the frame and recycles it once Recv
+// has consumed it; the delayed ACK every second segment goes to a device
+// that recycles it.
+func TestAllocsTCPDataSegment(t *testing.T) {
+	pr := newPair(t, 9000, false)
+	defer pr.k.Shutdown()
+	var srv *TCPConn
+	pr.k.Go("server", func(p *sim.Proc) {
+		l, _ := pr.b.Listen(80)
+		srv, _ = l.Accept(p)
+	})
+	pr.k.Go("client", func(p *sim.Proc) { pr.a.Connect(p, IPv4(10, 0, 0, 2), 80) })
+	pr.k.RunUntil(pr.k.Now().Add(sim.Millisecond))
+	if srv == nil {
+		t.Fatal("no connection")
+	}
+	pr.b.Ifaces()[0].Dev = sinkDev{pr.bd, pr.b}
+	const n = 8000
+	buf := make([]byte, n)
+	pr.k.Go("deliver", func(p *sim.Proc) {
+		for {
+			p.Sleep(10 * sim.Microsecond)
+			frame := pr.b.GetFrameBuf(EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes + n)
+			PutEth(frame, EthHeader{Dst: pr.bd.mac, Src: pr.ad.mac, Type: EtherTypeIPv4})
+			PutIPv4(frame[EthHeaderBytes:], IPv4Header{
+				TotalLen: uint16(len(frame) - EthHeaderBytes), DF: true, TTL: 64,
+				Proto: ProtoTCP, Src: srv.tuple.rip, Dst: srv.tuple.lip,
+			})
+			payload := frame[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:]
+			for i := range payload {
+				payload[i] = byte(srv.rcvNxt) + byte(i)
+			}
+			PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{
+				SrcPort: srv.tuple.rport, DstPort: srv.tuple.lport, Seq: srv.rcvNxt,
+				Ack: srv.sndNxt, Flags: TCPAck | TCPPsh, Window: srv.rwnd,
+			}, srv.tuple.rip, srv.tuple.lip, payload)
+			pr.b.RxFrame(p, pr.bd, Frame{Data: frame, Pooled: true})
+			if got, _ := srv.Recv(p, buf); got != n {
+				t.Errorf("read %d bytes, want %d", got, n)
+			}
+		}
+	})
+	round := func() { pr.k.RunUntil(pr.k.Now().Add(20 * sim.Microsecond)) }
+	for i := 0; i < 64; i++ {
+		round() // warm the pool, the queue and the chains
+	}
+	segs := srv.SegsRcvd
+	avg := testing.AllocsPerRun(128, round)
+	if srv.SegsRcvd-segs < 128 {
+		t.Fatalf("only %d segments in 129 rounds", srv.SegsRcvd-segs)
+	}
+	if avg != 0 {
+		t.Fatalf("a warm in-order data segment delivered and read allocates %.2f objects, want 0", avg)
+	}
+}
+
 // RecvTimeout is Recv with a deadline.
 func (u *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Duration) (Datagram, bool) {
 	u.s.CPU.Exec(p, u.s.Costs.SocketCycles)

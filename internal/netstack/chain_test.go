@@ -195,7 +195,7 @@ func refDeliverIP(s *Stack, p *sim.Proc, pkt []byte) {
 			}
 			c.rxLock.Acquire(p)
 			refExec(s.CPU, p, s.Costs.TCPRxCycles)
-			c.segArrives(p, th, body[TCPHeaderBytes:])
+			c.segArrives(p, th, body[TCPHeaderBytes:], nil)
 			return
 		}
 		s.rxTCPNoConn(p, hdr, th)
@@ -410,7 +410,7 @@ func (d *stepDev) onPut(q *cpu.Seq) { d.wire(q.Buf) }
 func (d *stepDev) wire(fr []byte) {
 	d.free = max(d.free, d.k.Now()).Add(sim.AtRate(int64(len(fr)), d.rate))
 	d.k.At(d.free.Add(d.latency), func() {
-		d.k.Go(d.name+"/rx", func(rp *sim.Proc) { d.peer.RxFrame(rp, d.peer.Ifaces()[0].Dev, fr) })
+		d.k.Go(d.name+"/rx", func(rp *sim.Proc) { d.peer.RxFrame(rp, d.peer.Ifaces()[0].Dev, Frame{Data: fr}) })
 	})
 }
 
@@ -422,10 +422,11 @@ func udpFrame(s *Stack, port uint16, n int) []byte {
 	return frame
 }
 
-// tcpPacket is an IP packet carrying a segment of n bytes at seq from
-// c's peer to c; bad corrupts its checksum.
+// tcpPacket is a frame whose IP packet carries a segment of n bytes at
+// seq from c's peer to c; bad corrupts its checksum.
 func tcpPacket(c *TCPConn, flags uint8, seq uint32, n int, bad bool) []byte {
-	pkt := make([]byte, IPv4HeaderBytes+TCPHeaderBytes+n)
+	frame := make([]byte, EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes+n)
+	pkt := frame[EthHeaderBytes:]
 	PutTCP(pkt[IPv4HeaderBytes:], TCPHeader{
 		SrcPort: c.tuple.rport, DstPort: c.tuple.lport,
 		Seq: seq, Ack: c.sndNxt, Flags: flags, Window: tcpRcvBufCap,
@@ -434,7 +435,7 @@ func tcpPacket(c *TCPConn, flags uint8, seq uint32, n int, bad bool) []byte {
 		pkt[len(pkt)-1] ^= 0xff
 	}
 	PutIPv4(pkt, IPv4Header{TotalLen: uint16(len(pkt)), TTL: 64, Proto: ProtoTCP, Src: c.tuple.rip, Dst: c.tuple.lip})
-	return pkt
+	return frame
 }
 
 // frameLoad runs sendFrame, sendSegment and deliverIP calls from test
@@ -520,11 +521,11 @@ func frameLoad(t *testing.T, resolved, hw, chain bool) ([]any, sim.KernelStats) 
 		}
 	})
 	base := srv.rcvNxt
-	deliver := func(pr *sim.Proc, pkt []byte) {
+	deliver := func(pr *sim.Proc, frame []byte) {
 		if chain {
-			p.b.deliverIP(pr, pkt)
+			p.b.deliverIP(pr, Frame{Data: frame})
 		} else {
-			refDeliverIP(p.b, pr, pkt)
+			refDeliverIP(p.b, pr, frame[EthHeaderBytes:])
 		}
 		ends = append(ends, "in", pr.Now())
 	}
@@ -537,7 +538,7 @@ func frameLoad(t *testing.T, resolved, hw, chain bool) ([]any, sim.KernelStats) 
 			if w == 1 {
 				deliver(pr, tcpPacket(srv, TCPAck, base+4000, 500, true))
 				syn := tcpPacket(srv, TCPSyn, 99, 0, false)
-				PutTCP(syn[IPv4HeaderBytes:], TCPHeader{SrcPort: srv.tuple.rport, DstPort: 81, Seq: 99, Flags: TCPSyn},
+				PutTCP(syn[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{SrcPort: srv.tuple.rport, DstPort: 81, Seq: 99, Flags: TCPSyn},
 					srv.tuple.rip, srv.tuple.lip, nil)
 				deliver(pr, syn) // to port 81: refused
 			}

@@ -66,6 +66,11 @@ func FuzzChecksumMatchesReference(f *testing.F) {
 	f.Add([]byte{0xab, 0xcd, 0xef}, uint32(0x1234), uint16(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint32(0xffff), uint16(6), uint8(3))
 	f.Add(make([]byte, 40), uint32(0), uint16(10), uint8(1))
+	// The kernel's word and block edges, all ones from the largest seed:
+	// a kernel that adds the seed after folding the words overflows here.
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
+		f.Add(bytes.Repeat([]byte{0xff}, n), uint32(0xffffffff), uint16(0), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, b []byte, seed uint32, cut uint16, tile uint8) {
 		n := len(b) * (int(tile) + 1)
 		if n > maxChecksumFuzzBytes {
@@ -121,6 +126,16 @@ func BenchmarkChecksum9000(b *testing.B) {
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
+	b.SetBytes(int64(len(buf)))
+	var sink uint16
+	for i := 0; i < b.N; i++ {
+		sink += Checksum(buf)
+	}
+	_ = sink
+}
+
+func BenchmarkChecksum1448(b *testing.B) {
+	buf := make([]byte, 1448)
 	b.SetBytes(int64(len(buf)))
 	var sink uint16
 	for i := 0; i < b.N; i++ {

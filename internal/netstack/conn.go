@@ -100,6 +100,131 @@ func (r *ByteRing) Discard(n int) {
 	r.head = (r.head + n) % len(r.buf)
 }
 
+// frameQueue is TCP's receive buffer, behind ByteRing's Len/CopyAt/Discard
+// surface: the in-order payload bytes. A large payload stays in the pool
+// frame it arrived in, as Linux queues the skb, and Discard recycles the
+// frame once it has consumed its last byte. A small payload, and one
+// whose frame is not the queue's to keep, is copied once into the
+// queue's ring, as a driver's rx_copybreak copies a small packet: the kv
+// workloads' requests and responses stay on the ring they used before,
+// and a run of tiny segments does not pin a frame each. With no frame
+// held the queue is its ring alone. The frame slice is a FIFO popped by
+// a head index and reused, so a warm connection allocates nothing.
+type frameQueue struct {
+	s    *Stack
+	ring ByteRing  // the bytes not in a held frame
+	segs []heldSeg // the held frames, oldest at head
+	head int
+	n    int
+	// ringLast is the count of ring bytes pushed since the last frame
+	// was, which come after it.
+	ringLast int
+}
+
+// rxCopyBreak is the largest payload the queue copies into its ring
+// rather than holding its frame. kv-tcp's payloads are all within it;
+// stream's are mostly past 4 KB.
+const rxCopyBreak = 1024
+
+// heldSeg is payload a connection keeps: data, in frame, the whole pool
+// buffer it sits in. In a frameQueue, the next before ring bytes come
+// ahead of it.
+type heldSeg struct {
+	frame, data []byte
+	before      int
+}
+
+// holdSeg returns payload as a segment to keep out of the queue: in
+// frame, the pool buffer it arrived in, or, when frame is nil, in a pool
+// buffer of s it is copied into.
+func holdSeg(s *Stack, payload, frame []byte) heldSeg {
+	if frame == nil {
+		frame = s.GetFrameBuf(len(payload))
+		copy(frame, payload)
+		payload = frame
+	}
+	return heldSeg{frame: frame, data: payload}
+}
+
+// Len reports the bytes held.
+func (q *frameQueue) Len() int { return q.n }
+
+// Push appends payload, which sits in frame, a pool buffer, or in bytes
+// the caller keeps when frame is nil, and reports whether the queue kept
+// frame.
+func (q *frameQueue) Push(payload, frame []byte) bool {
+	q.n += len(payload)
+	if frame == nil || len(payload) <= rxCopyBreak {
+		q.ring.Write(payload)
+		q.ringLast += len(payload)
+		return false
+	}
+	if q.head > 0 && len(q.segs) == cap(q.segs) {
+		n := copy(q.segs, q.segs[q.head:])
+		clear(q.segs[n:])
+		q.segs, q.head = q.segs[:n], 0
+	}
+	q.segs = append(q.segs, heldSeg{frame: frame, data: payload, before: q.ringLast})
+	q.ringLast = 0
+	return true
+}
+
+// CopyAt copies the bytes from off past the head into dst without
+// consuming them and returns the count: min(len(dst), Len()-off).
+func (q *frameQueue) CopyAt(dst []byte, off int) int {
+	m, ringOff := 0, 0
+	for i := q.head; m < len(dst); i++ {
+		// The ring bytes ahead of frame i, or after the last frame.
+		n := q.ring.Len() - ringOff
+		if i < len(q.segs) {
+			n = q.segs[i].before
+		}
+		if off < n {
+			m += q.ring.CopyAt(dst[m:min(len(dst), m+n-off)], ringOff+off)
+			off = 0
+		} else {
+			off -= n
+		}
+		ringOff += n
+		if i == len(q.segs) {
+			break
+		}
+		if data := q.segs[i].data; off < len(data) {
+			m += copy(dst[m:], data[off:])
+			off = 0
+		} else {
+			off -= len(data)
+		}
+	}
+	return m
+}
+
+// Discard consumes the first n bytes; n must not exceed Len.
+func (q *frameQueue) Discard(n int) {
+	q.n -= n
+	for n > 0 && q.head < len(q.segs) {
+		seg := &q.segs[q.head]
+		k := min(n, seg.before)
+		q.ring.Discard(k)
+		seg.before -= k
+		if n -= k; n == 0 {
+			return
+		}
+		if n < len(seg.data) {
+			seg.data = seg.data[n:]
+			return
+		}
+		n -= len(seg.data)
+		q.s.RecycleFrameBuf(seg.frame)
+		*seg = heldSeg{}
+		if q.head++; q.head == len(q.segs) {
+			q.segs, q.head = q.segs[:0], 0
+		}
+	}
+	q.ring.Discard(n)
+	q.ringLast = min(q.ringLast, q.ring.Len())
+}
+
 // Acceptor accepts inbound connections on a listening port.
 type Acceptor interface {
 	AcceptConn(p *sim.Proc) (Conn, error)

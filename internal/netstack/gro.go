@@ -14,8 +14,7 @@ type GRO struct {
 	// passes through unchanged; payloads[i] is its TCP payload.
 	joined   []int
 	payloads [][]byte
-	out      [][]byte
-	built    []bool
+	out      []Frame
 }
 
 // groFlow is one merged output frame: the headers of its first segment and
@@ -44,26 +43,25 @@ type groFlow struct {
 // position of its first frame.
 //
 // Every data segment, merged or alone, is rebuilt into one buffer from the
-// frame pool of s; Built reports which outputs those are, and the caller
-// owns them. The returned slice is reused by the next call. A burst of one
+// frame pool of s: a Pooled output with ChecksumOK set, because its
+// headers were just written and checksummed from the bytes it carries. A
+// frame that passes through is output as it came in. Coalesce takes the
+// Pooled inputs it rebuilds and recycles them; the caller owns every
+// output. The returned slice is reused by the next call. A burst of one
 // frame is returned as it is.
-func (g *GRO) Coalesce(s *Stack, frames [][]byte, maxBytes int) [][]byte {
-	g.out, g.built = g.out[:0], g.built[:0]
+func (g *GRO) Coalesce(s *Stack, frames []Frame, maxBytes int) []Frame {
+	g.out = g.out[:0]
 	if len(frames) <= 1 {
 		g.out = append(g.out, frames...)
-		for range frames {
-			g.built = append(g.built, false)
-		}
 		return g.out
 	}
 	g.flows, g.joined, g.payloads = g.flows[:0], g.joined[:0], g.payloads[:0]
 	for _, fr := range frames {
-		meta, ok := lroParse(fr)
+		meta, ok := lroParse(fr.Data)
 		if !ok {
 			g.joined = append(g.joined, -1)
 			g.payloads = append(g.payloads, nil)
 			g.out = append(g.out, fr)
-			g.built = append(g.built, false)
 			continue
 		}
 		g.payloads = append(g.payloads, meta.payload)
@@ -81,8 +79,7 @@ func (g *GRO) Coalesce(s *Stack, frames [][]byte, maxBytes int) [][]byte {
 				open: true, order: len(g.out),
 			})
 			g.joined = append(g.joined, f)
-			g.out = append(g.out, nil) // built below, once its size is known
-			g.built = append(g.built, true)
+			g.out = append(g.out, Frame{}) // built below, once its size is known
 			continue
 		}
 		b := &g.flows[f]
@@ -95,25 +92,24 @@ func (g *GRO) Coalesce(s *Stack, frames [][]byte, maxBytes int) [][]byte {
 	}
 	for f := range g.flows {
 		b := &g.flows[f]
-		g.out[b.order] = s.GetFrameBuf(lroHeaderBytes + b.bytes)
+		g.out[b.order] = Frame{Data: s.GetFrameBuf(lroHeaderBytes + b.bytes), Pooled: true, ChecksumOK: true}
 	}
 	for i, f := range g.joined {
 		if f >= 0 {
 			b := &g.flows[f]
-			b.fill += copy(g.out[b.order][lroHeaderBytes+b.fill:], g.payloads[i])
+			b.fill += copy(g.out[b.order].Data[lroHeaderBytes+b.fill:], g.payloads[i])
+			if frames[i].Pooled {
+				s.RecycleFrameBuf(frames[i].Data)
+			}
 		}
 	}
 	for f := range g.flows {
 		b := &g.flows[f]
-		b.putHeaders(g.out[b.order])
+		b.putHeaders(g.out[b.order].Data)
 	}
 	clear(g.payloads) // drop the references into the burst's frames
 	return g.out
 }
-
-// Built reports whether output i of the last Coalesce is a frame it built
-// from the pool (which the caller owns), not an input passed through.
-func (g *GRO) Built(i int) bool { return g.built[i] }
 
 // openFlow returns the index of meta's flow's open bucket, or -1.
 func (g *GRO) openFlow(meta lroMeta) int {
@@ -134,7 +130,8 @@ const lroHeaderBytes = EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes
 // frame, whose payload is already in place: the first segment's addresses,
 // IPv4 ID, TTL and sequence number, the last segment's ACK and window, and
 // the union of the flags. DF is the first segment's, as Linux GRO keeps
-// it.
+// it. The TCP checksum is filled in although the receiving stack does not
+// verify it (ChecksumOK): a tap sees the field.
 func (b *groFlow) putHeaders(frame []byte) {
 	m := &b.meta
 	PutEth(frame, m.eh)

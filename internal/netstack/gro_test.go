@@ -5,10 +5,19 @@ import (
 	"testing"
 )
 
-// coalesce runs one burst through a fresh GRO drawing on a fresh pool.
+// coalesce runs one burst of frames that are not pooled through a fresh
+// GRO drawing on a fresh pool.
 func coalesce(frames [][]byte, maxBytes int) [][]byte {
 	var g GRO
-	return g.Coalesce(&Stack{pool: new(framePool)}, frames, maxBytes)
+	in := make([]Frame, len(frames))
+	for i, fr := range frames {
+		in[i] = Frame{Data: fr}
+	}
+	var out [][]byte
+	for _, f := range g.Coalesce(&Stack{pool: new(framePool)}, in, maxBytes) {
+		out = append(out, f.Data)
+	}
+	return out
 }
 
 // refCoalesceTCP is the map-and-append coalescer GRO replaced, kept as the
@@ -136,24 +145,27 @@ func FuzzGROMatchesReference(f *testing.F) {
 				in = in[1:]
 			}
 			want := refCoalesceTCP(burst, 2800)
-			got := g.Coalesce(s, burst, 2800)
+			// The inputs are pooled: GRO recycles the ones it rebuilds.
+			in := make([]Frame, len(burst))
+			for i, fr := range burst {
+				in[i] = Frame{Data: fr, Pooled: true}
+			}
+			got := g.Coalesce(s, in, 2800)
 			if len(got) != len(want) {
 				t.Fatalf("%d frames out, reference %d", len(got), len(want))
 			}
-			for i := range got {
-				if !bytes.Equal(got[i], want[i]) {
+			for i, f := range got {
+				if !bytes.Equal(f.Data, want[i]) {
 					t.Fatalf("frame %d differs from the reference", i)
 				}
 				passed := false
 				for _, fr := range burst {
-					passed = passed || &fr[0] == &got[i][0]
+					passed = passed || &fr[0] == &f.Data[0]
 				}
-				if g.Built(i) == passed {
-					t.Fatalf("frame %d: Built=%v, passed through=%v", i, g.Built(i), passed)
+				if built := len(burst) > 1 && f.ChecksumOK; built == passed || !f.Pooled {
+					t.Fatalf("frame %d: built=%v, passed through=%v, pooled=%v", i, built, passed, f.Pooled)
 				}
-				if g.Built(i) {
-					s.RecycleFrameBuf(got[i])
-				}
+				s.RecycleFrameBuf(f.Data)
 			}
 		}
 	})

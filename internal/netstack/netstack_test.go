@@ -11,7 +11,9 @@ import (
 
 // wireDev is a zero-queue test device: frames cross to the peer stack after
 // a fixed latency plus serialization at a fixed rate. dropEvery>0 drops
-// every Nth data-bearing frame to exercise retransmission.
+// every Nth data-bearing frame to exercise retransmission. A pooled frame
+// reaches the peer as Pooled, so the peer's TCP keeps the frames its
+// payload arrives in; a frame the wire drops is left to the collector.
 type wireDev struct {
 	k         *sim.Kernel
 	name      string
@@ -36,11 +38,11 @@ func (d *wireDev) MTU() int           { return d.mtu }
 func (d *wireDev) Features() Features { return d.feats }
 
 func (d *wireDev) Transmit(p *sim.Proc, f Frame) {
-	for _, fr := range d.segments(f.Data, f.TSOSegSize) {
+	for _, fr := range d.segments(f) {
 		if d.drop() {
 			continue
 		}
-		p.Sleep(sim.AtRate(int64(len(fr)), d.rate))
+		p.Sleep(sim.AtRate(int64(len(fr.Data)), d.rate))
 		d.deliver(fr)
 	}
 }
@@ -48,7 +50,7 @@ func (d *wireDev) Transmit(p *sim.Proc, f Frame) {
 // TransmitSteps is Transmit as steps of the sender's chain: each frame's
 // serialization is a wait with no core held.
 func (d *wireDev) TransmitSteps(q *cpu.Seq) {
-	frames := d.segments(q.Buf, q.N)
+	frames := d.segments(Frame{Data: q.Buf, TSOSegSize: q.N, Pooled: true})
 	var next func(*cpu.Seq)
 	next = func(q *cpu.Seq) {
 		for len(frames) > 0 {
@@ -57,21 +59,27 @@ func (d *wireDev) TransmitSteps(q *cpu.Seq) {
 			if d.drop() {
 				continue
 			}
-			q.Wait(d.serialize, len(fr)).Hook(func(*cpu.Seq) { d.deliver(fr) }).Hook(next)
+			q.Wait(d.serialize, len(fr.Data)).Hook(func(*cpu.Seq) { d.deliver(fr) }).Hook(next)
 			return
 		}
 	}
 	q.Hook(next)
 }
 
-// segments cuts a frame handed over with TSO segment size seg (0 for
-// none) into its wire frames.
-func (d *wireDev) segments(frame []byte, seg int) [][]byte {
-	var out [][]byte
+// segments cuts a frame into its wire frames. A frame that is cut is
+// recycled when pooled, and its segments are pool buffers.
+func (d *wireDev) segments(f Frame) []Frame {
+	var out []Frame
 	for off := 0; ; {
 		var fr []byte
-		fr, off = SegmentTSO(d.peer, frame, seg, off)
-		if out = append(out, fr); off == 0 {
+		fr, off = SegmentTSO(d.peer, f.Data, f.TSOSegSize, off)
+		if off == 0 && len(out) == 0 {
+			return []Frame{{Data: fr, Pooled: f.Pooled}}
+		}
+		if out = append(out, Frame{Data: fr, Pooled: true}); off == 0 {
+			if f.Pooled {
+				d.peer.RecycleFrameBuf(f.Data)
+			}
 			return out
 		}
 	}
@@ -90,7 +98,7 @@ func (d *wireDev) drop() bool {
 func (d *wireDev) serialize(n int, done func()) { d.k.After(sim.AtRate(int64(n), d.rate), done) }
 
 // deliver hands a serialized frame to the peer after the link latency.
-func (d *wireDev) deliver(fr []byte) {
+func (d *wireDev) deliver(fr Frame) {
 	lat := d.latency
 	if d.jitterFn != nil {
 		lat = d.jitterFn()
@@ -426,13 +434,14 @@ func TestTSOSegmentation(t *testing.T) {
 	PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{SrcPort: 1, DstPort: 2, Seq: 1000, Flags: TCPAck | TCPPsh, Window: 1 << 16}, src, dst, payload)
 	copy(frame[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:], payload)
 
-	segs := (&wireDev{peer: &Stack{pool: new(framePool)}}).segments(frame, 1460)
+	segs := (&wireDev{peer: &Stack{pool: new(framePool)}}).segments(Frame{Data: frame, TSOSegSize: 1460})
 	if len(segs) != 3 { // 1460+1460+1080
 		t.Fatalf("segments=%d, want 3", len(segs))
 	}
 	wantSeq := uint32(1000)
 	var reassembled []byte
-	for i, s := range segs {
+	for i, seg := range segs {
+		s := seg.Data
 		ih, _ := ParseIPv4(s[EthHeaderBytes:])
 		th, _ := ParseTCP(s[EthHeaderBytes+IPv4HeaderBytes:])
 		if th.Seq != wantSeq {

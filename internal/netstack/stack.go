@@ -21,21 +21,27 @@ type Features struct {
 	HWChecksum bool
 }
 
-// Frame is what the stack hands a device: the wire bytes plus offload
-// metadata.
+// Frame is what the stack hands a device, and a device hands
+// Stack.RxFrame: the wire bytes plus offload metadata.
 type Frame struct {
 	Data []byte
 	// TSOSegSize is nonzero when Data carries one jumbo TCP chunk that
 	// the device must segment into MSS-sized wire packets.
 	TSOSegSize int
-	// Pooled transfers ownership of Data, a buffer from the sending
-	// stack's frame pool: the device may keep it (the MCN drivers park it
-	// in an SRAM ring, and the receiver recycles it), recycle it via
-	// Stack.RecycleFrameBuf once it is done with the bytes, or let a wire
-	// alias it and leave it to the garbage collector. A frame that is not
-	// Pooled may be referenced elsewhere: a device that holds it past
-	// Transmit copies it first.
+	// Pooled transfers ownership of Data, a buffer from the frame pool
+	// of the stacks it travels between. On transmit the device may keep
+	// it (the MCN drivers park it in an SRAM ring, the NIC puts it on the
+	// wire), recycle it via Stack.RecycleFrameBuf once it is done with the
+	// bytes, or hand it to the receiving stack. On receive the stack
+	// keeps it: TCP holds the frame a large payload arrived in until Recv
+	// has consumed it, and the stack recycles every other. A frame that
+	// is not Pooled may be referenced elsewhere: a device that holds it
+	// past Transmit copies it first, and TCP copies the payload it keeps.
 	Pooled bool
+	// ChecksumOK, on a received frame, says the device vouches for its
+	// TCP checksum, as it does for a frame GRO built (Linux's
+	// CHECKSUM_UNNECESSARY): the stack does not verify it again.
+	ChecksumOK bool
 }
 
 // TapSite is the point on a frame's path where a Tap observed it.
@@ -180,9 +186,10 @@ type Stack struct {
 	// (a tcpdump attachment point; see obs.Recorder).
 	Tap Tap
 	// Bridge, when set, inspects frames arriving on a device before
-	// normal delivery; returning true consumes the frame. The MCN host
-	// driver uses it to bridge frames arriving on the conventional NIC
-	// toward its DIMMs (the cross-host scenario of Sec. III-B).
+	// normal delivery; returning true consumes the frame. It copies what
+	// it relays: the stack still owns the buffer. The MCN host driver
+	// uses it to bridge frames arriving on the conventional NIC toward
+	// its DIMMs (the cross-host scenario of Sec. III-B).
 	Bridge func(p *sim.Proc, dev NetDev, frame []byte) bool
 
 	ifaces  []*Iface
@@ -540,10 +547,11 @@ func (t *txPkt) onOut(q *cpu.Seq) {
 			s.Tap.Frame(s.K.Now(), TapLoop, "lo", frame)
 		}
 		s.K.Go(s.Host+"/lo-rx", func(rp *sim.Proc) {
-			s.deliverIP(rp, pkt)
-			// The receive path copies what it keeps (rcvBuf, frag
-			// buffers, app buffers), so the packet dies here.
-			s.RecycleFrameBuf(frame)
+			// The receive path owns the frame, as one a device hands
+			// up: TCP keeps it, or it is recycled here.
+			if !s.deliverIP(rp, Frame{Data: frame, Pooled: true}) {
+				s.RecycleFrameBuf(frame)
+			}
 		})
 		return
 	}
@@ -594,54 +602,70 @@ func (t *txPkt) finish(p *sim.Proc) error {
 }
 
 // RxFrame is called by a device's receive path with a full Ethernet frame.
-func (s *Stack) RxFrame(p *sim.Proc, dev NetDev, frame []byte) {
+// A Pooled frame is the stack's from then on (see Frame).
+func (s *Stack) RxFrame(p *sim.Proc, dev NetDev, f Frame) {
+	if !s.deliverFrame(p, dev, f) && f.Pooled {
+		s.RecycleFrameBuf(f.Data)
+	}
+}
+
+// deliverFrame delivers f and reports whether TCP kept its buffer.
+func (s *Stack) deliverFrame(p *sim.Proc, dev NetDev, f Frame) bool {
+	frame := f.Data
 	if s.Tap != nil {
 		s.Tap.Frame(s.K.Now(), TapRx, dev.Name(), frame)
 	}
 	if s.Bridge != nil && s.Bridge(p, dev, frame) {
-		return
+		return false
 	}
 	eth, ok := ParseEth(frame)
 	if !ok {
 		s.Drops++
-		return
+		return false
 	}
 	if eth.Dst != dev.MAC() && !eth.Dst.IsBroadcast() {
 		s.Drops++
-		return
+		return false
 	}
 	switch eth.Type {
 	case EtherTypeIPv4:
-		s.deliverIP(p, frame[EthHeaderBytes:])
+		return s.deliverIP(p, f)
 	case EtherTypeARP:
 		s.rxARP(p, dev, frame[EthHeaderBytes:])
 	default:
 		s.Drops++
 	}
+	return false
 }
 
-// deliverIP runs the IP receive path and dispatches to the transport.
-// The IP charges and, for a segment of an open connection, its checksum
-// charge, the socket lock and the TCP input charge run as one chain; the
-// transport then runs in the process.
-func (s *Stack) deliverIP(p *sim.Proc, pkt []byte) {
+// deliverIP runs the IP receive path of the packet in f, past its
+// Ethernet header, and dispatches to the transport. The IP charges and,
+// for a segment of an open connection, its checksum charge, the socket
+// lock and the TCP input charge run as one chain; the transport then runs
+// in the process. It reports whether TCP kept f's buffer, which it may
+// only when f is Pooled.
+func (s *Stack) deliverIP(p *sim.Proc, f Frame) bool {
+	pkt := f.Data[EthHeaderBytes:]
 	hdr, ok := ParseIPv4(pkt)
 	if !ok || int(hdr.TotalLen) > len(pkt) {
 		s.Drops++
-		return
+		return false
 	}
 	r := s.getRx()
-	r.hdr, r.pkt = hdr, pkt[:hdr.TotalLen]
+	r.hdr, r.pkt, r.csumOK = hdr, pkt[:hdr.TotalLen], f.ChecksumOK
+	if f.Pooled {
+		r.own = f.Data
+	}
 	q := s.CPU.Seq().Exec(s.Costs.IPRxCycles)
 	s.checksumStep(q, IPv4HeaderBytes, nil)
 	q.Hook(r.in).Run(p)
-	body, th, c := r.body, r.th, r.c
+	body, th, c, own := r.body, r.th, r.c, r.own
 	*r = rxPkt{s: s, in: r.in}
 	s.rxPkts = append(s.rxPkts, r)
 	switch {
 	case body == nil: // dropped, or an incomplete datagram
 	case c != nil:
-		c.segArrives(p, th, body[TCPHeaderBytes:])
+		return c.segArrives(p, th, body[TCPHeaderBytes:], own)
 	case hdr.Proto == ProtoTCP:
 		s.rxTCPNoConn(p, hdr, th)
 	case hdr.Proto == ProtoICMP:
@@ -651,6 +675,7 @@ func (s *Stack) deliverIP(p *sim.Proc, pkt []byte) {
 	default:
 		s.Drops++
 	}
+	return false
 }
 
 // An rxPkt is one IP packet on its way up through deliverIP's chain:
@@ -659,6 +684,11 @@ type rxPkt struct {
 	s   *Stack
 	hdr IPv4Header
 	pkt []byte
+	// own is the frame buffer TCP may keep, nil once the transport bytes
+	// are not in it (a reassembled datagram); csumOK skips the TCP
+	// checksum verification.
+	own    []byte
+	csumOK bool
 	// Set by the chain: the transport bytes, nil when the packet was
 	// dropped or completed no datagram; a TCP segment's header, and its
 	// connection, whose socket lock the chain took.
@@ -695,6 +725,7 @@ func (r *rxPkt) onIn(q *cpu.Seq) {
 		if body = s.reassemble(hdr, body); body == nil {
 			return
 		}
+		r.own = nil
 	}
 	r.body = body
 	if hdr.Proto == ProtoTCP {

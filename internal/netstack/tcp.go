@@ -73,9 +73,9 @@ type TCPConn struct {
 	finAcked  bool
 
 	// Receive state.
-	rcvBuf  ByteRing
+	rcvBuf  frameQueue
 	rcvNxt  uint32
-	ooo     map[uint32][]byte // out-of-order segments by seq, in pool buffers
+	ooo     map[uint32]heldSeg // out-of-order segments by seq
 	gotFin  bool
 	ackedUp uint32 // highest rcvNxt we have acked
 	unacked int    // full segments received since last ack
@@ -132,13 +132,14 @@ func (s *Stack) newConn(t fourTuple, ifc *Iface) *TCPConn {
 	c := &TCPConn{
 		s: s, tuple: t, ifc: ifc,
 		mss:      ifc.Dev.MTU() - IPv4HeaderBytes - TCPHeaderBytes,
-		ooo:      make(map[uint32][]byte),
+		ooo:      make(map[uint32]heldSeg),
 		sendable: s.K.NewSignal(),
 		readable: s.K.NewSignal(),
 		writable: s.K.NewSignal(),
 		stateSig: s.K.NewSignal(),
 		rwnd:     tcpRcvBufCap,
 	}
+	c.rcvBuf.s = s
 	c.cwnd = tcpInitCwndMSS * c.mss
 	c.ssthresh = tcpRcvBufCap
 	c.rxLock = s.K.NewResource(1)
@@ -691,11 +692,13 @@ func (c *TCPConn) ackCarried() {
 // segment of an open connection appends its checksum charge, charged per
 // the receiving interface's offload capability, the socket lock and the
 // TCP input charge; segArrives then runs in the process. Any other
-// segment goes to rxTCPNoConn.
+// segment goes to rxTCPNoConn. The checksum is verified unless the stack
+// bypasses it or the device vouched for it (Frame.ChecksumOK); the
+// charge does not depend on either.
 func (s *Stack) rxTCP(q *cpu.Seq, r *rxPkt) {
 	seg := r.body
 	th, ok := ParseTCP(seg)
-	if !ok || (!s.ChecksumBypass && !VerifyTCPChecksum(seg, r.hdr.Src, r.hdr.Dst)) {
+	if !ok || (!s.ChecksumBypass && !r.csumOK && !VerifyTCPChecksum(seg, r.hdr.Src, r.hdr.Dst)) {
 		s.Drops++
 		r.body = nil
 		return
@@ -771,12 +774,14 @@ func (c *TCPConn) irsInit(th TCPHeader) {
 
 // segArrives is the TCP input routine. deliverIP's chain took the socket
 // lock and charged tcp_rcv; segArrives releases the lock when it returns.
-func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload []byte) {
+// frame is the pool buffer payload sits in when the connection may keep
+// it, or nil; segArrives reports whether the connection kept it.
+func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload, frame []byte) (held bool) {
 	defer c.rxLock.Release()
 	c.SegsRcvd++
 	if th.Flags&TCPRst != 0 {
 		c.teardown(fmt.Errorf("connection reset by peer"))
-		return
+		return false
 	}
 	if th.Window > c.rwnd {
 		// A pure window update must restart a transmitter stalled on a
@@ -798,7 +803,7 @@ func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload []byte) {
 			c.stateSig.Notify()
 			c.sendable.Notify()
 		}
-		return
+		return false
 	case tcpSynRcvd:
 		if th.Flags&TCPAck != 0 && th.Ack == c.sndNxt {
 			c.sndUna = th.Ack
@@ -812,7 +817,7 @@ func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload []byte) {
 			}
 			// Fall through: the handshake ACK may carry data.
 		} else {
-			return
+			return false
 		}
 	}
 
@@ -820,11 +825,12 @@ func (c *TCPConn) segArrives(p *sim.Proc, th TCPHeader, payload []byte) {
 		c.processAck(p, th.Ack)
 	}
 	if len(payload) > 0 {
-		c.processData(p, th.Seq, payload)
+		held = c.processData(p, th.Seq, payload, frame)
 	}
 	if th.Flags&TCPFin != 0 {
 		c.processFin(p, th.Seq, len(payload))
 	}
+	return held
 }
 
 func (c *TCPConn) processAck(p *sim.Proc, ack uint32) {
@@ -931,23 +937,24 @@ func (c *TCPConn) fastRetransmit(p *sim.Proc) {
 	c.rtActive = false
 }
 
-func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
+// processData takes a segment's payload. frame is as for segArrives;
+// processData reports whether the connection kept it.
+func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload, frame []byte) (held bool) {
 	if SeqGT(seq, c.rcvNxt) {
 		// Out of order: hold and dup-ack.
 		if _, dup := c.ooo[seq]; !dup {
-			buf := c.s.GetFrameBuf(len(payload))
-			copy(buf, payload)
-			c.ooo[seq] = buf
+			c.ooo[seq] = holdSeg(c.s, payload, frame)
+			held = frame != nil
 		}
 		c.sendAck(p)
-		return
+		return held
 	}
 	if SeqLT(seq, c.rcvNxt) {
 		// Overlap from retransmission.
 		skip := int(c.rcvNxt - seq)
 		if skip >= len(payload) {
 			c.sendAck(p)
-			return
+			return false
 		}
 		payload = payload[skip:]
 		seq = c.rcvNxt
@@ -957,11 +964,11 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 		payload = payload[:room] // receiver window enforcement
 		if len(payload) == 0 {
 			c.sendAck(p)
-			return
+			return false
 		}
 	}
 	c.s.chargeCopy(p, len(payload))
-	c.rcvBuf.Write(payload)
+	held = c.rcvBuf.Push(payload, frame)
 	c.rcvNxt += uint32(len(payload))
 	c.BytesRcvd.Add(p.Now(), int64(len(payload)))
 	// Drain any now-contiguous out-of-order segments.
@@ -972,16 +979,18 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 		}
 		delete(c.ooo, c.rcvNxt)
 		room := tcpRcvBufCap - c.rcvBuf.Len()
-		if len(next) > room {
-			next = next[:room]
+		if len(next.data) > room {
+			next.data = next.data[:room]
 		}
-		if len(next) == 0 {
+		if len(next.data) == 0 {
+			c.s.RecycleFrameBuf(next.frame)
 			break
 		}
-		c.rcvBuf.Write(next)
-		c.s.RecycleFrameBuf(next)
-		c.rcvNxt += uint32(len(next))
-		c.BytesRcvd.Add(p.Now(), int64(len(next)))
+		if !c.rcvBuf.Push(next.data, next.frame) {
+			c.s.RecycleFrameBuf(next.frame)
+		}
+		c.rcvNxt += uint32(len(next.data))
+		c.BytesRcvd.Add(p.Now(), int64(len(next.data)))
 	}
 	c.readable.Notify()
 
@@ -992,6 +1001,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload []byte) {
 	} else if !c.delack.Pending() {
 		c.delack.Reset(tcpDelayedAckNs)
 	}
+	return held
 }
 
 // processFin takes a FIN that arrives in order. A FIN beyond a gap in

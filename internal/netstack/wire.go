@@ -20,41 +20,75 @@ func Checksum(b []byte) uint16 { return checksumFold(checksumAdd(0, b)) }
 // sum, as long as each part starts at an even offset of the whole
 // (RFC 1071 Sec. 2(A)).
 //
-// The kernel adds big-endian 64-bit words, four per iteration, with the
-// carry out of each add fed into the next one. Since 2^64 = 1 mod 2^16-1,
-// a carry out of bit 63 is worth 1 in the one's-complement sum, so adding
-// it back and folding 64 -> 16 bits gives the same sum as adding 16-bit
-// words one at a time (RFC 1071 Sec. 2(C), parallel summation), at any
-// length. A nonzero total never folds to zero, so the result matches the
-// 16-bit loop's exactly, including the 0x0000/0xFFFF distinction.
+// The kernel sums in native byte order (RFC 1071 Sec. 2(B)): it adds
+// little-endian 64-bit words on two interleaved carry chains, one for
+// each half of a 128-byte block, so the CPU overlaps their adds, and
+// swaps the bytes of the folded 16-bit result. Since 2^64 = 1 mod
+// 2^16-1, a carry out of bit 63 is worth 1 in the one's-complement sum,
+// so adding it back and folding 64 -> 16 bits gives the same sum as
+// adding 16-bit words one at a time (Sec. 2(C), parallel summation), at
+// any length. The big-endian seed is folded to 16 bits and byte-swapped
+// into the same order before the first add. A nonzero total never folds
+// to zero, and a byte swap keeps both 0x0000 and 0xFFFF, so the result
+// matches the 16-bit loop's exactly, including the 0x0000/0xFFFF
+// distinction.
 func checksumAdd(sum uint32, b []byte) uint32 {
-	acc, carry := uint64(sum), uint64(0)
+	seed := sum>>16 + sum&0xffff
+	seed = seed>>16 + seed&0xffff
+	a0, a1 := uint64(bits.ReverseBytes16(uint16(seed))), uint64(0)
+	var c0, c1 uint64
+	for len(b) >= 128 {
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[8:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[16:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[24:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[32:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[40:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[48:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[56:]), c0)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[64:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[72:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[80:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[88:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[96:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[104:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[112:]), c1)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(b[120:]), c1)
+		b = b[128:]
+	}
 	for len(b) >= 32 {
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), carry)
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), carry)
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), carry)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[8:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[16:]), c0)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b[24:]), c0)
 		b = b[32:]
 	}
 	for len(b) >= 8 {
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(b), c0)
 		b = b[8:]
 	}
-	// At most three 16-bit words and an odd byte are left.
+	// At most seven bytes are left. Each piece starts at an even offset,
+	// so it adds unshifted; an odd last byte is the low byte of its
+	// little-endian 16-bit word.
 	var tail uint64
-	for ; len(b) >= 2; b = b[2:] {
-		tail += uint64(binary.BigEndian.Uint16(b))
+	if len(b) >= 4 {
+		tail, b = uint64(binary.LittleEndian.Uint32(b)), b[4:]
+	}
+	if len(b) >= 2 {
+		tail, b = tail+uint64(binary.LittleEndian.Uint16(b)), b[2:]
 	}
 	if len(b) == 1 {
-		tail += uint64(b[0]) << 8
+		tail += uint64(b[0])
 	}
-	acc, carry = bits.Add64(acc, tail, carry)
-	acc += carry // cannot wrap: after a carry out, acc <= tail
-	acc = acc>>32 + acc&0xffffffff
-	acc = acc>>32 + acc&0xffffffff
-	acc = acc>>16 + acc&0xffff
-	acc = acc>>16 + acc&0xffff
-	return uint32(acc)
+	a0, c0 = bits.Add64(a0, tail, c0)
+	a0, c0 = bits.Add64(a0, a1, c0)
+	a0, c0 = bits.Add64(a0, c1, c0)
+	a0 += c0 // cannot wrap: after a carry out, a0 <= c1 < 2
+	a0 = a0>>32 + a0&0xffffffff
+	a0 = a0>>32 + a0&0xffffffff
+	a0 = a0>>16 + a0&0xffff
+	a0 = a0>>16 + a0&0xffff
+	return uint32(bits.ReverseBytes16(uint16(a0)))
 }
 
 // checksumFold folds the carries and complements the result.

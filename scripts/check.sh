@@ -45,6 +45,12 @@ go test -run 'Match(es)?ProcessForms?|MatchesExec(For|While)|Differential' \
 echo ">> go test -run '^\$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/sim"
 go test -run '^$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/sim
 
+# Ten seconds of fuzzing the Internet checksum kernel against the 16-bit
+# reference loop, from the committed corpus and the seeds at its word and
+# block edges: chained parts, any seed, lengths past 128 KiB.
+echo ">> go test -run '^\$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s ./internal/netstack"
+go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s ./internal/netstack
+
 # Every non-test function runs somewhere in the suite, apart from the
 # named fillers in scripts/never-run.txt: the list of 0.0% functions under
 # a module-wide coverage profile must equal that allowlist, so a new
@@ -74,9 +80,11 @@ fi
 # shares Cores with processes, the core/dram/node callback state machines
 # that share Resources with those processes, the frame chains that carry
 # a segment through TCP, IP and a driver's setup charges (and on receive
-# through IP into the socket lock) in kernel callbacks, the socket-buffer
-# rings that TCP and mcnt processes fill and drain around their
-# CPU-charge parks (with the stack's stream-integrity fuzz seeds), the
+# through IP into the socket lock) in kernel callbacks, the socket
+# buffers that TCP and mcnt processes fill and drain around their
+# CPU-charge parks — the send and mcnt byte rings and TCP's receive queue
+# of held pool frames, recycled as reads consume them (with the stack's
+# stream-integrity fuzz seeds) — the
 # NIC's TX-engine, NAPI and switch-port callback chains and its napi
 # delivery process, which emit through a frame tap shared with the stack
 # taps (Table III's recorder) and hand pooled wire frames from one
