@@ -154,14 +154,12 @@ func (d sinkDev) Transmit(_ *sim.Proc, f Frame) {
 
 func (d sinkDev) TransmitSteps(q *cpu.Seq) { d.s.RecycleFrameBuf(q.Buf) }
 
-// TestAllocsTCPDataSegment: a warm in-order data segment, handed to the
-// stack in a pooled frame and read by the application, allocates
-// nothing. The receive queue keeps the frame and recycles it once Recv
-// has consumed it; the delayed ACK every second segment goes to a device
-// that recycles it.
-func TestAllocsTCPDataSegment(t *testing.T) {
+// sinkConn returns a pair and the server end of a connection from a to b
+// whose ACKs b's device swallows, so a test hands b's stack segments
+// itself (deliverSeg).
+func sinkConn(t *testing.T) (*pair, *TCPConn) {
+	t.Helper()
 	pr := newPair(t, 9000, false)
-	defer pr.k.Shutdown()
 	var srv *TCPConn
 	pr.k.Go("server", func(p *sim.Proc) {
 		l, _ := pr.b.Listen(80)
@@ -170,29 +168,48 @@ func TestAllocsTCPDataSegment(t *testing.T) {
 	pr.k.Go("client", func(p *sim.Proc) { pr.a.Connect(p, IPv4(10, 0, 0, 2), 80) })
 	pr.k.RunUntil(pr.k.Now().Add(sim.Millisecond))
 	if srv == nil {
+		pr.k.Shutdown()
 		t.Fatal("no connection")
 	}
 	pr.b.Ifaces()[0].Dev = sinkDev{pr.bd, pr.b}
+	return pr, srv
+}
+
+// deliverSeg hands srv's stack a pooled frame with n payload bytes at
+// seq, byte i of them byte(seq+i), and returns the frame.
+func deliverSeg(p *sim.Proc, pr *pair, srv *TCPConn, seq uint32, n int) []byte {
+	frame := pr.b.GetFrameBuf(EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes + n)
+	PutEth(frame, EthHeader{Dst: pr.bd.mac, Src: pr.ad.mac, Type: EtherTypeIPv4})
+	PutIPv4(frame[EthHeaderBytes:], IPv4Header{
+		TotalLen: uint16(len(frame) - EthHeaderBytes), DF: true, TTL: 64,
+		Proto: ProtoTCP, Src: srv.tuple.rip, Dst: srv.tuple.lip,
+	})
+	payload := frame[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:]
+	for i := range payload {
+		payload[i] = byte(seq) + byte(i)
+	}
+	PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{
+		SrcPort: srv.tuple.rport, DstPort: srv.tuple.lport, Seq: seq,
+		Ack: srv.sndNxt, Flags: TCPAck | TCPPsh, Window: srv.rwnd,
+	}, srv.tuple.rip, srv.tuple.lip, payload)
+	pr.b.RxFrame(p, pr.bd, Frame{Data: frame, Pooled: true})
+	return frame
+}
+
+// TestAllocsTCPDataSegment: a warm in-order data segment, handed to the
+// stack in a pooled frame and read by the application, allocates
+// nothing. The receive queue keeps the frame and recycles it once Recv
+// has consumed it; the delayed ACK every second segment goes to a device
+// that recycles it.
+func TestAllocsTCPDataSegment(t *testing.T) {
+	pr, srv := sinkConn(t)
+	defer pr.k.Shutdown()
 	const n = 8000
 	buf := make([]byte, n)
 	pr.k.Go("deliver", func(p *sim.Proc) {
 		for {
 			p.Sleep(10 * sim.Microsecond)
-			frame := pr.b.GetFrameBuf(EthHeaderBytes + IPv4HeaderBytes + TCPHeaderBytes + n)
-			PutEth(frame, EthHeader{Dst: pr.bd.mac, Src: pr.ad.mac, Type: EtherTypeIPv4})
-			PutIPv4(frame[EthHeaderBytes:], IPv4Header{
-				TotalLen: uint16(len(frame) - EthHeaderBytes), DF: true, TTL: 64,
-				Proto: ProtoTCP, Src: srv.tuple.rip, Dst: srv.tuple.lip,
-			})
-			payload := frame[EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes:]
-			for i := range payload {
-				payload[i] = byte(srv.rcvNxt) + byte(i)
-			}
-			PutTCP(frame[EthHeaderBytes+IPv4HeaderBytes:], TCPHeader{
-				SrcPort: srv.tuple.rport, DstPort: srv.tuple.lport, Seq: srv.rcvNxt,
-				Ack: srv.sndNxt, Flags: TCPAck | TCPPsh, Window: srv.rwnd,
-			}, srv.tuple.rip, srv.tuple.lip, payload)
-			pr.b.RxFrame(p, pr.bd, Frame{Data: frame, Pooled: true})
+			deliverSeg(p, pr, srv, srv.rcvNxt, n)
 			if got, _ := srv.Recv(p, buf); got != n {
 				t.Errorf("read %d bytes, want %d", got, n)
 			}

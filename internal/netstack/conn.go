@@ -105,11 +105,10 @@ func (r *ByteRing) Discard(n int) {
 // frame it arrived in, as Linux queues the skb, and Discard recycles the
 // frame once it has consumed its last byte. A small payload, and one
 // whose frame is not the queue's to keep, is copied once into the
-// queue's ring, as a driver's rx_copybreak copies a small packet: the kv
-// workloads' requests and responses stay on the ring they used before,
-// and a run of tiny segments does not pin a frame each. With no frame
-// held the queue is its ring alone. The frame slice is a FIFO popped by
-// a head index and reused, so a warm connection allocates nothing.
+// queue's ring, as a driver's rx_copybreak copies a small packet, so a
+// run of small segments does not pin a frame each. With no frame held
+// the queue is its ring alone. The frame slice is a FIFO popped by a
+// head index and reused, so a warm connection allocates nothing.
 type frameQueue struct {
 	s    *Stack
 	ring ByteRing  // the bytes not in a held frame
@@ -122,8 +121,12 @@ type frameQueue struct {
 }
 
 // rxCopyBreak is the largest payload the queue copies into its ring
-// rather than holding its frame. kv-tcp's payloads are all within it;
-// stream's are mostly past 4 KB.
+// rather than holding its frame: half the pool's 2KB class, so a frame
+// held in that class pins at most twice its payload, and a copy moves at
+// most 1KB. Of the benchmark's TCP data segments, 99.99% are at or below
+// it on kv-tcp and 0.8% on stream. Holding every payload would pin 11
+// bytes of pool buffer per kv-tcp payload byte (DESIGN.md, socket
+// buffers, has the measurements).
 const rxCopyBreak = 1024
 
 // heldSeg is payload a connection keeps: data, in frame, the whole pool
@@ -134,16 +137,18 @@ type heldSeg struct {
 	before      int
 }
 
-// holdSeg returns payload as a segment to keep out of the queue: in
-// frame, the pool buffer it arrived in, or, when frame is nil, in a pool
-// buffer of s it is copied into.
-func holdSeg(s *Stack, payload, frame []byte) heldSeg {
-	if frame == nil {
-		frame = s.GetFrameBuf(len(payload))
-		copy(frame, payload)
-		payload = frame
+// holdSeg returns payload as a segment to keep out of the queue and
+// reports whether it kept frame. By the queue's copy-break, a payload
+// past rxCopyBreak stays in frame, the pool buffer it arrived in; a
+// smaller one, or one whose frame is nil, is copied into a pool buffer of
+// s sized to it.
+func holdSeg(s *Stack, payload, frame []byte) (heldSeg, bool) {
+	if frame != nil && len(payload) > rxCopyBreak {
+		return heldSeg{frame: frame, data: payload}, true
 	}
-	return heldSeg{frame: frame, data: payload}
+	buf := s.GetFrameBuf(len(payload))
+	copy(buf, payload)
+	return heldSeg{frame: buf, data: buf}, false
 }
 
 // Len reports the bytes held.

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/mcn-arch/mcn/internal/cpu"
@@ -226,4 +227,84 @@ func TestOutOfOrderFinWaitsForRetransmit(t *testing.T) {
 		t.Fatalf("closed: client %v server %v", client.Closed(), server.Closed())
 	}
 	pr.k.Shutdown()
+}
+
+// An out-of-order segment past rxCopyBreak is held in the pool frame it
+// arrived in; a smaller one is copied into a buffer sized to it and its
+// frame goes back to the pool. An in-order segment that covers a held
+// segment's first byte, as a retransmission cut at other boundaries
+// does, sends that segment's buffer back to the pool and drops it, and
+// teardown does the same for what is still held.
+func TestOutOfOrderBuffers(t *testing.T) {
+	pr, srv := sinkConn(t)
+	defer pr.k.Shutdown()
+	base := func(b []byte) *byte { return &b[:cap(b)][0] }
+	pooled := func(b []byte) bool {
+		for _, list := range pr.b.pool.class {
+			for _, f := range list {
+				if base(f) == base(b) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	seq := srv.rcvNxt
+	held := func() (offs []uint32) {
+		for k := range srv.ooo {
+			offs = append(offs, k-seq)
+		}
+		slices.Sort(offs)
+		return offs
+	}
+	done := false
+	pr.k.Go("deliver", func(p *sim.Proc) {
+		small := deliverSeg(p, pr, srv, seq+100, 64)
+		big := deliverSeg(p, pr, srv, seq+5000, 2000)
+		last := deliverSeg(p, pr, srv, seq+9000, 3000)
+		heldSmall, heldBig := srv.ooo[seq+100], srv.ooo[seq+5000]
+		if len(srv.ooo) != 3 || heldSmall.frame == nil || heldBig.frame == nil {
+			t.Errorf("out-of-order segments at %v, want at 100, 5000 and 9000", held())
+			return
+		}
+		if base(heldSmall.frame) == base(small) || cap(heldSmall.frame) != frameClassCap[0] || !pooled(small) {
+			t.Errorf("a 64-byte segment is held in its %d-byte frame (pooled %v), want a copy in a %d-byte buffer",
+				cap(small), pooled(small), frameClassCap[0])
+		}
+		if base(heldBig.frame) != base(big) || pooled(big) {
+			t.Errorf("a 2000-byte segment is not held in the frame it arrived in")
+		}
+
+		deliverSeg(p, pr, srv, seq, 6000)
+		buf := make([]byte, 8000)
+		n, _ := srv.Recv(p, buf)
+		for i := 0; i < n; i++ {
+			if buf[i] != byte(seq)+byte(i) {
+				t.Errorf("byte %d reads %d, want %d", i, buf[i], byte(seq)+byte(i))
+				return
+			}
+		}
+		if n != 6000 || srv.rcvNxt != seq+6000 {
+			t.Errorf("read %d bytes to rcvNxt +%d, want 6000", n, srv.rcvNxt-seq)
+			return
+		}
+		if _, ok := srv.ooo[seq+9000]; len(srv.ooo) != 1 || !ok {
+			t.Errorf("out-of-order segments at %v after the fill, want only at 9000", held())
+		}
+		if !pooled(heldSmall.frame) || !pooled(big) {
+			t.Errorf("covered segments' buffers back in the pool: %v and %v, want both",
+				pooled(heldSmall.frame), pooled(big))
+		}
+
+		srv.teardown(nil)
+		if len(srv.ooo) != 0 || !pooled(last) {
+			t.Errorf("after teardown %d segments are held out of order (frame pooled %v), want none",
+				len(srv.ooo), pooled(last))
+		}
+		done = true
+	})
+	pr.k.RunUntil(pr.k.Now().Add(sim.Millisecond))
+	if !done && !t.Failed() {
+		t.Fatal("the deliveries did not finish")
+	}
 }

@@ -83,6 +83,11 @@ type TCPConn struct {
 	// segment we sent; when the application drains a closed window a
 	// window-update ACK must be emitted or the peer stalls forever.
 	lastAdvWnd uint32
+	// oooPruned is set once pruneOOO drops a segment. From then on every
+	// data segment is acked at once, as while any segment is held out of
+	// order: the receiver's ack pacing does not return to delayed acks
+	// after a retransmission resegments a hole (ROADMAP item 18(f)).
+	oooPruned bool
 
 	// RTT estimation.
 	srtt     sim.Duration
@@ -403,6 +408,14 @@ func (c *TCPConn) teardown(err error) {
 	c.rto.Stop()
 	c.delack.Stop()
 	delete(c.s.conns, c.tuple)
+	// The out-of-order set is never drained again, so its buffers go back
+	// to the pool (one a segment already queued on rxLock adds later
+	// goes to the GC with the connection). The receive queue stays: Recv
+	// still returns what it holds and recycles each frame it empties.
+	for seq, seg := range c.ooo {
+		c.s.RecycleFrameBuf(seg.frame)
+		delete(c.ooo, seq)
+	}
 	c.stateSig.Notify()
 	c.readable.Notify()
 	c.writable.Notify()
@@ -943,8 +956,7 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload, frame []byte) (h
 	if SeqGT(seq, c.rcvNxt) {
 		// Out of order: hold and dup-ack.
 		if _, dup := c.ooo[seq]; !dup {
-			c.ooo[seq] = holdSeg(c.s, payload, frame)
-			held = frame != nil
+			c.ooo[seq], held = holdSeg(c.s, payload, frame)
 		}
 		c.sendAck(p)
 		return held
@@ -992,16 +1004,34 @@ func (c *TCPConn) processData(p *sim.Proc, seq uint32, payload, frame []byte) (h
 		c.rcvNxt += uint32(len(next.data))
 		c.BytesRcvd.Add(p.Now(), int64(len(next.data)))
 	}
+	if len(c.ooo) > 0 {
+		c.pruneOOO()
+	}
 	c.readable.Notify()
 
 	// Delayed ACK policy: ack every tcpAckEvery segments, else arm timer.
 	c.unacked++
-	if c.unacked >= tcpAckEvery || len(c.ooo) > 0 {
+	if c.unacked >= tcpAckEvery || len(c.ooo) > 0 || c.oooPruned {
 		c.sendAck(p)
 	} else if !c.delack.Pending() {
 		c.delack.Reset(tcpDelayedAckNs)
 	}
 	return held
+}
+
+// pruneOOO recycles and drops the out-of-order segments that begin
+// before rcvNxt. A retransmission cut at other boundaries, or a held
+// segment that overlapped them, delivered their first byte, so the drain
+// at rcvNxt never reaches them and they would pin their buffers until
+// teardown.
+func (c *TCPConn) pruneOOO() {
+	for seq, seg := range c.ooo {
+		if SeqLT(seq, c.rcvNxt) {
+			c.s.RecycleFrameBuf(seg.frame)
+			delete(c.ooo, seq)
+			c.oooPruned = true
+		}
+	}
 }
 
 // processFin takes a FIN that arrives in order. A FIN beyond a gap in
