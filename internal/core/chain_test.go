@@ -77,8 +77,10 @@ func refServeAlert(hd *HostDriver, p *sim.Proc, src *HostPort) {
 }
 
 // refDrain is the host drain's process form: per message, the read under
-// a held core, the invalidate and the forwarding charge one by one.
-func refDrain(hd *HostDriver, p *sim.Proc, port *HostPort) {
+// a held core, the invalidate and the forwarding charge one by one, then
+// the hand-off to sink (the fast-path transport, if one is attached) or
+// the forwarding engine.
+func refDrain(hd *HostDriver, p *sim.Proc, port *HostPort, sink *fastSink) {
 	if port.draining {
 		return
 	}
@@ -103,7 +105,7 @@ func refDrain(hd *HostDriver, p *sim.Proc, port *HostPort) {
 			lines := int64(len(msg)/64 + 1)
 			refExec(hd.CPU, p, hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles)
 			refExec(hd.CPU, p, hd.Costs.ForwardCycles)
-			hd.forward(p, port, msg)
+			refRoute(hd, p, port, msg, sink)
 		}
 		d.Buf.TxPoll = false
 		d.HostAccess(p, 8, true, false)
@@ -121,16 +123,169 @@ func refDrain(hd *HostDriver, p *sim.Proc, port *HostPort) {
 }
 
 // refDeliver is the MCN-DMA batch handler's process form.
-func refDeliver(b *rxBatch, p *sim.Proc) {
+func refDeliver(b *rxBatch, p *sim.Proc, sink *fastSink) {
 	hd := b.port.drv
 	for _, msg := range b.pkts {
 		refExec(hd.CPU, p, hd.Costs.RxPerMsgCycles)
 		refExec(hd.CPU, p, hd.Costs.ForwardCycles)
-		hd.forward(p, b.port, msg)
+		refRoute(hd, p, b.port, msg, sink)
 	}
 	clear(b.pkts)
 	b.pkts = b.pkts[:0]
 	b.e.served = append(b.e.served, b)
+}
+
+// refRoute is the hand-off of a message popped from port's DIMM in its
+// process form: the fast-path branch the forwarding engine had, run by
+// sink's process form, or the engine's rules.
+func refRoute(hd *HostDriver, p *sim.Proc, port *HostPort, msg []byte, sink *fastSink) {
+	if eth, ok := fastFrame(msg); ok && hd.FastRx != nil && eth.Dst == port.hostMAC {
+		sink.proc(hd.CPU, p, msg)
+		hd.Stack.RecycleFrameBuf(msg)
+		return
+	}
+	hd.forward(p, port, msg)
+}
+
+// refServeRx is a DIMM receive context's process form.
+func refServeRx(drv *DimmDriver, p *sim.Proc, q *sim.Queue[[]byte], sink *fastSink) {
+	for {
+		msg, ok := q.Get(p)
+		if !ok {
+			return
+		}
+		refExec(drv.CPU, p, drv.Costs.RxPerMsgCycles)
+		if _, ok := fastFrame(msg); ok && drv.FastRx != nil {
+			sink.proc(drv.CPU, p, msg)
+			drv.Stack.RecycleFrameBuf(msg)
+		} else {
+			drv.Stack.RxFrame(p, drv, netstack.Frame{Data: msg, Pooled: true})
+		}
+	}
+}
+
+// A fastSink is a test fast-path transport on one node: per frame it
+// charges fastSinkCycles on the receiving CPU, then records the frame.
+// steps is its FastRx step form and proc its process form.
+type fastSink struct {
+	name   string
+	k      *sim.Kernel
+	ends   *[]any
+	record func(*cpu.Seq) // onRecord, bound once
+}
+
+const fastSinkCycles = 260
+
+// fastEtherType marks the test transport's frames.
+const fastEtherType = 0x88B5
+
+func newFastSink(k *sim.Kernel, name string, ends *[]any) *fastSink {
+	s := &fastSink{name: name, k: k, ends: ends}
+	s.record = s.onRecord
+	return s
+}
+
+func (s *fastSink) steps(q *cpu.Seq, _ []byte) { q.Exec(fastSinkCycles).Hook(s.record) }
+
+func (s *fastSink) onRecord(q *cpu.Seq) { s.log(q.Buf) }
+
+func (s *fastSink) proc(c *cpu.CPU, p *sim.Proc, frame []byte) {
+	refExec(c, p, fastSinkCycles)
+	s.log(frame)
+}
+
+func (s *fastSink) log(frame []byte) {
+	*s.ends = append(*s.ends, s.name, len(frame), frame[len(frame)-1], s.k.Now())
+}
+
+// fastLoad attaches a fastSink to the host and to every DIMM and sends
+// test-transport frames DIMM->host, host->DIMM, DIMM->DIMM (relayed by F3)
+// and from a DIMM to an unknown MAC (dropped), two senders each, by the
+// devices' step forms. With ref every receive context that reaches FastRx
+// runs its process form: the host's drain, its MCN-DMA batch handlers and
+// the DIMMs' RPS contexts. Both runs serve the DIMMs' RPS queues with
+// processes spawned here, so they spawn alike.
+func fastLoad(t *testing.T, fx *fixture, ref bool) func() []any {
+	var ends []any
+	hostSink := newFastSink(fx.k, "host", &ends)
+	fx.hd.FastRx = func(q *cpu.Seq, _ *HostPort, frame []byte) { hostSink.steps(q, frame) }
+	if ref {
+		for _, port := range fx.hd.ports {
+			port.drainBody = func(p *sim.Proc) { refDrain(fx.hd, p, port, hostSink) }
+		}
+		for _, e := range fx.hd.dmas {
+			for i := 0; i < refBatchStock; i++ {
+				b := &rxBatch{e: e}
+				b.irq = fx.hostCPU.NewIRQ("ref-dma-rx", func(p *sim.Proc) { refDeliver(b, p, hostSink) })
+				e.served = append(e.served, b)
+			}
+		}
+	}
+	for _, m := range fx.mcns {
+		sink := newFastSink(fx.k, m.dimm.Name, &ends)
+		drv := m.drv
+		drv.FastRx = sink.steps
+		for j := range drv.rxq {
+			q := sim.NewQueue[[]byte](fx.k, 0)
+			drv.rxq[j] = q
+			fx.k.Go(fmt.Sprintf("%s/rps%d", m.dimm.Name, j), func(p *sim.Proc) {
+				if ref {
+					refServeRx(drv, p, q, sink)
+				} else {
+					drv.serveRx(p, q)
+				}
+			})
+		}
+	}
+	frame := func(s *netstack.Stack, src, dst netstack.MAC, n int, tag byte) []byte {
+		b := s.GetFrameBuf(netstack.EthHeaderBytes + n)
+		netstack.PutEth(b, netstack.EthHeader{Dst: dst, Src: src, Type: fastEtherType})
+		for i := netstack.EthHeaderBytes; i < len(b); i++ {
+			b[i] = tag
+		}
+		return b
+	}
+	port0 := fx.hd.ports[0]
+	m0, m1, m2 := fx.mcns[0], fx.mcns[1], fx.mcns[2]
+	viaDimm := func(m *mcnNode, src, dst netstack.MAC, tag byte) {
+		for w := 0; w < 2; w++ {
+			fx.k.Go("fast-tx", func(p *sim.Proc) {
+				for i, n := range []int{90, 6000, 1, 1400} {
+					q := m.cpu.Seq()
+					q.Buf = frame(m.stack, src, dst, n+w, tag+byte(i))
+					m.drv.TransmitSteps(q)
+					q.Run(p)
+					p.Sleep(sim.Duration(i+w+1) * 800 * sim.Nanosecond)
+				}
+			})
+		}
+	}
+	viaDimm(m0, port0.mcnMAC, port0.hostMAC, 0x10)
+	viaDimm(m1, fx.hd.ports[1].mcnMAC, port0.mcnMAC, 0x20)
+	viaDimm(m2, fx.hd.ports[2].mcnMAC, netstack.NewMAC(0x7777), 0x30)
+	for w := 0; w < 2; w++ {
+		fx.k.Go("fast-tx", func(p *sim.Proc) {
+			for i, n := range []int{3000, 64, 700} {
+				q := fx.hostCPU.Seq()
+				q.Buf = frame(fx.hostStk, port0.hostMAC, port0.mcnMAC, n+w, 0x40+byte(i))
+				port0.TransmitSteps(q)
+				q.Run(p)
+				p.Sleep(sim.Duration(i+w) * 600 * sim.Nanosecond)
+			}
+		})
+	}
+	return func() []any {
+		got := map[any]int{}
+		for i := 0; i < len(ends); i += 4 {
+			got[ends[i]]++
+		}
+		// The host takes DIMM 0's eight frames; DIMM 0 the host's six and
+		// DIMM 1's eight; DIMM 2's eight go nowhere.
+		if want := map[any]int{"host": 8, m0.dimm.Name: 14}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("fast-path frames delivered %v, want %v", got, want)
+		}
+		return ends
+	}
 }
 
 // refDimmTransmit and refHostTransmit are the transmit paths' process
@@ -159,6 +314,10 @@ func refHostTransmit(port *HostPort, p *sim.Proc, frame []byte) {
 	hd.enqueue(port, frame, true)
 }
 
+// refBatchStock is how many process-form MCN-DMA batches a reference run
+// hands each engine: every batch the run uses comes from this stock.
+const refBatchStock = 64
+
 // udpFrame returns a pool frame of s holding an n-byte UDP datagram to
 // port 9, addressed from src to dst.
 func udpFrame(s *netstack.Stack, srcMAC, dstMAC netstack.MAC, src, dst netstack.IP, n int) []byte {
@@ -177,7 +336,7 @@ func udpFrame(s *netstack.Stack, srcMAC, dstMAC netstack.MAC, src, dst netstack.
 // by the devices' step forms run as charge sequences or, with ref, by
 // their process forms. It returns what the run must reproduce: when each
 // transmit returned and when each datagram arrived.
-func txLoad(fx *fixture, ref bool) func() []any {
+func txLoad(_ *testing.T, fx *fixture, ref bool) func() []any {
 	var ends []any
 	m, port := fx.mcns[0], fx.hd.ports[0]
 	for _, s := range []*netstack.Stack{fx.hostStk, m.stack} {
@@ -293,12 +452,12 @@ func chainLoad(t *testing.T, fx *fixture) []any {
 // must push and pop the same events, and the chains must take strictly
 // fewer switches.
 func TestDriverChainsMatchProcessForms(t *testing.T) {
-	const stock = 64 // process-form MCN-DMA batches, per engine
+	const stock = refBatchStock
 	for _, c := range []struct {
 		name   string
 		levels []OptLevel
 		swap   func(fx *fixture)
-		load   func(fx *fixture, ref bool) func() []any
+		load   func(t *testing.T, fx *fixture, ref bool) func() []any
 	}{
 		{"DimmDriver.drainRX", []OptLevel{MCN0, MCN5}, func(fx *fixture) {
 			for _, m := range fx.mcns {
@@ -313,7 +472,7 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 		}, nil},
 		{"HostDriver.drain", []OptLevel{MCN0, MCN1}, func(fx *fixture) {
 			for _, port := range fx.hd.ports {
-				port.drainBody = func(p *sim.Proc) { refDrain(fx.hd, p, port) }
+				port.drainBody = func(p *sim.Proc) { refDrain(fx.hd, p, port, nil) }
 			}
 		}, nil},
 		{"rxBatch.deliver", []OptLevel{MCN5}, func(fx *fixture) {
@@ -322,7 +481,7 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 			for _, e := range fx.hd.dmas {
 				for i := 0; i < stock; i++ {
 					b := &rxBatch{e: e}
-					b.irq = fx.hostCPU.NewIRQ("ref-dma-rx", func(p *sim.Proc) { refDeliver(b, p) })
+					b.irq = fx.hostCPU.NewIRQ("ref-dma-rx", func(p *sim.Proc) { refDeliver(b, p, nil) })
 					e.served = append(e.served, b)
 				}
 			}
@@ -331,6 +490,10 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 		// to chain. The stacks reach the step forms from their own
 		// chains, whose process form netstack's tests hold them to.
 		{"Transmit", []OptLevel{MCN5}, nil, txLoad},
+		// The fast-path transport's steps run at the end of each receive
+		// context's charge sequence: the drain (mcn0, mcn1), the MCN-DMA
+		// batch handler (mcn5) and the DIMMs' RPS contexts (all three).
+		{"FastRx", []OptLevel{MCN0, MCN1, MCN5}, nil, fastLoad},
 	} {
 		for _, level := range c.levels {
 			t.Run(c.name+"/"+level.String(), func(t *testing.T) {
@@ -342,14 +505,14 @@ func TestDriverChainsMatchProcessForms(t *testing.T) {
 					}
 					var extra func() []any
 					if c.load != nil {
-						extra = c.load(fx, ref)
+						extra = c.load(t, fx, ref)
 					}
 					out := chainLoad(t, fx)
 					if extra != nil {
 						out = append(out, extra())
 					}
 					for _, e := range fx.hd.dmas {
-						if ref && c.name == "rxBatch.deliver" && len(e.served) != stock {
+						if ref && (c.name == "rxBatch.deliver" || c.name == "FastRx") && len(e.served) != stock {
 							t.Fatalf("%d batches served, want the %d of the stock", len(e.served), stock)
 						}
 					}

@@ -44,8 +44,9 @@ type DimmDriver struct {
 	// blocks on its own unprocessed ARP reply and rides a full RTO.
 	arpq *sim.Queue[[]byte]
 
-	// FastRx receives non-IPv4 frames (see HostDriver.FastRx).
-	FastRx func(p *sim.Proc, frame []byte)
+	// FastRx receives non-IPv4, non-ARP frames as steps of the receive
+	// context's charge sequence (see HostDriver.FastRx).
+	FastRx func(q *cpu.Seq, frame []byte)
 
 	// Stats.
 	TxMsgs, RxMsgs int64
@@ -60,10 +61,11 @@ type DimmDriver struct {
 	rxMsg  []byte
 	rxDone func()
 	rxXfer *dram.Transfer
-	// bound once: onRxBegin, onRxCopy, onRxWrite, onRxQueued, onEnqueue
-	rxBegin, rxQueued, enqueue func(*cpu.Seq)
-	rxCopy                     func(n int, done func())
-	rxWrite                    func()
+	// bound once: onRxBegin, onRxCopy, onRxWrite, onRxQueued, onEnqueue,
+	// onFastRx
+	rxBegin, rxQueued, enqueue, fastRx func(*cpu.Seq)
+	rxCopy                             func(n int, done func())
+	rxWrite                            func()
 }
 
 // NewDimmDriver creates the MCN-side driver for dimm, attaching it to the
@@ -76,7 +78,7 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 		dimm: d, local: local, port: port,
 		rxXfer: dram.NewTransfer(),
 	}
-	drv.rxBegin, drv.rxQueued, drv.enqueue = drv.onRxBegin, drv.onRxQueued, drv.onEnqueue
+	drv.rxBegin, drv.rxQueued, drv.enqueue, drv.fastRx = drv.onRxBegin, drv.onRxQueued, drv.onEnqueue, drv.onFastRx
 	drv.rxCopy, drv.rxWrite = drv.onRxCopy, drv.onRxWrite
 	if opts.DMA {
 		drv.dma = newRingEngine(k, nil)
@@ -96,24 +98,38 @@ func NewDimmDriver(k *sim.Kernel, c *cpu.CPU, s *netstack.Stack, local *dram.Cha
 
 // serveRx is one receive context (an RPS core, or the ARP queue's): it
 // hands each message queued on q, with its buffer, to the stack, or to
-// the fast-path transport and then recycles the buffer.
+// the fast-path transport and then recycles the buffer. A fast-path
+// message's receive charge and the transport's steps run as one chain.
 func (drv *DimmDriver) serveRx(p *sim.Proc, q *sim.Queue[[]byte]) {
 	for {
 		msg, ok := q.Get(p)
 		if !ok {
 			return
 		}
-		drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
-		if eth, ok := netstack.ParseEth(msg); ok && drv.FastRx != nil &&
-			eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP {
+		if _, fast := fastFrame(msg); fast && drv.FastRx != nil {
+			s := drv.CPU.Seq().Exec(drv.Costs.RxPerMsgCycles).Hook(drv.fastRx)
+			s.Buf = msg
+			s.Run(p)
 			// The fast-path transport copies payload bytes it keeps, so
-			// the popped buffer is recyclable after it.
-			drv.FastRx(p, msg)
+			// the popped buffer is recyclable after its steps.
 			drv.Stack.RecycleFrameBuf(msg)
-		} else {
-			drv.Stack.RxFrame(p, drv, netstack.Frame{Data: msg, Pooled: true})
+			continue
 		}
+		drv.CPU.Exec(p, drv.Costs.RxPerMsgCycles)
+		drv.Stack.RxFrame(p, drv, netstack.Frame{Data: msg, Pooled: true})
 	}
+}
+
+// onFastRx ends a fast-path message's receive charge: the transport's
+// steps join the chain.
+func (drv *DimmDriver) onFastRx(q *cpu.Seq) { drv.FastRx(q, q.Buf) }
+
+// fastFrame parses frame's Ethernet header and reports whether the frame
+// is neither IPv4 nor ARP: the fast-path transport's, when one is
+// attached.
+func fastFrame(frame []byte) (netstack.EthHeader, bool) {
+	eth, ok := netstack.ParseEth(frame)
+	return eth, ok && eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP
 }
 
 // ArmWatchdog starts the RX recovery watchdog (idempotent). The rx-poll IRQ

@@ -388,12 +388,12 @@ func (e *ringEngine) newBatch(port *HostPort) *rxBatch {
 
 // deliver is the batch's interrupt handler: route every message through
 // the forwarding engine. It reaches the network stack, so it runs in a
-// process; each message's receive and forwarding charges park it once.
+// process; each message's receive and forwarding charges, with the
+// fast-path transport's steps, park it once.
 func (b *rxBatch) deliver(p *sim.Proc) {
 	hd := b.port.drv
 	for _, msg := range b.pkts {
-		hd.CPU.Seq().Exec(hd.Costs.RxPerMsgCycles).Exec(hd.Costs.ForwardCycles).Run(p)
-		hd.forward(p, b.port, msg)
+		b.port.route(p, hd.CPU.Seq().Exec(hd.Costs.RxPerMsgCycles).Exec(hd.Costs.ForwardCycles), msg)
 	}
 	clear(b.pkts)
 	b.pkts = b.pkts[:0]

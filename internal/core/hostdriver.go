@@ -43,11 +43,17 @@ type HostDriver struct {
 	// from a DIMM's TX ring as netstack.TapHostPop, named by DIMM.
 	ChanTap netstack.Tap
 
-	// FastRx, when set, receives frames whose EtherType is not IPv4 and
-	// whose destination is a host-side interface MAC — the attachment
-	// point for the Sec. VII user-space-style MCN transport that bypasses
-	// TCP/IP.
-	FastRx func(p *sim.Proc, src *HostPort, frame []byte)
+	// FastRx, when set, receives frames whose EtherType is neither IPv4
+	// nor ARP and whose destination is a host-side interface MAC — the
+	// attachment point for the Sec. VII user-space-style MCN transport
+	// that bypasses TCP/IP. It is a step of the receive context's charge
+	// sequence: a hook at the end of the message's receive and forwarding
+	// charges calls it with q.Buf the frame, at the instant the
+	// forwarding engine would take the frame, and it appends the
+	// transport's own charges and hooks, which leave q.N and q.Buf as
+	// they are. The frame is the driver's again when the sequence ends:
+	// the transport copies the bytes it keeps.
+	FastRx func(q *cpu.Seq, src *HostPort, frame []byte)
 
 	// Stats.
 	DeliveredHost int64 // F1
@@ -104,12 +110,12 @@ type HostPort struct {
 	rdXfer  *dram.Transfer
 	rdBytes int
 	rdDone  func()
-	// bound once: onAlertPoll, onAlertCheck, onEnqueue, onRead,
+	// bound once: onAlertPoll, onAlertCheck, onEnqueue, onFastRx, onRead,
 	// onReadRetired, and the drain's process body
-	alertPoll, alertCheck, enqueue func(*cpu.Seq)
-	read                           func(n int, done func())
-	readRetired                    func()
-	drainBody                      func(p *sim.Proc)
+	alertPoll, alertCheck, enqueue, fastRx func(*cpu.Seq)
+	read                                   func(n int, done func())
+	readRetired                            func()
+	drainBody                              func(p *sim.Proc)
 }
 
 // AddDimm registers an MCN DIMM: hostIP is the host's address on the MCN
@@ -125,7 +131,7 @@ func (hd *HostDriver) AddDimm(d *Dimm, hostIP, mcnIP netstack.IP, idx int) *Host
 		carrier: true,
 		rdXfer:  dram.NewTransfer(),
 	}
-	port.alertPoll, port.alertCheck, port.enqueue = port.onAlertPoll, port.onAlertCheck, port.onEnqueue
+	port.alertPoll, port.alertCheck, port.enqueue, port.fastRx = port.onAlertPoll, port.onAlertCheck, port.onEnqueue, port.onFastRx
 	port.read, port.readRetired = port.onRead, port.onReadRetired
 	port.drainBody = func(p *sim.Proc) { hd.drain(p, port) }
 	ifc := hd.Stack.AddIface(port, hostIP, netstack.MaskAll)
@@ -427,10 +433,9 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 			// read, the invalidate and the forwarding charge run as one
 			// chain.
 			lines := int64(len(msg)/64 + 1)
-			hd.CPU.Seq().While(port.read, len(msg)).
-				Exec(hd.Costs.InvalidateCyclesPerLine*lines + hd.Costs.RxPerMsgCycles).
-				Exec(hd.Costs.ForwardCycles).Run(p)
-			hd.forward(p, port, msg)
+			port.route(p, hd.CPU.Seq().While(port.read, len(msg)).
+				Exec(hd.Costs.InvalidateCyclesPerLine*lines+hd.Costs.RxPerMsgCycles).
+				Exec(hd.Costs.ForwardCycles), msg)
 		}
 		// R5: all consumed; reset tx-poll.
 		d.Buf.TxPoll = false
@@ -449,6 +454,26 @@ func (hd *HostDriver) drain(p *sim.Proc, port *HostPort) {
 		p.Sleep(napiLinger)
 	}
 }
+
+// route runs q, the receive and forwarding charges of msg, a message
+// popped from port's DIMM, and hands msg to the forwarding engine; a
+// frame for the fast-path transport instead gets a FastRx hook at the end
+// of q and is recycled once the transport's steps are done.
+func (port *HostPort) route(p *sim.Proc, q *cpu.Seq, msg []byte) {
+	hd := port.drv
+	if eth, fast := fastFrame(msg); !fast || hd.FastRx == nil || eth.Dst != port.hostMAC {
+		q.Run(p)
+		hd.forward(p, port, msg)
+		return
+	}
+	q.Buf = msg
+	q.Hook(port.fastRx).Run(p)
+	hd.Stack.RecycleFrameBuf(msg)
+}
+
+// onFastRx ends a fast-path message's receive and forwarding charges: the
+// transport's steps join the chain.
+func (port *HostPort) onFastRx(q *cpu.Seq) { port.drv.FastRx(q, port, q.Buf) }
 
 // onRead is the drain's R2 read of an n-byte message and its header
 // through the host mapping: Dimm.HostAccess as a callback chain.
@@ -470,8 +495,7 @@ func (port *HostPort) onReadRetired() {
 // descriptor and the channel's engine moves the data; otherwise the CPU
 // performs the copy (memcpy_to_mcn) from the port's qdisc. pooled hands
 // frame to the job; any other frame may be aliased (broadcast fan-out,
-// the uplink bridge, the mcnt fabric's retransmit queue), so the job takes
-// a copy.
+// the uplink bridge), so the job takes a copy.
 func (hd *HostDriver) relay(p *sim.Proc, tgt *HostPort, frame []byte, pooled bool) {
 	hd.dmaSetup(hd.CPU.Seq()).Run(p)
 	hd.enqueue(tgt, frame, pooled)
@@ -511,7 +535,8 @@ func owned(s *netstack.Stack, frame []byte, pooled bool) []byte {
 // once this function (or the relay machinery it hands off to) is done with
 // it, or hands it on — to the stack, to a ring job, or to the
 // conventional NIC, whose wire owns it until the receiving stack takes it.
-// Its ForwardCycles charge is the last of the caller's charge sequence.
+// Its ForwardCycles charge ends the caller's charge sequence, whose FastRx
+// hook has already taken the fast-path transport's frames.
 func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 	eth, ok := netstack.ParseEth(frame)
 	if !ok {
@@ -519,13 +544,8 @@ func (hd *HostDriver) forward(p *sim.Proc, src *HostPort, frame []byte) {
 		return
 	}
 	if eth.Type != netstack.EtherTypeIPv4 && eth.Type != netstack.EtherTypeARP {
-		// Non-IP traffic: the fast-path transport (Sec. VII) or nothing.
-		if eth.Dst == src.hostMAC && hd.FastRx != nil {
-			// The fast-path transport copies payload bytes it keeps.
-			hd.FastRx(p, src, frame)
-			hd.Stack.RecycleFrameBuf(frame)
-			return
-		}
+		// Non-IP traffic the fast-path transport (Sec. VII) did not take
+		// at its FastRx hook: relayed between DIMMs, or dropped.
 		if tgt, ok2 := hd.byMAC[eth.Dst]; ok2 && tgt != src && eth.Dst == tgt.mcnMAC {
 			hd.RelayedDimm++
 			hd.relay(p, tgt, frame, true)

@@ -38,7 +38,10 @@ type Conn struct {
 	closed     bool // our direction FINed
 	peerClosed bool // peer's direction FINed
 
-	recvChunk func(*cpu.Seq) // c.onRecvChunk, bound once
+	// recvChunk is c.onRecvChunk and awaitRx a wait on rxSig as a
+	// charge-sequence step, both bound once.
+	recvChunk func(*cpu.Seq)
+	awaitRx   func(n int, done func())
 }
 
 func newConn(ep *endpoint, l *linkEnd, stream uint32, dialer bool, localIP netstack.IP, lport uint16, remoteIP netstack.IP, rport uint16) *Conn {
@@ -48,6 +51,7 @@ func newConn(ep *endpoint, l *linkEnd, stream uint32, dialer bool, localIP netst
 		sendSig: ep.f.K.NewSignal(), rxSig: ep.f.K.NewSignal(),
 	}
 	c.recvChunk = c.onRecvChunk
+	c.awaitRx = func(_ int, done func()) { c.rxSig.WaitThen(done) }
 	return c
 }
 
@@ -72,42 +76,29 @@ func (c *Conn) onCredit(wire uint32) {
 
 // Send transmits data, blocking while the peer's credit window is
 // exhausted. A blocked sender periodically probes so a lost
-// pure-credit frame cannot wedge the stream.
+// pure-credit frame cannot wedge the stream. The socket charge, the copy
+// and every frame the window admits run as one chain; a credit stall
+// ends it, and the sender waits for credit and starts another.
 func (c *Conn) Send(p *sim.Proc, data []byte) error {
 	st := c.ep.n.Stack
-	// The socket charge and the copy run as one chain.
-	st.CopyStep(st.CPU.Seq().Exec(st.Costs.SocketCycles), len(data)).Run(p)
-	w := uint64(c.ep.f.Pr.Window)
-	for off := 0; off < len(data); {
-		if c.closed {
-			return fmt.Errorf("mcnt(%s): send on closed stream %d", c.ep.n.Name, c.stream)
+	f := c.ep.f
+	op := f.op(c.l)
+	op.c, op.data = c, data
+	q := st.CopyStep(st.CPU.Seq().Exec(st.Costs.SocketCycles), len(data))
+	why := q.Hook(op.dataNext).Run(p)
+	for why == sendStalled {
+		if f.OnCreditStall != nil {
+			f.OnCreditStall(p.Now())
 		}
-		n := len(data) - off
-		if n > MaxData {
-			n = MaxData
+		if !c.sendSig.WaitTimeout(p, f.Pr.ProbeTimeout) {
+			c.l.sendCtl(p, KindProbe, c.stream)
+			f.Probes++
 		}
-		avail := int(w - (c.sentB - c.grantB))
-		if avail <= 0 {
-			if f := c.ep.f; f.OnCreditStall != nil {
-				f.OnCreditStall(p.Now())
-			}
-			if !c.sendSig.WaitTimeout(p, c.ep.f.Pr.ProbeTimeout) {
-				c.l.sendCtl(p, KindProbe, c.stream)
-				c.ep.f.Probes++
-			}
-			continue
-		}
-		if n > avail {
-			n = avail
-		}
-		streamOff := c.sentB
-		c.sentB += uint64(n) // reserve before any blocking call
-		h := Header{Kind: KindData, Stream: c.stream, Off: uint32(streamOff)}
-		if c.dialer {
-			h.Flags = FlagFromDialer
-		}
-		c.l.sendSequenced(p, h, data[off:off+n])
-		off += n
+		why = st.CPU.Seq().Hook(op.dataNext).Run(p)
+	}
+	f.putOp(op)
+	if why == sendClosed {
+		return fmt.Errorf("mcnt(%s): send on closed stream %d", c.ep.n.Name, c.stream)
 	}
 	return nil
 }
@@ -133,23 +124,15 @@ func (c *Conn) SendN(p *sim.Proc, n int) error {
 func (c *Conn) Buffered() int { return c.rxbuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available.
-// It returns 0, false at end of stream. The socket charge and, when
-// bytes are already buffered, their copy run as one chain.
+// It returns 0, false at end of stream. The socket charge, any wait for
+// data and the copy run as one chain.
 func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	st := c.ep.n.Stack
 	q := st.CPU.Seq().Exec(st.Costs.SocketCycles).Hook(c.recvChunk)
 	q.N, q.Buf = -1, buf
 	n := q.Run(p)
 	if n < 0 {
-		for c.rxbuf.Len() == 0 {
-			if c.peerClosed || c.closed {
-				return 0, false
-			}
-			c.rxSig.Wait(p)
-		}
-		n = c.rxbuf.CopyAt(buf, 0)
-		c.rxbuf.Discard(n)
-		st.CopyStep(st.CPU.Seq(), n).Run(p)
+		return 0, false
 	}
 	c.consumedB += uint64(n)
 	// Return credit once half a window has accumulated unannounced;
@@ -193,7 +176,7 @@ func (c *Conn) Close(p *sim.Proc) {
 	if c.dialer {
 		h.Flags = FlagFromDialer
 	}
-	c.l.sendSequenced(p, h, nil)
+	c.l.send(p, h, false)
 	c.rxSig.Notify()
 	c.sendSig.Notify()
 }
@@ -201,12 +184,16 @@ func (c *Conn) Close(p *sim.Proc) {
 // Closed reports whether both directions are shut down.
 func (c *Conn) Closed() bool { return c.closed && c.peerClosed }
 
-// onRecvChunk runs when Recv's socket charge retires: buffered bytes are
-// copied into Buf and consumed, N becomes their count and their copy
-// charge joins the chain. With nothing buffered N stays -1 and Recv
-// waits.
+// onRecvChunk runs when Recv's socket charge retires, and again after
+// each wait: buffered bytes are copied into Buf and consumed, N becomes
+// their count and their copy charge joins the chain. With nothing
+// buffered the chain waits for rxSig and runs the hook again, where a
+// process would have waited and re-checked; at end of stream N stays -1.
 func (c *Conn) onRecvChunk(q *cpu.Seq) {
 	if c.rxbuf.Len() == 0 {
+		if !c.peerClosed && !c.closed {
+			q.Wait(c.awaitRx, 0).Hook(c.recvChunk)
+		}
 		return
 	}
 	q.N = c.rxbuf.CopyAt(q.Buf, 0)
@@ -311,9 +298,7 @@ func (f *Fabric) Dial(p *sim.Proc, from *node.Node, dst netstack.IP, port uint16
 	ep.conns[stream] = c
 	f.pairs[stream] = &streamPair{dialer: c}
 	f.streams = append(f.streams, stream)
-	l.sendSequenced(p, Header{
-		Kind: KindSyn, Flags: FlagFromDialer, Stream: stream, Off: uint32(port),
-	}, nil)
+	l.send(p, Header{Kind: KindSyn, Flags: FlagFromDialer, Stream: stream, Off: uint32(port)}, false)
 	return c, nil
 }
 

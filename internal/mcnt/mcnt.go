@@ -1,7 +1,10 @@
 package mcnt
 
 import (
+	"encoding/binary"
+
 	"github.com/mcn-arch/mcn/internal/core"
+	"github.com/mcn-arch/mcn/internal/cpu"
 	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/node"
 	"github.com/mcn-arch/mcn/internal/sim"
@@ -71,18 +74,22 @@ type Fabric struct {
 	// charge no simulated time and draw no randomness.
 	OnResend      func(at sim.Time, frames int)
 	OnCreditStall func(at sim.Time)
+
+	ops []*txOp // idle transmit operations
 }
 
 type streamPair struct{ dialer, acceptor *Conn }
 
 // adjInfo is one endpoint's precomputed view of a directly reachable
-// peer.
+// peer. dev is the device frames toward it leave by: the host's port for
+// the DIMM, or a DIMM's own driver for the host and for sibling DIMMs
+// (whose frames the host relays by rule F3).
 type adjInfo struct {
-	name     string
-	peerIP   netstack.IP
-	peerMAC  netstack.MAC
-	selfMAC  netstack.MAC
-	transmit func(p *sim.Proc, frame []byte)
+	name    string
+	peerIP  netstack.IP
+	peerMAC netstack.MAC
+	selfMAC netstack.MAC
+	dev     netstack.StepDev
 }
 
 type endpoint struct {
@@ -98,6 +105,8 @@ type endpoint struct {
 	conns     map[uint32]*Conn
 	listeners map[uint16]*Listener
 	embryo    map[uint16][]*Conn
+
+	deliver func(*cpu.Seq) // ep.onDeliver, bound once
 }
 
 // Attach builds the mcnt fabric over a host and its attached MCN
@@ -122,25 +131,25 @@ func Attach(k *sim.Kernel, h *node.Host, pr Params) *Fabric {
 			listeners:  make(map[uint16]*Listener),
 			embryo:     make(map[uint16][]*Conn),
 		}
+		ep.deliver = ep.onDeliver
 		f.byNode[n] = ep
 		return ep
 	}
 	hostEp := newEp(h.Node, h.HostMcnIP(), true)
 	for _, m := range h.Mcns {
-		m := m
 		port := m.Port
 		dimmEp := newEp(m.Node, m.IP, false)
 		hostEp.addAdj(&adjInfo{
 			name: m.Name, peerIP: m.IP,
 			peerMAC: port.McnMAC(), selfMAC: port.MAC(),
-			transmit: func(p *sim.Proc, fr []byte) { port.Transmit(p, netstack.Frame{Data: fr}) },
+			dev: port,
 		})
 		dimmEp.addAdj(&adjInfo{
 			name: h.Name, peerIP: h.HostMcnIP(),
 			peerMAC: port.MAC(), selfMAC: port.McnMAC(),
-			transmit: func(p *sim.Proc, fr []byte) { m.Drv.Transmit(p, netstack.Frame{Data: fr}) },
+			dev: m.Drv,
 		})
-		m.Drv.FastRx = func(p *sim.Proc, frame []byte) { dimmEp.onFrame(p, frame) }
+		m.Drv.FastRx = dimmEp.rx
 	}
 	// Sibling DIMMs: direct mcnMAC-to-mcnMAC frames, relayed by the
 	// host's forwarding engine (rule F3 handles non-IP EtherTypes the
@@ -151,15 +160,14 @@ func Attach(k *sim.Kernel, h *node.Host, pr Params) *Fabric {
 			if i == j {
 				continue
 			}
-			mi := mi
 			di.addAdj(&adjInfo{
 				name: mj.Name, peerIP: mj.IP,
 				peerMAC: mj.Port.McnMAC(), selfMAC: mi.Port.McnMAC(),
-				transmit: func(p *sim.Proc, fr []byte) { mi.Drv.Transmit(p, netstack.Frame{Data: fr}) },
+				dev: mi.Drv,
 			})
 		}
 	}
-	h.Driver.FastRx = func(p *sim.Proc, _ *core.HostPort, frame []byte) { hostEp.onFrame(p, frame) }
+	h.Driver.FastRx = func(q *cpu.Seq, _ *core.HostPort, frame []byte) { hostEp.rx(q, frame) }
 	return f
 }
 
@@ -200,26 +208,39 @@ func (ep *endpoint) link(peer netstack.MAC) *linkEnd {
 	return l
 }
 
-// onFrame is the FastRx entry: it runs in the receiving driver's
-// context (host forwarding engine or DIMM RPS dispatch).
-func (ep *endpoint) onFrame(p *sim.Proc, frame []byte) {
+// rx is the drivers' FastRx step: it runs at the end of the receiving
+// context's charge sequence (the host forwarding engine's or a DIMM RPS
+// core's) and appends, for a valid frame from a peer, the frame's
+// demultiplexing charge and its delivery.
+func (ep *endpoint) rx(q *cpu.Seq, frame []byte) {
+	if _, _, l := ep.parse(frame); l != nil {
+		q.Exec(ep.f.Pr.RxFrameCycles).Hook(ep.deliver)
+	}
+}
+
+// onDeliver hands the frame in q.Buf, which rx validated, to its link
+// once the demultiplexing charge retires.
+func (ep *endpoint) onDeliver(q *cpu.Seq) {
+	h, payload, l := ep.parse(q.Buf)
+	l.onFrame(h, payload, q.Buf)
+}
+
+// parse validates an mcnt frame and returns its header, its payload and
+// the link from its sender (created on first contact), or a nil link
+// when the frame is not a valid one from a peer.
+func (ep *endpoint) parse(frame []byte) (Header, []byte, *linkEnd) {
 	if len(frame) < netstack.EthHeaderBytes+HeaderBytes {
-		return
+		return Header{}, nil, nil
 	}
 	eth, ok := netstack.ParseEth(frame)
 	if !ok || eth.Type != EtherType {
-		return
+		return Header{}, nil, nil
 	}
 	h, payload, ok := ParseFrame(frame[netstack.EthHeaderBytes:])
 	if !ok {
-		return
+		return Header{}, nil, nil
 	}
-	l := ep.link(eth.Src)
-	if l == nil {
-		return
-	}
-	ep.n.CPU.Exec(p, ep.f.Pr.RxFrameCycles)
-	l.onFrame(p, h, payload, frame)
+	return h, payload, ep.link(eth.Src)
 }
 
 // A linkEnd is one endpoint's end of one directed point-to-point link:
@@ -232,7 +253,9 @@ type linkEnd struct {
 
 	txLock *sim.Resource // serializes seq assignment + wire order
 
-	// Sender side.
+	// Sender side. unacked holds the sequenced frames sent and not yet
+	// acked, in sequence order; each frame is a buffer from the node
+	// stack's pool, recycled when an ack covers it.
 	nextSeq    uint64 // next sequence number to assign (starts at 1)
 	ackedTo    uint64 // highest cumulative ack received
 	unacked    []sentFrame
@@ -257,7 +280,7 @@ type sentFrame struct {
 }
 
 // onFrame handles one validated frame from the peer.
-func (l *linkEnd) onFrame(p *sim.Proc, h Header, payload []byte, raw []byte) {
+func (l *linkEnd) onFrame(h Header, payload []byte, raw []byte) {
 	l.processAck(h.Ack)
 	if c := l.ep.conns[h.Stream]; c != nil {
 		c.onCredit(h.Credit)
@@ -275,10 +298,13 @@ func (l *linkEnd) onFrame(p *sim.Proc, h Header, payload []byte, raw []byte) {
 		l.ep.f.Probes++
 		l.wantCtl(h.Stream)
 	default: // sequenced: data / syn / fin
-		l.onSequenced(p, h, payload, raw)
+		l.onSequenced(h, payload, raw)
 	}
 }
 
+// processAck absorbs a cumulative ack: the frames it covers go back to
+// the pool and the rest move to the front of unacked, so the queue keeps
+// its storage and empties to length 0.
 func (l *linkEnd) processAck(wire uint32) {
 	na := advance64(l.ackedTo, wire)
 	if na == l.ackedTo {
@@ -288,15 +314,17 @@ func (l *linkEnd) processAck(wire uint32) {
 	l.progress = true
 	i := 0
 	for i < len(l.unacked) && l.unacked[i].seq <= na {
-		l.unacked[i].frame = nil
+		l.ep.n.Stack.RecycleFrameBuf(l.unacked[i].frame)
 		i++
 	}
 	if i > 0 {
-		l.unacked = l.unacked[i:]
+		n := copy(l.unacked, l.unacked[i:])
+		clear(l.unacked[n:])
+		l.unacked = l.unacked[:n]
 	}
 }
 
-func (l *linkEnd) onSequenced(p *sim.Proc, h Header, payload []byte, raw []byte) {
+func (l *linkEnd) onSequenced(h Header, payload []byte, raw []byte) {
 	delta := int32(h.Seq - uint32(l.expect))
 	switch {
 	case delta == 0: // in order
@@ -341,7 +369,7 @@ func (l *linkEnd) onSequenced(p *sim.Proc, h Header, payload []byte, raw []byte)
 		c.rcvdB += uint64(len(payload))
 		c.rxSig.Notify()
 		if !ep.isHost && f.tap != nil {
-			f.tap.Frame(p.Now(), netstack.TapRx, l.name, raw)
+			f.tap.Frame(f.K.Now(), netstack.TapRx, l.name, raw)
 		}
 	case KindFin:
 		c := ep.conns[h.Stream]
@@ -415,89 +443,229 @@ func (l *linkEnd) retxLoop(p *sim.Proc) {
 	}
 }
 
-// resend retransmits every unacked frame in order, patching the
-// cumulative ack and credit fields to current values (both monotone,
-// so patching is always safe). The frames are copied: the originals
-// may still be aliased by a ring in flight.
+// resend retransmits every unacked frame in order, holding the TX lock,
+// as one charge sequence. Acks keep arriving while the burst runs, so it
+// walks the live queue by sequence number: a frame acked meanwhile is
+// skipped, and each frame is copied out of the queue before its
+// transmit, since processAck recycles the frames it acks.
 func (l *linkEnd) resend(p *sim.Proc) {
-	l.txLock.Acquire(p)
-	for i := range l.unacked {
-		sf := &l.unacked[i]
-		fr := append([]byte(nil), sf.frame...)
-		hdr := fr[netstack.EthHeaderBytes:]
-		putU32 := func(off int, v uint32) {
-			hdr[off] = byte(v)
-			hdr[off+1] = byte(v >> 8)
-			hdr[off+2] = byte(v >> 16)
-			hdr[off+3] = byte(v >> 24)
-		}
-		putU32(ackOff, uint32(l.expect-1))
-		if c := l.ep.conns[sf.stream]; c != nil {
-			putU32(creditOff, uint32(c.consumedB))
-		}
-		l.ep.f.Resent++
-		l.adj.transmit(p, fr)
-	}
-	if n := len(l.unacked); n > 0 && l.ep.f.OnResend != nil {
-		l.ep.f.OnResend(p.Now(), n)
-	}
-	l.rxSinceCtl = 0
-	l.txLock.Release()
+	op := l.ep.f.op(l)
+	l.ep.n.CPU.Seq().Lock(l.txLock).Hook(op.resendNext).Run(p)
+	l.ep.f.putOp(op)
 }
 
-// sendSequenced assigns the next link sequence number and transmits,
-// holding the TX lock so concurrent streams cannot reorder the wire.
-func (l *linkEnd) sendSequenced(p *sim.Proc, h Header, payload []byte) {
-	f := l.ep.f
-	l.ep.n.CPU.Exec(p, f.Pr.TxFrameCycles)
-	l.txLock.Acquire(p)
-	h.Seq = uint32(l.nextSeq)
-	seq := l.nextSeq
-	l.nextSeq++
-	h.Ack = uint32(l.expect - 1)
-	if rc := l.ep.conns[h.Stream]; rc != nil {
-		h.Credit = uint32(rc.consumedB)
-		rc.lastGrant = rc.consumedB
-	}
-	fr := l.buildFrame(h, payload)
-	wasEmpty := len(l.unacked) == 0
-	l.unacked = append(l.unacked, sentFrame{seq: seq, stream: h.Stream, frame: fr})
-	l.rxSinceCtl = 0
-	if h.Kind == KindData {
-		f.DataFrames++
-		f.BytesSent += int64(len(payload))
-	}
-	l.adj.transmit(p, fr)
-	if l.ep.isHost && f.tap != nil && h.Kind == KindData {
-		f.tap.Frame(p.Now(), netstack.TapTx, l.name, fr)
-	}
-	l.txLock.Release()
-	if wasEmpty {
-		l.retxSig.Notify()
-	}
-}
-
-// sendCtl transmits one unsequenced control frame for a stream.
+// sendCtl transmits one unsequenced control frame for a stream. Its ack
+// and credit are the values current when it is queued.
 func (l *linkEnd) sendCtl(p *sim.Proc, kind uint8, stream uint32) {
-	f := l.ep.f
 	h := Header{Kind: kind, Stream: stream, Ack: uint32(l.expect - 1)}
 	if rc := l.ep.conns[stream]; rc != nil {
 		h.Credit = uint32(rc.consumedB)
 		rc.lastGrant = rc.consumedB
 	}
-	l.ep.n.CPU.Exec(p, f.Pr.TxFrameCycles)
-	l.txLock.Acquire(p)
-	f.CtlFrames++
-	l.rxSinceCtl = 0
-	l.adj.transmit(p, l.buildFrame(h, nil))
-	l.txLock.Release()
+	l.send(p, h, true)
 }
 
+// send transmits one frame without payload as a charge sequence: a
+// control frame, or a sequenced SYN or FIN.
+func (l *linkEnd) send(p *sim.Proc, h Header, ctl bool) {
+	op := l.ep.f.op(l)
+	op.h, op.ctl = h, ctl
+	op.frameSteps(l.ep.n.CPU.Seq()).Run(p)
+	l.ep.f.putOp(op)
+}
+
+// buildFrame encodes a frame into a buffer from the node stack's pool.
 func (l *linkEnd) buildFrame(h Header, payload []byte) []byte {
 	h.Len = uint32(len(payload))
-	b := make([]byte, netstack.EthHeaderBytes+HeaderBytes+len(payload))
+	b := l.ep.n.Stack.GetFrameBuf(netstack.EthHeaderBytes + HeaderBytes + len(payload))
 	netstack.PutEth(b, netstack.EthHeader{Dst: l.adj.peerMAC, Src: l.adj.selfMAC, Type: EtherType})
 	PutHeader(b[netstack.EthHeaderBytes:], h)
 	copy(b[netstack.EthHeaderBytes+HeaderBytes:], payload)
 	return b
+}
+
+// txCopy returns a pool copy of frame for the device, which owns what it
+// is handed: the link keeps frame itself until an ack covers it.
+func (l *linkEnd) txCopy(frame []byte) []byte {
+	b := l.ep.n.Stack.GetFrameBuf(len(frame))
+	copy(b, frame)
+	return b
+}
+
+// A txOp carries one caller's frames through a link as a charge
+// sequence: a Send's data frames, a SYN or a FIN, a control frame, or a
+// go-back-N resend burst. Each frame takes its TxFrameCycles charge, the
+// link's TX lock, a stamp hook that assigns its sequence number, ack and
+// credit, the device's transmit steps and a hook that releases the lock:
+// the charges and waits the process form made, at the same instants.
+// Ops are pooled per fabric with their hooks bound once, so sending
+// allocates nothing once the pool is warm.
+type txOp struct {
+	l *linkEnd
+	// A Send's stream and the bytes it has not framed yet (c is nil for
+	// every other caller).
+	c    *Conn
+	data []byte
+	// The frame being sent: its header and payload, whether it is a
+	// control frame, the copy the link keeps of a sequenced one, and
+	// whether it made the resend queue non-empty.
+	h        Header
+	payload  []byte
+	ctl      bool
+	kept     []byte
+	wasEmpty bool
+	// A resend burst: the next sequence number to resend and the number
+	// of frames resent.
+	next   uint64
+	resent int
+	// bound once: onData, onStamp, onSent, onResendNext
+	dataNext, stamp, sent, resendNext func(*cpu.Seq)
+}
+
+// Outcomes of a Send's chain, its N.
+const (
+	sendDone    = iota // every byte framed
+	sendStalled        // the credit window is exhausted
+	sendClosed         // the stream was closed
+)
+
+// op returns an idle txOp for l.
+func (f *Fabric) op(l *linkEnd) *txOp {
+	var op *txOp
+	if n := len(f.ops); n > 0 {
+		op, f.ops = f.ops[n-1], f.ops[:n-1]
+	} else {
+		op = &txOp{}
+		op.dataNext, op.stamp, op.sent, op.resendNext = op.onData, op.onStamp, op.onSent, op.onResendNext
+	}
+	op.l = l
+	return op
+}
+
+// putOp returns op to the pool.
+func (f *Fabric) putOp(op *txOp) {
+	op.l, op.c, op.data, op.h, op.payload, op.ctl = nil, nil, nil, Header{}, nil, false
+	op.next, op.resent = 0, 0
+	f.ops = append(f.ops, op)
+}
+
+// frameSteps appends the frame in op.h and op.payload to q: its charge,
+// the TX lock, then the stamp hook.
+func (op *txOp) frameSteps(q *cpu.Seq) *cpu.Seq {
+	return q.Exec(op.l.ep.f.Pr.TxFrameCycles).Lock(op.l.txLock).Hook(op.stamp)
+}
+
+// onData frames a Send's next chunk, as much as MaxData and the credit
+// window admit, and ends the chain with N telling Send why when nothing
+// more can go.
+func (op *txOp) onData(q *cpu.Seq) {
+	c := op.c
+	q.N = sendDone
+	if len(op.data) == 0 {
+		return
+	}
+	if c.closed {
+		q.N = sendClosed
+		return
+	}
+	avail := int(uint64(c.ep.f.Pr.Window) - (c.sentB - c.grantB))
+	if avail <= 0 {
+		q.N = sendStalled
+		return
+	}
+	n := min(len(op.data), MaxData, avail)
+	op.h = Header{Kind: KindData, Stream: c.stream, Off: uint32(c.sentB)}
+	if c.dialer {
+		op.h.Flags = FlagFromDialer
+	}
+	c.sentB += uint64(n) // reserve before any wait
+	op.payload, op.data = op.data[:n], op.data[n:]
+	op.frameSteps(q)
+}
+
+// onStamp runs with the frame's charge retired and the TX lock held: it
+// assigns the frame its place on the link, builds it and appends the
+// device's transmit steps and the release hook.
+func (op *txOp) onStamp(q *cpu.Seq) {
+	l := op.l
+	f := l.ep.f
+	h := op.h
+	l.rxSinceCtl = 0
+	if op.ctl {
+		f.CtlFrames++
+		q.Buf = l.buildFrame(h, nil)
+	} else {
+		h.Seq = uint32(l.nextSeq)
+		seq := l.nextSeq
+		l.nextSeq++
+		h.Ack = uint32(l.expect - 1)
+		if rc := l.ep.conns[h.Stream]; rc != nil {
+			h.Credit = uint32(rc.consumedB)
+			rc.lastGrant = rc.consumedB
+		}
+		op.kept = l.buildFrame(h, op.payload)
+		op.wasEmpty = len(l.unacked) == 0
+		l.unacked = append(l.unacked, sentFrame{seq: seq, stream: h.Stream, frame: op.kept})
+		if h.Kind == KindData {
+			f.DataFrames++
+			f.BytesSent += int64(len(op.payload))
+		}
+		q.Buf = l.txCopy(op.kept)
+	}
+	q.N = 0
+	l.adj.dev.TransmitSteps(q)
+	q.Hook(op.sent)
+}
+
+// onSent runs when the device has the frame: the host taps its data
+// frames, the TX lock goes, the resend engine learns of a queue that
+// became non-empty, and a Send goes on to its next chunk. No ack can
+// have covered the kept frame yet: the device handed it over just now.
+func (op *txOp) onSent(q *cpu.Seq) {
+	l := op.l
+	f := l.ep.f
+	if op.kept != nil && l.ep.isHost && f.tap != nil && op.h.Kind == KindData {
+		f.tap.Frame(f.K.Now(), netstack.TapTx, l.name, op.kept)
+	}
+	l.txLock.Release()
+	if op.wasEmpty {
+		l.retxSig.Notify()
+	}
+	op.kept, op.wasEmpty = nil, false
+	if op.c != nil {
+		q.Hook(op.dataNext)
+	}
+}
+
+// onResendNext resends the first unacked frame from op.next on, with the
+// cumulative ack and credit fields patched to current values (both
+// monotone, so patching is always safe), or ends the burst.
+func (op *txOp) onResendNext(q *cpu.Seq) {
+	l := op.l
+	f := l.ep.f
+	i := 0
+	if len(l.unacked) > 0 && op.next > l.unacked[0].seq {
+		i = int(op.next - l.unacked[0].seq)
+	}
+	if i >= len(l.unacked) {
+		if op.resent > 0 && f.OnResend != nil {
+			f.OnResend(f.K.Now(), op.resent)
+		}
+		l.rxSinceCtl = 0
+		l.txLock.Release()
+		return
+	}
+	sf := &l.unacked[i]
+	op.next = sf.seq + 1
+	fr := l.txCopy(sf.frame)
+	hdr := fr[netstack.EthHeaderBytes:]
+	binary.LittleEndian.PutUint32(hdr[ackOff:], uint32(l.expect-1))
+	if c := l.ep.conns[sf.stream]; c != nil {
+		binary.LittleEndian.PutUint32(hdr[creditOff:], uint32(c.consumedB))
+	}
+	f.Resent++
+	op.resent++
+	q.Buf, q.N = fr, 0
+	l.adj.dev.TransmitSteps(q)
+	q.Hook(op.resendNext)
 }

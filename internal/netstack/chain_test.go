@@ -259,8 +259,51 @@ func diffTCPChain(t *testing.T, run func(chain bool) ([]any, sim.KernelStats)) {
 }
 
 // TestSendRecvChainsMatchProcessForms: Send and Recv, with sizes that
-// overflow the send buffer, fit it, or find nothing buffered yet.
+// overflow the send buffer, fit it, or find nothing buffered yet; then
+// Recvs that block before any data arrives, and one that the peer's FIN
+// ends while it waits.
 func TestSendRecvChainsMatchProcessForms(t *testing.T) {
+	t.Run("stream", testSendRecvStream)
+	t.Run("blocking-recv-and-fin", func(t *testing.T) {
+		diffTCPChain(t, func(chain bool) ([]any, sim.KernelStats) {
+			var ends []any
+			out, st := chainPair(t, func(p *pair, cli, srv *TCPConn) {
+				p.k.Go("receiver", func(pr *sim.Proc) {
+					buf := make([]byte, 2048)
+					for {
+						var n int
+						var ok bool
+						if chain {
+							n, ok = srv.Recv(pr, buf)
+						} else {
+							n, ok = refRecv(srv, pr, buf)
+						}
+						ends = append(ends, n, ok, pr.Now())
+						if !ok {
+							return
+						}
+					}
+				})
+
+				p.k.Go("sender", func(pr *sim.Proc) {
+					pr.Sleep(30 * sim.Microsecond)
+					cli.Send(pr, make([]byte, 5000))
+					pr.Sleep(40 * sim.Microsecond)
+					cli.Send(pr, make([]byte, 100))
+					pr.Sleep(50 * sim.Microsecond)
+					cli.Close(pr)
+					ends = append(ends, "closed", pr.Now())
+				})
+			})
+			if n := len(ends); n < 3 || ends[n-2] != false {
+				t.Fatalf("the FIN did not end the blocked Recv: %v", ends)
+			}
+			return append(out, ends), st
+		})
+	})
+}
+
+func testSendRecvStream(t *testing.T) {
 	sizes := []int{3000, 1200 << 10, 1, 9000, 0, 64 << 10}
 	diffTCPChain(t, func(chain bool) ([]any, sim.KernelStats) {
 		var ends []any

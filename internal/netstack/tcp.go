@@ -117,8 +117,11 @@ type TCPConn struct {
 	closed   bool
 	closeErr error
 
-	// sendChunk and recvChunk are onSendChunk and onRecvChunk, bound once.
+	// sendChunk and recvChunk are onSendChunk and onRecvChunk, and
+	// awaitReadable a wait on readable as a charge-sequence step, all
+	// bound once.
 	sendChunk, recvChunk func(*cpu.Seq)
+	awaitReadable        func(n int, done func())
 
 	// backoff counts consecutive retransmission timeouts; each one doubles
 	// the next RTO (clamped at tcpMaxRTO) until a new ACK resets it.
@@ -149,6 +152,7 @@ func (s *Stack) newConn(t fourTuple, ifc *Iface) *TCPConn {
 	c.ssthresh = tcpRcvBufCap
 	c.rxLock = s.K.NewResource(1)
 	c.sendChunk, c.recvChunk = c.onSendChunk, c.onRecvChunk
+	c.awaitReadable = func(_ int, done func()) { c.readable.WaitThen(done) }
 	c.rto = s.K.NewTimer(func() { c.onRTO() })
 	c.delack = s.K.NewTimer(func() { c.onDelAckTimer() })
 	s.conns[t] = c
@@ -311,21 +315,14 @@ func (c *TCPConn) SendN(p *sim.Proc, n int) error {
 func (c *TCPConn) Buffered() int { return c.rcvBuf.Len() }
 
 // Recv reads up to len(buf) bytes, blocking until data is available. It
-// returns 0, false at end of stream. The copy of the bytes read runs as a
-// chain, behind the socket charge when they are already buffered.
+// returns 0, false at end of stream. The socket charge, any wait for data
+// and the copy of the bytes read run as one chain.
 func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
-	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles)
-	var n int
-	for {
-		q.N, q.Buf = -1, buf
-		if n = q.Hook(c.recvChunk).Run(p); n >= 0 {
-			break
-		}
-		if c.gotFin || c.closed {
-			return 0, false
-		}
-		c.readable.Wait(p)
-		q = c.s.CPU.Seq()
+	q := c.s.CPU.Seq().Exec(c.s.Costs.SocketCycles).Hook(c.recvChunk)
+	q.N, q.Buf = -1, buf
+	n := q.Run(p)
+	if n < 0 {
+		return 0, false
 	}
 	// The bytes stay buffered through the copy charge: the window any
 	// segment advertises meanwhile still counts them.
@@ -341,12 +338,16 @@ func (c *TCPConn) Recv(p *sim.Proc, buf []byte) (int, bool) {
 	return n, true
 }
 
-// onRecvChunk runs when Recv's socket charge (or, after a wait, the
-// chain's start) retires: buffered bytes are copied into Buf, N becomes
-// their count and their copy charge joins the chain. With nothing
-// buffered N stays -1 and Recv waits.
+// onRecvChunk runs when Recv's socket charge retires, and again after
+// each wait: buffered bytes are copied into Buf, N becomes their count and
+// their copy charge joins the chain. With nothing buffered the chain waits
+// for readable and runs the hook again, where a process would have waited
+// and re-checked; at end of stream N stays -1.
 func (c *TCPConn) onRecvChunk(q *cpu.Seq) {
 	if c.rcvBuf.Len() == 0 {
+		if !c.gotFin && !c.closed {
+			q.Wait(c.awaitReadable, 0).Hook(c.recvChunk)
+		}
 		return
 	}
 	q.N = c.rcvBuf.CopyAt(q.Buf, 0)

@@ -438,6 +438,68 @@ func TestQueueWhenJoinsProcessFIFO(t *testing.T) {
 	}
 }
 
+// TestSignalWaitThenMatchesProcessForm runs waiters that each wait on a
+// signal until a counter reaches their target, as processes looping on
+// Wait and, in the second run, two of the three as WaitThen callbacks that
+// re-arm themselves. Notifies come with and without progress, and one
+// lands while a woken waiter's re-check is still pending. Every waiter
+// must finish at the same instant and in the same order, the kernel must
+// push and pop the same events, and the callbacks must take fewer
+// switches.
+func TestSignalWaitThenMatchesProcessForm(t *testing.T) {
+	run := func(chain bool) (string, KernelStats) {
+		k := NewKernel()
+		sig := k.NewSignal()
+		count := 0
+		var log []string
+		done := func(name string) { log = append(log, fmt.Sprint(name, "@", k.Now(), "#", count)) }
+		for i, target := range []int{2, 1, 4} {
+			name := fmt.Sprint("w", i)
+			if chain && i != 1 {
+				var check func()
+				check = func() {
+					if count < target {
+						sig.WaitThen(check)
+						return
+					}
+					done(name)
+				}
+				k.At(k.Now(), check)
+				continue
+			}
+			k.Go(name, func(p *Proc) {
+				for count < target {
+					sig.Wait(p)
+				}
+				done(name)
+			})
+		}
+		for i, at := range []Duration{3, 3, 5, 9, 9, 12} {
+			bump := i != 1 && i != 4
+			k.At(Time(at*Nanosecond), func() {
+				if bump {
+					count++
+				}
+				sig.Notify()
+			})
+		}
+		k.Run()
+		return strings.Join(log, ","), k.Stats()
+	}
+	want, ws := run(false)
+	got, gs := run(true)
+	if got != want {
+		t.Fatalf("callbacks finished %s, processes %s", got, want)
+	}
+	if gs.Pushes != ws.Pushes || gs.Pops != ws.Pops {
+		t.Fatalf("callbacks pushed/popped %d/%d events, processes %d/%d", gs.Pushes, gs.Pops, ws.Pushes, ws.Pops)
+	}
+	if gs.Switches >= ws.Switches {
+		t.Fatalf("callbacks took %d switches, processes %d: want fewer", gs.Switches, ws.Switches)
+	}
+	t.Logf("%s; switches %d -> %d", got, ws.Switches, gs.Switches)
+}
+
 func TestQueueFIFOAndBlocking(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, 0)

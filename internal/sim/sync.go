@@ -14,7 +14,7 @@ func (w waiterRef) valid() bool { return w.p.waiting && w.p.waitGen == w.gen }
 // Notify to wake all current waiters. Waits may carry a timeout. Because
 // waiters are woken (not handed a value), users should re-check their
 // predicate in a loop after Wait returns. A kernel callback waits with
-// waitThen, in the same FIFO as the processes.
+// WaitThen, in the same FIFO as the processes.
 type Signal struct {
 	k       *Kernel
 	waiters []resWaiter
@@ -30,10 +30,10 @@ func (s *Signal) Wait(p *Proc) {
 	p.park()
 }
 
-// waitThen runs fn at the next Notify, at the instant and event sequence
+// WaitThen runs fn at the next Notify, at the instant and event sequence
 // position at which Notify would have woken a process waiting in its
-// place.
-func (s *Signal) waitThen(fn func()) { s.waiters = append(s.waiters, resWaiter{fn: fn}) }
+// place. Like that process, fn must re-check its predicate.
+func (s *Signal) WaitThen(fn func()) { s.waiters = append(s.waiters, resWaiter{fn: fn}) }
 
 // WaitTimeout parks p until the next Notify or until d elapses. It reports
 // true if the signal fired and false on timeout.
@@ -215,12 +215,12 @@ func (q *Queue[T]) TryGet() (T, bool) { return q.take() }
 // next Put or TryPut, or Close. Like that process, fn must re-check the
 // queue: a callback state machine takes its items this way, in the same
 // FIFO as the processes.
-func (q *Queue[T]) WhenItem(fn func()) { q.notEmpty.waitThen(fn) }
+func (q *Queue[T]) WhenItem(fn func()) { q.notEmpty.WaitThen(fn) }
 
 // WhenRoom runs fn where a process blocked in Put would be woken: when a
 // Get or TryGet next takes an item, or at Close. fn must re-check for
 // room.
-func (q *Queue[T]) WhenRoom(fn func()) { q.notFull.waitThen(fn) }
+func (q *Queue[T]) WhenRoom(fn func()) { q.notFull.WaitThen(fn) }
 
 func (q *Queue[T]) take() (T, bool) {
 	if q.items.len() == 0 {

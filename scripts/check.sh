@@ -51,6 +51,13 @@ go test -run '^$' -fuzz FuzzTimerWheel -fuzztime 10s ./internal/sim
 echo ">> go test -run '^\$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s ./internal/netstack"
 go test -run '^$' -fuzz FuzzChecksumMatchesReference -fuzztime 10s ./internal/netstack
 
+# Ten seconds of fuzzing mcnt's go-back-N recovery, from the committed
+# corpus of acks that land mid-resend-burst: lossy streams with any seed,
+# loss rate, send and receive size and direction mix deliver exact bytes
+# and end with clean accounting.
+echo ">> go test -run '^\$' -fuzz FuzzGoBackNUnderLoss -fuzztime 10s ./internal/mcnt"
+go test -run '^$' -fuzz FuzzGoBackNUnderLoss -fuzztime 10s ./internal/mcnt
+
 # Every non-test function runs somewhere in the suite, apart from the
 # named fillers in scripts/never-run.txt: the list of 0.0% functions under
 # a module-wide coverage profile must equal that allowlist, so a new
@@ -81,10 +88,13 @@ fi
 # that share Resources with those processes, the frame chains that carry
 # a segment through TCP, IP and a driver's setup charges (and on receive
 # through IP into the socket lock) in kernel callbacks, the socket
-# buffers that TCP and mcnt processes fill and drain around their
-# CPU-charge parks — the send and mcnt byte rings and TCP's receive queue
-# of held pool frames, recycled as reads consume them (with the stack's
-# stream-integrity fuzz seeds) — the
+# buffers that TCP's and mcnt's Send and Recv chains fill and drain from
+# kernel callbacks, waits included — the send and mcnt byte rings and
+# TCP's receive queue of held pool frames, recycled as reads consume them
+# (with the stack's stream-integrity fuzz seeds) — mcnt's frame chains,
+# which stamp and transmit under the link's TX lock and deliver from the
+# drivers' receive chains, and its resend queue of pool frames, recycled
+# by acks that land from another core mid-burst, the
 # NIC's TX-engine, NAPI and switch-port callback chains and its napi
 # delivery process, which emit through a frame tap shared with the stack
 # taps (Table III's recorder) and hand pooled wire frames from one
